@@ -7,6 +7,10 @@
 # absolute URLs (http/https/mailto) and pure #anchors. A target with a
 # #fragment is checked for file existence only.
 #
+# Also checks the markdown files that tracked code and scripts (*.h, *.cc,
+# *.cpp, *.sh) name in comments and messages: each such path must exist
+# relative to the naming file's directory or the repo root.
+#
 # Usage: scripts/check_docs.sh
 
 set -euo pipefail
@@ -35,8 +39,18 @@ while IFS= read -r md; do
              | sed 's/ ".*"$//')
 done < <(git ls-files '*.md')
 
+while IFS= read -r src; do
+  dir="$(dirname "$src")"
+  while IFS= read -r ref; do
+    if [[ ! -e "$dir/$ref" && ! -e "$ref" ]]; then
+      echo "BROKEN: $src -> $ref" >&2
+      fail=1
+    fi
+  done < <(grep -oE '[A-Za-z0-9_][A-Za-z0-9_./-]*\.md\b' "$src" | sort -u)
+done < <(git ls-files '*.h' '*.cc' '*.cpp' '*.sh')
+
 if [[ "$fail" != 0 ]]; then
-  echo "FAIL: broken relative links in markdown (see above)" >&2
+  echo "FAIL: broken markdown links or references (see above)" >&2
   exit 1
 fi
-echo "OK: all relative markdown links resolve"
+echo "OK: all markdown links and code references resolve"

@@ -16,8 +16,7 @@
 // Lemma 6, which does not assume value-level totality. DeduceOrder in its
 // default (paper) mode additionally applies the Fig. 5 reversed-order
 // rule, justified by the totality of completions, and can therefore
-// determine values these analyses leave open — see DESIGN.md, "Semantic
-// decisions discovered during implementation".
+// determine values these analyses leave open.
 
 #ifndef CCR_CORE_IMPLICATION_H_
 #define CCR_CORE_IMPLICATION_H_

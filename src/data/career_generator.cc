@@ -29,7 +29,22 @@ std::string Label(const char* prefix, int i) {
 
 }  // namespace
 
+Status CareerOptions::Validate() const {
+  CCR_RETURN_NOT_OK(ValidateCorpusSize("CareerOptions", num_entities,
+                                       min_tuples, max_tuples));
+  if (max_path < 2 || max_path > num_affiliations) {
+    return Status::InvalidArgument(
+        "CareerOptions: need 2 <= max_path <= num_affiliations");
+  }
+  if (pattern_gap < 0 || max_cites < 0) {
+    return Status::InvalidArgument(
+        "CareerOptions: pattern_gap and max_cites must be >= 0");
+  }
+  return Status::OK();
+}
+
 Dataset GenerateCareer(const CareerOptions& options) {
+  CCR_CHECK(options.Validate().ok());
   Dataset ds;
   ds.name = "CAREER";
   auto schema = Schema::Make(

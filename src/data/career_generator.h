@@ -50,9 +50,16 @@ struct CareerOptions {
   double p_cite = 0.65;        // per-slot citation probability
   int max_cites = 5;           // citation slots per paper
   double p_city_noise = 0.04;  // misspelled city on a non-final paper
+
+  /// OK iff GenerateCareer can run on these options: the corpus size
+  /// checks of ValidateCorpusSize, 2 <= max_path <= num_affiliations (a
+  /// path visits distinct affiliations), and non-negative pattern_gap and
+  /// max_cites. Check options taken from outside (CLI flags) with it.
+  Status Validate() const;
 };
 
-/// Generates the dataset; deterministic in `options.seed`.
+/// Generates the dataset; deterministic in `options.seed`. Aborts when
+/// `options.Validate()` fails.
 Dataset GenerateCareer(const CareerOptions& options = {});
 
 }  // namespace ccr

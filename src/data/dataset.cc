@@ -1,5 +1,7 @@
 #include "src/data/dataset.h"
 
+#include <string>
+
 #include "src/common/rng.h"
 
 namespace ccr {
@@ -19,6 +21,20 @@ std::vector<int> SelectFraction(int n, double fraction, uint64_t seed) {
 }
 
 }  // namespace
+
+Status ValidateCorpusSize(const char* what, int num_entities, int min_tuples,
+                          int max_tuples) {
+  if (num_entities < 0) {
+    return Status::InvalidArgument(std::string(what) +
+                                   ": num_entities must be >= 0");
+  }
+  if (min_tuples < 1 || min_tuples > max_tuples) {
+    return Status::InvalidArgument(
+        std::string(what) + ": need 1 <= min_tuples <= max_tuples, got " +
+        std::to_string(min_tuples) + " and " + std::to_string(max_tuples));
+  }
+  return Status::OK();
+}
 
 Specification Dataset::MakeSpec(int idx, double sigma_fraction,
                                 double gamma_fraction,

@@ -47,6 +47,12 @@ struct Dataset {
                          uint64_t subset_seed = 1) const;
 };
 
+/// Checks the corpus-size options every generator shares: num_entities
+/// >= 0 and 1 <= min_tuples <= max_tuples. `what` names the options
+/// struct in the error message.
+Status ValidateCorpusSize(const char* what, int num_entities, int min_tuples,
+                          int max_tuples);
+
 /// \brief UserOracle that answers suggestions from the dataset's ground
 /// truth — the paper's simulated users ("We simulated user interactions by
 /// providing true values for suggested attributes, some with new values").

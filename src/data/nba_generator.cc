@@ -53,7 +53,23 @@ struct ArenaInfo {
 
 }  // namespace
 
+Status NbaOptions::Validate() const {
+  CCR_RETURN_NOT_OK(ValidateCorpusSize("NbaOptions", num_entities,
+                                       min_tuples, max_tuples));
+  // GenerateNba builds the paper's league only: 58 arenas over 26 teams,
+  // 15 of them renamed, for exactly 54 constraints and 58 CFDs.
+  if (num_teams != 26 || num_renames != 15) {
+    return Status::InvalidArgument(
+        "NbaOptions: the league needs num_teams = 26 and num_renames = 15");
+  }
+  if (max_seasons < 4) {
+    return Status::InvalidArgument("NbaOptions: max_seasons must be >= 4");
+  }
+  return Status::OK();
+}
+
 Dataset GenerateNba(const NbaOptions& options) {
+  CCR_CHECK(options.Validate().ok());
   Dataset ds;
   ds.name = "NBA";
   auto schema = Schema::Make({"pid", "name", "true_name", "team", "league",

@@ -46,9 +46,17 @@ struct NbaOptions {
   /// single-arena players the repair needs no currency information at
   /// all, which is what keeps the Γ-only curves of Fig. 8(h) above zero.
   double p_city_dirt = 0.10;
+
+  /// OK iff GenerateNba can run on these options: the corpus size checks
+  /// of ValidateCorpusSize, the paper's league (num_teams = 26,
+  /// num_renames = 15: 54 constraints, 58 CFDs) and max_seasons >= 4
+  /// (renames and arena moves happen in seasons [2, max_seasons - 2]).
+  /// Check options taken from outside (CLI flags) with it.
+  Status Validate() const;
 };
 
-/// Generates the dataset; deterministic in `options.seed`.
+/// Generates the dataset; deterministic in `options.seed`. Aborts when
+/// `options.Validate()` fails.
 Dataset GenerateNba(const NbaOptions& options = {});
 
 }  // namespace ccr

@@ -42,7 +42,21 @@ struct PersonState {
 
 }  // namespace
 
+Status PersonOptions::Validate() const {
+  CCR_RETURN_NOT_OK(ValidateCorpusSize("PersonOptions", num_entities,
+                                       min_tuples, max_tuples));
+  if (status_chain < 0 || job_chain < 0) {
+    return Status::InvalidArgument(
+        "PersonOptions: chain lengths must be >= 0");
+  }
+  if (num_cities < 1) {
+    return Status::InvalidArgument("PersonOptions: num_cities must be >= 1");
+  }
+  return Status::OK();
+}
+
 Dataset GeneratePerson(const PersonOptions& options) {
+  CCR_CHECK(options.Validate().ok());
   Dataset ds;
   ds.name = "Person";
   auto schema = Schema::Make({"name", "status", "job", "kids", "city", "AC",

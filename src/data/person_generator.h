@@ -63,9 +63,15 @@ struct PersonOptions {
   /// The AC → city CFD repairs these; entities that never moved need no
   /// currency information for the repair (Fig. 8(p)'s non-zero floor).
   double p_city_dirt = 0.08;
+
+  /// OK iff GeneratePerson can run on these options: the corpus size
+  /// checks of ValidateCorpusSize, non-negative chain lengths and at least
+  /// one city. Check options taken from outside (CLI flags) with it.
+  Status Validate() const;
 };
 
-/// Generates the dataset; deterministic in `options.seed`.
+/// Generates the dataset; deterministic in `options.seed`. Aborts when
+/// `options.Validate()` fails.
 Dataset GeneratePerson(const PersonOptions& options = {});
 
 }  // namespace ccr

@@ -2,6 +2,8 @@
 
 #include <vector>
 
+#include "src/common/status.h"
+
 namespace ccr {
 
 namespace {
@@ -23,6 +25,19 @@ void AddConstraintClause(const VarMap& vm, const GroundConstraint& gc,
     scratch->push_back(sat::Lit::Pos(vm.VarOf(gc.head)));
   }
   cnf->AddClause(std::span<const sat::Lit>(scratch->data(), scratch->size()));
+}
+
+// Φ(Se) is Horn: every clause has at most one positive literal. Rules
+// carry one positive head (none for a false head) behind negated body
+// atoms and guards, asymmetry clauses have none, transitivity one, and a
+// retired guard is a negative unit. Checks clauses [first, end) of `cnf`.
+[[maybe_unused]] bool ClausesAreHorn(const sat::Cnf& cnf, int first) {
+  for (int c = first; c < cnf.num_clauses(); ++c) {
+    int positive = 0;
+    for (const sat::Lit l : cnf.clause(c)) positive += l.negated() ? 0 : 1;
+    if (positive > 1) return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -71,11 +86,13 @@ void BuildCnfInto(const Instantiation& inst, sat::Cnf* out,
       }
     }
   }
+  CCR_DCHECK(ClausesAreHorn(cnf, 0));
 }
 
 void ExtendCnf(const Instantiation& inst, const InstantiationDelta& delta,
                sat::Cnf* cnf, const CnfBuildOptions& options) {
   const VarMap& vm = inst.varmap;
+  [[maybe_unused]] const int first_clause = cnf->num_clauses();
   cnf->EnsureVars(vm.num_vars());
 
   // Retired CFD guards first: each unit permanently satisfies every clause
@@ -123,6 +140,7 @@ void ExtendCnf(const Instantiation& inst, const InstantiationDelta& delta,
       }
     }
   }
+  CCR_DCHECK(ClausesAreHorn(*cnf, first_clause));
 }
 
 }  // namespace ccr

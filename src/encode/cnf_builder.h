@@ -5,6 +5,9 @@
 // are streamed straight into the CNF from the domains. By Lemma 5 of the
 // paper, Se is valid iff Φ(Se) is satisfiable (a consistent strict partial
 // order always extends to a total order).
+//
+// Φ(Se) is Horn: every clause has at most one positive literal. Debug
+// builds assert it over every clause BuildCnfInto and ExtendCnf emit.
 
 #ifndef CCR_ENCODE_CNF_BUILDER_H_
 #define CCR_ENCODE_CNF_BUILDER_H_

@@ -1,6 +1,7 @@
 #include "src/encode/instantiation.h"
 
 #include <algorithm>
+#include <map>
 
 #include "src/common/status.h"
 
@@ -58,14 +59,80 @@ std::string GroundConstraint::ToString(const VarMap& vm,
   return out;
 }
 
+void Instantiation::AddProjections(const EntityInstance& ie, int first_tuple,
+                                   int n_attrs) {
+  std::vector<Value> key;
+  for (ProjTable& table : proj_tables_) {
+    for (int t = first_tuple; t < ie.size(); ++t) {
+      const Tuple& tuple = ie.tuple(t);
+      key.clear();
+      for (int a : table.attrs) key.push_back(tuple.at(a));
+      if (table.proj_ids.contains(key)) continue;
+      table.proj_ids.emplace(key,
+                             static_cast<int>(table.projections.size()));
+      std::vector<Value> wide(n_attrs);
+      for (int a : table.attrs) wide[a] = tuple.at(a);
+      table.projections.emplace_back(std::move(wide));
+    }
+  }
+}
+
+void Instantiation::GroundSigma(const CurrencyConstraint& phi, int ci,
+                                int old_np,
+                                const InstantiationOptions& options) {
+  const ProjTable& table = proj_tables_[sigma_table_[ci]];
+  const int np = static_cast<int>(table.projections.size());
+  if (np == old_np) return;
+
+  // The unary part of GroundSigmaPair's checks, per side: a projection
+  // failing its side's test can never produce a constraint in that role.
+  // t2 may carry a null head only under strict null semantics, where the
+  // pair grounds to (body -> false).
+  auto side_ok = [&](const Tuple& s, bool t1_side) {
+    if ((t1_side || !options.strict_null_order) &&
+        s.at(phi.head_attr()).is_null()) {
+      return false;
+    }
+    for (const auto& op : phi.order_predicates()) {
+      if (s.at(op.attr).is_null()) return false;
+    }
+    for (const auto& cp : phi.constant_predicates()) {
+      if ((cp.tuple_ref == 1) == t1_side && !cp.Eval(s, s)) return false;
+    }
+    return true;
+  };
+  side1_.clear();
+  side2_.clear();
+  for (int p = 0; p < np; ++p) {
+    const Tuple& s = table.projections[p];
+    if (side_ok(s, true)) side1_.push_back(p);
+    if (side_ok(s, false)) side2_.push_back(p);
+  }
+
+  // Only pairs touching a projection at or past old_np are new.
+  const size_t first = constraints.size();
+  const auto new_side2 =
+      std::lower_bound(side2_.begin(), side2_.end(), old_np);
+  for (int p : side1_) {
+    for (auto it = p >= old_np ? side2_.begin() : new_side2;
+         it != side2_.end(); ++it) {
+      if (*it != p) GroundSigmaPair(phi, ci, p, *it, options);
+    }
+  }
+  std::sort(constraints.begin() + first, constraints.end(),
+            [](const GroundConstraint& a, const GroundConstraint& b) {
+              return a.seq < b.seq;
+            });
+}
+
 // Grounds ϕ = sigma[ci] on the (ordered) projection pair (p, q) of its
-// state table, appending at most one constraint.
+// table, appending at most one constraint.
 void Instantiation::GroundSigmaPair(const CurrencyConstraint& phi, int ci,
                                     int p, int q,
                                     const InstantiationOptions& options) {
-  const SigmaState& ss = sigma_state_[ci];
-  const Tuple& s1 = ss.projections[p];
-  const Tuple& s2 = ss.projections[q];
+  const ProjTable& table = proj_tables_[sigma_table_[ci]];
+  const Tuple& s1 = table.projections[p];
+  const Tuple& s2 = table.projections[q];
   if (!phi.ComparisonsHold(s1, s2)) return;
 
   // Head first: many instantiations are vacuous.
@@ -164,10 +231,9 @@ Status Instantiation::BuildInto(const Specification& se, Instantiation* out,
   // buckets, the unit-dedup set).
   inst.constraints.clear();
   inst.unit_seen_.clear();
-  for (SigmaState& ss : inst.sigma_state_) {
-    ss.attrs.clear();
-    ss.proj_ids.clear();
-    ss.projections.clear();
+  for (ProjTable& table : inst.proj_tables_) {
+    table.proj_ids.clear();
+    table.projections.clear();
   }
   inst.active_guards_.clear();
   inst.guarded_ = options.guard_cfds;
@@ -225,36 +291,24 @@ Status Instantiation::BuildInto(const Specification& se, Instantiation* out,
     }
   }
 
-  // (2) Currency constraints, grounded over deduplicated tuple-pair
-  // projections. Pairs are enumerated generation-major — for every
-  // projection n, all pairs with earlier projections m < n — so that
-  // ExtendWith (which appends projections) emits the same sequence.
-  inst.sigma_state_.resize(se.sigma.size());
+  // (2) Currency constraints, joined over projection tables shared per
+  // mentioned-attribute set. Each constraint's pairs are emitted in `seq`
+  // order — generation-major: for every projection n, all pairs with
+  // earlier projections m < n — so that ExtendWith (which appends
+  // projections) emits the same sequence.
+  std::map<std::vector<int>, int> table_of;
+  inst.sigma_table_.resize(se.sigma.size());
   for (size_t ci = 0; ci < se.sigma.size(); ++ci) {
-    const CurrencyConstraint& phi = se.sigma[ci];
-    SigmaState& ss = inst.sigma_state_[ci];
-    ss.attrs = MentionedAttrs(phi);
-
-    for (const Tuple& t : ie.tuples()) {
-      std::vector<Value> key;
-      key.reserve(ss.attrs.size());
-      for (int a : ss.attrs) key.push_back(t.at(a));
-      auto [it, inserted] = ss.proj_ids.emplace(
-          std::move(key), static_cast<int>(ss.projections.size()));
-      if (inserted) {
-        std::vector<Value> wide(n_attrs);
-        for (int a : ss.attrs) wide[a] = t.at(a);
-        ss.projections.emplace_back(std::move(wide));
-      }
-    }
-
-    const int np = static_cast<int>(ss.projections.size());
-    for (int n = 1; n < np; ++n) {
-      for (int m = 0; m < n; ++m) {
-        inst.GroundSigmaPair(phi, static_cast<int>(ci), m, n, options);
-        inst.GroundSigmaPair(phi, static_cast<int>(ci), n, m, options);
-      }
-    }
+    const int next = static_cast<int>(table_of.size());
+    inst.sigma_table_[ci] =
+        table_of.emplace(MentionedAttrs(se.sigma[ci]), next).first->second;
+  }
+  inst.proj_tables_.resize(table_of.size());
+  for (const auto& [attrs, i] : table_of) inst.proj_tables_[i].attrs = attrs;
+  inst.AddProjections(ie, /*first_tuple=*/0, n_attrs);
+  for (size_t ci = 0; ci < se.sigma.size(); ++ci) {
+    inst.GroundSigma(se.sigma[ci], static_cast<int>(ci), /*old_np=*/0,
+                     options);
   }
 
   // (3) Applicable constant CFDs: ωX -> b ≺^v_B tp[B] for each competing b.
@@ -423,29 +477,14 @@ Result<InstantiationDelta> Instantiation::ExtendWith(
   }
 
   // (2) New tuple-pair projections, paired with everything before them.
+  std::vector<int> old_np(proj_tables_.size());
+  for (size_t i = 0; i < proj_tables_.size(); ++i) {
+    old_np[i] = static_cast<int>(proj_tables_[i].projections.size());
+  }
+  AddProjections(ie, num_tuples_, n_attrs);
   for (size_t ci = 0; ci < extended_se.sigma.size(); ++ci) {
-    const CurrencyConstraint& phi = extended_se.sigma[ci];
-    SigmaState& ss = sigma_state_[ci];
-    const int old_np = static_cast<int>(ss.projections.size());
-    for (int t = num_tuples_; t < ie.size(); ++t) {
-      std::vector<Value> key;
-      key.reserve(ss.attrs.size());
-      for (int a : ss.attrs) key.push_back(ie.tuple(t).at(a));
-      auto [it, inserted] = ss.proj_ids.emplace(
-          std::move(key), static_cast<int>(ss.projections.size()));
-      if (inserted) {
-        std::vector<Value> wide(n_attrs);
-        for (int a : ss.attrs) wide[a] = ie.tuple(t).at(a);
-        ss.projections.emplace_back(std::move(wide));
-      }
-    }
-    const int np = static_cast<int>(ss.projections.size());
-    for (int n = old_np; n < np; ++n) {
-      for (int m = 0; m < n; ++m) {
-        GroundSigmaPair(phi, static_cast<int>(ci), m, n, options);
-        GroundSigmaPair(phi, static_cast<int>(ci), n, m, options);
-      }
-    }
+    GroundSigma(extended_se.sigma[ci], static_cast<int>(ci),
+                old_np[sigma_table_[ci]], options);
   }
 
   // (3) CFDs: newly competing values of still-valid applicable CFDs (their

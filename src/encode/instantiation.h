@@ -11,10 +11,17 @@
 // Families (1b)/(1c) are pure functions of the domains and are streamed
 // directly into the CNF by cnf_builder.h, never stored.
 //
-// Grounding deduplicates tuple pairs by their projection onto the
-// attributes a constraint mentions, so the cost is bounded by distinct
-// value combinations instead of |It|^2 — this is what makes the paper's
-// 10k-tuple Person entities (Fig. 8(a)) tractable.
+// Family (2) is grounded as a filtered join. Σ constraints that mention
+// the same attribute set share one table of the distinct tuple
+// projections onto those attributes, filled once per tuple. Per
+// constraint, one pass over its table keeps the projections that can
+// stand as t1 (non-null head and order values, every t1 constant
+// predicate true) and those that can stand as t2, and only pairs drawn
+// from those two side lists are checked. A constraint therefore costs its
+// table length plus |side1|·|side2| pair checks — not |It|^2, nor the
+// square of the distinct projections. A Person status/job transition
+// rule keeps about one projection per side, which is what makes the
+// paper's 10k-tuple Person entities (Fig. 8(a)) tractable.
 //
 // The framework loop (Fig. 4) re-grounds the *same* specification plus a
 // small user delta every round, so Build retains its grounding state
@@ -178,20 +185,30 @@ struct Instantiation {
       const InstantiationOptions& options = {});
 
  private:
-  // Per-Σ-constraint grounding state: the mentioned attributes and the
-  // deduplicated tuple-pair projection table, retained so ExtendWith can
-  // ground only projections contributed by new tuples.
-  struct SigmaState {
+  // The deduplicated projections of the grounded tuples onto one attribute
+  // set, shared by every Σ constraint mentioning exactly that set and
+  // retained so ExtendWith can ground only projections contributed by new
+  // tuples. Projection ids follow tuple-insertion order.
+  struct ProjTable {
     std::vector<int> attrs;
     std::unordered_map<std::vector<Value>, int, ProjHash, ProjEq> proj_ids;
     std::vector<Tuple> projections;  // full-width, nulls off-projection
   };
 
+  // Adds the projections of tuples [first_tuple, ie.size()) to every table.
+  void AddProjections(const EntityInstance& ie, int first_tuple,
+                      int n_attrs);
+  // Grounds ϕ = sigma[ci] on every projection pair of its table with
+  // max(p, q) >= old_np, appending in canonical `seq` order.
+  void GroundSigma(const CurrencyConstraint& phi, int ci, int old_np,
+                   const InstantiationOptions& options);
   void GroundSigmaPair(const CurrencyConstraint& phi, int ci, int p, int q,
                        const InstantiationOptions& options);
   void GroundCfd(int gi, const Specification& se, int first_b);
 
-  std::vector<SigmaState> sigma_state_;
+  std::vector<ProjTable> proj_tables_;
+  std::vector<int> sigma_table_;         // per Σ index: its proj_tables_ slot
+  std::vector<int> side1_, side2_;       // GroundSigma's join scratch
   std::unordered_set<uint64_t> unit_seen_;  // family (1a) dedup keys
   std::vector<bool> cfd_applicable_;        // per gamma index
   std::vector<bool> cfd_lhs_attr_;  // attr is LHS of an applicable CFD

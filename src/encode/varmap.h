@@ -2,8 +2,8 @@
 // variables x^A_{a1 a2} (§V-A).
 //
 // The order domain of attribute A is adom(Ie.A) plus the constants that
-// constant CFDs can introduce as repaired current values. Following the
-// remark in DESIGN.md, CFD constants are added by a reachability fixpoint:
+// constant CFDs can introduce as repaired current values. CFD constants
+// are added by a reachability fixpoint:
 // a CFD is *applicable* when every LHS constant is already in its
 // attribute's domain, and an applicable CFD adds its RHS constant. CFDs
 // that can never fire on this entity are dropped, which keeps the domain —

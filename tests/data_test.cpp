@@ -243,6 +243,92 @@ TEST(CareerGeneratorTest, MisspelledCityRepairedByCfd) {
   EXPECT_GT(checked, 10);
 }
 
+TEST(GeneratorOptionsTest, DefaultsValidate) {
+  EXPECT_TRUE(PersonOptions{}.Validate().ok());
+  EXPECT_TRUE(NbaOptions{}.Validate().ok());
+  EXPECT_TRUE(CareerOptions{}.Validate().ok());
+}
+
+// Applies `mutate` to default options and expects Validate to refuse them.
+template <typename Options, typename Mutate>
+void ExpectRejected(Mutate mutate, const char* what) {
+  Options opts;
+  mutate(opts);
+  const Status st = opts.Validate();
+  EXPECT_FALSE(st.ok()) << what;
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << what;
+}
+
+TEST(GeneratorOptionsTest, BadCombinationsAreRejected) {
+  // The corpus-size checks every generator shares; min above the default
+  // max is the `ccr_experiment --min-tuples 250` case.
+  auto sizes = [](auto tag) {
+    using Options = decltype(tag);
+    ExpectRejected<Options>([](Options& o) { o.min_tuples = 250; },
+                            "min above default max");
+    ExpectRejected<Options>([](Options& o) { o.min_tuples = 0; },
+                            "min 0");
+    ExpectRejected<Options>([](Options& o) { o.min_tuples = -3; },
+                            "min negative");
+    ExpectRejected<Options>(
+        [](Options& o) {
+          o.min_tuples = 5;
+          o.max_tuples = 4;
+        },
+        "max below min");
+    ExpectRejected<Options>([](Options& o) { o.max_tuples = -1; },
+                            "max negative");
+    ExpectRejected<Options>([](Options& o) { o.num_entities = -1; },
+                            "entities negative");
+  };
+  sizes(PersonOptions{});
+  sizes(NbaOptions{});
+  sizes(CareerOptions{});
+
+  ExpectRejected<PersonOptions>([](auto& o) { o.status_chain = -1; },
+                                "status chain");
+  ExpectRejected<PersonOptions>([](auto& o) { o.job_chain = -1; },
+                                "job chain");
+  ExpectRejected<PersonOptions>([](auto& o) { o.num_cities = 0; },
+                                "no cities");
+
+  ExpectRejected<NbaOptions>([](auto& o) { o.num_teams = 0; }, "no teams");
+  ExpectRejected<NbaOptions>([](auto& o) { o.num_teams = 25; },
+                             "not the paper's league");
+  ExpectRejected<NbaOptions>([](auto& o) { o.num_renames = -1; },
+                             "renames negative");
+  ExpectRejected<NbaOptions>([](auto& o) { o.num_renames = 27; },
+                             "renames above teams");
+  ExpectRejected<NbaOptions>([](auto& o) { o.max_seasons = 3; },
+                             "seasons");
+
+  ExpectRejected<CareerOptions>([](auto& o) { o.max_path = 1; }, "path 1");
+  ExpectRejected<CareerOptions>([](auto& o) { o.num_affiliations = 7; },
+                                "path above affiliations");
+  ExpectRejected<CareerOptions>([](auto& o) { o.pattern_gap = -1; },
+                                "pattern gap");
+  ExpectRejected<CareerOptions>([](auto& o) { o.max_cites = -1; },
+                                "cites");
+
+  // The boundary cases stay accepted, and the generators run on them.
+  PersonOptions one;
+  one.min_tuples = one.max_tuples = 1;
+  one.num_entities = 3;
+  one.num_cities = 1;
+  EXPECT_TRUE(one.Validate().ok());
+  EXPECT_EQ(GeneratePerson(one).entities.size(), 3u);
+  NbaOptions tight;
+  tight.num_entities = 3;
+  tight.max_seasons = 4;
+  EXPECT_TRUE(tight.Validate().ok());
+  EXPECT_EQ(GenerateNba(tight).entities.size(), 3u);
+  CareerOptions path;
+  path.num_entities = 3;
+  path.max_path = path.num_affiliations = 2;
+  EXPECT_TRUE(path.Validate().ok());
+  EXPECT_EQ(GenerateCareer(path).entities.size(), 3u);
+}
+
 TEST(DatasetTest, MakeSpecSubsetsConstraints) {
   PersonOptions opts;
   opts.num_entities = 1;

@@ -6,6 +6,9 @@
 
 #include "paper_fixture.h"
 #include "src/core/deduce.h"
+#include "src/data/career_generator.h"
+#include "src/data/nba_generator.h"
+#include "src/data/person_generator.h"
 #include "src/encode/cnf_builder.h"
 #include "src/encode/instantiation.h"
 #include "src/sat/solver.h"
@@ -315,6 +318,65 @@ TEST(CnfBuilderTest, NullHeadSemantics) {
   sat::Solver solver;
   solver.AddCnf(BuildCnf(*strict_ground));
   EXPECT_EQ(solver.Solve(), sat::SolveResult::kUnsat);
+}
+
+// Largest number of positive literals in any clause of `cnf`.
+int MaxPositiveLiterals(const sat::Cnf& cnf) {
+  int most = 0;
+  for (int c = 0; c < cnf.num_clauses(); ++c) {
+    int positive = 0;
+    for (const sat::Lit l : cnf.clause(c)) positive += l.negated() ? 0 : 1;
+    most = std::max(most, positive);
+  }
+  return most;
+}
+
+TEST(CnfBuilderTest, PhiIsHornOnEveryCorpus) {
+  // Every clause of Phi(Se), built or appended by an extension, has at most
+  // one positive literal. The extension is a user tuple with a fresh value
+  // in every attribute, more current than every tuple: it grows every
+  // domain and retires the guards of CFDs whose LHS domain grew.
+  PersonOptions person;
+  person.num_entities = 4;
+  person.min_tuples = 6;
+  person.max_tuples = 20;
+  NbaOptions nba;
+  nba.num_entities = 6;
+  CareerOptions career;
+  career.num_entities = 6;
+  career.max_tuples = 40;
+  InstantiationOptions guarded;
+  guarded.guard_cfds = true;
+  size_t retired_guards = 0;
+  for (const Dataset& ds : {GeneratePerson(person), GenerateNba(nba),
+                            GenerateCareer(career)}) {
+    for (size_t i = 0; i < ds.entities.size(); ++i) {
+      const Specification se = ds.MakeSpec(static_cast<int>(i));
+      auto inst = Instantiation::Build(se, guarded);
+      ASSERT_TRUE(inst.ok());
+      sat::Cnf cnf = BuildCnf(*inst);
+      EXPECT_LE(MaxPositiveLiterals(cnf), 1) << ds.name << " " << i;
+
+      const int n_attrs = ds.schema.size();
+      const int t_o = se.instance().size();
+      PartialTemporalOrder ot;
+      ot.new_tuples.push_back(
+          Tuple(std::vector<Value>(n_attrs, Value::Str("fresh"))));
+      for (int a = 0; a < n_attrs; ++a) {
+        for (int t = 0; t < t_o; ++t) ot.orders.emplace_back(a, t, t_o);
+      }
+      auto next = Extend(se, ot);
+      ASSERT_TRUE(next.ok());
+      auto delta = inst->ExtendWith(*next, ot, guarded);
+      ASSERT_TRUE(delta.ok());
+      retired_guards += delta->retired_guards.size();
+      const int built = cnf.num_clauses();
+      ExtendCnf(*inst, *delta, &cnf);
+      EXPECT_GT(cnf.num_clauses(), built);
+      EXPECT_LE(MaxPositiveLiterals(cnf), 1) << ds.name << " " << i;
+    }
+  }
+  EXPECT_GT(retired_guards, 0u);
 }
 
 // --- guarded CFD grounding ----------------------------------------------

@@ -30,7 +30,8 @@ TEST_P(FundamentalSweep, StrictResolverNeverExceedsExactAnalysis) {
   // resolver in strict deduction mode, which deduces under the same
   // semantics. (Paper-mode deduction adds the Fig. 5 reversed-order rule,
   // sound under completion totality, and may therefore determine *more*
-  // values than the Φ-level analysis — see DESIGN.md.)
+  // values than the Φ-level analysis; see the semantics note in
+  // src/core/implication.h.)
   const Dataset ds = MakeCorpus();
   ResolveOptions strict;
   strict.deduce.paper_negative_units = false;

@@ -282,13 +282,16 @@ int ParseArgs(int argc, char** argv, CliOptions* opts) {
   return 0;
 }
 
-Dataset MakeDataset(const CliOptions& o) {
+// Fails, instead of generating, when the flags leave the generator's
+// options invalid (e.g. --min-tuples above the default --max-tuples).
+Result<Dataset> MakeDataset(const CliOptions& o) {
   if (o.dataset == "nba") {
     NbaOptions opts;
     opts.num_entities = o.entities;
     if (o.seed != 0) opts.seed = o.seed;
     if (o.min_tuples > 0) opts.min_tuples = o.min_tuples;
     if (o.max_tuples > 0) opts.max_tuples = o.max_tuples;
+    CCR_RETURN_NOT_OK(opts.Validate());
     return GenerateNba(opts);
   }
   if (o.dataset == "career") {
@@ -297,6 +300,7 @@ Dataset MakeDataset(const CliOptions& o) {
     if (o.seed != 0) opts.seed = o.seed;
     if (o.min_tuples > 0) opts.min_tuples = o.min_tuples;
     if (o.max_tuples > 0) opts.max_tuples = o.max_tuples;
+    CCR_RETURN_NOT_OK(opts.Validate());
     return GenerateCareer(opts);
   }
   PersonOptions opts;
@@ -304,6 +308,7 @@ Dataset MakeDataset(const CliOptions& o) {
   if (o.seed != 0) opts.seed = o.seed;
   if (o.min_tuples > 0) opts.min_tuples = o.min_tuples;
   if (o.max_tuples > 0) opts.max_tuples = o.max_tuples;
+  CCR_RETURN_NOT_OK(opts.Validate());
   return GeneratePerson(opts);
 }
 
@@ -419,7 +424,12 @@ int RunShard(const CliOptions& o) {
     std::fprintf(stderr, "unknown --dataset %s\n", o.dataset.c_str());
     return 2;
   }
-  const Dataset ds = MakeDataset(o);
+  auto made = MakeDataset(o);
+  if (!made.ok()) {
+    std::fprintf(stderr, "%s\n", made.status().ToString().c_str());
+    return 2;
+  }
+  const Dataset ds = std::move(made).value();
   ExperimentOptions eopts;
   eopts.max_rounds = o.rounds;
   eopts.answers_per_round = o.answers_per_round;
