@@ -458,6 +458,13 @@ int main() {
   sls_on.use_session = true;
   sls_on.naive_deduce = true;
   sls_on.max_rounds = 6;
+  // The `--solver sls` preset: seeding and probing on, and inprocessing
+  // too, whose occurrence index SLS's incremental model verification
+  // needs (all three are off by default). The baseline differs only in
+  // the two SLS flags.
+  sls_on.solver.use_sls_seeding = true;
+  sls_on.solver.use_sls_probing = true;
+  sls_on.solver.use_inprocessing = true;
   ResolveOptions sls_off = sls_on;
   sls_off.solver.use_sls_seeding = false;
   sls_off.solver.use_sls_probing = false;

@@ -9,22 +9,21 @@
 #
 # Every run uses ccr_experiment's default engine — the persistent-solver
 # session engine (incremental MaxSAT Suggest, selector-guarded CFDs) with
-# the default modern solver heuristics, which means the cross-engine
-# byte-identity below runs with between-round inprocessing enabled. As a
-# second exactness gate, the single-process corpus is also resolved with
-# --engine legacy (re-encode every round) and must serialize to the same
-# bytes: the two engines are interchangeable, shard by shard. A third gate
+# the default modern solver heuristics. As a second exactness gate, the
+# single-process corpus is also resolved with --engine legacy (re-encode
+# every round) and must serialize to the same bytes: the two engines are
+# interchangeable, shard by shard. A third gate
 # does the same for the solver: --solver legacy (arena binaries, Luby
-# restarts, one-step minimization, no inprocessing, no model cache) must
-# be byte-identical too — the pipeline consumes only SAT verdicts, so
-# solver heuristics can never change a resolution. A fourth gate runs
-# --solver nogc (arena GC and bounded variable elimination off, modern
-# heuristics otherwise): compaction relocates clauses and BVE rewrites
-# the problem, and neither may move a single result byte. A fifth gate
-# runs --solver nosls (local-search seeding and MaxSAT upper-bound
-# probing off): SLS reorders which models CDCL finds and which bound the
-# Sinz search tries first, and none of it may move a result byte either.
-# A sixth gate runs --portfolio 2 (every solve races two diversified CDCL
+# restarts, one-step minimization, no model cache) must be byte-identical
+# too — the pipeline consumes only SAT verdicts, so solver heuristics can
+# never change a resolution. A fourth gate runs --solver nogc (arena GC
+# off, modern heuristics otherwise): compaction relocates clauses and may
+# not move a single result byte. A fifth gate runs --solver sls
+# (local-search seeding, MaxSAT upper-bound probing and between-round
+# inprocessing on; all three are off by default): SLS reorders which
+# models CDCL finds and which bound the Sinz search tries first,
+# inprocessing rewrites the problem clauses, and none of it may move a
+# result byte either. A sixth gate runs --portfolio 2 (every solve races two diversified CDCL
 # workers with learnt-clause sharing, defer gate zero so the races really
 # fire): which worker wins and what clauses crossed the ring are
 # nondeterministic, the serialized result may not be. A seventh gate pins
@@ -95,8 +94,8 @@ else
   exit 1
 fi
 
-echo "Cross-solver exactness: modern heuristics (default, inprocessing" \
-     "on) vs --solver legacy..."
+echo "Cross-solver exactness: modern heuristics (default) vs" \
+     "--solver legacy..."
 "$BIN" "${FLAGS[@]}" --solver legacy --no-timings \
   --out "$WORK_DIR/legacy_solver.json"
 if cmp "$WORK_DIR/legacy_solver.json" "$WORK_DIR/single.json"; then
@@ -107,27 +106,27 @@ else
   exit 1
 fi
 
-echo "Memory-lifecycle exactness: arena GC + BVE (default, on) vs" \
+echo "Memory-lifecycle exactness: arena GC (default, on) vs" \
      "--solver nogc..."
 "$BIN" "${FLAGS[@]}" --solver nogc --no-timings \
   --out "$WORK_DIR/nogc_solver.json"
 if cmp "$WORK_DIR/nogc_solver.json" "$WORK_DIR/single.json"; then
-  echo "OK: GC/BVE-off run is byte-identical to the default run"
+  echo "OK: GC-off run is byte-identical to the default run"
 else
-  echo "FAIL: GC/BVE-off result differs from the default run" >&2
+  echo "FAIL: GC-off result differs from the default run" >&2
   diff "$WORK_DIR/nogc_solver.json" "$WORK_DIR/single.json" >&2 || true
   exit 1
 fi
 
-echo "Local-search exactness: SLS warm starts (default, on) vs" \
-     "--solver nosls..."
-"$BIN" "${FLAGS[@]}" --solver nosls --no-timings \
-  --out "$WORK_DIR/nosls_solver.json"
-if cmp "$WORK_DIR/nosls_solver.json" "$WORK_DIR/single.json"; then
-  echo "OK: SLS-off run is byte-identical to the default run"
+echo "Local-search exactness: default (SLS and inprocessing off) vs" \
+     "--solver sls..."
+"$BIN" "${FLAGS[@]}" --solver sls --no-timings \
+  --out "$WORK_DIR/sls_solver.json"
+if cmp "$WORK_DIR/sls_solver.json" "$WORK_DIR/single.json"; then
+  echo "OK: SLS-on run is byte-identical to the default run"
 else
-  echo "FAIL: SLS-off result differs from the default run" >&2
-  diff "$WORK_DIR/nosls_solver.json" "$WORK_DIR/single.json" >&2 || true
+  echo "FAIL: SLS-on result differs from the default run" >&2
+  diff "$WORK_DIR/sls_solver.json" "$WORK_DIR/single.json" >&2 || true
   exit 1
 fi
 

@@ -53,34 +53,42 @@ DeducedOrders DeduceOrder(const Instantiation& inst, const sat::Cnf& phi,
 
   // Counter-based unit propagation: per clause, the number of non-false
   // literals and a satisfied flag; per literal, its occurrence list.
-  // The buffers come from the session's scratch when available — they
-  // are re-filled from `phi` below, so reuse is observationally inert.
+  // The buffers come from the session's scratch when available.
   DeduceScratch local;
   DeduceScratch& s = scratch != nullptr ? *scratch : local;
-  std::vector<int32_t>& open_count = s.open_count;
-  std::vector<uint8_t>& satisfied = s.satisfied;
+  if (s.indexed_cnf != phi.identity() || s.indexed_clauses > n_clauses) {
+    // Another formula: drop the old index, keeping list capacities.
+    for (std::vector<int32_t>& o : s.occur) o.clear();
+    s.unit_lits.clear();
+    s.indexed_cnf = phi.identity();
+    s.indexed_clauses = 0;
+  }
   std::vector<std::vector<int32_t>>& occur = s.occur;
-  std::vector<sat::Lbool>& value = s.value;
-  std::vector<sat::Lit>& queue = s.queue;
-  open_count.assign(n_clauses, 0);
-  satisfied.assign(n_clauses, 0);
   if (occur.size() < static_cast<size_t>(2 * n_vars)) {
     occur.resize(2 * n_vars);
   }
-  // Clear every inner list (including any beyond 2*n_vars left by a
-  // larger entity) while keeping their capacity.
-  for (std::vector<int32_t>& o : occur) o.clear();
-  value.assign(n_vars, sat::Lbool::kUndef);
-  queue.assign(assume.begin(), assume.end());
-
-  for (int c = 0; c < n_clauses; ++c) {
+  // Append the clauses the index has not seen; lists stay in clause order.
+  for (int c = s.indexed_clauses; c < n_clauses; ++c) {
     auto lits = phi.clause(c);
-    open_count[c] = static_cast<int32_t>(lits.size());
     for (sat::Lit l : lits) occur[l.index()].push_back(c);
-    if (lits.size() == 1) queue.push_back(lits[0]);
+    if (lits.size() == 1) s.unit_lits.push_back(lits[0]);
     // Empty clause: Se invalid; DeduceOrder is only called on valid
     // specifications, but stay graceful and simply deduce nothing from it.
   }
+  s.indexed_clauses = n_clauses;
+
+  std::vector<int32_t>& open_count = s.open_count;
+  std::vector<uint8_t>& satisfied = s.satisfied;
+  std::vector<sat::Lbool>& value = s.value;
+  std::vector<sat::Lit>& queue = s.queue;
+  open_count.resize(n_clauses);
+  for (int c = 0; c < n_clauses; ++c) {
+    open_count[c] = static_cast<int32_t>(phi.clause(c).size());
+  }
+  satisfied.assign(n_clauses, 0);
+  value.assign(n_vars, sat::Lbool::kUndef);
+  queue.assign(assume.begin(), assume.end());
+  queue.insert(queue.end(), s.unit_lits.begin(), s.unit_lits.end());
 
   size_t head = 0;
   while (head < queue.size()) {

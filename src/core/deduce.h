@@ -21,6 +21,7 @@
 #ifndef CCR_CORE_DEDUCE_H_
 #define CCR_CORE_DEDUCE_H_
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -57,15 +58,30 @@ struct DeduceOptions {
   bool totality_propagation = true;
 };
 
-/// Reusable buffers for DeduceOrder's counter-based unit propagation.
-/// One instance per session (pooled through SessionScratch) stops the
-/// five per-call allocations from re-growing every round on every
-/// entity; a default-constructed local works identically for one-shot
-/// callers.
+/// Reusable state for DeduceOrder's counter-based unit propagation: an
+/// append-only index of one formula plus the per-call arrays.
+///
+/// The index — per-literal occurrence lists and the unit clauses' literals
+/// in clause order — covers clauses [0, indexed_clauses) of the formula
+/// whose Cnf::identity() is `indexed_cnf`. A session's Φ(Se) only grows
+/// between rounds, so a later call on the same formula indexes just the
+/// appended clauses; a formula with another identity (a new entity,
+/// after Cnf::Clear, a copy or a move) rebuilds the index from scratch.
+/// Only open_count, satisfied, value and queue are reset per call, and
+/// the queue is still "assumptions, then unit clauses in clause order",
+/// so Od is identical to indexing afresh. One instance per session
+/// (pooled through SessionScratch) keeps the buffers warm across rounds
+/// and entities; a default-constructed local works identically for
+/// one-shot callers.
 struct DeduceScratch {
+  // Index of the formula named by indexed_cnf (0 = none).
+  uint64_t indexed_cnf = 0;
+  int indexed_clauses = 0;
+  std::vector<std::vector<int32_t>> occur;
+  std::vector<sat::Lit> unit_lits;
+  // Per-call propagation state.
   std::vector<int32_t> open_count;
   std::vector<uint8_t> satisfied;
-  std::vector<std::vector<int32_t>> occur;
   std::vector<sat::Lbool> value;
   std::vector<sat::Lit> queue;
 };
@@ -76,8 +92,8 @@ struct DeduceScratch {
 /// the guarded session passes its active CFD guards, which re-arms the
 /// guarded rule clauses exactly as if they were emitted unguarded.
 /// Non-atom (auxiliary) variables propagate but are never recorded in Od.
-/// `scratch`, when given, supplies the propagation buffers (contents are
-/// overwritten; the result never depends on what was left in them).
+/// `scratch`, when given, supplies the propagation buffers and the
+/// occurrence index; the result never depends on what was left in them.
 DeducedOrders DeduceOrder(const Instantiation& inst, const sat::Cnf& phi,
                           const DeduceOptions& options = {},
                           std::span<const sat::Lit> assume = {},

@@ -14,6 +14,14 @@ ValidityResult IsValidShared(sat::Solver* solver, const sat::Cnf& phi,
   ValidityResult result;
   result.num_vars = phi.num_vars();
   result.num_clauses = phi.num_clauses();
+  // Propagation first (see the header): a conflict refutes the
+  // assumptions, and a quiet fixpoint over a Horn formula is a model.
+  if (!solver->BeginProbe(assumptions)) return result;
+  solver->EndProbe();
+  if (solver->ProblemIsHorn()) {
+    result.valid = true;
+    return result;
+  }
   result.valid =
       solver->SolveWithAssumptions(assumptions) == sat::SolveResult::kSat;
   result.solver_conflicts = solver->last_call_stats().conflicts;

@@ -2,7 +2,9 @@
 //
 // Theorem 1 shows satisfiability of entity specifications is NP-complete,
 // so IsValid reduces the question to SAT (Lemma 5: Se valid iff Φ(Se)
-// satisfiable) and hands Φ(Se) to the CDCL solver.
+// satisfiable) and hands Φ(Se) to the CDCL solver. The formulas the
+// encoder emits are Horn, for which satisfiability is linear-time unit
+// propagation; IsValidShared decides those without search.
 
 #ifndef CCR_CORE_ISVALID_H_
 #define CCR_CORE_ISVALID_H_
@@ -35,8 +37,25 @@ ValidityResult IsValidCnf(const sat::Cnf& phi,
 /// (the ResolutionSession path — one solver across phases and rounds).
 /// `assumptions` conditions the check (the session passes its active CFD
 /// guard literals; a guarded clause binds only under its guard).
+///
+/// The check runs unit propagation first (Dowling–Gallier): it opens a
+/// probe on `assumptions` and propagates to fixpoint, with no search.
+///   * A conflict is a refutation: Φ ∧ assumptions is unsatisfiable, so
+///     the answer is invalid.
+///   * No conflict, and every live problem clause is Horn
+///     (Solver::ProblemIsHorn): the answer is valid. At a conflict-free
+///     fixpoint every clause is satisfied or keeps two open literals, at
+///     least one of them negative in a Horn clause, so setting every open
+///     variable false satisfies every clause — the least model.
+///   * Otherwise (some live clause has two positive literals) the answer
+///     comes from SolveWithAssumptions, as before.
+/// Φ(Se) is Horn by construction (BuildCnfInto DCHECKs it), guards and
+/// retired guards are units, and the clauses of released Suggest scopes
+/// are satisfied by their retired activation literals, so the session
+/// path is decided by propagation alone: no assumption solve, no model.
 /// `solver_conflicts` reports this call's delta, not the cumulative count,
-/// so per-phase attribution survives solver sharing.
+/// so per-phase attribution survives solver sharing (0 when propagation
+/// decided).
 ValidityResult IsValidShared(sat::Solver* solver, const sat::Cnf& phi,
                              std::span<const sat::Lit> assumptions = {});
 

@@ -14,6 +14,7 @@
 #include <optional>
 #include <vector>
 
+#include "src/common/status.h"
 #include "src/constraints/specification.h"
 #include "src/core/deduce.h"
 #include "src/core/isvalid.h"
@@ -65,6 +66,13 @@ struct ResolveOptions {
   /// bit-identical either way; the legacy engine ignores it. The scratch
   /// must outlive the Resolve call and serve one resolution at a time.
   SessionScratch* scratch = nullptr;
+
+  /// Fails closed on out-of-range knobs: max_rounds >= 0 and, for both
+  /// `solver` and `suggest.solver`, gc_frac in [0, 1] (0 = compact at
+  /// every chance), var_decay and clause_decay in (0, 1],
+  /// sls_max_flips >= 0, sls_tries >= 0 and sls_noise in [0, 1].
+  /// Resolve returns this status before doing any work.
+  Status Validate() const;
 };
 
 /// Per-round timings and progress, aggregated by the benchmarks

@@ -60,16 +60,20 @@ void ResolutionSession::AdoptScratchObjects() {
     inst_ = options_.scratch->AcquireInstantiation();
     cnf_ = options_.scratch->AcquireCnf();
     solver_ = options_.scratch->AcquireSolver(options_.solver);
+    deduce_ = options_.scratch->AcquireDeduceScratch();
     owned_inst_.reset();
     owned_cnf_.reset();
     owned_solver_.reset();
+    owned_deduce_.reset();
   } else {
     owned_inst_ = std::make_unique<Instantiation>();
     owned_cnf_ = std::make_unique<sat::Cnf>();
     owned_solver_ = std::make_unique<sat::Solver>(options_.solver);
+    owned_deduce_ = std::make_unique<DeduceScratch>();
     inst_ = owned_inst_.get();
     cnf_ = owned_cnf_.get();
     solver_ = owned_solver_.get();
+    deduce_ = owned_deduce_.get();
   }
 }
 
@@ -115,11 +119,8 @@ DeducedOrders ResolutionSession::Deduce() {
   if (options_.naive_deduce) {
     return NaiveDeduceShared(*inst_, solver_, inst_->guard_assumptions());
   }
-  DeduceScratch* scratch = options_.scratch != nullptr
-                               ? options_.scratch->AcquireDeduceScratch()
-                               : nullptr;
   return DeduceOrder(*inst_, *cnf_, options_.deduce,
-                     inst_->guard_assumptions(), scratch);
+                     inst_->guard_assumptions(), deduce_);
 }
 
 Suggestion ResolutionSession::MakeSuggestion(

@@ -71,10 +71,10 @@ class SessionScratch {
   /// between runs (RunWalkSat reinitializes them), so no reset is needed.
   maxsat::WalkSatScratch* AcquireWalkSatScratch();
 
-  /// DeduceOrder's unit-propagation buffers (occurrence lists, clause
+  /// DeduceOrder's unit-propagation buffers (occurrence index, clause
   /// counters, the literal queue), kept warm across every round of every
-  /// entity — DeduceOrder overwrites them from the CNF each call, so no
-  /// reset is needed.
+  /// entity. The index is keyed by Cnf::identity(), which AcquireCnf's
+  /// Clear renews, so no reset is needed.
   DeduceScratch* AcquireDeduceScratch();
 
   /// Acquire calls that recycled a warm object instead of allocating.
@@ -143,8 +143,9 @@ class ResolutionSession {
  private:
   ResolutionSession() = default;
 
-  /// Points solver_/cnf_/inst_ at fresh objects: the scratch's recycled
-  /// ones when options_.scratch is set, privately owned ones otherwise.
+  /// Points solver_/cnf_/inst_/deduce_ at fresh objects: the scratch's
+  /// recycled ones when options_.scratch is set, privately owned ones
+  /// otherwise.
   /// All targets are heap-stable, so moving the session keeps them valid.
   void AdoptScratchObjects();
 
@@ -156,9 +157,12 @@ class ResolutionSession {
   std::unique_ptr<Instantiation> owned_inst_;  // null when scratch-backed
   std::unique_ptr<sat::Cnf> owned_cnf_;        // null when scratch-backed
   std::unique_ptr<sat::Solver> owned_solver_;  // null when scratch-backed
+  std::unique_ptr<DeduceScratch> owned_deduce_;  // null when scratch-backed
   Instantiation* inst_ = nullptr;
   sat::Cnf* cnf_ = nullptr;
   sat::Solver* solver_ = nullptr;
+  // DeduceOrder's index of cnf_, extended by each round's appended delta.
+  DeduceScratch* deduce_ = nullptr;
   int fed_clauses_ = 0;  // prefix of cnf_ already in the solver
   double last_encode_ms_ = 0;
   int incremental_extensions_ = 0;

@@ -29,9 +29,31 @@ std::vector<int> ShardIndices(int num_entities, int shard, int num_shards) {
   return out;
 }
 
+Status ExperimentOptions::Validate() const {
+  if (max_rounds < 0) {
+    return Status::InvalidArgument(
+        "ExperimentOptions: max_rounds must be >= 0");
+  }
+  if (answers_per_round < 1) {
+    return Status::InvalidArgument(
+        "ExperimentOptions: answers_per_round must be >= 1");
+  }
+  const auto unit = [](double x) { return x >= 0.0 && x <= 1.0; };
+  if (!unit(sigma_fraction) || !unit(gamma_fraction) ||
+      !unit(oracle_answer_prob)) {
+    return Status::InvalidArgument(
+        "ExperimentOptions: sigma_fraction, gamma_fraction and "
+        "oracle_answer_prob must be in [0, 1]");
+  }
+  ResolveOptions r = resolve;
+  r.max_rounds = max_rounds;
+  return r.Validate();
+}
+
 ExperimentResult RunExperiment(const Dataset& ds,
                                const ExperimentOptions& options,
                                const std::vector<int>& entity_indices) {
+  CCR_CHECK(options.Validate().ok());
   ExperimentResult out;
   const int n_rounds = options.max_rounds + 1;  // rounds 0..max
   out.accuracy_by_round.assign(n_rounds, AccuracyCounts{});

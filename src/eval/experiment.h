@@ -38,6 +38,13 @@ struct ExperimentOptions {
   /// for the bench_throughput A/B and regression tests.
   bool reuse_allocations = true;
   ResolveOptions resolve;
+
+  /// Fails closed on out-of-range knobs: max_rounds >= 0,
+  /// answers_per_round >= 1, sigma/gamma fractions and
+  /// oracle_answer_prob in [0, 1], and resolve.Validate() (whose
+  /// max_rounds RunExperiment overrides with this one). RunExperiment
+  /// CCR_CHECKs it.
+  Status Validate() const;
 };
 
 /// Pooled results of a dataset-level run.

@@ -1,8 +1,16 @@
 #include "src/sat/cnf.h"
 
+#include <atomic>
+
 #include "src/common/status.h"
 
 namespace ccr::sat {
+
+uint64_t Cnf::NextId() {
+  // Shared by every thread's formulas; only uniqueness matters.
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
 
 void Cnf::AddClause(std::span<const Lit> lits) {
   for (Lit l : lits) {

@@ -12,6 +12,7 @@
 #include <initializer_list>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/sat/literal.h"
@@ -22,6 +23,34 @@ namespace ccr::sat {
 class Cnf {
  public:
   Cnf() = default;
+  // Copies and moves give both sides' contents a new identity().
+  Cnf(const Cnf& o)
+      : num_vars_(o.num_vars_), pool_(o.pool_), starts_(o.starts_) {}
+  Cnf(Cnf&& o) noexcept
+      : num_vars_(o.num_vars_),
+        pool_(std::move(o.pool_)),
+        starts_(std::move(o.starts_)) {
+    o.Clear();
+  }
+  Cnf& operator=(const Cnf& o) {
+    if (this != &o) {
+      num_vars_ = o.num_vars_;
+      pool_ = o.pool_;
+      starts_ = o.starts_;
+      id_ = NextId();
+    }
+    return *this;
+  }
+  Cnf& operator=(Cnf&& o) noexcept {
+    if (this != &o) {
+      num_vars_ = o.num_vars_;
+      pool_ = std::move(o.pool_);
+      starts_ = std::move(o.starts_);
+      id_ = NextId();
+      o.Clear();
+    }
+    return *this;
+  }
 
   /// Grows the variable universe to at least `n` variables.
   void EnsureVars(int n) {
@@ -57,6 +86,13 @@ class Cnf {
                                 starts_[i + 1] - starts_[i]);
   }
 
+  /// A token naming this formula's contents: it is unique per Cnf object
+  /// and changes on Clear, copy and move, while AddClause only appends.
+  /// So a consumer that saw clauses [0, k) of a formula with this token
+  /// (DeduceScratch) may index just the suffix the next time it sees the
+  /// same token.
+  uint64_t identity() const { return id_; }
+
   /// Renders a compact textual summary ("p cnf V C" plus clause list when
   /// small) for diagnostics.
   std::string ToString() const;
@@ -69,9 +105,13 @@ class Cnf {
     pool_.clear();
     starts_.clear();
     starts_.push_back(0);
+    id_ = NextId();
   }
 
  private:
+  static uint64_t NextId();
+
+  uint64_t id_ = NextId();
   int num_vars_ = 0;
   std::vector<Lit> pool_;
   std::vector<uint32_t> starts_{0};

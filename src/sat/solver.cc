@@ -135,6 +135,7 @@ void Solver::Reset(SolverOptions options) {
   seen_.clear();
   analyze_stack_.clear();
   analyze_toclear_.clear();
+  non_horn_lits_.clear();
   lbd_stamp_.clear();
   lbd_counter_ = 0;
   model_.clear();
@@ -172,7 +173,7 @@ void Solver::Reset(SolverOptions options) {
   conflict_cap_ = -1;
 }
 
-Solver::ClauseRef Solver::AllocClause(const std::vector<Lit>& lits,
+Solver::ClauseRef Solver::AllocClause(std::span<const Lit> lits,
                                       bool learnt) {
   const ClauseRef ref = static_cast<ClauseRef>(arena_.size());
   // Arena references must leave bit 31 free for the literal-encoded
@@ -226,10 +227,7 @@ void Solver::AttachBinary(Lit a, Lit b) {
   bins_[(~b).index()].push_back(a);
 }
 
-bool Solver::AddClause(std::vector<Lit> lits) {
-  if (!ok_) return false;
-  CCR_DCHECK(DecisionLevel() == 0);
-  InvalidateModelCache();
+void Solver::PrepareCallerClause(std::span<const Lit> lits) {
   for (Lit l : lits) {
     while (l.var() >= num_vars()) NewVar();
     // Eliminated variables no longer exist in the formula; a caller that
@@ -241,26 +239,38 @@ bool Solver::AddClause(std::vector<Lit> lits) {
     // resolvents and shared-clause imports go through AddClauseInternal
     // and are deliberately not logged: helpers derive their own.
     MirrorOp op;
-    op.lits = lits;
+    op.lits.assign(lits.begin(), lits.end());
     mirror_log_.push_back(std::move(op));
   }
-  return AddClauseInternal(std::move(lits));
 }
 
-bool Solver::AddClauseInternal(std::vector<Lit> lits) {
-  // Simplify: drop duplicate/false literals; detect tautology/satisfied.
-  std::sort(lits.begin(), lits.end());
-  std::vector<Lit> out;
+bool Solver::AddClause(std::vector<Lit> lits) {
+  if (!ok_) return false;
+  CCR_DCHECK(DecisionLevel() == 0);
+  InvalidateModelCache();
+  PrepareCallerClause(lits);
+  return AddClauseInternal(lits);
+}
+
+bool Solver::AddClauseInternal(std::span<const Lit> lits) {
+  // Simplify in place: drop duplicate/false literals; detect
+  // tautology/satisfied. Kept literals compact to the buffer's front.
+  std::vector<Lit>& out = add_buf_;
+  out.assign(lits.begin(), lits.end());
+  std::sort(out.begin(), out.end());
+  size_t n = 0;
   Lit prev = kLitUndef;
-  for (Lit l : lits) {
+  for (size_t i = 0; i < out.size(); ++i) {
+    const Lit l = out[i];
     if (l == prev) continue;
     if (l == ~prev) return true;  // tautology: p ∨ ~p
     const Lbool v = ValueOf(l);
     if (v == Lbool::kTrue) return true;  // already satisfied at level 0
     if (v == Lbool::kFalse) continue;    // already false at level 0
-    out.push_back(l);
+    out[n++] = l;
     prev = l;
   }
+  out.resize(n);
   if (out.empty()) {
     ok_ = false;
     return false;
@@ -269,6 +279,12 @@ bool Solver::AddClauseInternal(std::vector<Lit> lits) {
     UncheckedEnqueue(out[0], kRefUndef);
     ok_ = (Propagate() == kRefUndef);
     return ok_;
+  }
+  int positives = 0;
+  for (Lit l : out) positives += l.negated() ? 0 : 1;
+  if (positives > 1) {
+    non_horn_lits_.insert(non_horn_lits_.end(), out.begin(), out.end());
+    non_horn_lits_.push_back(kLitUndef);
   }
   if (out.size() == 2 && options_.use_binary_watches) {
     // Binaries never touch the arena: they live in the implicit
@@ -301,13 +317,36 @@ bool Solver::AddClauseInternal(std::vector<Lit> lits) {
 
 void Solver::AddCnfFrom(const Cnf& cnf, int first_clause) {
   while (num_vars() < cnf.num_vars()) NewVar();
-  std::vector<Lit> scratch;
-  for (int i = first_clause; i < cnf.num_clauses(); ++i) {
-    auto span = cnf.clause(i);
-    scratch.assign(span.begin(), span.end());
-    AddClause(std::move(scratch));
-    scratch.clear();
+  if (!ok_ || first_clause >= cnf.num_clauses()) return;
+  CCR_DCHECK(DecisionLevel() == 0);
+  // One invalidation for the batch: per-clause AddClause would repeat it
+  // for every clause with the same end state.
+  InvalidateModelCache();
+  for (int i = first_clause; i < cnf.num_clauses() && ok_; ++i) {
+    const std::span<const Lit> lits = cnf.clause(i);
+    PrepareCallerClause(lits);
+    AddClauseInternal(lits);
   }
+}
+
+bool Solver::ProblemIsHorn() {
+  CCR_DCHECK(DecisionLevel() == 0);
+  std::vector<Lit>& v = non_horn_lits_;
+  size_t w = 0;
+  for (size_t i = 0; i < v.size();) {
+    size_t end = i;
+    bool satisfied = false;
+    for (; v[end] != kLitUndef; ++end) {
+      satisfied = satisfied || (ValueOf(v[end]) == Lbool::kTrue &&
+                                level_[v[end].var()] == 0);
+    }
+    if (!satisfied) {
+      for (size_t k = i; k <= end; ++k) v[w++] = v[k];
+    }
+    i = end + 1;
+  }
+  v.resize(w);
+  return v.empty();
 }
 
 void Solver::UncheckedEnqueue(Lit p, ClauseRef from) {
@@ -2632,7 +2671,7 @@ bool Solver::TryEliminateVar(Var v) {
   ++stats_.bve_eliminated;
   for (std::vector<Lit>& r : resolvents) {
     ++stats_.bve_resolvents;
-    if (!AddClauseInternal(std::move(r)) && !ok_) break;
+    if (!AddClauseInternal(r) && !ok_) break;
   }
   return true;
 }

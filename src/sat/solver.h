@@ -10,15 +10,19 @@
 // computation per learnt clause feeding a three-tier learnt database
 // (core glue<=2 kept forever, mid reduced by glue, local reduced by
 // activity), Glucose-style EMA-based restarts, VSIDS decision ordering,
-// phase saving, incremental solving under assumptions (used by NaiveDeduce
-// and the MaxSAT layer), and an inprocessing pass — clause vivification
-// plus backward subsumption / self-subsuming resolution — run from
-// Simplify() between session rounds. Every modern heuristic sits behind a
-// SolverOptions flag; the legacy MiniSat-2003 behavior (arena binaries,
-// activity-only deletion, Luby restarts, one-step minimization, no
-// inprocessing) stays available for ablation, and because the pipeline
-// above consumes only SAT/UNSAT verdicts, every option combination
-// resolves every entity identically.
+// phase saving, and incremental solving under assumptions (used by
+// NaiveDeduce and the MaxSAT layer).
+//
+// The defaults match the pipeline's workload: Φ(Se) is Horn and the
+// session never hits a conflict, so the whole-formula passes — WalkSAT
+// seeding and probing, between-round inprocessing (vivification,
+// subsumption) and bounded variable elimination — are off by default and
+// stay behind their SolverOptions flags only for ablation and the
+// byte-identity lanes. The legacy MiniSat-2003 behavior (arena binaries,
+// activity-only deletion, Luby restarts, one-step minimization) stays
+// available the same way; because the pipeline above consumes only
+// SAT/UNSAT verdicts, every option combination resolves every entity
+// identically.
 
 #ifndef CCR_SAT_SOLVER_H_
 #define CCR_SAT_SOLVER_H_
@@ -37,10 +41,12 @@
 
 namespace ccr::sat {
 
-/// Tunables. The defaults are the modern configuration; the ablation
-/// benches and the randomized equivalence suite flip features off (all
-/// five `use_*` modernization flags false = the legacy MiniSat-style
-/// solver this repo started from).
+/// Tunables. The defaults are the modern CDCL core with every
+/// whole-formula pass off (see the file comment): `use_inprocessing`,
+/// `use_bve`, `use_sls_seeding` and `use_sls_probing` default to false and
+/// remain for ablation (`ccr_experiment --solver sls` turns seeding,
+/// probing and inprocessing back on). LegacyHeuristics() turns the
+/// remaining modernization flags off too.
 struct SolverOptions {
   bool use_vsids = true;          // activity-ordered decisions vs. lowest id
   bool use_phase_saving = true;   // remember last polarity per variable
@@ -64,8 +70,9 @@ struct SolverOptions {
   /// Inprocessing in Simplify(): clause vivification and backward
   /// subsumption / self-subsuming resolution over the problem clauses.
   /// Intended between session rounds, after the encode layer appended the
-  /// round's delta. Off = Simplify only sweeps satisfied clauses.
-  bool use_inprocessing = true;
+  /// round's delta. Off (the default) = Simplify only sweeps satisfied
+  /// clauses; on Φ(Se) the passes never fire (0 subsumed, 0 vivified).
+  bool use_inprocessing = false;
   /// Cached-model witness reuse (the backbone-extraction trick): an
   /// assumption solve first probes the models of recent kSat calls — a
   /// cached model satisfying every assumption IS the answer, no search.
@@ -89,8 +96,10 @@ struct SolverOptions {
   /// MarkEliminable(): a variable is resolved away when the resolvents do
   /// not grow the clause count. A model-reconstruction stack keeps
   /// ModelValue exact for eliminated variables, so cached-model
-  /// witnesses and downstream model extraction stay valid.
-  bool use_bve = true;
+  /// witnesses and downstream model extraction stay valid. Off by
+  /// default: nothing in the pipeline calls MarkEliminable, so the flag
+  /// would only pay for the occurrence index on every fed clause.
+  bool use_bve = false;
   /// Stochastic local search (WalkSAT) in the hot path. Both flags may
   /// only change time-to-verdict, never a verdict: every answer is still
   /// produced by the exact CDCL search / MaxSAT bound solves.
@@ -99,7 +108,9 @@ struct SolverOptions {
   /// (Solver::SeedFromLocalSearch) installs its best assignment into the
   /// saved-phase array, and — when the assignment satisfies every problem
   /// clause — pushes it into the cached-model ring as a genuine witness.
-  bool use_sls_seeding = true;
+  /// Off by default: on the Horn pipeline formula validity is decided by
+  /// propagation (IsValidShared), so a warm start buys nothing.
+  bool use_sls_seeding = false;
   /// Backbone-style Deduce (src/core/deduce.cc): the per-pair Lemma-6
   /// loop of NaiveDeduceShared is replaced by a three-tier backbone
   /// engine — model sweeping (every SAT answer refutes all candidate
@@ -116,7 +127,9 @@ struct SolverOptions {
   /// an upper bound u, verifying downward from u instead of climbing the
   /// cardinality bound up from 0. When the probe hits the true optimum
   /// the exact search collapses to two solves (SAT at u, UNSAT at u-1).
-  bool use_sls_probing = true;
+  /// Off by default: on the session formula the probe costs Suggest more
+  /// than the bound climb from 0 it shortens.
+  bool use_sls_probing = false;
   /// Local-search budget: flips per try (0 = scaled to the free-variable
   /// count), number of restarts, and WalkSAT noise probability.
   int64_t sls_max_flips = 0;
@@ -154,12 +167,8 @@ struct SolverOptions {
     o.use_lbd_tiers = false;
     o.use_ema_restarts = false;
     o.use_deep_ccmin = false;
-    o.use_inprocessing = false;
     o.use_model_cache = false;
     o.use_arena_gc = false;
-    o.use_bve = false;
-    o.use_sls_seeding = false;
-    o.use_sls_probing = false;
     o.use_backbone_deduce = false;
     return o;
   }
@@ -382,7 +391,11 @@ class Solver {
 
   /// Adds the clauses of `cnf` starting at index `first_clause`. Used by
   /// callers that keep one solver alive while their CNF grows append-only
-  /// (the ResolutionSession pipeline): only the new suffix is fed.
+  /// (the ResolutionSession pipeline): only the new suffix is fed. The
+  /// resulting state is exactly that of one AddClause per clause, in
+  /// order, but the batch allocates nothing per clause (each clause is
+  /// normalized in one reused buffer) and invalidates the model cache
+  /// once.
   void AddCnfFrom(const Cnf& cnf, int first_clause);
 
   /// Decides satisfiability of the accumulated clauses.
@@ -433,7 +446,8 @@ class Solver {
   /// baseline: they will not be re-distilled or self-subsumed; future
   /// Simplify() calls inprocess only the clauses appended afterwards (the
   /// session rounds' deltas) against the whole DB. ResolutionSession
-  /// calls this once after loading Φ(Se) — distilling a freshly
+  /// calls this once after loading Φ(Se) when use_inprocessing is on —
+  /// distilling a freshly
   /// generated, canonical encoding wholesale costs more propagation than
   /// every solve of the session combined. Without priming, the first
   /// Simplify() primes implicitly (vivification) and the whole formula
@@ -442,6 +456,17 @@ class Solver {
 
   /// True if unsatisfiability was established independent of assumptions.
   bool IsUnsatForever() const { return !ok_; }
+
+  /// True when every live problem clause has at most one positive
+  /// literal, i.e. the formula is Horn. Then a conflict-free propagation
+  /// fixpoint extends to a model (assign every open variable false), so
+  /// propagation alone decides satisfiability (IsValidShared). Tracked as
+  /// clauses are added: only the non-Horn ones are remembered, and each
+  /// stops counting once it is satisfied at level 0 — which is how a
+  /// released ScopedVars scope's clauses, all carrying the retired
+  /// activation literal, drop out. Learnt clauses are implied and never
+  /// count. Must be called at decision level 0.
+  bool ProblemIsHorn();
 
   /// \brief WalkSAT-style local search run directly on the solver's own
   /// clause arena and binary watch lists (no CNF copy; scratch buffers
@@ -614,7 +639,7 @@ class Solver {
     return Lit::FromIndex(static_cast<int32_t>(r & ~kRefBinaryFlag));
   }
 
-  ClauseRef AllocClause(const std::vector<Lit>& lits, bool learnt);
+  ClauseRef AllocClause(std::span<const Lit> lits, bool learnt);
   int ClauseSize(ClauseRef c) const { return arena_[c] >> 3; }
   bool ClauseLearnt(ClauseRef c) const { return arena_[c] & 1; }
   bool ClauseDead(ClauseRef c) const { return arena_[c] & 2; }
@@ -719,11 +744,17 @@ class Solver {
   void SweepSatisfied(std::vector<ClauseRef>* list);
   void SweepSatisfiedProblem();
   void SweepBinaries();
-  // Shared tail of AddClause: simplify, allocate, index, attach. The
-  // internal entry point is what BVE uses to insert resolvents — they are
-  // implied by the clauses they replace, so it must NOT invalidate the
+  // Shared tail of AddClause and AddCnfFrom: normalize `lits` in add_buf_
+  // (sort, dedupe, drop level-0-false literals; a tautology or a
+  // level-0-true literal satisfies it), then enqueue, attach or allocate.
+  // The internal entry point is what BVE uses to insert resolvents — they
+  // are implied by the clauses they replace, so it must NOT invalidate the
   // model cache the way a genuine caller-added clause does.
-  bool AddClauseInternal(std::vector<Lit> lits);
+  bool AddClauseInternal(std::span<const Lit> lits);
+  // Caller-clause prologue shared by AddClause and AddCnfFrom: grows the
+  // variable universe, checks no literal names an eliminated variable,
+  // and records the clause in the portfolio mirror log.
+  void PrepareCallerClause(std::span<const Lit> lits);
 
   // --- arena lifecycle --------------------------------------------------
   // Whether the persistent occurrence index is maintained at all: both
@@ -840,6 +871,13 @@ class Solver {
   double clause_inc_ = 1.0;
   std::vector<Var> heap_;       // binary max-heap of vars by activity
   std::vector<int> heap_pos_;   // per var; -1 if absent
+
+  // AddClauseInternal's normalization buffer, reused by every add.
+  std::vector<Lit> add_buf_;
+  // Added problem clauses with two or more positive literals, each
+  // followed by kLitUndef; ProblemIsHorn drops the ones satisfied at
+  // level 0.
+  std::vector<Lit> non_horn_lits_;
 
   std::vector<uint8_t> seen_;   // scratch for Analyze
   std::vector<Lit> analyze_stack_;    // scratch for LitRedundant

@@ -10,16 +10,16 @@ namespace service {
 
 Result<sat::SolverOptions> SolverOptionsForPreset(const std::string& preset) {
   sat::SolverOptions options;
-  if (preset == "modern" || preset == "sls") return options;
+  if (preset == "modern" || preset == "nosls") return options;
   if (preset == "legacy") return sat::SolverOptions::LegacyHeuristics();
   if (preset == "nogc") {
     options.use_arena_gc = false;
-    options.use_bve = false;
     return options;
   }
-  if (preset == "nosls") {
-    options.use_sls_seeding = false;
-    options.use_sls_probing = false;
+  if (preset == "sls") {
+    options.use_sls_seeding = true;
+    options.use_sls_probing = true;
+    options.use_inprocessing = true;
     return options;
   }
   return Status::InvalidArgument("unknown solver preset '" + preset + "'");

@@ -37,7 +37,7 @@ inline constexpr int kSnapshotSchemaVersion = 1;
 /// equivalence gates (and honors what the client asked for at OPEN).
 struct EngineConfig {
   /// One of modern | legacy | nogc | sls | nosls (ccr_experiment's
-  /// --solver vocabulary; "sls" is an alias of the default).
+  /// --solver vocabulary; "nosls" is an alias of the default).
   std::string solver_preset = "modern";
   bool naive_deduce = false;
 };

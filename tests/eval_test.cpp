@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <utility>
+#include <vector>
+
 #include "src/data/nba_generator.h"
 #include "src/data/person_generator.h"
 #include "src/eval/experiment.h"
@@ -207,6 +211,42 @@ TEST(ExperimentNbaTest, InteractionCurveShape) {
   EXPECT_GT(r.pct_true_by_round[0], 0.15);
   EXPECT_LT(r.pct_true_by_round[0], 0.9);
   EXPECT_GT(r.pct_true_by_round[2], 0.95);
+}
+
+// ExperimentOptions::Validate refuses what RunExperiment cannot run:
+// max_rounds -2 used to throw std::length_error from a vector assign, and
+// -1 silently ran zero rounds.
+TEST(ExperimentOptionsTest, OutOfRangeKnobsFailClosed) {
+  EXPECT_TRUE(ExperimentOptions{}.Validate().ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::pair<const char*, void (*)(ExperimentOptions*)>>
+      mutations = {
+          {"max_rounds -1", [](ExperimentOptions* o) { o->max_rounds = -1; }},
+          {"max_rounds -2", [](ExperimentOptions* o) { o->max_rounds = -2; }},
+          {"answers 0",
+           [](ExperimentOptions* o) { o->answers_per_round = 0; }},
+          {"sigma 1.5",
+           [](ExperimentOptions* o) { o->sigma_fraction = 1.5; }},
+          {"gamma -0.5",
+           [](ExperimentOptions* o) { o->gamma_fraction = -0.5; }},
+          {"answer prob 1.5",
+           [](ExperimentOptions* o) { o->oracle_answer_prob = 1.5; }},
+          {"resolve sls_noise 2",
+           [](ExperimentOptions* o) { o->resolve.solver.sls_noise = 2; }},
+      };
+  for (const auto& [what, mutate] : mutations) {
+    ExperimentOptions opts;
+    mutate(&opts);
+    EXPECT_EQ(opts.Validate().code(), StatusCode::kInvalidArgument) << what;
+  }
+  // RunExperiment overrides resolve.max_rounds with its own, so only the
+  // experiment-level value is checked.
+  ExperimentOptions inner;
+  inner.resolve.max_rounds = -1;
+  EXPECT_TRUE(inner.Validate().ok());
+  ExperimentOptions nan_sigma;
+  nan_sigma.sigma_fraction = nan;
+  EXPECT_FALSE(nan_sigma.Validate().ok());
 }
 
 }  // namespace

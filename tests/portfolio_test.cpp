@@ -215,7 +215,9 @@ TEST(PortfolioTest, ImportRejectsEliminatedVariable) {
   // variable no longer exists in this solver's formula, so the import
   // must be rejected outright (its values only exist through model
   // reconstruction).
-  Solver s;
+  SolverOptions bve;
+  bve.use_bve = true;  // off by default
+  Solver s(bve);
   const Var a = s.NewVar(), b = s.NewVar(), c = s.NewVar();
   ASSERT_TRUE(s.AddClause({Lit::Pos(a), Lit::Pos(b)}));
   ASSERT_TRUE(s.AddClause({Lit::Neg(b), Lit::Pos(c)}));

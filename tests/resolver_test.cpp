@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <utility>
+#include <vector>
+
 #include "paper_fixture.h"
 #include "src/core/resolver.h"
 
@@ -162,6 +166,45 @@ TEST(ResolverTest, UserValueOutsideActiveDomain) {
   // propagation rules ϕ5–ϕ7 only fire between instance tuples, so the
   // entity cannot complete — but it must not crash or regress.
   EXPECT_TRUE(r->resolved[s.IndexOf("status")]);
+}
+
+// Each mutation of default options must be refused by Validate, and by
+// Resolve before it does any work.
+TEST(ResolveOptionsTest, OutOfRangeKnobsFailClosed) {
+  EXPECT_TRUE(ResolveOptions{}.Validate().ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::pair<const char*, void (*)(ResolveOptions*)>>
+      mutations = {
+          {"max_rounds -1", [](ResolveOptions* o) { o->max_rounds = -1; }},
+          {"gc_frac 1.5", [](ResolveOptions* o) { o->solver.gc_frac = 1.5; }},
+          {"gc_frac -0.1",
+           [](ResolveOptions* o) { o->solver.gc_frac = -0.1; }},
+          {"var_decay 0", [](ResolveOptions* o) { o->solver.var_decay = 0; }},
+          {"clause_decay 2",
+           [](ResolveOptions* o) { o->solver.clause_decay = 2; }},
+          {"sls_tries -1", [](ResolveOptions* o) { o->solver.sls_tries = -1; }},
+          {"sls_max_flips -1",
+           [](ResolveOptions* o) { o->solver.sls_max_flips = -1; }},
+          {"sls_noise 1.1",
+           [](ResolveOptions* o) { o->solver.sls_noise = 1.1; }},
+          {"suggest sls_noise -1",
+           [](ResolveOptions* o) { o->suggest.solver.sls_noise = -1; }},
+      };
+  for (const auto& [what, mutate] : mutations) {
+    ResolveOptions opts;
+    mutate(&opts);
+    const Status st = opts.Validate();
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << what;
+    auto r = Resolve(EdithSpec(), /*oracle=*/nullptr, opts);
+    ASSERT_FALSE(r.ok()) << what;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << what;
+  }
+  ResolveOptions nan_noise;
+  nan_noise.solver.sls_noise = nan;
+  EXPECT_FALSE(nan_noise.Validate().ok());
+  ResolveOptions eager_gc;  // gc_frac 0 = compact at every chance
+  eager_gc.solver.gc_frac = 0.0;
+  EXPECT_TRUE(eager_gc.Validate().ok());
 }
 
 }  // namespace

@@ -327,6 +327,7 @@ TEST_P(SolverFuzzTest, MatchesBruteForce) {
     opts.use_deep_ccmin = p.deep_ccmin;
     opts.use_inprocessing = p.inprocessing;
     opts.use_model_cache = p.model_cache;
+    opts.use_bve = p.mark_eliminable;
     if (p.eager_gc) opts.gc_frac = 0.0;
     Solver solver(opts);
     bool alive = true;

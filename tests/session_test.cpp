@@ -518,13 +518,21 @@ TEST(SessionSuggestEquivalenceTest, PersonMultiRound) {
 }
 
 TEST(ResolutionSessionTest, AssumptionSolvesAreCounted) {
-  // Guarded CFD sessions answer validity (and GetSug) under assumptions;
-  // the counter must reflect that so RoundTrace attribution works.
+  // Guarded CFD sessions answer GetSug under assumptions; the counter
+  // must reflect that so RoundTrace attribution works. Validity over the
+  // Horn formula is decided by propagation under the guards, with no
+  // solve at all.
   auto session = ResolutionSession::Create(CfdSpec());
   ASSERT_TRUE(session.ok());
   EXPECT_EQ(session->assumption_solves(), 0);
   EXPECT_TRUE(session->CheckValidity().valid);
-  EXPECT_EQ(session->assumption_solves(), 1);  // guard-conditioned solve
+  EXPECT_EQ(session->assumption_solves(), 0);
+  const VarMap& vm = session->instantiation().varmap;
+  const DeducedOrders od = session->Deduce();
+  const Suggestion sug = session->MakeSuggestion(
+      CandidateValues(vm, od), ExtractTrueValueIndices(vm, od));
+  EXPECT_FALSE(sug.attrs.empty());
+  EXPECT_GT(session->assumption_solves(), 0);  // guarded MaxSAT solves
 }
 
 TEST(ResolutionSessionTest, ValidityConflictsArePerCallDelta) {

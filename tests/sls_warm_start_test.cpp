@@ -68,22 +68,22 @@ std::string ResolveCorpusToJson(const Dataset& ds,
   return ExperimentResultToJson(r, jopts);
 }
 
-// The determinism contract of the tentpole: turning the local-search
-// seeding and the MaxSAT probing off — together or separately — must not
-// move a single byte of any resolution on any corpus.
+// The determinism contract of local search: turning the seeding and the
+// MaxSAT probing on (both are off by default) — together or separately —
+// must not move a single byte of any resolution on any corpus.
 TEST(SlsAblationEquivalenceTest, SlsOnOffResolvesIdentically) {
   for (const std::string kind : {"person", "nba", "career"}) {
     const Dataset ds = AblationCorpus(kind);
     const std::string baseline = ResolveCorpusToJson(ds, SolverOptions{});
-    SolverOptions off;
-    off.use_sls_seeding = false;
-    off.use_sls_probing = false;
-    EXPECT_EQ(ResolveCorpusToJson(ds, off), baseline) << kind << " sls off";
-    SolverOptions no_seed;
+    SolverOptions on;
+    on.use_sls_seeding = true;
+    on.use_sls_probing = true;
+    EXPECT_EQ(ResolveCorpusToJson(ds, on), baseline) << kind << " sls on";
+    SolverOptions no_seed = on;
     no_seed.use_sls_seeding = false;
     EXPECT_EQ(ResolveCorpusToJson(ds, no_seed), baseline)
         << kind << " seeding off, probing on";
-    SolverOptions no_probe;
+    SolverOptions no_probe = on;
     no_probe.use_sls_probing = false;
     EXPECT_EQ(ResolveCorpusToJson(ds, no_probe), baseline)
         << kind << " probing off, seeding on";
@@ -213,7 +213,8 @@ bool ModelMatchesReport(const MaxSatResult& r,
 // configuration (the session usage pattern).
 TEST(IncrementalMaxSatProbeTest, ProbeMatchesClimbOverSixtySoftSets) {
   Rng rng(0x12345);
-  SolverOptions probe_on;  // defaults: probing on
+  SolverOptions probe_on;
+  probe_on.use_sls_probing = true;  // off by default
   SolverOptions probe_off;
   probe_off.use_sls_probing = false;
 
@@ -260,11 +261,13 @@ TEST(IncrementalMaxSatProbeTest, ProbeMatchesClimbOverSixtySoftSets) {
 // formulas too, including assumption sets that make the hard part UNSAT.
 TEST(IncrementalMaxSatProbeTest, ProbeMatchesClimbUnderAssumptions) {
   Rng rng(0x67890);
+  SolverOptions probe_on;
+  probe_on.use_sls_probing = true;  // off by default
   SolverOptions probe_off;
   probe_off.use_sls_probing = false;
   const int n_vars = 10;
   const sat::Cnf hard = PlantedCnf(&rng, n_vars, 12, nullptr);
-  Solver with_probe, without_probe(probe_off);
+  Solver with_probe(probe_on), without_probe(probe_off);
   with_probe.AddCnf(hard);
   without_probe.AddCnf(hard);
   IncrementalMaxSat m_probe(&with_probe), m_climb(&without_probe);

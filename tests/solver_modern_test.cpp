@@ -26,6 +26,12 @@ using sat::Solver;
 using sat::SolverOptions;
 using sat::Var;
 
+SolverOptions BveOptions() {
+  SolverOptions o;
+  o.use_bve = true;  // off by default
+  return o;
+}
+
 SolverOptions MakeOptions(bool bin, bool tiers, bool ema, bool ccmin,
                           bool inproc, bool gc, bool sls, bool cache,
                           bool backbone = true) {
@@ -129,15 +135,14 @@ TEST(SolverAblationEquivalenceTest, EveryOptionComboResolvesIdentically) {
         << kind << " modern, no cache";
     // Collector pressure extremes: compact at every opportunity
     // (gc_frac = 0 fires on the first dead word) and bounded variable
-    // elimination off — the arena lifecycle may never move a result.
+    // elimination on (off by default) — the arena lifecycle may never
+    // move a result.
     SolverOptions eager_gc;
     eager_gc.gc_frac = 0.0;
     EXPECT_EQ(ResolveCorpusToJson(ds, eager_gc), baseline)
         << kind << " eager gc";
-    SolverOptions no_bve;
-    no_bve.use_bve = false;
-    EXPECT_EQ(ResolveCorpusToJson(ds, no_bve), baseline)
-        << kind << " bve off";
+    EXPECT_EQ(ResolveCorpusToJson(ds, BveOptions()), baseline)
+        << kind << " bve on";
   }
 }
 
@@ -256,7 +261,8 @@ TEST(ScopedVarsTest, BatchedReleaseFreezesEveryVar) {
 }
 
 TEST(InprocessingTest, SubsumptionAndVivificationCounters) {
-  SolverOptions opts;  // modern defaults, inprocessing on
+  SolverOptions opts;
+  opts.use_inprocessing = true;  // off by default
   Solver s(opts);
   const Var a = s.NewVar(), b = s.NewVar(), c = s.NewVar(), d = s.NewVar();
   // Baseline DB with a redundant (subsumable) and a vivifiable clause.
@@ -280,6 +286,7 @@ TEST(InprocessingTest, SubsumptionAndVivificationCounters) {
 
 TEST(InprocessingTest, VivificationShortensImpliedClause) {
   SolverOptions opts;
+  opts.use_inprocessing = true;  // off by default
   Solver s(opts);
   const Var a = s.NewVar(), b = s.NewVar(), c = s.NewVar(), x = s.NewVar();
   ASSERT_TRUE(s.AddClause({Lit::Pos(a), Lit::Pos(b)}));
@@ -402,7 +409,7 @@ TEST(ClauseActivityTest, ActivityDrivenDeletionSurvivesStrictAliasing) {
 }
 
 TEST(BveTest, EliminatedVarIsResolvedAwayAndModelExtends) {
-  Solver s;  // use_bve on by default
+  Solver s(BveOptions());
   const Var a = s.NewVar(), b = s.NewVar(), c = s.NewVar();
   ASSERT_TRUE(s.AddClause({Lit::Pos(a), Lit::Pos(b)}));
   ASSERT_TRUE(s.AddClause({Lit::Neg(a), Lit::Pos(c)}));
@@ -424,7 +431,7 @@ TEST(BveTest, EliminatedVarIsResolvedAwayAndModelExtends) {
 }
 
 TEST(BveTest, GrowthRuleKeepsDenseVars) {
-  Solver s;
+  Solver s(BveOptions());
   const Var x = s.NewVar();
   std::vector<Var> others;
   // 5 positive x 5 negative occurrences -> 25 resolvents > 10 originals:

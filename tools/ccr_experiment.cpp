@@ -76,14 +76,14 @@ void PrintUsage(std::FILE* to) {
                "                    engine, default) | legacy (re-encode\n"
                "                    every round; A/B reference)\n"
                "  --solver S        modern (binary watches, LBD tiers, EMA\n"
-               "                    restarts, deep ccmin, inprocessing;\n"
-               "                    default) | legacy (all five off; the\n"
-               "                    MiniSat-2003 heuristics) | nogc (modern\n"
-               "                    with arena GC and variable elimination\n"
-               "                    off) | sls (alias of modern; the SLS\n"
-               "                    warm starts are on by default) | nosls\n"
-               "                    (modern with local-search seeding and\n"
-               "                    MaxSAT probing off) | nobackbone\n"
+               "                    restarts, deep ccmin; default) | legacy\n"
+               "                    (those off: the MiniSat-2003\n"
+               "                    heuristics) | nogc (modern with arena\n"
+               "                    GC off) | sls (modern plus local-search\n"
+               "                    seeding, MaxSAT probing and\n"
+               "                    inprocessing) | nosls (alias of modern;\n"
+               "                    those three are off by default) |\n"
+               "                    nobackbone\n"
                "                    (modern with the backbone Deduce engine\n"
                "                    off: one Lemma-6 solve per pair on the\n"
                "                    naive pipeline). Results are\n"
@@ -262,7 +262,7 @@ int ParseArgs(int argc, char** argv, CliOptions* opts) {
       if (v == nullptr) return 2;
       char* end = nullptr;
       const double f = std::strtod(v, &end);
-      if (end == v || *end != '\0' || f < 0.0 || f > 1.0) {
+      if (end == v || *end != '\0' || !(f >= 0.0 && f <= 1.0)) {
         std::fprintf(stderr, "%s wants a fraction in [0, 1], got '%s'\n",
                      arg.c_str(), v);
         return 2;
@@ -441,16 +441,17 @@ int RunShard(const CliOptions& o) {
   if (o.solver == "legacy") {
     eopts.resolve.solver = sat::SolverOptions::LegacyHeuristics();
   } else if (o.solver == "nogc") {
-    // Modern heuristics with the arena lifecycle features off: the
-    // byte-identity lane that proves GC/BVE never change results.
+    // Modern heuristics with arena GC off: the byte-identity lane that
+    // proves compaction never changes results.
     eopts.resolve.solver.use_arena_gc = false;
-    eopts.resolve.solver.use_bve = false;
-  } else if (o.solver == "nosls") {
-    // Modern heuristics without the local-search warm starts: the
-    // byte-identity lane (and the bench baseline) that proves SLS only
-    // changes time-to-verdict. "sls" is an alias of the default.
-    eopts.resolve.solver.use_sls_seeding = false;
-    eopts.resolve.solver.use_sls_probing = false;
+  } else if (o.solver == "sls") {
+    // Modern heuristics plus the whole-formula passes the default leaves
+    // off — local-search seeding, MaxSAT probing and inprocessing: the
+    // byte-identity lane that proves they only change time-to-verdict.
+    // "nosls" is an alias of the default.
+    eopts.resolve.solver.use_sls_seeding = true;
+    eopts.resolve.solver.use_sls_probing = true;
+    eopts.resolve.solver.use_inprocessing = true;
   } else if (o.solver == "nobackbone") {
     // Modern heuristics with the per-pair Lemma-6 loop instead of the
     // backbone engine: the byte-identity lane that proves model sweeping
