@@ -51,9 +51,11 @@ DeducedOrders DeduceOrder(const Instantiation& inst, const sat::Cnf& phi,
   const int n_vars = phi.num_vars();
   const int n_clauses = phi.num_clauses();
 
-  // Counter-based unit propagation: per clause, the number of non-false
-  // literals and a satisfied flag; per literal, its occurrence list.
-  // The buffers come from the session's scratch when available.
+  // Counter-based unit propagation over the explicit clauses: per clause,
+  // the number of non-false literals and a satisfied flag; per literal,
+  // its occurrence list. The order blocks' transitivity ternaries are
+  // propagated from the blocks themselves (below). The buffers come from
+  // the session's scratch when available.
   DeduceScratch local;
   DeduceScratch& s = scratch != nullptr ? *scratch : local;
   if (s.indexed_cnf != phi.identity() || s.indexed_clauses > n_clauses) {
@@ -90,12 +92,15 @@ DeducedOrders DeduceOrder(const Instantiation& inst, const sat::Cnf& phi,
   queue.assign(assume.begin(), assume.end());
   queue.insert(queue.end(), s.unit_lits.begin(), s.unit_lits.end());
 
+  constexpr sat::Lbool kTrue = sat::Lbool::kTrue;
+  constexpr sat::Lbool kFalse = sat::Lbool::kFalse;
+  constexpr sat::Lbool kUndef = sat::Lbool::kUndef;
   size_t head = 0;
   while (head < queue.size()) {
     const sat::Lit l = queue[head++];
     const sat::Lbool prior = value[l.var()];
-    if (prior != sat::Lbool::kUndef) continue;  // already propagated
-    value[l.var()] = l.negated() ? sat::Lbool::kFalse : sat::Lbool::kTrue;
+    if (prior != kUndef) continue;  // already propagated
+    value[l.var()] = l.negated() ? kFalse : kTrue;
     RecordLiteral(vm, l, options.paper_negative_units, &od);
 
     // Totality: ¬(a1 ≺ a2) entails a2 ≺ a1 in every completion; assert
@@ -114,7 +119,7 @@ DeducedOrders DeduceOrder(const Instantiation& inst, const sat::Cnf& phi,
       if (satisfied[c]) continue;
       if (--open_count[c] == 1) {
         for (sat::Lit cand : phi.clause(c)) {
-          if (value[cand.var()] == sat::Lbool::kUndef) {
+          if (value[cand.var()] == kUndef) {
             queue.push_back(cand);
             break;
           }
@@ -122,6 +127,40 @@ DeducedOrders DeduceOrder(const Instantiation& inst, const sat::Cnf& phi,
       }
       // open_count 0 means a conflict: the specification was invalid.
       // Nothing further can be soundly deduced from this clause.
+    }
+
+    // The transitivity ternaries ¬x_ab ∨ ¬x_bc ∨ x_ac holding l's
+    // variable: once two of a ternary's literals are false, its third,
+    // if open, is a new unit (a falsified one is a conflict, skipped like
+    // above).
+    const sat::OrderPos pos = phi.order_pos(l.var());
+    if (pos.block < 0) continue;
+    const sat::OrderBlock& block = phi.order_block(pos.block);
+    const int i = pos.i;
+    const int j = pos.j;
+    const auto val = [&](int a, int b) { return value[block.at(a, b)]; };
+    for (int k = 0; k < block.size; ++k) {
+      if (k == i || k == j) continue;
+      if (!l.negated()) {
+        // x_ij true, a premise of (i, j, k) and of (k, i, j).
+        if (val(j, k) == kTrue && val(i, k) == kUndef) {
+          queue.push_back(sat::Lit::Pos(block.at(i, k)));
+        } else if (val(i, k) == kFalse && val(j, k) == kUndef) {
+          queue.push_back(sat::Lit::Neg(block.at(j, k)));
+        }
+        if (val(k, i) == kTrue && val(k, j) == kUndef) {
+          queue.push_back(sat::Lit::Pos(block.at(k, j)));
+        } else if (val(k, j) == kFalse && val(k, i) == kUndef) {
+          queue.push_back(sat::Lit::Neg(block.at(k, i)));
+        }
+      } else {
+        // x_ij false, the conclusion of (i, k, j).
+        if (val(i, k) == kTrue && val(k, j) == kUndef) {
+          queue.push_back(sat::Lit::Neg(block.at(k, j)));
+        } else if (val(k, j) == kTrue && val(i, k) == kUndef) {
+          queue.push_back(sat::Lit::Neg(block.at(i, k)));
+        }
+      }
     }
   }
   return od;

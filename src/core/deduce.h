@@ -2,7 +2,12 @@
 //
 // DeduceOrder runs unit propagation over Φ(Se): every one-literal clause
 // is recorded into the deduced temporal order Od and used to reduce the
-// formula, in O(|Φ(Se)|) total time. NaiveDeduce instead asks the SAT
+// formula. Explicit clauses propagate through occurrence counters, the
+// order blocks' implicit transitivity ternaries through their variable
+// matrices (O(d) per assigned order atom). For a valid Se the fixpoint
+// of these rules (plus totality in paper mode) has no conflict, so it
+// does not depend on the propagation order: Od is the same as with the
+// ternaries written out as clauses. NaiveDeduce instead asks the SAT
 // solver, for every order variable x, whether Φ(Se) ∧ ¬x is unsatisfiable
 // — sound and complete for implied orders (Lemma 6) but, queried one
 // pair at a time, O(d²) solver calls per attribute (Fig. 8(b)).
@@ -63,7 +68,8 @@ struct DeduceOptions {
 ///
 /// The index — per-literal occurrence lists and the unit clauses' literals
 /// in clause order — covers clauses [0, indexed_clauses) of the formula
-/// whose Cnf::identity() is `indexed_cnf`. A session's Φ(Se) only grows
+/// whose Cnf::identity() is `indexed_cnf`. (Order blocks need no index:
+/// the formula knows each variable's block entry.) A session's Φ(Se) only grows
 /// between rounds, so a later call on the same formula indexes just the
 /// appended clauses; a formula with another identity (a new entity,
 /// after Cnf::Clear, a copy or a move) rebuilds the index from scratch.

@@ -13,7 +13,7 @@ ValidityResult IsValidShared(sat::Solver* solver, const sat::Cnf& phi,
                              std::span<const sat::Lit> assumptions) {
   ValidityResult result;
   result.num_vars = phi.num_vars();
-  result.num_clauses = phi.num_clauses();
+  result.num_clauses = phi.num_clauses() + phi.num_implicit_clauses();
   // Propagation first (see the header): a conflict refutes the
   // assumptions, and a quiet fixpoint over a Horn formula is a model.
   if (!solver->BeginProbe(assumptions)) return result;

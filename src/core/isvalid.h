@@ -23,7 +23,9 @@ namespace ccr {
 struct ValidityResult {
   bool valid = false;
   int num_vars = 0;
-  int num_clauses = 0;
+  /// Clauses of Φ(Se), the transitivity axioms its order blocks stand for
+  /// included: the size of the materialized formula.
+  int64_t num_clauses = 0;
   int64_t solver_conflicts = 0;
 };
 
@@ -53,6 +55,15 @@ ValidityResult IsValidCnf(const sat::Cnf& phi,
 /// retired guards are units, and the clauses of released Suggest scopes
 /// are satisfied by their retired activation literals, so the session
 /// path is decided by propagation alone: no assumption solve, no model.
+///
+/// The transitivity axioms are not clauses of the solver but order
+/// blocks (sat::Cnf), and the argument still holds: each implicit
+/// ternary ¬x_ij ∨ ¬x_jk ∨ x_ik is Horn, and the solver's closure
+/// propagator applies exactly its unit rules, so a conflict-free fixpoint
+/// leaves every ternary satisfied or with two open literals, one of them
+/// negative. Setting the open variables false keeps every ternary true
+/// (its open negative literal, or its true one), so the least model is a
+/// model of the materialized Φ(Se) as well.
 /// `solver_conflicts` reports this call's delta, not the cumulative count,
 /// so per-phase attribution survives solver sharing (0 when propagation
 /// decided).

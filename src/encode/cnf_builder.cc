@@ -27,10 +27,24 @@ void AddConstraintClause(const VarMap& vm, const GroundConstraint& gc,
   cnf->AddClause(std::span<const sat::Lit>(scratch->data(), scratch->size()));
 }
 
+// Grows order block `a` (attribute a's) to the attribute's domain size and
+// sets every entry with a row or column at or past `from`, the old size.
+void FillOrderBlock(const VarMap& vm, int a, int from, sat::Cnf* cnf) {
+  const int d = static_cast<int>(vm.domain(a).size());
+  cnf->GrowOrderBlock(a, d);
+  for (int i = 0; i < d; ++i) {
+    for (int j = i < from ? from : 0; j < d; ++j) {
+      if (j == i) continue;
+      cnf->SetOrderVar(a, i, j, vm.VarOf(a, i, j));
+    }
+  }
+}
+
 // Φ(Se) is Horn: every clause has at most one positive literal. Rules
 // carry one positive head (none for a false head) behind negated body
 // atoms and guards, asymmetry clauses have none, transitivity one, and a
-// retired guard is a negative unit. Checks clauses [first, end) of `cnf`.
+// retired guard is a negative unit. Checks clauses [first, end) of `cnf`;
+// the order blocks' implicit ternaries are Horn by their shape.
 [[maybe_unused]] bool ClausesAreHorn(const sat::Cnf& cnf, int first) {
   for (int c = first; c < cnf.num_clauses(); ++c) {
     int positive = 0;
@@ -61,7 +75,9 @@ void BuildCnfInto(const Instantiation& inst, sat::Cnf* out,
     AddConstraintClause(vm, gc, &clause, &cnf);
   }
 
-  // Structural axioms per attribute domain.
+  // Structural axioms per attribute domain: asymmetry as explicit
+  // binaries, transitivity as one implicit order block (block a is
+  // attribute a's; ExtendCnf relies on that numbering).
   for (int a = 0; a < vm.num_attrs(); ++a) {
     const int d = static_cast<int>(vm.domain(a).size());
     if (options.asymmetry) {
@@ -73,17 +89,8 @@ void BuildCnfInto(const Instantiation& inst, sat::Cnf* out,
       }
     }
     if (options.transitivity) {
-      for (int i = 0; i < d; ++i) {
-        for (int j = 0; j < d; ++j) {
-          if (j == i) continue;
-          for (int k = 0; k < d; ++k) {
-            if (k == i || k == j) continue;
-            cnf.AddTernary(sat::Lit::Neg(vm.VarOf(a, i, j)),
-                           sat::Lit::Neg(vm.VarOf(a, j, k)),
-                           sat::Lit::Pos(vm.VarOf(a, i, k)));
-          }
-        }
-      }
+      cnf.AddOrderBlock();
+      FillOrderBlock(vm, a, 0, &cnf);
     }
   }
   CCR_DCHECK(ClausesAreHorn(cnf, 0));
@@ -109,8 +116,9 @@ void ExtendCnf(const Instantiation& inst, const InstantiationDelta& delta,
     AddConstraintClause(vm, inst.constraints[c], &clause, cnf);
   }
 
-  // Structural axioms for atom pairs/triples touching a new domain value.
-  // Costs O(d^2 · Δ) per grown attribute instead of the O(d^3) rebuild.
+  // Structural axioms for atom pairs touching a new domain value: the
+  // asymmetry binaries, and the order block grown by the new rows and
+  // columns. Costs O(d · Δ) per grown attribute.
   for (int a = 0; a < vm.num_attrs(); ++a) {
     const int d0 = delta.old_domain_sizes[a];
     const int d = static_cast<int>(vm.domain(a).size());
@@ -123,22 +131,7 @@ void ExtendCnf(const Instantiation& inst, const InstantiationDelta& delta,
         }
       }
     }
-    if (options.transitivity) {
-      for (int i = 0; i < d; ++i) {
-        for (int j = 0; j < d; ++j) {
-          if (j == i) continue;
-          // Old (i, j) pairs only need the new k range; any pair touching
-          // a new value needs every k.
-          const int k_begin = (i < d0 && j < d0) ? d0 : 0;
-          for (int k = k_begin; k < d; ++k) {
-            if (k == i || k == j) continue;
-            cnf->AddTernary(sat::Lit::Neg(vm.VarOf(a, i, j)),
-                            sat::Lit::Neg(vm.VarOf(a, j, k)),
-                            sat::Lit::Pos(vm.VarOf(a, i, k)));
-          }
-        }
-      }
-    }
+    if (options.transitivity) FillOrderBlock(vm, a, d0, cnf);
   }
   CCR_DCHECK(ClausesAreHorn(*cnf, first_clause));
 }

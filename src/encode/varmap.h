@@ -7,9 +7,10 @@
 // a CFD is *applicable* when every LHS constant is already in its
 // attribute's domain, and an applicable CFD adds its RHS constant. CFDs
 // that can never fire on this entity are dropped, which keeps the domain —
-// and the O(d^3) transitivity encoding — proportional to the entity
-// instead of to |Γ| (the paper's 1000-pattern CFD sets would otherwise
-// blow up the CNF).
+// and with it the d×d order block of each attribute (d² variables that
+// stand for d³ transitivity axioms) — proportional to the entity instead
+// of to |Γ| (the paper's 1000-pattern CFD sets would otherwise blow up
+// the encoding).
 
 #ifndef CCR_ENCODE_VARMAP_H_
 #define CCR_ENCODE_VARMAP_H_

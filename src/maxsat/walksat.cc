@@ -79,6 +79,11 @@ Result<WalkSatResult> RunWalkSat(const Cnf& cnf,
                                  const WalkSatOptions& options,
                                  WalkSatScratch* scratch) {
   CCR_RETURN_NOT_OK(ValidateOptions(options));
+  // The paper's Walksat searches the full Φ(Se): spell the order blocks'
+  // transitivity axioms out as clauses first.
+  if (cnf.num_order_blocks() > 0) {
+    return RunWalkSat(cnf.Materialized(), options, scratch);
+  }
   WalkSatResult result;
   const int n_vars = cnf.num_vars();
   const int n_clauses = cnf.num_clauses();

@@ -66,8 +66,9 @@ struct WalkSatScratch {
 /// Runs WalkSAT on `cnf`. With weights absent, this maximizes the number
 /// of satisfied clauses; callers implementing partial MaxSAT replicate
 /// hard clauses to weight them (as the original Walksat-based MaxSat
-/// pipelines did). `scratch` (optional) pools the working buffers across
-/// calls. Deterministic under options.seed.
+/// pipelines did). Order blocks are searched as their materialized
+/// transitivity clauses (Cnf::Materialized). `scratch` (optional) pools
+/// the working buffers across calls. Deterministic under options.seed.
 Result<WalkSatResult> RunWalkSat(const sat::Cnf& cnf,
                                  const WalkSatOptions& options,
                                  WalkSatScratch* scratch = nullptr);

@@ -8,6 +8,8 @@
 namespace ccr::sat {
 
 std::string ToDimacs(const Cnf& cnf) {
+  // DIMACS has no order blocks: spell their axioms out as clauses.
+  if (cnf.num_order_blocks() > 0) return ToDimacs(cnf.Materialized());
   std::string out = "p cnf " + std::to_string(cnf.num_vars()) + " " +
                     std::to_string(cnf.num_clauses()) + "\n";
   for (int i = 0; i < cnf.num_clauses(); ++i) {

@@ -12,7 +12,9 @@
 namespace ccr::sat {
 
 /// Renders `cnf` in DIMACS format ("p cnf <vars> <clauses>" header,
-/// 1-based signed literals, 0-terminated clauses).
+/// 1-based signed literals, 0-terminated clauses). Order blocks are
+/// written out as their transitivity clauses (Cnf::Materialized), so
+/// parsing the text back yields the materialized formula.
 std::string ToDimacs(const Cnf& cnf);
 
 /// Parses DIMACS text. Accepts comment lines ('c ...') and tolerates a

@@ -85,13 +85,20 @@ void Solver::SyncTeam() {
   // this single point.
   for (const std::unique_ptr<Solver>& h : team_->helpers) {
     for (const MirrorOp& op : mirror_log_) {
-      if (op.is_freeze) {
-        Var max_v = op.act.var();
-        for (Var v : op.vars) max_v = std::max(max_v, v);
-        while (h->num_vars() <= max_v) h->NewVar();
-        h->FreezeScope(op.act, op.vars);
-      } else {
-        h->AddClause(op.lits);  // grows the helper's vars as needed
+      switch (op.kind) {
+        case MirrorOp::kFreeze: {
+          Var max_v = op.act.var();
+          for (Var v : op.vars) max_v = std::max(max_v, v);
+          while (h->num_vars() <= max_v) h->NewVar();
+          h->FreezeScope(op.act, op.vars);
+          break;
+        }
+        case MirrorOp::kOrderBlock:
+          h->SyncOrderBlock(op.block_size, op.vars);  // grows vars too
+          break;
+        case MirrorOp::kClause:
+          h->AddClause(op.lits);  // grows the helper's vars as needed
+          break;
       }
     }
     // Variables the master allocated that no mirrored op mentions yet

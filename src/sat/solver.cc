@@ -1,8 +1,10 @@
 #include "src/sat/solver.h"
 
 #include <algorithm>
+#include <bit>
 #include <climits>
 #include <cmath>
+#include <cstring>
 
 #include "src/common/rng.h"
 #include "src/common/status.h"
@@ -25,6 +27,22 @@ constexpr int64_t kEmaMinConflicts = 32;
 // (which sees the whole initial encoding, not just a delta).
 constexpr int64_t kSubsumptionStepBudget = 2'000'000;  // literal compares
 constexpr int64_t kVivifyPropBudget = 200'000;         // trail literals
+
+// Order-block values are scanned eight Lbools (one byte each) per 64-bit
+// word; these give bit 0 of each byte for one value.
+static_assert(sizeof(Lbool) == 1 && static_cast<int>(Lbool::kFalse) == 0 &&
+              static_cast<int>(Lbool::kTrue) == 1 &&
+              static_cast<int>(Lbool::kUndef) == 2);
+static_assert(std::endian::native == std::endian::little);
+constexpr uint64_t kByteLowBits = 0x0101010101010101ULL;
+uint64_t LoadLbools(const Lbool* p) {
+  uint64_t w;
+  std::memcpy(&w, p, sizeof w);
+  return w;
+}
+uint64_t TrueBytes(uint64_t w) { return w & kByteLowBits; }
+uint64_t UndefBytes(uint64_t w) { return (w >> 1) & kByteLowBits; }
+uint64_t FalseBytes(uint64_t w) { return ~(w | (w >> 1)) & kByteLowBits; }
 
 // A relocated clause leaves this in its header slot, with the forwarding
 // reference in the next word. No live header can collide: the smallest
@@ -92,6 +110,7 @@ Var Solver::NewVar() {
   }
   eliminable_.push_back(0);
   eliminated_.push_back(0);
+  order_slot_.emplace_back();
   HeapInsert(v);
   return v;
 }
@@ -136,6 +155,13 @@ void Solver::Reset(SolverOptions options) {
   analyze_stack_.clear();
   analyze_toclear_.clear();
   non_horn_lits_.clear();
+  blocks_.clear();
+  order_slot_.clear();
+  order_value_.clear();
+  // Not a fill: one big session would make every later Reset clear its
+  // whole table. The next insertion re-allocates at the smallest size.
+  materialized_.clear();
+  num_materialized_ = 0;
   lbd_stamp_.clear();
   lbd_counter_ = 0;
   model_.clear();
@@ -317,8 +343,18 @@ bool Solver::AddClauseInternal(std::span<const Lit> lits) {
 
 void Solver::AddCnfFrom(const Cnf& cnf, int first_clause) {
   while (num_vars() < cnf.num_vars()) NewVar();
-  if (!ok_ || first_clause >= cnf.num_clauses()) return;
+  if (!ok_) return;
   CCR_DCHECK(DecisionLevel() == 0);
+  // Blocks first, so the level-0 units among the clauses below already
+  // propagate through them.
+  for (int b = 0; b < cnf.num_order_blocks() && ok_; ++b) {
+    const OrderBlock& block = cnf.order_block(b);
+    if (block.size < 2) continue;  // no variables yet
+    const OrderSlot& slot = order_slot_[block.at(0, 1)];
+    if (slot.block >= 0 && blocks_[slot.block].size == block.size) continue;
+    SyncOrderBlock(block.size, block.vars);
+  }
+  if (!ok_ || first_clause >= cnf.num_clauses()) return;
   // One invalidation for the batch: per-clause AddClause would repeat it
   // for every clause with the same end state.
   InvalidateModelCache();
@@ -347,14 +383,6 @@ bool Solver::ProblemIsHorn() {
   }
   v.resize(w);
   return v.empty();
-}
-
-void Solver::UncheckedEnqueue(Lit p, ClauseRef from) {
-  CCR_DCHECK(ValueOf(p) == Lbool::kUndef);
-  assigns_[p.var()] = p.negated() ? Lbool::kFalse : Lbool::kTrue;
-  level_[p.var()] = DecisionLevel();
-  reason_[p.var()] = from;
-  trail_.push_back(p);
 }
 
 Solver::ClauseRef Solver::Propagate() {
@@ -432,8 +460,258 @@ Solver::ClauseRef Solver::Propagate() {
     }
     ws.resize(j);
     if (conflict != kRefUndef) break;
+    if (order_slot_[p.var()].row != OrderSlot::kNone) {
+      conflict = PropagateOrder(p);
+      if (conflict != kRefUndef) {
+        qhead_ = bhead_ = trail_.size();
+        break;
+      }
+    }
   }
   return conflict;
+}
+
+Solver::ClauseRef Solver::PropagateOrder(Lit p) {
+  const OrderSlot& pos = order_slot_[p.var()];
+  const OrderBlockState& block = blocks_[pos.block];
+  const int d = block.size;
+  // Rows and columns of i and j, eight values k per word. A hit is a k
+  // whose ternary may be unit or falsified. The diagonal reads as true,
+  // which never makes a hit; the padding past `d` is masked off.
+  const Lbool* row_i = &order_value_[block.rows + pos.i * block.stride];
+  const Lbool* row_j = &order_value_[block.rows + pos.j * block.stride];
+  const Lbool* col_i = &order_value_[block.cols + pos.i * block.stride];
+  const Lbool* col_j = &order_value_[block.cols + pos.j * block.stride];
+  for (int k0 = 0; k0 < d; k0 += 8) {
+    const uint64_t ik = LoadLbools(row_i + k0);
+    const uint64_t kj = LoadLbools(col_j + k0);
+    uint64_t hits;
+    if (!p.negated()) {
+      // x_ij true, a premise of (i, j, k): unit once x_jk is true or x_ik
+      // false; and of (k, i, j): unit once x_ki is true or x_kj false.
+      const uint64_t jk = LoadLbools(row_j + k0);
+      const uint64_t ki = LoadLbools(col_i + k0);
+      hits = (TrueBytes(jk) & ~ik) | (FalseBytes(ik) & UndefBytes(jk)) |
+             (TrueBytes(ki) & ~kj) | (FalseBytes(kj) & UndefBytes(ki));
+    } else {
+      // x_ij false, the conclusion of (i, k, j): unit once x_ik or x_kj
+      // is true.
+      hits = (TrueBytes(ik) & ~FalseBytes(kj)) |
+             (TrueBytes(kj) & UndefBytes(ik));
+    }
+    hits &= kByteLowBits;
+    if (d - k0 < 8) hits &= (1ULL << (8 * (d - k0))) - 1;
+    if (hits != 0) {
+      const ClauseRef conflict = FireOrderAxioms(p, k0, hits);
+      if (conflict != kRefUndef) return conflict;
+    }
+  }
+  return kRefUndef;
+}
+
+Solver::ClauseRef Solver::FireOrderAxioms(Lit p, int k0, uint64_t hits) {
+  const OrderSlot& pos = order_slot_[p.var()];
+  const OrderBlockState& block = blocks_[pos.block];
+  const int d = block.size;
+  const int i = pos.i;
+  const int j = pos.j;
+  const Var* x = block.vars.data();
+  const auto var = [&](int a, int b) { return x[a * d + b]; };
+  const Lbool* row_i = &order_value_[block.rows + i * block.stride];  // x_ik
+  const Lbool* row_j = &order_value_[block.rows + j * block.stride];  // x_jk
+  const Lbool* col_i = &order_value_[block.cols + i * block.stride];  // x_ki
+  const Lbool* col_j = &order_value_[block.cols + j * block.stride];  // x_kj
+  ClauseRef conflict = kRefUndef;
+  // The ternary (a, b, c) = ¬x_ab ∨ ¬x_bc ∨ x_ac holds ~p, which is false;
+  // `first` is its open literal (an implication) or its third false one
+  // (a conflict), `other` its remaining false literal. Returns false on a
+  // conflict.
+  const auto fire = [&](int a, int b, int c, Lit first, Lit other) {
+    const bool falsified = ValueOf(first) == Lbool::kFalse;
+    if (!falsified && DecisionLevel() == 0) {
+      // Level-0 facts need no reason: conflict analysis never reads one.
+      UncheckedEnqueue(first, kRefUndef);
+      return true;
+    }
+    const uint64_t key = (static_cast<uint64_t>(pos.block) << 48) |
+                         (static_cast<uint64_t>(a) << 32) |
+                         (static_cast<uint64_t>(b) << 16) |
+                         static_cast<uint64_t>(c);
+    // Already a clause: its watches propagate it.
+    if (!InsertMaterialized(key)) return true;
+    // Watch two literals of the highest levels: ~p sits on the current
+    // level, and so does an implied literal; in a conflict the third
+    // false literal with the higher level joins it.
+    if (falsified && level_[other.var()] > level_[first.var()]) {
+      std::swap(first, other);
+    }
+    const Lit lits[3] = {first, ~p, other};
+    const ClauseRef axiom = MaterializeAxiom(lits);
+    if (falsified) {
+      conflict = axiom;
+      return false;
+    }
+    UncheckedEnqueue(first, axiom);
+    return true;
+  };
+  // The values are re-read: an earlier hit of this word may have set
+  // them (only at its own k, so the other hits stay candidates).
+  for (; hits != 0; hits &= hits - 1) {
+    const int k = k0 + std::countr_zero(hits) / 8;
+    const Lbool vik = row_i[k];
+    const Lbool vkj = col_j[k];
+    if (!p.negated()) {
+      const Lbool vjk = row_j[k];
+      if (vjk == Lbool::kTrue) {
+        if (vik != Lbool::kTrue &&
+            !fire(i, j, k, Lit::Pos(var(i, k)), Lit::Neg(var(j, k)))) {
+          return conflict;
+        }
+      } else if (vjk == Lbool::kUndef && vik == Lbool::kFalse) {
+        fire(i, j, k, Lit::Neg(var(j, k)), Lit::Pos(var(i, k)));
+      }
+      const Lbool vki = col_i[k];
+      if (vki == Lbool::kTrue) {
+        if (vkj != Lbool::kTrue &&
+            !fire(k, i, j, Lit::Pos(var(k, j)), Lit::Neg(var(k, i)))) {
+          return conflict;
+        }
+      } else if (vki == Lbool::kUndef && vkj == Lbool::kFalse) {
+        fire(k, i, j, Lit::Neg(var(k, i)), Lit::Pos(var(k, j)));
+      }
+    } else if (vik == Lbool::kTrue) {
+      if (vkj != Lbool::kFalse &&
+          !fire(i, k, j, Lit::Neg(var(k, j)), Lit::Neg(var(i, k)))) {
+        return conflict;
+      }
+    } else if (vik == Lbool::kUndef && vkj == Lbool::kTrue) {
+      fire(i, k, j, Lit::Neg(var(i, k)), Lit::Neg(var(k, j)));
+    }
+  }
+  return conflict;
+}
+
+bool Solver::InsertMaterialized(uint64_t key) {
+  if (2 * (num_materialized_ + 1) > materialized_.size()) {
+    // Grow to twice the size (at least 64 slots) and re-insert.
+    std::vector<uint64_t> old(std::max<size_t>(64, 2 * materialized_.size()));
+    old.swap(materialized_);
+    num_materialized_ = 0;
+    for (const uint64_t k : old) {
+      if (k != 0) InsertMaterialized(k);
+    }
+  }
+  const size_t mask = materialized_.size() - 1;
+  for (size_t h = (key * 0x9E3779B97F4A7C15ULL) >> 20;; ++h) {
+    uint64_t& slot = materialized_[h & mask];
+    if (slot == key) return false;
+    if (slot == 0) {
+      slot = key;
+      ++num_materialized_;
+      return true;
+    }
+  }
+}
+
+Solver::ClauseRef Solver::MaterializeAxiom(const Lit (&lits)[3]) {
+  const ClauseRef c = AllocClause(lits, /*learnt=*/false);
+  StoreClauseSig(c);
+  clauses_.push_back(c);
+  if (TrackOccurrences()) {
+    for (Lit l : lits) occur_[l.var()].push_back(c);
+  }
+  AttachClause(c);
+  return c;
+}
+
+void Solver::SyncOrderBlock(int size, std::span<const Var> vars) {
+  CCR_DCHECK(DecisionLevel() == 0);
+  CCR_CHECK(size >= 2 && size < (1 << 16) &&
+            vars.size() == static_cast<size_t>(size) * size);
+  Var max_var = kVarUndef;
+  for (int i = 0; i < size; ++i) {
+    for (int j = 0; j < size; ++j) {
+      if (i != j) max_var = std::max(max_var, vars[i * size + j]);
+      CCR_CHECK(i == j || vars[i * size + j] >= 0);
+    }
+  }
+  while (num_vars() <= max_var) NewVar();
+  int b = order_slot_[vars[1]].block;
+  if (b < 0) {
+    CCR_CHECK(blocks_.size() < (1u << 16));
+    b = static_cast<int>(blocks_.size());
+    blocks_.emplace_back();
+  }
+  OrderBlockState& block = blocks_[b];
+  const int old = block.size;
+  if (size <= old) return;
+  if (options_.portfolio_threads > 1) {
+    MirrorOp op;
+    op.kind = MirrorOp::kOrderBlock;
+    op.block_size = size;
+    op.vars.assign(vars.begin(), vars.end());
+    mirror_log_.push_back(std::move(op));
+  }
+  // The grown matrix keeps every registered entry; only the new rows and
+  // columns are registered. They must not belong to any block yet, and
+  // must still be open: the closure rules never saw an earlier value.
+  for (int i = 0; i < size; ++i) {
+    for (int j = 0; j < size; ++j) {
+      if (i == j) continue;
+      const Var v = vars[i * size + j];
+      if (i < old && j < old) {
+        CCR_DCHECK(block.vars[i * old + j] == v);
+        continue;
+      }
+      CCR_CHECK(v >= 0 && order_slot_[v].block < 0 && !eliminable_[v] &&
+                assigns_[v] == Lbool::kUndef);
+    }
+  }
+  block.vars.assign(vars.begin(), vars.end());
+  block.size = size;
+  // A fresh value region for the grown block (the old one stays unused
+  // until Reset; blocks grow a few times per session), seeded with the
+  // level-0 facts of the registered entries.
+  block.stride = (size + 7) & ~7;
+  const size_t region = static_cast<size_t>(size) * block.stride;
+  CCR_CHECK(order_value_.size() + 2 * region < OrderSlot::kNone);
+  block.rows = static_cast<uint32_t>(order_value_.size());
+  block.cols = static_cast<uint32_t>(order_value_.size() + region);
+  order_value_.resize(order_value_.size() + 2 * region, Lbool::kTrue);
+  for (int i = 0; i < size; ++i) {
+    for (int j = 0; j < size; ++j) {
+      if (i == j) continue;
+      const Var v = vars[i * size + j];
+      OrderSlot& slot = order_slot_[v];
+      slot.row = block.rows + static_cast<uint32_t>(i * block.stride + j);
+      slot.col = block.cols + static_cast<uint32_t>(j * block.stride + i);
+      slot.block = b;
+      slot.i = i;
+      slot.j = j;
+      order_value_[slot.row] = order_value_[slot.col] = assigns_[v];
+    }
+  }
+}
+
+template <class ValueFn>
+int64_t Solver::CountOpenAxioms(ValueFn value, int64_t limit) const {
+  int64_t open = 0;
+  for (const OrderBlockState& block : blocks_) {
+    const int d = block.size;
+    const auto var = [&](int a, int b) { return block.vars[a * d + b]; };
+    for (int i = 0; i < d; ++i) {
+      for (int j = 0; j < d; ++j) {
+        if (j == i || !value(var(i, j))) continue;
+        for (int k = 0; k < d; ++k) {
+          if (k == i || k == j || !value(var(j, k)) || value(var(i, k))) {
+            continue;
+          }
+          if (++open >= limit) return open;
+        }
+      }
+    }
+  }
+  return open;
 }
 
 void Solver::VarBump(Var v) {
@@ -693,6 +971,11 @@ void Solver::CancelUntil(int target) {
   const size_t keep = static_cast<size_t>(trail_lim_[target]);
   for (size_t i = trail_.size(); i-- > keep;) {
     const Var v = trail_[i].var();
+    const OrderSlot slot = order_slot_[v];
+    if (slot.row != OrderSlot::kNone) {
+      order_value_[slot.row] = Lbool::kUndef;
+      order_value_[slot.col] = Lbool::kUndef;
+    }
     assigns_[v] = Lbool::kUndef;
     if (options_.use_phase_saving) polarity_[v] = trail_[i].negated();
     reason_[v] = kRefUndef;
@@ -1031,7 +1314,7 @@ bool Solver::FreezeScope(Lit activation, std::span<const Var> vars) {
   InvalidateModelCache();
   if (options_.portfolio_threads > 1) {
     MirrorOp op;
-    op.is_freeze = true;
+    op.kind = MirrorOp::kFreeze;
     op.act = activation;
     op.vars.assign(vars.begin(), vars.end());
     mirror_log_.push_back(std::move(op));
@@ -1142,14 +1425,21 @@ std::vector<std::vector<Lit>> Solver::LearntClauses() const {
 }
 
 int64_t Solver::Luby(int64_t i) {
-  // Luby sequence: 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 ...
-  int64_t k = 1;
-  while ((1LL << k) - 1 < i + 1) ++k;
-  while ((1LL << k) - 1 != i + 1) {
-    --k;
-    i = i - ((1LL << k) - 1);
+  // MiniSat's formulation: find the smallest complete subsequence
+  // (size 2^(seq+1) - 1) that contains position i, then shrink it and
+  // reduce i modulo the size until i is its last position.
+  int64_t size = 1;
+  int seq = 0;
+  while (size < i + 1) {
+    ++seq;
+    size = 2 * size + 1;
   }
-  return 1LL << (k - 1);
+  while (size - 1 != i) {
+    size = (size - 1) >> 1;
+    --seq;
+    i = i % size;
+  }
+  return int64_t{1} << seq;
 }
 
 SolveResult Solver::Search(int64_t conflict_budget,
@@ -1397,6 +1687,10 @@ LocalSearchResult Solver::SeedFromLocalSearch(
       return out;
     }
   }
+
+  const auto axioms_open = [&](const std::vector<uint8_t>& val) {
+    return CountOpenAxioms([&](Var v) { return val[v] != 0; }, 1) > 0;
+  };
 
   // Fast path: on a warm solver the saved phases usually still form a
   // model (the last solve saved them from one) or miss one by only a
@@ -1754,8 +2048,10 @@ LocalSearchResult Solver::SeedFromLocalSearch(
           feasible = !any_unsat && worklist.empty();
         }
       }
-      if (feasible) {
-        improve_softs();
+      if (feasible) improve_softs();
+      // The order blocks' axioms are not in the clause scan: an
+      // assignment that is not transitively closed is no model.
+      if (feasible && !axioms_open(s.val)) {
         // Install the flipped phases so the next descent starts here —
         // except for variables the softs mention: the exact search that
         // follows a probe exists to satisfy softs, so their phases stay
@@ -1778,7 +2074,7 @@ LocalSearchResult Solver::SeedFromLocalSearch(
       }
       // Repair ran out of budget or got stuck; the full search below
       // starts from the mutated assignment deterministically.
-    } else if (exhaustive && worklist.empty()) {
+    } else if (exhaustive && worklist.empty() && !axioms_open(s.val)) {
       // No occurrence index (so no repair or soft pass), but the saved
       // phases already form a model; publish it as-is.
       publish();
@@ -1996,6 +2292,11 @@ LocalSearchResult Solver::SeedFromLocalSearch(
   }
   stats_.sls_flips += flips_done;
 
+  // The search only saw explicit clauses; the order blocks' axioms count
+  // as hard clauses too.
+  const int64_t open_axioms =
+      CountOpenAxioms([&](Var v) { return s.best[v] != 0; }, INT_MAX);
+  best_hard = static_cast<int>(std::min<int64_t>(INT_MAX, best_hard + open_axioms));
   out.ran = true;
   out.feasible = best_hard == 0;
   out.hard_unsat = best_hard;
@@ -2072,7 +2373,8 @@ bool Solver::DebugModelSatisfiesLive(const std::vector<Lbool>& m) const {
       }
     }
   }
-  return true;
+  return CountOpenAxioms([&](Var v) { return m[v] == Lbool::kTrue; }, 1) ==
+         0;
 }
 
 SolveResult Solver::SolveInternal(std::span<const Lit> assumptions) {
@@ -2523,6 +2825,7 @@ void Solver::RebuildOccurrenceIndex() {
 
 void Solver::MarkEliminable(Var v) {
   CCR_CHECK(v >= 0 && v < num_vars());
+  CCR_CHECK(order_slot_[v].block < 0);
   if (eliminable_[v]) return;
   eliminable_[v] = 1;
   elim_candidates_.push_back(v);

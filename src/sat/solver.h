@@ -13,6 +13,14 @@
 // phase saving, and incremental solving under assumptions (used by
 // NaiveDeduce and the MaxSAT layer).
 //
+// Besides clauses the solver takes the Cnf's order blocks: the
+// transitivity axioms ¬x_ij ∨ ¬x_jk ∨ x_ik of each currency order, kept
+// implicit (lazy clause generation). A closure propagator applies their
+// unit rules from the block's variable matrix during propagation, so
+// propagation is exactly as strong as with the ternaries written out;
+// a ternary becomes a real clause only when it is the reason of an
+// implication or a conflict. Models are always transitively closed.
+//
 // The defaults match the pipeline's workload: Φ(Se) is Horn and the
 // session never hits a conflict, so the whole-formula passes — WalkSAT
 // seeding and probing, between-round inprocessing (vivification,
@@ -36,6 +44,7 @@
 #include <span>
 #include <vector>
 
+#include "src/common/status.h"
 #include "src/sat/cnf.h"
 #include "src/sat/literal.h"
 
@@ -340,10 +349,12 @@ struct LocalSearchResult {
   /// False when the search could not run at all: the solver is already
   /// UNSAT, or the assumptions contradict each other / the level-0 trail.
   bool ran = false;
-  /// The best assignment satisfies every live problem clause (together
-  /// with the level-0 trail it is then a genuine model).
+  /// The best assignment satisfies every live problem clause and is
+  /// transitively closed on every order block (together with the level-0
+  /// trail it is then a genuine model).
   bool feasible = false;
-  /// Problem clauses left unsatisfied by the best assignment.
+  /// Problem clauses, explicit or implicit in an order block, left
+  /// unsatisfied by the best assignment.
   int hard_unsat = 0;
   /// Soft clauses left unsatisfied by the best assignment (the MaxSAT
   /// upper bound u when `feasible`).
@@ -392,10 +403,17 @@ class Solver {
   /// Adds the clauses of `cnf` starting at index `first_clause`. Used by
   /// callers that keep one solver alive while their CNF grows append-only
   /// (the ResolutionSession pipeline): only the new suffix is fed. The
-  /// resulting state is exactly that of one AddClause per clause, in
-  /// order, but the batch allocates nothing per clause (each clause is
+  /// resulting clause state is exactly that of one AddClause per clause,
+  /// in order, but the batch allocates nothing per clause (each clause is
   /// normalized in one reused buffer) and invalidates the model cache
   /// once.
+  ///
+  /// Every order block of `cnf` is registered (or grown to its current
+  /// size) first, whatever `first_clause` is. A block is recognised by
+  /// its variables: one whose x_01 the solver already knows extends the
+  /// registered block, whose entries must agree; any other is new. A
+  /// variable belongs to at most one block, and is still unassigned when
+  /// its block registers it (both checked).
   void AddCnfFrom(const Cnf& cnf, int first_clause);
 
   /// Decides satisfiability of the accumulated clauses.
@@ -594,9 +612,20 @@ class Solver {
   /// (use_bve): the caller promises `v` is never assumed and never
   /// appears in a clause added after this call (both checked). Once
   /// inprocessing resolves `v` away, ModelValue(v) stays exact through
-  /// the model-reconstruction stack.
+  /// the model-reconstruction stack. Order-block variables cannot be
+  /// eliminated: their axioms are implicit (checked both ways).
   void MarkEliminable(Var v);
   bool VarEliminated(Var v) const { return eliminated_[v] != 0; }
+
+  /// Term i (from 0) of the Luby restart sequence 1 1 2 1 1 2 4 1 1 2 1 1
+  /// 2 4 8 …, which scales the restart budget when EMA restarts are off.
+  static int64_t Luby(int64_t i);
+
+  /// Transitivity axioms of the order blocks turned into problem clauses
+  /// so far (each one the reason of an implication or a conflict).
+  int64_t materialized_axioms() const {
+    return static_cast<int64_t>(num_materialized_);
+  }
 
   /// Arena occupancy in 32-bit words: current size, size minus the dead
   /// words awaiting collection, and the lifetime high-water mark. The
@@ -720,6 +749,60 @@ class Solver {
            stop_flag_->load(std::memory_order_relaxed) != 0;
   }
 
+  // --- order blocks -----------------------------------------------------
+  //
+  // The implicit transitivity axioms ¬x_ij ∨ ¬x_jk ∨ x_ik of each Cnf
+  // order block. Propagate runs PropagateOrder on every order literal
+  // after its watch list: exactly the unit propagation of the ternaries
+  // that contain it (closure, both contrapositives, conflicts). A ternary
+  // that implies a literal above level 0, or that is falsified, is then
+  // materialized once — allocated as a permanent problem clause, attached
+  // and used as the reason — so Analyze, GC, Simplify and ProblemIsHorn
+  // see an ordinary clause. After that the watches propagate it and
+  // PropagateOrder skips it. A materialized axiom is implied by the
+  // block, so it leaves the model cache valid.
+  //
+  // The blocks' current values live in order_value_, one byte per atom:
+  // each block has a row-major region (x_ik at rows + i·stride + k) and a
+  // transposed one (x_ki at cols + i·stride + k), rows padded to whole
+  // 64-bit words, the diagonal and the padding reading as true. Every
+  // order variable knows its two bytes (order_slot_), so enqueue and
+  // backtrack cost two byte stores. PropagateOrder scans the rows and
+  // columns of i and j eight values k per word for the ternaries that
+  // are unit or falsified: O(size / 8) words per literal, plus the
+  // ternaries that fire.
+  struct OrderBlockState {
+    int size = 0;
+    int stride = 0;         // size rounded up to a multiple of 8
+    uint32_t rows = 0;      // offsets into order_value_
+    uint32_t cols = 0;
+    std::vector<Var> vars;  // size×size, row-major, as in Cnf
+  };
+  // Per variable: where it sits in a block, and its two value bytes.
+  struct OrderSlot {
+    static constexpr uint32_t kNone = UINT32_MAX;
+    uint32_t row = kNone;  // x_ij's byte in its block's row region
+    uint32_t col = 0;      // and in the transposed region
+    int32_t block = -1;    // -1: not an order-block variable
+    int32_t i = 0;
+    int32_t j = 0;
+  };
+  // Registers a block (size×size row-major `vars`, diagonal ignored) or
+  // grows the registered block it extends. Decision level 0; the new
+  // entries' variables must be unassigned.
+  void SyncOrderBlock(int size, std::span<const Var> vars);
+  ClauseRef PropagateOrder(Lit p);
+  // PropagateOrder's slow path: applies the ternaries of word `k0` whose
+  // bits are set in `hits` (k = k0 + byte index).
+  ClauseRef FireOrderAxioms(Lit p, int k0, uint64_t hits);
+  // Allocates and attaches the ternary (lits[0] ∨ lits[1] ∨ lits[2]) as a
+  // problem clause watched on lits[0] and lits[1].
+  ClauseRef MaterializeAxiom(const Lit (&lits)[3]);
+  // Number of order-block ternaries `value(var)` (true/false per
+  // variable) falsifies, stopping once `limit` are found.
+  template <class ValueFn>
+  int64_t CountOpenAxioms(ValueFn value, int64_t limit) const;
+
   // --- search ----------------------------------------------------------
   SolveResult SolveInternal(std::span<const Lit> assumptions);
   SolveResult SolveLoop(std::span<const Lit> assumptions);
@@ -730,7 +813,19 @@ class Solver {
                int* out_btlevel, int* out_lbd);
   bool LitRedundant(Lit p, uint32_t abstract_levels);
   void AnalyzeFinal(Lit p, std::vector<Lit>* out_core);
-  void UncheckedEnqueue(Lit p, ClauseRef from);
+  void UncheckedEnqueue(Lit p, ClauseRef from) {
+    CCR_DCHECK(ValueOf(p) == Lbool::kUndef);
+    assigns_[p.var()] = p.negated() ? Lbool::kFalse : Lbool::kTrue;
+    level_[p.var()] = DecisionLevel();
+    reason_[p.var()] = from;
+    trail_.push_back(p);
+    const OrderSlot slot = order_slot_[p.var()];
+    if (slot.row != OrderSlot::kNone) {
+      const Lbool v = p.negated() ? Lbool::kFalse : Lbool::kTrue;
+      order_value_[slot.row] = v;
+      order_value_[slot.col] = v;
+    }
+  }
   void CancelUntil(int level);
   Lit PickBranchLit();
   void AttachClause(ClauseRef c);
@@ -830,8 +925,6 @@ class Solver {
   void HeapDecrease(Var v);
   bool HeapEmpty() const { return heap_.empty(); }
 
-  static int64_t Luby(int64_t i);
-
   SolverOptions options_;
   SolverStats stats_;
   SolverStats last_call_;
@@ -878,6 +971,17 @@ class Solver {
   // followed by kLitUndef; ProblemIsHorn drops the ones satisfied at
   // level 0.
   std::vector<Lit> non_horn_lits_;
+
+  std::vector<OrderBlockState> blocks_;
+  std::vector<OrderSlot> order_slot_;  // per var
+  std::vector<Lbool> order_value_;
+  // Materialized ternaries (a, b, c) of block `block`, keyed
+  // block << 48 | a << 32 | b << 16 | c: an open-addressing set (0 marks
+  // a free slot; no key is 0, since a, b, c differ) with its size.
+  std::vector<uint64_t> materialized_;
+  size_t num_materialized_ = 0;
+  // Adds `key`; false if it was already there.
+  bool InsertMaterialized(uint64_t key);
 
   std::vector<uint8_t> seen_;   // scratch for Analyze
   std::vector<Lit> analyze_stack_;    // scratch for LitRedundant
@@ -993,17 +1097,20 @@ class Solver {
   std::vector<ElimRecord> elim_stack_;
 
   // Portfolio state. The mirror op log records, while portfolio is
-  // enabled, every external AddClause and FreezeScope in call order —
+  // enabled, every external AddClause, FreezeScope and order-block
+  // registration in call order —
   // exactly what SyncTeam replays into the helpers before a race (BVE
-  // resolvents and imports go through AddClauseInternal and are
-  // deliberately NOT logged: helpers derive their own). The race-scoped
+  // resolvents, imports and materialized order axioms are deliberately
+  // NOT logged: helpers derive their own). The race-scoped
   // pointers below are non-null only while this solver is a worker in a
   // running race; Reset() tears all of it down.
   struct MirrorOp {
-    bool is_freeze = false;
+    enum Kind : uint8_t { kClause, kFreeze, kOrderBlock };
+    Kind kind = kClause;
     Lit act = kLitUndef;     // freeze only
     std::vector<Lit> lits;   // clause literals
-    std::vector<Var> vars;   // freeze scope vars
+    std::vector<Var> vars;   // freeze scope vars; order block matrix
+    int block_size = 0;      // order block only
   };
   std::vector<MirrorOp> mirror_log_;
   std::unique_ptr<PortfolioTeam> team_;

@@ -52,10 +52,29 @@ struct SessionManager::Queued {
   Clock::time_point deadline = Clock::time_point::max();
 };
 
+Status ServiceOptions::Validate() const {
+  if (max_resident < 1) {
+    return Status::InvalidArgument("ServiceOptions: max_resident must be >= 1");
+  }
+  if (workers < 1) {
+    return Status::InvalidArgument("ServiceOptions: workers must be >= 1");
+  }
+  if (queue_capacity < 1) {
+    return Status::InvalidArgument(
+        "ServiceOptions: queue_capacity must be >= 1");
+  }
+  if (default_deadline_ms < 0) {
+    return Status::InvalidArgument(
+        "ServiceOptions: default_deadline_ms must be >= 0");
+  }
+  return Status::OK();
+}
+
 SessionManager::SessionManager(const ServiceOptions& options)
     : options_(options) {
-  const int workers = options_.workers > 0 ? options_.workers : 1;
-  const int pool = options_.max_resident > 0 ? options_.max_resident : 1;
+  CCR_CHECK(options_.Validate().ok());
+  const int workers = options_.workers;
+  const int pool = options_.max_resident;
   scratch_pool_.reserve(static_cast<size_t>(pool));
   for (int i = 0; i < pool; ++i) {
     scratch_pool_.push_back(std::make_unique<SessionScratch>());

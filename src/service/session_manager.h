@@ -53,6 +53,11 @@ struct ServiceOptions {
   int queue_capacity = 256;
   /// Default per-request deadline; 0 = no deadline. Requests may override.
   int64_t default_deadline_ms = 0;
+
+  /// Fails closed on out-of-range knobs: max_resident, workers and
+  /// queue_capacity >= 1, default_deadline_ms >= 0. SessionManager
+  /// CCR_CHECKs it.
+  Status Validate() const;
 };
 
 /// \brief One queued request. `session_id` addresses the session;

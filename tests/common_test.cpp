@@ -180,6 +180,11 @@ TEST(StringsTest, ParseInt64) {
   EXPECT_FALSE(ParseInt64("42x", &v));
   EXPECT_FALSE(ParseInt64("", &v));
   EXPECT_FALSE(ParseInt64("4.2", &v));
+  // Out of range fails instead of wrapping or saturating.
+  EXPECT_FALSE(ParseInt64("99999999999999999999", &v));
+  EXPECT_TRUE(ParseInt64("9223372036854775807", &v));
+  EXPECT_EQ(v, INT64_MAX);
+  EXPECT_FALSE(ParseInt64(" 7", &v));
 }
 
 TEST(StringsTest, ParseDouble) {

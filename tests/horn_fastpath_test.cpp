@@ -340,7 +340,7 @@ TEST(HornFastPathTest, DeduceScratchIsRecycledAcrossClearCopyAndMove) {
     auto inst = Instantiation::Build(ds.MakeSpec(static_cast<int>(i)),
                                      guarded);
     ASSERT_TRUE(inst.ok());
-    sized.emplace_back(BuildCnf(*inst).num_clauses(),
+    sized.emplace_back(BuildCnf(*inst).Materialized().num_clauses(),
                        std::move(inst).value());
   }
   // Smallest formula first: a stale index that only "appended the delta"
@@ -488,8 +488,10 @@ TEST(HornFastPathTest, PhiIsHornAndSessionsNeverSearchForValidity) {
     const Dataset ds = SmallCorpus(kind);
     for (size_t i = 0; i < ds.entities.size(); ++i) {
       DriveSession(ds, static_cast<int>(i), &rng, [&](ResolutionSession* s) {
-        Solver fed;  // Φ(Se) as built and extended so far, nothing else
-        fed.AddCnf(s->cnf());
+        // Φ(Se) as built and extended so far, nothing else, with the
+        // order blocks' transitivity axioms as explicit clauses.
+        Solver fed;
+        fed.AddCnf(s->cnf().Materialized());
         EXPECT_TRUE(fed.ProblemIsHorn()) << kind << " " << i;
         const int64_t solves = s->assumption_solves();
         const ValidityResult v = s->CheckValidity();

@@ -129,6 +129,10 @@ TEST(IsValidTest, ReportsEncodingSizes) {
   ASSERT_TRUE(r.ok());
   EXPECT_GT(r->num_vars, 0);
   EXPECT_GT(r->num_clauses, 0);
+  // Φ's full size: the order blocks' transitivity axioms count too.
+  auto inst = Instantiation::Build(EdithSpec());
+  ASSERT_TRUE(inst.ok());
+  EXPECT_EQ(r->num_clauses, BuildCnf(*inst).Materialized().num_clauses());
 }
 
 TEST(IsValidTest, SingleTupleAlwaysValid) {

@@ -456,6 +456,19 @@ TEST(SolverTest, StatsAccumulate) {
   EXPECT_GT(s.stats().propagations, 0);
 }
 
+TEST(SolverTest, LubySequence) {
+  // The first 15 terms, and (under UBSan) no shift by a negative count on
+  // the way — the subsequence walk used to reach 1 << -1 at i = 3.
+  const int64_t expected[] = {1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8};
+  for (int i = 0; i < 15; ++i) {
+    EXPECT_EQ(Solver::Luby(i), expected[i]) << "term " << i;
+  }
+  // Term 2^k - 2 (0-based) closes a subsequence with 2^(k-1).
+  EXPECT_EQ(Solver::Luby(30), 16);
+  EXPECT_EQ(Solver::Luby(62), 32);
+  EXPECT_EQ(Solver::Luby(63), 1);
+}
+
 TEST(SolverTest, ConflictBudgetReturnsUnknown) {
   SolverOptions opts;
   opts.max_conflicts = 1;

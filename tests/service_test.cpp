@@ -54,6 +54,25 @@ ServiceReply Call(SessionManager* manager, RequestType type,
 
 // --- manager request flows -------------------------------------------------
 
+TEST(ServiceOptionsTest, ValidateFailsClosed) {
+  EXPECT_TRUE(ServiceOptions{}.Validate().ok());
+  const auto rejects = [](void (*mutate)(ServiceOptions*)) {
+    ServiceOptions o;
+    mutate(&o);
+    const Status st = o.Validate();
+    return !st.ok() && st.code() == StatusCode::kInvalidArgument;
+  };
+  EXPECT_TRUE(rejects([](ServiceOptions* o) { o->workers = 0; }));
+  EXPECT_TRUE(rejects([](ServiceOptions* o) { o->max_resident = 0; }));
+  EXPECT_TRUE(rejects([](ServiceOptions* o) { o->queue_capacity = -3; }));
+  EXPECT_TRUE(rejects([](ServiceOptions* o) { o->default_deadline_ms = -5; }));
+  ServiceOptions minimal;
+  minimal.workers = 1;
+  minimal.max_resident = 1;
+  minimal.queue_capacity = 1;
+  EXPECT_TRUE(minimal.Validate().ok());
+}
+
 TEST(SessionManagerTest, OpenRoundAnswerSnapshotCloseFlow) {
   const Dataset ds = SmallPersonCorpus();
   SessionManager manager(ServiceOptions{});

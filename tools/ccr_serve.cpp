@@ -16,9 +16,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <type_traits>
 
 #include "src/ccr.h"
+#include "src/common/strings.h"
 
 namespace ccr {
 namespace service {
@@ -50,9 +53,21 @@ void PrintUsage(std::FILE* to) {
                "Protocol: docs/PROTOCOL.md. Tuning: docs/OPERATIONS.md.\n");
 }
 
+// Parses the whole of `text` as a decimal integer in [lo, hi] ("4x",
+// overflow and out-of-range values fail, with a message on stderr).
+bool ParseFlagInt(const char* flag, const char* text, int64_t lo, int64_t hi,
+                  int64_t* out) {
+  if (ParseInt64(text, out) && *out >= lo && *out <= hi) return true;
+  std::fprintf(stderr, "%s wants an integer in [%lld, %lld], got '%s'\n",
+               flag, static_cast<long long>(lo), static_cast<long long>(hi),
+               text);
+  return false;
+}
+
 int Main(int argc, char** argv) {
   ServiceOptions service;
   ServerOptions server_opts;
+  constexpr int64_t kIntMax = std::numeric_limits<int>::max();
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next_value = [&](const char* flag) -> const char* {
@@ -61,6 +76,15 @@ int Main(int argc, char** argv) {
         return nullptr;
       }
       return argv[++i];
+    };
+    // Reads flag `name`'s value as an integer in [lo, hi] into *out.
+    auto int_flag = [&](const char* name, int64_t lo, int64_t hi,
+                        auto* out) {
+      const char* v = next_value(name);
+      int64_t n = 0;
+      if (v == nullptr || !ParseFlagInt(name, v, lo, hi, &n)) return false;
+      *out = static_cast<std::remove_pointer_t<decltype(out)>>(n);
+      return true;
     };
     if (arg == "--help" || arg == "-h") {
       PrintUsage(stdout);
@@ -72,45 +96,32 @@ int Main(int argc, char** argv) {
       server_opts.listen = v;
       continue;
     }
+    bool parsed = true;
     if (arg == "--workers") {
-      const char* v = next_value("--workers");
-      if (v == nullptr) return 2;
-      service.workers = std::atoi(v);
-      continue;
+      parsed = int_flag("--workers", 1, kIntMax, &service.workers);
+    } else if (arg == "--max-resident") {
+      parsed = int_flag("--max-resident", 1, kIntMax, &service.max_resident);
+    } else if (arg == "--queue-cap") {
+      parsed = int_flag("--queue-cap", 1, kIntMax, &service.queue_capacity);
+    } else if (arg == "--deadline-ms") {
+      parsed = int_flag("--deadline-ms", 0,
+                        std::numeric_limits<int64_t>::max(),
+                        &service.default_deadline_ms);
+    } else if (arg == "--max-conns") {
+      parsed =
+          int_flag("--max-conns", 1, kIntMax, &server_opts.max_connections);
+    } else {
+      std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
+      PrintUsage(stderr);
+      return 2;
     }
-    if (arg == "--max-resident") {
-      const char* v = next_value("--max-resident");
-      if (v == nullptr) return 2;
-      service.max_resident = std::atoi(v);
-      continue;
-    }
-    if (arg == "--queue-cap") {
-      const char* v = next_value("--queue-cap");
-      if (v == nullptr) return 2;
-      service.queue_capacity = std::atoi(v);
-      continue;
-    }
-    if (arg == "--deadline-ms") {
-      const char* v = next_value("--deadline-ms");
-      if (v == nullptr) return 2;
-      service.default_deadline_ms = std::atoll(v);
-      continue;
-    }
-    if (arg == "--max-conns") {
-      const char* v = next_value("--max-conns");
-      if (v == nullptr) return 2;
-      server_opts.max_connections = std::atoi(v);
-      continue;
-    }
-    std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
-    PrintUsage(stderr);
-    return 2;
+    if (!parsed) return 2;
   }
-  if (service.workers < 1 || service.max_resident < 1 ||
-      service.queue_capacity < 1 || server_opts.max_connections < 1) {
-    std::fprintf(stderr,
-                 "--workers, --max-resident, --queue-cap and --max-conns "
-                 "must be positive\n");
+  // The flag ranges above already imply this; it stays the one rule the
+  // daemon and SessionManager share.
+  const Status valid = service.Validate();
+  if (!valid.ok()) {
+    std::fprintf(stderr, "ccr_serve: %s\n", valid.ToString().c_str());
     return 2;
   }
 
