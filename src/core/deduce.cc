@@ -130,36 +130,21 @@ DeducedOrders DeduceOrder(const Instantiation& inst, const sat::Cnf& phi,
     }
 
     // The transitivity ternaries ¬x_ab ∨ ¬x_bc ∨ x_ac holding l's
-    // variable: once two of a ternary's literals are false, its third,
-    // if open, is a new unit (a falsified one is a conflict, skipped like
-    // above).
+    // variable, by the unit rules the solver applies too
+    // (OrderBlock::PropagateAxioms). A falsified ternary's `first` is
+    // already false, so the queue skips it: a conflict, ignored like
+    // above.
     const sat::OrderPos pos = phi.order_pos(l.var());
     if (pos.block < 0) continue;
     const sat::OrderBlock& block = phi.order_block(pos.block);
-    const int i = pos.i;
-    const int j = pos.j;
     const auto val = [&](int a, int b) { return value[block.at(a, b)]; };
+    const auto push = [&](int, int, int, sat::Lit first, sat::Lit) {
+      queue.push_back(first);
+      return true;
+    };
     for (int k = 0; k < block.size; ++k) {
-      if (k == i || k == j) continue;
-      if (!l.negated()) {
-        // x_ij true, a premise of (i, j, k) and of (k, i, j).
-        if (val(j, k) == kTrue && val(i, k) == kUndef) {
-          queue.push_back(sat::Lit::Pos(block.at(i, k)));
-        } else if (val(i, k) == kFalse && val(j, k) == kUndef) {
-          queue.push_back(sat::Lit::Neg(block.at(j, k)));
-        }
-        if (val(k, i) == kTrue && val(k, j) == kUndef) {
-          queue.push_back(sat::Lit::Pos(block.at(k, j)));
-        } else if (val(k, j) == kFalse && val(k, i) == kUndef) {
-          queue.push_back(sat::Lit::Neg(block.at(k, i)));
-        }
-      } else {
-        // x_ij false, the conclusion of (i, k, j).
-        if (val(i, k) == kTrue && val(k, j) == kUndef) {
-          queue.push_back(sat::Lit::Neg(block.at(k, j)));
-        } else if (val(k, j) == kTrue && val(i, k) == kUndef) {
-          queue.push_back(sat::Lit::Neg(block.at(i, k)));
-        }
+      if (k != pos.i && k != pos.j) {
+        block.PropagateAxioms(pos.i, pos.j, k, !l.negated(), val, push);
       }
     }
   }

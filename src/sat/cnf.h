@@ -42,6 +42,76 @@ struct OrderBlock {
   int64_t num_axioms() const {
     return static_cast<int64_t>(size) * (size - 1) * (size - 2);
   }
+
+  /// The unit rules of the two or three ternaries that hold x_ij and the
+  /// third value k (i, j, k distinct), once x_ij is assigned: true
+  /// (`positive`) makes it a premise of (i, j, k) and (k, i, j), false the
+  /// conclusion of (i, k, j). `value(a, b)` gives x_ab's current Lbool.
+  /// For each such ternary (a, b, c) = ¬x_ab ∨ ¬x_bc ∨ x_ac that is now
+  /// unit or falsified, calls `fire(a, b, c, first, other)`: `first` is
+  /// its open literal (an implication) or, if falsified, its third false
+  /// one (a conflict); `other` is its remaining false literal besides
+  /// x_ij's. `first` is never true. Stops, returning false, as soon as
+  /// `fire` returns false. Solver propagation and DeduceOrder share these
+  /// rules.
+  template <class ValueFn, class FireFn>
+  bool PropagateAxioms(int i, int j, int k, bool positive, ValueFn value,
+                       FireFn fire) const {
+    constexpr Lbool kTrue = Lbool::kTrue;
+    constexpr Lbool kUndef = Lbool::kUndef;
+    if (positive) {
+      // (i, j, k): unit once x_jk is true or x_ik is false.
+      const Lbool jk = value(j, k);
+      const Lbool ik = value(i, k);
+      if (jk == kTrue) {
+        if (ik != kTrue &&
+            !fire(i, j, k, Lit::Pos(at(i, k)), Lit::Neg(at(j, k)))) {
+          return false;
+        }
+      } else if (jk == kUndef && ik == Lbool::kFalse) {
+        if (!fire(i, j, k, Lit::Neg(at(j, k)), Lit::Pos(at(i, k)))) {
+          return false;
+        }
+      }
+      // (k, i, j): unit once x_ki is true or x_kj is false.
+      const Lbool ki = value(k, i);
+      const Lbool kj = value(k, j);
+      if (ki == kTrue) {
+        return kj == kTrue ||
+               fire(k, i, j, Lit::Pos(at(k, j)), Lit::Neg(at(k, i)));
+      }
+      return !(ki == kUndef && kj == Lbool::kFalse) ||
+             fire(k, i, j, Lit::Neg(at(k, i)), Lit::Pos(at(k, j)));
+    }
+    // (i, k, j): unit once x_ik or x_kj is true.
+    const Lbool ik = value(i, k);
+    const Lbool kj = value(k, j);
+    if (ik == kTrue) {
+      return kj == Lbool::kFalse ||
+             fire(i, k, j, Lit::Neg(at(k, j)), Lit::Neg(at(i, k)));
+    }
+    return !(ik == kUndef && kj == kTrue) ||
+           fire(i, k, j, Lit::Neg(at(i, k)), Lit::Neg(at(k, j)));
+  }
+
+  /// Ternaries the assignment `value(var)` (true/false per variable)
+  /// falsifies, counting at most `limit`: 0 iff it is transitively closed.
+  template <class ValueFn>
+  int64_t CountOpenAxioms(ValueFn value, int64_t limit) const {
+    int64_t open = 0;
+    for (int i = 0; i < size; ++i) {
+      for (int j = 0; j < size; ++j) {
+        if (j == i || !value(at(i, j))) continue;
+        for (int k = 0; k < size; ++k) {
+          if (k == i || k == j || !value(at(j, k)) || value(at(i, k))) {
+            continue;
+          }
+          if (++open >= limit) return open;
+        }
+      }
+    }
+    return open;
+  }
 };
 
 /// Where an order-block variable sits: its block and matrix entry x_ij.

@@ -110,7 +110,8 @@ Var Solver::NewVar() {
   }
   eliminable_.push_back(0);
   eliminated_.push_back(0);
-  order_slot_.emplace_back();
+  order_bytes_.emplace_back();
+  order_pos_.emplace_back();
   HeapInsert(v);
   return v;
 }
@@ -156,7 +157,8 @@ void Solver::Reset(SolverOptions options) {
   analyze_toclear_.clear();
   non_horn_lits_.clear();
   blocks_.clear();
-  order_slot_.clear();
+  order_bytes_.clear();
+  order_pos_.clear();
   order_value_.clear();
   // Not a fill: one big session would make every later Reset clear its
   // whole table. The next insertion re-allocates at the smallest size.
@@ -350,8 +352,10 @@ void Solver::AddCnfFrom(const Cnf& cnf, int first_clause) {
   for (int b = 0; b < cnf.num_order_blocks() && ok_; ++b) {
     const OrderBlock& block = cnf.order_block(b);
     if (block.size < 2) continue;  // no variables yet
-    const OrderSlot& slot = order_slot_[block.at(0, 1)];
-    if (slot.block >= 0 && blocks_[slot.block].size == block.size) continue;
+    const int registered = order_pos_[block.at(0, 1)].block;
+    if (registered >= 0 && blocks_[registered].block.size == block.size) {
+      continue;
+    }
     SyncOrderBlock(block.size, block.vars);
   }
   if (!ok_ || first_clause >= cnf.num_clauses()) return;
@@ -460,7 +464,7 @@ Solver::ClauseRef Solver::Propagate() {
     }
     ws.resize(j);
     if (conflict != kRefUndef) break;
-    if (order_slot_[p.var()].row != OrderSlot::kNone) {
+    if (order_bytes_[p.var()].row != OrderBytes::kNone) {
       conflict = PropagateOrder(p);
       if (conflict != kRefUndef) {
         qhead_ = bhead_ = trail_.size();
@@ -472,16 +476,16 @@ Solver::ClauseRef Solver::Propagate() {
 }
 
 Solver::ClauseRef Solver::PropagateOrder(Lit p) {
-  const OrderSlot& pos = order_slot_[p.var()];
-  const OrderBlockState& block = blocks_[pos.block];
-  const int d = block.size;
+  const OrderPos& pos = order_pos_[p.var()];
+  const OrderBlockState& state = blocks_[pos.block];
+  const int d = state.block.size;
   // Rows and columns of i and j, eight values k per word. A hit is a k
   // whose ternary may be unit or falsified. The diagonal reads as true,
   // which never makes a hit; the padding past `d` is masked off.
-  const Lbool* row_i = &order_value_[block.rows + pos.i * block.stride];
-  const Lbool* row_j = &order_value_[block.rows + pos.j * block.stride];
-  const Lbool* col_i = &order_value_[block.cols + pos.i * block.stride];
-  const Lbool* col_j = &order_value_[block.cols + pos.j * block.stride];
+  const Lbool* row_i = &order_value_[state.rows + pos.i * state.stride];
+  const Lbool* row_j = &order_value_[state.rows + pos.j * state.stride];
+  const Lbool* col_i = &order_value_[state.cols + pos.i * state.stride];
+  const Lbool* col_j = &order_value_[state.cols + pos.j * state.stride];
   for (int k0 = 0; k0 < d; k0 += 8) {
     const uint64_t ik = LoadLbools(row_i + k0);
     const uint64_t kj = LoadLbools(col_j + k0);
@@ -510,22 +514,14 @@ Solver::ClauseRef Solver::PropagateOrder(Lit p) {
 }
 
 Solver::ClauseRef Solver::FireOrderAxioms(Lit p, int k0, uint64_t hits) {
-  const OrderSlot& pos = order_slot_[p.var()];
-  const OrderBlockState& block = blocks_[pos.block];
-  const int d = block.size;
-  const int i = pos.i;
-  const int j = pos.j;
-  const Var* x = block.vars.data();
-  const auto var = [&](int a, int b) { return x[a * d + b]; };
-  const Lbool* row_i = &order_value_[block.rows + i * block.stride];  // x_ik
-  const Lbool* row_j = &order_value_[block.rows + j * block.stride];  // x_jk
-  const Lbool* col_i = &order_value_[block.cols + i * block.stride];  // x_ki
-  const Lbool* col_j = &order_value_[block.cols + j * block.stride];  // x_kj
+  const OrderPos& pos = order_pos_[p.var()];
+  const OrderBlockState& state = blocks_[pos.block];
+  const Lbool* rows = &order_value_[state.rows];
+  const auto value = [&](int a, int b) { return rows[a * state.stride + b]; };
   ClauseRef conflict = kRefUndef;
-  // The ternary (a, b, c) = ¬x_ab ∨ ¬x_bc ∨ x_ac holds ~p, which is false;
-  // `first` is its open literal (an implication) or its third false one
-  // (a conflict), `other` its remaining false literal. Returns false on a
-  // conflict.
+  // The ternary (a, b, c) holds ~p, which is false; `first` is its open
+  // literal or its third false one, `other` its remaining false literal
+  // (OrderBlock::PropagateAxioms). Returns false on a conflict.
   const auto fire = [&](int a, int b, int c, Lit first, Lit other) {
     const bool falsified = ValueOf(first) == Lbool::kFalse;
     if (!falsified && DecisionLevel() == 0) {
@@ -554,38 +550,14 @@ Solver::ClauseRef Solver::FireOrderAxioms(Lit p, int k0, uint64_t hits) {
     UncheckedEnqueue(first, axiom);
     return true;
   };
-  // The values are re-read: an earlier hit of this word may have set
-  // them (only at its own k, so the other hits stay candidates).
+  // The rules read the values as they run: an earlier hit of this word
+  // may have set some (only at its own k, so the other hits stay
+  // candidates).
   for (; hits != 0; hits &= hits - 1) {
     const int k = k0 + std::countr_zero(hits) / 8;
-    const Lbool vik = row_i[k];
-    const Lbool vkj = col_j[k];
-    if (!p.negated()) {
-      const Lbool vjk = row_j[k];
-      if (vjk == Lbool::kTrue) {
-        if (vik != Lbool::kTrue &&
-            !fire(i, j, k, Lit::Pos(var(i, k)), Lit::Neg(var(j, k)))) {
-          return conflict;
-        }
-      } else if (vjk == Lbool::kUndef && vik == Lbool::kFalse) {
-        fire(i, j, k, Lit::Neg(var(j, k)), Lit::Pos(var(i, k)));
-      }
-      const Lbool vki = col_i[k];
-      if (vki == Lbool::kTrue) {
-        if (vkj != Lbool::kTrue &&
-            !fire(k, i, j, Lit::Pos(var(k, j)), Lit::Neg(var(k, i)))) {
-          return conflict;
-        }
-      } else if (vki == Lbool::kUndef && vkj == Lbool::kFalse) {
-        fire(k, i, j, Lit::Neg(var(k, i)), Lit::Pos(var(k, j)));
-      }
-    } else if (vik == Lbool::kTrue) {
-      if (vkj != Lbool::kFalse &&
-          !fire(i, k, j, Lit::Neg(var(k, j)), Lit::Neg(var(i, k)))) {
-        return conflict;
-      }
-    } else if (vik == Lbool::kUndef && vkj == Lbool::kTrue) {
-      fire(i, k, j, Lit::Neg(var(i, k)), Lit::Neg(var(k, j)));
+    if (!state.block.PropagateAxioms(pos.i, pos.j, k, !p.negated(), value,
+                                     fire)) {
+      break;
     }
   }
   return conflict;
@@ -636,14 +608,14 @@ void Solver::SyncOrderBlock(int size, std::span<const Var> vars) {
     }
   }
   while (num_vars() <= max_var) NewVar();
-  int b = order_slot_[vars[1]].block;
+  int b = order_pos_[vars[1]].block;
   if (b < 0) {
     CCR_CHECK(blocks_.size() < (1u << 16));
     b = static_cast<int>(blocks_.size());
     blocks_.emplace_back();
   }
-  OrderBlockState& block = blocks_[b];
-  const int old = block.size;
+  OrderBlockState& state = blocks_[b];
+  const int old = state.block.size;
   if (size <= old) return;
   if (options_.portfolio_threads > 1) {
     MirrorOp op;
@@ -660,34 +632,38 @@ void Solver::SyncOrderBlock(int size, std::span<const Var> vars) {
       if (i == j) continue;
       const Var v = vars[i * size + j];
       if (i < old && j < old) {
-        CCR_DCHECK(block.vars[i * old + j] == v);
+        CCR_DCHECK(state.block.at(i, j) == v);
         continue;
       }
-      CCR_CHECK(v >= 0 && order_slot_[v].block < 0 && !eliminable_[v] &&
+      CCR_CHECK(v >= 0 && order_pos_[v].block < 0 && !eliminable_[v] &&
                 assigns_[v] == Lbool::kUndef);
     }
   }
-  block.vars.assign(vars.begin(), vars.end());
-  block.size = size;
-  // A fresh value region for the grown block (the old one stays unused
-  // until Reset; blocks grow a few times per session), seeded with the
-  // level-0 facts of the registered entries.
-  block.stride = (size + 7) & ~7;
-  const size_t region = static_cast<size_t>(size) * block.stride;
-  CCR_CHECK(order_value_.size() + 2 * region < OrderSlot::kNone);
-  block.rows = static_cast<uint32_t>(order_value_.size());
-  block.cols = static_cast<uint32_t>(order_value_.size() + region);
-  order_value_.resize(order_value_.size() + 2 * region, Lbool::kTrue);
+  state.block.vars.assign(vars.begin(), vars.end());
+  state.block.size = size;
+  // The value regions hold stride×stride entries. A block that outgrows
+  // them gets fresh ones at least twice as wide, seeded with the level-0
+  // facts of every entry; the old regions stay unused until Reset, and
+  // the doubling keeps them smaller than the live ones. Otherwise only
+  // the new entries are written.
+  int from = old;
+  if (size > state.stride) {
+    state.stride = (std::max(size, 2 * state.stride) + 7) & ~7;
+    const size_t region = static_cast<size_t>(state.stride) * state.stride;
+    CCR_CHECK(order_value_.size() + 2 * region < OrderBytes::kNone);
+    state.rows = static_cast<uint32_t>(order_value_.size());
+    state.cols = static_cast<uint32_t>(order_value_.size() + region);
+    order_value_.resize(order_value_.size() + 2 * region, Lbool::kTrue);
+    from = 0;
+  }
   for (int i = 0; i < size; ++i) {
-    for (int j = 0; j < size; ++j) {
+    for (int j = i < from ? from : 0; j < size; ++j) {
       if (i == j) continue;
       const Var v = vars[i * size + j];
-      OrderSlot& slot = order_slot_[v];
-      slot.row = block.rows + static_cast<uint32_t>(i * block.stride + j);
-      slot.col = block.cols + static_cast<uint32_t>(j * block.stride + i);
-      slot.block = b;
-      slot.i = i;
-      slot.j = j;
+      OrderBytes& slot = order_bytes_[v];
+      slot.row = state.rows + static_cast<uint32_t>(i * state.stride + j);
+      slot.col = state.cols + static_cast<uint32_t>(j * state.stride + i);
+      order_pos_[v] = {b, i, j};
       order_value_[slot.row] = order_value_[slot.col] = assigns_[v];
     }
   }
@@ -696,20 +672,9 @@ void Solver::SyncOrderBlock(int size, std::span<const Var> vars) {
 template <class ValueFn>
 int64_t Solver::CountOpenAxioms(ValueFn value, int64_t limit) const {
   int64_t open = 0;
-  for (const OrderBlockState& block : blocks_) {
-    const int d = block.size;
-    const auto var = [&](int a, int b) { return block.vars[a * d + b]; };
-    for (int i = 0; i < d; ++i) {
-      for (int j = 0; j < d; ++j) {
-        if (j == i || !value(var(i, j))) continue;
-        for (int k = 0; k < d; ++k) {
-          if (k == i || k == j || !value(var(j, k)) || value(var(i, k))) {
-            continue;
-          }
-          if (++open >= limit) return open;
-        }
-      }
-    }
+  for (const OrderBlockState& state : blocks_) {
+    open += state.block.CountOpenAxioms(value, limit - open);
+    if (open >= limit) break;
   }
   return open;
 }
@@ -971,8 +936,8 @@ void Solver::CancelUntil(int target) {
   const size_t keep = static_cast<size_t>(trail_lim_[target]);
   for (size_t i = trail_.size(); i-- > keep;) {
     const Var v = trail_[i].var();
-    const OrderSlot slot = order_slot_[v];
-    if (slot.row != OrderSlot::kNone) {
+    const OrderBytes slot = order_bytes_[v];
+    if (slot.row != OrderBytes::kNone) {
       order_value_[slot.row] = Lbool::kUndef;
       order_value_[slot.col] = Lbool::kUndef;
     }
@@ -2674,6 +2639,7 @@ void Solver::VivificationPass() {
     return;
   }
   const int64_t start_props = stats_.propagations;
+  std::vector<Lit> lits;
   std::vector<Lit> kept;
   for (size_t n = clauses_.size(); n-- > 0;) {
     if (!ok_) break;
@@ -2681,8 +2647,10 @@ void Solver::VivificationPass() {
     const ClauseRef c = clauses_[n];
     if (ClauseDead(c) || ClauseVivified(c)) continue;
     SetClauseVivified(c, true);
-    const Lit* lits = ClauseLits(c);
-    const int size = ClauseSize(c);
+    // A copy: the probes below may materialize order axioms, and the
+    // arena they are allocated in can move.
+    lits.assign(ClauseLits(c), ClauseLits(c) + ClauseSize(c));
+    const int size = static_cast<int>(lits.size());
     bool satisfied = false;
     for (int k = 0; k < size && !satisfied; ++k) {
       satisfied = ValueOf(lits[k]) == Lbool::kTrue;
@@ -2825,7 +2793,7 @@ void Solver::RebuildOccurrenceIndex() {
 
 void Solver::MarkEliminable(Var v) {
   CCR_CHECK(v >= 0 && v < num_vars());
-  CCR_CHECK(order_slot_[v].block < 0);
+  CCR_CHECK(order_pos_[v].block < 0);
   if (eliminable_[v]) return;
   eliminable_[v] = 1;
   elim_candidates_.push_back(v);

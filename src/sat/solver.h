@@ -634,6 +634,10 @@ class Solver {
   size_t arena_words() const { return arena_.size(); }
   size_t arena_live_words() const { return arena_.size() - arena_dead_words_; }
   size_t arena_peak_words() const { return arena_peak_words_; }
+  /// Bytes of the order blocks' value mirror. A block that outgrows its
+  /// region leaves it behind until Reset, but regions at least double, so
+  /// the dead bytes stay below the live ones.
+  size_t order_value_bytes() const { return order_value_.size(); }
 
  private:
   // --- clause arena ----------------------------------------------------
@@ -764,28 +768,27 @@ class Solver {
   //
   // The blocks' current values live in order_value_, one byte per atom:
   // each block has a row-major region (x_ik at rows + i·stride + k) and a
-  // transposed one (x_ki at cols + i·stride + k), rows padded to whole
-  // 64-bit words, the diagonal and the padding reading as true. Every
-  // order variable knows its two bytes (order_slot_), so enqueue and
+  // transposed one (x_ki at cols + i·stride + k) of stride×stride bytes,
+  // rows padded to whole 64-bit words, the diagonal and the padding
+  // reading as true. A block grows in place up to `stride` values. Every
+  // order variable knows its two bytes (order_bytes_), so enqueue and
   // backtrack cost two byte stores. PropagateOrder scans the rows and
   // columns of i and j eight values k per word for the ternaries that
-  // are unit or falsified: O(size / 8) words per literal, plus the
-  // ternaries that fire.
+  // may be unit or falsified, O(size / 8) words per literal; the hits
+  // go through OrderBlock::PropagateAxioms.
   struct OrderBlockState {
-    int size = 0;
-    int stride = 0;         // size rounded up to a multiple of 8
-    uint32_t rows = 0;      // offsets into order_value_
+    OrderBlock block;     // size and variable matrix, as in Cnf
+    int stride = 0;       // capacity, a multiple of 8 and >= block.size
+    uint32_t rows = 0;    // offsets into order_value_
     uint32_t cols = 0;
-    std::vector<Var> vars;  // size×size, row-major, as in Cnf
   };
-  // Per variable: where it sits in a block, and its two value bytes.
-  struct OrderSlot {
+  // Per variable: its two value bytes, which every enqueue and backtrack
+  // reads (kept apart from the variable's OrderPos, which only
+  // PropagateOrder and registration need).
+  struct OrderBytes {
     static constexpr uint32_t kNone = UINT32_MAX;
     uint32_t row = kNone;  // x_ij's byte in its block's row region
     uint32_t col = 0;      // and in the transposed region
-    int32_t block = -1;    // -1: not an order-block variable
-    int32_t i = 0;
-    int32_t j = 0;
   };
   // Registers a block (size×size row-major `vars`, diagonal ignored) or
   // grows the registered block it extends. Decision level 0; the new
@@ -808,6 +811,9 @@ class Solver {
   SolveResult SolveLoop(std::span<const Lit> assumptions);
   SolveResult Search(int64_t conflict_budget,
                      std::span<const Lit> assumptions);
+  // Unit propagation to fixpoint. It may materialize order axioms, which
+  // appends to arena_, clauses_ and the watch and occurrence lists: no
+  // caller may hold a ClauseLits pointer across it.
   ClauseRef Propagate();
   void Analyze(ClauseRef conflict, std::vector<Lit>* out_learnt,
                int* out_btlevel, int* out_lbd);
@@ -819,8 +825,8 @@ class Solver {
     level_[p.var()] = DecisionLevel();
     reason_[p.var()] = from;
     trail_.push_back(p);
-    const OrderSlot slot = order_slot_[p.var()];
-    if (slot.row != OrderSlot::kNone) {
+    const OrderBytes slot = order_bytes_[p.var()];
+    if (slot.row != OrderBytes::kNone) {
       const Lbool v = p.negated() ? Lbool::kFalse : Lbool::kTrue;
       order_value_[slot.row] = v;
       order_value_[slot.col] = v;
@@ -973,7 +979,8 @@ class Solver {
   std::vector<Lit> non_horn_lits_;
 
   std::vector<OrderBlockState> blocks_;
-  std::vector<OrderSlot> order_slot_;  // per var
+  std::vector<OrderBytes> order_bytes_;  // per var
+  std::vector<OrderPos> order_pos_;      // per var; block -1: in none
   std::vector<Lbool> order_value_;
   // Materialized ternaries (a, b, c) of block `block`, keyed
   // block << 48 | a << 32 | b << 16 | c: an open-addressing set (0 marks

@@ -4,7 +4,9 @@
 //       ternary written out — equal verdicts, probe values and failed
 //       literals on random block + clause formulas (Horn and non-Horn,
 //       with assumptions, grown blocks and released scopes), and every
-//       model and cached witness transitively closed;
+//       model and cached witness transitively closed; vivification and
+//       inprocessed sessions whose probes materialize axioms; a block
+//       grown one value at a time;
 //   (b) DeduceOrder's native block propagation vs the counter-based pass
 //       over the materialized formula, paper and strict mode, across
 //       session rounds that add domain values;
@@ -52,18 +54,7 @@ using sat::Var;
 // True iff `value` is transitively closed on every block of `cnf`.
 bool Closed(const Cnf& cnf, const std::function<bool(Var)>& value) {
   for (int b = 0; b < cnf.num_order_blocks(); ++b) {
-    const OrderBlock& block = cnf.order_block(b);
-    for (int i = 0; i < block.size; ++i) {
-      for (int j = 0; j < block.size; ++j) {
-        if (j == i || !value(block.at(i, j))) continue;
-        for (int k = 0; k < block.size; ++k) {
-          if (k != i && k != j && value(block.at(j, k)) &&
-              !value(block.at(i, k))) {
-            return false;
-          }
-        }
-      }
-    }
+    if (cnf.order_block(b).CountOpenAxioms(value, 1) > 0) return false;
   }
   return true;
 }
@@ -308,6 +299,72 @@ TEST(OrderAxiomsTest, CycleIsRefutedThroughTheBlock) {
   EXPECT_GT(implicit.materialized_axioms(), 0);
 }
 
+TEST(OrderAxiomsTest, VivificationSurvivesAxiomsMaterializedByItsProbes) {
+  // Vivifying (¬x_01 ∨ y ∨ z) assumes x_01 above level 0; with every
+  // x_1k a level-0 fact, that probe materializes the d-2 ternaries
+  // (0, 1, k) as reasons. They outgrow the arena many times over, so it
+  // reallocates under the probe, which then reads the clause's next
+  // literal (a use-after-free under ASan if it kept a pointer into the
+  // arena).
+  constexpr int kSize = 40;
+  Cnf cnf;
+  cnf.AddOrderBlock();
+  GrowBlock(&cnf, 0, kSize);
+  const OrderBlock& b = cnf.order_block(0);
+  for (int k = 2; k < kSize; ++k) cnf.AddUnit(Lit::Pos(b.at(1, k)));
+  const Var y = cnf.NewVar();
+  const Var z = cnf.NewVar();
+  SolverOptions opts;
+  opts.use_inprocessing = true;
+  Solver s(opts);
+  s.AddCnf(cnf);
+  ASSERT_TRUE(s.Simplify());  // primes vivification: nothing distilled
+  s.AddClause({Lit::Neg(b.at(0, 1)), Lit::Pos(y), Lit::Pos(z)});
+  const size_t arena_before = s.arena_words();
+  ASSERT_TRUE(s.Simplify());
+  EXPECT_EQ(s.materialized_axioms(), kSize - 2);
+  EXPECT_GT(s.arena_words(), 8 * arena_before);
+  cnf.AddClause({Lit::Neg(b.at(0, 1)), Lit::Pos(y), Lit::Pos(z)});
+  Solver ref;
+  ref.AddCnf(cnf.Materialized());
+  const std::vector<Lit> assume = {Lit::Pos(b.at(0, 1)), Lit::Neg(y)};
+  ASSERT_EQ(s.SolveWithAssumptions(assume), SolveResult::kSat);
+  EXPECT_EQ(ref.SolveWithAssumptions(assume), SolveResult::kSat);
+  EXPECT_TRUE(s.ModelValue(z));
+  EXPECT_TRUE(ModelClosed(cnf, s));
+}
+
+TEST(OrderAxiomsTest, GrowingABlockValueByValueKeepsItsMirrorQuadratic) {
+  // One new domain value per round, as a long session adds them: the
+  // block grows 199 times, and its value mirror must stay quadratic in
+  // the block size (a fresh region per growth adds up to cubic). Each
+  // round also asserts that the new value follows the previous one, so
+  // the closure must keep deriving x_i,last for every earlier i through
+  // the grown rows and columns.
+  Cnf cnf;
+  cnf.AddOrderBlock();
+  GrowBlock(&cnf, 0, 2);
+  cnf.AddUnit(Lit::Pos(cnf.order_block(0).at(0, 1)));
+  Solver s;
+  s.AddCnf(cnf);
+  for (int size = 3; size <= 200; ++size) {
+    const int fed = cnf.num_clauses();
+    GrowBlock(&cnf, 0, size);
+    cnf.AddUnit(Lit::Pos(cnf.order_block(0).at(size - 2, size - 1)));
+    s.AddCnfFrom(cnf, fed);
+    const size_t bound = 16 * static_cast<size_t>(size + 8) * (size + 8);
+    ASSERT_LE(s.order_value_bytes(), bound) << "size " << size;
+  }
+  const OrderBlock& b = cnf.order_block(0);
+  ASSERT_EQ(s.Solve(), SolveResult::kSat);
+  for (int i = 0; i < b.size; ++i) {
+    for (int j = i + 1; j < b.size; ++j) {
+      ASSERT_TRUE(s.ModelValue(b.at(i, j))) << i << " < " << j;
+    }
+  }
+  EXPECT_TRUE(ModelClosed(cnf, s));
+}
+
 TEST(OrderAxiomsTest, BlockVariablesCannotBeEliminated) {
   Cnf cnf;
   cnf.AddOrderBlock();
@@ -356,11 +413,13 @@ PartialTemporalOrder FreshTupleDelta(const Specification& se, int round) {
 // after each of two fresh-tuple extensions (stopping at an invalid Se).
 void ForEachSessionRound(
     const std::function<void(ResolutionSession*, const std::string&)>&
-        check) {
+        check,
+    const ResolveOptions& options = {}) {
   for (const std::string kind : {"person", "nba", "career"}) {
     const Dataset ds = SmallCorpus(kind);
     for (size_t i = 0; i < ds.entities.size(); ++i) {
-      auto session = ResolutionSession::Create(ds.MakeSpec(static_cast<int>(i)));
+      auto session =
+          ResolutionSession::Create(ds.MakeSpec(static_cast<int>(i)), options);
       ASSERT_TRUE(session.ok());
       for (int round = 0; round <= 2; ++round) {
         if (!session->CheckValidity().valid) break;
@@ -496,6 +555,34 @@ SolverOptions SlsOptions() {
   o.use_sls_probing = true;
   o.use_inprocessing = true;
   return o;
+}
+
+TEST(OrderAxiomsTest, InprocessedSessionSolverMatchesTheMaterializedFormula) {
+  // The `--solver sls` flags on the Lemma-6 pipeline: every ExtendWith
+  // vivifies the round's delta on the persistent solver, whose probes
+  // materialize axioms, and NaiveDeduce's probes then run on the result.
+  // Validity and the deduced orders match a fresh solver on the
+  // materialized formula.
+  ResolveOptions options;
+  options.solver = SlsOptions();
+  options.naive_deduce = true;
+  int checks = 0;
+  ForEachSessionRound(
+      [&](ResolutionSession* s, const std::string& where) {
+        const std::vector<Lit>& guards = s->instantiation().guard_assumptions();
+        Solver reference;
+        reference.AddCnf(s->cnf().Materialized());
+        EXPECT_EQ(s->CheckValidity().valid,
+                  reference.SolveWithAssumptions(guards) == SolveResult::kSat)
+            << where;
+        EXPECT_TRUE(SameOrders(
+            s->Deduce(),
+            NaiveDeduceShared(s->instantiation(), &reference, guards)))
+            << where;
+        ++checks;
+      },
+      options);
+  EXPECT_GT(checks, 30);
 }
 
 TEST(OrderAxiomsTest, LocalSearchNeverReportsAnOpenAssignmentFeasible) {
