@@ -5,7 +5,7 @@
 // Unlike the Fig. 8 reproduction benches, this one emits machine-readable
 // JSON on stdout (scripts/bench.sh redirects it into
 // BENCH_throughput.json) so the repo's perf trajectory can be tracked
-// across PRs. Two sections:
+// across PRs. Sections:
 //   * "incremental": Person entities with >= 1k tuples driven through
 //     >= 3 one-answer oracle rounds, session vs. legacy engine; compares
 //     the summed encode+validity time of rounds >= 1 (the rounds where
@@ -17,29 +17,16 @@
 //     (no Φ(Se) copy, no fresh solver), the legacy engine re-loads Φ(Se)
 //     into a throwaway solver every round. Also reports the session's
 //     total rebuild count, which selector-guarded CFDs pin at zero.
-//   * "solver_ablation": modern CDCL heuristics (implicit binary watches,
-//     LBD-tiered learnt DB, EMA restarts, deep conflict-clause
-//     minimization, between-round inprocessing) vs. the legacy
-//     MiniSat-2003 configuration, both on the session engine, measured as
-//     end-to-end Resolve wall time over the same >= 1k-tuple Person
-//     entities driven through the NaiveDeduce pipeline (the Fig. 8(b)
-//     baseline: deduction = thousands of Lemma-6 assumption solves on the
-//     persistent solver — the most solver-bound configuration the
-//     framework has, so the solver upgrade is what the ratio measures).
-//     Checks both configurations resolve identically: the pipeline
-//     consumes only SAT verdicts, so heuristics cannot change results.
-//   * "thread_scaling": both parallel tiers measured as real speedup
-//     curves at {1, 2, N} threads (N = CCR_BENCH_THREADS, default
-//     hardware_concurrency), each point the minimum of 3 reps. The
-//     "entity_pool" tier scales RunExperiment's batched work-stealing
-//     driver (entities across worker threads); the "portfolio" tier keeps
-//     the driver single-threaded and races diversified CDCL workers with
-//     clause sharing inside every solve. Each tier checks the pooled
-//     accuracy vectors are identical across all thread counts — threads
-//     may change wall time, never results. The section always runs and
-//     always reports measured numbers; on a 1-core machine the curves
-//     simply document the overhead (scripts/bench_smoke.sh only gates the
-//     speedup floor when the machine has >= 2 cores).
+//   * "thread_scaling": the "entity_pool" tier — RunExperiment's batched
+//     work-stealing driver (entities across worker threads) — measured as
+//     a real speedup curve at {1, 2, N} threads (N = CCR_BENCH_THREADS,
+//     default hardware_concurrency), each point the minimum of 3 reps. It
+//     checks the pooled accuracy vectors are identical across all thread
+//     counts — threads may change wall time, never results. The section
+//     always runs and always reports measured numbers; on a 1-core
+//     machine the curve simply documents the overhead
+//     (scripts/bench_smoke.sh only gates the speedup floor when the
+//     machine has >= 2 cores).
 //   * "allocation_pooling": the cross-entity SessionScratch effect — the
 //     same single-threaded batch with reuse_allocations off (every entity
 //     allocates its solver arena / watch lists / CNF pool from cold) vs.
@@ -54,9 +41,9 @@
 //     scripts/bench_smoke.sh gates identical_results and a reclaim floor
 //     (CCR_BENCH_GC_RECLAIM_FLOOR).
 //   * "sls_warm_start": the same session engine with the stochastic
-//     local-search warm starts on (default) vs off, over the >= 1k-tuple
-//     Person corpus on the NaiveDeduce pipeline. Reports the MaxSAT
-//     probe hit-rate (probes whose SLS upper bound was the true
+//     local-search warm starts on vs off (the default), over the
+//     >= 1k-tuple Person corpus on the NaiveDeduce pipeline. Reports the
+//     MaxSAT probe hit-rate (probes whose SLS upper bound was the true
 //     optimum), the summed rounds >= 1 Suggest and Deduce speedups, and
 //     checks the two configurations resolve identically — SLS only ever
 //     changes time-to-verdict. scripts/bench_smoke.sh gates
@@ -65,18 +52,6 @@
 //     (CCR_BENCH_SLS_DEDUCE_FLOOR) — SLS phase publishing once made the
 //     entailment solves measurably slower, so the Deduce ratio may not
 //     silently sink again.
-//   * "deduce_backbone": the backbone Deduce engine (model sweeping,
-//     propagation-only screening, chunked UNSAT certification — see
-//     src/core/deduce.h) on vs off, over the same NaiveDeduce pipeline.
-//     Reports the summed rounds >= 1 Deduce-phase time for both, the
-//     Deduce-phase solver-call counters (queries, model prunes,
-//     propagation proofs, chunk solves), the solver-call reduction
-//     ratio, and checks the two configurations resolve identically —
-//     the entailed pair set is semantically determined, so the query
-//     strategy may never change it. scripts/bench_smoke.sh gates
-//     identical_results, session_rebuilds == 0, resolve_errors == 0, a
-//     speedup floor (CCR_BENCH_DEDUCE_FLOOR, default 1.5) and a >= 3x
-//     calls_reduction.
 //
 // CCR_BENCH_SCALE multiplies entity counts as in the other benches;
 // CCR_BENCH_TUPLES overrides the per-entity tuple floor (default 1000 —
@@ -178,9 +153,8 @@ MemorySoak RunMemorySoak(const Specification& spec,
                          int rounds) {
   MemorySoak out;
   ResolveOptions opts;
-  opts.naive_deduce = true;  // Lemma-6 churn on the persistent solver
+  opts.naive_deduce = true;  // Lemma-6 probes on the persistent solver
   opts.solver.use_arena_gc = lifecycle_on;
-  opts.solver.use_bve = lifecycle_on;
   // A long-lived memory-bound service runs the collector eagerly; the
   // answer-round dead fraction plateaus near ~20% of the arena at large
   // corpus sizes, so the production default (0.25) would let this soak
@@ -310,44 +284,8 @@ int main() {
   const double suggest_speedup =
       session_suggest_ms > 0 ? legacy_suggest_ms / session_suggest_ms : 0.0;
 
-  // --- solver ablation: modern vs legacy CDCL heuristics -----------------
-  ResolveOptions modern_sat;
-  modern_sat.naive_deduce = true;  // Lemma-6 solver-bound deduction
-  modern_sat.max_rounds = 3;
-  ResolveOptions legacy_sat = modern_sat;
-  legacy_sat.solver = sat::SolverOptions::LegacyHeuristics();
-
-  double modern_sat_ms = 0;
-  double legacy_sat_ms = 0;
-  int64_t ablation_binary_props = 0;
-  int ablation_errors = 0;
-  bool ablation_identical = true;
+  // --- thread scaling: the entity pool -------------------------------------
   Timer timer;
-  for (size_t e = 0; e < inc_ds.entities.size(); ++e) {
-    TruthOracle om(inc_ds.entities[e].truth, /*answers_per_round=*/1);
-    TruthOracle ol(inc_ds.entities[e].truth, /*answers_per_round=*/1);
-    timer.Restart();
-    auto rm = Resolve(inc_ds.MakeSpec(static_cast<int>(e)), &om, modern_sat);
-    modern_sat_ms += timer.ElapsedMs();
-    timer.Restart();
-    auto rl = Resolve(inc_ds.MakeSpec(static_cast<int>(e)), &ol, legacy_sat);
-    legacy_sat_ms += timer.ElapsedMs();
-    if (!rm.ok() || !rl.ok()) {
-      ++ablation_errors;
-      continue;
-    }
-    ablation_identical = ablation_identical && SameResolution(*rm, *rl);
-    for (const RoundTrace& t : rm->trace) {
-      ablation_binary_props += t.validity_solver.binary_propagations +
-                               t.deduce_solver.binary_propagations +
-                               t.suggest_solver.binary_propagations +
-                               t.encode_solver.binary_propagations;
-    }
-  }
-  const double ablation_speedup =
-      modern_sat_ms > 0 ? legacy_sat_ms / modern_sat_ms : 0.0;
-
-  // --- thread scaling: entity-pool and portfolio tiers -------------------
   const int n_threads = BenchThreads();
   const Dataset batch_ds = BigPersonCorpus(2 * n_threads * scale);
   const int n_entities = static_cast<int>(batch_ds.entities.size());
@@ -374,8 +312,8 @@ int main() {
     return best;
   };
 
-  // Tier 1 — entity pool: the batched work-stealing driver spreads whole
-  // entities across worker threads.
+  // The batched work-stealing driver spreads whole entities across worker
+  // threads.
   ExperimentOptions eopts;
   eopts.max_rounds = 3;
   eopts.answers_per_round = 1;
@@ -393,30 +331,6 @@ int main() {
   }
   const bool pool_identical =
       SameAccuracy(pool_r1, pool_r2) && SameAccuracy(pool_r1, pool_rn);
-
-  // Tier 2 — portfolio: driver stays single-threaded; every solve races
-  // N diversified CDCL workers with learnt-clause sharing. Defer gate
-  // zero so the pipeline's small solves actually race (the production
-  // default would let them finish inside the sequential warm-up).
-  ExperimentOptions popts_scaling;
-  popts_scaling.max_rounds = 3;
-  popts_scaling.answers_per_round = 1;
-  popts_scaling.num_threads = 1;
-  popts_scaling.resolve.solver.portfolio_defer_conflicts = 0;
-  ExperimentResult port_r1, port_r2, port_rn;
-  popts_scaling.resolve.solver.portfolio_threads = 0;
-  const double port_t1 = time_experiment(popts_scaling, &port_r1);
-  popts_scaling.resolve.solver.portfolio_threads = 2;
-  const double port_t2 = time_experiment(popts_scaling, &port_r2);
-  double port_tn = port_t2;
-  if (n_threads > 2) {
-    popts_scaling.resolve.solver.portfolio_threads = n_threads;
-    port_tn = time_experiment(popts_scaling, &port_rn);
-  } else {
-    port_rn = port_r2;
-  }
-  const bool port_identical =
-      SameAccuracy(port_r1, port_r2) && SameAccuracy(port_r1, port_rn);
 
   // --- cross-entity allocation pooling (SessionScratch) ------------------
   ExperimentOptions popts;
@@ -544,72 +458,6 @@ int main() {
                 static_cast<double>(sls_probes)
           : 0.0;
 
-  // --- backbone Deduce: chunked entailment vs per-pair Lemma-6 -----------
-  // Same solver-bound NaiveDeduce pipeline as the SLS section; the two
-  // configurations differ ONLY in use_backbone_deduce. The counters say
-  // where the solver calls went: model sweeps and propagation proofs
-  // resolve pairs with no solve at all, and each chunk solve certifies up
-  // to kBackboneChunkSize entailments at once.
-  ResolveOptions bb_on;
-  bb_on.use_session = true;
-  bb_on.naive_deduce = true;
-  bb_on.max_rounds = 6;
-  ResolveOptions bb_off = bb_on;
-  bb_off.solver.use_backbone_deduce = false;
-
-  double bb_deduce_ms = 0, perpair_deduce_ms = 0;
-  int64_t bb_queries = 0, perpair_queries = 0;
-  int64_t bb_model_prunes = 0, bb_prop_proofs = 0, bb_chunk_solves = 0;
-  int64_t bb_rebuilds = 0;
-  int bb_errors = 0;
-  bool bb_identical = true;
-  constexpr int kBbReps = 3;
-  for (int rep = 0; rep < kBbReps; ++rep) {
-    double rep_bb_deduce = 0, rep_perpair_deduce = 0;
-    for (size_t e = 0; e < inc_ds.entities.size(); ++e) {
-      TruthOracle ob(inc_ds.entities[e].truth, /*answers_per_round=*/1);
-      TruthOracle op(inc_ds.entities[e].truth, /*answers_per_round=*/1);
-      auto rb = Resolve(inc_ds.MakeSpec(static_cast<int>(e)), &ob, bb_on);
-      auto rp = Resolve(inc_ds.MakeSpec(static_cast<int>(e)), &op, bb_off);
-      if (!rb.ok() || !rp.ok()) {
-        if (rep == 0) ++bb_errors;
-        continue;
-      }
-      if (rep == 0) {
-        bb_identical = bb_identical && SameResolution(*rb, *rp);
-      }
-      for (const RoundTrace& t : rb->trace) {
-        if (t.round >= 1) rep_bb_deduce += t.deduce_ms;
-        if (rep == 0) {
-          bb_rebuilds += t.num_rebuilds;
-          bb_queries += t.deduce_solver.deduce_queries;
-          bb_model_prunes += t.deduce_solver.deduce_model_prunes;
-          bb_prop_proofs += t.deduce_solver.deduce_propagation_proofs;
-          bb_chunk_solves += t.deduce_solver.deduce_chunk_solves;
-        }
-      }
-      for (const RoundTrace& t : rp->trace) {
-        if (t.round >= 1) rep_perpair_deduce += t.deduce_ms;
-        if (rep == 0) {
-          bb_rebuilds += t.num_rebuilds;
-          perpair_queries += t.deduce_solver.deduce_queries;
-        }
-      }
-    }
-    if (rep == 0 || rep_bb_deduce < bb_deduce_ms) {
-      bb_deduce_ms = rep_bb_deduce;
-    }
-    if (rep == 0 || rep_perpair_deduce < perpair_deduce_ms) {
-      perpair_deduce_ms = rep_perpair_deduce;
-    }
-  }
-  const double bb_speedup =
-      bb_deduce_ms > 0 ? perpair_deduce_ms / bb_deduce_ms : 0.0;
-  const double bb_calls_reduction =
-      bb_queries > 0 ? static_cast<double>(perpair_queries) /
-                           static_cast<double>(bb_queries)
-                     : 0.0;
-
   std::printf("{\n");
   std::printf("  \"bench\": \"throughput\",\n");
   std::printf("  \"scale\": %d,\n", scale);
@@ -643,20 +491,6 @@ int main() {
               static_cast<long long>(session_assumption_solves));
   std::printf("    \"identical_results\": %s\n", identical ? "true" : "false");
   std::printf("  },\n");
-  std::printf("  \"solver_ablation\": {\n");
-  std::printf("    \"entities\": %d,\n",
-              static_cast<int>(inc_ds.entities.size()));
-  std::printf("    \"min_tuples_per_entity\": %d,\n", min_tuples);
-  std::printf("    \"pipeline\": \"naive_deduce\",\n");
-  std::printf("    \"modern_resolve_ms\": %.3f,\n", modern_sat_ms);
-  std::printf("    \"legacy_heuristics_resolve_ms\": %.3f,\n", legacy_sat_ms);
-  std::printf("    \"speedup\": %.3f,\n", ablation_speedup);
-  std::printf("    \"binary_propagations\": %lld,\n",
-              static_cast<long long>(ablation_binary_props));
-  std::printf("    \"resolve_errors\": %d,\n", ablation_errors);
-  std::printf("    \"identical_results\": %s\n",
-              ablation_identical ? "true" : "false");
-  std::printf("  },\n");
   std::printf("  \"thread_scaling\": {\n");
   std::printf("    \"entities\": %d,\n", n_entities);
   std::printf("    \"threads_max\": %d,\n", n_threads);
@@ -676,19 +510,8 @@ int main() {
   std::printf("      \"identical_results\": %s\n",
               pool_identical ? "true" : "false");
   std::printf("    },\n");
-  std::printf("    \"portfolio\": {\n");
-  std::printf("      \"t1_seconds\": %.3f,\n", port_t1);
-  std::printf("      \"t2_seconds\": %.3f,\n", port_t2);
-  std::printf("      \"tN_seconds\": %.3f,\n", port_tn);
-  std::printf("      \"speedup_2\": %.3f,\n",
-              port_t2 > 0 ? port_t1 / port_t2 : 0.0);
-  std::printf("      \"speedup_N\": %.3f,\n",
-              port_tn > 0 ? port_t1 / port_tn : 0.0);
-  std::printf("      \"identical_results\": %s\n",
-              port_identical ? "true" : "false");
-  std::printf("    },\n");
   std::printf("    \"deterministic\": %s\n",
-              pool_identical && port_identical ? "true" : "false");
+              pool_identical ? "true" : "false");
   std::printf("  },\n");
   std::printf("  \"allocation_pooling\": {\n");
   std::printf("    \"entities\": %d,\n",
@@ -752,32 +575,6 @@ int main() {
               static_cast<long long>(sls_rebuilds));
   std::printf("    \"identical_results\": %s\n",
               sls_identical ? "true" : "false");
-  std::printf("  },\n");
-  std::printf("  \"deduce_backbone\": {\n");
-  std::printf("    \"entities\": %d,\n",
-              static_cast<int>(inc_ds.entities.size()));
-  std::printf("    \"min_tuples_per_entity\": %d,\n", min_tuples);
-  std::printf("    \"pipeline\": \"naive_deduce\",\n");
-  std::printf("    \"backbone_round1plus_deduce_ms\": %.3f,\n", bb_deduce_ms);
-  std::printf("    \"perpair_round1plus_deduce_ms\": %.3f,\n",
-              perpair_deduce_ms);
-  std::printf("    \"speedup\": %.3f,\n", bb_speedup);
-  std::printf("    \"backbone_deduce_queries\": %lld,\n",
-              static_cast<long long>(bb_queries));
-  std::printf("    \"perpair_deduce_queries\": %lld,\n",
-              static_cast<long long>(perpair_queries));
-  std::printf("    \"calls_reduction\": %.3f,\n", bb_calls_reduction);
-  std::printf("    \"model_prunes\": %lld,\n",
-              static_cast<long long>(bb_model_prunes));
-  std::printf("    \"propagation_proofs\": %lld,\n",
-              static_cast<long long>(bb_prop_proofs));
-  std::printf("    \"chunk_solves\": %lld,\n",
-              static_cast<long long>(bb_chunk_solves));
-  std::printf("    \"resolve_errors\": %d,\n", bb_errors);
-  std::printf("    \"session_rebuilds\": %lld,\n",
-              static_cast<long long>(bb_rebuilds));
-  std::printf("    \"identical_results\": %s\n",
-              bb_identical ? "true" : "false");
   std::printf("  }\n");
   std::printf("}\n");
   return 0;

@@ -12,11 +12,6 @@
 #     performed any session rebuild (selector-guarded CFDs pin this at 0),
 #     or fell below its own speedup floor (CCR_BENCH_SUGGEST_FLOOR,
 #     default 1.3 — the full-size run measures >= 2x), or
-#   * the solver ablation (modern CDCL heuristics vs the legacy
-#     MiniSat-2003 configuration, on the solver-bound NaiveDeduce
-#     pipeline) reported non-identical resolutions or fell below its
-#     floor (CCR_BENCH_SOLVER_FLOOR, default 1.2 — the full-size run
-#     measures >= 5x), or
 #   * the memory_lifecycle soak (one long-lived session fed answer
 #     rounds, arena GC on vs off) reported non-identical results,
 #     performed a session rebuild, or reclaimed fewer arena words than
@@ -30,13 +25,6 @@
 #     SLS slow the Deduce phase below CCR_BENCH_SLS_DEDUCE_FLOOR
 #     (default 0.95 — the regression where soft-biased phase publishing
 #     poisoned the entailment solves may not come back), or
-#   * the deduce_backbone section (backbone Deduce engine on vs off, on
-#     the solver-bound NaiveDeduce pipeline) reported non-identical
-#     resolutions, a resolve error, a session rebuild, a rounds>=1
-#     Deduce speedup below CCR_BENCH_DEDUCE_FLOOR (default 1.5), or a
-#     Deduce-phase solver-call reduction below 3x (counter-verified:
-#     model sweeping + chunked certification must actually be retiring
-#     per-pair Lemma-6 solves, not just winning a timer race), or
 #   * the service section (bench_service driving a real server over a
 #     loopback socket with forced eviction) reported a ROUND or SNAPSHOT
 #     reply that differed from the never-evicted local session
@@ -47,7 +35,7 @@
 #     regression tripwire, not a perf target).
 #
 # thread_scaling always runs and must always report identical results at
-# every thread count (entity-pool and portfolio tiers both). The speedup
+# every thread count. The speedup
 # floor (CCR_BENCH_SCALING_FLOOR, default 1.3 at the 2-thread point of
 # the entity-pool curve) is only gated on multi-core runners: a 1-core
 # container measures scheduling overhead, not scaling, so only the
@@ -67,11 +55,9 @@ export CCR_BENCH_TUPLES="${CCR_BENCH_TUPLES:-250}"
 export CCR_BENCH_THREADS="${CCR_BENCH_THREADS:-2}"
 FLOOR="${CCR_BENCH_SPEEDUP_FLOOR:-1.5}"
 SUGGEST_FLOOR="${CCR_BENCH_SUGGEST_FLOOR:-1.3}"
-SOLVER_FLOOR="${CCR_BENCH_SOLVER_FLOOR:-1.2}"
 GC_RECLAIM_FLOOR="${CCR_BENCH_GC_RECLAIM_FLOOR:-1000}"
 SLS_FLOOR="${CCR_BENCH_SLS_FLOOR:-1.1}"
 SLS_DEDUCE_FLOOR="${CCR_BENCH_SLS_DEDUCE_FLOOR:-0.95}"
-DEDUCE_FLOOR="${CCR_BENCH_DEDUCE_FLOOR:-1.5}"
 SERVICE_FLOOR="${CCR_BENCH_SERVICE_FLOOR:-1}"
 SCALING_FLOOR="${CCR_BENCH_SCALING_FLOOR:-1.3}"
 # The scaling floor needs real cores: gate it only when the runner has
@@ -87,19 +73,16 @@ scripts/bench.sh "${1:-build-bench}"
 
 echo
 echo "Gating BENCH_throughput.json (incremental floor: ${FLOOR}x," \
-     "suggest floor: ${SUGGEST_FLOOR}x, solver floor: ${SOLVER_FLOOR}x," \
+     "suggest floor: ${SUGGEST_FLOOR}x," \
      "GC reclaim floor: ${GC_RECLAIM_FLOOR} words," \
      "SLS suggest floor: ${SLS_FLOOR}x," \
      "SLS deduce floor: ${SLS_DEDUCE_FLOOR}x," \
-     "backbone deduce floor: ${DEDUCE_FLOOR}x," \
      "service floor: ${SERVICE_FLOOR} sessions/s," \
      "scaling floor: ${SCALING_FLOOR}x at 2 threads [gated: ${GATE_SCALING}])"
 jq -e --argjson floor "$FLOOR" --argjson sfloor "$SUGGEST_FLOOR" \
-      --argjson solfloor "$SOLVER_FLOOR" \
       --argjson gcfloor "$GC_RECLAIM_FLOOR" \
       --argjson slsfloor "$SLS_FLOOR" \
       --argjson slsdedfloor "$SLS_DEDUCE_FLOOR" \
-      --argjson dedfloor "$DEDUCE_FLOOR" \
       --argjson svcfloor "$SERVICE_FLOOR" \
       --argjson scalefloor "$SCALING_FLOOR" \
       --argjson gatescaling "$GATE_SCALING" '
@@ -107,12 +90,8 @@ jq -e --argjson floor "$FLOOR" --argjson sfloor "$SUGGEST_FLOOR" \
   and (.incremental.resolve_errors == 0)
   and (.suggest_incremental.identical_results == true)
   and (.suggest_incremental.session_rebuilds == 0)
-  and (.solver_ablation.identical_results == true)
-  and (.solver_ablation.resolve_errors == 0)
-  and (.solver_ablation.speedup >= $solfloor)
   and (.thread_scaling.deterministic == true)
   and (.thread_scaling.entity_pool.identical_results == true)
-  and (.thread_scaling.portfolio.identical_results == true)
   and ((($gatescaling | not))
        or (.thread_scaling.entity_pool.speedup_2 >= $scalefloor))
   and (.allocation_pooling.deterministic == true)
@@ -124,11 +103,6 @@ jq -e --argjson floor "$FLOOR" --argjson sfloor "$SUGGEST_FLOOR" \
   and (.sls_warm_start.session_rebuilds == 0)
   and (.sls_warm_start.suggest_speedup >= $slsfloor)
   and (.sls_warm_start.deduce_speedup >= $slsdedfloor)
-  and (.deduce_backbone.identical_results == true)
-  and (.deduce_backbone.resolve_errors == 0)
-  and (.deduce_backbone.session_rebuilds == 0)
-  and (.deduce_backbone.speedup >= $dedfloor)
-  and (.deduce_backbone.calls_reduction >= 3)
   and (.service.identical_after_rehydrate == true)
   and (.service.clean_shutdown == true)
   and (.service.errors == 0)
@@ -143,18 +117,14 @@ jq -e --argjson floor "$FLOOR" --argjson sfloor "$SUGGEST_FLOOR" \
 }
 echo "OK: incremental speedup $(jq .incremental.speedup BENCH_throughput.json)x," \
      "suggest speedup $(jq .suggest_incremental.speedup BENCH_throughput.json)x," \
-     "solver ablation speedup $(jq .solver_ablation.speedup BENCH_throughput.json)x," \
      "pooling speedup $(jq .allocation_pooling.speedup BENCH_throughput.json)x," \
      "GC reclaimed $(jq .memory_lifecycle.gc_on.reclaimed_words BENCH_throughput.json) arena words," \
      "SLS suggest speedup $(jq .sls_warm_start.suggest_speedup BENCH_throughput.json)x" \
      "(probe hit-rate $(jq .sls_warm_start.probe_hit_rate BENCH_throughput.json)," \
      "deduce $(jq .sls_warm_start.deduce_speedup BENCH_throughput.json)x)," \
-     "backbone deduce speedup $(jq .deduce_backbone.speedup BENCH_throughput.json)x" \
-     "(calls reduction $(jq .deduce_backbone.calls_reduction BENCH_throughput.json)x)," \
      "service $(jq .service.sessions_per_sec BENCH_throughput.json) sessions/s" \
      "(p50 $(jq .service.round_p50_ms BENCH_throughput.json) ms," \
      "p99 $(jq .service.round_p99_ms BENCH_throughput.json) ms," \
      "$(jq .service.rehydrations BENCH_throughput.json) rehydrations)," \
      "entity-pool 2-thread speedup $(jq .thread_scaling.entity_pool.speedup_2 BENCH_throughput.json)x," \
-     "portfolio 2-thread speedup $(jq .thread_scaling.portfolio.speedup_2 BENCH_throughput.json)x," \
      "all equivalence checks true"

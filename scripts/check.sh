@@ -13,8 +13,8 @@
 #   CCR_SANITIZE=ON    build everything with ASan+UBSan and run the whole
 #                      suite under the sanitizers (the CI sanitize job);
 #                      CCR_SANITIZE=thread builds with ThreadSanitizer
-#                      instead (the CI tsan job — races in the portfolio
-#                      ring / batched driver)
+#                      instead (the CI tsan job — races in the batched
+#                      driver / service daemon)
 #   CCR_CCACHE=ON      route compilation through ccache (CI caches it)
 #   CMAKE_GENERATOR    honored as usual (Ninja is used when available)
 

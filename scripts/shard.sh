@@ -9,29 +9,17 @@
 #
 # Every run uses ccr_experiment's default engine — the persistent-solver
 # session engine (incremental MaxSAT Suggest, selector-guarded CFDs) with
-# the default modern solver heuristics. As a second exactness gate, the
-# single-process corpus is also resolved with --engine legacy (re-encode
-# every round) and must serialize to the same bytes: the two engines are
-# interchangeable, shard by shard. A third gate
-# does the same for the solver: --solver legacy (arena binaries, Luby
-# restarts, one-step minimization, no model cache) must be byte-identical
-# too — the pipeline consumes only SAT verdicts, so solver heuristics can
-# never change a resolution. A fourth gate runs --solver nogc (arena GC
-# off, modern heuristics otherwise): compaction relocates clauses and may
-# not move a single result byte. A fifth gate runs --solver sls
-# (local-search seeding, MaxSAT upper-bound probing and between-round
-# inprocessing on; all three are off by default): SLS reorders which
-# models CDCL finds and which bound the Sinz search tries first,
-# inprocessing rewrites the problem clauses, and none of it may move a
-# result byte either. A sixth gate runs --portfolio 2 (every solve races two diversified CDCL
-# workers with learnt-clause sharing, defer gate zero so the races really
-# fire): which worker wins and what clauses crossed the ring are
-# nondeterministic, the serialized result may not be. A seventh gate pins
-# the backbone Deduce engine: on the --deduce naive pipeline (where the
-# flag is live), the default chunked/model-sweeping engine and --solver
-# nobackbone (one Lemma-6 solve per pair) must serialize to the same
-# bytes — the entailed pair set is semantically determined, so how it is
-# queried may never move a result byte.
+# the default solver options. Four gates in all:
+#   1. merge: the merged shards equal the single-process run;
+#   2. --engine legacy (re-encode every round) serializes to the same
+#      bytes: the two engines are interchangeable, shard by shard;
+#   3. --solver nogc (arena GC off): compaction relocates clauses and may
+#      not move a single result byte;
+#   4. --solver sls (local-search seeding, MaxSAT upper-bound probing and
+#      between-round inprocessing on; all three are off by default): SLS
+#      reorders which models CDCL finds and which bound the Sinz search
+#      tries first, inprocessing rewrites the problem clauses, and none of
+#      it may move a result byte either.
 #
 # Usage: scripts/shard.sh [N] [build-dir]
 # Environment:
@@ -94,18 +82,6 @@ else
   exit 1
 fi
 
-echo "Cross-solver exactness: modern heuristics (default) vs" \
-     "--solver legacy..."
-"$BIN" "${FLAGS[@]}" --solver legacy --no-timings \
-  --out "$WORK_DIR/legacy_solver.json"
-if cmp "$WORK_DIR/legacy_solver.json" "$WORK_DIR/single.json"; then
-  echo "OK: legacy-heuristics run is byte-identical to the modern run"
-else
-  echo "FAIL: legacy-heuristics result differs from the modern solver" >&2
-  diff "$WORK_DIR/legacy_solver.json" "$WORK_DIR/single.json" >&2 || true
-  exit 1
-fi
-
 echo "Memory-lifecycle exactness: arena GC (default, on) vs" \
      "--solver nogc..."
 "$BIN" "${FLAGS[@]}" --solver nogc --no-timings \
@@ -127,32 +103,5 @@ if cmp "$WORK_DIR/sls_solver.json" "$WORK_DIR/single.json"; then
 else
   echo "FAIL: SLS-on result differs from the default run" >&2
   diff "$WORK_DIR/sls_solver.json" "$WORK_DIR/single.json" >&2 || true
-  exit 1
-fi
-
-echo "Parallel-search exactness: single-threaded solves (default) vs" \
-     "--portfolio 2..."
-"$BIN" "${FLAGS[@]}" --portfolio 2 --no-timings \
-  --out "$WORK_DIR/portfolio.json"
-if cmp "$WORK_DIR/portfolio.json" "$WORK_DIR/single.json"; then
-  echo "OK: portfolio run is byte-identical to the single-threaded run"
-else
-  echo "FAIL: portfolio result differs from the single-threaded run" >&2
-  diff "$WORK_DIR/portfolio.json" "$WORK_DIR/single.json" >&2 || true
-  exit 1
-fi
-
-echo "Backbone-Deduce exactness: chunked entailment (default) vs" \
-     "--solver nobackbone, both on the --deduce naive pipeline..."
-"$BIN" "${FLAGS[@]}" --deduce naive --no-timings \
-  --out "$WORK_DIR/naive_backbone.json"
-"$BIN" "${FLAGS[@]}" --deduce naive --solver nobackbone --no-timings \
-  --out "$WORK_DIR/naive_perpair.json"
-if cmp "$WORK_DIR/naive_backbone.json" "$WORK_DIR/naive_perpair.json"; then
-  echo "OK: backbone Deduce run is byte-identical to the per-pair run"
-else
-  echo "FAIL: backbone Deduce result differs from the per-pair run" >&2
-  diff "$WORK_DIR/naive_backbone.json" "$WORK_DIR/naive_perpair.json" \
-    >&2 || true
   exit 1
 fi

@@ -2,8 +2,6 @@
 
 #include <vector>
 
-#include "src/common/status.h"
-
 namespace ccr {
 
 int DeducedOrders::CountPairs() const {
@@ -161,16 +159,40 @@ DeducedOrders NaiveDeduce(const Instantiation& inst, const sat::Cnf& phi,
 DeducedOrders NaiveDeduceShared(const Instantiation& inst,
                                 sat::Solver* solver,
                                 std::span<const sat::Lit> assumptions) {
-  if (solver->options().use_backbone_deduce) {
-    return BackboneDeduceShared(inst, solver, assumptions);
+  if (!solver->ProblemIsHorn()) {
+    return Lemma6DeduceShared(inst, solver, assumptions);
   }
+  const VarMap& vm = inst.varmap;
+  DeducedOrders od = MakeEmptyOrders(vm);
+  // A quiet fixpoint of a Horn formula is its least model: an atom is
+  // entailed iff the probe made it true. A refuted probe means Se is
+  // invalid under the guards, and nothing is deduced.
+  if (!solver->BeginProbe(assumptions)) return od;
+  for (int a = 0; a < vm.num_attrs(); ++a) {
+    const int d = static_cast<int>(vm.domain(a).size());
+    for (int i = 0; i < d; ++i) {
+      for (int j = 0; j < d; ++j) {
+        if (i != j &&
+            solver->ProbeValue(vm.VarOf(a, i, j)) == sat::Lbool::kTrue) {
+          (void)od.per_attr[a].Add(i, j);
+        }
+      }
+    }
+  }
+  solver->EndProbe();
+  return od;
+}
+
+DeducedOrders Lemma6DeduceShared(const Instantiation& inst,
+                                 sat::Solver* solver,
+                                 std::span<const sat::Lit> assumptions) {
   const VarMap& vm = inst.varmap;
   DeducedOrders od = MakeEmptyOrders(vm);
 
   std::vector<sat::Lit> assume(assumptions.begin(), assumptions.end());
   int64_t queries = 1;
   if (solver->SolveWithAssumptions(assume) != sat::SolveResult::kSat) {
-    solver->RecordDeduce(queries, 0, 0, 0);
+    solver->RecordDeduce(queries);
     return od;  // invalid Se
   }
 
@@ -192,176 +214,7 @@ DeducedOrders NaiveDeduceShared(const Instantiation& inst,
       }
     }
   }
-  solver->RecordDeduce(queries, 0, 0, 0);
-  return od;
-}
-
-DeducedOrders BackboneDeduceShared(const Instantiation& inst,
-                                   sat::Solver* solver,
-                                   std::span<const sat::Lit> assumptions,
-                                   int chunk_size) {
-  CCR_CHECK(chunk_size >= 1);
-  const VarMap& vm = inst.varmap;
-  DeducedOrders od = MakeEmptyOrders(vm);
-
-  std::vector<sat::Lit> assume(assumptions.begin(), assumptions.end());
-  int64_t queries = 1;
-  int64_t model_prunes = 0;
-  int64_t prop_proofs = 0;
-  int64_t chunk_solves = 0;
-  if (solver->SolveWithAssumptions(assume) != sat::SolveResult::kSat) {
-    solver->RecordDeduce(queries, 0, 0, 0);
-    return od;  // invalid Se
-  }
-
-  // The candidate frontier: every ordered pair whose Lemma-6 verdict is
-  // still open. Pairs leave it exactly one way each — swept by a model
-  // (not entailed), certified by propagation or a chunk UNSAT
-  // (entailed), or subsumed by the transitive closure of earlier
-  // certifications.
-  struct Cand {
-    int32_t attr;
-    int32_t less;
-    int32_t more;
-    sat::Var var;
-  };
-  std::vector<Cand> frontier;
-  for (int a = 0; a < vm.num_attrs(); ++a) {
-    const int d = static_cast<int>(vm.domain(a).size());
-    for (int i = 0; i < d; ++i) {
-      for (int j = 0; j < d; ++j) {
-        if (i == j) continue;
-        frontier.push_back({a, i, j, vm.VarOf(a, i, j)});
-      }
-    }
-  }
-
-  // Tier 1 — model sweeping. A model of Φ(Se) ∧ guards assigning x_ij
-  // false is a valid completion in which i does not precede j: a
-  // non-entailment witness, no solver call needed.
-  const auto sweep_values = [&](const std::vector<sat::Lbool>& m) {
-    size_t w = 0;
-    for (const Cand& c : frontier) {
-      if (static_cast<size_t>(c.var) < m.size() &&
-          m[c.var] == sat::Lbool::kFalse) {
-        ++model_prunes;
-      } else {
-        frontier[w++] = c;
-      }
-    }
-    frontier.resize(w);
-  };
-  const auto sweep_current_model = [&] {
-    size_t w = 0;
-    for (const Cand& c : frontier) {
-      if (solver->ModelLbool(c.var) == sat::Lbool::kFalse) {
-        ++model_prunes;
-      } else {
-        frontier[w++] = c;
-      }
-    }
-    frontier.resize(w);
-  };
-  sweep_current_model();
-  // The witness ring may hold more genuine models from earlier phases;
-  // any of them that satisfies every guard sweeps for free too.
-  for (const std::vector<sat::Lbool>* m : solver->CachedWitnesses(assume)) {
-    sweep_values(*m);
-  }
-
-  // Tier 2 — propagation-only screening under the propagated guards:
-  // x forced true is entailed outright; a failed ¬x probe is a
-  // unit-propagation UNSAT proof. Neither searches or learns.
-  if (!frontier.empty() && solver->BeginProbe(assume)) {
-    size_t w = 0;
-    for (const Cand& c : frontier) {
-      if (od.per_attr[c.attr].Less(c.less, c.more)) continue;
-      const sat::Lbool v = solver->ProbeValue(c.var);
-      if (v == sat::Lbool::kTrue) {
-        ++prop_proofs;
-        (void)od.per_attr[c.attr].Add(c.less, c.more);
-        continue;
-      }
-      if (v == sat::Lbool::kFalse) {
-        // Guard-forced false: every completion refutes the pair. Tier 1
-        // normally catches these (the swept models force it too).
-        ++model_prunes;
-        continue;
-      }
-      if (solver->ProbeLitFails(sat::Lit::Neg(c.var))) {
-        ++prop_proofs;
-        (void)od.per_attr[c.attr].Add(c.less, c.more);
-        continue;
-      }
-      frontier[w++] = c;
-    }
-    frontier.resize(w);
-    solver->EndProbe();
-  }
-
-  // Tier 3 — chunked UNSAT certification. A scoped clause
-  // (¬sel ∨ ¬x₁ ∨ … ∨ ¬xₖ) under the scope's activation literal asks for
-  // a completion refuting ANY chunk member: UNSAT certifies the whole
-  // chunk entailed in one call; SAT hands tier 1 a fresh model that
-  // falsifies at least one member, so the frontier strictly shrinks
-  // either way. Each round gets a fresh selector — the previous chunk
-  // clause goes inert by never assuming its selector again, so a
-  // rebuilt (smaller) chunk can never be over-claimed by a stale
-  // clause. Released wholesale when the frontier drains.
-  if (!frontier.empty()) {
-    sat::ScopedVars scope(solver);
-    std::vector<Cand> chunk;
-    std::vector<sat::Lit> clause;
-    while (!frontier.empty()) {
-      // Drop pairs settled by the transitive closure of earlier chunks,
-      // then peel off the next chunk.
-      chunk.clear();
-      size_t w = 0;
-      for (const Cand& c : frontier) {
-        if (od.per_attr[c.attr].Less(c.less, c.more)) continue;
-        if (static_cast<int>(chunk.size()) < chunk_size) {
-          chunk.push_back(c);
-        } else {
-          frontier[w++] = c;
-        }
-      }
-      frontier.resize(w);
-      if (chunk.empty()) break;
-
-      const sat::Var sel = scope.NewVar();
-      clause.clear();
-      clause.push_back(sat::Lit::Neg(sel));
-      for (const Cand& c : chunk) clause.push_back(sat::Lit::Neg(c.var));
-      scope.AddClause(clause);
-
-      assume.push_back(scope.activation());
-      assume.push_back(sat::Lit::Pos(sel));
-      ++queries;
-      ++chunk_solves;
-      const auto r = solver->SolveWithAssumptions(assume);
-      assume.resize(assume.size() - 2);
-
-      if (r == sat::SolveResult::kUnsat) {
-        if (solver->IsUnsatForever()) break;
-        for (const Cand& c : chunk) {
-          (void)od.per_attr[c.attr].Add(c.less, c.more);
-        }
-      } else if (r == sat::SolveResult::kSat) {
-        // A genuine model of Φ(Se) ∧ guards (the scope literals only
-        // strengthen it): sweep the unresolved chunk members together
-        // with the rest of the frontier.
-        frontier.insert(frontier.end(), chunk.begin(), chunk.end());
-        sweep_current_model();
-      } else {
-        // Conflict budget exhausted (kUnknown): like the naive loop,
-        // an undecided query never claims entailment. Stop here rather
-        // than spin on a chunk that will not resolve.
-        break;
-      }
-    }
-  }
-
-  solver->RecordDeduce(queries, model_prunes, prop_proofs, chunk_solves);
+  solver->RecordDeduce(queries);
   return od;
 }
 

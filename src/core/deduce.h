@@ -7,21 +7,20 @@
 // matrices (O(d) per assigned order atom). For a valid Se the fixpoint
 // of these rules (plus totality in paper mode) has no conflict, so it
 // does not depend on the propagation order: Od is the same as with the
-// ternaries written out as clauses. NaiveDeduce instead asks the SAT
-// solver, for every order variable x, whether Φ(Se) ∧ ¬x is unsatisfiable
-// — sound and complete for implied orders (Lemma 6) but, queried one
-// pair at a time, O(d²) solver calls per attribute (Fig. 8(b)).
+// ternaries written out as clauses.
 //
-// The Lemma-6 pipeline only needs the *set* of entailed pairs, not any
-// particular query order, so the classic backbone-computation playbook
-// applies: under SolverOptions::use_backbone_deduce (default) the
-// per-pair loop is replaced by a three-tier engine — model sweeping
-// (every SAT model refutes, in O(1) per pair, all candidates it assigns
-// false), propagation-only failed-literal screening, and chunked UNSAT
-// certification (one scoped clause ¬x₁ ∨ … ∨ ¬xₖ proves a whole chunk
-// entailed per solve). The entailed set is semantically determined, so
-// the verdicts — and every downstream byte — are identical to the naive
-// loop's; tests/deduce_backbone_test.cpp enforces exactly that.
+// NaiveDeduce computes Lemma 6's Od exactly: the pairs x with
+// Φ(Se) ∧ ¬x unsatisfiable, i.e. the order atoms Φ(Se) entails. Φ(Se) is
+// Horn (every clause has at most one positive literal), so a positive
+// atom is entailed iff it is true in the least model, and one unit-
+// propagation fixpoint computes that model (Dowling & Gallier, "Linear-
+// time algorithms for testing the satisfiability of propositional Horn
+// formulae", 1984). NaiveDeduceShared therefore opens one propagation
+// probe under the guards and reads every order atom off it — no solver
+// call. A formula that is not Horn falls back to Lemma6DeduceShared, the
+// paper's per-pair loop: one SAT call per order variable, O(d²) calls per
+// attribute (Fig. 8(b)). Both return the same pair set on a Horn formula;
+// tests/deduce_propagation_test.cpp checks that pair for pair.
 
 #ifndef CCR_CORE_DEDUCE_H_
 #define CCR_CORE_DEDUCE_H_
@@ -105,42 +104,32 @@ DeducedOrders DeduceOrder(const Instantiation& inst, const sat::Cnf& phi,
                           std::span<const sat::Lit> assume = {},
                           DeduceScratch* scratch = nullptr);
 
-/// NaiveDeduce: one SAT call per order variable (incremental solver with
-/// one assumption per call). Exact per Lemma 6. Dispatches to the
-/// backbone engine when `options.use_backbone_deduce` is set, like
-/// NaiveDeduceShared.
+/// NaiveDeduce on a fresh solver loaded with `phi` (see
+/// NaiveDeduceShared). Exact per Lemma 6.
 DeducedOrders NaiveDeduce(const Instantiation& inst, const sat::Cnf& phi,
                           const sat::SolverOptions& options = {});
 
 /// NaiveDeduce against a caller-owned solver already holding Φ(Se)'s
 /// clauses (the ResolutionSession shares one solver across validity,
-/// deduction and rounds; learnt clauses carry over). `assumptions` is
-/// prepended to every implication check (active CFD guards). The outcome
-/// of each check is semantic — identical to the fresh-solver variant.
-/// When the solver was built with use_backbone_deduce (default), the
-/// per-pair loop is replaced by BackboneDeduceShared — same pair set,
-/// measured here with far fewer solver calls.
+/// deduction and rounds). `assumptions` holds for every implication check
+/// (active CFD guards). Must be called at decision level 0. When the
+/// solver's problem is Horn, the entailed pairs are read off one
+/// propagation probe (the least model); otherwise the per-pair loop
+/// Lemma6DeduceShared answers. Either way the pair set is Lemma 6's, and
+/// an Se refuted under `assumptions` deduces nothing.
 DeducedOrders NaiveDeduceShared(const Instantiation& inst,
                                 sat::Solver* solver,
                                 std::span<const sat::Lit> assumptions = {});
 
-/// Default number of candidate pairs certified per chunked UNSAT solve.
-inline constexpr int kBackboneChunkSize = 64;
-
-/// The three-tier backbone engine behind NaiveDeduceShared (exposed so
-/// tests can pin degenerate chunk sizes): (1) sweep every SAT model —
-/// the initial validity model, the solver's cached witness ring, and
-/// each chunk counterexample — over the whole candidate frontier; (2)
-/// screen survivors with propagation-only failed-literal probes; (3)
-/// certify the rest in chunks of `chunk_size` via a scoped clause
-/// ¬x₁ ∨ … ∨ ¬xₖ — UNSAT proves every member entailed in one call, SAT
-/// yields a fresh sweep model falsifying at least one member, so the
-/// frontier strictly shrinks. Exact per Lemma 6: returns precisely the
-/// naive loop's pair set.
-DeducedOrders BackboneDeduceShared(const Instantiation& inst,
-                                   sat::Solver* solver,
-                                   std::span<const sat::Lit> assumptions = {},
-                                   int chunk_size = kBackboneChunkSize);
+/// The paper's per-pair Lemma-6 loop: one SolveWithAssumptions per order
+/// variable x, adding the pair iff Φ(Se) ∧ assumptions ∧ ¬x is
+/// unsatisfiable (pairs already in the transitive closure are skipped).
+/// Sound and complete for any formula; NaiveDeduceShared's fallback for
+/// non-Horn formulas and the reference its propagation path is tested
+/// and benchmarked against.
+DeducedOrders Lemma6DeduceShared(const Instantiation& inst,
+                                 sat::Solver* solver,
+                                 std::span<const sat::Lit> assumptions = {});
 
 /// True-value extraction (§V-B): value v is the true value of attribute A
 /// iff it dominates every other domain value of A in Od. Returns one

@@ -60,9 +60,9 @@ struct TrueValueAnalysis {
   DeducedOrders implied_orders;
 };
 
-/// Decides the true value problem exactly (NaiveDeduce-based; expect SAT
-/// cost quadratic in the domain sizes). Fails with InvalidSpec when Se is
-/// invalid.
+/// Decides the true value problem exactly (NaiveDeduce-based: one
+/// propagation probe on the Horn Φ(Se)). Fails with InvalidSpec when Se
+/// is invalid.
 Result<TrueValueAnalysis> AnalyzeTrueValue(
     const Specification& se, const sat::SolverOptions& options = {});
 

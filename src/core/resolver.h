@@ -51,7 +51,7 @@ struct ResolveOptions {
   DeduceOptions deduce;
   SuggestOptions suggest;
   sat::SolverOptions solver;
-  /// Use NaiveDeduce instead of DeduceOrder (for the Fig. 8(b) baseline).
+  /// Use NaiveDeduce (Lemma 6's exact pair set) instead of DeduceOrder.
   bool naive_deduce = false;
   /// Drive the rounds through a ResolutionSession (encode once, extend
   /// incrementally, one solver across phases). Off = the legacy engine
@@ -88,8 +88,8 @@ struct RoundTrace {
   /// grounding makes this 0 on every round by construction; the legacy
   /// engine reports 1 per round (it rebuilds by design).
   int64_t num_rebuilds = 0;
-  /// Assumption-carrying solver calls this round (validity under CFD
-  /// guards, NaiveDeduce implication checks, incremental-MaxSAT steps).
+  /// Assumption-carrying solver calls this round (incremental-MaxSAT
+  /// steps; validity and NaiveDeduce solve only on a non-Horn formula).
   /// 0 for the legacy engine, whose throwaway solvers are not traced.
   int64_t num_assumption_solves = 0;
   /// Per-phase session-solver statistics deltas (conflicts, binary

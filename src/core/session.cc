@@ -95,10 +95,9 @@ Result<ResolutionSession> ResolutionSession::Create(
   // SLS warm start: a local-search pass under the active guards installs
   // a near-model into the saved phases (and, when fully satisfying, the
   // witness ring) before the first validity solve ever runs. Skipped on
-  // NaiveDeduce pipelines: phases steered toward one arbitrary model
-  // bias every Lemma-6 entailment solve away from the easy
-  // counterexample models the Deduce phase lives on — a measured net
-  // slowdown (the bench sls_warm_start.deduce_speedup floor guards it).
+  // NaiveDeduce pipelines, where it once slowed the per-pair entailment
+  // solves; the call sequence stays as perfbench's traced session
+  // mirrors it.
   if (s.options_.solver.use_sls_seeding && !s.options_.naive_deduce) {
     s.solver_->SeedFromLocalSearch(s.inst_->guard_assumptions());
   }
@@ -160,9 +159,8 @@ Status ResolutionSession::ExtendWith(const PartialTemporalOrder& ot) {
   // Re-seed from local search: the phases still hold (near) the previous
   // round's model, so a short pass usually repairs it against the delta
   // and refills the witness ring the extension just invalidated — the
-  // next validity/deduce solves start warm. Skipped on NaiveDeduce
-  // pipelines for the same reason as in Create: soft-biased phases
-  // poison the entailment sweep.
+  // next solves start warm. Skipped on NaiveDeduce pipelines, as in
+  // Create.
   if (options_.solver.use_sls_seeding && !options_.naive_deduce &&
       !solver_->IsUnsatForever()) {
     solver_->SeedFromLocalSearch(inst_->guard_assumptions());

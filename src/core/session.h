@@ -14,7 +14,8 @@
 //   * Φ(Se): the CNF, extended append-only (ExtendCnf);
 //   * one incremental CDCL solver holding Φ's clauses plus everything it
 //     learnt. Every phase queries it under assumptions: validity and
-//     NaiveDeduce assume the active CFD guards, and GetSug runs
+//     NaiveDeduce open a propagation probe on the active CFD guards, and
+//     GetSug runs
 //     assumption-based incremental MaxSAT whose per-round selector and
 //     cardinality variables live in a released ScopedVars scope — nothing
 //     a round introduces constrains the next. A top-level Simplify pass
@@ -126,7 +127,8 @@ class ResolutionSession {
   /// exactly that.
   int rebuilds() const { return rebuilds_; }
   /// Assumption-carrying solves answered by the session solver so far
-  /// (validity under guards, NaiveDeduce checks, MaxSAT search steps).
+  /// (incremental-MaxSAT steps; validity and NaiveDeduce solve only on a
+  /// non-Horn formula).
   int64_t assumption_solves() const {
     return solver_->stats().assumption_solves;
   }

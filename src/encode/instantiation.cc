@@ -237,7 +237,7 @@ Status Instantiation::BuildInto(const Specification& se, Instantiation* out,
   }
   inst.active_guards_.clear();
   inst.guarded_ = options.guard_cfds;
-  inst.varmap.BuildFrom(se);
+  CCR_RETURN_NOT_OK(inst.varmap.BuildFrom(se));
   const VarMap& vm = inst.varmap;
   const Schema& schema = se.schema();
   const EntityInstance& ie = se.instance();

@@ -151,9 +151,10 @@ struct Instantiation {
   VarMap varmap;
   std::vector<GroundConstraint> constraints;
 
-  /// Grounds `se`. Fails only on malformed constraints (e.g. attribute
-  /// indices out of range); an unsatisfiable Se still grounds fine and is
-  /// detected later by IsValid.
+  /// Grounds `se`. Fails on malformed constraints (e.g. attribute
+  /// indices out of range) and, with ResourceExhausted, on domains whose
+  /// order variables exceed the solver's range (VarMap::BuildFrom); an
+  /// unsatisfiable Se still grounds fine and is detected later by IsValid.
   static Result<Instantiation> Build(const Specification& se,
                                      const InstantiationOptions& options = {});
 

@@ -1,18 +1,20 @@
 #include "src/encode/varmap.h"
 
 #include <algorithm>
+#include <limits>
+#include <string>
 
 #include "src/common/status.h"
 
 namespace ccr {
 
-VarMap VarMap::Build(const Specification& se) {
+Result<VarMap> VarMap::Build(const Specification& se) {
   VarMap vm;
-  vm.BuildFrom(se);
+  CCR_RETURN_NOT_OK(vm.BuildFrom(se));
   return vm;
 }
 
-void VarMap::BuildFrom(const Specification& se) {
+Status VarMap::BuildFrom(const Specification& se) {
   VarMap& vm = *this;
   const Schema& schema = se.schema();
   const EntityInstance& inst = se.instance();
@@ -73,6 +75,19 @@ void VarMap::BuildFrom(const Specification& se) {
     if (applicable[i]) vm.applicable_cfds_.push_back(static_cast<int>(i));
   }
 
+  // d² slots per attribute (diagonal unused, but decode stays O(1)),
+  // summed wide: one attribute of 46,341 values already overflows int.
+  int64_t total = 0;
+  for (int a = 0; a < n_attrs; ++a) {
+    const int64_t d = static_cast<int64_t>(vm.domains_[a].size());
+    total += d * d;
+    if (total > std::numeric_limits<sat::Var>::max()) {
+      return Status::ResourceExhausted(
+          "order variables exceed the solver's range: attribute " +
+          schema.name(a) + " brings the total to " + std::to_string(total) +
+          " (sum of squared domain sizes)");
+    }
+  }
   vm.offsets_.resize(n_attrs);
   vm.dense_sizes_.resize(n_attrs);
   int next = 0;
@@ -80,10 +95,11 @@ void VarMap::BuildFrom(const Specification& se) {
     vm.offsets_[a] = next;
     const int d = static_cast<int>(vm.domains_[a].size());
     vm.dense_sizes_[a] = d;
-    next += d * d;  // diagonal slots unused but keep decode O(1)
+    next += d * d;
   }
   vm.num_vars_ = next;
   vm.dense_num_vars_ = next;
+  return Status::OK();
 }
 
 sat::Var VarMap::NewAuxVar() {

@@ -20,6 +20,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/status.h"
 #include "src/constraints/specification.h"
 #include "src/sat/literal.h"
 
@@ -47,14 +48,18 @@ struct OrderAtom {
 /// CNF clauses across rounds instead of re-encoding.
 class VarMap {
  public:
-  /// Builds domains from `se` and selects the applicable CFDs.
-  static VarMap Build(const Specification& se);
+  /// Builds domains from `se` and selects the applicable CFDs. Fails
+  /// like BuildFrom.
+  static Result<VarMap> Build(const Specification& se);
 
   /// In-place equivalent of `*this = Build(se)` that keeps the heap
   /// allocations (domain vectors, value-index hash tables, extension maps)
   /// already grown — the Instantiation arena recycles one VarMap across
   /// back-to-back entities. Observably identical to a fresh Build.
-  void BuildFrom(const Specification& se);
+  /// Fails closed with ResourceExhausted when the order variables, Σ d²
+  /// over the attributes' domains, exceed the range of sat::Var; nothing
+  /// sized by d² has been allocated then.
+  Status BuildFrom(const Specification& se);
 
   int num_attrs() const { return static_cast<int>(domains_.size()); }
 

@@ -67,11 +67,9 @@ MaxSatResult IncrementalMaxSat::Solve(
   if (solver_->options().use_sls_probing) {
     probe = solver_->SeedFromLocalSearch(
         std::span<const Lit>(base.data(), base.size()), soft);
-    if (n > 0 && probe.feasible && probe.soft_unsat == 0 &&
-        probe.softs_exact) {
+    if (n > 0 && probe.feasible && probe.soft_unsat == 0) {
       // The probe's assignment is a genuine model (every live clause
-      // verified, eliminated variables reconstructed — no placeholder
-      // scores) satisfying every soft: optimum 0 is witnessed exactly.
+      // verified) satisfying every soft: optimum 0 is witnessed exactly.
       // An exact witness cannot be improved or contradicted, so the
       // relaxation, counter, and every CDCL call are skipped outright.
       // The verdict is what the exact search would compute; only the
@@ -165,10 +163,9 @@ MaxSatResult IncrementalMaxSat::Solve(
     best_k = u;
     while (best_k > 0 && sat_at(best_k - 1)) --best_k;
   } else {
-    // The probe's bound was not genuinely achievable (possible only when
-    // a soft touches an eliminated variable, whose SLS value is a
-    // placeholder); every k <= u is UNSAT a fortiori, so resume the
-    // climb above u.
+    // The probe's bound was not achievable. A feasible probe is a
+    // genuine model, so this never happens; should it, every k <= u is
+    // UNSAT a fortiori, and the climb resumes above u.
     for (int k = u + 1; k < n; ++k) {
       if (sat_at(k)) {
         best_k = k;

@@ -8,19 +8,10 @@
 
 #include "src/common/rng.h"
 #include "src/common/status.h"
-#include "src/sat/portfolio.h"  // completes PortfolioTeam for team_
 
 namespace ccr::sat {
 
 namespace {
-
-// Glucose-style restart tuning: restart when the short-term glue average
-// exceeds the long-term one by this margin, but never within the first
-// kEmaMinConflicts conflicts of a restart (the EMAs need samples first).
-constexpr double kEmaFastAlpha = 1.0 / 32.0;
-constexpr double kEmaSlowAlpha = 1.0 / 4096.0;
-constexpr double kEmaRestartMargin = 1.25;
-constexpr int64_t kEmaMinConflicts = 32;
 
 // Inprocessing budgets per Simplify() call, so the between-round pass
 // stays a small fraction of the round's solve time even on the first call
@@ -48,13 +39,6 @@ uint64_t FalseBytes(uint64_t w) { return ~(w | (w >> 1)) & kByteLowBits; }
 // reference in the next word. No live header can collide: the smallest
 // stored clause has size 2, so every real header is >= (2 << 3) = 16.
 constexpr uint32_t kMovedHeader = 7;
-
-// Bounded variable elimination limits (SatELite-style): skip a variable
-// whose occurrence side exceeds kBveOccLimit clauses, or whose resolvents
-// would exceed the clauses removed (no-growth rule) or grow past
-// kBveResolventLitCap literals.
-constexpr size_t kBveOccLimit = 16;
-constexpr size_t kBveResolventLitCap = 64;
 
 // Stochastic local search (SeedFromLocalSearch) auto-budget: flips per
 // try scale with the number of unfixed variables in the active
@@ -108,8 +92,6 @@ Var Solver::NewVar() {
   while (occur_.size() < static_cast<size_t>(v) + 1) {
     occur_.emplace_back();
   }
-  eliminable_.push_back(0);
-  eliminated_.push_back(0);
   order_bytes_.emplace_back();
   order_pos_.emplace_back();
   HeapInsert(v);
@@ -129,9 +111,7 @@ void Solver::Reset(SolverOptions options) {
   sls_verified_epoch_ = 0;
   sls_bin_log_overflow_ = false;
   sls_new_bins_.clear();
-  learnts_core_.clear();
-  learnts_mid_.clear();
-  learnts_local_.clear();
+  learnts_.clear();
   // Keep the outer vectors (and each inner list's buffer); NewVar re-adopts
   // the lists as the variable universe regrows.
   for (std::vector<Watcher>& ws : watches_) ws.clear();
@@ -153,7 +133,6 @@ void Solver::Reset(SolverOptions options) {
   heap_.clear();
   heap_pos_.clear();
   seen_.clear();
-  analyze_stack_.clear();
   analyze_toclear_.clear();
   non_horn_lits_.clear();
   blocks_.clear();
@@ -164,16 +143,9 @@ void Solver::Reset(SolverOptions options) {
   // whole table. The next insertion re-allocates at the smallest size.
   materialized_.clear();
   num_materialized_ = 0;
-  lbd_stamp_.clear();
-  lbd_counter_ = 0;
   model_.clear();
   conflict_core_.clear();
-  ema_fast_ = 0;
-  ema_slow_ = 0;
-  ema_seeded_ = false;
-  conflicts_since_restart_ = 0;
   max_learnts_ = 0;
-  reduce_calls_ = 0;
   inproc_watermark_ = 0;
   pending_bins_.clear();
   vivify_primed_ = false;
@@ -181,10 +153,6 @@ void Solver::Reset(SolverOptions options) {
   arena_peak_words_ = 0;
   arena_tmp_.clear();
   for (std::vector<ClauseRef>& o : occur_) o.clear();
-  eliminable_.clear();
-  eliminated_.clear();
-  elim_candidates_.clear();
-  elim_stack_.clear();
   model_fresh_ = false;
   model_pool_.clear();
   model_pool_next_ = 0;
@@ -192,13 +160,6 @@ void Solver::Reset(SolverOptions options) {
   // The scratch buffers keep their capacity; only the salt is observable
   // (it drives the local-search RNG stream).
   sls_salt_ = 0;
-  mirror_log_.clear();
-  team_.reset();
-  stop_flag_ = nullptr;
-  share_ring_ = nullptr;
-  export_buf_ = nullptr;
-  share_worker_ = -1;
-  conflict_cap_ = -1;
 }
 
 Solver::ClauseRef Solver::AllocClause(std::span<const Lit> lits,
@@ -210,7 +171,7 @@ Solver::ClauseRef Solver::AllocClause(std::span<const Lit> lits,
   arena_.push_back((static_cast<uint32_t>(lits.size()) << 3) |
                    (learnt ? 1u : 0u));
   arena_.push_back(0);  // activity bits
-  arena_.push_back(0);  // LBD
+  arena_.push_back(0);  // signature hi (problem clauses)
   for (Lit l : lits) {
     arena_.push_back(static_cast<uint32_t>(l.index()));
   }
@@ -255,28 +216,13 @@ void Solver::AttachBinary(Lit a, Lit b) {
   bins_[(~b).index()].push_back(a);
 }
 
-void Solver::PrepareCallerClause(std::span<const Lit> lits) {
-  for (Lit l : lits) {
-    while (l.var() >= num_vars()) NewVar();
-    // Eliminated variables no longer exist in the formula; a caller that
-    // mentions one after MarkEliminable took effect is a contract breach.
-    CCR_CHECK(!eliminated_[l.var()]);
-  }
-  if (options_.portfolio_threads > 1) {
-    // Mirror the raw caller clause for the helper team (SyncTeam). BVE
-    // resolvents and shared-clause imports go through AddClauseInternal
-    // and are deliberately not logged: helpers derive their own.
-    MirrorOp op;
-    op.lits.assign(lits.begin(), lits.end());
-    mirror_log_.push_back(std::move(op));
-  }
-}
-
 bool Solver::AddClause(std::vector<Lit> lits) {
   if (!ok_) return false;
   CCR_DCHECK(DecisionLevel() == 0);
   InvalidateModelCache();
-  PrepareCallerClause(lits);
+  for (Lit l : lits) {
+    while (l.var() >= num_vars()) NewVar();
+  }
   return AddClauseInternal(lits);
 }
 
@@ -314,7 +260,7 @@ bool Solver::AddClauseInternal(std::span<const Lit> lits) {
     non_horn_lits_.insert(non_horn_lits_.end(), out.begin(), out.end());
     non_horn_lits_.push_back(kLitUndef);
   }
-  if (out.size() == 2 && options_.use_binary_watches) {
+  if (out.size() == 2) {
     // Binaries never touch the arena: they live in the implicit
     // implication lists and propagate with literal-encoded reasons.
     AttachBinary(out[0], out[1]);
@@ -363,9 +309,7 @@ void Solver::AddCnfFrom(const Cnf& cnf, int first_clause) {
   // for every clause with the same end state.
   InvalidateModelCache();
   for (int i = first_clause; i < cnf.num_clauses() && ok_; ++i) {
-    const std::span<const Lit> lits = cnf.clause(i);
-    PrepareCallerClause(lits);
-    AddClauseInternal(lits);
+    AddClauseInternal(cnf.clause(i));
   }
 }
 
@@ -391,30 +335,23 @@ bool Solver::ProblemIsHorn() {
 
 Solver::ClauseRef Solver::Propagate() {
   ClauseRef conflict = kRefUndef;
-  const bool use_bins = options_.use_binary_watches;
   while (qhead_ < trail_.size()) {
-    // Portfolio interrupt: another worker won. Bail mid-trail — qhead_
-    // persists, so whatever is left propagates on the next call. Search
-    // re-checks the flag before trusting a "no conflict" answer.
-    if (StopRequested()) break;
-    if (use_bins) {
-      // Binary-first BFS: drain every pending binary implication before
-      // touching a long clause. Binaries resolve with one contiguous list
-      // scan — no arena access, no watcher juggling.
-      while (bhead_ < trail_.size()) {
-        const Lit bp = trail_[bhead_++];
-        for (const Lit q : bins_[bp.index()]) {
-          const Lbool v = ValueOf(q);
-          if (v == Lbool::kTrue) continue;
-          if (v == Lbool::kFalse) {
-            bin_conflict_[0] = q;
-            bin_conflict_[1] = ~bp;
-            qhead_ = bhead_ = trail_.size();
-            return kRefBinConflict;
-          }
-          ++stats_.binary_propagations;
-          UncheckedEnqueue(q, MakeBinaryRef(~bp));
+    // Binary-first BFS: drain every pending binary implication before
+    // touching a long clause. Binaries resolve with one contiguous list
+    // scan — no arena access, no watcher juggling.
+    while (bhead_ < trail_.size()) {
+      const Lit bp = trail_[bhead_++];
+      for (const Lit q : bins_[bp.index()]) {
+        const Lbool v = ValueOf(q);
+        if (v == Lbool::kTrue) continue;
+        if (v == Lbool::kFalse) {
+          bin_conflict_[0] = q;
+          bin_conflict_[1] = ~bp;
+          qhead_ = bhead_ = trail_.size();
+          return kRefBinConflict;
         }
+        ++stats_.binary_propagations;
+        UncheckedEnqueue(q, MakeBinaryRef(~bp));
       }
     }
     const Lit p = trail_[qhead_++];
@@ -617,13 +554,6 @@ void Solver::SyncOrderBlock(int size, std::span<const Var> vars) {
   OrderBlockState& state = blocks_[b];
   const int old = state.block.size;
   if (size <= old) return;
-  if (options_.portfolio_threads > 1) {
-    MirrorOp op;
-    op.kind = MirrorOp::kOrderBlock;
-    op.block_size = size;
-    op.vars.assign(vars.begin(), vars.end());
-    mirror_log_.push_back(std::move(op));
-  }
   // The grown matrix keeps every registered entry; only the new rows and
   // columns are registered. They must not belong to any block yet, and
   // must still be open: the closure rules never saw an earlier value.
@@ -635,7 +565,7 @@ void Solver::SyncOrderBlock(int size, std::span<const Var> vars) {
         CCR_DCHECK(state.block.at(i, j) == v);
         continue;
       }
-      CCR_CHECK(v >= 0 && order_pos_[v].block < 0 && !eliminable_[v] &&
+      CCR_CHECK(v >= 0 && order_pos_[v].block < 0 &&
                 assigns_[v] == Lbool::kUndef);
     }
   }
@@ -692,38 +622,15 @@ void Solver::ClauseBump(ClauseRef c) {
   const float act = ClauseActivity(c) + static_cast<float>(clause_inc_);
   SetClauseActivity(c, act);
   if (act > 1e20f) {
-    for (ClauseRef l : learnts_core_) {
-      SetClauseActivity(l, ClauseActivity(l) * 1e-20f);
-    }
-    for (ClauseRef l : learnts_mid_) {
-      SetClauseActivity(l, ClauseActivity(l) * 1e-20f);
-    }
-    for (ClauseRef l : learnts_local_) {
+    for (ClauseRef l : learnts_) {
       SetClauseActivity(l, ClauseActivity(l) * 1e-20f);
     }
     clause_inc_ *= 1e-20;
   }
 }
 
-int Solver::ComputeLbd(std::span<const Lit> lits) {
-  if (lbd_stamp_.size() < trail_lim_.size() + 1) {
-    lbd_stamp_.resize(trail_lim_.size() + 1, 0);
-  }
-  ++lbd_counter_;
-  int lbd = 0;
-  for (Lit l : lits) {
-    const int lev = level_[l.var()];
-    if (lev == 0) continue;
-    if (lbd_stamp_[lev] != lbd_counter_) {
-      lbd_stamp_[lev] = lbd_counter_;
-      ++lbd;
-    }
-  }
-  return lbd;
-}
-
 void Solver::Analyze(ClauseRef conflict, std::vector<Lit>* out_learnt,
-                     int* out_btlevel, int* out_lbd) {
+                     int* out_btlevel) {
   int path_count = 0;
   Lit p = kLitUndef;
   out_learnt->clear();
@@ -749,19 +656,7 @@ void Solver::Analyze(ClauseRef conflict, std::vector<Lit>* out_learnt,
       lits = bin_buf;
       size = 2;
     } else {
-      if (ClauseLearnt(c)) {
-        ClauseBump(c);
-        if (options_.use_lbd_tiers) {
-          // Glucose-style dynamic glue: a learnt clause participating in
-          // analysis refreshes its LBD; improvements promote it at the
-          // next ReduceDb.
-          const int now = ComputeLbd(
-              std::span<const Lit>(ClauseLits(c), ClauseSize(c)));
-          if (now > 0 && static_cast<uint32_t>(now) < ClauseLbd(c)) {
-            SetClauseLbd(c, static_cast<uint32_t>(now));
-          }
-        }
-      }
+      if (ClauseLearnt(c)) ClauseBump(c);
       lits = ClauseLits(c);
       size = ClauseSize(c);
     }
@@ -788,56 +683,38 @@ void Solver::Analyze(ClauseRef conflict, std::vector<Lit>* out_learnt,
   } while (path_count > 0);
   (*out_learnt)[0] = ~p;
 
-  // Conflict-clause minimization: drop literals implied by the rest.
-  // Snapshot the pre-minimization literals first: the loops below compact
-  // the clause in place, so dropped literals are overwritten and only this
-  // snapshot can clear their seen_ marks afterwards. A stale seen_ bit
-  // would make every later Analyze skip that variable entirely —
-  // producing learnt clauses that are not implied by the formula.
+  // Conflict-clause minimization, one step: a literal is redundant if
+  // its reason's other literals are all already in the learnt clause (or
+  // level 0). Snapshot the pre-minimization literals first: the loop
+  // compacts the clause in place, so dropped literals are overwritten and
+  // only this snapshot can clear their seen_ marks afterwards. A stale
+  // seen_ bit would make every later Analyze skip that variable entirely
+  // — producing learnt clauses that are not implied by the formula.
   std::vector<Lit>& learnt = *out_learnt;
   analyze_toclear_.assign(learnt.begin(), learnt.end());
   size_t keep = 1;
-  if (options_.use_deep_ccmin) {
-    // Recursive (deep) minimization: a literal is redundant if every
-    // antecedent chain from it bottoms out in other learnt literals (or
-    // level 0). The abstract-level filter prunes chains that could only
-    // fail.
-    uint32_t abstract_levels = 0;
-    for (size_t k = 1; k < learnt.size(); ++k) {
-      abstract_levels |= 1u << (level_[learnt[k].var()] & 31);
-    }
-    for (size_t k = 1; k < learnt.size(); ++k) {
-      if (reason_[learnt[k].var()] == kRefUndef ||
-          !LitRedundant(learnt[k], abstract_levels)) {
-        learnt[keep++] = learnt[k];
-      }
-    }
-  } else {
-    // One-step check: redundant if the reason's other literals are all
-    // already in the learnt clause (or level 0).
-    for (size_t k = 1; k < learnt.size(); ++k) {
-      const Var v = learnt[k].var();
-      const ClauseRef r = reason_[v];
-      bool redundant = false;
-      if (r != kRefUndef) {
-        if (RefIsBinary(r)) {
-          const Lit other = RefLit(r);
-          redundant = seen_[other.var()] || level_[other.var()] == 0;
-        } else {
-          redundant = true;
-          const Lit* rl = ClauseLits(r);
-          const int rs = ClauseSize(r);
-          for (int m = 1; m < rs; ++m) {
-            const Var w = rl[m].var();
-            if (!seen_[w] && level_[w] > 0) {
-              redundant = false;
-              break;
-            }
+  for (size_t k = 1; k < learnt.size(); ++k) {
+    const Var v = learnt[k].var();
+    const ClauseRef r = reason_[v];
+    bool redundant = false;
+    if (r != kRefUndef) {
+      if (RefIsBinary(r)) {
+        const Lit other = RefLit(r);
+        redundant = seen_[other.var()] || level_[other.var()] == 0;
+      } else {
+        redundant = true;
+        const Lit* rl = ClauseLits(r);
+        const int rs = ClauseSize(r);
+        for (int m = 1; m < rs; ++m) {
+          const Var w = rl[m].var();
+          if (!seen_[w] && level_[w] > 0) {
+            redundant = false;
+            break;
           }
         }
       }
-      if (!redundant) learnt[keep++] = learnt[k];
     }
+    if (!redundant) learnt[keep++] = learnt[k];
   }
   stats_.learnt_literals += static_cast<int64_t>(keep);
   learnt.resize(keep);
@@ -853,55 +730,9 @@ void Solver::Analyze(ClauseRef conflict, std::vector<Lit>* out_learnt,
     std::swap(learnt[1], learnt[max_i]);
     *out_btlevel = level_[learnt[1].var()];
   }
-  *out_lbd = ComputeLbd(std::span<const Lit>(learnt.data(), learnt.size()));
-  // The snapshot covers every kept literal, every dropped one, and every
-  // mark LitRedundant added.
+  // The snapshot covers every kept literal and every dropped one.
   for (Lit l : analyze_toclear_) seen_[l.var()] = 0;
   analyze_toclear_.clear();
-}
-
-bool Solver::LitRedundant(Lit p, uint32_t abstract_levels) {
-  analyze_stack_.clear();
-  analyze_stack_.push_back(p);
-  const size_t top = analyze_toclear_.size();
-  while (!analyze_stack_.empty()) {
-    const Lit q = analyze_stack_.back();
-    analyze_stack_.pop_back();
-    const ClauseRef r = reason_[q.var()];
-    CCR_DCHECK(r != kRefUndef);
-    // Antecedents of q: the reason clause minus q's own (asserting)
-    // literal — for a binary reason that is exactly the encoded literal.
-    Lit bin_other = kLitUndef;
-    const Lit* lits;
-    int size;
-    if (RefIsBinary(r)) {
-      bin_other = RefLit(r);
-      lits = &bin_other;
-      size = 1;
-    } else {
-      lits = ClauseLits(r) + 1;
-      size = ClauseSize(r) - 1;
-    }
-    for (int k = 0; k < size; ++k) {
-      const Lit l = lits[k];
-      const Var v = l.var();
-      if (seen_[v] || level_[v] == 0) continue;
-      if (reason_[v] != kRefUndef &&
-          ((1u << (level_[v] & 31)) & abstract_levels) != 0) {
-        seen_[v] = 1;
-        analyze_stack_.push_back(l);
-        analyze_toclear_.push_back(l);
-      } else {
-        // Not removable: undo the marks this call added.
-        for (size_t j = top; j < analyze_toclear_.size(); ++j) {
-          seen_[analyze_toclear_[j].var()] = 0;
-        }
-        analyze_toclear_.resize(top);
-        return false;
-      }
-    }
-  }
-  return true;
 }
 
 void Solver::AnalyzeFinal(Lit p, std::vector<Lit>* out_core) {
@@ -1009,12 +840,12 @@ Lit Solver::PickBranchLit() {
   if (options_.use_vsids) {
     while (!HeapEmpty()) {
       next = HeapPop();
-      if (assigns_[next] == Lbool::kUndef && !eliminated_[next]) break;
+      if (assigns_[next] == Lbool::kUndef) break;
       next = kVarUndef;
     }
   } else {
     for (Var v = 0; v < num_vars(); ++v) {
-      if (assigns_[v] == Lbool::kUndef && !eliminated_[v]) {
+      if (assigns_[v] == Lbool::kUndef) {
         next = v;
         break;
       }
@@ -1025,141 +856,50 @@ Lit Solver::PickBranchLit() {
   return Lit(next, polarity_[next]);
 }
 
-void Solver::RecordLearnt(const std::vector<Lit>& learnt, int lbd) {
-  stats_.lbd_sum += lbd;
-  if (export_buf_ != nullptr) MaybeExportLearnt(learnt, lbd);
+void Solver::RecordLearnt(const std::vector<Lit>& learnt) {
   if (learnt.size() == 1) {
     UncheckedEnqueue(learnt[0], kRefUndef);
     return;
   }
-  if (learnt.size() == 2 && options_.use_binary_watches) {
+  if (learnt.size() == 2) {
     AttachBinary(learnt[0], learnt[1]);
     // Recorded only for the LearntClauses() debug accessor; capped so a
     // conflict-heavy production solve cannot grow it without bound.
     if (learnt_binaries_.size() < 4096) {
       learnt_binaries_.emplace_back(learnt[0], learnt[1]);
     }
-    ++stats_.learnt_core;  // binaries are kept forever by construction
     UncheckedEnqueue(learnt[0], MakeBinaryRef(learnt[1]));
     return;
   }
   const ClauseRef c = AllocClause(learnt, /*learnt=*/true);
-  SetClauseLbd(c, static_cast<uint32_t>(std::max(lbd, 1)));
-  if (options_.use_lbd_tiers) {
-    if (lbd <= 2) {
-      learnts_core_.push_back(c);
-      ++stats_.learnt_core;
-    } else if (lbd <= 6) {
-      learnts_mid_.push_back(c);
-      ++stats_.learnt_mid;
-    } else {
-      learnts_local_.push_back(c);
-      ++stats_.learnt_local;
-    }
-  } else {
-    learnts_local_.push_back(c);
-    ++stats_.learnt_local;
-  }
+  learnts_.push_back(c);
   AttachClause(c);
   ClauseBump(c);
   UncheckedEnqueue(learnt[0], c);
 }
 
 void Solver::ReduceDb() {
-  // Legacy single-tier reduction: keep the most active half of learnt
-  // clauses; never drop reasons.
-  std::vector<ClauseRef>& learnts = learnts_local_;
-  std::sort(learnts.begin(), learnts.end(),
+  // MiniSat's reduction: keep the most active half of the learnt clauses;
+  // never drop reasons.
+  std::sort(learnts_.begin(), learnts_.end(),
             [this](ClauseRef a, ClauseRef b) {
               return ClauseActivity(a) > ClauseActivity(b);
             });
-  size_t keep = learnts.size() / 2;
-  std::vector<ClauseRef> kept;
-  kept.reserve(keep + 16);
-  for (size_t i = 0; i < learnts.size(); ++i) {
-    const ClauseRef c = learnts[i];
+  const size_t keep = learnts_.size() / 2;
+  size_t j = 0;
+  for (size_t i = 0; i < learnts_.size(); ++i) {
+    const ClauseRef c = learnts_[i];
     const Lit first = ClauseLits(c)[0];
     const bool is_reason = assigns_[first.var()] != Lbool::kUndef &&
                            reason_[first.var()] == c;
-    if (i < keep || ClauseSize(c) == 2 || is_reason) {
-      kept.push_back(c);
+    if (i < keep || is_reason) {
+      learnts_[j++] = c;
     } else {
       DetachClause(c);
       MarkClauseDead(c);
     }
   }
-  learnts.swap(kept);
-}
-
-void Solver::ReduceDbTiered() {
-  ++reduce_calls_;
-  auto is_reason = [this](ClauseRef c) {
-    const Lit first = ClauseLits(c)[0];
-    return assigns_[first.var()] != Lbool::kUndef &&
-           reason_[first.var()] == c;
-  };
-  // Promote by improved glue (LBDs refreshed during conflict analysis):
-  // glue <= 2 graduates to core from either tier, glue <= 6 lifts local
-  // clauses into mid.
-  auto promote = [&](std::vector<ClauseRef>* list, bool from_local) {
-    size_t j = 0;
-    for (ClauseRef c : *list) {
-      const uint32_t lbd = ClauseLbd(c);
-      if (lbd <= 2) {
-        learnts_core_.push_back(c);
-      } else if (from_local && lbd <= 6) {
-        learnts_mid_.push_back(c);
-      } else {
-        (*list)[j++] = c;
-      }
-    }
-    list->resize(j);
-  };
-  promote(&learnts_mid_, /*from_local=*/false);
-  promote(&learnts_local_, /*from_local=*/true);
-
-  // Local tier: activity-sorted, keep the better half (plus reasons).
-  std::sort(learnts_local_.begin(), learnts_local_.end(),
-            [this](ClauseRef a, ClauseRef b) {
-              return ClauseActivity(a) > ClauseActivity(b);
-            });
-  const size_t local_keep = learnts_local_.size() / 2;
-  std::vector<ClauseRef> kept;
-  kept.reserve(local_keep + 16);
-  for (size_t i = 0; i < learnts_local_.size(); ++i) {
-    const ClauseRef c = learnts_local_[i];
-    if (i < local_keep || is_reason(c)) {
-      kept.push_back(c);
-    } else {
-      DetachClause(c);
-      MarkClauseDead(c);
-    }
-  }
-  learnts_local_.swap(kept);
-
-  // Mid tier: reduced rarely, by glue then activity.
-  if (reduce_calls_ % 3 == 0 && learnts_mid_.size() > 16) {
-    std::sort(learnts_mid_.begin(), learnts_mid_.end(),
-              [this](ClauseRef a, ClauseRef b) {
-                if (ClauseLbd(a) != ClauseLbd(b)) {
-                  return ClauseLbd(a) < ClauseLbd(b);
-                }
-                return ClauseActivity(a) > ClauseActivity(b);
-              });
-    const size_t mid_keep = learnts_mid_.size() / 2;
-    kept.clear();
-    kept.reserve(mid_keep + 16);
-    for (size_t i = 0; i < learnts_mid_.size(); ++i) {
-      const ClauseRef c = learnts_mid_[i];
-      if (i < mid_keep || is_reason(c)) {
-        kept.push_back(c);
-      } else {
-        DetachClause(c);
-        MarkClauseDead(c);
-      }
-    }
-    learnts_mid_.swap(kept);
-  }
+  learnts_.resize(j);
 }
 
 void Solver::SweepSatisfied(std::vector<ClauseRef>* list) {
@@ -1218,11 +958,7 @@ void Solver::CompactProblemClauses() {
   CCR_DCHECK(inproc_watermark_ <= clauses_.size());
 }
 
-void Solver::RemoveSatisfiedTopLevel() {
-  SweepSatisfied(&learnts_core_);
-  SweepSatisfied(&learnts_mid_);
-  SweepSatisfied(&learnts_local_);
-}
+void Solver::RemoveSatisfiedTopLevel() { SweepSatisfied(&learnts_); }
 
 void Solver::SweepBinaries() {
   // An entry (p -> q) is dead once either variable is fixed at level 0:
@@ -1256,12 +992,11 @@ bool Solver::Simplify() {
   }
   RemoveSatisfiedTopLevel();
   SweepSatisfiedProblem();
-  if (options_.use_binary_watches) SweepBinaries();
+  SweepBinaries();
   if (options_.use_inprocessing) {
     SubsumptionPass();
     if (ok_) VivificationPass();
   }
-  if (options_.use_bve && ok_) EliminatePass();
   MaybeGarbageCollect();
   return ok_;
 }
@@ -1277,13 +1012,6 @@ bool Solver::FreezeScope(Lit activation, std::span<const Var> vars) {
   if (!ok_) return false;
   CCR_DCHECK(DecisionLevel() == 0);
   InvalidateModelCache();
-  if (options_.portfolio_threads > 1) {
-    MirrorOp op;
-    op.kind = MirrorOp::kFreeze;
-    op.act = activation;
-    op.vars.assign(vars.begin(), vars.end());
-    mirror_log_.push_back(std::move(op));
-  }
   // One batched multi-literal pass: enqueue ¬activation and every ¬v,
   // then run a single propagation fixpoint — instead of one unit clause
   // (each with its own propagation round) per variable.
@@ -1304,7 +1032,6 @@ bool Solver::FreezeScope(Lit activation, std::span<const Var> vars) {
       return false;
     }
     if (val == Lbool::kUndef) UncheckedEnqueue(Lit::Neg(v), kRefUndef);
-    CCR_DCHECK(!eliminated_[v]);
     frozen_[v] = 1;
   }
   ok_ = (Propagate() == kRefUndef);
@@ -1319,12 +1046,10 @@ bool Solver::BeginProbe(std::span<const Lit> base) {
     ok_ = false;
     return false;
   }
-  // One decision level holds the whole base, so every failed-literal
-  // probe backtracks to here instead of re-propagating the guards.
+  // One decision level holds the whole base; EndProbe pops it.
   trail_lim_.push_back(static_cast<int>(trail_.size()));
   for (const Lit a : base) {
     CCR_CHECK(a.var() < num_vars());
-    CCR_CHECK(!eliminated_[a.var()]);
     const Lbool v = ValueOf(a);
     if (v == Lbool::kFalse) {
       CancelUntil(0);
@@ -1340,48 +1065,18 @@ bool Solver::BeginProbe(std::span<const Lit> base) {
   return true;
 }
 
-bool Solver::ProbeLitFails(Lit p) {
-  CCR_DCHECK(probe_base_level_ >= 0);
-  CCR_DCHECK(DecisionLevel() == probe_base_level_);
-  const Lbool v = ValueOf(p);
-  if (v == Lbool::kTrue) return false;
-  if (v == Lbool::kFalse) return true;
-  trail_lim_.push_back(static_cast<int>(trail_.size()));
-  UncheckedEnqueue(p, kRefUndef);
-  const bool failed = Propagate() != kRefUndef;
-  CancelUntil(probe_base_level_);
-  return failed;
-}
-
 void Solver::EndProbe() {
   CCR_DCHECK(probe_base_level_ >= 0);
   CancelUntil(0);
   probe_base_level_ = -1;
 }
 
-std::vector<const std::vector<Lbool>*> Solver::CachedWitnesses(
-    std::span<const Lit> assumptions) const {
-  std::vector<const std::vector<Lbool>*> out;
-  if (!options_.use_model_cache) return out;
-  if (model_fresh_ && !model_.empty() &&
-      ModelWitnesses(model_, assumptions)) {
-    out.push_back(&model_);
-  }
-  for (const std::vector<Lbool>& m : model_pool_) {
-    if (ModelWitnesses(m, assumptions)) out.push_back(&m);
-  }
-  return out;
-}
-
 std::vector<std::vector<Lit>> Solver::LearntClauses() const {
   std::vector<std::vector<Lit>> out;
-  for (const std::vector<ClauseRef>* list :
-       {&learnts_core_, &learnts_mid_, &learnts_local_}) {
-    for (ClauseRef c : *list) {
-      if (ClauseDead(c)) continue;
-      const Lit* lits = ClauseLits(c);
-      out.emplace_back(lits, lits + ClauseSize(c));
-    }
+  for (ClauseRef c : learnts_) {
+    if (ClauseDead(c)) continue;
+    const Lit* lits = ClauseLits(c);
+    out.emplace_back(lits, lits + ClauseSize(c));
   }
   for (const auto& [a, b] : learnt_binaries_) {
     out.push_back({a, b});
@@ -1416,53 +1111,24 @@ SolveResult Solver::Search(int64_t conflict_budget,
     if (conflict != kRefUndef) {
       ++stats_.conflicts;
       ++conflicts_here;
-      ++conflicts_since_restart_;
       if (DecisionLevel() == 0) {
         ok_ = false;
         return SolveResult::kUnsat;
       }
       int bt_level = 0;
-      int lbd = 0;
-      Analyze(conflict, &learnt, &bt_level, &lbd);
-      if (!ema_seeded_) {
-        // Seed both averages with the first sample: from 0, the slow EMA
-        // would stay near 0 for thousands of conflicts and the restart
-        // test would degenerate to a fixed 32-conflict cadence.
-        ema_seeded_ = true;
-        ema_fast_ = ema_slow_ = static_cast<double>(lbd);
-      } else {
-        ema_fast_ += (static_cast<double>(lbd) - ema_fast_) * kEmaFastAlpha;
-        ema_slow_ += (static_cast<double>(lbd) - ema_slow_) * kEmaSlowAlpha;
-      }
+      Analyze(conflict, &learnt, &bt_level);
       // Backjumping may pop assumption pseudo-decisions; the
       // honor-assumptions step below re-establishes them, and an
       // assumption forced false there yields kUnsat with a core.
       CancelUntil(bt_level);
-      RecordLearnt(learnt, lbd);
+      RecordLearnt(learnt);
       VarDecay();
       ClauseDecay();
       continue;
     }
 
-    // No conflict. A stop request must be honored HERE, before the
-    // all-assigned => kSat check below: an interrupted Propagate may have
-    // left the trail only partially propagated, and a verdict computed
-    // from it would be unsound. Conflicts found while stopping are still
-    // real (handled above); only the quiescent paths are cut short.
-    if (StopRequested()) {
-      CancelUntil(0);
-      return SolveResult::kUnknown;
-    }
-    bool restart = false;
-    if (options_.use_restarts) {
-      if (options_.use_ema_restarts) {
-        restart = conflicts_since_restart_ >= kEmaMinConflicts &&
-                  ema_fast_ > kEmaRestartMargin * ema_slow_;
-      } else {
-        restart = conflict_budget >= 0 && conflicts_here >= conflict_budget;
-      }
-    }
-    if (restart) {
+    // No conflict.
+    if (conflict_budget >= 0 && conflicts_here >= conflict_budget) {
       CancelUntil(0);
       return SolveResult::kUnknown;  // restart
     }
@@ -1471,20 +1137,10 @@ SolveResult Solver::Search(int64_t conflict_budget,
       CancelUntil(0);
       return SolveResult::kUnknown;
     }
-    // Portfolio defer gate: the master's solo phase ends here and
-    // SolveInternal escalates to a race.
-    if (conflict_cap_ >= 0 && stats_.conflicts >= conflict_cap_) {
-      CancelUntil(0);
-      return SolveResult::kUnknown;
-    }
     if (DecisionLevel() == 0) RemoveSatisfiedTopLevel();
     if (options_.use_clause_deletion &&
-        static_cast<double>(NumReducibleLearnts()) >= max_learnts_) {
-      if (options_.use_lbd_tiers) {
-        ReduceDbTiered();
-      } else {
-        ReduceDb();
-      }
+        static_cast<double>(learnts_.size()) >= max_learnts_) {
+      ReduceDb();
       max_learnts_ *= 1.1;
       MaybeGarbageCollect();
     }
@@ -1510,7 +1166,6 @@ SolveResult Solver::Search(int64_t conflict_budget,
         // All variables assigned: model found.
         CacheCurrentModel();
         model_.assign(assigns_.begin(), assigns_.end());
-        if (!elim_stack_.empty()) ExtendModel(&model_);
         return SolveResult::kSat;
       }
       ++stats_.decisions;
@@ -1540,7 +1195,6 @@ void Solver::CacheCurrentModel() {
     sls_new_bins_.clear();
     sls_bin_log_overflow_ = false;
   }
-  if (!options_.use_model_cache) return;
   if (model_fresh_ && !model_.empty()) {
     // Rotate the previous newest model into the ring.
     if (model_pool_.size() < kModelPoolSize) {
@@ -1563,26 +1217,21 @@ LocalSearchResult Solver::SeedFromLocalSearch(
   const int nv = num_vars();
   SlsScratch& s = sls_;
 
-  // Fix the variables the search must not touch: the level-0 trail, the
-  // assumption literals, and BVE-eliminated variables (whose exact values
-  // only exist through model reconstruction). Everything else starts at
-  // its saved phase, so a solver that just produced a model searches from
-  // (near) that model.
+  // Fix the variables the search must not touch: the level-0 trail and
+  // the assumption literals. Everything else starts at its saved phase,
+  // so a solver that just produced a model searches from (near) that
+  // model.
   s.fixed.assign(static_cast<size_t>(nv), 0);
   s.val.resize(static_cast<size_t>(nv));
   for (Var v = 0; v < nv; ++v) {
     if (assigns_[v] != Lbool::kUndef) {
       s.fixed[v] = 1;
       s.val[v] = assigns_[v] == Lbool::kTrue ? 1 : 0;
-    } else if (eliminated_[v]) {
-      s.fixed[v] = 1;
-      s.val[v] = 0;
     } else {
       s.val[v] = polarity_[v] ? 0 : 1;
     }
   }
   for (Lit a : assumptions) {
-    if (eliminated_[a.var()]) return out;  // caller contract violation
     const uint8_t want = a.negated() ? 0 : 1;
     if (s.fixed[a.var()] && s.val[a.var()] != want) return out;
     s.fixed[a.var()] = 1;
@@ -1609,7 +1258,7 @@ LocalSearchResult Solver::SeedFromLocalSearch(
   // units by the cache invariant (anything that could break that
   // invalidates the cache), so only the assumptions and softs need
   // evaluating — O(pool × |assumptions| + |softs|).
-  if (options_.use_model_cache) {
+  {
     const auto try_model = [&](const std::vector<Lbool>& m) {
       // A shorter model predates variables added since; those could
       // appear in the softs, so pass on it.
@@ -1639,12 +1288,7 @@ LocalSearchResult Solver::SeedFromLocalSearch(
       out.ran = true;
       out.feasible = true;
       out.hard_unsat = 0;
-      // A soft counted unsat only through an undetermined (don't-care
-      // eliminated) variable keeps soft_unsat an upper bound, never an
-      // underestimate, so exactness still holds: every definite
-      // evaluation is against genuine values.
       out.soft_unsat = soft_unsat;
-      out.softs_exact = true;
       out.model.resize(static_cast<size_t>(nv));
       for (Var v = 0; v < nv; ++v) out.model[v] = m[v] == Lbool::kTrue ? 1 : 0;
       // Phases and the witness ring stay as they are: the CDCL descent
@@ -1712,17 +1356,15 @@ LocalSearchResult Solver::SeedFromLocalSearch(
       }
     };
     // Publishes the current s.val as a feasible result: scores the
-    // softs, reconstructs eliminated variables, and pushes the model
-    // into the witness ring exactly as the search below would. Only
-    // legal right after a scan proved every live clause satisfied.
+    // softs and pushes the model into the witness ring exactly as the
+    // search below would. Only legal right after a scan proved every live
+    // clause satisfied.
     const auto publish = [&] {
       int soft_unsat = 0;
-      bool selim = false;
       for (const std::vector<Lit>& soft : softs) {
         bool sat = false;
         for (Lit l : soft) {
           CCR_DCHECK(l.var() >= 0 && l.var() < nv);
-          selim = selim || eliminated_[l.var()];
           sat = sat || val_true(l);
         }
         if (!sat) ++soft_unsat;
@@ -1734,24 +1376,10 @@ LocalSearchResult Solver::SeedFromLocalSearch(
       out.model.assign(s.val.begin(), s.val.end());
       std::vector<Lbool> m(static_cast<size_t>(nv));
       for (Var v = 0; v < nv; ++v) {
-        m[v] = eliminated_[v] ? Lbool::kUndef
-                              : (s.val[v] ? Lbool::kTrue : Lbool::kFalse);
+        m[v] = s.val[v] ? Lbool::kTrue : Lbool::kFalse;
       }
-      if (!elim_stack_.empty()) ExtendModel(&m);
       CCR_DCHECK(DebugModelSatisfiesLive(m));
-      for (Var v = 0; v < nv; ++v) {
-        if (eliminated_[v]) out.model[v] = m[v] == Lbool::kTrue ? 1 : 0;
-      }
-      out.softs_exact = !selim;
-      if (options_.use_model_cache) {
-        if (model_pool_.size() < kModelPoolSize) {
-          model_pool_.push_back(std::move(m));
-        } else {
-          model_pool_[model_pool_next_] = std::move(m);
-          model_pool_next_ = (model_pool_next_ + 1) % kModelPoolSize;
-        }
-        ++stats_.sls_seeded_models;
-      }
+      PushPoolModel(std::move(m));
       // Record the assignment as verified against the current formula so
       // the next call can diff instead of rescanning.
       sls_verified_val_.assign(s.val.begin(), s.val.end());
@@ -2093,14 +1721,9 @@ LocalSearchResult Solver::SeedFromLocalSearch(
     }
   }
   int soft_base = 0;  // softs permanently unsatisfied under the fixing
-  bool soft_touches_elim = false;
   for (const std::vector<Lit>& soft : softs) {
-    for (Lit l : soft) {
+    for ([[maybe_unused]] Lit l : soft) {
       CCR_DCHECK(l.var() >= 0 && l.var() < nv);
-      // A soft touching an eliminated variable is scored against that
-      // variable's placeholder value; the bound consumer verifies with
-      // exact solves either way.
-      soft_touches_elim = soft_touches_elim || eliminated_[l.var()];
     }
     if (add_clause({soft.data(), soft.size()}) == 1) ++soft_base;
   }
@@ -2271,36 +1894,20 @@ LocalSearchResult Solver::SeedFromLocalSearch(
   if (out.feasible) {
     // Install the model as saved phases: the next CDCL descent starts
     // at it. Only the searched variables move — fixed variables' phases
-    // are irrelevant (assigned) or owned by reconstruction. A failed
-    // search installs nothing: overwriting saved phases with a
-    // best-effort non-model measurably slows the solves that follow.
+    // are irrelevant (assigned). A failed search installs nothing:
+    // overwriting saved phases with a best-effort non-model measurably
+    // slows the solves that follow.
     for (Var v : s.free_vars) polarity_[v] = s.best[v] == 0;
     // Every live problem clause is satisfied; together with the level-0
-    // trail (dead clauses are subsumed, swept-satisfied, or reconstructed
-    // by the BVE stack) this extends to a genuine model, so it may enter
-    // the witness ring the same way a search model does.
+    // trail (dead clauses are subsumed or swept-satisfied) this is a
+    // genuine model, so it may enter the witness ring the same way a
+    // search model does.
     std::vector<Lbool> m(static_cast<size_t>(nv));
     for (Var v = 0; v < nv; ++v) {
-      m[v] = eliminated_[v] ? Lbool::kUndef
-                            : (s.best[v] ? Lbool::kTrue : Lbool::kFalse);
+      m[v] = s.best[v] ? Lbool::kTrue : Lbool::kFalse;
     }
-    if (!elim_stack_.empty()) ExtendModel(&m);
     CCR_DCHECK(DebugModelSatisfiesLive(m));
-    // Reflect the reconstructed values so out.model is a genuine model,
-    // and mark the soft score exact when no placeholder was involved.
-    for (Var v = 0; v < nv; ++v) {
-      if (eliminated_[v]) out.model[v] = m[v] == Lbool::kTrue ? 1 : 0;
-    }
-    out.softs_exact = !soft_touches_elim;
-    if (options_.use_model_cache) {
-      if (model_pool_.size() < kModelPoolSize) {
-        model_pool_.push_back(std::move(m));
-      } else {
-        model_pool_[model_pool_next_] = std::move(m);
-        model_pool_next_ = (model_pool_next_ + 1) % kModelPoolSize;
-      }
-      ++stats_.sls_seeded_models;
-    }
+    PushPoolModel(std::move(m));
     sls_verified_val_.assign(s.best.begin(), s.best.end());
     sls_verified_clauses_ = clauses_.size();
     sls_verified_epoch_ = sls_epoch_;
@@ -2308,6 +1915,16 @@ LocalSearchResult Solver::SeedFromLocalSearch(
     sls_bin_log_overflow_ = false;
   }
   return out;
+}
+
+void Solver::PushPoolModel(std::vector<Lbool> m) {
+  if (model_pool_.size() < kModelPoolSize) {
+    model_pool_.push_back(std::move(m));
+  } else {
+    model_pool_[model_pool_next_] = std::move(m);
+    model_pool_next_ = (model_pool_next_ + 1) % kModelPoolSize;
+  }
+  ++stats_.sls_seeded_models;
 }
 
 bool Solver::DebugModelSatisfiesLive(const std::vector<Lbool>& m) const {
@@ -2347,7 +1964,7 @@ SolveResult Solver::SolveInternal(std::span<const Lit> assumptions) {
   if (!assumptions.empty()) ++stats_.assumption_solves;
   // Witness reuse: a recent model satisfying every assumption already
   // decides the call — kSat, with that model, zero search.
-  if (options_.use_model_cache && ok_) {
+  if (ok_) {
     bool hit = false;
     if (model_fresh_ && ModelWitnesses(model_, assumptions)) {
       hit = true;  // model_ stays the answer
@@ -2378,22 +1995,7 @@ SolveResult Solver::SolveInternal(std::span<const Lit> assumptions) {
       return SolveResult::kSat;
     }
   }
-  SolveResult r;
-  if (options_.portfolio_threads > 1 && ok_) {
-    // Defer gate: search alone first — most pipeline solves finish
-    // within a few hundred conflicts and a thread spawn would be pure
-    // overhead. Only a solve still undecided at the cap races.
-    conflict_cap_ = stats_.conflicts + options_.portfolio_defer_conflicts;
-    r = SolveLoop(assumptions);
-    conflict_cap_ = -1;
-    const bool out_of_budget = options_.max_conflicts >= 0 &&
-                               stats_.conflicts >= options_.max_conflicts;
-    if (r == SolveResult::kUnknown && !out_of_budget) {
-      r = PortfolioRace(assumptions);
-    }
-  } else {
-    r = SolveLoop(assumptions);
-  }
+  const SolveResult r = SolveLoop(assumptions);
   last_call_ = stats_ - before;
   return r;
 }
@@ -2403,47 +2005,28 @@ SolveResult Solver::SolveLoop(std::span<const Lit> assumptions) {
   if (!ok_) return SolveResult::kUnsat;
   for (Lit a : assumptions) {
     CCR_CHECK(a.var() < num_vars());
-    CCR_CHECK(!eliminated_[a.var()]);
   }
   CancelUntil(0);
   max_learnts_ =
       std::max(1000.0, static_cast<double>(clauses_.size()) / 3.0);
-  ema_fast_ = 0;
-  ema_slow_ = 0;
-  ema_seeded_ = false;
-  conflicts_since_restart_ = 0;
 
   int64_t restart_round = 0;
   while (true) {
     const int64_t budget =
-        (options_.use_restarts && !options_.use_ema_restarts)
-            ? 100 * Luby(restart_round)
-            : -1;
+        options_.use_restarts ? 100 * Luby(restart_round) : -1;
     const SolveResult r = Search(budget, assumptions);
     if (r != SolveResult::kUnknown) {
       CancelUntil(0);
       return r;
     }
-    // Search returned kUnknown at level 0: a restart boundary, an
-    // exhausted budget, the portfolio defer gate, or a stop request.
-    if (StopRequested()) return SolveResult::kUnknown;
+    // Search returned kUnknown at level 0: a restart boundary or an
+    // exhausted budget.
     if (options_.max_conflicts >= 0 &&
         stats_.conflicts >= options_.max_conflicts) {
-      CancelUntil(0);
       return SolveResult::kUnknown;
-    }
-    if (conflict_cap_ >= 0 && stats_.conflicts >= conflict_cap_) {
-      return SolveResult::kUnknown;
-    }
-    // Racing: integrate the other workers' exports at this restart
-    // boundary, at decision level 0. An implied empty clause here is a
-    // sound UNSAT verdict.
-    if (share_ring_ != nullptr && !ImportSharedClauses()) {
-      return SolveResult::kUnsat;
     }
     ++restart_round;
     ++stats_.restarts;
-    conflicts_since_restart_ = 0;
   }
 }
 
@@ -2477,7 +2060,7 @@ void Solver::ShrinkClause(ClauseRef c, std::span<const Lit> lits) {
   // The abandoned tail words are dead arena weight from here on.
   arena_dead_words_ += static_cast<size_t>(old_size) - lits.size();
   SetClauseVivified(c, false);  // a changed clause is worth revisiting
-  if (lits.size() == 2 && options_.use_binary_watches) {
+  if (lits.size() == 2) {
     MarkClauseDead(c);  // migrated out of the arena into the bin lists
     AttachBinary(lits[0], lits[1]);
     return;
@@ -2660,7 +2243,6 @@ void Solver::VivificationPass() {
       MarkClauseDead(c);
       continue;
     }
-    if (size < 3) continue;  // arena binaries (legacy mode): leave alone
     DetachClause(c);
     kept.clear();
     for (int k = 0; k < size; ++k) {
@@ -2727,15 +2309,12 @@ void Solver::GarbageCollect() {
   clauses_.resize(j);
   inproc_watermark_ = wm;
   CCR_DCHECK(inproc_watermark_ <= clauses_.size());
-  for (std::vector<ClauseRef>* list :
-       {&learnts_core_, &learnts_mid_, &learnts_local_}) {
-    size_t k = 0;
-    for (ClauseRef c : *list) {
-      if (ClauseDead(c)) continue;
-      (*list)[k++] = RelocateClause(c);
-    }
-    list->resize(k);
+  size_t k = 0;
+  for (ClauseRef c : learnts_) {
+    if (ClauseDead(c)) continue;
+    learnts_[k++] = RelocateClause(c);
   }
+  learnts_.resize(k);
   // Every watched clause is live (each MarkClauseDead site detaches), so
   // every watcher's target has a forwarding ref by now.
   for (std::vector<Watcher>& ws : watches_) {
@@ -2786,200 +2365,6 @@ void Solver::RebuildOccurrenceIndex() {
     for (int k = 0; k < ClauseSize(c); ++k) {
       occur_[lits[k].var()].push_back(c);
     }
-  }
-}
-
-// --- bounded variable elimination ----------------------------------------
-
-void Solver::MarkEliminable(Var v) {
-  CCR_CHECK(v >= 0 && v < num_vars());
-  CCR_CHECK(order_pos_[v].block < 0);
-  if (eliminable_[v]) return;
-  eliminable_[v] = 1;
-  elim_candidates_.push_back(v);
-}
-
-void Solver::EliminatePass() {
-  CCR_DCHECK(DecisionLevel() == 0);
-  if (!ok_ || elim_candidates_.empty()) return;
-  bool any = false;
-  size_t keep = 0;
-  for (Var v : elim_candidates_) {
-    if (eliminated_[v] || frozen_[v] || assigns_[v] != Lbool::kUndef) {
-      continue;  // fixed or released: nothing left to eliminate
-    }
-    if (TryEliminateVar(v)) {
-      any = true;
-      if (!ok_) break;
-      continue;
-    }
-    elim_candidates_[keep++] = v;  // over limits now; retry next round
-  }
-  elim_candidates_.resize(keep);
-  if (!any) return;
-  // Learnt clauses are implied, so they never joined the elimination —
-  // but any that still mention an eliminated variable would pin it in
-  // the search and must go.
-  for (std::vector<ClauseRef>* list :
-       {&learnts_core_, &learnts_mid_, &learnts_local_}) {
-    size_t j = 0;
-    for (ClauseRef c : *list) {
-      if (ClauseDead(c)) continue;
-      const Lit* lits = ClauseLits(c);
-      const int size = ClauseSize(c);
-      bool touches = false;
-      for (int k = 0; k < size && !touches; ++k) {
-        touches = eliminated_[lits[k].var()] != 0;
-      }
-      if (touches) {
-        DetachClause(c);
-        MarkClauseDead(c);
-        continue;
-      }
-      (*list)[j++] = c;
-    }
-    list->resize(j);
-  }
-  CompactProblemClauses();
-}
-
-bool Solver::TryEliminateVar(Var v) {
-  CCR_DCHECK(assigns_[v] == Lbool::kUndef);
-  // Gather the clauses containing v. The occurrence index is lazy:
-  // entries may be dead, or may no longer contain v after strengthening
-  // — verify both before counting them.
-  std::vector<std::vector<Lit>> pos, neg;
-  std::vector<ClauseRef> refs;
-  for (ClauseRef c : occur_[v]) {
-    if (ClauseDead(c)) continue;
-    const Lit* lits = ClauseLits(c);
-    const int size = ClauseSize(c);
-    Lit vlit = kLitUndef;
-    for (int k = 0; k < size; ++k) {
-      if (lits[k].var() == v) {
-        vlit = lits[k];
-        break;
-      }
-    }
-    if (vlit == kLitUndef) continue;  // stale entry: strengthened away
-    refs.push_back(c);
-    std::vector<Lit> cl(lits, lits + size);
-    (vlit.negated() ? neg : pos).push_back(std::move(cl));
-  }
-  // Binary implication lists hold the rest — including learnt binaries,
-  // which is sound: resolving implied clauses yields implied resolvents,
-  // and saving them only over-constrains the reconstruction.
-  const Lit pv = Lit::Pos(v);
-  const Lit nv = Lit::Neg(v);
-  for (Lit q : bins_[nv.index()]) pos.push_back({pv, q});  // (v ∨ q)
-  for (Lit q : bins_[pv.index()]) neg.push_back({nv, q});  // (¬v ∨ q)
-  if (pos.size() > kBveOccLimit || neg.size() > kBveOccLimit) return false;
-
-  // Build the resolvent set; bail on growth before mutating anything.
-  std::vector<std::vector<Lit>> resolvents;
-  for (const std::vector<Lit>& p : pos) {
-    for (const std::vector<Lit>& n : neg) {
-      std::vector<Lit> r;
-      bool taut = false;
-      for (Lit l : p) {
-        if (l.var() != v) r.push_back(l);
-      }
-      for (Lit l : n) {
-        if (l.var() == v) continue;
-        bool dup = false;
-        for (Lit x : r) {
-          if (x == l) {
-            dup = true;
-            break;
-          }
-          if (x == ~l) {
-            taut = true;
-            break;
-          }
-        }
-        if (taut) break;
-        if (!dup) r.push_back(l);
-      }
-      if (taut) continue;
-      if (r.size() > kBveResolventLitCap) return false;
-      resolvents.push_back(std::move(r));
-      if (resolvents.size() > pos.size() + neg.size()) return false;
-    }
-  }
-
-  // Commit. Save the removed clauses for model reconstruction first.
-  ElimRecord rec;
-  rec.v = v;
-  rec.clauses.reserve(pos.size() + neg.size());
-  for (std::vector<Lit>& cl : pos) rec.clauses.push_back(std::move(cl));
-  for (std::vector<Lit>& cl : neg) rec.clauses.push_back(std::move(cl));
-  elim_stack_.push_back(std::move(rec));
-  for (ClauseRef c : refs) {
-    DetachClause(c);
-    MarkClauseDead(c);
-  }
-  // Binary surgery: drop v's clauses from the partner lists, then v's
-  // own lists wholesale. A partner q never has q.var() == v (tautologies
-  // and duplicate literals are rejected at AddClause), so the lists
-  // being iterated are never the ones edited.
-  auto remove_one = [this](Lit from, Lit what) {
-    std::vector<Lit>& list = bins_[from.index()];
-    for (size_t i = 0; i < list.size(); ++i) {
-      if (list[i] == what) {
-        list[i] = list.back();
-        list.pop_back();
-        return;
-      }
-    }
-    CCR_DCHECK(false);
-  };
-  for (Lit q : bins_[nv.index()]) remove_one(~q, pv);
-  for (Lit q : bins_[pv.index()]) remove_one(~q, nv);
-  bins_[nv.index()].clear();
-  bins_[pv.index()].clear();
-  occur_[v].clear();
-  eliminated_[v] = 1;
-  ++stats_.bve_eliminated;
-  for (std::vector<Lit>& r : resolvents) {
-    ++stats_.bve_resolvents;
-    if (!AddClauseInternal(r) && !ok_) break;
-  }
-  return true;
-}
-
-void Solver::ExtendModel(std::vector<Lbool>* model) const {
-  // Newest elimination first: a saved clause can mention variables
-  // eliminated later (their records are below on the stack — processed
-  // already), never ones eliminated earlier (those were gone from the
-  // formula when this record's clauses were saved).
-  for (auto it = elim_stack_.rbegin(); it != elim_stack_.rend(); ++it) {
-    const Var v = it->v;
-    if (static_cast<size_t>(v) >= model->size()) continue;
-    if ((*model)[v] != Lbool::kUndef) continue;
-    Lbool val = Lbool::kFalse;
-    [[maybe_unused]] bool forced = false;
-    for (const std::vector<Lit>& cl : it->clauses) {
-      Lit vlit = kLitUndef;
-      bool satisfied = false;
-      for (Lit l : cl) {
-        if (l.var() == v) {
-          vlit = l;
-          continue;
-        }
-        if (LboolOf((*model)[l.var()], l.negated()) == Lbool::kTrue) {
-          satisfied = true;
-          break;
-        }
-      }
-      if (satisfied) continue;
-      CCR_DCHECK(vlit != kLitUndef);
-      const Lbool need = vlit.negated() ? Lbool::kFalse : Lbool::kTrue;
-      // The resolvent set guarantees one value satisfies every clause.
-      CCR_DCHECK(!forced || val == need);
-      forced = true;
-      val = need;
-    }
-    (*model)[v] = val;
   }
 }
 

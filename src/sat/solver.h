@@ -2,16 +2,15 @@
 //
 // This is the repository's stand-in for MiniSat [19], which the paper's
 // IsValid uses to decide whether a specification Se has a valid completion.
-// The architecture is a modern incremental CDCL: two-watched-literal
+// The architecture is a MiniSat-style incremental CDCL: two-watched-literal
 // propagation with a dedicated implicit watch list for binary clauses
 // (binaries never touch the clause arena — the currency-order and CFD
 // encodings are dominated by binary implications), 1-UIP conflict analysis
-// with recursive (deep) conflict-clause minimization, LBD ("glue")
-// computation per learnt clause feeding a three-tier learnt database
-// (core glue<=2 kept forever, mid reduced by glue, local reduced by
-// activity), Glucose-style EMA-based restarts, VSIDS decision ordering,
-// phase saving, and incremental solving under assumptions (used by
-// NaiveDeduce and the MaxSAT layer).
+// with one-step clause minimization, an activity-sorted learnt database,
+// Luby restarts, VSIDS decision ordering, phase saving, a small pool of
+// recent models that answers assumption solves without search, and
+// incremental solving under assumptions (used by the per-pair Lemma-6
+// loop and the MaxSAT layer).
 //
 // Besides clauses the solver takes the Cnf's order blocks: the
 // transitivity axioms ¬x_ij ∨ ¬x_jk ∨ x_ik of each currency order, kept
@@ -21,26 +20,21 @@
 // a ternary becomes a real clause only when it is the reason of an
 // implication or a conflict. Models are always transitively closed.
 //
-// The defaults match the pipeline's workload: Φ(Se) is Horn and the
-// session never hits a conflict, so the whole-formula passes — WalkSAT
-// seeding and probing, between-round inprocessing (vivification,
-// subsumption) and bounded variable elimination — are off by default and
-// stay behind their SolverOptions flags only for ablation and the
-// byte-identity lanes. The legacy MiniSat-2003 behavior (arena binaries,
-// activity-only deletion, Luby restarts, one-step minimization) stays
-// available the same way; because the pipeline above consumes only
-// SAT/UNSAT verdicts, every option combination resolves every entity
-// identically.
+// Φ(Se) is Horn and the pipeline never reaches a conflict: validity and
+// the Lemma-6 Deduce are decided by one propagation probe (BeginProbe).
+// The whole-formula passes — WalkSAT seeding and probing, between-round
+// inprocessing (vivification, subsumption) — are off by default and stay
+// behind their SolverOptions flags for the byte-identity lanes. Because
+// the pipeline above consumes only SAT/UNSAT verdicts, every option
+// combination resolves every entity identically.
 
 #ifndef CCR_SAT_SOLVER_H_
 #define CCR_SAT_SOLVER_H_
 
-#include <atomic>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -50,65 +44,30 @@
 
 namespace ccr::sat {
 
-/// Tunables. The defaults are the modern CDCL core with every
-/// whole-formula pass off (see the file comment): `use_inprocessing`,
-/// `use_bve`, `use_sls_seeding` and `use_sls_probing` default to false and
-/// remain for ablation (`ccr_experiment --solver sls` turns seeding,
-/// probing and inprocessing back on). LegacyHeuristics() turns the
-/// remaining modernization flags off too.
+/// Tunables. The defaults are the CDCL core with every whole-formula
+/// pass off (see the file comment): `use_inprocessing`, `use_sls_seeding`
+/// and `use_sls_probing` default to false and remain for the byte-identity
+/// lanes (`ccr_experiment --solver sls` turns all three on).
 struct SolverOptions {
   bool use_vsids = true;          // activity-ordered decisions vs. lowest id
   bool use_phase_saving = true;   // remember last polarity per variable
-  bool use_restarts = true;       // restarts enabled at all
+  bool use_restarts = true;       // Luby restarts enabled at all
   bool use_clause_deletion = true;  // periodically shrink the learnt DB
-  /// Implicit binary-clause watch lists: clauses of size 2 live in a
-  /// (Lit -> Lit) implication list and propagate without arena access;
-  /// their reasons are literal-encoded. Off = binaries share the arena
-  /// and the generic watcher path.
-  bool use_binary_watches = true;
-  /// LBD-tiered learnt DB: glue <= 2 core (kept forever), glue <= 6 mid
-  /// (reduced by glue, rarely), rest local (reduced by activity, often).
-  /// Off = single activity-sorted DB, MiniSat style.
-  bool use_lbd_tiers = true;
-  /// Glucose-style restarts: restart when the short-term LBD average
-  /// exceeds the long-term average. Off = Luby sequence.
-  bool use_ema_restarts = true;
-  /// Full recursive conflict-clause minimization (ccmin deep mode).
-  /// Off = the one-step self-subsumption check only.
-  bool use_deep_ccmin = true;
   /// Inprocessing in Simplify(): clause vivification and backward
   /// subsumption / self-subsuming resolution over the problem clauses.
   /// Intended between session rounds, after the encode layer appended the
   /// round's delta. Off (the default) = Simplify only sweeps satisfied
   /// clauses; on Φ(Se) the passes never fire (0 subsumed, 0 vivified).
   bool use_inprocessing = false;
-  /// Cached-model witness reuse (the backbone-extraction trick): an
-  /// assumption solve first probes the models of recent kSat calls — a
-  /// cached model satisfying every assumption IS the answer, no search.
-  /// Adding a clause or freezing a scope invalidates the cache; clause
-  /// learning and inprocessing are implication-preserving and do not.
-  /// This is what makes NaiveDeduce's d² Lemma-6 queries cheap: most are
-  /// satisfiable, and each real solve's model witnesses many later ones.
-  /// The verdict is exact either way, so results cannot change.
-  bool use_model_cache = true;
   /// Compacting arena garbage collection: once the words owned by dead
-  /// clauses (removed, subsumed, shrunk, eliminated) exceed gc_frac of
-  /// the arena, live clauses relocate into a fresh arena and every
-  /// ClauseRef holder — watch lists, reason slots, learnt tiers, the
-  /// occurrence index — is rewritten. Triggered from Simplify() and after
-  /// learnt-DB reductions; list and watcher order is preserved, so GC
-  /// changes memory and time only, never a verdict or a model.
+  /// clauses (removed, subsumed, shrunk) exceed gc_frac of the arena, live
+  /// clauses relocate into a fresh arena and every ClauseRef holder —
+  /// watch lists, reason slots, the learnt list, the occurrence index — is
+  /// rewritten. Triggered from Simplify() and after learnt-DB reductions;
+  /// list and watcher order is preserved, so GC changes memory and time
+  /// only, never a verdict or a model.
   bool use_arena_gc = true;
   double gc_frac = 0.25;
-  /// Bounded variable elimination (SatELite-style) as an inprocessing
-  /// step over variables the caller declared disposable via
-  /// MarkEliminable(): a variable is resolved away when the resolvents do
-  /// not grow the clause count. A model-reconstruction stack keeps
-  /// ModelValue exact for eliminated variables, so cached-model
-  /// witnesses and downstream model extraction stay valid. Off by
-  /// default: nothing in the pipeline calls MarkEliminable, so the flag
-  /// would only pay for the occurrence index on every fed clause.
-  bool use_bve = false;
   /// Stochastic local search (WalkSAT) in the hot path. Both flags may
   /// only change time-to-verdict, never a verdict: every answer is still
   /// produced by the exact CDCL search / MaxSAT bound solves.
@@ -120,17 +79,6 @@ struct SolverOptions {
   /// Off by default: on the Horn pipeline formula validity is decided by
   /// propagation (IsValidShared), so a warm start buys nothing.
   bool use_sls_seeding = false;
-  /// Backbone-style Deduce (src/core/deduce.cc): the per-pair Lemma-6
-  /// loop of NaiveDeduceShared is replaced by a three-tier backbone
-  /// engine — model sweeping (every SAT answer refutes all candidate
-  /// pairs its model assigns false, in O(1) per pair), propagation-only
-  /// failed-literal screening (assume ¬x, propagate, no search), and
-  /// chunked UNSAT certification (one scoped clause ¬x1 ∨ … ∨ ¬xk
-  /// certifies a whole chunk entailed in a single solve). The entailed
-  /// pair set is semantically determined (Lemma 6), so verdicts and all
-  /// downstream bytes are identical by construction; only the number of
-  /// solver calls changes. Off = one SolveWithAssumptions per pair.
-  bool use_backbone_deduce = true;
   /// use_sls_probing: IncrementalMaxSat runs the same local search over
   /// hard+soft clauses first and uses the number of unsatisfied softs as
   /// an upper bound u, verifying downward from u instead of climbing the
@@ -147,40 +95,6 @@ struct SolverOptions {
   double var_decay = 0.95;
   double clause_decay = 0.999;
   int64_t max_conflicts = -1;     // < 0 means unlimited
-  /// Portfolio search (src/sat/portfolio.{h,cc}): when > 1, a solve that
-  /// survives the defer gate below races this solver against
-  /// portfolio_threads - 1 helper solvers carrying diversified heuristic
-  /// configurations on a mirrored copy of the formula, all exchanging
-  /// learnt unit/binary/low-LBD clauses through a lock-light ring. The
-  /// first decisive worker wins; the rest are interrupted. Portfolio
-  /// search may only ever change time-to-verdict, never a verdict — every
-  /// shared clause is implied, so the existing byte-identity suites stay
-  /// the gate. 0 or 1 = off (the default; the service layer keeps it off
-  /// and lets the per-entity pool own the cores).
-  int portfolio_threads = 0;
-  /// Conflicts the master searches alone before a portfolio race spawns
-  /// threads. Most pipeline solves (model-cache misses included) finish
-  /// within a few hundred conflicts; paying a thread spawn for those
-  /// would be pure overhead. Only solves still undecided after this many
-  /// conflicts race.
-  int64_t portfolio_defer_conflicts = 512;
-
-  /// The 2003-era configuration this repo started from: every
-  /// modernization flag off. The single definition the ablation bench,
-  /// `ccr_experiment --solver legacy` and the equivalence tests share —
-  /// a new modernization flag added here is legacy-off everywhere at
-  /// once.
-  static SolverOptions LegacyHeuristics() {
-    SolverOptions o;
-    o.use_binary_watches = false;
-    o.use_lbd_tiers = false;
-    o.use_ema_restarts = false;
-    o.use_deep_ccmin = false;
-    o.use_model_cache = false;
-    o.use_arena_gc = false;
-    o.use_backbone_deduce = false;
-    return o;
-  }
 };
 
 /// Outcome of a solve call.
@@ -201,31 +115,18 @@ struct SolverStats {
   /// the implications behind `propagations`, which counts trail literals
   /// processed).
   int64_t binary_propagations = 0;
-  /// Sum of LBD ("glue") over learnt clauses at learn time; divide by
-  /// `conflicts` for the average glue of the search.
-  int64_t lbd_sum = 0;
-  /// Learnt clauses entering each tier at learn time. With LBD tiers off,
-  /// every non-unit learnt counts as local. Binary learnts under binary
-  /// watches count as core (they are kept forever by construction).
-  int64_t learnt_core = 0;
-  int64_t learnt_mid = 0;
-  int64_t learnt_local = 0;
   /// Inprocessing: problem clauses removed by backward subsumption plus
   /// literals removed by self-subsuming resolution.
   int64_t subsumed = 0;
   /// Inprocessing: literals removed from problem clauses by vivification.
   int64_t vivified = 0;
   /// Assumption solves answered from the cached-model pool without any
-  /// search (use_model_cache).
+  /// search.
   int64_t model_cache_hits = 0;
   /// Arena garbage collections run, and the arena words they reclaimed
   /// (use_arena_gc).
   int64_t gc_runs = 0;
   int64_t gc_reclaimed_words = 0;
-  /// Bounded variable elimination: variables resolved away, and the
-  /// resolvent clauses added back in their place (use_bve).
-  int64_t bve_eliminated = 0;
-  int64_t bve_resolvents = 0;
   /// Stochastic local search: flips performed across all
   /// SeedFromLocalSearch calls, fully satisfying assignments pushed into
   /// the cached-model ring (use_sls_seeding / use_sls_probing), and
@@ -235,29 +136,11 @@ struct SolverStats {
   int64_t sls_seeded_models = 0;
   int64_t sls_probes = 0;
   int64_t sls_probe_wins = 0;
-  /// Portfolio search (portfolio_threads > 1): races that actually
-  /// spawned worker threads, shared clauses integrated by this solver and
-  /// its helpers (split by kind: units, binaries, longer low-LBD
-  /// clauses), and workers interrupted because another worker finished
-  /// first. Helper-side imports are folded into the master's counters
-  /// when a race ends, so RoundTrace attribution sees the whole team.
-  int64_t portfolio_races = 0;
-  int64_t imported_units = 0;
-  int64_t imported_bins = 0;
-  int64_t imported_lbd = 0;
-  int64_t cancelled_workers = 0;
-  /// Backbone-style Deduce (reported by src/core/deduce.cc via
-  /// RecordDeduce): solver calls issued by the Deduce phase (the initial
-  /// validity solve plus, per-pair under the naive loop or per-chunk
-  /// under use_backbone_deduce, every SolveWithAssumptions), candidate
-  /// pairs refuted by sweeping a SAT model (x_ij = false is a
-  /// non-entailment witness), pairs certified entailed by propagation
-  /// alone (guard-forced x_ij or a failed ¬x_ij probe), and chunked
-  /// certification solves (SAT and UNSAT alike).
+  /// Solver calls issued by the Deduce phase (reported by
+  /// src/core/deduce.cc via RecordDeduce): the per-pair Lemma-6 loop's
+  /// validity solve plus one SolveWithAssumptions per pair. Deduce by
+  /// propagation on a Horn formula issues none.
   int64_t deduce_queries = 0;
-  int64_t deduce_model_prunes = 0;
-  int64_t deduce_propagation_proofs = 0;
-  int64_t deduce_chunk_solves = 0;
 
   /// Component-wise difference (for per-call and per-phase deltas).
   SolverStats operator-(const SolverStats& o) const {
@@ -268,30 +151,16 @@ struct SolverStats {
             learnt_literals - o.learnt_literals,
             assumption_solves - o.assumption_solves,
             binary_propagations - o.binary_propagations,
-            lbd_sum - o.lbd_sum,
-            learnt_core - o.learnt_core,
-            learnt_mid - o.learnt_mid,
-            learnt_local - o.learnt_local,
             subsumed - o.subsumed,
             vivified - o.vivified,
             model_cache_hits - o.model_cache_hits,
             gc_runs - o.gc_runs,
             gc_reclaimed_words - o.gc_reclaimed_words,
-            bve_eliminated - o.bve_eliminated,
-            bve_resolvents - o.bve_resolvents,
             sls_flips - o.sls_flips,
             sls_seeded_models - o.sls_seeded_models,
             sls_probes - o.sls_probes,
             sls_probe_wins - o.sls_probe_wins,
-            portfolio_races - o.portfolio_races,
-            imported_units - o.imported_units,
-            imported_bins - o.imported_bins,
-            imported_lbd - o.imported_lbd,
-            cancelled_workers - o.cancelled_workers,
-            deduce_queries - o.deduce_queries,
-            deduce_model_prunes - o.deduce_model_prunes,
-            deduce_propagation_proofs - o.deduce_propagation_proofs,
-            deduce_chunk_solves - o.deduce_chunk_solves};
+            deduce_queries - o.deduce_queries};
   }
 
   /// Component-wise sum (for pooling per-phase deltas across rounds and
@@ -304,30 +173,16 @@ struct SolverStats {
     learnt_literals += o.learnt_literals;
     assumption_solves += o.assumption_solves;
     binary_propagations += o.binary_propagations;
-    lbd_sum += o.lbd_sum;
-    learnt_core += o.learnt_core;
-    learnt_mid += o.learnt_mid;
-    learnt_local += o.learnt_local;
     subsumed += o.subsumed;
     vivified += o.vivified;
     model_cache_hits += o.model_cache_hits;
     gc_runs += o.gc_runs;
     gc_reclaimed_words += o.gc_reclaimed_words;
-    bve_eliminated += o.bve_eliminated;
-    bve_resolvents += o.bve_resolvents;
     sls_flips += o.sls_flips;
     sls_seeded_models += o.sls_seeded_models;
     sls_probes += o.sls_probes;
     sls_probe_wins += o.sls_probe_wins;
-    portfolio_races += o.portfolio_races;
-    imported_units += o.imported_units;
-    imported_bins += o.imported_bins;
-    imported_lbd += o.imported_lbd;
-    cancelled_workers += o.cancelled_workers;
     deduce_queries += o.deduce_queries;
-    deduce_model_prunes += o.deduce_model_prunes;
-    deduce_propagation_proofs += o.deduce_propagation_proofs;
-    deduce_chunk_solves += o.deduce_chunk_solves;
     return *this;
   }
 };
@@ -357,21 +212,11 @@ struct LocalSearchResult {
   /// unsatisfied by the best assignment.
   int hard_unsat = 0;
   /// Soft clauses left unsatisfied by the best assignment (the MaxSAT
-  /// upper bound u when `feasible`).
+  /// upper bound u when `feasible`; then the exact score of `model`).
   int soft_unsat = 0;
-  /// True when `feasible` and no soft clause touches a BVE-eliminated
-  /// variable: `soft_unsat` is then the exact score of `model` (a genuine
-  /// model), not an estimate against placeholder values.
-  bool softs_exact = false;
-  /// Best assignment per variable. When `feasible`, eliminated variables
-  /// carry their reconstructed values, making this a genuine model;
-  /// otherwise they are unspecified.
+  /// Best assignment per variable; a genuine model when `feasible`.
   std::vector<uint8_t> model;
 };
-
-class ClauseExportBuf;  // src/sat/portfolio.h
-class ClauseShareRing;  // src/sat/portfolio.h
-class PortfolioTeam;    // src/sat/portfolio.h
 
 /// \brief Incremental CDCL solver.
 ///
@@ -385,7 +230,6 @@ class PortfolioTeam;    // src/sat/portfolio.h
 class Solver {
  public:
   explicit Solver(SolverOptions options = {});
-  ~Solver();  // out of line: PortfolioTeam is incomplete here
   Solver(const Solver&) = delete;
   Solver& operator=(const Solver&) = delete;
 
@@ -490,14 +334,13 @@ class Solver {
   /// clause arena and binary watch lists (no CNF copy; scratch buffers
   /// are pooled on the solver and reused across calls).
   ///
-  /// Variables fixed on the level-0 trail, named by `assumptions`, or
-  /// eliminated by BVE never flip; the search covers exactly the live
-  /// problem clauses not already satisfied by those fixings. The best
-  /// assignment found is installed into the saved-phase array (biasing
-  /// the next CDCL descent toward it), and when it satisfies every
-  /// problem clause it is extended over eliminated variables and pushed
-  /// into the cached-model ring as a genuine witness. `softs` (clauses
-  /// over existing, non-eliminated variables) are scored but never
+  /// Variables fixed on the level-0 trail or named by `assumptions` never
+  /// flip; the search covers exactly the live problem clauses not already
+  /// satisfied by those fixings. The best assignment found is installed
+  /// into the saved-phase array (biasing the next CDCL descent toward
+  /// it), and when it satisfies every problem clause it is pushed into
+  /// the cached-model ring as a genuine witness. `softs` (clauses over
+  /// existing variables) are scored but never
   /// required: the returned soft_unsat of a feasible pass is the MaxSAT
   /// upper-bound probe. Deterministic: the RNG is seeded from a per-call
   /// salt (reset by Reset()) or budget.seed — never wall-clock or global
@@ -516,46 +359,28 @@ class Solver {
   }
 
   /// Deduce-phase reporting (src/core/deduce.cc): entailment solver
-  /// calls issued, pairs refuted by model sweeping, pairs certified by
-  /// propagation alone, and chunked certification solves. Folded into
-  /// stats_ so RoundTrace per-phase deltas pick the counters up with no
-  /// extra plumbing.
-  void RecordDeduce(int64_t queries, int64_t model_prunes,
-                    int64_t propagation_proofs, int64_t chunk_solves) {
-    stats_.deduce_queries += queries;
-    stats_.deduce_model_prunes += model_prunes;
-    stats_.deduce_propagation_proofs += propagation_proofs;
-    stats_.deduce_chunk_solves += chunk_solves;
-  }
+  /// calls issued. Folded into stats_ so RoundTrace per-phase deltas pick
+  /// the counter up with no extra plumbing.
+  void RecordDeduce(int64_t queries) { stats_.deduce_queries += queries; }
 
   /// \name Propagation-only probing (no search, no learning)
   ///
-  /// The backbone Deduce engine's tier-2 screen: BeginProbe backtracks
-  /// to level 0, opens ONE decision level, enqueues `base` (typically
-  /// the guard assumptions) and propagates it to fixpoint. While the
-  /// probe is open, ProbeValue reads the propagated value of a variable
-  /// — kTrue means base ∪ Φ unit-implies it — and ProbeLitFails(p)
-  /// pushes a nested level, enqueues `p`, propagates, and backtracks to
-  /// the probe base again: `true` (a conflict) is a unit-propagation
-  /// proof that Φ ∧ base entails ¬p. Nothing is learnt and nothing is
-  /// analyzed; the only side effect is phase saving, which never moves
-  /// a verdict. EndProbe backtracks to level 0. BeginProbe returns
-  /// false (and leaves the solver at level 0) when `base` is already
-  /// propagation-refuted.
+  /// BeginProbe backtracks to level 0, opens ONE decision level, enqueues
+  /// `base` (typically the guard assumptions) and propagates it to
+  /// fixpoint. While the probe is open, ProbeValue reads the propagated
+  /// value of a variable — kTrue means base ∪ Φ unit-implies it. On a
+  /// Horn formula (ProblemIsHorn) the quiet fixpoint is the least model
+  /// of Φ ∧ base, so the probe decides validity (IsValidShared) and every
+  /// Lemma-6 entailment at once (NaiveDeduceShared). Nothing is learnt
+  /// and nothing is analyzed; the only side effect is phase saving, which
+  /// never moves a verdict. EndProbe backtracks to level 0. BeginProbe
+  /// returns false (and leaves the solver at level 0) when `base` is
+  /// already propagation-refuted.
   /// @{
   bool BeginProbe(std::span<const Lit> base);
   Lbool ProbeValue(Var v) const { return assigns_[v]; }
-  bool ProbeLitFails(Lit p);
   void EndProbe();
   /// @}
-
-  /// Cached models (the fresh entry plus the witness ring) that satisfy
-  /// every literal of `assumptions` — each one a genuine model of the
-  /// current formula, usable as a bulk non-entailment witness by the
-  /// backbone Deduce sweep. Pointers are invalidated by the next solver
-  /// call of any kind; empty when use_model_cache is off.
-  std::vector<const std::vector<Lbool>*> CachedWitnesses(
-      std::span<const Lit> assumptions) const;
 
   /// Asserts ¬activation plus ¬v for every scope variable in one batch —
   /// a single multi-literal pass with ONE propagation round, instead of
@@ -565,23 +390,8 @@ class Solver {
   /// unsatisfiable. ScopedVars::Release is the caller.
   bool FreezeScope(Lit activation, std::span<const Var> vars);
 
-  /// Integrates one clause learnt by another portfolio worker (public so
-  /// the validation contract is directly testable). The clause must be
-  /// implied by the problem clauses; the solver must be at decision
-  /// level 0. Returns true iff the clause was integrated: a clause
-  /// mentioning an unknown, BVE-eliminated, or scope-frozen variable is
-  /// rejected outright (eliminated variables no longer exist in this
-  /// solver's formula, and frozen scopes may differ from the exporter's
-  /// view — rejection is always sound, an import never is unless it
-  /// validates). Satisfied clauses are skipped; false literals are
-  /// dropped by level-0 propagation, and a clause emptied that way proves
-  /// the formula UNSAT (IsUnsatForever() flips — the implied empty
-  /// clause). Imports never invalidate the cached-model pool: an implied
-  /// clause is satisfied by every genuine model already cached.
-  bool ImportSharedClause(std::span<const Lit> lits, int glue);
-
-  /// Debug/test accessor: every learnt clause currently in the database
-  /// (all tiers), plus every binary clause ever learnt into the implicit
+  /// Debug/test accessor: every learnt clause currently in the database,
+  /// plus every binary clause ever learnt into the implicit
   /// binary watch lists. Each returned clause is implied by the problem
   /// clauses — the learnt-implication regression suite re-solves to check
   /// exactly that.
@@ -598,7 +408,7 @@ class Solver {
 
   /// Compacts the clause arena: live clauses move into a fresh arena and
   /// every ClauseRef holder — watch lists, reason slots, the learnt
-  /// tiers, the occurrence index — is rewritten to the relocated
+  /// list, the occurrence index — is rewritten to the relocated
   /// references. (The cached-model pool holds no references, only
   /// per-variable values, so it survives untouched.) Runs automatically
   /// under SolverOptions::use_arena_gc / gc_frac; public so tests and
@@ -608,17 +418,8 @@ class Solver {
   /// that never collected.
   void GarbageCollect();
 
-  /// Declares `v` a candidate for bounded variable elimination
-  /// (use_bve): the caller promises `v` is never assumed and never
-  /// appears in a clause added after this call (both checked). Once
-  /// inprocessing resolves `v` away, ModelValue(v) stays exact through
-  /// the model-reconstruction stack. Order-block variables cannot be
-  /// eliminated: their axioms are implicit (checked both ways).
-  void MarkEliminable(Var v);
-  bool VarEliminated(Var v) const { return eliminated_[v] != 0; }
-
   /// Term i (from 0) of the Luby restart sequence 1 1 2 1 1 2 4 1 1 2 1 1
-  /// 2 4 8 …, which scales the restart budget when EMA restarts are off.
+  /// 2 4 8 …, which scales the restart budget.
   static int64_t Luby(int64_t i);
 
   /// Transitivity axioms of the order blocks turned into problem clauses
@@ -643,14 +444,14 @@ class Solver {
   // --- clause arena ----------------------------------------------------
   //
   // Arena layout per clause: [size<<3 | vivified<<2 | dead<<1 |
-  // learnt][activity bits / sig lo][lbd / sig hi][lits...]. `dead` marks
+  // learnt][activity bits / sig lo][sig hi][lits...]. `dead` marks
   // clauses removed by deletion or inprocessing (already detached; their
   // words are accounted in arena_dead_words_ and reclaimed by
   // GarbageCollect); `vivified` marks clauses the vivification pass has
   // already distilled, so later passes skip them until a strengthening
-  // changes them again. Learnt clauses use words 1–2 for activity and
-  // LBD; problem clauses never do, so the subsumption pass stores their
-  // 64-bit variable signature there instead.
+  // changes them again. Learnt clauses use word 1 for their activity;
+  // problem clauses never do, so the subsumption pass stores their
+  // 64-bit variable signature in words 1–2 instead.
   //
   // Reason encoding: a reason is either an arena reference (< 2^31 —
   // checked at allocation), the literal-encoded reason of a binary
@@ -709,49 +510,17 @@ class Solver {
     arena_[c + 1] = std::bit_cast<uint32_t>(a);
   }
   // Problem-clause variable signature (Bloom filter over var % 64),
-  // cached in the unused activity/LBD words at AddClause and kept fresh
+  // cached in the unused header words at AddClause and kept fresh
   // on every strengthening, so the subsumption pass never rebuilds it.
   uint64_t ClauseSig(ClauseRef c) const {
     return arena_[c + 1] | (static_cast<uint64_t>(arena_[c + 2]) << 32);
   }
   void StoreClauseSig(ClauseRef c);
-  uint32_t ClauseLbd(ClauseRef c) const { return arena_[c + 2]; }
-  void SetClauseLbd(ClauseRef c, uint32_t lbd) { arena_[c + 2] = lbd; }
 
   struct Watcher {
     ClauseRef cref;
     Lit blocker;
   };
-
-  // --- portfolio search (implemented in src/sat/portfolio.cc) ----------
-  //
-  // SolveInternal intercepts a solve when options_.portfolio_threads > 1:
-  // the master first searches alone under a conflict cap (the defer
-  // gate); a solve still undecided then races the master (worker 0, this
-  // thread) against the lazily created helper team. During a race every
-  // worker exports small learnt clauses into its ring slot
-  // (MaybeExportLearnt, from RecordLearnt) and imports the other
-  // workers' exports at restart boundaries (ImportSharedClauses, from
-  // SolveLoop at level 0). The first decisive worker CASes itself the
-  // winner and raises the stop flag, which Search and Propagate poll.
-  SolveResult PortfolioRace(std::span<const Lit> assumptions);
-  // Creates the helper team on first use and replays the mirror op log
-  // (caller clauses + scope freezes recorded by AddClause/FreezeScope
-  // while portfolio is enabled) so every helper holds an equisatisfiable
-  // copy of the formula with identical variable ids.
-  void SyncTeam();
-  // Drains every other worker's export buffer through ImportSharedClause.
-  // Returns ok_ (false = an implied empty clause surfaced: UNSAT).
-  bool ImportSharedClauses();
-  void MaybeExportLearnt(const std::vector<Lit>& learnt, int lbd);
-  // Installs a winning helper's model as this solver's model_ (the helper
-  // formula is the mirrored original, so its model satisfies every master
-  // clause — BVE resolvents included, they are implied).
-  void AdoptExternalModel(const std::vector<Lbool>& m);
-  bool StopRequested() const {
-    return stop_flag_ != nullptr &&
-           stop_flag_->load(std::memory_order_relaxed) != 0;
-  }
 
   // --- order blocks -----------------------------------------------------
   //
@@ -816,8 +585,7 @@ class Solver {
   // caller may hold a ClauseLits pointer across it.
   ClauseRef Propagate();
   void Analyze(ClauseRef conflict, std::vector<Lit>* out_learnt,
-               int* out_btlevel, int* out_lbd);
-  bool LitRedundant(Lit p, uint32_t abstract_levels);
+               int* out_btlevel);
   void AnalyzeFinal(Lit p, std::vector<Lit>* out_core);
   void UncheckedEnqueue(Lit p, ClauseRef from) {
     CCR_DCHECK(ValueOf(p) == Lbool::kUndef);
@@ -837,10 +605,8 @@ class Solver {
   void AttachClause(ClauseRef c);
   void DetachClause(ClauseRef c);
   void AttachBinary(Lit a, Lit b);
-  void RecordLearnt(const std::vector<Lit>& learnt, int lbd);
-  int ComputeLbd(std::span<const Lit> lits);
+  void RecordLearnt(const std::vector<Lit>& learnt);
   void ReduceDb();
-  void ReduceDbTiered();
   void RemoveSatisfiedTopLevel();
   void SweepSatisfied(std::vector<ClauseRef>* list);
   void SweepSatisfiedProblem();
@@ -848,21 +614,13 @@ class Solver {
   // Shared tail of AddClause and AddCnfFrom: normalize `lits` in add_buf_
   // (sort, dedupe, drop level-0-false literals; a tautology or a
   // level-0-true literal satisfies it), then enqueue, attach or allocate.
-  // The internal entry point is what BVE uses to insert resolvents — they
-  // are implied by the clauses they replace, so it must NOT invalidate the
-  // model cache the way a genuine caller-added clause does.
+  // The variables must exist and the caller invalidates the model cache.
   bool AddClauseInternal(std::span<const Lit> lits);
-  // Caller-clause prologue shared by AddClause and AddCnfFrom: grows the
-  // variable universe, checks no literal names an eliminated variable,
-  // and records the clause in the portfolio mirror log.
-  void PrepareCallerClause(std::span<const Lit> lits);
 
   // --- arena lifecycle --------------------------------------------------
-  // Whether the persistent occurrence index is maintained at all: both
-  // the subsumption pass and variable elimination consume it.
-  bool TrackOccurrences() const {
-    return options_.use_inprocessing || options_.use_bve;
-  }
+  // Whether the persistent occurrence index is maintained at all: the
+  // subsumption pass and the local search's repair tiers consume it.
+  bool TrackOccurrences() const { return options_.use_inprocessing; }
   void MaybeGarbageCollect();
   ClauseRef RelocateClause(ClauseRef c);
   // Drops dead entries from clauses_, shifting inproc_watermark_ by the
@@ -870,16 +628,6 @@ class Solver {
   // drifting fresh-clause counter.
   void CompactProblemClauses();
   void RebuildOccurrenceIndex();
-
-  // --- bounded variable elimination ------------------------------------
-  void EliminatePass();
-  bool TryEliminateVar(Var v);
-  // Fills the eliminated variables of `model` (processed newest
-  // elimination first) with values satisfying their saved clauses.
-  void ExtendModel(std::vector<Lbool>* model) const;
-  size_t NumReducibleLearnts() const {
-    return learnts_mid_.size() + learnts_local_.size();
-  }
 
   // --- model cache ------------------------------------------------------
   bool ModelWitnesses(const std::vector<Lbool>& m,
@@ -895,6 +643,8 @@ class Solver {
     return true;
   }
   // A clause was added or a scope frozen: cached models may be falsified.
+  // Clause learning and inprocessing are implication-preserving and do
+  // not invalidate.
   void InvalidateModelCache() {
     model_fresh_ = false;
     model_pool_.clear();
@@ -903,6 +653,8 @@ class Solver {
   // Rotates the previous newest model into the ring before model_ is
   // overwritten by a fresh solve.
   void CacheCurrentModel();
+  // Pushes a genuine model found by local search into the ring.
+  void PushPoolModel(std::vector<Lbool> m);
   // Debug aid: does `m` satisfy every live problem clause, every binary,
   // and agree with the level-0 trail?
   bool DebugModelSatisfiesLive(const std::vector<Lbool>& m) const;
@@ -938,11 +690,7 @@ class Solver {
 
   std::vector<uint32_t> arena_;
   std::vector<ClauseRef> clauses_;  // problem clauses (arena-backed)
-  // Learnt tiers. With use_lbd_tiers off everything lands in local and
-  // ReduceDb behaves like the single activity-sorted MiniSat DB.
-  std::vector<ClauseRef> learnts_core_;   // glue <= 2, kept forever
-  std::vector<ClauseRef> learnts_mid_;    // glue <= 6, reduced by glue
-  std::vector<ClauseRef> learnts_local_;  // reduced by activity
+  std::vector<ClauseRef> learnts_;  // learnt clauses of size >= 3
 
   std::vector<std::vector<Watcher>> watches_;  // indexed by Lit::index()
   // Implicit binary watch lists: bins_[p.index()] holds every literal q
@@ -991,34 +739,27 @@ class Solver {
   bool InsertMaterialized(uint64_t key);
 
   std::vector<uint8_t> seen_;   // scratch for Analyze
-  std::vector<Lit> analyze_stack_;    // scratch for LitRedundant
   std::vector<Lit> analyze_toclear_;  // seen_ marks to undo
-  std::vector<uint64_t> lbd_stamp_;   // per level, for ComputeLbd
-  uint64_t lbd_counter_ = 0;
   std::vector<Lbool> model_;
   std::vector<Lit> conflict_core_;
 
-  // Cached-model pool (use_model_cache): model_ itself is the newest
-  // entry when model_fresh_; older models ride in a small ring. Cleared
-  // whenever the formula genuinely strengthens (AddClause, FreezeScope).
+  // Cached-model pool: an assumption solve first checks the recent
+  // models — one satisfying every assumption IS the answer, no search.
+  // model_ itself is the newest entry when model_fresh_; older models
+  // ride in a small ring. Cleared whenever the formula genuinely
+  // strengthens (AddClause, FreezeScope). The verdict is exact either
+  // way. On person-fast Suggest's assumption solves hit it about 70% of
+  // the time.
   static constexpr size_t kModelPoolSize = 4;
   std::vector<std::vector<Lbool>> model_pool_;
   size_t model_pool_next_ = 0;
   bool model_fresh_ = false;
 
   // Decision level of an open BeginProbe session; -1 when no probe is
-  // open. Guards the ProbeLitFails/EndProbe contract in debug builds.
+  // open. Guards the EndProbe contract in debug builds.
   int probe_base_level_ = -1;
 
-  // Glucose-style restart state (per SolveLoop; seeded by the first
-  // conflict's glue so the slow average never anchors at 0).
-  double ema_fast_ = 0;
-  double ema_slow_ = 0;
-  bool ema_seeded_ = false;
-  int64_t conflicts_since_restart_ = 0;
-
   double max_learnts_ = 0;
-  int64_t reduce_calls_ = 0;
 
   // Inprocessing bookkeeping: clauses_[inproc_watermark_..] are the
   // entries appended since the last subsumption pass (those act as the
@@ -1040,7 +781,7 @@ class Solver {
   std::vector<uint32_t> arena_tmp_;
 
   // Persistent occurrence index over the problem clauses (maintained
-  // whenever inprocessing or BVE is on): occur_[v] lists every arena
+  // whenever inprocessing is on): occur_[v] lists every arena
   // clause containing v in clause-addition order, appended at AddClause,
   // purged lazily when dead entries are scanned, and rebuilt exactly —
   // same order — by GarbageCollect.
@@ -1090,45 +831,6 @@ class Solver {
   uint64_t sls_verified_epoch_ = 0;
   bool sls_bin_log_overflow_ = false;
   std::vector<std::pair<Lit, Lit>> sls_new_bins_;
-
-  // Bounded variable elimination state. The stack records every clause
-  // removed with its variable; ExtendModel replays it newest-first to
-  // give eliminated variables exact model values.
-  std::vector<uint8_t> eliminable_;   // per var: MarkEliminable called
-  std::vector<uint8_t> eliminated_;   // per var: resolved away
-  std::vector<Var> elim_candidates_;  // marked, not yet eliminated
-  struct ElimRecord {
-    Var v;
-    std::vector<std::vector<Lit>> clauses;
-  };
-  std::vector<ElimRecord> elim_stack_;
-
-  // Portfolio state. The mirror op log records, while portfolio is
-  // enabled, every external AddClause, FreezeScope and order-block
-  // registration in call order —
-  // exactly what SyncTeam replays into the helpers before a race (BVE
-  // resolvents, imports and materialized order axioms are deliberately
-  // NOT logged: helpers derive their own). The race-scoped
-  // pointers below are non-null only while this solver is a worker in a
-  // running race; Reset() tears all of it down.
-  struct MirrorOp {
-    enum Kind : uint8_t { kClause, kFreeze, kOrderBlock };
-    Kind kind = kClause;
-    Lit act = kLitUndef;     // freeze only
-    std::vector<Lit> lits;   // clause literals
-    std::vector<Var> vars;   // freeze scope vars; order block matrix
-    int block_size = 0;      // order block only
-  };
-  std::vector<MirrorOp> mirror_log_;
-  std::unique_ptr<PortfolioTeam> team_;
-  const std::atomic<uint8_t>* stop_flag_ = nullptr;
-  ClauseShareRing* share_ring_ = nullptr;
-  ClauseExportBuf* export_buf_ = nullptr;
-  int share_worker_ = -1;
-  // Defer-gate conflict cap (absolute, against stats_.conflicts; < 0 =
-  // none). Unlike options_.max_conflicts this is transient: SolveInternal
-  // sets it for the master's solo phase and clears it before racing.
-  int64_t conflict_cap_ = -1;
 };
 
 /// \brief A batch of temporary variables and clauses on a persistent

@@ -11,7 +11,6 @@ namespace service {
 Result<sat::SolverOptions> SolverOptionsForPreset(const std::string& preset) {
   sat::SolverOptions options;
   if (preset == "modern" || preset == "nosls") return options;
-  if (preset == "legacy") return sat::SolverOptions::LegacyHeuristics();
   if (preset == "nogc") {
     options.use_arena_gc = false;
     return options;

@@ -35,8 +35,9 @@ struct RoundOutcome {
   std::vector<int> derivable_attrs;
 };
 
-/// Maps ccr_experiment's --solver vocabulary (modern | legacy | nogc |
-/// sls | nosls) to SolverOptions; rejects unknown names.
+/// The one solver preset table: maps a preset name (modern | nogc | sls |
+/// nosls) to SolverOptions and rejects unknown names. ccr_experiment's
+/// --solver, OPEN's solver field and snapshot parsing all go through it.
 Result<sat::SolverOptions> SolverOptionsForPreset(const std::string& preset);
 
 /// ResolveOptions for a service session: preset solver, optional naive

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/constraints/predicate.h"
+#include "src/service/session_runtime.h"
 
 namespace ccr {
 namespace service {
@@ -20,11 +21,6 @@ Result<CmpOp> CmpOpFromName(const std::string& name, json::Reader* rd) {
   if (name == ">") return CmpOp::kGt;
   if (name == ">=") return CmpOp::kGe;
   return rd->Fail("unknown comparison operator '" + name + "'");
-}
-
-bool KnownPreset(const std::string& preset) {
-  return preset == "modern" || preset == "legacy" || preset == "nogc" ||
-         preset == "sls" || preset == "nosls";
 }
 
 // --- writer ----------------------------------------------------------------
@@ -585,7 +581,7 @@ Result<SessionSnapshot> SnapshotFromJson(std::string_view text) {
         }
         if (f == "solver_preset") {
           CCR_RETURN_NOT_OK(rd.ParseString(&snap.engine.solver_preset));
-          if (!KnownPreset(snap.engine.solver_preset)) {
+          if (!SolverOptionsForPreset(snap.engine.solver_preset).ok()) {
             return rd.Fail("unknown solver preset '" +
                            snap.engine.solver_preset + "'");
           }

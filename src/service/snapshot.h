@@ -36,8 +36,9 @@ inline constexpr int kSnapshotSchemaVersion = 1;
 /// but pinning them keeps rehydrated sessions bit-comparable in the
 /// equivalence gates (and honors what the client asked for at OPEN).
 struct EngineConfig {
-  /// One of modern | legacy | nogc | sls | nosls (ccr_experiment's
-  /// --solver vocabulary; "nosls" is an alias of the default).
+  /// One of modern | nogc | sls | nosls (SolverOptionsForPreset, which
+  /// ccr_experiment's --solver shares; "nosls" is an alias of the
+  /// default).
   std::string solver_preset = "modern";
   bool naive_deduce = false;
 };

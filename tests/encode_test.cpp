@@ -23,7 +23,7 @@ using testing::PaperSchema;
 class VarMapTest : public ::testing::Test {
  protected:
   Specification se_ = EdithSpec();
-  VarMap vm_ = VarMap::Build(se_);
+  VarMap vm_ = VarMap::Build(se_).value();
   int status_ = PaperSchema().IndexOf("status");
   int city_ = PaperSchema().IndexOf("city");
   int kids_ = PaperSchema().IndexOf("kids");
@@ -49,7 +49,7 @@ TEST_F(VarMapTest, UnreachableCfdIsPruned) {
   auto extra = ParseCfd(PaperSchema(), "AC = 999 -> city = 'Nowhere'");
   ASSERT_TRUE(extra.ok());
   se.gamma.push_back(std::move(extra).value());
-  const VarMap vm = VarMap::Build(se);
+  const VarMap vm = VarMap::Build(se).value();
   // AC 999 never occurs: the CFD can never fire, its RHS constant must not
   // pollute the city domain.
   EXPECT_EQ(vm.domain(city_).size(), 3u);
@@ -62,7 +62,7 @@ TEST_F(VarMapTest, ReachableCfdConstantExtendsDomain) {
   auto extra = ParseCfd(PaperSchema(), "AC = 213 -> county = 'LA County'");
   ASSERT_TRUE(extra.ok());
   se.gamma.push_back(std::move(extra).value());
-  const VarMap vm = VarMap::Build(se);
+  const VarMap vm = VarMap::Build(se).value();
   const int county = PaperSchema().IndexOf("county");
   EXPECT_EQ(vm.domain(county).size(), 4u);  // 3 adom + introduced constant
   EXPECT_GE(vm.ValueIndex(county, Value::Str("LA County")), 0);
@@ -78,7 +78,7 @@ TEST_F(VarMapTest, CfdChainingFixpoint) {
   ASSERT_TRUE(c1.ok() && c2.ok());
   se.gamma.push_back(std::move(c1).value());
   se.gamma.push_back(std::move(c2).value());
-  const VarMap vm = VarMap::Build(se);
+  const VarMap vm = VarMap::Build(se).value();
   const int zip = PaperSchema().IndexOf("zip");
   EXPECT_GE(vm.ValueIndex(zip, Value::Str("90001")), 0);
   EXPECT_EQ(vm.applicable_cfds().size(), 4u);
@@ -114,6 +114,39 @@ TEST_F(VarMapTest, DistinctAtomsGetDistinctVars) {
   }
   std::sort(vars.begin(), vars.end());
   EXPECT_EQ(std::adjacent_find(vars.begin(), vars.end()), vars.end());
+}
+
+// One attribute of 46,341 distinct values: its 46,341² order slots exceed
+// int, and with it sat::Var. The build fails closed, before anything sized
+// by d² exists: no order variable, no ground constraint.
+TEST(VarMapLimitTest, DomainBeyondTheSolverRangeFailsClosed) {
+  constexpr int kValues = 46341;
+  EntityInstance e(Schema::Make({"v"}).value(), "huge");
+  for (int i = 0; i < kValues; ++i) {
+    ASSERT_TRUE(e.Add(Tuple({Value::Int(i)})).ok());
+  }
+  Specification se;
+  se.temporal = TemporalInstance(std::move(e));
+
+  const Result<VarMap> vm = VarMap::Build(se);
+  ASSERT_FALSE(vm.ok());
+  EXPECT_EQ(vm.status().code(), StatusCode::kResourceExhausted);
+
+  Instantiation inst;
+  const Status built = Instantiation::BuildInto(se, &inst);
+  EXPECT_EQ(built.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(inst.varmap.num_vars(), 0);
+  EXPECT_TRUE(inst.constraints.empty());
+
+  // One value fewer fits: 46,340² is below 2³¹.
+  EntityInstance fits(Schema::Make({"v"}).value(), "large");
+  for (int i = 0; i < kValues - 1; ++i) {
+    ASSERT_TRUE(fits.Add(Tuple({Value::Int(i)})).ok());
+  }
+  se.temporal = TemporalInstance(std::move(fits));
+  const Result<VarMap> large = VarMap::Build(se);
+  ASSERT_TRUE(large.ok());
+  EXPECT_EQ(large->num_vars(), (kValues - 1) * (kValues - 1));
 }
 
 class InstantiationTest : public ::testing::Test {

@@ -43,12 +43,25 @@ TEST_P(FundamentalSweep, StrictResolverNeverExceedsExactAnalysis) {
     const Specification se = ds.MakeSpec(static_cast<int>(i));
     auto exact = AnalyzeTrueValue(se);
     ASSERT_TRUE(exact.ok());
+    // The analysis reads Lemma 6's pairs off the least model of Φ(Se);
+    // the per-pair loop (one solve per pair) must find the same true
+    // values, so this oracle does not rest on propagation alone.
+    {
+      auto inst = Instantiation::Build(se);
+      ASSERT_TRUE(inst.ok());
+      sat::Solver solver;
+      solver.AddCnf(BuildCnf(*inst));
+      EXPECT_EQ(ExtractTrueValueIndices(inst->varmap,
+                                        Lemma6DeduceShared(*inst, &solver)),
+                exact->true_value_index)
+          << "entity " << i;
+    }
     auto fast = Resolve(se, nullptr, strict);
     ASSERT_TRUE(fast.ok());
     EXPECT_EQ(fast->complete, exact->exists) << "entity " << i;
     // The strict resolver finds exactly the values the exact analysis
     // determines.
-    const VarMap vm = VarMap::Build(se);
+    const VarMap vm = VarMap::Build(se).value();
     for (int a = 0; a < ds.schema.size(); ++a) {
       EXPECT_EQ(fast->resolved[a], exact->true_value_index[a] >= 0)
           << "entity " << i << " attr " << ds.schema.name(a);

@@ -8,8 +8,7 @@
 //       (and recycled across Cnf::Clear, copy and move) equals a fresh
 //       index on every call;
 //   (c) AddCnfFrom's batched feed leaves the solver exactly as one
-//       AddClause per clause does (tests/portfolio_test.cpp covers the
-//       portfolio mirror log it fills, through AddCnf);
+//       AddClause per clause does;
 //   (d) Φ(Se) is Horn on every corpus, so sessions really take the
 //       propagation path (checked in whatever build type runs the test,
 //       not only where the encoder's DCHECK fires).
@@ -441,11 +440,11 @@ void ExpectSameSolverState(Solver* x, Solver* y, const std::string& what) {
 
 TEST(HornFastPathTest, AddCnfFromMatchesPerClauseAddClause) {
   Rng rng(0xfeed);
-  SolverOptions legacy_bins;
-  legacy_bins.use_binary_watches = false;  // binaries in the arena too
+  SolverOptions occur;
+  occur.use_inprocessing = true;  // the occurrence index is fed too
   int unsat = 0;
   for (int round = 0; round < 300; ++round) {
-    const SolverOptions opts = round % 3 == 2 ? legacy_bins : SolverOptions{};
+    const SolverOptions opts = round % 3 == 2 ? occur : SolverOptions{};
     const int n_vars = 4 + static_cast<int>(rng.Below(12));
     const Cnf cnf = FeedCnf(&rng, n_vars, 4 + static_cast<int>(rng.Below(40)),
                             /*with_empty=*/round % 10 == 9);

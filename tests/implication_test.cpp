@@ -130,7 +130,7 @@ TEST(AnalyzeTrueValueTest, EdithHasTrueValue) {
   EXPECT_TRUE(r->exists);
   // Spot-check: the status true value is "deceased".
   const Specification se = EdithSpec();
-  const VarMap vm = VarMap::Build(se);
+  const VarMap vm = VarMap::Build(se).value();
   const int status = PaperSchema().IndexOf("status");
   ASSERT_GE(r->true_value_index[status], 0);
   EXPECT_EQ(vm.domain(status)[r->true_value_index[status]],

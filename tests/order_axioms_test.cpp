@@ -4,9 +4,9 @@
 //       ternary written out — equal verdicts, probe values and failed
 //       literals on random block + clause formulas (Horn and non-Horn,
 //       with assumptions, grown blocks and released scopes), and every
-//       model and cached witness transitively closed; vivification and
-//       inprocessed sessions whose probes materialize axioms; a block
-//       grown one value at a time;
+//       model transitively closed; vivification and inprocessed sessions
+//       whose probes materialize axioms; a block grown one value at a
+//       time;
 //   (b) DeduceOrder's native block propagation vs the counter-based pass
 //       over the materialized formula, paper and strict mode, across
 //       session rounds that add domain values;
@@ -15,8 +15,9 @@
 //   (d) Cnf copy, move and Clear carry the blocks, and DIMACS output
 //       round-trips to the materialized formula;
 // plus the independent oracle for (b): strict-mode DeduceOrder equals the
-// Lemma-6 pair set of NaiveDeduce on a solver fed the materialized
-// formula, so neither side runs the other's closure code.
+// pair set of the per-pair Lemma-6 loop (Lemma6DeduceShared, one solve per
+// pair) on a solver fed the materialized formula, so neither side runs the
+// other's closure code or the propagation Deduce.
 
 #include <gtest/gtest.h>
 
@@ -127,7 +128,8 @@ std::vector<Lit> RandomAssumptions(Rng* rng, int n_vars) {
 }
 
 // Opens a propagation probe on `assume` in both solvers and compares
-// its outcome, every propagated value and every failed-literal test.
+// its outcome and every propagated value; then every failed-literal test:
+// a probe on `assume` plus one more literal.
 void ExpectSameProbe(Solver* implicit, Solver* explicit_, int n_vars,
                      std::span<const Lit> assume, const std::string& where) {
   const bool pi = implicit->BeginProbe(assume);
@@ -138,21 +140,28 @@ void ExpectSameProbe(Solver* implicit, Solver* explicit_, int n_vars,
     ASSERT_EQ(implicit->ProbeValue(v), explicit_->ProbeValue(v))
         << where << " var " << v;
   }
-  for (Var v = 0; v < n_vars; ++v) {
-    for (const bool neg : {false, true}) {
-      ASSERT_EQ(implicit->ProbeLitFails(Lit(v, neg)),
-                explicit_->ProbeLitFails(Lit(v, neg)))
-          << where << " lit " << Lit(v, neg).ToString();
-    }
-  }
   implicit->EndProbe();
   explicit_->EndProbe();
+  std::vector<Lit> extended(assume.begin(), assume.end());
+  for (Var v = 0; v < n_vars; ++v) {
+    for (const bool neg : {false, true}) {
+      extended.push_back(Lit(v, neg));
+      const bool li = implicit->BeginProbe(extended);
+      const bool le = explicit_->BeginProbe(extended);
+      ASSERT_EQ(li, le) << where << " lit " << Lit(v, neg).ToString();
+      if (li) {
+        implicit->EndProbe();
+        explicit_->EndProbe();
+      }
+      extended.pop_back();
+    }
+  }
 }
 
 // Compares both solvers under `assume`: a propagation probe while
 // neither has learnt anything (learnt clauses strengthen propagation
-// differently on each side), then the verdicts; models and cached
-// witnesses must be closed. Returns whether the probe was compared.
+// differently on each side), then the verdicts; models must be closed.
+// Returns whether the probe was compared.
 bool ExpectSameBehaviour(const Cnf& cnf, Solver* implicit, Solver* explicit_,
                          std::span<const Lit> assume,
                          const std::string& where) {
@@ -167,10 +176,6 @@ bool ExpectSameBehaviour(const Cnf& cnf, Solver* implicit, Solver* explicit_,
   if (ri == SolveResult::kSat) {
     EXPECT_TRUE(ModelClosed(cnf, *implicit)) << where;
   }
-  for (const std::vector<Lbool>* m : implicit->CachedWitnesses(assume)) {
-    EXPECT_TRUE(Closed(cnf, [&](Var v) { return (*m)[v] == Lbool::kTrue; }))
-        << where;
-  }
   return probed;
 }
 
@@ -182,7 +187,12 @@ TEST(OrderAxiomsTest, SolverMatchesMaterializedFormula) {
   for (int round = 0; round < 300; ++round) {
     const bool horn = round % 2 == 0;
     SolverOptions opts;
-    if (round % 5 == 4) opts = SolverOptions::LegacyHeuristics();
+    if (round % 5 == 4) {
+      // Plain search: lowest-id decisions, no saved phases or restarts.
+      opts.use_vsids = false;
+      opts.use_phase_saving = false;
+      opts.use_restarts = false;
+    }
     Cnf cnf = RandomBlockCnf(&rng, horn);
     Solver implicit(opts), explicit_(opts);
     implicit.AddCnf(cnf);
@@ -365,15 +375,6 @@ TEST(OrderAxiomsTest, GrowingABlockValueByValueKeepsItsMirrorQuadratic) {
   EXPECT_TRUE(ModelClosed(cnf, s));
 }
 
-TEST(OrderAxiomsTest, BlockVariablesCannotBeEliminated) {
-  Cnf cnf;
-  cnf.AddOrderBlock();
-  GrowBlock(&cnf, 0, 3);
-  Solver s;
-  s.AddCnf(cnf);
-  EXPECT_DEATH(s.MarkEliminable(cnf.order_block(0).at(0, 1)), "");
-}
-
 // --- sessions over the corpora ------------------------------------------
 
 Dataset SmallCorpus(const std::string& kind) {
@@ -529,15 +530,13 @@ TEST(OrderAxiomsTest, StrictDeduceOrderIsTheLemma6PairSet) {
   DeduceOptions strict;
   strict.paper_negative_units = false;
   strict.totality_propagation = false;
-  SolverOptions per_pair;
-  per_pair.use_backbone_deduce = false;
   int checks = 0, pairs = 0;
   ForEachSessionRound([&](ResolutionSession* s, const std::string& where) {
     const Instantiation& inst = s->instantiation();
     const std::vector<Lit>& guards = inst.guard_assumptions();
-    Solver reference(per_pair);
+    Solver reference;
     reference.AddCnf(s->cnf().Materialized());
-    const DeducedOrders exact = NaiveDeduceShared(inst, &reference, guards);
+    const DeducedOrders exact = Lemma6DeduceShared(inst, &reference, guards);
     const DeducedOrders fast = DeduceOrder(inst, s->cnf(), strict, guards);
     EXPECT_TRUE(SameOrders(fast, exact)) << where;
     ++checks;
@@ -560,9 +559,9 @@ SolverOptions SlsOptions() {
 TEST(OrderAxiomsTest, InprocessedSessionSolverMatchesTheMaterializedFormula) {
   // The `--solver sls` flags on the Lemma-6 pipeline: every ExtendWith
   // vivifies the round's delta on the persistent solver, whose probes
-  // materialize axioms, and NaiveDeduce's probes then run on the result.
-  // Validity and the deduced orders match a fresh solver on the
-  // materialized formula.
+  // materialize axioms, and NaiveDeduce's probe then runs on the result.
+  // Validity and the deduced orders match the per-pair Lemma-6 loop on a
+  // fresh solver holding the materialized formula.
   ResolveOptions options;
   options.solver = SlsOptions();
   options.naive_deduce = true;
@@ -577,7 +576,7 @@ TEST(OrderAxiomsTest, InprocessedSessionSolverMatchesTheMaterializedFormula) {
             << where;
         EXPECT_TRUE(SameOrders(
             s->Deduce(),
-            NaiveDeduceShared(s->instantiation(), &reference, guards)))
+            Lemma6DeduceShared(s->instantiation(), &reference, guards)))
             << where;
         ++checks;
       },

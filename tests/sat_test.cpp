@@ -246,7 +246,8 @@ TEST(SolverTest, MinimizationStaleSeenRegression) {
   // for the shifted tail instead of the dropped literal. The stale mark
   // made the next Analyze skip that variable entirely, learning a unit
   // the formula does not imply — and the solver answered UNSAT on this
-  // satisfiable instance. Both minimization modes shared the cleanup.
+  // satisfiable instance. Checked with and without VSIDS, which steer
+  // the search into different conflicts.
   constexpr char kDimacs[] =
       "-7 0 12 -3 13 0 8 0 -10 5 0 -11 3 12 0 -15 -14 0 10 -13 0 -7 0 "
       "-10 -6 -14 0 -11 10 0 -5 10 0 -13 -15 0 12 6 0 3 2 0 8 0 6 11 0 "
@@ -254,41 +255,34 @@ TEST(SolverTest, MinimizationStaleSeenRegression) {
       "-12 -16 -10 0 -12 -1 -14 0 11 -2 0\n";
   auto cnf = FromDimacs(kDimacs);
   ASSERT_TRUE(cnf.ok());
-  for (const bool deep : {false, true}) {
-    SolverOptions opts = SolverOptions::LegacyHeuristics();
-    opts.use_deep_ccmin = deep;
+  for (const bool vsids : {false, true}) {
+    SolverOptions opts;
+    opts.use_vsids = vsids;
     Solver s(opts);
     s.AddCnf(*cnf);
-    ASSERT_EQ(s.Solve(), SolveResult::kSat) << "deep_ccmin=" << deep;
-    EXPECT_TRUE(ModelSatisfies(*cnf, s)) << "deep_ccmin=" << deep;
+    ASSERT_EQ(s.Solve(), SolveResult::kSat) << "vsids=" << vsids;
+    EXPECT_TRUE(ModelSatisfies(*cnf, s)) << "vsids=" << vsids;
   }
-  Solver modern;
-  modern.AddCnf(*cnf);
-  ASSERT_EQ(modern.Solve(), SolveResult::kSat);
-  EXPECT_TRUE(ModelSatisfies(*cnf, modern));
 }
 
 // Random 3-SAT cross-checked against brute force under every feature
-// configuration — the classic MiniSat toggles plus each modernization
-// flag (binary watches, LBD tiers, EMA restarts, deep ccmin, witness
-// cache) and a mid-stream Simplify() variant that exercises the
-// inprocessing passes on half-loaded formulas.
+// configuration — the classic MiniSat toggles, inprocessing, eager arena
+// GC, local-search seeding, and a mid-stream Simplify() variant that
+// exercises the inprocessing passes on half-loaded formulas.
 struct FuzzParams {
+  const char* name = "Defaults";
   bool vsids = true;
   bool phase_saving = true;
   bool restarts = true;
   bool deletion = true;
-  bool binary_watches = true;
-  bool lbd_tiers = true;
-  bool ema_restarts = true;
-  bool deep_ccmin = true;
   bool inprocessing = true;
-  bool model_cache = true;
   bool simplify_midway = false;  // feed half, Simplify (inprocess), rest
   bool eager_gc = false;         // gc_frac = 0: compact at every chance
-  bool mark_eliminable = false;  // BVE a third of the vars, then solve
   bool sls_seed = false;         // run SeedFromLocalSearch before Solve
 };
+
+// Names each instantiation in test listings.
+void PrintTo(const FuzzParams& p, std::ostream* os) { *os << p.name; }
 
 class SolverFuzzTest : public ::testing::TestWithParam<FuzzParams> {};
 
@@ -296,11 +290,8 @@ TEST_P(SolverFuzzTest, MatchesBruteForce) {
   const FuzzParams p = GetParam();
   Rng rng(0xF00D + (p.vsids ? 1 : 0) + (p.phase_saving ? 2 : 0) +
           (p.restarts ? 4 : 0) + (p.deletion ? 8 : 0) +
-          (p.binary_watches ? 16 : 0) + (p.lbd_tiers ? 32 : 0) +
-          (p.ema_restarts ? 64 : 0) + (p.deep_ccmin ? 128 : 0) +
-          (p.inprocessing ? 1024 : 0) + (p.model_cache ? 256 : 0) +
-          (p.simplify_midway ? 512 : 0) + (p.eager_gc ? 2048 : 0) +
-          (p.mark_eliminable ? 4096 : 0) + (p.sls_seed ? 8192 : 0));
+          (p.inprocessing ? 1024 : 0) + (p.simplify_midway ? 512 : 0) +
+          (p.eager_gc ? 2048 : 0) + (p.sls_seed ? 8192 : 0));
   int sat_count = 0, unsat_count = 0;
   for (int round = 0; round < 150; ++round) {
     const int n_vars = 3 + static_cast<int>(rng.Below(10));
@@ -321,13 +312,7 @@ TEST_P(SolverFuzzTest, MatchesBruteForce) {
     opts.use_phase_saving = p.phase_saving;
     opts.use_restarts = p.restarts;
     opts.use_clause_deletion = p.deletion;
-    opts.use_binary_watches = p.binary_watches;
-    opts.use_lbd_tiers = p.lbd_tiers;
-    opts.use_ema_restarts = p.ema_restarts;
-    opts.use_deep_ccmin = p.deep_ccmin;
     opts.use_inprocessing = p.inprocessing;
-    opts.use_model_cache = p.model_cache;
-    opts.use_bve = p.mark_eliminable;
     if (p.eager_gc) opts.gc_frac = 0.0;
     Solver solver(opts);
     bool alive = true;
@@ -350,12 +335,6 @@ TEST_P(SolverFuzzTest, MatchesBruteForce) {
       if (alive) alive = solver.Simplify();
     } else {
       solver.AddCnf(cnf);
-    }
-    if (p.mark_eliminable && alive) {
-      // Resolve away a third of the variables; answers and models (via
-      // the reconstruction stack) must still match the full formula.
-      for (Var v = 0; v < cnf.num_vars(); v += 3) solver.MarkEliminable(v);
-      alive = solver.Simplify();
     }
     if (p.sls_seed && alive) {
       // Local-search warm start: rewrites saved phases and may push a
@@ -384,42 +363,29 @@ TEST_P(SolverFuzzTest, MatchesBruteForce) {
 INSTANTIATE_TEST_SUITE_P(
     FeatureMatrix, SolverFuzzTest,
     ::testing::Values(
-        FuzzParams{},                          // modern defaults
-        FuzzParams{.vsids = false},
-        FuzzParams{.phase_saving = false},
-        FuzzParams{.restarts = false},
-        FuzzParams{.deletion = false},
-        FuzzParams{.binary_watches = false},
-        FuzzParams{.lbd_tiers = false},
-        FuzzParams{.ema_restarts = false},
-        FuzzParams{.deep_ccmin = false},
-        FuzzParams{.model_cache = false},
-        FuzzParams{.simplify_midway = true},
+        FuzzParams{},
+        FuzzParams{.name = "NoVsids", .vsids = false},
+        FuzzParams{.name = "NoPhaseSaving", .phase_saving = false},
+        FuzzParams{.name = "NoRestarts", .restarts = false},
+        FuzzParams{.name = "NoDeletion", .deletion = false},
+        FuzzParams{.name = "SimplifyMidway", .simplify_midway = true},
         // Arena compaction at every opportunity, alone and on top of the
         // half-loaded inprocessing path.
-        FuzzParams{.eager_gc = true},
-        FuzzParams{.simplify_midway = true, .eager_gc = true},
-        // Bounded variable elimination, with and without eager GC over
-        // the freshly rewritten arena.
-        FuzzParams{.mark_eliminable = true},
-        FuzzParams{.eager_gc = true, .mark_eliminable = true},
+        FuzzParams{.name = "EagerGc", .eager_gc = true},
+        FuzzParams{.name = "SimplifyMidwayEagerGc", .simplify_midway = true,
+                   .eager_gc = true},
         // SLS-seeded lanes: a local-search pass before every Solve, alone
-        // and stacked on BVE (eliminated vars must stay off-limits to the
-        // flip loop) and on the half-loaded inprocessing path.
-        FuzzParams{.sls_seed = true},
-        FuzzParams{.mark_eliminable = true, .sls_seed = true},
-        FuzzParams{.simplify_midway = true, .sls_seed = true},
-        // Fully legacy: the 2003-era solver this repo started from.
-        FuzzParams{.vsids = false, .phase_saving = false, .restarts = false,
-                   .deletion = false, .binary_watches = false,
-                   .lbd_tiers = false, .ema_restarts = false,
-                   .deep_ccmin = false, .inprocessing = false,
-                   .model_cache = false},
-        // Legacy heuristics plus mid-stream Simplify(): with
-        // use_inprocessing off it only sweeps satisfied clauses.
-        FuzzParams{.binary_watches = false, .lbd_tiers = false,
-                   .ema_restarts = false, .deep_ccmin = false,
-                   .inprocessing = false, .model_cache = false,
+        // and on the half-loaded inprocessing path.
+        FuzzParams{.name = "SlsSeed", .sls_seed = true},
+        FuzzParams{.name = "SimplifyMidwaySlsSeed", .simplify_midway = true,
+                   .sls_seed = true},
+        // Every search feature off: the plain DPLL-with-learning core.
+        FuzzParams{.name = "AllOff", .vsids = false, .phase_saving = false,
+                   .restarts = false, .deletion = false,
+                   .inprocessing = false},
+        // Inprocessing off plus mid-stream Simplify(): it then only sweeps
+        // satisfied clauses.
+        FuzzParams{.name = "SweepOnlyMidway", .inprocessing = false,
                    .simplify_midway = true}));
 
 TEST(DimacsTest, RoundTrip) {

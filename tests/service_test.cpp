@@ -127,6 +127,25 @@ TEST(SessionManagerTest, OpenRejectsDuplicatesAndMalformedSnapshots) {
   EXPECT_EQ(manager.known_sessions(), 1);
 }
 
+// A spec whose order variables exceed the solver's range (one attribute
+// of 46,341 distinct values) fits in one OPEN; the daemon answers with an
+// error reply instead of allocating the formula, and forgets the id.
+TEST(SessionManagerTest, OpenOfAnOversizedDomainGetsAnErrorReply) {
+  EntityInstance e(Schema::Make({"v"}).value(), "huge");
+  for (int i = 0; i < 46341; ++i) {
+    ASSERT_TRUE(e.Add(Tuple({Value::Int(i)})).ok());
+  }
+  SessionSnapshot snap;
+  snap.spec.temporal = TemporalInstance(std::move(e));
+  SessionManager manager(ServiceOptions{});
+  const ServiceReply reply = Call(&manager, RequestType::kOpen, "huge",
+                                  SnapshotToJson(snap, /*indent=*/0));
+  EXPECT_NE(reply.code, ErrorCode::kOk);
+  EXPECT_NE(reply.payload.find("exceed"), std::string::npos)
+      << reply.payload;
+  EXPECT_EQ(manager.known_sessions(), 0);
+}
+
 TEST(SessionManagerTest, SessionOpsOnUnknownIdsReturnNotFound) {
   SessionManager manager(ServiceOptions{});
   for (const RequestType type :

@@ -3,9 +3,9 @@
 //   * keep the solver arena bounded — compacting GC holds the high-water
 //     mark within 2x of the live clause words,
 //   * change no result whatsoever — every validity verdict, every deduced
-//     order, and the serialized ExperimentResult bytes are identical with
-//     arena GC + BVE on, off, or maximally eager,
-//   * keep the incremental model cache effective across relocations, and
+//     order, every suggestion, and the serialized ExperimentResult bytes
+//     are identical with arena GC on, off, or maximally eager,
+//   * keep Suggest's model cache effective across relocations, and
 //   * never fall back to a session rebuild.
 //
 // The churn mimics what a real resolution service produces (§III Remark
@@ -13,6 +13,9 @@
 // attribute, dominating every prior tuple on that attribute. Truth
 // answers stay consistent forever, while the unit cascades they trigger
 // keep satisfying old clauses and retiring guards — dead arena words.
+// Every round answers the same attribute, so the others stay unresolved
+// and each deduce round's Suggest runs GetSug's assumption solves on the
+// collected solver.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +25,7 @@
 #include <tuple>
 #include <vector>
 
+#include "src/core/deduce.h"
 #include "src/core/session.h"
 #include "src/data/dataset.h"
 #include "src/data/person_generator.h"
@@ -59,11 +63,12 @@ struct SoakOutcome {
   int64_t gc_runs = 0;
   int64_t reclaimed_words = 0;
   int64_t model_cache_hits = 0;
-  int64_t bve_eliminated = 0;
   int rebuilds = 0;
   std::vector<bool> valid_by_round;
   // Closure of every Deduce() call, flattened as (call, attr, u, v).
   std::vector<std::tuple<int, int, int, int>> deduced;
+  // Attributes of every suggestion, one list per Deduce() call.
+  std::vector<std::vector<int>> suggested;
 };
 
 SoakOutcome RunSoak(const Specification& spec,
@@ -71,9 +76,8 @@ SoakOutcome RunSoak(const Specification& spec,
                     bool eager) {
   SoakOutcome out;
   ResolveOptions opts;
-  opts.naive_deduce = true;  // Lemma-6 churn on the persistent solver
+  opts.naive_deduce = true;  // Lemma-6 probes on the persistent solver
   opts.solver.use_arena_gc = lifecycle_on;
-  opts.solver.use_bve = lifecycle_on;
   // The answer-round dead fraction plateaus near ~20% of the arena, so
   // the production trigger (0.25) would coast at this scale; 0.10 makes
   // the collector genuinely run. `eager` compacts at every opportunity.
@@ -84,13 +88,10 @@ SoakOutcome RunSoak(const Specification& spec,
   const int n_attrs = static_cast<int>(spec.schema().size());
   int to_index = static_cast<int>(spec.instance().size());
   int deduce_calls = 0;
+  int a = 0;
+  while (a < n_attrs && truth[a].is_null()) ++a;
+  if (a == n_attrs) return out;
   for (int r = 0; r < kSoakRounds; ++r) {
-    int a = r % n_attrs;
-    for (int probe = 0; probe < n_attrs && truth[a].is_null(); ++probe) {
-      a = (a + 1) % n_attrs;
-    }
-    if (truth[a].is_null()) return out;
-
     PartialTemporalOrder ot;
     Tuple to(std::vector<Value>(n_attrs, Value::Null()));
     to[a] = truth[a];
@@ -114,6 +115,15 @@ SoakOutcome RunSoak(const Specification& spec,
         }
       }
       ++deduce_calls;
+      // Suggest's assumption solves cache their models; the GC keeps
+      // relocating clauses while those models are live.
+      if (out.valid_by_round.back()) {
+        const VarMap& vm = session->instantiation().varmap;
+        out.suggested.push_back(
+            session->MakeSuggestion(CandidateValues(vm, d),
+                                    ExtractTrueValueIndices(vm, d))
+                .attrs);
+      }
     }
 
     const sat::Solver& solver = session->solver();
@@ -131,7 +141,6 @@ SoakOutcome RunSoak(const Specification& spec,
   out.gc_runs = solver.stats().gc_runs;
   out.reclaimed_words = solver.stats().gc_reclaimed_words;
   out.model_cache_hits = solver.stats().model_cache_hits;
-  out.bve_eliminated = solver.stats().bve_eliminated;
   out.rebuilds = session->rebuilds();
   out.ok = true;
   return out;
@@ -184,8 +193,10 @@ TEST(SessionSoakTest, LifecycleFeaturesAreResultNeutral) {
   ASSERT_TRUE(eager.ok);
   EXPECT_EQ(on.valid_by_round, off.valid_by_round);
   EXPECT_EQ(on.deduced, off.deduced);
+  EXPECT_EQ(on.suggested, off.suggested);
   EXPECT_EQ(eager.valid_by_round, off.valid_by_round);
   EXPECT_EQ(eager.deduced, off.deduced);
+  EXPECT_EQ(eager.suggested, off.suggested);
   EXPECT_GE(eager.gc_runs, on.gc_runs);
 }
 
@@ -219,7 +230,6 @@ TEST(SessionSoakTest, ExperimentBytesAreIdenticalAcrossLifecycleConfigs) {
     eopts.max_rounds = 3;
     eopts.answers_per_round = 1;
     eopts.resolve.solver.use_arena_gc = lifecycle_on;
-    eopts.resolve.solver.use_bve = lifecycle_on;
     eopts.resolve.solver.gc_frac = gc_frac;
     return ExperimentResultToJson(RunExperiment(ds, eopts), json_opts);
   };

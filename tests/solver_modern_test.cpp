@@ -1,11 +1,10 @@
-// Tests for the modernized CDCL core: the randomized ablation-equivalence
-// suite (every SolverOptions combination must resolve every entity to the
-// byte — the pipeline consumes only SAT verdicts, so heuristics cannot
-// change results), a DIMACS-level regression that learnt clauses survive
-// deep minimization still implied (checked by re-solve), and unit tests
-// for the new machinery: implicit binary watches, LBD tiers, EMA
-// restarts, batched ScopedVars release, inprocessing and the cached-model
-// witness pool.
+// Tests for the CDCL core: the ablation-equivalence suite (every
+// SolverOptions combination must resolve every entity to the byte — the
+// pipeline consumes only SAT verdicts, so heuristics cannot change
+// results), a DIMACS-level regression that learnt clauses survive
+// minimization still implied (checked by re-solve), and unit tests for
+// implicit binary watches, batched ScopedVars release, inprocessing, the
+// cached-model witness pool and arena GC.
 
 #include <gtest/gtest.h>
 
@@ -26,26 +25,18 @@ using sat::Solver;
 using sat::SolverOptions;
 using sat::Var;
 
-SolverOptions BveOptions() {
+// The search axes that remain: VSIDS, phase saving, restarts, clause
+// deletion, and the whole-formula passes of the `sls` preset.
+SolverOptions MakeOptions(bool vsids, bool phase, bool restarts,
+                          bool deletion, bool sls) {
   SolverOptions o;
-  o.use_bve = true;  // off by default
-  return o;
-}
-
-SolverOptions MakeOptions(bool bin, bool tiers, bool ema, bool ccmin,
-                          bool inproc, bool gc, bool sls, bool cache,
-                          bool backbone = true) {
-  SolverOptions o;
-  o.use_binary_watches = bin;
-  o.use_lbd_tiers = tiers;
-  o.use_ema_restarts = ema;
-  o.use_deep_ccmin = ccmin;
-  o.use_inprocessing = inproc;
-  o.use_arena_gc = gc;
+  o.use_vsids = vsids;
+  o.use_phase_saving = phase;
+  o.use_restarts = restarts;
+  o.use_clause_deletion = deletion;
   o.use_sls_seeding = sls;
   o.use_sls_probing = sls;
-  o.use_model_cache = cache;
-  o.use_backbone_deduce = backbone;
+  o.use_inprocessing = sls;
   return o;
 }
 
@@ -90,64 +81,35 @@ std::string ResolveCorpusToJson(const Dataset& ds,
   return ExperimentResultToJson(r, jopts);
 }
 
-// The CI gate of this PR: every combination of the eight ablation axes —
-// the six CDCL features, the SLS warm-start bit, and (bit 128) the
-// backbone Deduce engine exercised on the NaiveDeduce pipeline, with the
-// witness cache on (the default) — plus the fully-legacy and
-// cache-less-modern spot checks produce byte-identical
-// ExperimentResults on all three corpora. The high bit switches the
-// reference too: backbone-engine runs are compared against the per-pair
-// Lemma-6 loop (use_backbone_deduce off), the configuration whose
-// answers are one solver verdict per pair.
+// Every combination of the five search axes, on both deduce pipelines,
+// plus eager arena GC, resolves all three corpora to the default
+// configuration's bytes.
 TEST(SolverAblationEquivalenceTest, EveryOptionComboResolvesIdentically) {
   for (const std::string kind : {"person", "nba", "career"}) {
     const Dataset ds = AblationCorpus(kind);
-    const std::string baseline = ResolveCorpusToJson(ds, SolverOptions{});
-    const std::string naive_baseline = ResolveCorpusToJson(
-        ds,
-        MakeOptions(true, true, true, true, true, true, true, true,
-                    /*backbone=*/false),
-        /*naive_deduce=*/true);
-    for (int mask = 0; mask < 256; ++mask) {
-      const bool naive = mask & 128;
-      const SolverOptions opts =
-          MakeOptions(mask & 1, mask & 2, mask & 4, mask & 8, mask & 16,
-                      mask & 32, mask & 64, /*cache=*/true);
-      EXPECT_EQ(ResolveCorpusToJson(ds, opts, naive),
-                naive ? naive_baseline : baseline)
-          << kind << " flag mask " << mask;
+    for (const bool naive : {false, true}) {
+      const std::string baseline =
+          ResolveCorpusToJson(ds, SolverOptions{}, naive);
+      for (int mask = 0; mask < 32; ++mask) {
+        if (mask == 15) continue;  // the defaults: the baseline itself
+        const SolverOptions opts = MakeOptions(mask & 1, mask & 2, mask & 4,
+                                               mask & 8, mask & 16);
+        EXPECT_EQ(ResolveCorpusToJson(ds, opts, naive), baseline)
+            << kind << " naive " << naive << " flag mask " << mask;
+      }
+      // Collector pressure extreme: compact at every opportunity
+      // (gc_frac = 0 fires on the first dead word) — the arena lifecycle
+      // may never move a result.
+      SolverOptions eager_gc;
+      eager_gc.gc_frac = 0.0;
+      EXPECT_EQ(ResolveCorpusToJson(ds, eager_gc, naive), baseline)
+          << kind << " naive " << naive << " eager gc";
     }
-    // Legacy heuristics carry backbone-off: the naive pipeline under
-    // them must still match the per-pair reference bytes.
-    EXPECT_EQ(ResolveCorpusToJson(ds, SolverOptions::LegacyHeuristics(),
-                                  /*naive_deduce=*/true),
-              naive_baseline)
-        << kind << " legacy, naive pipeline";
-    // Witness-cache off: the one remaining axis, spot-checked against the
-    // fully legacy (the shared LegacyHeuristics configuration) and fully
-    // modern corners.
-    EXPECT_EQ(ResolveCorpusToJson(ds, SolverOptions::LegacyHeuristics()),
-              baseline)
-        << kind << " legacy, no cache";
-    EXPECT_EQ(ResolveCorpusToJson(ds, MakeOptions(true, true, true, true,
-                                                  true, true, true, false)),
-              baseline)
-        << kind << " modern, no cache";
-    // Collector pressure extremes: compact at every opportunity
-    // (gc_frac = 0 fires on the first dead word) and bounded variable
-    // elimination on (off by default) — the arena lifecycle may never
-    // move a result.
-    SolverOptions eager_gc;
-    eager_gc.gc_frac = 0.0;
-    EXPECT_EQ(ResolveCorpusToJson(ds, eager_gc), baseline)
-        << kind << " eager gc";
-    EXPECT_EQ(ResolveCorpusToJson(ds, BveOptions()), baseline)
-        << kind << " bve on";
   }
 }
 
-// DIMACS-level regression: every clause the modern solver learns — after
-// recursive minimization, possibly migrated into the binary watch lists —
+// DIMACS-level regression: every clause the solver learns — after
+// minimization, possibly migrated into the binary watch lists —
 // must still be implied by the original formula: F ∧ ¬C re-solved by an
 // independent solver must be UNSAT.
 TEST(DeepMinimizationTest, LearntClausesStayImplied) {
@@ -189,7 +151,7 @@ TEST(DeepMinimizationTest, LearntClausesStayImplied) {
         }
       }
     }
-    Solver s;  // modern defaults: deep ccmin, binary watches, tiers
+    Solver s;
     s.AddCnf(cnf);
     (void)s.Solve();
     for (const std::vector<Lit>& learnt : s.LearntClauses()) {
@@ -208,7 +170,7 @@ TEST(DeepMinimizationTest, LearntClausesStayImplied) {
 }
 
 TEST(BinaryWatchTest, BinaryChainsPropagateAndCount) {
-  Solver s;  // binary watches on by default
+  Solver s;
   const int n = 40;
   std::vector<Var> v(n);
   for (int i = 0; i < n; ++i) v[i] = s.NewVar();
@@ -303,7 +265,7 @@ TEST(InprocessingTest, VivificationShortensImpliedClause) {
 }
 
 TEST(ModelCacheTest, WitnessReuseAnswersWithoutSearch) {
-  Solver s;  // cache on by default
+  Solver s;
   const Var a = s.NewVar(), b = s.NewVar();
   ASSERT_TRUE(s.AddClause({Lit::Pos(a), Lit::Pos(b)}));
   ASSERT_EQ(s.Solve(), SolveResult::kSat);
@@ -360,7 +322,7 @@ TEST(ArenaGcTest, CompactionReclaimsDeadWordsAndKeepsAnswers) {
 }
 
 TEST(ArenaGcTest, ModelCacheSurvivesRelocation) {
-  Solver s;  // witness cache on by default
+  Solver s;
   const Var a = s.NewVar(), b = s.NewVar(), c = s.NewVar();
   ASSERT_TRUE(s.AddClause({Lit::Pos(a), Lit::Pos(b), Lit::Pos(c)}));
   ASSERT_TRUE(s.AddClause({Lit::Neg(a), Lit::Pos(b), Lit::Pos(c)}));
@@ -385,9 +347,7 @@ TEST(ArenaGcTest, ModelCacheSurvivesRelocation) {
 // entitled to exploit — this test gives it a dense workload to exploit
 // it on.
 TEST(ClauseActivityTest, ActivityDrivenDeletionSurvivesStrictAliasing) {
-  SolverOptions opts;
-  opts.use_lbd_tiers = false;  // legacy activity-sorted ReduceDb path
-  Solver s(opts);
+  Solver s;
   sat::Cnf cnf;
   const int holes = 9, pigeons = 10;
   auto var = [&](int p, int h) { return p * holes + h; };
@@ -406,76 +366,6 @@ TEST(ClauseActivityTest, ActivityDrivenDeletionSurvivesStrictAliasing) {
   s.AddCnf(cnf);
   ASSERT_EQ(s.Solve(), SolveResult::kUnsat);
   EXPECT_GT(s.stats().conflicts, 100);  // real bump/decay/delete traffic
-}
-
-TEST(BveTest, EliminatedVarIsResolvedAwayAndModelExtends) {
-  Solver s(BveOptions());
-  const Var a = s.NewVar(), b = s.NewVar(), c = s.NewVar();
-  ASSERT_TRUE(s.AddClause({Lit::Pos(a), Lit::Pos(b)}));
-  ASSERT_TRUE(s.AddClause({Lit::Neg(a), Lit::Pos(c)}));
-  s.MarkEliminable(a);
-  ASSERT_TRUE(s.Simplify());
-  ASSERT_TRUE(s.VarEliminated(a));
-  EXPECT_GE(s.stats().bve_eliminated, 1);
-  // The resolvent (b ∨ c) must constrain the reduced formula...
-  EXPECT_EQ(s.SolveWithAssumptions({Lit::Neg(b), Lit::Neg(c)}),
-            SolveResult::kUnsat);
-  // ...and a full solve must reconstruct a value for the eliminated
-  // variable that satisfies the ORIGINAL clauses.
-  ASSERT_EQ(s.SolveWithAssumptions({Lit::Neg(c)}), SolveResult::kSat);
-  EXPECT_TRUE(s.ModelValue(b));
-  EXPECT_FALSE(s.ModelValue(a));  // (¬a ∨ c) with c false forces ¬a
-  ASSERT_EQ(s.SolveWithAssumptions({Lit::Neg(b)}), SolveResult::kSat);
-  EXPECT_TRUE(s.ModelValue(a));  // (a ∨ b) with b false forces a
-  EXPECT_TRUE(s.ModelValue(c));
-}
-
-TEST(BveTest, GrowthRuleKeepsDenseVars) {
-  Solver s(BveOptions());
-  const Var x = s.NewVar();
-  std::vector<Var> others;
-  // 5 positive x 5 negative occurrences -> 25 resolvents > 10 originals:
-  // the no-growth rule must refuse.
-  for (int i = 0; i < 5; ++i) {
-    const Var p = s.NewVar(), q = s.NewVar(), r = s.NewVar(), t = s.NewVar();
-    others.insert(others.end(), {p, q, r, t});
-    ASSERT_TRUE(s.AddClause({Lit::Pos(x), Lit::Pos(p), Lit::Pos(q)}));
-    ASSERT_TRUE(s.AddClause({Lit::Neg(x), Lit::Pos(r), Lit::Pos(t)}));
-  }
-  s.MarkEliminable(x);
-  ASSERT_TRUE(s.Simplify());
-  EXPECT_FALSE(s.VarEliminated(x));
-  ASSERT_EQ(s.Solve(), SolveResult::kSat);
-}
-
-TEST(LbdTierTest, TieredCountersPopulateOnConflictHeavySearch) {
-  // Pigeonhole forces real conflict-driven search: glue statistics and
-  // the tier counters must move.
-  SolverOptions opts;  // modern defaults
-  Solver s(opts);
-  sat::Cnf cnf;
-  const int holes = 6, pigeons = 7;
-  auto var = [&](int p, int h) { return p * holes + h; };
-  for (int p = 0; p < pigeons; ++p) {
-    std::vector<Lit> clause;
-    for (int h = 0; h < holes; ++h) clause.push_back(Lit::Pos(var(p, h)));
-    cnf.AddClause(std::span<const Lit>(clause.data(), clause.size()));
-  }
-  for (int h = 0; h < holes; ++h) {
-    for (int p1 = 0; p1 < pigeons; ++p1) {
-      for (int p2 = p1 + 1; p2 < pigeons; ++p2) {
-        cnf.AddBinary(Lit::Neg(var(p1, h)), Lit::Neg(var(p2, h)));
-      }
-    }
-  }
-  s.AddCnf(cnf);
-  ASSERT_EQ(s.Solve(), SolveResult::kUnsat);
-  EXPECT_GT(s.stats().conflicts, 0);
-  EXPECT_GT(s.stats().lbd_sum, 0);
-  EXPECT_GT(s.stats().learnt_core + s.stats().learnt_mid +
-                s.stats().learnt_local,
-            0);
-  EXPECT_GT(s.stats().binary_propagations, 0);
 }
 
 // The session engine stamps per-phase solver deltas into the RoundTrace;

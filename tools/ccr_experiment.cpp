@@ -41,9 +41,8 @@ struct CliOptions {
   double sigma_fraction = 1.0;
   double gamma_fraction = 1.0;
   std::string engine = "session";  // session (default) | legacy
-  std::string solver = "modern";   // modern (default) | legacy heuristics
-  std::string deduce = "fast";     // fast (default) | naive (Lemma-6 solves)
-  int portfolio = 0;               // >1 = portfolio workers per solve
+  std::string solver = "modern";   // service::SolverOptionsForPreset name
+  std::string deduce = "fast";     // fast (default) | naive (Lemma 6)
   bool include_timings = true;
   bool reuse_allocations = true;
   bool solver_stats = false;
@@ -75,31 +74,20 @@ void PrintUsage(std::FILE* to) {
                "  --engine E        session (persistent-solver incremental\n"
                "                    engine, default) | legacy (re-encode\n"
                "                    every round; A/B reference)\n"
-               "  --solver S        modern (binary watches, LBD tiers, EMA\n"
-               "                    restarts, deep ccmin; default) | legacy\n"
-               "                    (those off: the MiniSat-2003\n"
-               "                    heuristics) | nogc (modern with arena\n"
-               "                    GC off) | sls (modern plus local-search\n"
-               "                    seeding, MaxSAT probing and\n"
-               "                    inprocessing) | nosls (alias of modern;\n"
-               "                    those three are off by default) |\n"
-               "                    nobackbone\n"
-               "                    (modern with the backbone Deduce engine\n"
-               "                    off: one Lemma-6 solve per pair on the\n"
-               "                    naive pipeline). Results are\n"
-               "                    bit-identical in all cases.\n"
+               "  --solver S        modern (default) | nogc (arena GC off) |\n"
+               "                    sls (local-search seeding, MaxSAT\n"
+               "                    probing and inprocessing on; all three\n"
+               "                    are off by default) | nosls (alias of\n"
+               "                    modern). The daemon's preset table;\n"
+               "                    results are bit-identical in all cases.\n"
                "  --deduce D        fast (Fig. 5 unit propagation, default)\n"
-               "                    | naive (exact Lemma-6 solver queries;\n"
-               "                    the solver-bound pipeline the backbone\n"
-               "                    engine accelerates)\n"
-               "  --portfolio N     race N diversified CDCL workers per\n"
-               "                    solve with learnt-clause sharing\n"
-               "                    (default 0 = single-threaded; sharing\n"
-               "                    changes time-to-verdict, never results,\n"
-               "                    so output stays bit-identical)\n"
+               "                    | naive (the exact Lemma-6 pair set,\n"
+               "                    read off the least model of the Horn\n"
+               "                    formula Phi(Se) by one propagation)\n"
                "  --solver-stats    dump pooled per-phase solver statistics\n"
-               "                    (conflicts, binary propagations, glue,\n"
-               "                    tier/inprocessing counters) on stderr\n"
+               "                    (conflicts, propagations, assumption\n"
+               "                    solves, model-cache and inprocessing\n"
+               "                    counters) on stderr\n"
                "  --no-reuse        disable cross-entity solver pooling\n"
                "\n"
                "Common flags:\n"
@@ -169,12 +157,8 @@ int ParseArgs(int argc, char** argv, CliOptions* opts) {
     if (arg == "--solver") {
       const char* v = next_value("--solver");
       if (v == nullptr) return 2;
-      if (std::string(v) != "modern" && std::string(v) != "legacy" &&
-          std::string(v) != "nogc" && std::string(v) != "sls" &&
-          std::string(v) != "nosls" && std::string(v) != "nobackbone") {
-        std::fprintf(stderr,
-                     "--solver wants modern|legacy|nogc|sls|nosls|nobackbone,"
-                     " got %s\n",
+      if (!service::SolverOptionsForPreset(v).ok()) {
+        std::fprintf(stderr, "--solver wants modern|nogc|sls|nosls, got %s\n",
                      v);
         return 2;
       }
@@ -224,8 +208,7 @@ int ParseArgs(int argc, char** argv, CliOptions* opts) {
     }
     if (arg == "--entities" || arg == "--min-tuples" ||
         arg == "--max-tuples" || arg == "--threads" || arg == "--rounds" ||
-        arg == "--answers-per-round" || arg == "--seed" ||
-        arg == "--portfolio") {
+        arg == "--answers-per-round" || arg == "--seed") {
       const char* v = next_value(arg.c_str());
       if (v == nullptr) return 2;
       long long n = 0;
@@ -234,7 +217,7 @@ int ParseArgs(int argc, char** argv, CliOptions* opts) {
       // would make RunExperiment size vectors with max_rounds + 1 < 0).
       long long min_ok = 1;
       if (arg == "--rounds" || arg == "--min-tuples" ||
-          arg == "--max-tuples" || arg == "--seed" || arg == "--portfolio") {
+          arg == "--max-tuples" || arg == "--seed") {
         min_ok = 0;
       }
       const long long max_ok =
@@ -254,7 +237,6 @@ int ParseArgs(int argc, char** argv, CliOptions* opts) {
         opts->answers_per_round = static_cast<int>(n);
       }
       if (arg == "--seed") opts->seed = static_cast<uint64_t>(n);
-      if (arg == "--portfolio") opts->portfolio = static_cast<int>(n);
       continue;
     }
     if (arg == "--sigma" || arg == "--gamma") {
@@ -364,20 +346,12 @@ void DumpSolverStats(const ExperimentResult& r) {
                  "    \"%s\": {\"conflicts\": %lld, \"decisions\": %lld, "
                  "\"propagations\": %lld, \"binary_propagations\": %lld, "
                  "\"restarts\": %lld, \"assumption_solves\": %lld, "
-                 "\"learnt_literals\": %lld, \"lbd_sum\": %lld, "
-                 "\"learnt_core\": %lld, \"learnt_mid\": %lld, "
-                 "\"learnt_local\": %lld, \"subsumed\": %lld, "
+                 "\"learnt_literals\": %lld, \"subsumed\": %lld, "
                  "\"vivified\": %lld, \"model_cache_hits\": %lld, "
                  "\"gc_runs\": %lld, \"gc_reclaimed_words\": %lld, "
-                 "\"bve_eliminated\": %lld, \"bve_resolvents\": %lld, "
                  "\"sls_flips\": %lld, \"sls_seeded_models\": %lld, "
                  "\"sls_probes\": %lld, \"sls_probe_wins\": %lld, "
-                 "\"portfolio_races\": %lld, \"imported_units\": %lld, "
-                 "\"imported_bins\": %lld, \"imported_lbd\": %lld, "
-                 "\"cancelled_workers\": %lld, \"deduce_queries\": %lld, "
-                 "\"deduce_model_prunes\": %lld, "
-                 "\"deduce_propagation_proofs\": %lld, "
-                 "\"deduce_chunk_solves\": %lld}%s\n",
+                 "\"deduce_queries\": %lld}%s\n",
                  phase, static_cast<long long>(s.conflicts),
                  static_cast<long long>(s.decisions),
                  static_cast<long long>(s.propagations),
@@ -385,30 +359,16 @@ void DumpSolverStats(const ExperimentResult& r) {
                  static_cast<long long>(s.restarts),
                  static_cast<long long>(s.assumption_solves),
                  static_cast<long long>(s.learnt_literals),
-                 static_cast<long long>(s.lbd_sum),
-                 static_cast<long long>(s.learnt_core),
-                 static_cast<long long>(s.learnt_mid),
-                 static_cast<long long>(s.learnt_local),
                  static_cast<long long>(s.subsumed),
                  static_cast<long long>(s.vivified),
                  static_cast<long long>(s.model_cache_hits),
                  static_cast<long long>(s.gc_runs),
                  static_cast<long long>(s.gc_reclaimed_words),
-                 static_cast<long long>(s.bve_eliminated),
-                 static_cast<long long>(s.bve_resolvents),
                  static_cast<long long>(s.sls_flips),
                  static_cast<long long>(s.sls_seeded_models),
                  static_cast<long long>(s.sls_probes),
                  static_cast<long long>(s.sls_probe_wins),
-                 static_cast<long long>(s.portfolio_races),
-                 static_cast<long long>(s.imported_units),
-                 static_cast<long long>(s.imported_bins),
-                 static_cast<long long>(s.imported_lbd),
-                 static_cast<long long>(s.cancelled_workers),
                  static_cast<long long>(s.deduce_queries),
-                 static_cast<long long>(s.deduce_model_prunes),
-                 static_cast<long long>(s.deduce_propagation_proofs),
-                 static_cast<long long>(s.deduce_chunk_solves),
                  last ? "" : ",");
   };
   std::fprintf(stderr, "{\n  \"solver_stats\": {\n");
@@ -438,37 +398,9 @@ int RunShard(const CliOptions& o) {
   eopts.num_threads = o.threads;
   eopts.reuse_allocations = o.reuse_allocations;
   eopts.resolve.use_session = o.engine == "session";
-  if (o.solver == "legacy") {
-    eopts.resolve.solver = sat::SolverOptions::LegacyHeuristics();
-  } else if (o.solver == "nogc") {
-    // Modern heuristics with arena GC off: the byte-identity lane that
-    // proves compaction never changes results.
-    eopts.resolve.solver.use_arena_gc = false;
-  } else if (o.solver == "sls") {
-    // Modern heuristics plus the whole-formula passes the default leaves
-    // off — local-search seeding, MaxSAT probing and inprocessing: the
-    // byte-identity lane that proves they only change time-to-verdict.
-    // "nosls" is an alias of the default.
-    eopts.resolve.solver.use_sls_seeding = true;
-    eopts.resolve.solver.use_sls_probing = true;
-    eopts.resolve.solver.use_inprocessing = true;
-  } else if (o.solver == "nobackbone") {
-    // Modern heuristics with the per-pair Lemma-6 loop instead of the
-    // backbone engine: the byte-identity lane that proves model sweeping
-    // and chunked certification return exactly the naive pair set. Only
-    // observable on the --deduce naive pipeline.
-    eopts.resolve.solver.use_backbone_deduce = false;
-  }
+  // Validated by ParseArgs: the preset table cannot fail here.
+  eopts.resolve.solver = service::SolverOptionsForPreset(o.solver).value();
   eopts.resolve.naive_deduce = o.deduce == "naive";
-  if (o.portfolio > 1) {
-    // The byte-identity lane for parallel search: verdicts may not depend
-    // on which worker wins or what clauses were shared. Defer gate zero
-    // makes every solve race — the pipeline's per-round solves are small
-    // enough that the default gate would let them all finish inside the
-    // sequential warm-up and the lane would test nothing.
-    eopts.resolve.solver.portfolio_threads = o.portfolio;
-    eopts.resolve.solver.portfolio_defer_conflicts = 0;
-  }
   const std::vector<int> indices = ShardIndices(
       static_cast<int>(ds.entities.size()), o.shard, o.num_shards);
   ExperimentResult result;
