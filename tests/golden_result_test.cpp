@@ -17,6 +17,7 @@
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
+#include <ostream>
 #include <string>
 
 #include "src/data/career_generator.h"
@@ -71,6 +72,12 @@ struct GoldenCase {
   bool naive;
   uint64_t digest;
 };
+
+// Names each case in test listings. Without it GoogleTest dumps the raw
+// struct bytes, whose corpus pointer and padding differ from run to run.
+void PrintTo(const GoldenCase& c, std::ostream* os) {
+  *os << c.corpus << (c.naive ? "/naive" : "/fast");
+}
 
 class GoldenResultTest : public ::testing::TestWithParam<GoldenCase> {};
 
