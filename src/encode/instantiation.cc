@@ -422,6 +422,21 @@ Result<InstantiationDelta> Instantiation::ExtendWith(
   retired_cfds.erase(std::unique(retired_cfds.begin(), retired_cfds.end()),
                      retired_cfds.end());
 
+  // Fail closed before anything is applied: the appended values' order
+  // atoms (two per existing value) and the fresh guards must stay within
+  // the solver's variable range.
+  int64_t added_vars =
+      static_cast<int64_t>(retired_cfds.size() + newly_applicable.size());
+  std::vector<int64_t> grown(n_attrs, 0);
+  for (const auto& p : pending) {
+    added_vars += 2 * (static_cast<int64_t>(varmap.domain(p.attr).size()) +
+                       grown[p.attr]++);
+  }
+  if (varmap.num_vars() + added_vars > sat::kMaxVars) {
+    return Status::ResourceExhausted(
+        "ExtendWith: the delta's order variables exceed the solver's range");
+  }
+
   // --- apply --------------------------------------------------------------
   out.first_new_constraint = static_cast<int>(constraints.size());
   out.old_num_vars = varmap.num_vars();

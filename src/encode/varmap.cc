@@ -1,7 +1,6 @@
 #include "src/encode/varmap.h"
 
 #include <algorithm>
-#include <limits>
 #include <string>
 
 #include "src/common/status.h"
@@ -77,11 +76,13 @@ Status VarMap::BuildFrom(const Specification& se) {
 
   // d² slots per attribute (diagonal unused, but decode stays O(1)),
   // summed wide: one attribute of 46,341 values already overflows int.
+  // The bound is sat::kMaxVars, not INT32_MAX: a literal packs 2*var+sign
+  // into an int32_t, so 32,768 values of one attribute are too many.
   int64_t total = 0;
   for (int a = 0; a < n_attrs; ++a) {
     const int64_t d = static_cast<int64_t>(vm.domains_[a].size());
     total += d * d;
-    if (total > std::numeric_limits<sat::Var>::max()) {
+    if (total > sat::kMaxVars) {
       return Status::ResourceExhausted(
           "order variables exceed the solver's range: attribute " +
           schema.name(a) + " brings the total to " + std::to_string(total) +
@@ -105,6 +106,7 @@ Status VarMap::BuildFrom(const Specification& se) {
 sat::Var VarMap::NewAuxVar() {
   // Hold an ext slot so Decode's dense/ext split stays index-aligned; the
   // sentinel attr marks the slot as "no atom" for IsOrderVar.
+  CCR_CHECK(num_vars_ < sat::kMaxVars);
   ext_atoms_.push_back(OrderAtom{-1, -1, -1});
   return num_vars_++;
 }
@@ -116,6 +118,7 @@ int VarMap::AddDomainValue(int attr, const Value& v, bool active) {
   const int idx = it->second;
   domains_[attr].push_back(v);
   if (active) ++adom_sizes_[attr];
+  CCR_CHECK(num_vars_ <= sat::kMaxVars - 2 * idx);
   for (int other = 0; other < idx; ++other) {
     ext_vars_.emplace(PackAtom(attr, other, idx), num_vars_++);
     ext_atoms_.push_back(OrderAtom{attr, other, idx});

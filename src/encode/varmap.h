@@ -57,8 +57,9 @@ class VarMap {
   /// already grown — the Instantiation arena recycles one VarMap across
   /// back-to-back entities. Observably identical to a fresh Build.
   /// Fails closed with ResourceExhausted when the order variables, Σ d²
-  /// over the attributes' domains, exceed the range of sat::Var; nothing
-  /// sized by d² has been allocated then.
+  /// over the attributes' domains, exceed sat::kMaxVars (the most whose
+  /// literals fit an int32_t); nothing sized by d² has been allocated
+  /// then.
   Status BuildFrom(const Specification& se);
 
   int num_attrs() const { return static_cast<int>(domains_.size()); }

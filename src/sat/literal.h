@@ -16,6 +16,10 @@ using Var = int32_t;
 
 inline constexpr Var kVarUndef = -1;
 
+/// Most variables a formula may have: every literal index 2*var+1 and the
+/// watch-list count 2*num_vars fit in int32_t.
+inline constexpr Var kMaxVars = (1 << 30) - 1;
+
 /// \brief A possibly negated variable; index() = 2*var + sign.
 class Lit {
  public:

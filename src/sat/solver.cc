@@ -73,6 +73,7 @@ Solver::Solver(SolverOptions options) : options_(options) {}
 
 Var Solver::NewVar() {
   const Var v = static_cast<Var>(assigns_.size());
+  CCR_CHECK(v < kMaxVars);
   assigns_.push_back(Lbool::kUndef);
   polarity_.push_back(false);
   frozen_.push_back(0);
@@ -1300,6 +1301,19 @@ LocalSearchResult Solver::SeedFromLocalSearch(
   const auto axioms_open = [&](const std::vector<uint8_t>& val) {
     return CountOpenAxioms([&](Var v) { return val[v] != 0; }, 1) > 0;
   };
+
+  // Horn start: when every live problem clause is Horn, propagating the
+  // assumptions and setting every open variable false is the least
+  // model, an exact model to start from. A solver whose validity and
+  // Deduce phases only ever probed has never searched, so its saved
+  // phases are nowhere near one. A refuted probe: no model exists.
+  if (ProblemIsHorn()) {
+    if (!BeginProbe(assumptions)) return out;
+    for (Var v = 0; v < nv; ++v) {
+      if (!s.fixed[v]) s.val[v] = assigns_[v] == Lbool::kTrue ? 1 : 0;
+    }
+    EndProbe();
+  }
 
   // Fast path: on a warm solver the saved phases usually still form a
   // model (the last solve saved them from one) or miss one by only a

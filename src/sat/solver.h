@@ -336,12 +336,15 @@ class Solver {
   ///
   /// Variables fixed on the level-0 trail or named by `assumptions` never
   /// flip; the search covers exactly the live problem clauses not already
-  /// satisfied by those fixings. The best assignment found is installed
-  /// into the saved-phase array (biasing the next CDCL descent toward
-  /// it), and when it satisfies every problem clause it is pushed into
-  /// the cached-model ring as a genuine witness. `softs` (clauses over
-  /// existing variables) are scored but never
-  /// required: the returned soft_unsat of a feasible pass is the MaxSAT
+  /// satisfied by those fixings. Unless a cached model already satisfies
+  /// the assumptions, a Horn formula (ProblemIsHorn) starts from its least
+  /// model under them (one BeginProbe, open variables false), which is a
+  /// model; any other formula starts from the saved phases. The best
+  /// assignment found is installed into the saved-phase array (biasing
+  /// the next CDCL descent toward it), and when it satisfies every
+  /// problem clause it is pushed into the cached-model ring as a genuine
+  /// witness. `softs` (clauses over existing variables) are scored but
+  /// never required: the returned soft_unsat of a feasible pass is the MaxSAT
   /// upper-bound probe. Deterministic: the RNG is seeded from a per-call
   /// salt (reset by Reset()) or budget.seed — never wall-clock or global
   /// state. Must be called at decision level 0. Verdict-neutral by

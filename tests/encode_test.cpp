@@ -116,11 +116,12 @@ TEST_F(VarMapTest, DistinctAtomsGetDistinctVars) {
   EXPECT_EQ(std::adjacent_find(vars.begin(), vars.end()), vars.end());
 }
 
-// One attribute of 46,341 distinct values: its 46,341² order slots exceed
-// int, and with it sat::Var. The build fails closed, before anything sized
-// by d² exists: no order variable, no ground constraint.
+// One attribute of 32,768 distinct values: its 32,768² = 2³⁰ order slots
+// are one more than sat::kMaxVars, the most variables whose literal
+// indices 2·var+1 fit int32_t. The build fails closed, before anything
+// sized by d² exists: no order variable, no ground constraint.
 TEST(VarMapLimitTest, DomainBeyondTheSolverRangeFailsClosed) {
-  constexpr int kValues = 46341;
+  constexpr int kValues = 32768;
   EntityInstance e(Schema::Make({"v"}).value(), "huge");
   for (int i = 0; i < kValues; ++i) {
     ASSERT_TRUE(e.Add(Tuple({Value::Int(i)})).ok());
@@ -138,7 +139,7 @@ TEST(VarMapLimitTest, DomainBeyondTheSolverRangeFailsClosed) {
   EXPECT_EQ(inst.varmap.num_vars(), 0);
   EXPECT_TRUE(inst.constraints.empty());
 
-  // One value fewer fits: 46,340² is below 2³¹.
+  // One value fewer fits: 32,767² is below 2³⁰.
   EntityInstance fits(Schema::Make({"v"}).value(), "large");
   for (int i = 0; i < kValues - 1; ++i) {
     ASSERT_TRUE(fits.Add(Tuple({Value::Int(i)})).ok());
@@ -147,6 +148,41 @@ TEST(VarMapLimitTest, DomainBeyondTheSolverRangeFailsClosed) {
   const Result<VarMap> large = VarMap::Build(se);
   ASSERT_TRUE(large.ok());
   EXPECT_EQ(large->num_vars(), (kValues - 1) * (kValues - 1));
+}
+
+// ExtendWith checks the same bound before it applies a delta. 32,767
+// values fill the dense block with 32,767² variables; the first appended
+// value adds two atoms per existing value, 32,767² + 2·32,767 =
+// sat::kMaxVars exactly, so one more value fits and two do not.
+TEST(VarMapLimitTest, ExtensionBeyondTheSolverRangeFailsClosed) {
+  constexpr int kValues = 32767;
+  EntityInstance e(Schema::Make({"v"}).value(), "large");
+  for (int i = 0; i < kValues; ++i) {
+    ASSERT_TRUE(e.Add(Tuple({Value::Int(i)})).ok());
+  }
+  Specification se;
+  se.temporal = TemporalInstance(std::move(e));
+  auto inst = Instantiation::Build(se);
+  ASSERT_TRUE(inst.ok());
+  const int built_vars = inst->varmap.num_vars();
+
+  PartialTemporalOrder two;
+  two.new_tuples.push_back(Tuple({Value::Int(kValues)}));
+  two.new_tuples.push_back(Tuple({Value::Int(kValues + 1)}));
+  auto two_more = Extend(se, two);
+  ASSERT_TRUE(two_more.ok());
+  const auto refused = inst->ExtendWith(*two_more, two);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(inst->varmap.num_vars(), built_vars);
+  EXPECT_EQ(inst->varmap.domain(0).size(), static_cast<size_t>(kValues));
+
+  PartialTemporalOrder one;
+  one.new_tuples.push_back(Tuple({Value::Int(kValues)}));
+  auto one_more = Extend(se, one);
+  ASSERT_TRUE(one_more.ok());
+  ASSERT_TRUE(inst->ExtendWith(*one_more, one).ok());
+  EXPECT_EQ(inst->varmap.num_vars(), sat::kMaxVars);
 }
 
 class InstantiationTest : public ::testing::Test {

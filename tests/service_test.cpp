@@ -128,8 +128,9 @@ TEST(SessionManagerTest, OpenRejectsDuplicatesAndMalformedSnapshots) {
 }
 
 // A spec whose order variables exceed the solver's range (one attribute
-// of 46,341 distinct values) fits in one OPEN; the daemon answers with an
-// error reply instead of allocating the formula, and forgets the id.
+// of 46,341 distinct values: past int32_t even before literal packing)
+// fits in one OPEN; the daemon answers with an error reply instead of
+// allocating the formula, and forgets the id.
 TEST(SessionManagerTest, OpenOfAnOversizedDomainGetsAnErrorReply) {
   EntityInstance e(Schema::Make({"v"}).value(), "huge");
   for (int i = 0; i < 46341; ++i) {

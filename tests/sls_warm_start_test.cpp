@@ -136,6 +136,31 @@ bool SameWalkSatResult(const WalkSatResult& a, const WalkSatResult& b) {
 // Same seed, same result — with or without pooled scratch, and across
 // repeated runs. The RNG is keyed off options.seed alone; no wall-clock
 // or global state may leak into the search.
+// A solver that never searched has default phases (all true), which
+// falsify every all-negative clause of a Horn formula. The pass starts
+// from the least model under the assumptions instead: already a model,
+// published with no flip.
+TEST(SlsHornStartTest, ColdHornFormulaSeedsItsLeastModelWithoutFlips) {
+  constexpr int kVars = 8;
+  Solver s;
+  for (int i = 0; i < kVars; ++i) s.NewVar();
+  for (Var v = 0; v + 1 < kVars; ++v) {
+    ASSERT_TRUE(s.AddClause({Lit::Neg(v), Lit::Neg(v + 1)}));
+  }
+  ASSERT_TRUE(s.AddClause({Lit::Neg(0), Lit::Pos(3)}));
+  ASSERT_TRUE(s.AddClause({Lit::Neg(3), Lit::Pos(5)}));
+  ASSERT_TRUE(s.ProblemIsHorn());
+
+  const std::vector<Lit> assume = {Lit::Pos(0)};
+  const sat::LocalSearchResult r = s.SeedFromLocalSearch(assume);
+  ASSERT_TRUE(r.feasible);
+  const std::vector<uint8_t> least = {1, 0, 0, 1, 0, 1, 0, 0};
+  EXPECT_EQ(r.model, least);
+  EXPECT_EQ(s.stats().sls_flips, 0);
+  EXPECT_EQ(s.stats().sls_seeded_models, 1);
+  EXPECT_EQ(s.SolveWithAssumptions(assume), SolveResult::kSat);
+}
+
 TEST(WalkSatDeterminismTest, SameSeedIsBitIdenticalOnCnf) {
   Rng rng(0x5EED'D00D);
   WalkSatScratch pooled;
