@@ -12,11 +12,13 @@
 //     the session appends instead of rebuilding) and checks the two
 //     engines resolve identically.
 //   * "suggest_incremental": same corpus and runs, but comparing the
-//     summed Suggest-phase time of rounds >= 1 — the session runs GetSug
-//     as assumption-based incremental MaxSAT on its persistent solver
-//     (no Φ(Se) copy, no fresh solver), the legacy engine re-loads Φ(Se)
-//     into a throwaway solver every round. Also reports the session's
-//     total rebuild count, which selector-guarded CFDs pin at zero.
+//     summed Suggest-phase time of rounds >= 1 — the session decides
+//     GetSug by propagation probes on its persistent solver (no Φ(Se)
+//     copy, no fresh solver), the legacy engine re-loads Φ(Se) into a
+//     throwaway solver every round. Also reports the session's total
+//     rebuild count, which selector-guarded CFDs pin at zero, and its
+//     assumption solves, which GetSug by propagation pins at zero (no
+//     pipeline phase makes a solve on the Horn Φ(Se)).
 //   * "thread_scaling": the "entity_pool" tier — RunExperiment's batched
 //     work-stealing driver (entities across worker threads) — measured as
 //     a real speedup curve at {1, 2, N} threads (N = CCR_BENCH_THREADS,
@@ -41,17 +43,15 @@
 //     scripts/bench_smoke.sh gates identical_results and a reclaim floor
 //     (CCR_BENCH_GC_RECLAIM_FLOOR).
 //   * "sls_warm_start": the same session engine with the stochastic
-//     local-search warm starts on vs off (the default), over the
+//     local-search warm start on vs off (the default), over the
 //     >= 1k-tuple Person corpus on the NaiveDeduce pipeline. Reports the
-//     MaxSAT probe hit-rate (probes whose SLS upper bound was the true
-//     optimum), the summed rounds >= 1 Suggest and Deduce speedups, and
-//     checks the two configurations resolve identically — SLS only ever
-//     changes time-to-verdict. scripts/bench_smoke.sh gates
-//     identical_results, session_rebuilds == 0, a Suggest speedup floor
-//     (CCR_BENCH_SLS_FLOOR), and a Deduce non-regression floor
-//     (CCR_BENCH_SLS_DEDUCE_FLOOR) — SLS phase publishing once made the
-//     entailment solves measurably slower, so the Deduce ratio may not
-//     silently sink again.
+//     summed rounds >= 1 Deduce speedup and the local-search counters,
+//     and checks the two configurations resolve identically — SLS only
+//     ever changes time-to-verdict. scripts/bench_smoke.sh gates
+//     identical_results, session_rebuilds == 0 and a Deduce
+//     non-regression floor (CCR_BENCH_SLS_DEDUCE_FLOOR) — SLS phase
+//     publishing once made the entailment solves measurably slower, so
+//     the Deduce ratio may not silently sink again.
 //
 // CCR_BENCH_SCALE multiplies entity counts as in the other benches;
 // CCR_BENCH_TUPLES overrides the per-entity tuple floor (default 1000 —
@@ -364,40 +364,32 @@ int main() {
                               soak_gc.deduced == soak_nogc.deduced;
 
   // --- SLS warm starts: local search on vs off ---------------------------
-  // NaiveDeduce pipeline (the most solver-bound configuration): the SLS
-  // phases + witness-ring seeding is what the deduce/suggest assumption
-  // solves start from, and the MaxSAT probe is what collapses GetSug's
-  // bound search.
+  // NaiveDeduce pipeline: the SLS phases + witness-ring seeding is what a
+  // fallback solve would start from.
   ResolveOptions sls_on;
   sls_on.use_session = true;
   sls_on.naive_deduce = true;
   sls_on.max_rounds = 6;
-  // The `--solver sls` preset: seeding and probing on, and inprocessing
-  // too, whose occurrence index SLS's incremental model verification
-  // needs (all three are off by default). The baseline differs only in
-  // the two SLS flags.
+  // The `--solver sls` preset: seeding on, and inprocessing too, whose
+  // occurrence index SLS's incremental model verification needs (both
+  // are off by default). The baseline differs only in the SLS flag.
   sls_on.solver.use_sls_seeding = true;
-  sls_on.solver.use_sls_probing = true;
   sls_on.solver.use_inprocessing = true;
   ResolveOptions sls_off = sls_on;
   sls_off.solver.use_sls_seeding = false;
-  sls_off.solver.use_sls_probing = false;
 
-  double sls_suggest_ms = 0, nosls_suggest_ms = 0;
   double sls_deduce_ms = 0, nosls_deduce_ms = 0;
-  int64_t sls_probes = 0, sls_probe_wins = 0;
   int64_t sls_flips = 0, sls_seeded_models = 0;
   int64_t sls_rebuilds = 0;
   int sls_errors = 0;
   bool sls_identical = true;
-  // The aggregate suggest time here is a few milliseconds, well inside
+  // The aggregate deduce time here is a few milliseconds, well inside
   // scheduler jitter for a single sample — so each configuration is timed
   // kSlsReps times and the minimum kept (the run least perturbed by the
   // OS). Counters and the equivalence check come from the first rep; the
   // runs are deterministic, so later reps would only repeat them.
   constexpr int kSlsReps = 3;
   for (int rep = 0; rep < kSlsReps; ++rep) {
-    double rep_sls_suggest = 0, rep_nosls_suggest = 0;
     double rep_sls_deduce = 0, rep_nosls_deduce = 0;
     for (size_t e = 0; e < inc_ds.entities.size(); ++e) {
       TruthOracle os(inc_ds.entities[e].truth, /*answers_per_round=*/1);
@@ -412,34 +404,20 @@ int main() {
         sls_identical = sls_identical && SameResolution(*rs, *rn);
       }
       for (const RoundTrace& t : rs->trace) {
-        if (t.round >= 1) {
-          rep_sls_suggest += t.suggest_ms;
-          rep_sls_deduce += t.deduce_ms;
-        }
+        if (t.round >= 1) rep_sls_deduce += t.deduce_ms;
         if (rep == 0) {
           sls_rebuilds += t.num_rebuilds;
           for (const sat::SolverStats* s :
                {&t.encode_solver, &t.validity_solver, &t.deduce_solver,
                 &t.suggest_solver}) {
-            sls_probes += s->sls_probes;
-            sls_probe_wins += s->sls_probe_wins;
             sls_flips += s->sls_flips;
             sls_seeded_models += s->sls_seeded_models;
           }
         }
       }
       for (const RoundTrace& t : rn->trace) {
-        if (t.round >= 1) {
-          rep_nosls_suggest += t.suggest_ms;
-          rep_nosls_deduce += t.deduce_ms;
-        }
+        if (t.round >= 1) rep_nosls_deduce += t.deduce_ms;
       }
-    }
-    if (rep == 0 || rep_sls_suggest < sls_suggest_ms) {
-      sls_suggest_ms = rep_sls_suggest;
-    }
-    if (rep == 0 || rep_nosls_suggest < nosls_suggest_ms) {
-      nosls_suggest_ms = rep_nosls_suggest;
     }
     if (rep == 0 || rep_sls_deduce < sls_deduce_ms) {
       sls_deduce_ms = rep_sls_deduce;
@@ -448,15 +426,8 @@ int main() {
       nosls_deduce_ms = rep_nosls_deduce;
     }
   }
-  const double sls_suggest_speedup =
-      sls_suggest_ms > 0 ? nosls_suggest_ms / sls_suggest_ms : 0.0;
   const double sls_deduce_speedup =
       sls_deduce_ms > 0 ? nosls_deduce_ms / sls_deduce_ms : 0.0;
-  const double sls_hit_rate =
-      sls_probes > 0
-          ? static_cast<double>(sls_probe_wins) /
-                static_cast<double>(sls_probes)
-          : 0.0;
 
   std::printf("{\n");
   std::printf("  \"bench\": \"throughput\",\n");
@@ -553,19 +524,10 @@ int main() {
               static_cast<int>(inc_ds.entities.size()));
   std::printf("    \"min_tuples_per_entity\": %d,\n", min_tuples);
   std::printf("    \"pipeline\": \"naive_deduce\",\n");
-  std::printf("    \"sls_round1plus_suggest_ms\": %.3f,\n", sls_suggest_ms);
-  std::printf("    \"nosls_round1plus_suggest_ms\": %.3f,\n",
-              nosls_suggest_ms);
-  std::printf("    \"suggest_speedup\": %.3f,\n", sls_suggest_speedup);
   std::printf("    \"sls_round1plus_deduce_ms\": %.3f,\n", sls_deduce_ms);
   std::printf("    \"nosls_round1plus_deduce_ms\": %.3f,\n",
               nosls_deduce_ms);
   std::printf("    \"deduce_speedup\": %.3f,\n", sls_deduce_speedup);
-  std::printf("    \"sls_probes\": %lld,\n",
-              static_cast<long long>(sls_probes));
-  std::printf("    \"sls_probe_wins\": %lld,\n",
-              static_cast<long long>(sls_probe_wins));
-  std::printf("    \"probe_hit_rate\": %.3f,\n", sls_hit_rate);
   std::printf("    \"sls_flips\": %lld,\n",
               static_cast<long long>(sls_flips));
   std::printf("    \"sls_seeded_models\": %lld,\n",

@@ -8,10 +8,12 @@
 #     (CCR_BENCH_SPEEDUP_FLOOR, default 1.5 — the full-size run measures
 #     ~20x, so tripping the floor means the incremental path regressed
 #     catastrophically, not that the runner was noisy), or
-#   * the incremental-MaxSAT Suggest path reported non-identical results,
-#     performed any session rebuild (selector-guarded CFDs pin this at 0),
-#     or fell below its own speedup floor (CCR_BENCH_SUGGEST_FLOOR,
-#     default 1.3 — the full-size run measures >= 2x), or
+#   * the session Suggest path reported non-identical results, performed
+#     any session rebuild (selector-guarded CFDs pin this at 0), made any
+#     assumption solve (GetSug by propagation pins this at 0 on the Horn
+#     Φ(Se); a nonzero count means Suggest fell back to MaxSAT search), or
+#     fell below its own speedup floor (CCR_BENCH_SUGGEST_FLOOR, default
+#     1.3 — the full-size run measures >= 2x), or
 #   * the memory_lifecycle soak (one long-lived session fed answer
 #     rounds, arena GC on vs off) reported non-identical results,
 #     performed a session rebuild, or reclaimed fewer arena words than
@@ -20,9 +22,7 @@
 #     means compaction stopped firing, not that the runner was noisy), or
 #   * the sls_warm_start section (local-search warm starts on vs off)
 #     reported non-identical resolutions, performed a session rebuild,
-#     fell below its Suggest speedup floor (CCR_BENCH_SLS_FLOOR,
-#     default 1.1 — SLS may only ever change time-to-verdict), or let
-#     SLS slow the Deduce phase below CCR_BENCH_SLS_DEDUCE_FLOOR
+#     or let SLS slow the Deduce phase below CCR_BENCH_SLS_DEDUCE_FLOOR
 #     (default 0.95 — the regression where soft-biased phase publishing
 #     poisoned the entailment solves may not come back), or
 #   * the service section (bench_service driving a real server over a
@@ -56,7 +56,6 @@ export CCR_BENCH_THREADS="${CCR_BENCH_THREADS:-2}"
 FLOOR="${CCR_BENCH_SPEEDUP_FLOOR:-1.5}"
 SUGGEST_FLOOR="${CCR_BENCH_SUGGEST_FLOOR:-1.3}"
 GC_RECLAIM_FLOOR="${CCR_BENCH_GC_RECLAIM_FLOOR:-1000}"
-SLS_FLOOR="${CCR_BENCH_SLS_FLOOR:-1.1}"
 SLS_DEDUCE_FLOOR="${CCR_BENCH_SLS_DEDUCE_FLOOR:-0.95}"
 SERVICE_FLOOR="${CCR_BENCH_SERVICE_FLOOR:-1}"
 SCALING_FLOOR="${CCR_BENCH_SCALING_FLOOR:-1.3}"
@@ -75,13 +74,11 @@ echo
 echo "Gating BENCH_throughput.json (incremental floor: ${FLOOR}x," \
      "suggest floor: ${SUGGEST_FLOOR}x," \
      "GC reclaim floor: ${GC_RECLAIM_FLOOR} words," \
-     "SLS suggest floor: ${SLS_FLOOR}x," \
      "SLS deduce floor: ${SLS_DEDUCE_FLOOR}x," \
      "service floor: ${SERVICE_FLOOR} sessions/s," \
      "scaling floor: ${SCALING_FLOOR}x at 2 threads [gated: ${GATE_SCALING}])"
 jq -e --argjson floor "$FLOOR" --argjson sfloor "$SUGGEST_FLOOR" \
       --argjson gcfloor "$GC_RECLAIM_FLOOR" \
-      --argjson slsfloor "$SLS_FLOOR" \
       --argjson slsdedfloor "$SLS_DEDUCE_FLOOR" \
       --argjson svcfloor "$SERVICE_FLOOR" \
       --argjson scalefloor "$SCALING_FLOOR" \
@@ -90,6 +87,7 @@ jq -e --argjson floor "$FLOOR" --argjson sfloor "$SUGGEST_FLOOR" \
   and (.incremental.resolve_errors == 0)
   and (.suggest_incremental.identical_results == true)
   and (.suggest_incremental.session_rebuilds == 0)
+  and (.suggest_incremental.session_assumption_solves == 0)
   and (.thread_scaling.deterministic == true)
   and (.thread_scaling.entity_pool.identical_results == true)
   and ((($gatescaling | not))
@@ -101,7 +99,6 @@ jq -e --argjson floor "$FLOOR" --argjson sfloor "$SUGGEST_FLOOR" \
   and (.sls_warm_start.identical_results == true)
   and (.sls_warm_start.resolve_errors == 0)
   and (.sls_warm_start.session_rebuilds == 0)
-  and (.sls_warm_start.suggest_speedup >= $slsfloor)
   and (.sls_warm_start.deduce_speedup >= $slsdedfloor)
   and (.service.identical_after_rehydrate == true)
   and (.service.clean_shutdown == true)
@@ -119,9 +116,7 @@ echo "OK: incremental speedup $(jq .incremental.speedup BENCH_throughput.json)x,
      "suggest speedup $(jq .suggest_incremental.speedup BENCH_throughput.json)x," \
      "pooling speedup $(jq .allocation_pooling.speedup BENCH_throughput.json)x," \
      "GC reclaimed $(jq .memory_lifecycle.gc_on.reclaimed_words BENCH_throughput.json) arena words," \
-     "SLS suggest speedup $(jq .sls_warm_start.suggest_speedup BENCH_throughput.json)x" \
-     "(probe hit-rate $(jq .sls_warm_start.probe_hit_rate BENCH_throughput.json)," \
-     "deduce $(jq .sls_warm_start.deduce_speedup BENCH_throughput.json)x)," \
+     "SLS deduce speedup $(jq .sls_warm_start.deduce_speedup BENCH_throughput.json)x," \
      "service $(jq .service.sessions_per_sec BENCH_throughput.json) sessions/s" \
      "(p50 $(jq .service.round_p50_ms BENCH_throughput.json) ms," \
      "p99 $(jq .service.round_p99_ms BENCH_throughput.json) ms," \

@@ -8,18 +8,17 @@
 # multi-machine sharding a matter of scp'ing JSON files.
 #
 # Every run uses ccr_experiment's default engine — the persistent-solver
-# session engine (incremental MaxSAT Suggest, selector-guarded CFDs) with
-# the default solver options. Four gates in all:
+# session engine (GetSug by propagation, selector-guarded CFDs) with the
+# default solver options. Four gates in all:
 #   1. merge: the merged shards equal the single-process run;
 #   2. --engine legacy (re-encode every round) serializes to the same
 #      bytes: the two engines are interchangeable, shard by shard;
 #   3. --solver nogc (arena GC off): compaction relocates clauses and may
 #      not move a single result byte;
-#   4. --solver sls (local-search seeding, MaxSAT upper-bound probing and
-#      between-round inprocessing on; all three are off by default): SLS
-#      reorders which models CDCL finds and which bound the Sinz search
-#      tries first, inprocessing rewrites the problem clauses, and none of
-#      it may move a result byte either.
+#   4. --solver sls (local-search seeding and between-round inprocessing
+#      on; both are off by default): SLS reorders which models CDCL finds,
+#      inprocessing rewrites the problem clauses, and none of it may move
+#      a result byte either.
 #
 # Usage: scripts/shard.sh [N] [build-dir]
 # Environment:

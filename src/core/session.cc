@@ -132,10 +132,11 @@ Suggestion ResolutionSession::MakeSuggestion(
 Status ResolutionSession::ExtendWith(const PartialTemporalOrder& ot) {
   CCR_ASSIGN_OR_RETURN(Specification next, Extend(spec_, ot));
   Timer timer;
-  // GetSug's released scopes allocated selector/cardinality variables
-  // directly on the persistent solver; advance the VarMap's allocator past
-  // them so this round's atom and guard variables get ids the solver has
-  // not already bound. (The burnt ids stay frozen aux variables.)
+  // GetSug's MaxSAT fallback allocates selector/cardinality variables in
+  // released scopes directly on the persistent solver; advance the
+  // VarMap's allocator past them so this round's atom and guard variables
+  // get ids the solver has not already bound. (The burnt ids stay frozen
+  // aux variables.) GetSug by propagation allocates none.
   while (inst_->varmap.num_vars() < solver_->num_vars()) {
     inst_->varmap.NewAuxVar();
   }

@@ -15,11 +15,12 @@
 //   * one incremental CDCL solver holding Φ's clauses plus everything it
 //     learnt. Every phase queries it under assumptions: validity and
 //     NaiveDeduce open a propagation probe on the active CFD guards, and
-//     GetSug runs
-//     assumption-based incremental MaxSAT whose per-round selector and
-//     cardinality variables live in a released ScopedVars scope — nothing
-//     a round introduces constrains the next. A top-level Simplify pass
-//     after each extension sweeps clauses deactivated by retired guards.
+//     GetSug opens one probe per candidate kept set. Only GetSug's MaxSAT
+//     fallback (a non-Horn formula or an oversized clique) allocates
+//     variables, in a released ScopedVars scope — nothing a round
+//     introduces constrains the next.
+//     A top-level Simplify pass after each extension sweeps clauses
+//     deactivated by retired guards.
 //
 // Resolve() drives a session internally; the class is public so batch
 // drivers and benches can observe per-round encode costs and the
@@ -105,7 +106,8 @@ class ResolutionSession {
 
   /// Step (4a): suggestion from the deduced state (`candidates` from
   /// CandidateValues, `known_true` from ExtractTrueValueIndices). Runs
-  /// GetSug as incremental MaxSAT on the session solver.
+  /// GetSug on the session solver: propagation probes on the Horn Φ(Se),
+  /// incremental MaxSAT otherwise.
   Suggestion MakeSuggestion(const std::vector<std::vector<int>>& candidates,
                             const std::vector<int>& known_true);
 
@@ -126,9 +128,10 @@ class ResolutionSession {
   /// 0 by construction; the counter exists so tests and traces can assert
   /// exactly that.
   int rebuilds() const { return rebuilds_; }
-  /// Assumption-carrying solves answered by the session solver so far
-  /// (incremental-MaxSAT steps; validity and NaiveDeduce solve only on a
-  /// non-Horn formula).
+  /// Assumption-carrying solves answered by the session solver so far.
+  /// Every pipeline phase decides the Horn Φ(Se) by propagation, so this
+  /// stays 0 unless a formula is non-Horn (validity, NaiveDeduce and
+  /// GetSug then fall back to solves).
   int64_t assumption_solves() const {
     return solver_->stats().assumption_solves;
   }
@@ -141,6 +144,11 @@ class ResolutionSession {
   /// harness use it to watch the arena lifecycle (live vs peak words, GC
   /// runs) across a long-lived session.
   const sat::Solver& solver() const { return *solver_; }
+  /// The same solver, writable: tests drive queries the pipeline does not
+  /// make (the per-pair Lemma6DeduceShared loop) on the session's live
+  /// solver. Its solves learn only implied clauses, so no later verdict
+  /// moves.
+  sat::Solver* mutable_solver() { return solver_; }
 
  private:
   ResolutionSession() = default;

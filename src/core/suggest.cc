@@ -1,6 +1,7 @@
 #include "src/core/suggest.h"
 
-#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <optional>
 
 #include "src/graph/clique.h"
@@ -30,10 +31,91 @@ std::string Suggestion::ToString(const VarMap& vm,
 
 namespace {
 
+// GetSug by propagation. Φ(Se) plus the "selector → atom" clauses is Horn
+// and the softs are positive unit selectors, so a kept set is feasible iff
+// propagating the guards plus that set's atoms reaches no conflict, and a
+// subset of a feasible set is feasible. Kept sets are tried by decreasing
+// size and, within one size, lexicographically greatest first in soft
+// order: bit n-1-i of `mask` stands for soft i, so a descending mask is
+// exactly that order. The first quiet probe is therefore the canonical
+// optimum IncrementalMaxSat's extraction returns. The empty set is tried
+// last; if even the guards alone are refuted, nothing is kept.
+std::vector<bool> GetSugByPropagation(
+    sat::Solver* solver, std::span<const sat::Lit> assumptions,
+    const std::vector<std::vector<sat::Lit>>& rule_atoms) {
+  const int n = static_cast<int>(rule_atoms.size());
+  std::vector<bool> kept(rule_atoms.size(), false);
+  std::vector<sat::Lit> base;
+  int64_t probes = 0;
+  for (int size = n; size >= 0; --size) {
+    for (uint32_t mask = 1u << n; mask-- > 0;) {
+      if (std::popcount(mask) != size) continue;
+      base.assign(assumptions.begin(), assumptions.end());
+      for (int i = 0; i < n; ++i) {
+        if ((mask >> (n - 1 - i)) & 1u) {
+          base.insert(base.end(), rule_atoms[i].begin(), rule_atoms[i].end());
+        }
+      }
+      ++probes;
+      if (solver->BeginProbe(base)) {
+        solver->EndProbe();
+        for (int i = 0; i < n; ++i) kept[i] = (mask >> (n - 1 - i)) & 1u;
+        solver->RecordSuggest(probes, /*fallback=*/false);
+        return kept;
+      }
+    }
+  }
+  solver->RecordSuggest(probes, /*fallback=*/false);
+  return kept;
+}
+
+}  // namespace
+
+std::vector<bool> GetSugByMaxSat(
+    sat::Solver* solver, std::span<const sat::Lit> assumptions,
+    const std::vector<std::vector<sat::Lit>>& rule_atoms) {
+  // Each rule gets a scoped selector implying its atoms; the softs
+  // maximize kept rules. The scope dies with this call, so later rounds
+  // on the same solver never see these selectors or clauses.
+  sat::ScopedVars scope(solver);
+  std::vector<sat::Lit> base(assumptions.begin(), assumptions.end());
+  base.push_back(scope.activation());
+  std::vector<std::vector<sat::Lit>> softs;
+  softs.reserve(rule_atoms.size());
+  for (const std::vector<sat::Lit>& atoms : rule_atoms) {
+    const sat::Var sel = scope.NewVar();
+    for (const sat::Lit atom : atoms) {
+      scope.AddClause({sat::Lit::Neg(sel), atom});
+    }
+    softs.push_back({sat::Lit::Pos(sel)});
+  }
+  maxsat::IncrementalMaxSat max_sat(solver);
+  const maxsat::MaxSatResult ms = max_sat.Solve(softs, base);
+  if (!ms.hard_satisfiable) return std::vector<bool>(rule_atoms.size());
+  // The MaxSAT result covers every soft positionally — anything less
+  // would silently drop kept rules from the tail of the clique. A soft is
+  // "kept" when it holds in the canonical optimum.
+  CCR_CHECK(ms.soft_satisfied.size() == rule_atoms.size());
+  return ms.soft_satisfied;
+}
+
+std::vector<bool> GetSug(sat::Solver* solver,
+                         std::span<const sat::Lit> assumptions,
+                         const std::vector<std::vector<sat::Lit>>& rule_atoms) {
+  if (static_cast<int>(rule_atoms.size()) <= kMaxPropagationClique &&
+      solver->ProblemIsHorn()) {
+    return GetSugByPropagation(solver, assumptions, rule_atoms);
+  }
+  solver->RecordSuggest(/*probes=*/0, /*fallback=*/true);
+  return GetSugByMaxSat(solver, assumptions, rule_atoms);
+}
+
+namespace {
+
 // Shared Suggest implementation. `solver` already holds Φ(Se) (session
 // path) or is null with `phi` supplied for lazy one-shot loading — the
 // formula is only fed to a solver once a non-empty clique makes a GetSug
-// MaxSAT call necessary at all.
+// call necessary at all.
 Suggestion SuggestImpl(const Instantiation& inst, sat::Solver* solver,
                        const sat::Cnf* phi,
                        std::span<const sat::Lit> assumptions,
@@ -51,11 +133,10 @@ Suggestion SuggestImpl(const Instantiation& inst, sat::Solver* solver,
                                       ? graph::MaxClique(g)
                                       : graph::GreedyClique(g);
 
-  // GetSug: find the maximal conflict-free subset C' of the clique via
-  // MaxSAT. Each rule gets a scoped selector implying that its premises
-  // and consequent hold as most-current values; softs maximize kept
-  // rules. The scope dies with this call — later rounds on the same
-  // solver never see these selectors or clauses.
+  // GetSug: find the maximal conflict-free subset C' of the clique. A
+  // kept rule asserts that its premises and consequent hold as
+  // most-current values: each dominates every other value of its
+  // attribute.
   std::vector<int> kept;  // indices into `rules`
   if (!clique.empty()) {
     std::optional<sat::Solver> local;
@@ -64,36 +145,25 @@ Suggestion SuggestImpl(const Instantiation& inst, sat::Solver* solver,
       local->AddCnf(*phi);
       solver = &*local;
     }
-    sat::ScopedVars scope(solver);
-    std::vector<sat::Lit> base(assumptions.begin(), assumptions.end());
-    base.push_back(scope.activation());
-    std::vector<std::vector<sat::Lit>> softs;
+    std::vector<std::vector<sat::Lit>> rule_atoms;
+    rule_atoms.reserve(clique.size());
     for (int node : clique) {
       const DerivationRule& rule = rules[node];
-      const sat::Var sel = scope.NewVar();
+      std::vector<sat::Lit>& atoms = rule_atoms.emplace_back();
       auto assert_dominates = [&](int attr, int value_idx) {
         const int d = static_cast<int>(vm.domain(attr).size());
         for (int other = 0; other < d; ++other) {
           if (other == value_idx) continue;
-          scope.AddClause(
-              {sat::Lit::Neg(sel),
-               sat::Lit::Pos(vm.VarOf(attr, other, value_idx))});
+          atoms.push_back(sat::Lit::Pos(vm.VarOf(attr, other, value_idx)));
         }
       };
       for (const auto& [attr, v] : rule.lhs) assert_dominates(attr, v);
       assert_dominates(rule.rhs_attr, rule.rhs_value);
-      softs.push_back({sat::Lit::Pos(sel)});
     }
-    maxsat::IncrementalMaxSat max_sat(solver);
-    const maxsat::MaxSatResult ms = max_sat.Solve(softs, base);
-    if (ms.hard_satisfiable) {
-      // The MaxSAT result covers every soft positionally — anything less
-      // would silently drop kept rules from the tail of the clique.
-      CCR_CHECK(ms.soft_satisfied.size() == clique.size());
-      for (size_t i = 0; i < clique.size(); ++i) {
-        // A soft is "kept" when it holds in the canonical optimum.
-        if (ms.soft_satisfied[i]) kept.push_back(clique[i]);
-      }
+    const std::vector<bool> kept_rules =
+        GetSug(solver, assumptions, rule_atoms);
+    for (size_t i = 0; i < clique.size(); ++i) {
+      if (kept_rules[i]) kept.push_back(clique[i]);
     }
   }
 

@@ -1,15 +1,17 @@
 // Partial MaxSAT: hard clauses that must hold plus unit-weight soft clauses
 // to satisfy as many of as possible.
 //
-// This is the repository's stand-in for the Walksat-based MaxSat solver the
-// paper uses in GetSug (§V-C) to find the maximum subset of a clique of
-// derivation rules that has no conflicts with the specification. The exact
-// engine is IncrementalMaxSat: relaxation plus a Sinz sequential-counter
-// linear search run *in place* on a caller-owned CDCL solver under
-// assumptions, with every auxiliary variable confined to a released scope.
-// SolveMaxSat is the one-shot convenience built on top of it;
-// maxsat/walksat.h offers the paper-faithful stochastic local search
-// alternative.
+// The paper runs a Walksat-based MaxSat solver in GetSug (§V-C) to find
+// the maximum subset of a clique of derivation rules that has no conflicts
+// with the specification. On the Horn Φ(Se) GetSug needs no MaxSAT search:
+// src/core/suggest.cc decides it by propagation probes. The exact engine
+// here, IncrementalMaxSat, is GetSug's fallback (a non-Horn formula or an
+// oversized clique) and the reference its differential test compares
+// against: relaxation plus a Sinz sequential-counter linear search run
+// *in place* on a caller-owned CDCL solver under assumptions, with every
+// auxiliary variable confined to a released scope. SolveMaxSat is the
+// one-shot convenience built on top of it; maxsat/walksat.h offers the
+// paper-faithful stochastic local search alternative.
 
 #ifndef CCR_MAXSAT_MAXSAT_H_
 #define CCR_MAXSAT_MAXSAT_H_

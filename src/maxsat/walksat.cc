@@ -182,7 +182,7 @@ Result<WalkSatResult> RunWalkSat(sat::Solver* solver,
   budget.has_seed = true;
   budget.seed = options.seed;
   const sat::LocalSearchResult r =
-      solver->SeedFromLocalSearch({}, {}, budget);
+      solver->SeedFromLocalSearch({}, budget);
   if (!r.ran) {
     result.best_unsat = 1;
     return result;

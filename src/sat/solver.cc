@@ -54,11 +54,6 @@ constexpr int64_t kSlsFlipsCap = 1 << 13;
 constexpr size_t kSlsRepairMaxUnsat = 64;
 constexpr int64_t kSlsRepairMaxFlips = 512;
 constexpr int kSlsRepairRounds = 3;
-// Soft-improvement pass: per falsified soft, the repair chain triggered
-// by flipping it true may spend this many flips before rolling back.
-// Deliberately small: successful chains are short (the soft was one
-// near-satisfied implication away), and failed chains are pure cost.
-constexpr int64_t kSlsSoftChainFlips = 24;
 // Incremental verification cache limits: fall back to a full scan when
 // more variables changed since the last verified assignment, and void
 // the cache when more problem binaries were added than the log holds.
@@ -1182,8 +1177,7 @@ void Solver::CacheCurrentModel() {
   // every live clause, so it can serve as the diff baseline without any
   // scan. Only re-anchor when the formula moved past the cached state —
   // steady-state solve streams then pay nothing.
-  if ((options_.use_sls_seeding || options_.use_sls_probing) &&
-      TrackOccurrences() &&
+  if (options_.use_sls_seeding && TrackOccurrences() &&
       (sls_verified_val_.empty() || sls_verified_epoch_ != sls_epoch_ ||
        sls_verified_clauses_ != clauses_.size() ||
        sls_verified_val_.size() != assigns_.size())) {
@@ -1209,8 +1203,7 @@ void Solver::CacheCurrentModel() {
 }
 
 LocalSearchResult Solver::SeedFromLocalSearch(
-    std::span<const Lit> assumptions, std::span<const std::vector<Lit>> softs,
-    const LocalSearchBudget& budget) {
+    std::span<const Lit> assumptions, const LocalSearchBudget& budget) {
   LocalSearchResult out;
   CCR_DCHECK(DecisionLevel() == 0);
   if (!ok_) return out;
@@ -1257,12 +1250,11 @@ LocalSearchResult Solver::SeedFromLocalSearch(
   // decides the call with no clause scan at all. The fresh model_ and
   // every pooled witness satisfy every live clause and all implied
   // units by the cache invariant (anything that could break that
-  // invalidates the cache), so only the assumptions and softs need
-  // evaluating — O(pool × |assumptions| + |softs|).
+  // invalidates the cache), so only the assumptions need evaluating —
+  // O(pool × |assumptions|).
   {
     const auto try_model = [&](const std::vector<Lbool>& m) {
-      // A shorter model predates variables added since; those could
-      // appear in the softs, so pass on it.
+      // A shorter model predates variables added since; pass on it.
       if (m.size() < static_cast<size_t>(nv)) return false;
       for (Lit a : assumptions) {
         if (LboolOf(m[a.var()], a.negated()) != Lbool::kTrue) return false;
@@ -1277,19 +1269,9 @@ LocalSearchResult Solver::SeedFromLocalSearch(
     if (hit) {
       const std::vector<Lbool>& m = *hit;
       CCR_DCHECK(DebugModelSatisfiesLive(m));
-      int soft_unsat = 0;
-      for (const std::vector<Lit>& soft : softs) {
-        bool sat = false;
-        for (Lit l : soft) {
-          CCR_DCHECK(l.var() >= 0 && l.var() < nv);
-          sat = sat || LboolOf(m[l.var()], l.negated()) == Lbool::kTrue;
-        }
-        if (!sat) ++soft_unsat;
-      }
       out.ran = true;
       out.feasible = true;
       out.hard_unsat = 0;
-      out.soft_unsat = soft_unsat;
       out.model.resize(static_cast<size_t>(nv));
       for (Var v = 0; v < nv; ++v) out.model[v] = m[v] == Lbool::kTrue ? 1 : 0;
       // Phases and the witness ring stay as they are: the CDCL descent
@@ -1369,24 +1351,13 @@ LocalSearchResult Solver::SeedFromLocalSearch(
         }
       }
     };
-    // Publishes the current s.val as a feasible result: scores the
-    // softs and pushes the model into the witness ring exactly as the
-    // search below would. Only legal right after a scan proved every live
-    // clause satisfied.
+    // Publishes the current s.val as a feasible result: pushes the model
+    // into the witness ring exactly as the search below would. Only legal
+    // right after a scan proved every live clause satisfied.
     const auto publish = [&] {
-      int soft_unsat = 0;
-      for (const std::vector<Lit>& soft : softs) {
-        bool sat = false;
-        for (Lit l : soft) {
-          CCR_DCHECK(l.var() >= 0 && l.var() < nv);
-          sat = sat || val_true(l);
-        }
-        if (!sat) ++soft_unsat;
-      }
       out.ran = true;
       out.feasible = true;
       out.hard_unsat = 0;
-      out.soft_unsat = soft_unsat;
       out.model.assign(s.val.begin(), s.val.end());
       std::vector<Lbool> m(static_cast<size_t>(nv));
       for (Var v = 0; v < nv; ++v) {
@@ -1501,11 +1472,10 @@ LocalSearchResult Solver::SeedFromLocalSearch(
         if (!val_true(q)) worklist.push_back({kRefUndef, now_false, q});
       }
     };
-    // Greedy min-break drain of the worklist (shared by the repair tier
-    // and the soft-improvement pass): pops falsified items, flips the
-    // minimum-break free variable of each (ties to the lowest id —
-    // fully deterministic, no RNG draw), and chases what every flip
-    // breaks. Flipped variables append to s.cand. Returns true only
+    // Greedy min-break drain of the worklist (the repair tier): pops
+    // falsified items, flips the minimum-break free variable of each
+    // (ties to the lowest id — fully deterministic, no RNG draw), and
+    // chases what every flip breaks. Flipped variables append to s.cand. Returns true only
     // when the worklist fully drained within the flip budget.
     const auto drain = [&](int64_t max_flips) {
       int64_t flips = 0;
@@ -1555,79 +1525,6 @@ LocalSearchResult Solver::SeedFromLocalSearch(
       stats_.sls_flips += flips;
       return !stuck && head >= worklist.size();
     };
-    // Soft-improvement pass, run only with hard feasibility in hand:
-    // try to satisfy each falsified soft by flipping its min-break free
-    // variable and repairing the fallout with a bounded drain, rolling
-    // the whole chain back whenever it fails (re-flipping the log in
-    // reverse restores the exact prior assignment). This is what makes
-    // the fast tiers genuine optimizers: a fresh MaxSAT probe's
-    // selector variables all start at their default phase with every
-    // soft open, and without this pass the probe could only report the
-    // vacuous bound u = n. Feasibility is preserved by induction — a
-    // kept chain drained every violation it caused, a rejected one is
-    // undone — with a final incremental re-verification as a backstop.
-    const auto improve_softs = [&] {
-      if (softs.empty()) return;
-      const size_t pass_mark = s.cand.size();
-      for (const std::vector<Lit>& soft : softs) {
-        bool sat = false;
-        for (Lit l : soft) sat = sat || val_true(l);
-        if (sat) continue;
-        Var chosen = kVarUndef;
-        int min_break = INT_MAX;
-        for (Lit l : soft) {
-          const Var v = l.var();
-          if (s.fixed[v]) continue;
-          const int b = breaks_of(v);
-          if (b < min_break || (b == min_break && v < chosen)) {
-            min_break = b;
-            chosen = v;
-          }
-        }
-        if (chosen == kVarUndef) continue;  // fixed false; nothing to try
-        const size_t mark = s.cand.size();
-        s.val[chosen] ^= 1;
-        s.cand.push_back(chosen);
-        ++stats_.sls_flips;
-        // Pin the seed flip for the duration of the chain — otherwise
-        // the cheapest repair is almost always to flip it right back,
-        // and the pass would never achieve anything.
-        s.fixed[chosen] = 1;
-        worklist.clear();
-        chase(chosen);
-        const bool kept = drain(kSlsSoftChainFlips);
-        s.fixed[chosen] = 0;
-        if (!kept) {
-          while (s.cand.size() > mark) {
-            s.val[s.cand.back()] ^= 1;
-            s.cand.pop_back();
-          }
-          // The softs of one call are structurally alike (a MaxSAT
-          // probe's selectors all guard the same rule shape): when a
-          // chain fails, its siblings almost always fail the same way,
-          // so stop paying for them. Successes already kept stand.
-          break;
-        }
-      }
-      if (s.cand.size() > pass_mark) {
-        // Backstop re-verification of the kept chains; on failure the
-        // pass rolls back entirely to the proven-feasible base.
-        bool verified = false;
-        if (try_incremental()) {
-          verified = worklist.empty();
-        } else {
-          scan_all(/*collect=*/false);
-          verified = !any_unsat;
-        }
-        if (!verified) {
-          while (s.cand.size() > pass_mark) {
-            s.val[s.cand.back()] ^= 1;
-            s.cand.pop_back();
-          }
-        }
-      }
-    };
-
     // `exhaustive` means the worklist holds every falsified live item.
     bool exhaustive = try_incremental();
     if (!exhaustive) {
@@ -1655,35 +1552,19 @@ LocalSearchResult Solver::SeedFromLocalSearch(
           feasible = !any_unsat && worklist.empty();
         }
       }
-      if (feasible) improve_softs();
       // The order blocks' axioms are not in the clause scan: an
       // assignment that is not transitively closed is no model.
       if (feasible && !axioms_open(s.val)) {
-        // Install the flipped phases so the next descent starts here —
-        // except for variables the softs mention: the exact search that
-        // follows a probe exists to satisfy softs, so their phases stay
-        // biased toward satisfaction rather than wherever the repair
-        // happened to leave them (flipping a selector off is the repair's
-        // cheapest move and the bound search's most expensive start).
-        const auto in_softs = [&](Var v) {
-          for (const std::vector<Lit>& soft : softs) {
-            for (Lit l : soft) {
-              if (l.var() == v) return true;
-            }
-          }
-          return false;
-        };
-        for (Var v : s.cand) {
-          if (!in_softs(v)) polarity_[v] = s.val[v] == 0;
-        }
+        // Install the flipped phases so the next descent starts here.
+        for (Var v : s.cand) polarity_[v] = s.val[v] == 0;
         publish();
         return out;
       }
       // Repair ran out of budget or got stuck; the full search below
       // starts from the mutated assignment deterministically.
     } else if (exhaustive && worklist.empty() && !axioms_open(s.val)) {
-      // No occurrence index (so no repair or soft pass), but the saved
-      // phases already form a model; publish it as-is.
+      // No occurrence index (so no repair), but the saved phases
+      // already form a model; publish it as-is.
       publish();
       return out;
     }
@@ -1693,7 +1574,7 @@ LocalSearchResult Solver::SeedFromLocalSearch(
   // implications not already satisfied by a fixed-true literal, with
   // fixed-false literals dropped. A hard clause left empty is permanently
   // falsified under the fixing (the CDCL solve will refute it; nothing
-  // for a flip search to do); an empty soft is a constant offset.
+  // for a flip search to do).
   s.pool.clear();
   s.starts.clear();
   s.starts.push_back(0);
@@ -1715,12 +1596,11 @@ LocalSearchResult Solver::SeedFromLocalSearch(
     s.starts.push_back(static_cast<int32_t>(s.pool.size()));
     return 0;
   };
-  int hard_count = 0;
   for (ClauseRef c : clauses_) {
     if (ClauseDead(c)) continue;
-    const int rc = add_clause({ClauseLits(c), ClauseLits(c) + ClauseSize(c)});
-    if (rc == 1) return out;
-    if (rc == 0) ++hard_count;
+    if (add_clause({ClauseLits(c), ClauseLits(c) + ClauseSize(c)}) == 1) {
+      return out;
+    }
   }
   // Each binary clause (u ∨ q) appears mirrored in two implication
   // lists; keep the copy where u has the smaller literal index.
@@ -1729,17 +1609,8 @@ LocalSearchResult Solver::SeedFromLocalSearch(
     for (Lit q : bins_[i]) {
       if (u.index() > q.index()) continue;
       const Lit pair[2] = {u, q};
-      const int rc = add_clause({pair, 2});
-      if (rc == 1) return out;
-      if (rc == 0) ++hard_count;
+      if (add_clause({pair, 2}) == 1) return out;
     }
-  }
-  int soft_base = 0;  // softs permanently unsatisfied under the fixing
-  for (const std::vector<Lit>& soft : softs) {
-    for ([[maybe_unused]] Lit l : soft) {
-      CCR_DCHECK(l.var() >= 0 && l.var() < nv);
-    }
-    if (add_clause({soft.data(), soft.size()}) == 1) ++soft_base;
   }
   const int n_clauses = static_cast<int>(s.starts.size()) - 1;
 
@@ -1786,19 +1657,16 @@ LocalSearchResult Solver::SeedFromLocalSearch(
               ? budget.seed
               : kSlsSeedBase ^ (0x9e3779b97f4a7c15ULL * ++sls_salt_));
 
-  // O(1) unsatisfied-clause bookkeeping, hard and soft stacks apart so
-  // clause picking can insist on hard feasibility first.
+  // O(1) unsatisfied-clause bookkeeping.
   const auto mark_unsat = [&](int c) {
-    std::vector<int32_t>& stack = c < hard_count ? s.unsat_hard : s.unsat_soft;
-    s.unsat_pos[c] = static_cast<int32_t>(stack.size());
-    stack.push_back(c);
+    s.unsat_pos[c] = static_cast<int32_t>(s.unsat.size());
+    s.unsat.push_back(c);
   };
   const auto mark_sat = [&](int c) {
-    std::vector<int32_t>& stack = c < hard_count ? s.unsat_hard : s.unsat_soft;
     const int32_t pos = s.unsat_pos[c];
-    stack[pos] = stack.back();
-    s.unsat_pos[stack.back()] = pos;
-    stack.pop_back();
+    s.unsat[pos] = s.unsat.back();
+    s.unsat_pos[s.unsat.back()] = pos;
+    s.unsat.pop_back();
     s.unsat_pos[c] = -1;
   };
   // True literal of v under the current assignment.
@@ -1826,19 +1694,16 @@ LocalSearchResult Solver::SeedFromLocalSearch(
   };
 
   int best_hard = INT_MAX;
-  int best_soft = INT_MAX;
   s.best.assign(s.val.begin(), s.val.end());
-  // Records the current assignment if it improves (hard count first,
-  // softs tie-break); returns true when nothing can improve further.
+  // Records the current assignment if it improves; returns true when
+  // nothing can improve further.
   const auto consider_best = [&] {
-    const int h = static_cast<int>(s.unsat_hard.size());
-    const int sf = static_cast<int>(s.unsat_soft.size()) + soft_base;
-    if (h < best_hard || (h == best_hard && sf < best_soft)) {
+    const int h = static_cast<int>(s.unsat.size());
+    if (h < best_hard) {
       best_hard = h;
-      best_soft = sf;
       s.best.assign(s.val.begin(), s.val.end());
     }
-    return s.unsat_hard.empty() && s.unsat_soft.empty();
+    return s.unsat.empty();
   };
 
   int64_t flips_done = 0;
@@ -1849,8 +1714,7 @@ LocalSearchResult Solver::SeedFromLocalSearch(
       for (Var v : s.free_vars) s.val[v] = rng.Chance(0.5) ? 1 : 0;
     }
     s.true_count.assign(static_cast<size_t>(n_clauses), 0);
-    s.unsat_hard.clear();
-    s.unsat_soft.clear();
+    s.unsat.clear();
     s.unsat_pos.assign(static_cast<size_t>(n_clauses), -1);
     for (int c = 0; c < n_clauses; ++c) {
       for (int32_t j = s.starts[c]; j < s.starts[c + 1]; ++j) {
@@ -1863,11 +1727,8 @@ LocalSearchResult Solver::SeedFromLocalSearch(
     if (!perfect && !occ_built) build_occ();
 
     for (int64_t f = 0; f < max_flips && !perfect; ++f) {
-      if (s.unsat_hard.empty() && s.unsat_soft.empty()) break;
-      const int c =
-          !s.unsat_hard.empty()
-              ? s.unsat_hard[rng.Below(s.unsat_hard.size())]
-              : s.unsat_soft[rng.Below(s.unsat_soft.size())];
+      if (s.unsat.empty()) break;
+      const int c = s.unsat[rng.Below(s.unsat.size())];
       // Freebie move: a variable with break count 0, else noise/greedy.
       s.cand.clear();
       Var chosen = kVarUndef;
@@ -1902,7 +1763,6 @@ LocalSearchResult Solver::SeedFromLocalSearch(
   out.ran = true;
   out.feasible = best_hard == 0;
   out.hard_unsat = best_hard;
-  out.soft_unsat = best_soft;
   out.model.assign(s.best.begin(), s.best.end());
 
   if (out.feasible) {

@@ -10,7 +10,7 @@
 // Luby restarts, VSIDS decision ordering, phase saving, a small pool of
 // recent models that answers assumption solves without search, and
 // incremental solving under assumptions (used by the per-pair Lemma-6
-// loop and the MaxSAT layer).
+// loop and the MaxSAT layer, the non-Horn fallbacks).
 //
 // Besides clauses the solver takes the Cnf's order blocks: the
 // transitivity axioms ¬x_ij ∨ ¬x_jk ∨ x_ik of each currency order, kept
@@ -21,10 +21,11 @@
 // implication or a conflict. Models are always transitively closed.
 //
 // Φ(Se) is Horn and the pipeline never reaches a conflict: validity and
-// the Lemma-6 Deduce are decided by one propagation probe (BeginProbe).
-// The whole-formula passes — WalkSAT seeding and probing, between-round
-// inprocessing (vivification, subsumption) — are off by default and stay
-// behind their SolverOptions flags for the byte-identity lanes. Because
+// the Lemma-6 Deduce are decided by one propagation probe (BeginProbe),
+// GetSug by one probe per candidate kept set, so no phase makes a solve.
+// The whole-formula passes — WalkSAT seeding, between-round inprocessing
+// (vivification, subsumption) — are off by default and stay behind their
+// SolverOptions flags for the byte-identity lanes. Because
 // the pipeline above consumes only SAT/UNSAT verdicts, every option
 // combination resolves every entity identically.
 
@@ -45,9 +46,9 @@
 namespace ccr::sat {
 
 /// Tunables. The defaults are the CDCL core with every whole-formula
-/// pass off (see the file comment): `use_inprocessing`, `use_sls_seeding`
-/// and `use_sls_probing` default to false and remain for the byte-identity
-/// lanes (`ccr_experiment --solver sls` turns all three on).
+/// pass off (see the file comment): `use_inprocessing` and
+/// `use_sls_seeding` default to false and remain for the byte-identity
+/// lanes (`ccr_experiment --solver sls` turns both on).
 struct SolverOptions {
   bool use_vsids = true;          // activity-ordered decisions vs. lowest id
   bool use_phase_saving = true;   // remember last polarity per variable
@@ -68,9 +69,9 @@ struct SolverOptions {
   /// only, never a verdict or a model.
   bool use_arena_gc = true;
   double gc_frac = 0.25;
-  /// Stochastic local search (WalkSAT) in the hot path. Both flags may
-  /// only change time-to-verdict, never a verdict: every answer is still
-  /// produced by the exact CDCL search / MaxSAT bound solves.
+  /// Stochastic local search (WalkSAT) as a warm start. It may only
+  /// change time-to-verdict, never a verdict: every answer is still
+  /// produced by propagation or the exact CDCL search.
   ///
   /// use_sls_seeding: before CDCL search, a budgeted local-search pass
   /// (Solver::SeedFromLocalSearch) installs its best assignment into the
@@ -79,14 +80,6 @@ struct SolverOptions {
   /// Off by default: on the Horn pipeline formula validity is decided by
   /// propagation (IsValidShared), so a warm start buys nothing.
   bool use_sls_seeding = false;
-  /// use_sls_probing: IncrementalMaxSat runs the same local search over
-  /// hard+soft clauses first and uses the number of unsatisfied softs as
-  /// an upper bound u, verifying downward from u instead of climbing the
-  /// cardinality bound up from 0. When the probe hits the true optimum
-  /// the exact search collapses to two solves (SAT at u, UNSAT at u-1).
-  /// Off by default: on the session formula the probe costs Suggest more
-  /// than the bound climb from 0 it shortens.
-  bool use_sls_probing = false;
   /// Local-search budget: flips per try (0 = scaled to the free-variable
   /// count), number of restarts, and WalkSAT noise probability.
   int64_t sls_max_flips = 0;
@@ -128,19 +121,21 @@ struct SolverStats {
   int64_t gc_runs = 0;
   int64_t gc_reclaimed_words = 0;
   /// Stochastic local search: flips performed across all
-  /// SeedFromLocalSearch calls, fully satisfying assignments pushed into
-  /// the cached-model ring (use_sls_seeding / use_sls_probing), and
-  /// MaxSAT upper-bound probes run / probes whose bound was the exact
-  /// optimum (reported back by IncrementalMaxSat via RecordSlsProbe).
+  /// SeedFromLocalSearch calls, and fully satisfying assignments pushed
+  /// into the cached-model ring (use_sls_seeding).
   int64_t sls_flips = 0;
   int64_t sls_seeded_models = 0;
-  int64_t sls_probes = 0;
-  int64_t sls_probe_wins = 0;
   /// Solver calls issued by the Deduce phase (reported by
   /// src/core/deduce.cc via RecordDeduce): the per-pair Lemma-6 loop's
   /// validity solve plus one SolveWithAssumptions per pair. Deduce by
   /// propagation on a Horn formula issues none.
   int64_t deduce_queries = 0;
+  /// GetSug work (reported by src/core/suggest.cc via RecordSuggest):
+  /// propagation probes opened on a Horn formula, and calls that fell
+  /// back to IncrementalMaxSat (a non-Horn formula or an oversized
+  /// clique).
+  int64_t suggest_probes = 0;
+  int64_t suggest_fallbacks = 0;
 
   /// Component-wise difference (for per-call and per-phase deltas).
   SolverStats operator-(const SolverStats& o) const {
@@ -158,9 +153,9 @@ struct SolverStats {
             gc_reclaimed_words - o.gc_reclaimed_words,
             sls_flips - o.sls_flips,
             sls_seeded_models - o.sls_seeded_models,
-            sls_probes - o.sls_probes,
-            sls_probe_wins - o.sls_probe_wins,
-            deduce_queries - o.deduce_queries};
+            deduce_queries - o.deduce_queries,
+            suggest_probes - o.suggest_probes,
+            suggest_fallbacks - o.suggest_fallbacks};
   }
 
   /// Component-wise sum (for pooling per-phase deltas across rounds and
@@ -180,9 +175,9 @@ struct SolverStats {
     gc_reclaimed_words += o.gc_reclaimed_words;
     sls_flips += o.sls_flips;
     sls_seeded_models += o.sls_seeded_models;
-    sls_probes += o.sls_probes;
-    sls_probe_wins += o.sls_probe_wins;
     deduce_queries += o.deduce_queries;
+    suggest_probes += o.suggest_probes;
+    suggest_fallbacks += o.suggest_fallbacks;
     return *this;
   }
 };
@@ -211,9 +206,6 @@ struct LocalSearchResult {
   /// Problem clauses, explicit or implicit in an order block, left
   /// unsatisfied by the best assignment.
   int hard_unsat = 0;
-  /// Soft clauses left unsatisfied by the best assignment (the MaxSAT
-  /// upper bound u when `feasible`; then the exact score of `model`).
-  int soft_unsat = 0;
   /// Best assignment per variable; a genuine model when `feasible`.
   std::vector<uint8_t> model;
 };
@@ -343,28 +335,26 @@ class Solver {
   /// assignment found is installed into the saved-phase array (biasing
   /// the next CDCL descent toward it), and when it satisfies every
   /// problem clause it is pushed into the cached-model ring as a genuine
-  /// witness. `softs` (clauses over existing variables) are scored but
-  /// never required: the returned soft_unsat of a feasible pass is the MaxSAT
-  /// upper-bound probe. Deterministic: the RNG is seeded from a per-call
+  /// witness. Deterministic: the RNG is seeded from a per-call
   /// salt (reset by Reset()) or budget.seed — never wall-clock or global
   /// state. Must be called at decision level 0. Verdict-neutral by
   /// construction: phases and cached models only steer search time.
   LocalSearchResult SeedFromLocalSearch(
       std::span<const Lit> assumptions = {},
-      std::span<const std::vector<Lit>> softs = {},
       const LocalSearchBudget& budget = {});
-
-  /// MaxSAT layer reporting: an upper-bound probe ran; `win` when the
-  /// probed bound turned out to be the exact optimum.
-  void RecordSlsProbe(bool win) {
-    ++stats_.sls_probes;
-    if (win) ++stats_.sls_probe_wins;
-  }
 
   /// Deduce-phase reporting (src/core/deduce.cc): entailment solver
   /// calls issued. Folded into stats_ so RoundTrace per-phase deltas pick
   /// the counter up with no extra plumbing.
   void RecordDeduce(int64_t queries) { stats_.deduce_queries += queries; }
+
+  /// GetSug reporting (src/core/suggest.cc): propagation probes opened,
+  /// and whether the call fell back to IncrementalMaxSat. Folded into
+  /// stats_ like RecordDeduce.
+  void RecordSuggest(int64_t probes, bool fallback) {
+    stats_.suggest_probes += probes;
+    if (fallback) ++stats_.suggest_fallbacks;
+  }
 
   /// \name Propagation-only probing (no search, no learning)
   ///
@@ -751,8 +741,8 @@ class Solver {
   // model_ itself is the newest entry when model_fresh_; older models
   // ride in a small ring. Cleared whenever the formula genuinely
   // strengthens (AddClause, FreezeScope). The verdict is exact either
-  // way. On person-fast Suggest's assumption solves hit it about 70% of
-  // the time.
+  // way. No pipeline phase solves on the Horn Φ(Se); the per-pair
+  // Lemma-6 loop and GetSug's MaxSAT fallback use it.
   static constexpr size_t kModelPoolSize = 4;
   std::vector<std::vector<Lbool>> model_pool_;
   size_t model_pool_next_ = 0;
@@ -805,8 +795,7 @@ class Solver {
     std::vector<uint8_t> fixed;     // per var: never flipped
     std::vector<uint8_t> best;      // per var: best assignment seen
     std::vector<int32_t> true_count;  // per clause
-    std::vector<int32_t> unsat_hard;  // stacks of unsatisfied clause ids
-    std::vector<int32_t> unsat_soft;
+    std::vector<int32_t> unsat;  // stack of unsatisfied clause ids
     std::vector<int32_t> unsat_pos;   // clause -> position in its stack
     std::vector<Var> free_vars;       // distinct unfixed vars in pool
     std::vector<uint8_t> var_seen;    // per var: dedup for free_vars
@@ -839,7 +828,7 @@ class Solver {
 /// \brief A batch of temporary variables and clauses on a persistent
 /// solver, deactivated wholesale when the scope is released.
 ///
-/// Incremental MaxSAT (and GetSug's per-round rule selectors) introduce
+/// Incremental MaxSAT (and GetSug's fallback rule selectors) introduce
 /// auxiliary variables whose clauses must not constrain later rounds of
 /// the same session. A scope ties every clause added through it to a fresh
 /// activation literal `act`: the clause is stored as (clause ∨ ¬act), so it

@@ -17,7 +17,6 @@ Result<sat::SolverOptions> SolverOptionsForPreset(const std::string& preset) {
   }
   if (preset == "sls") {
     options.use_sls_seeding = true;
-    options.use_sls_probing = true;
     options.use_inprocessing = true;
     return options;
   }
@@ -54,8 +53,9 @@ RoundOutcome RunSessionRound(ResolutionSession* session) {
   if (outcome.complete) return outcome;
 
   // Suggestion runs only when the round is incomplete — same as the
-  // framework loop, and load-bearing for replay: MakeSuggestion allocates
-  // solver-scope variables, so whether it ran is part of the state.
+  // framework loop, and load-bearing for replay: GetSug's MaxSAT fallback
+  // (a non-Horn formula or an oversized clique) allocates solver-scope
+  // variables, so whether it ran is part of the state.
   const std::vector<std::vector<int>> candidates = CandidateValues(vm, od);
   const Suggestion suggestion = session->MakeSuggestion(candidates, true_idx);
   outcome.has_suggestion = true;

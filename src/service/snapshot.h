@@ -8,8 +8,10 @@
 // of result_io's ExperimentResult format, built on the same ccr::json
 // primitives). Rehydration replays the log against a fresh session and
 // lands on byte-identical verdict state; ROUND entries matter because
-// MakeSuggestion allocates solver-scope variables, which shifts the ids of
-// everything grounded later.
+// MakeSuggestion's MaxSAT fallback (GetSug on a non-Horn formula or an
+// oversized clique) allocates solver-scope variables, which shifts the
+// ids of everything grounded later. On the Horn Φ(Se) GetSug decides by
+// propagation and allocates nothing, but replay stays exact either way.
 //
 // The format is strict both ways: stable field order and %.17g doubles on
 // write (equal snapshots are equal bytes), unknown/duplicate/missing

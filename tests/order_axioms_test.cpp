@@ -551,7 +551,6 @@ TEST(OrderAxiomsTest, StrictDeduceOrderIsTheLemma6PairSet) {
 SolverOptions SlsOptions() {
   SolverOptions o;
   o.use_sls_seeding = true;
-  o.use_sls_probing = true;
   o.use_inprocessing = true;
   return o;
 }
@@ -592,12 +591,7 @@ TEST(OrderAxiomsTest, LocalSearchNeverReportsAnOpenAssignmentFeasible) {
     Solver s(SlsOptions());
     s.AddCnf(cnf);
     const std::vector<Lit> assume = RandomAssumptions(&rng, cnf.num_vars());
-    std::vector<std::vector<Lit>> softs;
-    for (int k = 0; k < 2; ++k) {
-      softs.push_back({Lit(static_cast<Var>(rng.Below(cnf.num_vars())),
-                           rng.Chance(0.5))});
-    }
-    const sat::LocalSearchResult r = s.SeedFromLocalSearch(assume, softs);
+    const sat::LocalSearchResult r = s.SeedFromLocalSearch(assume);
     if (!r.ran) continue;
     const bool closed =
         Closed(cnf, [&](Var v) { return r.model[v] != 0; });
@@ -609,7 +603,7 @@ TEST(OrderAxiomsTest, LocalSearchNeverReportsAnOpenAssignmentFeasible) {
       EXPECT_GT(r.hard_unsat, 0) << "round " << round;
       ++infeasible;
     }
-    // Whatever the probe seeded, the exact search agrees with the
+    // Whatever the pass seeded, the exact search agrees with the
     // materialized formula and its models are closed.
     Solver ref;
     ref.AddCnf(cnf.Materialized());
@@ -624,10 +618,10 @@ TEST(OrderAxiomsTest, LocalSearchNeverReportsAnOpenAssignmentFeasible) {
 }
 
 TEST(OrderAxiomsTest, SlsProbedMaxSatMatchesTheMaterializedFormula) {
-  // Φ(Se) of real entities under the guards: the local-search probe's
-  // feasible assignments are closed, and IncrementalMaxSat — whose exact
-  // early return trusts a feasible probe — keeps the same softs as a
-  // plain solver on the materialized formula.
+  // Φ(Se) of real entities under the guards: the local-search seed's
+  // feasible assignments are closed, and IncrementalMaxSat on the seeded
+  // solver — whose witness ring the seed filled — keeps the same softs as
+  // a plain solver on the materialized formula.
   InstantiationOptions guarded;
   guarded.guard_cfds = true;
   Rng rng(0x5a7);

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "paper_fixture.h"
+#include "src/core/deduce.h"
 #include "src/core/session.h"
 #include "src/data/career_generator.h"
 #include "src/data/dataset.h"
@@ -518,10 +519,10 @@ TEST(SessionSuggestEquivalenceTest, PersonMultiRound) {
 }
 
 TEST(ResolutionSessionTest, AssumptionSolvesAreCounted) {
-  // Guarded CFD sessions answer GetSug under assumptions; the counter
-  // must reflect that so RoundTrace attribution works. Validity over the
-  // Horn formula is decided by propagation under the guards, with no
-  // solve at all.
+  // Guarded CFD sessions query the solver under assumptions; the counter
+  // must reflect every solve so RoundTrace attribution works. Over the
+  // Horn formula validity, Deduce and GetSug are all decided by
+  // propagation under the guards, with no solve at all.
   auto session = ResolutionSession::Create(CfdSpec());
   ASSERT_TRUE(session.ok());
   EXPECT_EQ(session->assumption_solves(), 0);
@@ -532,7 +533,14 @@ TEST(ResolutionSessionTest, AssumptionSolvesAreCounted) {
   const Suggestion sug = session->MakeSuggestion(
       CandidateValues(vm, od), ExtractTrueValueIndices(vm, od));
   EXPECT_FALSE(sug.attrs.empty());
-  EXPECT_GT(session->assumption_solves(), 0);  // guarded MaxSAT solves
+  EXPECT_FALSE(sug.clique_rules.empty());  // GetSug had rules to check
+  EXPECT_EQ(session->assumption_solves(), 0);
+  EXPECT_GT(session->solver_stats().suggest_probes, 0);
+  // The per-pair Lemma-6 loop still solves, under the same guards.
+  const Instantiation& inst = session->instantiation();
+  (void)Lemma6DeduceShared(inst, session->mutable_solver(),
+                           inst.guard_assumptions());
+  EXPECT_GT(session->assumption_solves(), 0);  // guarded solves
 }
 
 TEST(ResolutionSessionTest, ValidityConflictsArePerCallDelta) {

@@ -5,7 +5,7 @@
 //   * change no result whatsoever — every validity verdict, every deduced
 //     order, every suggestion, and the serialized ExperimentResult bytes
 //     are identical with arena GC on, off, or maximally eager,
-//   * keep Suggest's model cache effective across relocations, and
+//   * keep the solver's model cache effective across relocations, and
 //   * never fall back to a session rebuild.
 //
 // The churn mimics what a real resolution service produces (§III Remark
@@ -13,12 +13,12 @@
 // attribute, dominating every prior tuple on that attribute. Truth
 // answers stay consistent forever, while the unit cascades they trigger
 // keep satisfying old clauses and retiring guards — dead arena words.
-// The answered attribute rotates, as a service's rounds would. Rotation
-// resolves every attribute within a few rounds, after which Suggest has
-// nothing left to ask and makes no solve. The model-cache check therefore
-// runs a second churn that answers one attribute every round, so the
-// others stay open and each deduce round's Suggest runs GetSug's
-// assumption solves on the collected solver.
+// The answered attribute rotates, as a service's rounds would. Every
+// pipeline phase decides the Horn Φ(Se) by propagation and makes no
+// solve, so the model-cache check runs a second churn that answers one
+// attribute every round and, each round, drives the per-pair Lemma-6 loop
+// (Lemma6DeduceShared) on the session's solver: its assumption solves
+// cache models while the collector relocates clauses.
 
 #include <gtest/gtest.h>
 
@@ -107,6 +107,11 @@ SoakOutcome RunSoak(const Specification& spec,
     for (int t = 0; t < to_index; ++t) ot.orders.emplace_back(a, t, to_index);
     if (!session->ExtendWith(ot).ok()) return out;
     ++to_index;
+    if (one_attr) {
+      const Instantiation& inst = session->instantiation();
+      (void)Lemma6DeduceShared(inst, session->mutable_solver(),
+                               inst.guard_assumptions());
+    }
 
     out.valid_by_round.push_back(session->CheckValidity().valid);
     if (r % 4 == 3 || r == kSoakRounds - 1) {
@@ -123,8 +128,6 @@ SoakOutcome RunSoak(const Specification& spec,
         }
       }
       ++deduce_calls;
-      // Suggest's assumption solves cache their models; the GC keeps
-      // relocating clauses while those models are live.
       if (out.valid_by_round.back()) {
         const VarMap& vm = session->instantiation().varmap;
         out.suggested.push_back(

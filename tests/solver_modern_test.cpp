@@ -35,7 +35,6 @@ SolverOptions MakeOptions(bool vsids, bool phase, bool restarts,
   o.use_restarts = restarts;
   o.use_clause_deletion = deletion;
   o.use_sls_seeding = sls;
-  o.use_sls_probing = sls;
   o.use_inprocessing = sls;
   return o;
 }

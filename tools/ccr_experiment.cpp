@@ -75,9 +75,9 @@ void PrintUsage(std::FILE* to) {
                "                    engine, default) | legacy (re-encode\n"
                "                    every round; A/B reference)\n"
                "  --solver S        modern (default) | nogc (arena GC off) |\n"
-               "                    sls (local-search seeding, MaxSAT\n"
-               "                    probing and inprocessing on; all three\n"
-               "                    are off by default) | nosls (alias of\n"
+               "                    sls (local-search seeding and\n"
+               "                    inprocessing on; both are off by\n"
+               "                    default) | nosls (alias of\n"
                "                    modern). The daemon's preset table;\n"
                "                    results are bit-identical in all cases.\n"
                "  --deduce D        fast (Fig. 5 unit propagation, default)\n"
@@ -86,8 +86,9 @@ void PrintUsage(std::FILE* to) {
                "                    formula Phi(Se) by one propagation)\n"
                "  --solver-stats    dump pooled per-phase solver statistics\n"
                "                    (conflicts, propagations, assumption\n"
-               "                    solves, model-cache and inprocessing\n"
-               "                    counters) on stderr\n"
+               "                    solves, model-cache, inprocessing and\n"
+               "                    GetSug probe/fallback counters) on\n"
+               "                    stderr\n"
                "  --no-reuse        disable cross-entity solver pooling\n"
                "\n"
                "Common flags:\n"
@@ -350,8 +351,8 @@ void DumpSolverStats(const ExperimentResult& r) {
                  "\"vivified\": %lld, \"model_cache_hits\": %lld, "
                  "\"gc_runs\": %lld, \"gc_reclaimed_words\": %lld, "
                  "\"sls_flips\": %lld, \"sls_seeded_models\": %lld, "
-                 "\"sls_probes\": %lld, \"sls_probe_wins\": %lld, "
-                 "\"deduce_queries\": %lld}%s\n",
+                 "\"deduce_queries\": %lld, \"suggest_probes\": %lld, "
+                 "\"suggest_fallbacks\": %lld}%s\n",
                  phase, static_cast<long long>(s.conflicts),
                  static_cast<long long>(s.decisions),
                  static_cast<long long>(s.propagations),
@@ -366,9 +367,9 @@ void DumpSolverStats(const ExperimentResult& r) {
                  static_cast<long long>(s.gc_reclaimed_words),
                  static_cast<long long>(s.sls_flips),
                  static_cast<long long>(s.sls_seeded_models),
-                 static_cast<long long>(s.sls_probes),
-                 static_cast<long long>(s.sls_probe_wins),
                  static_cast<long long>(s.deduce_queries),
+                 static_cast<long long>(s.suggest_probes),
+                 static_cast<long long>(s.suggest_fallbacks),
                  last ? "" : ",");
   };
   std::fprintf(stderr, "{\n  \"solver_stats\": {\n");
