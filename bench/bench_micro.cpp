@@ -1,4 +1,5 @@
-// Substrate micro-benchmarks (google-benchmark): SAT solving, grounding,
+// Substrate micro-benchmarks (google-benchmark): SAT solving, grounding
+// (a fresh Build, and a session's recycled BuildInto plus ExtendWith),
 // CNF construction, unit-propagation deduction, and max-clique.
 
 #include <benchmark/benchmark.h>
@@ -83,6 +84,46 @@ void BM_Instantiation(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * se.instance().size());
 }
 BENCHMARK(BM_Instantiation)->Arg(50)->Arg(500)->Arg(5000);
+
+// A session's grounding on the person-batch corpus shape (250-300 tuples,
+// the full Σ and Γ): BuildInto a recycled Instantiation with guarded CFDs,
+// then one ExtendWith by a user answer, cycling over 8 entities. Items are
+// entities.
+void BM_InstantiationSession(benchmark::State& state) {
+  PersonOptions opts;
+  opts.num_entities = 8;
+  opts.min_tuples = 250;
+  opts.max_tuples = 300;
+  const Dataset ds = GeneratePerson(opts);
+  std::vector<Specification> specs, extended;
+  std::vector<PartialTemporalOrder> deltas;
+  for (int e = 0; e < opts.num_entities; ++e) {
+    specs.push_back(ds.MakeSpec(e));
+    // Answer the first conflicted attribute with its true value.
+    const std::vector<Value>& truth = ds.entities[e].truth;
+    int attr = 0;
+    while (attr + 1 < static_cast<int>(truth.size()) &&
+           (truth[attr].is_null() ||
+            !specs.back().instance().HasConflict(attr))) {
+      ++attr;
+    }
+    deltas.push_back(*MakeAnswerDelta(specs.back(), {{attr, truth[attr]}}));
+    extended.push_back(*Extend(specs.back(), deltas.back()));
+  }
+  InstantiationOptions guarded;
+  guarded.guard_cfds = true;
+  Instantiation inst;
+  size_t e = 0;
+  for (auto _ : state) {
+    const size_t i = e++ % specs.size();
+    benchmark::DoNotOptimize(
+        Instantiation::BuildInto(specs[i], &inst, guarded).ok());
+    benchmark::DoNotOptimize(
+        inst.ExtendWith(extended[i], deltas[i], guarded).ok());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_InstantiationSession);
 
 void BM_BuildCnf(benchmark::State& state) {
   const Dataset ds = PersonForBench(static_cast<int>(state.range(0)));

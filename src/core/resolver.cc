@@ -166,12 +166,13 @@ class RebuildEngine : public Engine {
 // Session engine: one ResolutionSession across all rounds.
 class SessionEngine : public Engine {
  public:
+  // `se` must outlive the engine; the session keeps the one copy.
   SessionEngine(const Specification& se, const ResolveOptions& options)
-      : options_(options), spec0_(se) {}
+      : options_(options), se_(se) {}
 
   Status Encode(double* encode_ms) override {
     if (!session_.has_value()) {
-      auto s = ResolutionSession::Create(spec0_, options_);
+      auto s = ResolutionSession::Create(se_, options_);
       if (!s.ok()) return s.status();
       session_.emplace(std::move(s).value());
     }
@@ -214,7 +215,7 @@ class SessionEngine : public Engine {
 
  private:
   ResolveOptions options_;
-  Specification spec0_;
+  const Specification& se_;
   std::optional<ResolutionSession> session_;
 };
 

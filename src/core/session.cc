@@ -130,7 +130,9 @@ Suggestion ResolutionSession::MakeSuggestion(
 }
 
 Status ResolutionSession::ExtendWith(const PartialTemporalOrder& ot) {
-  CCR_ASSIGN_OR_RETURN(Specification next, Extend(spec_, ot));
+  // Only It grows: extend the temporal instance and swap it in, so Σ and Γ
+  // are never copied after Create. A failed extension swaps it back.
+  CCR_ASSIGN_OR_RETURN(TemporalInstance next, Extend(spec_.temporal, ot));
   Timer timer;
   // GetSug's MaxSAT fallback allocates selector/cardinality variables in
   // released scopes directly on the persistent solver; advance the
@@ -141,9 +143,14 @@ Status ResolutionSession::ExtendWith(const PartialTemporalOrder& ot) {
     inst_->varmap.NewAuxVar();
   }
   cnf_->EnsureVars(inst_->varmap.num_vars());
-  CCR_ASSIGN_OR_RETURN(
-      InstantiationDelta delta,
-      inst_->ExtendWith(next, ot, SessionGroundingOptions()));
+  std::swap(spec_.temporal, next);
+  Result<InstantiationDelta> extended =
+      inst_->ExtendWith(spec_, ot, SessionGroundingOptions());
+  if (!extended.ok()) {
+    std::swap(spec_.temporal, next);
+    return extended.status();
+  }
+  const InstantiationDelta& delta = *extended;
   // Guarded grounding expresses every delta append-only — the LHS-growth
   // case retires guards instead of demanding a rebuild.
   CCR_CHECK(!delta.needs_rebuild);
@@ -168,7 +175,6 @@ Status ResolutionSession::ExtendWith(const PartialTemporalOrder& ot) {
   }
   ++incremental_extensions_;
   last_encode_ms_ = timer.ElapsedMs();
-  spec_ = std::move(next);
   return Status::OK();
 }
 

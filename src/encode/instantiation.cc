@@ -1,7 +1,8 @@
 #include "src/encode/instantiation.h"
 
 #include <algorithm>
-#include <map>
+#include <numeric>
+#include <span>
 
 #include "src/common/status.h"
 
@@ -9,16 +10,29 @@ namespace ccr {
 
 namespace {
 
-// Attributes mentioned by a currency constraint (body and head), sorted.
-std::vector<int> MentionedAttrs(const CurrencyConstraint& phi) {
-  std::vector<int> attrs;
-  for (const auto& p : phi.order_predicates()) attrs.push_back(p.attr);
-  for (const auto& p : phi.compare_predicates()) attrs.push_back(p.attr);
-  for (const auto& p : phi.constant_predicates()) attrs.push_back(p.attr);
-  attrs.push_back(phi.head_attr());
-  std::sort(attrs.begin(), attrs.end());
-  attrs.erase(std::unique(attrs.begin(), attrs.end()), attrs.end());
-  return attrs;
+// Appends the attributes a currency constraint mentions (body and head),
+// sorted and deduplicated, to `out`.
+void AppendMentionedAttrs(const CurrencyConstraint& phi,
+                          std::vector<int>* out) {
+  const size_t first = out->size();
+  for (const auto& p : phi.order_predicates()) out->push_back(p.attr);
+  for (const auto& p : phi.compare_predicates()) out->push_back(p.attr);
+  for (const auto& p : phi.constant_predicates()) out->push_back(p.attr);
+  out->push_back(phi.head_attr());
+  std::sort(out->begin() + first, out->end());
+  out->erase(std::unique(out->begin() + first, out->end()), out->end());
+}
+
+// Code of a non-null constant outside its attribute's domain: it equals no
+// projection code (they are >= -1), so = never holds and != always does.
+constexpr int kNoCode = -2;
+
+uint64_t HashRow(const int* row, size_t width) {
+  uint64_t h = 0x9e3779b97f4a7c15ULL;
+  for (size_t i = 0; i < width; ++i) {
+    h = (h ^ static_cast<uint32_t>(row[i])) * 0xff51afd7ed558ccdULL;
+  }
+  return h ^ (h >> 32);
 }
 
 // Stable dedup key for a family-(1a) unit (independent of domain sizes, so
@@ -30,9 +44,10 @@ uint64_t UnitKey(int attr, int less, int more) {
 
 // Canonical emission rank of a family-(2) ground constraint: constraint
 // index major, then the projection-pair generation (max index, min index,
-// direction). Both Build and ExtendWith enumerate pairs in exactly this
-// order, so sorting by seq reproduces a from-scratch emission order even
-// when the constraints were appended across rounds.
+// direction). GroundSigma emits each constraint's pairs in exactly this
+// order, in Build and ExtendWith alike, so sorting by seq reproduces a
+// from-scratch emission order even when the constraints were appended
+// across rounds.
 uint64_t SigmaSeq(int ci, int p, int q) {
   const uint64_t n = static_cast<uint64_t>(std::max(p, q));
   const uint64_t m = static_cast<uint64_t>(std::min(p, q));
@@ -59,89 +74,188 @@ std::string GroundConstraint::ToString(const VarMap& vm,
   return out;
 }
 
-void Instantiation::AddProjections(const EntityInstance& ie, int first_tuple,
-                                   int n_attrs) {
-  std::vector<Value> key;
-  for (ProjTable& table : proj_tables_) {
-    for (int t = first_tuple; t < ie.size(); ++t) {
-      const Tuple& tuple = ie.tuple(t);
-      key.clear();
-      for (int a : table.attrs) key.push_back(tuple.at(a));
-      if (table.proj_ids.contains(key)) continue;
-      table.proj_ids.emplace(key,
-                             static_cast<int>(table.projections.size()));
-      std::vector<Value> wide(n_attrs);
-      for (int a : table.attrs) wide[a] = tuple.at(a);
-      table.projections.emplace_back(std::move(wide));
+void Instantiation::ProjTable::KeepLastIfNew() {
+  const size_t width = attrs.size();
+  const int id = size() - 1;
+  if (slots.size() < 2 * static_cast<size_t>(id + 1)) {
+    // Grow to keep the load at most 1/2, re-placing the earlier rows
+    // (distinct, so no equality checks).
+    slots.assign(std::max<size_t>(16, 2 * slots.size()), -1);
+    const size_t mask = slots.size() - 1;
+    for (int p = 0; p < id; ++p) {
+      size_t i = HashRow(row(p), width) & mask;
+      while (slots[i] >= 0) i = (i + 1) & mask;
+      slots[i] = p;
     }
   }
+  const size_t mask = slots.size() - 1;
+  const int* last = row(id);
+  for (size_t i = HashRow(last, width) & mask;; i = (i + 1) & mask) {
+    if (slots[i] < 0) {
+      slots[i] = id;
+      return;
+    }
+    if (std::equal(last, last + width, row(slots[i]))) {
+      rows.resize(rows.size() - width);
+      return;
+    }
+  }
+}
+
+void Instantiation::AddProjections(const EntityInstance& ie, int first_tuple,
+                                   int n_attrs) {
+  // Each new tuple's code row, computed once for every table.
+  const int n_new = ie.size() - first_tuple;
+  codes_.resize(static_cast<size_t>(n_new) * n_attrs);
+  for (int t = 0; t < n_new; ++t) {
+    const Tuple& tuple = ie.tuple(first_tuple + t);
+    for (int a = 0; a < n_attrs; ++a) {
+      const Value& v = tuple.at(a);
+      codes_[t * n_attrs + a] = v.is_null() ? -1 : varmap.ValueIndex(a, v);
+    }
+  }
+  for (ProjTable& table : proj_tables_) {
+    for (int t = 0; t < n_new; ++t) {
+      const int* codes = codes_.data() + t * n_attrs;
+      for (int a : table.attrs) table.rows.push_back(codes[a]);
+      table.KeepLastIfNew();
+    }
+  }
+}
+
+const Value& Instantiation::CodeValue(int attr, int code) const {
+  static const Value kNull;
+  return code < 0 ? kNull : varmap.domain(attr)[code];
 }
 
 void Instantiation::GroundSigma(const CurrencyConstraint& phi, int ci,
                                 int old_np,
                                 const InstantiationOptions& options) {
-  const ProjTable& table = proj_tables_[sigma_table_[ci]];
-  const int np = static_cast<int>(table.projections.size());
+  const SigmaPlan& plan = sigma_plans_[ci];
+  const ProjTable& table = proj_tables_[plan.table];
+  const int np = table.size();
   if (np == old_np) return;
+
+  // Resolve each constant predicate once: the constant's code, -1 for a
+  // null constant. An equality with a value outside the attribute's
+  // domain holds on no projection, so one of ϕ's sides is empty and ϕ
+  // grounds nothing.
+  const auto& consts = phi.constant_predicates();
+  const_codes_.resize(consts.size());
+  for (size_t k = 0; k < consts.size(); ++k) {
+    const ConstComparePredicate& cp = consts[k];
+    int code = -1;
+    if (!cp.constant.is_null()) {
+      code = varmap.ValueIndex(cp.attr, cp.constant);
+      if (code < 0) {
+        if (cp.op == CmpOp::kEq) return;
+        code = kNoCode;
+      }
+    }
+    const_codes_[k] = code;
+  }
 
   // The unary part of GroundSigmaPair's checks, per side: a projection
   // failing its side's test can never produce a constraint in that role.
   // t2 may carry a null head only under strict null semantics, where the
   // pair grounds to (body -> false).
-  auto side_ok = [&](const Tuple& s, bool t1_side) {
-    if ((t1_side || !options.strict_null_order) &&
-        s.at(phi.head_attr()).is_null()) {
+  auto side_ok = [&](const int* s, bool t1_side) {
+    if ((t1_side || !options.strict_null_order) && s[plan.head] < 0) {
       return false;
     }
-    for (const auto& op : phi.order_predicates()) {
-      if (s.at(op.attr).is_null()) return false;
+    for (int col : plan.order) {
+      if (s[col] < 0) return false;
     }
-    for (const auto& cp : phi.constant_predicates()) {
-      if ((cp.tuple_ref == 1) == t1_side && !cp.Eval(s, s)) return false;
+    for (size_t k = 0; k < consts.size(); ++k) {
+      const ConstComparePredicate& cp = consts[k];
+      if ((cp.tuple_ref == 1) != t1_side) continue;
+      const int code = s[plan.constant[k]];
+      switch (cp.op) {
+        case CmpOp::kEq:
+          if (code != const_codes_[k]) return false;
+          break;
+        case CmpOp::kNe:
+          if (code == const_codes_[k]) return false;
+          break;
+        default:
+          if (!EvalCmp(cp.op, CodeValue(cp.attr, code), cp.constant)) {
+            return false;
+          }
+      }
     }
     return true;
   };
   side1_.clear();
   side2_.clear();
   for (int p = 0; p < np; ++p) {
-    const Tuple& s = table.projections[p];
+    const int* s = table.row(p);
     if (side_ok(s, true)) side1_.push_back(p);
     if (side_ok(s, false)) side2_.push_back(p);
   }
 
-  // Only pairs touching a projection at or past old_np are new.
-  const size_t first = constraints.size();
-  const auto new_side2 =
-      std::lower_bound(side2_.begin(), side2_.end(), old_np);
-  for (int p : side1_) {
-    for (auto it = p >= old_np ? side2_.begin() : new_side2;
-         it != side2_.end(); ++it) {
-      if (*it != p) GroundSigmaPair(phi, ci, p, *it, options);
+  if (side1_.empty() || side2_.empty()) return;
+
+  // Pairs in `seq` order, so nothing needs sorting afterwards: the later
+  // projection n ascending — only n >= old_np is new — then the earlier
+  // projection m ascending, (m, n) before (n, m). side1_[0, k1) and
+  // side2_[0, k2) are the side entries below n.
+  size_t k1 = 0;
+  size_t k2 = 0;
+  for (int n = old_np; n < np; ++n) {
+    while (k1 < side1_.size() && side1_[k1] < n) ++k1;
+    while (k2 < side2_.size() && side2_[k2] < n) ++k2;
+    const bool n_is_t2 = k2 < side2_.size() && side2_[k2] == n;
+    const bool n_is_t1 = k1 < side1_.size() && side1_[k1] == n;
+    const size_t end1 = n_is_t2 ? k1 : 0;  // (m, n): m from side 1
+    const size_t end2 = n_is_t1 ? k2 : 0;  // (n, m): m from side 2
+    size_t i = 0;
+    size_t j = 0;
+    while (i < end1 || j < end2) {
+      if (j == end2 || (i < end1 && side1_[i] <= side2_[j])) {
+        GroundSigmaPair(phi, ci, side1_[i++], n, options);
+      } else {
+        GroundSigmaPair(phi, ci, n, side2_[j++], options);
+      }
     }
   }
-  std::sort(constraints.begin() + first, constraints.end(),
-            [](const GroundConstraint& a, const GroundConstraint& b) {
-              return a.seq < b.seq;
-            });
 }
 
 // Grounds ϕ = sigma[ci] on the (ordered) projection pair (p, q) of its
-// table, appending at most one constraint.
+// table, appending at most one constraint. Its constant predicates hold:
+// GroundSigma's side lists decided them.
 void Instantiation::GroundSigmaPair(const CurrencyConstraint& phi, int ci,
                                     int p, int q,
                                     const InstantiationOptions& options) {
-  const ProjTable& table = proj_tables_[sigma_table_[ci]];
-  const Tuple& s1 = table.projections[p];
-  const Tuple& s2 = table.projections[q];
-  if (!phi.ComparisonsHold(s1, s2)) return;
+  const SigmaPlan& plan = sigma_plans_[ci];
+  const ProjTable& table = proj_tables_[plan.table];
+  const int* s1 = table.row(p);
+  const int* s2 = table.row(q);
+  const auto& cmps = phi.compare_predicates();
+  for (size_t k = 0; k < cmps.size(); ++k) {
+    const int c1 = s1[plan.compare[k]];
+    const int c2 = s2[plan.compare[k]];
+    switch (cmps[k].op) {
+      case CmpOp::kEq:
+        if (c1 != c2) return;
+        break;
+      case CmpOp::kNe:
+        if (c1 == c2) return;
+        break;
+      default:
+        if (!EvalCmp(cmps[k].op, CodeValue(cmps[k].attr, c1),
+                     CodeValue(cmps[k].attr, c2))) {
+          return;
+        }
+    }
+  }
 
   // Head first: many instantiations are vacuous.
   const int ar = phi.head_attr();
-  const Value& h1 = s1.at(ar);
-  const Value& h2 = s2.at(ar);
-  if (h1.is_null() || h1 == h2) return;  // trivially satisfied
+  const int h1 = s1[plan.head];
+  const int h2 = s2[plan.head];
+  if (h1 < 0 || h1 == h2) return;  // trivially satisfied
   bool head_false = false;
-  if (h2.is_null()) {
+  if (h2 < 0) {
     // A value would have to precede a null. Vacuous by default (the
     // null tuple contributes no job/AC/... value to order); under
     // strict null semantics it is a contradiction.
@@ -149,13 +263,8 @@ void Instantiation::GroundSigmaPair(const CurrencyConstraint& phi, int ci,
     head_false = true;
   }
 
-  GroundConstraint gc;
-  gc.source = GroundSource::kCurrencyConstraint;
-  gc.source_index = ci;
-  gc.seq = SigmaSeq(ci, p, q);
-  for (const auto& op : phi.order_predicates()) {
-    const Value& v1 = s1.at(op.attr);
-    const Value& v2 = s2.at(op.attr);
+  const auto& orders = phi.order_predicates();
+  for (int col : plan.order) {
     // A null endpoint has no value-level order atom: the conjunct
     // cannot be instantiated (ins(ω, s1, s2) substitutes values,
     // and a null is the absence of one), so the ground rule is
@@ -164,19 +273,24 @@ void Instantiation::GroundSigmaPair(const CurrencyConstraint& phi, int ci,
     // value-level units whenever the null tuple carries values in
     // other attributes (e.g. the user tuple t_o of §III).
     // Equal values cannot be strictly ordered either.
-    if (v1.is_null() || v2.is_null() || v1 == v2) return;
-    gc.body.push_back(OrderAtom{op.attr, varmap.ValueIndex(op.attr, v1),
-                                varmap.ValueIndex(op.attr, v2)});
+    if (s1[col] < 0 || s2[col] < 0 || s1[col] == s2[col]) return;
   }
 
+  GroundConstraint& gc = constraints.emplace_back();
+  gc.source = GroundSource::kCurrencyConstraint;
+  gc.source_index = ci;
+  gc.seq = SigmaSeq(ci, p, q);
+  gc.body.reserve(orders.size());
+  for (size_t k = 0; k < orders.size(); ++k) {
+    gc.body.push_back(
+        OrderAtom{orders[k].attr, s1[plan.order[k]], s2[plan.order[k]]});
+  }
   if (head_false) {
     gc.head_kind = GroundHead::kFalse;
   } else {
     gc.head_kind = GroundHead::kAtom;
-    gc.head = OrderAtom{ar, varmap.ValueIndex(ar, h1),
-                        varmap.ValueIndex(ar, h2)};
+    gc.head = OrderAtom{ar, h1, h2};
   }
-  constraints.push_back(std::move(gc));
 }
 
 // Family (3) for gamma[gi]: ωX -> b ≺^v_B tp[B] for each competing value b
@@ -232,8 +346,8 @@ Status Instantiation::BuildInto(const Specification& se, Instantiation* out,
   inst.constraints.clear();
   inst.unit_seen_.clear();
   for (ProjTable& table : inst.proj_tables_) {
-    table.proj_ids.clear();
-    table.projections.clear();
+    table.rows.clear();
+    table.slots.clear();
   }
   inst.active_guards_.clear();
   inst.guarded_ = options.guard_cfds;
@@ -243,14 +357,21 @@ Status Instantiation::BuildInto(const Specification& se, Instantiation* out,
   const EntityInstance& ie = se.instance();
   const int n_attrs = schema.size();
 
-  // Bounds-check constraints up front.
-  for (const auto& phi : se.sigma) {
+  // Bounds-check constraints up front, keeping each Σ constraint's
+  // mentioned attributes: sigma_attrs[sigma_begin[ci], sigma_begin[ci+1]).
+  const int n_sigma = static_cast<int>(se.sigma.size());
+  std::vector<int> sigma_attrs;
+  std::vector<int> sigma_begin(n_sigma + 1, 0);
+  for (int ci = 0; ci < n_sigma; ++ci) {
+    const CurrencyConstraint& phi = se.sigma[ci];
     if (phi.head_attr() < 0 || phi.head_attr() >= n_attrs) {
       return Status::InvalidArgument("currency constraint head attribute "
                                      "out of range");
     }
-    for (int a : MentionedAttrs(phi)) {
-      if (a < 0 || a >= n_attrs) {
+    AppendMentionedAttrs(phi, &sigma_attrs);
+    sigma_begin[ci + 1] = static_cast<int>(sigma_attrs.size());
+    for (int i = sigma_begin[ci]; i < sigma_begin[ci + 1]; ++i) {
+      if (sigma_attrs[i] < 0 || sigma_attrs[i] >= n_attrs) {
         return Status::InvalidArgument(
             "currency constraint attribute out of range");
       }
@@ -295,16 +416,54 @@ Status Instantiation::BuildInto(const Specification& se, Instantiation* out,
   // mentioned-attribute set. Each constraint's pairs are emitted in `seq`
   // order — generation-major: for every projection n, all pairs with
   // earlier projections m < n — so that ExtendWith (which appends
-  // projections) emits the same sequence.
-  std::map<std::vector<int>, int> table_of;
-  inst.sigma_table_.resize(se.sigma.size());
-  for (size_t ci = 0; ci < se.sigma.size(); ++ci) {
-    const int next = static_cast<int>(table_of.size());
-    inst.sigma_table_[ci] =
-        table_of.emplace(MentionedAttrs(se.sigma[ci]), next).first->second;
+  // projections) emits the same sequence. Sorting the constraints by
+  // attribute set puts those sharing a table next to each other.
+  auto attrs_of = [&](int ci) {
+    return std::span<const int>(sigma_attrs.data() + sigma_begin[ci],
+                                sigma_attrs.data() + sigma_begin[ci + 1]);
+  };
+  std::vector<int> by_attrs(n_sigma);
+  std::iota(by_attrs.begin(), by_attrs.end(), 0);
+  std::sort(by_attrs.begin(), by_attrs.end(), [&](int x, int y) {
+    return std::ranges::lexicographical_compare(attrs_of(x), attrs_of(y));
+  });
+  inst.sigma_plans_.resize(n_sigma);
+  int n_tables = 0;
+  for (int k = 0; k < n_sigma; ++k) {
+    const int ci = by_attrs[k];
+    if (k == 0 ||
+        !std::ranges::equal(attrs_of(ci), attrs_of(by_attrs[k - 1]))) {
+      if (n_tables == static_cast<int>(inst.proj_tables_.size())) {
+        inst.proj_tables_.emplace_back();
+      }
+      const std::span<const int> attrs = attrs_of(ci);
+      inst.proj_tables_[n_tables++].attrs.assign(attrs.begin(), attrs.end());
+    }
+    SigmaPlan& plan = inst.sigma_plans_[ci];
+    const std::vector<int>& table_attrs =
+        inst.proj_tables_[n_tables - 1].attrs;
+    auto column = [&](int attr) {
+      return static_cast<int>(
+          std::lower_bound(table_attrs.begin(), table_attrs.end(), attr) -
+          table_attrs.begin());
+    };
+    const CurrencyConstraint& phi = se.sigma[ci];
+    plan.table = n_tables - 1;
+    plan.head = column(phi.head_attr());
+    plan.order.clear();
+    for (const auto& p : phi.order_predicates()) {
+      plan.order.push_back(column(p.attr));
+    }
+    plan.compare.clear();
+    for (const auto& p : phi.compare_predicates()) {
+      plan.compare.push_back(column(p.attr));
+    }
+    plan.constant.clear();
+    for (const auto& p : phi.constant_predicates()) {
+      plan.constant.push_back(column(p.attr));
+    }
   }
-  inst.proj_tables_.resize(table_of.size());
-  for (const auto& [attrs, i] : table_of) inst.proj_tables_[i].attrs = attrs;
+  inst.proj_tables_.resize(n_tables);
   inst.AddProjections(ie, /*first_tuple=*/0, n_attrs);
   for (size_t ci = 0; ci < se.sigma.size(); ++ci) {
     inst.GroundSigma(se.sigma[ci], static_cast<int>(ci), /*old_np=*/0,
@@ -494,12 +653,12 @@ Result<InstantiationDelta> Instantiation::ExtendWith(
   // (2) New tuple-pair projections, paired with everything before them.
   std::vector<int> old_np(proj_tables_.size());
   for (size_t i = 0; i < proj_tables_.size(); ++i) {
-    old_np[i] = static_cast<int>(proj_tables_[i].projections.size());
+    old_np[i] = proj_tables_[i].size();
   }
   AddProjections(ie, num_tuples_, n_attrs);
   for (size_t ci = 0; ci < extended_se.sigma.size(); ++ci) {
     GroundSigma(extended_se.sigma[ci], static_cast<int>(ci),
-                old_np[sigma_table_[ci]], options);
+                old_np[sigma_plans_[ci].table], options);
   }
 
   // (3) CFDs: newly competing values of still-valid applicable CFDs (their

@@ -11,17 +11,23 @@
 // Families (1b)/(1c) are pure functions of the domains and are streamed
 // directly into the CNF by cnf_builder.h, never stored.
 //
-// Family (2) is grounded as a filtered join. Σ constraints that mention
-// the same attribute set share one table of the distinct tuple
-// projections onto those attributes, filled once per tuple. Per
-// constraint, one pass over its table keeps the projections that can
+// Family (2) is grounded as a filtered join on dense value codes. Each
+// tuple is first turned into a row of codes — a value's index in its
+// VarMap domain, -1 for null — once. Σ constraints that mention the same
+// attribute set share one table of the distinct code projections onto
+// those attributes. Per constraint, each constant predicate is resolved
+// once: an equality with a value outside the attribute's domain holds on
+// no tuple, so the constraint is skipped in O(1), without a scan (most of
+// Person's status/job transition rules name a status this entity never
+// had). Otherwise one pass over its table keeps the projections that can
 // stand as t1 (non-null head and order values, every t1 constant
 // predicate true) and those that can stand as t2, and only pairs drawn
-// from those two side lists are checked. A constraint therefore costs its
-// table length plus |side1|·|side2| pair checks — not |It|^2, nor the
-// square of the distinct projections. A Person status/job transition
-// rule keeps about one projection per side, which is what makes the
-// paper's 10k-tuple Person entities (Fig. 8(a)) tractable.
+// from those two side lists are checked; = and != compare codes, and the
+// head and body atoms are the codes themselves. A constraint therefore
+// costs its table length plus |side1|·|side2| pair checks — not |It|^2,
+// nor the square of the distinct projections. A Person status/job
+// transition rule keeps about one projection per side, which is what
+// makes the paper's 10k-tuple Person entities (Fig. 8(a)) tractable.
 //
 // The framework loop (Fig. 4) re-grounds the *same* specification plus a
 // small user delta every round, so Build retains its grounding state
@@ -36,7 +42,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -100,27 +105,6 @@ struct InstantiationOptions {
   /// ResolutionSession runs guarded; one-shot paths stay unguarded and
   /// keep needs_rebuild semantics. Must match across Build/ExtendWith.
   bool guard_cfds = false;
-};
-
-/// Hash / equality over a projection (vector of values), used by the
-/// grounding's tuple-pair deduplication tables.
-struct ProjHash {
-  size_t operator()(const std::vector<Value>& vs) const {
-    size_t h = 0x9e3779b97f4a7c15ULL;
-    for (const Value& v : vs) h = h * 1315423911ULL + v.Hash();
-    return h;
-  }
-};
-
-struct ProjEq {
-  bool operator()(const std::vector<Value>& a,
-                  const std::vector<Value>& b) const {
-    if (a.size() != b.size()) return false;
-    for (size_t i = 0; i < a.size(); ++i) {
-      if (!(a[i] == b[i])) return false;
-    }
-    return true;
-  }
 };
 
 /// \brief What an ExtendWith call changed — consumed by ExtendCnf to
@@ -189,11 +173,29 @@ struct Instantiation {
   // The deduplicated projections of the grounded tuples onto one attribute
   // set, shared by every Σ constraint mentioning exactly that set and
   // retained so ExtendWith can ground only projections contributed by new
-  // tuples. Projection ids follow tuple-insertion order.
+  // tuples. A projection is a row of value codes, one per attribute of
+  // `attrs`: the value's VarMap::ValueIndex, or -1 for null. Codes are
+  // exact — VarMap dedups values by ==, so equal codes mean equal values.
+  // Projection ids follow tuple-insertion order.
   struct ProjTable {
-    std::vector<int> attrs;
-    std::unordered_map<std::vector<Value>, int, ProjHash, ProjEq> proj_ids;
-    std::vector<Tuple> projections;  // full-width, nulls off-projection
+    std::vector<int> attrs;  // sorted
+    std::vector<int> rows;   // attrs.size() codes per projection, flat
+    std::vector<int> slots;  // open-addressing row hash: projection id, -1
+    int size() const { return static_cast<int>(rows.size() / attrs.size()); }
+    const int* row(int p) const { return rows.data() + p * attrs.size(); }
+    // Keeps the row last appended to `rows` as a new projection if no
+    // earlier row equals it, and drops it otherwise.
+    void KeepLastIfNew();
+  };
+
+  // Where a Σ constraint reads its table: the column of each predicate's
+  // attribute in the table's rows, in the constraint's predicate order.
+  struct SigmaPlan {
+    int table = -1;
+    int head = -1;
+    std::vector<int> order;     // order_predicates()
+    std::vector<int> compare;   // compare_predicates()
+    std::vector<int> constant;  // constant_predicates()
   };
 
   // Adds the projections of tuples [first_tuple, ie.size()) to every table.
@@ -206,9 +208,14 @@ struct Instantiation {
   void GroundSigmaPair(const CurrencyConstraint& phi, int ci, int p, int q,
                        const InstantiationOptions& options);
   void GroundCfd(int gi, const Specification& se, int first_b);
+  // The value a projection code stands for: domain(attr)[code], or null
+  // for -1.
+  const Value& CodeValue(int attr, int code) const;
 
   std::vector<ProjTable> proj_tables_;
-  std::vector<int> sigma_table_;         // per Σ index: its proj_tables_ slot
+  std::vector<SigmaPlan> sigma_plans_;   // per Σ index
+  std::vector<int> codes_;               // AddProjections' tuple code rows
+  std::vector<int> const_codes_;         // GroundSigma's resolved constants
   std::vector<int> side1_, side2_;       // GroundSigma's join scratch
   std::unordered_set<uint64_t> unit_seen_;  // family (1a) dedup keys
   std::vector<bool> cfd_applicable_;        // per gamma index

@@ -34,17 +34,22 @@ Status VarMap::BuildFrom(const Specification& se) {
   vm.num_vars_ = 0;
   vm.dense_num_vars_ = 0;
 
-  auto add_value = [&vm](int attr, const Value& v) -> bool {
-    auto [it, inserted] = vm.index_[attr].emplace(
-        v, static_cast<int>(vm.domains_[attr].size()));
-    if (inserted) vm.domains_[attr].push_back(v);
-    return inserted;
+  auto add_value = [&vm](int attr, const Value& v) {
+    if (vm.index_[attr]
+            .try_emplace(v, static_cast<int>(vm.domains_[attr].size()))
+            .second) {
+      vm.domains_[attr].push_back(v);
+    }
   };
 
-  // Active domains (nulls excluded; they rank lowest and are never
-  // candidate current values).
+  // Active domains in first-occurrence order, as EntityInstance::
+  // ActiveDomain lists them (nulls excluded; they rank lowest and are
+  // never candidate current values).
   for (int a = 0; a < n_attrs; ++a) {
-    for (const Value& v : inst.ActiveDomain(a)) add_value(a, v);
+    for (int t = 0; t < inst.size(); ++t) {
+      const Value& v = inst.tuple(t).at(a);
+      if (!v.is_null()) add_value(a, v);
+    }
     vm.adom_sizes_[a] = static_cast<int>(vm.domains_[a].size());
   }
 

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <string>
 #include <utility>
@@ -151,23 +152,46 @@ void ExpectSameConstraints(const std::vector<GroundConstraint>& got,
   }
 }
 
-// Small pools so projections collide, with nulls, ints and strings (whose
-// cross-type order the comparison operators see too).
+// Small pools so projections collide, with nulls, ints, reals and strings
+// (whose cross-type order the comparison operators see too). The reals
+// are == to pool ints — Real(1.0) to Int(1), -0.0 and 0.0 to Int(0) — so
+// one domain value stands for tuples of different representations.
 Value RandomValue(Rng& rng) {
-  switch (rng.Below(6)) {
+  switch (rng.Below(7)) {
     case 0:
       return Value::Null();
     case 1:
     case 2:
       return Value::Int(static_cast<int64_t>(rng.Below(3)));
+    case 3: {
+      const int k = static_cast<int>(rng.Below(4));
+      return Value::Real(k == 3 ? -0.0 : static_cast<double>(k));
+    }
     default:
       return Value::Str("v" + std::to_string(rng.Below(3)));
   }
 }
 
-Tuple RandomTuple(Rng& rng) {
+// A constant for a constant predicate: usually a pool value, sometimes one
+// no tuple carries (outside every domain, unless a CFD constant).
+Value RandomConstant(Rng& rng) {
+  switch (rng.Below(6)) {
+    case 0:
+      return Value::Int(7);
+    case 1:
+      return Value::Str("v9");
+    default:
+      return RandomValue(rng);
+  }
+}
+
+// With `rare`, values may also be the constants RandomConstant draws from
+// outside the pool, so an extension can bring a constant into a domain.
+Tuple RandomTuple(Rng& rng, bool rare = false) {
   std::vector<Value> values;
-  for (int a = 0; a < kAttrs; ++a) values.push_back(RandomValue(rng));
+  for (int a = 0; a < kAttrs; ++a) {
+    values.push_back(rare ? RandomConstant(rng) : RandomValue(rng));
+  }
   return Tuple(std::move(values));
 }
 
@@ -177,6 +201,14 @@ struct Coverage {
   std::set<std::pair<int, int>> const_op_ref;  // (op, tuple_ref)
   std::set<int> attr_ops;
   int order_preds = 0;
+  // Specs whose tuples hold an int and an == real in one attribute, and
+  // -0.0 next to 0.0 or Int(0).
+  int mixed_numbers = 0;
+  int signed_zeros = 0;
+  // Constant predicates whose non-null constant no tuple of the spec
+  // carries, by operator class.
+  int absent_eq_constants = 0;
+  int absent_other_constants = 0;
 };
 
 CurrencyConstraint RandomConstraint(Rng& rng, Coverage* cov) {
@@ -194,10 +226,50 @@ CurrencyConstraint RandomConstraint(Rng& rng, Coverage* cov) {
     const int ref = 1 + static_cast<int>(rng.Below(2));
     const CmpOp op = kOps[rng.Below(6)];
     phi.AddConstCompare(ref, static_cast<int>(rng.Below(kAttrs)), op,
-                        RandomValue(rng));
+                        RandomConstant(rng));
     cov->const_op_ref.insert({static_cast<int>(op), ref});
   }
   return phi;
+}
+
+// Records which value-representation cases the tuples and constants of
+// `se` exercise.
+void NoteValueCoverage(const Specification& se, Coverage* cov) {
+  auto negative_zero = [](const Value& x) {
+    return x.type() == ValueType::kDouble && x.as_double() == 0.0 &&
+           std::signbit(x.as_double());
+  };
+  const EntityInstance& ie = se.instance();
+  bool mixed = false;
+  bool zeros = false;
+  for (int a = 0; a < kAttrs; ++a) {
+    for (int t = 0; t < ie.size(); ++t) {
+      const Value& v = ie.tuple(t).at(a);
+      if (v.type() != ValueType::kDouble) continue;
+      for (int u = 0; u < ie.size(); ++u) {
+        const Value& w = ie.tuple(u).at(a);
+        mixed |= w.type() == ValueType::kInt && w == v;
+        zeros |= negative_zero(v) && !negative_zero(w) && w == v;
+      }
+    }
+  }
+  cov->mixed_numbers += mixed ? 1 : 0;
+  cov->signed_zeros += zeros ? 1 : 0;
+  for (const CurrencyConstraint& phi : se.sigma) {
+    for (const auto& cp : phi.constant_predicates()) {
+      if (cp.constant.is_null()) continue;
+      bool carried = false;
+      for (int t = 0; t < ie.size(); ++t) {
+        carried |= ie.tuple(t).at(cp.attr) == cp.constant;
+      }
+      if (carried) continue;
+      if (cp.op == CmpOp::kEq) {
+        ++cov->absent_eq_constants;
+      } else {
+        ++cov->absent_other_constants;
+      }
+    }
+  }
 }
 
 Specification RandomSpec(Rng& rng, Coverage* cov) {
@@ -220,6 +292,7 @@ Specification RandomSpec(Rng& rng, Coverage* cov) {
   for (int i = 1 + static_cast<int>(rng.Below(8)); i > 0; --i) {
     se.sigma.push_back(RandomConstraint(rng, cov));
   }
+  NoteValueCoverage(se, cov);
   for (int i = static_cast<int>(rng.Below(3)); i > 0; --i) {
     const int lhs = static_cast<int>(rng.Below(kAttrs));
     const int rhs = (lhs + 1 + static_cast<int>(rng.Below(kAttrs - 1))) %
@@ -235,7 +308,7 @@ Specification RandomSpec(Rng& rng, Coverage* cov) {
 PartialTemporalOrder RandomDelta(Rng& rng, int n_tuples) {
   PartialTemporalOrder ot;
   for (int i = 1 + static_cast<int>(rng.Below(2)); i > 0; --i) {
-    ot.new_tuples.push_back(RandomTuple(rng));
+    ot.new_tuples.push_back(RandomTuple(rng, /*rare=*/true));
   }
   const int total = n_tuples + static_cast<int>(ot.new_tuples.size());
   for (int i = static_cast<int>(rng.Below(3)); i > 0; --i) {
@@ -299,6 +372,13 @@ TEST(GroundingJoinTest, MatchesNestedLoopOnRandomSpecs) {
   EXPECT_EQ(cov.const_op_ref.size(), 12u);
   EXPECT_EQ(cov.attr_ops.size(), 6u);
   EXPECT_GT(cov.order_preds, 0);
+  // Equal values of different representations share one code, and
+  // constants outside the domain skip (=) or pass (!=, <, ...) without a
+  // code.
+  EXPECT_GT(cov.mixed_numbers, 20);
+  EXPECT_GT(cov.signed_zeros, 20);
+  EXPECT_GT(cov.absent_eq_constants, 20);
+  EXPECT_GT(cov.absent_other_constants, 20);
   EXPECT_GT(extensions, 400);
   EXPECT_GT(rules, 1000u);
 }

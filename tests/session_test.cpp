@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "paper_fixture.h"
@@ -312,6 +313,73 @@ TEST(ResolutionSessionTest, NewNonCfdValueStaysIncremental) {
   const DeducedOrders od_fresh = DeduceOrder(*fresh, fresh_cnf);
   const DeducedOrders od_session = session->Deduce();
   EXPECT_EQ(od_fresh.CountPairs(), od_session.CountPairs());
+}
+
+// The deduced orders as (attribute, less value, more value) strings, so
+// sessions whose domains number values differently still compare.
+std::vector<std::string> DeducedValuePairs(const ResolutionSession& session,
+                                           const DeducedOrders& od) {
+  const VarMap& vm = session.instantiation().varmap;
+  std::vector<std::string> out;
+  for (size_t a = 0; a < od.per_attr.size(); ++a) {
+    for (const auto& [less, more] : od.per_attr[a].Pairs()) {
+      const auto& domain = vm.domain(static_cast<int>(a));
+      out.push_back(std::to_string(a) + ": " + domain[less].ToString() +
+                    " < " + domain[more].ToString());
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(ResolutionSessionTest, RejectedDeltaLeavesTheSessionUnchanged) {
+  // ExtendWith extends the specification's temporal instance in place. A
+  // delta that Extend rejects — an order pair naming a tuple that does
+  // not exist — must leave the tuples, Σ, Γ and deductions as they were.
+  PersonOptions opts;
+  opts.num_entities = 1;
+  opts.min_tuples = 30;
+  opts.max_tuples = 30;
+  const Dataset ds = GeneratePerson(opts);
+  const Specification se = ds.MakeSpec(0);
+  auto session = ResolutionSession::Create(se);
+  ASSERT_TRUE(session.ok());
+  ASSERT_TRUE(session->CheckValidity().valid);
+  const std::vector<std::string> before =
+      DeducedValuePairs(*session, session->Deduce());
+  ASSERT_FALSE(before.empty());
+  const std::string spec_before = session->spec().ToString();
+
+  const int n = se.instance().size();
+  auto bad = MakeAnswerDelta(se, {{0, ds.entities[0].truth[0]}});
+  ASSERT_TRUE(bad.ok());
+  bad->orders.emplace_back(0, 0, n + 5);
+  EXPECT_FALSE(session->ExtendWith(*bad).ok());
+  EXPECT_EQ(session->spec().instance().size(), n);
+  EXPECT_EQ(session->spec().sigma.size(), se.sigma.size());
+  EXPECT_EQ(session->spec().gamma.size(), se.gamma.size());
+  EXPECT_EQ(session->spec().ToString(), spec_before);
+  EXPECT_EQ(session->incremental_extensions(), 0);
+  ASSERT_TRUE(session->CheckValidity().valid);
+  EXPECT_EQ(DeducedValuePairs(*session, session->Deduce()), before);
+
+  // A valid delta afterwards deduces what a fresh session on the extended
+  // specification deduces.
+  auto good = MakeAnswerDelta(se, {{0, ds.entities[0].truth[0]},
+                                   {2, ds.entities[0].truth[2]}});
+  ASSERT_TRUE(good.ok());
+  ASSERT_TRUE(session->ExtendWith(*good).ok());
+  EXPECT_EQ(session->spec().instance().size(), n + 1);
+  auto extended = Extend(se, *good);
+  ASSERT_TRUE(extended.ok());
+  EXPECT_EQ(session->spec().ToString(), extended->ToString());
+  auto fresh = ResolutionSession::Create(*extended);
+  ASSERT_TRUE(fresh.ok());
+  ASSERT_EQ(session->CheckValidity().valid, fresh->CheckValidity().valid);
+  const std::vector<std::string> after =
+      DeducedValuePairs(*session, session->Deduce());
+  EXPECT_EQ(after, DeducedValuePairs(*fresh, fresh->Deduce()));
+  EXPECT_GE(after.size(), before.size());
 }
 
 TEST(ResolutionSessionTest, NaiveDeduceSharesSessionSolver) {
