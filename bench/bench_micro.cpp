@@ -1,6 +1,7 @@
 // Substrate micro-benchmarks (google-benchmark): SAT solving, grounding
 // (a fresh Build, and a session's recycled BuildInto plus ExtendWith),
-// CNF construction, unit-propagation deduction, and max-clique.
+// CNF construction, unit-propagation deduction (counter-based and by a
+// probe on the session solver), and max-clique.
 
 #include <benchmark/benchmark.h>
 
@@ -150,6 +151,34 @@ void BM_DeduceOrder(benchmark::State& state) {
                           (phi.num_clauses() + phi.num_implicit_clauses()));
 }
 BENCHMARK(BM_DeduceOrder)->Arg(50)->Arg(500)->Arg(5000);
+
+// The fast pipeline's Deduce layer on the same inputs: one propagation
+// probe on a live session's solver (ResolutionSession::Deduce), and, for
+// reference, DeduceOrder over that session's guarded formula with a warm
+// DeduceScratch — what sessions ran before and what perfbench's traced
+// core.deduce span still times.
+void BM_SessionDeduce(benchmark::State& state) {
+  const Dataset ds = PersonForBench(static_cast<int>(state.range(0)));
+  auto session = ResolutionSession::Create(ds.MakeSpec(0));
+  for (auto _ : state) {
+    const DeducedOrders od = session->Deduce();
+    benchmark::DoNotOptimize(od.CountPairs());
+  }
+}
+BENCHMARK(BM_SessionDeduce)->Arg(50)->Arg(500)->Arg(5000);
+
+void BM_SessionDeduceOrder(benchmark::State& state) {
+  const Dataset ds = PersonForBench(static_cast<int>(state.range(0)));
+  auto session = ResolutionSession::Create(ds.MakeSpec(0));
+  const Instantiation& inst = session->instantiation();
+  DeduceScratch scratch;
+  for (auto _ : state) {
+    const DeducedOrders od = DeduceOrder(inst, session->cnf(), {},
+                                         inst.guard_assumptions(), &scratch);
+    benchmark::DoNotOptimize(od.CountPairs());
+  }
+}
+BENCHMARK(BM_SessionDeduceOrder)->Arg(50)->Arg(500)->Arg(5000);
 
 void BM_IsValidPerson(benchmark::State& state) {
   const Dataset ds = PersonForBench(static_cast<int>(state.range(0)));

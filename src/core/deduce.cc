@@ -1,5 +1,6 @@
 #include "src/core/deduce.h"
 
+#include <span>
 #include <vector>
 
 namespace ccr {
@@ -24,17 +25,67 @@ DeducedOrders MakeEmptyOrders(const VarMap& vm) {
 // Records a deduced literal into Od. Positive x_{a1 a2} adds a1 ≺ a2;
 // negative adds the reversed order when `paper_mode` is on (Fig. 5,
 // lines 6–7). Auxiliary variables (CFD guards) carry no order content and
-// are skipped. Insertion failures (cycles, possible only on invalid
-// specifications) are ignored — Od remains a partial order.
-void RecordLiteral(const VarMap& vm, sat::Lit lit, bool paper_mode,
+// are skipped. Returns false when PartialOrder::Add rejects the pair (a
+// cycle, possible only on invalid specifications); Od then remains a
+// partial order, but which pairs it holds depends on the recording order.
+bool RecordLiteral(const VarMap& vm, sat::Lit lit, bool paper_mode,
                    DeducedOrders* od) {
-  if (!vm.IsOrderVar(lit.var())) return;
-  const OrderAtom atom = vm.Decode(lit.var());
-  if (!lit.negated()) {
-    (void)od->per_attr[atom.attr].Add(atom.less, atom.more);
-  } else if (paper_mode) {
-    (void)od->per_attr[atom.attr].Add(atom.more, atom.less);
+  if ((lit.negated() && !paper_mode) || !vm.IsOrderVar(lit.var())) {
+    return true;
   }
+  const OrderAtom atom = vm.Decode(lit.var());
+  PartialOrder& po = od->per_attr[atom.attr];
+  return lit.negated() ? po.Add(atom.more, atom.less).ok()
+                       : po.Add(atom.less, atom.more).ok();
+}
+
+// How ReadOrdersOffProbe ended.
+enum class ProbeRead {
+  kDeduced,   // `od` holds the probe's Od
+  kRefuted,   // the guards, or a totality extension, met a conflict
+  kRejected,  // PartialOrder::Add rejected a trail pair
+};
+
+// Opens a propagation probe on `guards`, closes it under the totality
+// rule when `options` asks for it, and records every order literal of
+// the trail into `od` (RecordLiteral). Totality is the clause
+// x_ij ∨ x_ji: each false order literal ¬x_ij on the trail enqueues x_ji,
+// round after round, until the trail holds no new false order literal.
+// The probe is closed on return; `od` is still empty when it was
+// refuted.
+ProbeRead ReadOrdersOffProbe(const VarMap& vm, sat::Solver* solver,
+                             const DeduceOptions& options,
+                             std::span<const sat::Lit> guards,
+                             DeducedOrders* od) {
+  solver->RecordDeduceProbe(1, false);
+  if (!solver->BeginProbe(guards)) return ProbeRead::kRefuted;
+  if (options.paper_negative_units && options.totality_propagation) {
+    std::vector<sat::Lit> reversed;
+    size_t scanned = 0;
+    while (true) {
+      const std::span<const sat::Lit> trail = solver->ProbeTrail();
+      reversed.clear();
+      for (; scanned < trail.size(); ++scanned) {
+        const sat::Lit l = trail[scanned];
+        if (!l.negated() || !vm.IsOrderVar(l.var())) continue;
+        const OrderAtom atom = vm.Decode(l.var());
+        const sat::Var rev = vm.VarOf(atom.attr, atom.more, atom.less);
+        if (solver->ProbeValue(rev) != sat::Lbool::kTrue) {
+          reversed.push_back(sat::Lit::Pos(rev));
+        }
+      }
+      if (reversed.empty()) break;
+      if (!solver->ProbeExtend(reversed)) return ProbeRead::kRefuted;
+    }
+  }
+  for (const sat::Lit l : solver->ProbeTrail()) {
+    if (!RecordLiteral(vm, l, options.paper_negative_units, od)) {
+      solver->EndProbe();
+      return ProbeRead::kRejected;
+    }
+  }
+  solver->EndProbe();
+  return ProbeRead::kDeduced;
 }
 
 }  // namespace
@@ -99,7 +150,7 @@ DeducedOrders DeduceOrder(const Instantiation& inst, const sat::Cnf& phi,
     const sat::Lbool prior = value[l.var()];
     if (prior != kUndef) continue;  // already propagated
     value[l.var()] = l.negated() ? kFalse : kTrue;
-    RecordLiteral(vm, l, options.paper_negative_units, &od);
+    (void)RecordLiteral(vm, l, options.paper_negative_units, &od);
 
     // Totality: ¬(a1 ≺ a2) entails a2 ≺ a1 in every completion; assert
     // the reversed atom so contrapositive chains keep propagating.
@@ -149,6 +200,25 @@ DeducedOrders DeduceOrder(const Instantiation& inst, const sat::Cnf& phi,
   return od;
 }
 
+DeducedOrders DeduceOrderShared(const Instantiation& inst,
+                                const sat::Cnf& phi, sat::Solver* solver,
+                                const DeduceOptions& options,
+                                std::span<const sat::Lit> guards) {
+  // The probe propagates exactly what DeduceOrder propagates only while
+  // the solver holds nothing stronger than Φ's clauses: no clause learnt
+  // from a conflict, none strengthened by inprocessing.
+  const sat::SolverStats& st = solver->stats();
+  if (st.conflicts == 0 && st.subsumed == 0 && st.vivified == 0) {
+    DeducedOrders od = MakeEmptyOrders(inst.varmap);
+    if (ReadOrdersOffProbe(inst.varmap, solver, options, guards, &od) ==
+        ProbeRead::kDeduced) {
+      return od;
+    }
+  }
+  solver->RecordDeduceProbe(0, true);
+  return DeduceOrder(inst, phi, options, guards);
+}
+
 DeducedOrders NaiveDeduce(const Instantiation& inst, const sat::Cnf& phi,
                           const sat::SolverOptions& options) {
   sat::Solver solver(options);
@@ -159,28 +229,21 @@ DeducedOrders NaiveDeduce(const Instantiation& inst, const sat::Cnf& phi,
 DeducedOrders NaiveDeduceShared(const Instantiation& inst,
                                 sat::Solver* solver,
                                 std::span<const sat::Lit> assumptions) {
-  if (!solver->ProblemIsHorn()) {
-    return Lemma6DeduceShared(inst, solver, assumptions);
-  }
-  const VarMap& vm = inst.varmap;
-  DeducedOrders od = MakeEmptyOrders(vm);
-  // A quiet fixpoint of a Horn formula is its least model: an atom is
-  // entailed iff the probe made it true. A refuted probe means Se is
-  // invalid under the guards, and nothing is deduced.
-  if (!solver->BeginProbe(assumptions)) return od;
-  for (int a = 0; a < vm.num_attrs(); ++a) {
-    const int d = static_cast<int>(vm.domain(a).size());
-    for (int i = 0; i < d; ++i) {
-      for (int j = 0; j < d; ++j) {
-        if (i != j &&
-            solver->ProbeValue(vm.VarOf(a, i, j)) == sat::Lbool::kTrue) {
-          (void)od.per_attr[a].Add(i, j);
-        }
-      }
+  if (solver->ProblemIsHorn()) {
+    // A quiet fixpoint of a Horn formula is its least model: an atom is
+    // entailed iff the probe made it true, and strict mode records
+    // exactly the true order atoms. A refuted probe means Se is invalid
+    // under the guards, and nothing is deduced.
+    DeduceOptions strict;
+    strict.paper_negative_units = false;
+    DeducedOrders od = MakeEmptyOrders(inst.varmap);
+    if (ReadOrdersOffProbe(inst.varmap, solver, strict, assumptions, &od) !=
+        ProbeRead::kRejected) {
+      return od;
     }
   }
-  solver->EndProbe();
-  return od;
+  solver->RecordDeduceProbe(0, true);
+  return Lemma6DeduceShared(inst, solver, assumptions);
 }
 
 DeducedOrders Lemma6DeduceShared(const Instantiation& inst,

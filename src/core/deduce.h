@@ -9,18 +9,28 @@
 // does not depend on the propagation order: Od is the same as with the
 // ternaries written out as clauses.
 //
+// DeduceOrderShared computes the same Od on a session's solver, which
+// already holds Φ(Se) and its level-0 fixpoint: one propagation probe
+// under the guards, closed under the totality rule inside the probe
+// (paper mode), with Od read off the probe's trail. A conflict-free
+// fixpoint is unique, and Od is a transitive closure, so outside its
+// fallback — a refuted probe or totality extension, a pair Od rejects as
+// a cycle, or a solver holding learnt or strengthened clauses — the
+// result equals DeduceOrder's. The fallback is DeduceOrder itself.
+//
 // NaiveDeduce computes Lemma 6's Od exactly: the pairs x with
 // Φ(Se) ∧ ¬x unsatisfiable, i.e. the order atoms Φ(Se) entails. Φ(Se) is
 // Horn (every clause has at most one positive literal), so a positive
 // atom is entailed iff it is true in the least model, and one unit-
 // propagation fixpoint computes that model (Dowling & Gallier, "Linear-
 // time algorithms for testing the satisfiability of propositional Horn
-// formulae", 1984). NaiveDeduceShared therefore opens one propagation
-// probe under the guards and reads every order atom off it — no solver
-// call. A formula that is not Horn falls back to Lemma6DeduceShared, the
-// paper's per-pair loop: one SAT call per order variable, O(d²) calls per
-// attribute (Fig. 8(b)). Both return the same pair set on a Horn formula;
-// tests/deduce_propagation_test.cpp checks that pair for pair.
+// formulae", 1984). NaiveDeduceShared therefore reads the true order
+// atoms off the same kind of probe — no solver call. A formula that is
+// not Horn falls back to Lemma6DeduceShared, the paper's per-pair loop:
+// one SAT call per order variable, O(d²) calls per attribute
+// (Fig. 8(b)). Both return the same pair set on a Horn formula;
+// tests/deduce_propagation_test.cpp checks that pair for pair, and
+// DeduceOrderShared against DeduceOrder.
 
 #ifndef CCR_CORE_DEDUCE_H_
 #define CCR_CORE_DEDUCE_H_
@@ -74,10 +84,12 @@ struct DeduceOptions {
 /// after Cnf::Clear, a copy or a move) rebuilds the index from scratch.
 /// Only open_count, satisfied, value and queue are reset per call, and
 /// the queue is still "assumptions, then unit clauses in clause order",
-/// so Od is identical to indexing afresh. One instance per session
-/// (pooled through SessionScratch) keeps the buffers warm across rounds
-/// and entities; a default-constructed local works identically for
-/// one-shot callers.
+/// so Od is identical to indexing afresh. A caller that runs DeduceOrder
+/// every round on one growing formula keeps one instance (pooled through
+/// SessionScratch) warm across rounds and entities; a default-constructed
+/// local works identically for one-shot callers and for
+/// DeduceOrderShared's rare fallback. Sessions deduce by the probe and
+/// keep no instance.
 struct DeduceScratch {
   // Index of the formula named by indexed_cnf (0 = none).
   uint64_t indexed_cnf = 0;
@@ -104,6 +116,18 @@ DeducedOrders DeduceOrder(const Instantiation& inst, const sat::Cnf& phi,
                           std::span<const sat::Lit> assume = {},
                           DeduceScratch* scratch = nullptr);
 
+/// DeduceOrder on a caller-owned solver already holding `phi`'s clauses
+/// (the ResolutionSession's): one propagation probe under `guards`,
+/// extended by the totality rule in paper mode, with Od read off its
+/// trail. Equal to DeduceOrder(inst, phi, options, guards), which it
+/// calls as its fallback (see the file comment). Must be called at
+/// decision level 0. SolverStats::deduce_probes / deduce_fallbacks count
+/// its probes and fallbacks.
+DeducedOrders DeduceOrderShared(const Instantiation& inst,
+                                const sat::Cnf& phi, sat::Solver* solver,
+                                const DeduceOptions& options = {},
+                                std::span<const sat::Lit> guards = {});
+
 /// NaiveDeduce on a fresh solver loaded with `phi` (see
 /// NaiveDeduceShared). Exact per Lemma 6.
 DeducedOrders NaiveDeduce(const Instantiation& inst, const sat::Cnf& phi,
@@ -114,9 +138,10 @@ DeducedOrders NaiveDeduce(const Instantiation& inst, const sat::Cnf& phi,
 /// deduction and rounds). `assumptions` holds for every implication check
 /// (active CFD guards). Must be called at decision level 0. When the
 /// solver's problem is Horn, the entailed pairs are read off one
-/// propagation probe (the least model); otherwise the per-pair loop
-/// Lemma6DeduceShared answers. Either way the pair set is Lemma 6's, and
-/// an Se refuted under `assumptions` deduces nothing.
+/// propagation probe's trail (the least model); otherwise — or if the
+/// trail's pairs form a cycle — the per-pair loop Lemma6DeduceShared
+/// answers, counted as a deduce fallback. Either way the pair set is
+/// Lemma 6's, and an Se refuted under `assumptions` deduces nothing.
 DeducedOrders NaiveDeduceShared(const Instantiation& inst,
                                 sat::Solver* solver,
                                 std::span<const sat::Lit> assumptions = {});

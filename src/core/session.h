@@ -13,12 +13,13 @@
 //     never rebuild.
 //   * Φ(Se): the CNF, extended append-only (ExtendCnf);
 //   * one incremental CDCL solver holding Φ's clauses plus everything it
-//     learnt. Every phase queries it under assumptions: validity and
-//     NaiveDeduce open a propagation probe on the active CFD guards, and
-//     GetSug opens one probe per candidate kept set. Only GetSug's MaxSAT
-//     fallback (a non-Horn formula or an oversized clique) allocates
-//     variables, in a released ScopedVars scope — nothing a round
-//     introduces constrains the next.
+//     learnt. Every phase queries it under assumptions: validity and both
+//     Deduce pipelines open a propagation probe on the active CFD guards
+//     (DeduceOrderShared extends it by the totality rule and reads Od off
+//     its trail), and GetSug opens one probe per candidate kept set. Only
+//     GetSug's MaxSAT fallback (a non-Horn formula or an oversized
+//     clique) allocates variables, in a released ScopedVars scope —
+//     nothing a round introduces constrains the next.
 //     A top-level Simplify pass after each extension sweeps clauses
 //     deactivated by retired guards.
 //
@@ -76,7 +77,10 @@ class SessionScratch {
   /// DeduceOrder's unit-propagation buffers (occurrence index, clause
   /// counters, the literal queue), kept warm across every round of every
   /// entity. The index is keyed by Cnf::identity(), which AcquireCnf's
-  /// Clear renews, so no reset is needed.
+  /// Clear renews, so no reset is needed. ResolutionSession deduces on
+  /// its solver (DeduceOrderShared) and never acquires one; only the
+  /// perfbench traced drive, which still times DeduceOrder as its
+  /// core.deduce layer, does.
   DeduceScratch* AcquireDeduceScratch();
 
   /// Acquire calls that recycled a warm object instead of allocating.
@@ -101,7 +105,9 @@ class ResolutionSession {
   /// Step (1): does the current Se ⊕ Ot ⊕ ... have a valid completion?
   ValidityResult CheckValidity();
 
-  /// Step (2): the deduced value-level currency orders Od.
+  /// Step (2): the deduced value-level currency orders Od, from one
+  /// propagation probe on the session solver (DeduceOrderShared, or
+  /// NaiveDeduceShared on the naive pipeline).
   DeducedOrders Deduce();
 
   /// Step (4a): suggestion from the deduced state (`candidates` from
@@ -147,13 +153,14 @@ class ResolutionSession {
   /// The same solver, writable: tests drive queries the pipeline does not
   /// make (the per-pair Lemma6DeduceShared loop) on the session's live
   /// solver. Its solves learn only implied clauses, so no later verdict
-  /// moves.
+  /// moves; a later fast-pipeline Deduce sees the learnt clauses and
+  /// answers through its DeduceOrder fallback, with the same Od.
   sat::Solver* mutable_solver() { return solver_; }
 
  private:
   ResolutionSession() = default;
 
-  /// Points solver_/cnf_/inst_/deduce_ at fresh objects: the scratch's
+  /// Points solver_/cnf_/inst_ at fresh objects: the scratch's
   /// recycled ones when options_.scratch is set, privately owned ones
   /// otherwise.
   /// All targets are heap-stable, so moving the session keeps them valid.
@@ -167,12 +174,9 @@ class ResolutionSession {
   std::unique_ptr<Instantiation> owned_inst_;  // null when scratch-backed
   std::unique_ptr<sat::Cnf> owned_cnf_;        // null when scratch-backed
   std::unique_ptr<sat::Solver> owned_solver_;  // null when scratch-backed
-  std::unique_ptr<DeduceScratch> owned_deduce_;  // null when scratch-backed
   Instantiation* inst_ = nullptr;
   sat::Cnf* cnf_ = nullptr;
   sat::Solver* solver_ = nullptr;
-  // DeduceOrder's index of cnf_, extended by each round's appended delta.
-  DeduceScratch* deduce_ = nullptr;
   int fed_clauses_ = 0;  // prefix of cnf_ already in the solver
   double last_encode_ms_ = 0;
   int incremental_extensions_ = 0;

@@ -158,15 +158,6 @@ sat::Var VarMap::VarOf(int attr, int less, int more) const {
   return it->second;
 }
 
-OrderAtom VarMap::Decode(sat::Var v) const {
-  if (v >= dense_num_vars_) return ext_atoms_[v - dense_num_vars_];
-  int attr = num_attrs() - 1;
-  while (attr > 0 && offsets_[attr] > v) --attr;
-  const int d = dense_sizes_[attr];
-  const int rel = v - offsets_[attr];
-  return OrderAtom{attr, rel / d, rel % d};
-}
-
 std::string VarMap::AtomToString(const OrderAtom& atom,
                                  const Schema& schema) const {
   return schema.name(atom.attr) + ": " +

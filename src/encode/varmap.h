@@ -94,7 +94,18 @@ class VarMap {
   }
 
   /// Inverse of VarOf.
-  OrderAtom Decode(sat::Var v) const;
+  OrderAtom Decode(sat::Var v) const {
+    if (v >= dense_num_vars_) return ext_atoms_[v - dense_num_vars_];
+    // The last attribute whose block starts at or before v (an empty
+    // block shares the next one's offset). Counting instead of searching
+    // keeps the loop free of data-dependent branches: Deduce decodes
+    // every order literal of a probe's trail.
+    int attr = -1;
+    for (const int offset : offsets_) attr += offset <= v ? 1 : 0;
+    const int d = dense_sizes_[attr];
+    const int rel = v - offsets_[attr];
+    return OrderAtom{attr, rel / d, rel % d};
+  }
 
   /// Renders an atom like "city: NY < LA" for diagnostics.
   std::string AtomToString(const OrderAtom& atom, const Schema& schema) const;

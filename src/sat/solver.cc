@@ -1061,6 +1061,24 @@ bool Solver::BeginProbe(std::span<const Lit> base) {
   return true;
 }
 
+bool Solver::ProbeExtend(std::span<const Lit> extra) {
+  CCR_DCHECK(probe_base_level_ >= 0);
+  for (const Lit a : extra) {
+    CCR_CHECK(a.var() < num_vars());
+    const Lbool v = ValueOf(a);
+    if (v == Lbool::kFalse) {
+      EndProbe();
+      return false;
+    }
+    if (v == Lbool::kUndef) UncheckedEnqueue(a, kRefUndef);
+  }
+  if (Propagate() != kRefUndef) {
+    EndProbe();
+    return false;
+  }
+  return true;
+}
+
 void Solver::EndProbe() {
   CCR_DCHECK(probe_base_level_ >= 0);
   CancelUntil(0);

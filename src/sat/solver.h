@@ -136,6 +136,12 @@ struct SolverStats {
   /// clique).
   int64_t suggest_probes = 0;
   int64_t suggest_fallbacks = 0;
+  /// Deduce by propagation (reported by src/core/deduce.cc via
+  /// RecordDeduceProbe): probes opened, and calls that fell back to a
+  /// reference — the counter-based DeduceOrder on the fast pipeline, the
+  /// per-pair Lemma-6 loop on the naive one.
+  int64_t deduce_probes = 0;
+  int64_t deduce_fallbacks = 0;
 
   /// Component-wise difference (for per-call and per-phase deltas).
   SolverStats operator-(const SolverStats& o) const {
@@ -155,7 +161,9 @@ struct SolverStats {
             sls_seeded_models - o.sls_seeded_models,
             deduce_queries - o.deduce_queries,
             suggest_probes - o.suggest_probes,
-            suggest_fallbacks - o.suggest_fallbacks};
+            suggest_fallbacks - o.suggest_fallbacks,
+            deduce_probes - o.deduce_probes,
+            deduce_fallbacks - o.deduce_fallbacks};
   }
 
   /// Component-wise sum (for pooling per-phase deltas across rounds and
@@ -178,6 +186,8 @@ struct SolverStats {
     deduce_queries += o.deduce_queries;
     suggest_probes += o.suggest_probes;
     suggest_fallbacks += o.suggest_fallbacks;
+    deduce_probes += o.deduce_probes;
+    deduce_fallbacks += o.deduce_fallbacks;
     return *this;
   }
 };
@@ -356,6 +366,14 @@ class Solver {
     if (fallback) ++stats_.suggest_fallbacks;
   }
 
+  /// Deduce-by-propagation reporting (src/core/deduce.cc): probes opened,
+  /// and whether the call fell back to its reference. Folded into stats_
+  /// like RecordSuggest.
+  void RecordDeduceProbe(int64_t probes, bool fallback) {
+    stats_.deduce_probes += probes;
+    if (fallback) ++stats_.deduce_fallbacks;
+  }
+
   /// \name Propagation-only probing (no search, no learning)
   ///
   /// BeginProbe backtracks to level 0, opens ONE decision level, enqueues
@@ -369,9 +387,20 @@ class Solver {
   /// never moves a verdict. EndProbe backtracks to level 0. BeginProbe
   /// returns false (and leaves the solver at level 0) when `base` is
   /// already propagation-refuted.
+  ///
+  /// ProbeExtend enqueues `extra` on the open probe's level and
+  /// propagates to fixpoint again, so Begin(base) + Extend(extra) reaches
+  /// the fixpoint of Begin(base ∪ extra). On a conflict (an extra literal
+  /// already false, or propagation refuting it) it returns false and
+  /// closes the probe: the solver is back at level 0. ProbeTrail is the
+  /// open probe's assignment in propagation order — the level-0 facts,
+  /// then everything the probe added; the span is invalidated by the next
+  /// ProbeExtend.
   /// @{
   bool BeginProbe(std::span<const Lit> base);
+  bool ProbeExtend(std::span<const Lit> extra);
   Lbool ProbeValue(Var v) const { return assigns_[v]; }
+  std::span<const Lit> ProbeTrail() const { return trail_; }
   void EndProbe();
   /// @}
 

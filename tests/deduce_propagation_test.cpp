@@ -7,6 +7,16 @@
 // and after two ExtendWith rounds. A hand-built non-Horn formula must
 // take the per-pair fallback, which finds an entailment propagation
 // cannot.
+//
+// The fast pipeline's session Deduce (DeduceOrderShared: the probe
+// extended by the totality rule) must equal the counter-based
+// DeduceOrder pair for pair in all three DeduceOptions modes, across
+// ExtendWith rounds of truth answers and fresh tuples, with no fallback
+// and no solver call on any corpus, and on a hand-built chain of
+// totality steps. Hand-built cases — totality conflicts, a cycle of
+// negative units, a contradicting CFD answer and a solver that learnt
+// clauses — must take the DeduceOrder fallback and still match it; a
+// cycle of true atoms sends NaiveDeduceShared to the per-pair loop.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +28,7 @@
 #include "paper_fixture.h"
 #include "src/ccr.h"
 #include "src/core/session.h"
+#include "src/data/dataset.h"
 #include "src/encode/cnf_builder.h"
 
 namespace ccr {
@@ -229,6 +240,328 @@ TEST(DeducePropagationTest, NonHornFormulaTakesTheFallback) {
   EXPECT_GT(solver.stats().deduce_queries, 0);  // the per-pair loop ran
   EXPECT_TRUE(deduced.contains({attr, less, more}));
   EXPECT_EQ(deduced, ToPairSet(Lemma6DeduceShared(*inst, &reference)));
+}
+
+// The three DeduceOptions modes: paper + totality (the default), paper
+// without totality, strict.
+std::vector<std::pair<std::string, DeduceOptions>> DeduceModes() {
+  DeduceOptions paper_only;
+  paper_only.totality_propagation = false;
+  DeduceOptions strict;
+  strict.paper_negative_units = false;
+  return {{"paper+totality", DeduceOptions{}},
+          {"paper", paper_only},
+          {"strict", strict}};
+}
+
+// A user tuple carrying a fresh value in every attribute, more current
+// than every tuple: it grows every domain and retires the guards of CFDs
+// whose LHS domain grew.
+PartialTemporalOrder FreshTupleDelta(const Specification& se) {
+  const int n_attrs = se.schema().size();
+  const int t_o = se.instance().size();
+  PartialTemporalOrder ot;
+  ot.new_tuples.push_back(
+      Tuple(std::vector<Value>(n_attrs, Value::Str("fresh"))));
+  for (int a = 0; a < n_attrs; ++a) {
+    for (int t = 0; t < t_o; ++t) ot.orders.emplace_back(a, t, t_o);
+  }
+  return ot;
+}
+
+// Fast-pipeline sessions in every mode: round 0, after the truth of the
+// suggested attributes, then after a fresh tuple. Each round's Deduce
+// must equal DeduceOrder on the session's formula under its guards, from
+// exactly one probe and no fallback or solver call.
+TEST(DeducePropagationTest, SessionDeduceMatchesDeduceOrderAcrossRounds) {
+  int checks = 0, pairs = 0;
+  for (const auto& [mode_name, mode] : DeduceModes()) {
+    ResolveOptions options;
+    options.deduce = mode;
+    for (const std::string kind : {"person", "nba", "career"}) {
+      const Dataset ds = SmallCorpus(kind, 0xD1FF);
+      for (size_t e = 0; e < ds.entities.size(); ++e) {
+        auto s = ResolutionSession::Create(
+            ds.MakeSpec(static_cast<int>(e)), options);
+        ASSERT_TRUE(s.ok());
+        for (int round = 0; round < 3; ++round) {
+          const std::string where = mode_name + " " + kind + " entity " +
+                                    std::to_string(e) + " round " +
+                                    std::to_string(round);
+          ASSERT_TRUE(s->CheckValidity().valid) << where;
+          const Instantiation& inst = s->instantiation();
+          const sat::SolverStats before = s->solver_stats();
+          const DeducedOrders od = s->Deduce();
+          const sat::SolverStats delta = s->solver_stats() - before;
+          const PairSet deduced = ToPairSet(od);
+          EXPECT_EQ(deduced, ToPairSet(DeduceOrder(inst, s->cnf(), mode,
+                                                   inst.guard_assumptions())))
+              << where;
+          EXPECT_EQ(delta.deduce_probes, 1) << where;
+          EXPECT_EQ(delta.deduce_fallbacks, 0) << where;
+          EXPECT_EQ(delta.assumption_solves, 0) << where;
+          EXPECT_EQ(delta.conflicts, 0) << where;
+          ++checks;
+          pairs += static_cast<int>(deduced.size());
+          if (round == 2) break;
+          PartialTemporalOrder ot = FreshTupleDelta(s->spec());
+          if (round == 0) {
+            const Suggestion sug = s->MakeSuggestion(
+                CandidateValues(inst.varmap, od),
+                ExtractTrueValueIndices(inst.varmap, od));
+            std::vector<UserOracle::Answer> answers;
+            for (const int attr : sug.attrs) {
+              const Value& truth = ds.entities[e].truth[attr];
+              if (!truth.is_null()) answers.push_back({attr, truth});
+            }
+            if (!answers.empty()) {
+              auto d = MakeAnswerDelta(s->spec(), answers);
+              ASSERT_TRUE(d.ok()) << where;
+              ot = std::move(d).value();
+            }
+          }
+          ASSERT_TRUE(s->ExtendWith(ot).ok()) << where;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checks, 3 * 3 * 4 * 3);
+  EXPECT_GT(pairs, 500);
+}
+
+// Whole resolves on all three corpora, both pipelines: every Deduce is
+// one probe, none falls back, and none calls the solver.
+TEST(DeducePropagationTest, CorporaDeduceWithoutFallbackOrSolves) {
+  for (const bool naive : {false, true}) {
+    ResolveOptions options;
+    options.naive_deduce = naive;
+    for (const std::string kind : {"person", "nba", "career"}) {
+      const Dataset ds = SmallCorpus(kind, 0xFA11);
+      sat::SolverStats deduce;
+      int rounds = 0;
+      for (size_t e = 0; e < ds.entities.size(); ++e) {
+        TruthOracle oracle(ds.entities[e].truth);
+        auto rr = Resolve(ds.MakeSpec(static_cast<int>(e)), &oracle, options);
+        ASSERT_TRUE(rr.ok());
+        for (const RoundTrace& t : rr->trace) {
+          deduce += t.deduce_solver;
+          ++rounds;
+        }
+      }
+      const std::string where = kind + (naive ? " naive" : " fast");
+      EXPECT_EQ(deduce.deduce_probes, rounds) << where;
+      EXPECT_EQ(deduce.deduce_fallbacks, 0) << where;
+      EXPECT_EQ(deduce.deduce_queries, 0) << where;
+      EXPECT_EQ(deduce.assumption_solves, 0) << where;
+      EXPECT_EQ(deduce.conflicts, 0) << where;
+    }
+  }
+}
+
+// One attribute over `values` values (one tuple each, named a, b, c,
+// ...) and no constraints: Φ is the attribute's order block and nothing
+// else.
+struct OneAttribute {
+  Instantiation inst;
+  sat::Cnf phi;
+  sat::Lit Pos(int less, int more) const {
+    return sat::Lit::Pos(inst.varmap.VarOf(0, less, more));
+  }
+  sat::Lit Neg(int less, int more) const { return ~Pos(less, more); }
+};
+
+OneAttribute MakeOneAttribute(int values,
+                              const CnfBuildOptions& cnf_options = {}) {
+  Schema schema = Schema::Make({"A"}).value();
+  EntityInstance e(schema, "one-attribute");
+  for (int v = 0; v < values; ++v) {
+    EXPECT_TRUE(e.Add(Tuple({Value::Str(std::string(1, 'a' + v))})).ok());
+  }
+  Specification se;
+  se.temporal = TemporalInstance(std::move(e));
+  OneAttribute out{Instantiation::Build(se).value(), {}};
+  out.phi = BuildCnf(out.inst, cnf_options);
+  return out;
+}
+
+// DeduceOrderShared on a fresh solver holding `phi`, which must take the
+// fallback and match DeduceOrder.
+void ExpectFallbackMatches(const Instantiation& inst, const sat::Cnf& phi,
+                           const DeduceOptions& mode,
+                           const std::string& where) {
+  sat::Solver solver;
+  solver.AddCnf(phi);
+  const PairSet shared =
+      ToPairSet(DeduceOrderShared(inst, phi, &solver, mode));
+  EXPECT_EQ(shared, ToPairSet(DeduceOrder(inst, phi, mode))) << where;
+  EXPECT_EQ(solver.stats().deduce_fallbacks, 1) << where;
+}
+
+TEST(DeducePropagationTest, TotalityConflictTakesTheFallback) {
+  // ¬x_ab and ¬x_ba: totality asserts x_ba, which is already false.
+  OneAttribute t = MakeOneAttribute(3);
+  t.phi.AddUnit(t.Neg(0, 1));
+  t.phi.AddUnit(t.Neg(1, 0));
+  ExpectFallbackMatches(t.inst, t.phi, DeduceOptions{}, "immediate");
+  // ¬x_ab and ¬x_bc are consistent (c ≺ b ≺ a), but their totality
+  // atoms x_ba and x_cb falsify ¬x_ba ∨ ¬x_cb. DeduceOrder ignores the
+  // conflict and goes on: x_cb fires ¬x_cb ∨ x_da, so Od holds d ≺ a,
+  // which no conflict-free probe reaches.
+  OneAttribute u = MakeOneAttribute(4);
+  u.phi.AddUnit(u.Neg(0, 1));
+  u.phi.AddUnit(u.Neg(1, 2));
+  u.phi.AddBinary(u.Neg(1, 0), u.Neg(2, 1));
+  u.phi.AddBinary(u.Neg(2, 1), u.Pos(3, 0));
+  ExpectFallbackMatches(u.inst, u.phi, DeduceOptions{}, "propagated");
+  EXPECT_TRUE(
+      ToPairSet(DeduceOrder(u.inst, u.phi, DeduceOptions{})).contains(
+          {0, 3, 0}));
+}
+
+TEST(DeducePropagationTest, TotalityChainsThroughTheProbe) {
+  // ¬x_ab asserts x_ba, which falsifies x_cd; that asserts x_dc, which
+  // falsifies x_ad. The probe must repeat the totality scan until no new
+  // false order literal appears: Od ends with b ≺ a, d ≺ c and d ≺ a.
+  OneAttribute t = MakeOneAttribute(4);
+  t.phi.AddUnit(t.Neg(0, 1));
+  t.phi.AddBinary(t.Neg(1, 0), t.Neg(2, 3));
+  t.phi.AddBinary(t.Neg(3, 2), t.Neg(0, 3));
+  sat::Solver solver;
+  solver.AddCnf(t.phi);
+  const PairSet shared =
+      ToPairSet(DeduceOrderShared(t.inst, t.phi, &solver, DeduceOptions{}));
+  EXPECT_EQ(shared, ToPairSet(DeduceOrder(t.inst, t.phi, DeduceOptions{})));
+  EXPECT_TRUE(shared.contains({0, 3, 0}));
+  EXPECT_EQ(solver.stats().deduce_probes, 1);
+  EXPECT_EQ(solver.stats().deduce_fallbacks, 0);
+}
+
+TEST(DeducePropagationTest, NegativeUnitCycleTakesTheFallback) {
+  // ¬x_ab, ¬x_bc, ¬x_ca record b ≺ a, c ≺ b and a ≺ c: Od rejects the
+  // last pair, so which pairs it keeps depends on the recording order.
+  // Propagation meets no conflict: negative literals satisfy every
+  // transitivity ternary they occur in.
+  OneAttribute t = MakeOneAttribute(3);
+  t.phi.AddUnit(t.Neg(0, 1));
+  t.phi.AddUnit(t.Neg(1, 2));
+  t.phi.AddUnit(t.Neg(2, 0));
+  DeduceOptions paper_only;
+  paper_only.totality_propagation = false;
+  ExpectFallbackMatches(t.inst, t.phi, paper_only, "cycle");
+  // Strict mode records no negative unit: the probe answers.
+  DeduceOptions strict;
+  strict.paper_negative_units = false;
+  sat::Solver solver;
+  solver.AddCnf(t.phi);
+  EXPECT_EQ(ToPairSet(DeduceOrderShared(t.inst, t.phi, &solver, strict)),
+            ToPairSet(DeduceOrder(t.inst, t.phi, strict)));
+  EXPECT_EQ(solver.stats().deduce_fallbacks, 0);
+  EXPECT_EQ(solver.stats().deduce_probes, 1);
+}
+
+TEST(DeducePropagationTest, NaivePositiveCycleTakesTheFallback) {
+  // Without the asymmetry binaries, x_ba and x_ab are both true in the
+  // least model and Od rejects the second: the pair kept depends on the
+  // recording order. NaiveDeduceShared must answer with the per-pair
+  // loop, which keeps a ≺ b, not the trail's b ≺ a.
+  CnfBuildOptions no_asymmetry;
+  no_asymmetry.asymmetry = false;
+  OneAttribute t = MakeOneAttribute(3, no_asymmetry);
+  t.phi.AddUnit(t.Pos(1, 0));
+  t.phi.AddUnit(t.Pos(0, 1));
+  sat::Solver solver, reference;
+  solver.AddCnf(t.phi);
+  reference.AddCnf(t.phi);
+  const PairSet deduced = ToPairSet(NaiveDeduceShared(t.inst, &solver));
+  EXPECT_EQ(deduced, ToPairSet(Lemma6DeduceShared(t.inst, &reference)));
+  EXPECT_TRUE(deduced.contains({0, 0, 1}));
+  EXPECT_EQ(solver.stats().deduce_probes, 1);
+  EXPECT_EQ(solver.stats().deduce_fallbacks, 1);
+}
+
+TEST(DeducePropagationTest, ContradictingCfdAnswerTakesTheFallback) {
+  // Two tuples and the CFD A=a1 -> B=b1. Answering A=a1 and B=b2 makes
+  // a1 current, so b1 must be too: the guards are refuted.
+  Schema schema = Schema::Make({"A", "B"}).value();
+  EntityInstance e(schema, "cfd-entity");
+  ASSERT_TRUE(e.Add(Tuple({Value::Str("a1"), Value::Str("b1")})).ok());
+  ASSERT_TRUE(e.Add(Tuple({Value::Str("a2"), Value::Str("b2")})).ok());
+  Specification se;
+  se.temporal = TemporalInstance(std::move(e));
+  se.gamma.emplace_back(
+      std::vector<std::pair<int, Value>>{{0, Value::Str("a1")}}, 1,
+      Value::Str("b1"));
+  for (const auto& [mode_name, mode] : DeduceModes()) {
+    ResolveOptions options;
+    options.deduce = mode;
+    auto s = ResolutionSession::Create(se, options);
+    ASSERT_TRUE(s.ok());
+    const Instantiation& inst = s->instantiation();
+    EXPECT_EQ(ToPairSet(s->Deduce()),
+              ToPairSet(DeduceOrder(inst, s->cnf(), mode,
+                                    inst.guard_assumptions())))
+        << mode_name;
+    EXPECT_EQ(s->solver_stats().deduce_fallbacks, 0) << mode_name;
+    auto delta = MakeAnswerDelta(
+        s->spec(), {{0, Value::Str("a1")}, {1, Value::Str("b2")}});
+    ASSERT_TRUE(delta.ok());
+    ASSERT_TRUE(s->ExtendWith(*delta).ok());
+    ASSERT_FALSE(s->CheckValidity().valid);
+    EXPECT_EQ(ToPairSet(s->Deduce()),
+              ToPairSet(DeduceOrder(inst, s->cnf(), mode,
+                                    inst.guard_assumptions())))
+        << mode_name;
+    EXPECT_EQ(s->solver_stats().deduce_fallbacks, 1) << mode_name;
+  }
+}
+
+// A solver that learnt clauses may propagate further than Φ's clauses:
+// with (p ∨ q), (¬p ∨ x) and (¬q ∨ x) a solve can learn the unit x,
+// which DeduceOrder never derives. DeduceOrderShared must not read such
+// a solver's probe.
+TEST(DeducePropagationTest, LearntClausesTakeTheFallback) {
+  auto inst = Instantiation::Build(GeorgeSpec());
+  ASSERT_TRUE(inst.ok());
+  sat::Cnf phi = BuildCnf(*inst);
+  const PairSet plain = ToPairSet(DeduceOrder(*inst, phi));
+  const VarMap& vm = inst->varmap;
+  int attr = -1, less = -1, more = -1;
+  for (int a = 0; a < vm.num_attrs() && attr < 0; ++a) {
+    const int d = static_cast<int>(vm.domain(a).size());
+    for (int i = 0; i < d && attr < 0; ++i) {
+      for (int j = 0; j < d && attr < 0; ++j) {
+        if (i != j && !plain.contains({a, i, j}) &&
+            !plain.contains({a, j, i})) {
+          attr = a;
+          less = i;
+          more = j;
+        }
+      }
+    }
+  }
+  ASSERT_GE(attr, 0) << "George's spec leaves some pair open";
+  const sat::Lit x = sat::Lit::Pos(vm.VarOf(attr, less, more));
+  const sat::Var p = inst->varmap.NewAuxVar();
+  const sat::Var q = inst->varmap.NewAuxVar();
+  phi.EnsureVars(inst->varmap.num_vars());
+  phi.AddClause({sat::Lit::Pos(p), sat::Lit::Pos(q)});
+  phi.AddClause({sat::Lit::Neg(p), x});
+  phi.AddClause({sat::Lit::Neg(q), x});
+  const PairSet reference = ToPairSet(DeduceOrder(*inst, phi));
+  EXPECT_FALSE(reference.contains({attr, less, more}));
+
+  sat::Solver solver;
+  solver.AddCnf(phi);
+  // Refuting ¬x takes a conflict, and the solver learns x.
+  ASSERT_EQ(solver.SolveWithAssumptions(std::vector<sat::Lit>{~x}),
+            sat::SolveResult::kUnsat);
+  ASSERT_GT(solver.stats().conflicts, 0);
+  ASSERT_TRUE(solver.BeginProbe({}));
+  EXPECT_EQ(solver.ProbeValue(x.var()), sat::Lbool::kTrue);
+  solver.EndProbe();
+  EXPECT_EQ(ToPairSet(DeduceOrderShared(*inst, phi, &solver)), reference);
+  EXPECT_EQ(solver.stats().deduce_fallbacks, 1);
+  EXPECT_EQ(solver.stats().deduce_probes, 0);
 }
 
 // DeduceScratch reuse is observationally inert: a scratch dirtied by a

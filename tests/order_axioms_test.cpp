@@ -6,7 +6,8 @@
 //       with assumptions, grown blocks and released scopes), and every
 //       model transitively closed; vivification and inprocessed sessions
 //       whose probes materialize axioms; a block grown one value at a
-//       time;
+//       time; a probe extended by ProbeExtend against one opened on the
+//       joint base, and an extension's conflict path;
 //   (b) DeduceOrder's native block propagation vs the counter-based pass
 //       over the materialized formula, paper and strict mode, across
 //       session rounds that add domain values;
@@ -21,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <span>
 #include <string>
@@ -307,6 +309,129 @@ TEST(OrderAxiomsTest, CycleIsRefutedThroughTheBlock) {
   EXPECT_EQ(explicit_.SolveWithAssumptions(cycle), SolveResult::kUnsat);
   // The refutation ran through ternaries materialized as reasons.
   EXPECT_GT(implicit.materialized_axioms(), 0);
+}
+
+// The open probe's trail is exactly its assignment: every trail literal
+// true, one per assigned variable.
+void ExpectTrailIsAssignment(const Solver& s, int n_vars,
+                             const std::string& where) {
+  int assigned = 0;
+  for (Var v = 0; v < n_vars; ++v) {
+    assigned += s.ProbeValue(v) != Lbool::kUndef ? 1 : 0;
+  }
+  const std::span<const Lit> trail = s.ProbeTrail();
+  EXPECT_EQ(static_cast<int>(trail.size()), assigned) << where;
+  for (const Lit l : trail) {
+    EXPECT_EQ(s.ProbeValue(l.var()),
+              l.negated() ? Lbool::kFalse : Lbool::kTrue)
+        << where << " " << l.ToString();
+  }
+}
+
+// ProbeExtend: BeginProbe(base) then ProbeExtend(extra) reaches the
+// fixpoint of BeginProbe(base ∪ extra), on random block + clause
+// formulas; a refuted extension leaves the solver at level 0 with no
+// probe open; and later probes and solves answer as on a solver that
+// never probed.
+TEST(OrderAxiomsTest, ProbeExtendReachesTheJointFixpoint) {
+  Rng rng(0xe7e4d);
+  int extended = 0, refuted = 0;
+  for (int round = 0; round < 400; ++round) {
+    const Cnf cnf = RandomBlockCnf(&rng, round % 2 == 0);
+    const int n_vars = cnf.num_vars();
+    const std::vector<Lit> base = RandomAssumptions(&rng, n_vars);
+    const std::vector<Lit> extra = RandomAssumptions(&rng, n_vars);
+    std::vector<Lit> both = base;
+    both.insert(both.end(), extra.begin(), extra.end());
+    const std::string where = "round " + std::to_string(round);
+    Solver joint, split, never;
+    joint.AddCnf(cnf);
+    split.AddCnf(cnf);
+    never.AddCnf(cnf);
+
+    const bool joint_ok = joint.BeginProbe(both);
+    if (!split.BeginProbe(base)) {
+      EXPECT_FALSE(joint_ok) << where;
+      continue;
+    }
+    const bool split_ok = split.ProbeExtend(extra);
+    ASSERT_EQ(split_ok, joint_ok) << where;
+    if (split_ok) {
+      ++extended;
+      for (Var v = 0; v < n_vars; ++v) {
+        ASSERT_EQ(split.ProbeValue(v), joint.ProbeValue(v))
+            << where << " var " << v;
+      }
+      ExpectTrailIsAssignment(split, n_vars, where);
+      split.EndProbe();
+      joint.EndProbe();
+    } else {
+      ++refuted;
+      // Closed at level 0: the trail holds just the level-0 facts, which
+      // an empty probe opened now reproduces.
+      const std::vector<Lit> level0(split.ProbeTrail().begin(),
+                                    split.ProbeTrail().end());
+      ASSERT_TRUE(split.BeginProbe({})) << where;
+      EXPECT_TRUE(std::ranges::equal(split.ProbeTrail(), level0)) << where;
+      split.EndProbe();
+    }
+
+    // Later queries do not move: probes first (a solve's learnt clauses
+    // would strengthen propagation differently on each side), then solves.
+    for (const std::vector<Lit>& assume : {base, both}) {
+      const bool ps = split.BeginProbe(assume);
+      ASSERT_EQ(ps, never.BeginProbe(assume)) << where;
+      if (!ps) continue;
+      for (Var v = 0; v < n_vars; ++v) {
+        ASSERT_EQ(split.ProbeValue(v), never.ProbeValue(v))
+            << where << " var " << v;
+      }
+      split.EndProbe();
+      never.EndProbe();
+    }
+    for (const std::vector<Lit>& assume : {base, both}) {
+      EXPECT_EQ(split.SolveWithAssumptions(assume),
+                never.SolveWithAssumptions(assume))
+          << where;
+    }
+    EXPECT_EQ(split.Solve(), never.Solve()) << where;
+  }
+  EXPECT_GT(extended, 150);
+  EXPECT_GT(refuted, 20);
+}
+
+TEST(OrderAxiomsTest, ConflictingProbeExtensionClosesTheProbe) {
+  // x_01 implies y and ¬x_02; y ∧ z is a conflict. Extending the probe
+  // on x_01 by x_02 meets a literal it already made false, by z a
+  // conflict only propagation finds.
+  Cnf cnf;
+  cnf.AddOrderBlock();
+  GrowBlock(&cnf, 0, 3);
+  const OrderBlock& b = cnf.order_block(0);
+  const Var y = cnf.NewVar();
+  const Var z = cnf.NewVar();
+  cnf.AddBinary(Lit::Neg(b.at(0, 1)), Lit::Pos(y));
+  cnf.AddBinary(Lit::Neg(b.at(0, 1)), Lit::Neg(b.at(0, 2)));
+  cnf.AddClause({Lit::Neg(y), Lit::Neg(z), Lit::Neg(b.at(1, 2))});
+  cnf.AddBinary(Lit::Neg(z), Lit::Pos(b.at(1, 2)));
+  const Lit x01 = Lit::Pos(b.at(0, 1));
+  for (const Lit bad : {Lit::Pos(b.at(0, 2)), Lit::Pos(z)}) {
+    Solver s;
+    s.AddCnf(cnf);
+    ASSERT_TRUE(s.BeginProbe(std::vector<Lit>{x01}));
+    EXPECT_EQ(s.ProbeValue(y), Lbool::kTrue);
+    const std::vector<Lit> extra = {bad};
+    EXPECT_FALSE(s.ProbeExtend(extra)) << bad.ToString();
+    EXPECT_TRUE(s.ProbeTrail().empty()) << bad.ToString();
+    EXPECT_EQ(s.ProbeValue(y), Lbool::kUndef) << bad.ToString();
+    // Nothing was learnt, and the solver still answers.
+    EXPECT_EQ(s.stats().conflicts, 0);
+    ASSERT_TRUE(s.BeginProbe(std::vector<Lit>{x01}));
+    s.EndProbe();
+    EXPECT_EQ(s.SolveWithAssumptions(std::vector<Lit>{x01, bad}),
+              SolveResult::kUnsat);
+    EXPECT_EQ(s.Solve(), SolveResult::kSat);
+  }
 }
 
 TEST(OrderAxiomsTest, VivificationSurvivesAxiomsMaterializedByItsProbes) {

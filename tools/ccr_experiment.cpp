@@ -86,9 +86,9 @@ void PrintUsage(std::FILE* to) {
                "                    formula Phi(Se) by one propagation)\n"
                "  --solver-stats    dump pooled per-phase solver statistics\n"
                "                    (conflicts, propagations, assumption\n"
-               "                    solves, model-cache, inprocessing and\n"
-               "                    GetSug probe/fallback counters) on\n"
-               "                    stderr\n"
+               "                    solves, model-cache, inprocessing,\n"
+               "                    Deduce and GetSug probe/fallback\n"
+               "                    counters) on stderr\n"
                "  --no-reuse        disable cross-entity solver pooling\n"
                "\n"
                "Common flags:\n"
@@ -352,7 +352,8 @@ void DumpSolverStats(const ExperimentResult& r) {
                  "\"gc_runs\": %lld, \"gc_reclaimed_words\": %lld, "
                  "\"sls_flips\": %lld, \"sls_seeded_models\": %lld, "
                  "\"deduce_queries\": %lld, \"suggest_probes\": %lld, "
-                 "\"suggest_fallbacks\": %lld}%s\n",
+                 "\"suggest_fallbacks\": %lld, \"deduce_probes\": %lld, "
+                 "\"deduce_fallbacks\": %lld}%s\n",
                  phase, static_cast<long long>(s.conflicts),
                  static_cast<long long>(s.decisions),
                  static_cast<long long>(s.propagations),
@@ -370,6 +371,8 @@ void DumpSolverStats(const ExperimentResult& r) {
                  static_cast<long long>(s.deduce_queries),
                  static_cast<long long>(s.suggest_probes),
                  static_cast<long long>(s.suggest_fallbacks),
+                 static_cast<long long>(s.deduce_probes),
+                 static_cast<long long>(s.deduce_fallbacks),
                  last ? "" : ",");
   };
   std::fprintf(stderr, "{\n  \"solver_stats\": {\n");
