@@ -4,7 +4,6 @@
 //       the formula).
 //   A2. MaxClique exact branch-and-bound vs greedy heuristic in Suggest.
 //   A3. GetSug conflict repair: exact MaxSAT vs WalkSAT local search.
-//   A4. SAT solver features (VSIDS / phase saving / restarts) on Φ(Se).
 
 #include "bench_util.h"
 
@@ -98,76 +97,6 @@ void AblateMaxSat(const Dataset& ds) {
               walk_ms, walk_sat, n);
 }
 
-void AblateSolverFeatures(const Dataset& ds) {
-  PrintHeader("A4 — SAT feature ablation on Φ(Se)");
-  struct Config {
-    const char* name;
-    sat::SolverOptions opts;
-  };
-  std::vector<Config> configs;
-  configs.push_back({"full", {}});
-  {
-    sat::SolverOptions o;
-    o.use_vsids = false;
-    configs.push_back({"no-vsids", o});
-  }
-  {
-    sat::SolverOptions o;
-    o.use_phase_saving = false;
-    configs.push_back({"no-phase", o});
-  }
-  {
-    sat::SolverOptions o;
-    o.use_restarts = false;
-    configs.push_back({"no-restart", o});
-  }
-  for (const Config& cfg : configs) {
-    double ms = 0;
-    int64_t conflicts = 0;
-    for (size_t i = 0; i < ds.entities.size(); ++i) {
-      const Specification se = ds.MakeSpec(static_cast<int>(i));
-      auto inst = Instantiation::Build(se);
-      CCR_CHECK(inst.ok());
-      const sat::Cnf phi = BuildCnf(*inst);
-      Timer t;
-      const ValidityResult r = IsValidCnf(phi, cfg.opts);
-      ms += t.ElapsedMs();
-      conflicts += r.solver_conflicts;
-      CCR_CHECK(r.valid);
-    }
-    std::printf("  %-12s: %8.1f ms, %lld conflicts\n", cfg.name, ms,
-                static_cast<long long>(conflicts));
-  }
-  std::printf("  (valid Φ(Se) instances are propagation-dominated — the "
-              "features pay off on\n   adversarial inputs; contrast:)\n");
-  // Pigeonhole contrast: PHP(8,7) is hard without conflict-driven search.
-  const int holes = 7;
-  sat::Cnf php;
-  auto var = [&](int p, int h) { return p * holes + h; };
-  for (int p = 0; p <= holes; ++p) {
-    std::vector<sat::Lit> clause;
-    for (int h = 0; h < holes; ++h) {
-      clause.push_back(sat::Lit::Pos(var(p, h)));
-    }
-    php.AddClause(std::span<const sat::Lit>(clause.data(), clause.size()));
-  }
-  for (int h = 0; h < holes; ++h) {
-    for (int p1 = 0; p1 <= holes; ++p1) {
-      for (int p2 = p1 + 1; p2 <= holes; ++p2) {
-        php.AddBinary(sat::Lit::Neg(var(p1, h)), sat::Lit::Neg(var(p2, h)));
-      }
-    }
-  }
-  for (const Config& cfg : configs) {
-    Timer t;
-    const ValidityResult r = IsValidCnf(php, cfg.opts);
-    std::printf("  %-12s: %8.1f ms, %lld conflicts on PHP(8,7)\n",
-                cfg.name, t.ElapsedMs(),
-                static_cast<long long>(r.solver_conflicts));
-    CCR_CHECK(!r.valid);
-  }
-}
-
 }  // namespace
 
 int main() {
@@ -185,6 +114,5 @@ int main() {
   AblateDeduceMode(person);
   AblateClique(person);
   AblateMaxSat(nba);
-  AblateSolverFeatures(nba);
   return 0;
 }

@@ -4,11 +4,13 @@
 // The "NaiveDeduce" column is the paper's baseline: the per-pair Lemma-6
 // loop (Lemma6DeduceShared), one SAT call per order variable on a fresh
 // solver. It is not the library's NaiveDeduce, which reads the same pair
-// set off one propagation probe because Φ(Se) is Horn. As in the paper,
-// the loop is run on NBA only (on Person it exceeds any reasonable
-// budget: the paper reports >20 minutes and omits the line); the bench
-// also verifies that DeduceOrder derives the same true values as the loop
-// on every NBA entity it times (§VI Exp-2).
+// set off one propagation probe because Φ(Se) is Horn. On NBA the loop
+// runs on every entity, and the bench verifies that DeduceOrder derives
+// the same true values as the loop on each (§VI Exp-2). The paper omits
+// the loop on Person (>20 minutes per large entity); here it runs on one
+// entity per Person bucket, smallest bucket first, for as long as the
+// previous bucket's entity took less than kNaiveBudgetMs, and each later
+// bucket prints the time that stopped it instead of a measurement.
 
 #include "bench_util.h"
 
@@ -16,6 +18,10 @@ namespace {
 
 using namespace ccr;
 using namespace ccr::bench;
+
+// The per-pair loop moves on to the next Person bucket only while the
+// previous bucket's entity took less than this.
+constexpr double kNaiveBudgetMs = 10000;
 
 struct Timed {
   double fast_ms = 0;
@@ -81,15 +87,27 @@ int main() {
 
   {
     const Dataset ds = PersonBucketed(2 * scale);
-    std::printf("\nPerson: DeduceOrder (ms/entity); NaiveDeduce omitted as "
-                "in the paper (>20 min per large entity)\n");
-    std::printf("%-14s %10s %14s\n", "bucket", "entities", "DeduceOrder");
+    std::printf("\nPerson: DeduceOrder (ms/entity); NaiveDeduce on the "
+                "bucket's first entity, while the previous bucket took "
+                "< %.0f ms\n",
+                kNaiveBudgetMs);
+    std::printf("%-14s %10s %14s %14s\n", "bucket", "entities", "DeduceOrder",
+                "NaiveDeduce");
+    double previous_naive_ms = 0;
     for (const Bucket& b : PersonBuckets()) {
       const auto idx = EntitiesInBucket(ds, b);
       if (idx.empty()) continue;
       const Timed t = RunBucket(ds, idx, /*run_naive=*/false);
-      std::printf("%-14s %10d %14.2f\n", b.Label().c_str(), t.entities,
+      std::printf("%-14s %10d %14.2f ", b.Label().c_str(), t.entities,
                   t.fast_ms / t.entities);
+      if (previous_naive_ms >= kNaiveBudgetMs) {
+        std::printf("%14s (previous bucket took %.0f ms)\n", "not run",
+                    previous_naive_ms);
+        continue;
+      }
+      const Timed naive = RunBucket(ds, {idx.front()}, /*run_naive=*/true);
+      previous_naive_ms = naive.naive_ms;
+      std::printf("%14.2f agree %d/1\n", naive.naive_ms, naive.agreements);
     }
   }
   return 0;

@@ -18,9 +18,10 @@
 //                                      existing BENCH_throughput.json as
 //                                      its "service" key
 //
-// Knobs (flags override env, env overrides defaults):
+// Knobs (flags override env, env overrides defaults; each a positive
+// integer, anything else exits 2):
 //   --sessions N / CCR_BENCH_SERVICE_SESSIONS  (default 24)
-//   --clients N  / CCR_BENCH_SERVICE_CLIENTS   (default 4)
+//   --clients N  / CCR_BENCH_SERVICE_CLIENTS   (default 4, at most 512)
 //   --tuples N   / CCR_BENCH_SERVICE_TUPLES    (default 60)
 //   --rounds N   / CCR_BENCH_SERVICE_ROUNDS    (default 3)
 
@@ -36,27 +37,29 @@
 #include <thread>
 #include <vector>
 
-#include "src/ccr.h"
+#include "bench_util.h"
 #include "src/common/timer.h"
 
 namespace ccr {
 namespace service {
 namespace {
 
-int EnvOr(const char* name, int fallback) {
-  const char* env = std::getenv(name);
-  if (env != nullptr) {
-    const int v = std::atoi(env);
-    if (v > 0) return v;
-  }
-  return fallback;
-}
+using bench::BenchInt;
+
+// Most client threads: each starts a thread, and the in-process server
+// runs half as many workers, which must stay within kMaxWorkers.
+constexpr int kMaxClients = 2 * kMaxWorkers;
 
 struct BenchConfig {
-  int sessions = EnvOr("CCR_BENCH_SERVICE_SESSIONS", 24);
-  int clients = EnvOr("CCR_BENCH_SERVICE_CLIENTS", 4);
-  int tuples = EnvOr("CCR_BENCH_SERVICE_TUPLES", 60);
-  int rounds = EnvOr("CCR_BENCH_SERVICE_ROUNDS", 3);
+  int sessions = BenchInt("CCR_BENCH_SERVICE_SESSIONS",
+                          std::getenv("CCR_BENCH_SERVICE_SESSIONS"), 24);
+  int clients = BenchInt("CCR_BENCH_SERVICE_CLIENTS",
+                         std::getenv("CCR_BENCH_SERVICE_CLIENTS"), 4,
+                         kMaxClients);
+  int tuples = BenchInt("CCR_BENCH_SERVICE_TUPLES",
+                        std::getenv("CCR_BENCH_SERVICE_TUPLES"), 60);
+  int rounds = BenchInt("CCR_BENCH_SERVICE_ROUNDS",
+                        std::getenv("CCR_BENCH_SERVICE_ROUNDS"), 3);
   std::string connect;     // empty = in-process server
   std::string merge_into;  // empty = stdout only
   bool send_shutdown = false;
@@ -247,13 +250,14 @@ int Main(int argc, char** argv) {
     } else if (arg == "--shutdown") {
       cfg.send_shutdown = true;
     } else if (arg == "--sessions") {
-      cfg.sessions = std::atoi(next_value("--sessions"));
+      cfg.sessions = BenchInt("--sessions", next_value("--sessions"), 0);
     } else if (arg == "--clients") {
-      cfg.clients = std::atoi(next_value("--clients"));
+      cfg.clients =
+          BenchInt("--clients", next_value("--clients"), 0, kMaxClients);
     } else if (arg == "--tuples") {
-      cfg.tuples = std::atoi(next_value("--tuples"));
+      cfg.tuples = BenchInt("--tuples", next_value("--tuples"), 0);
     } else if (arg == "--rounds") {
-      cfg.rounds = std::atoi(next_value("--rounds"));
+      cfg.rounds = BenchInt("--rounds", next_value("--rounds"), 0);
     } else {
       std::fprintf(stderr,
                    "unknown flag %s\n"
@@ -264,12 +268,6 @@ int Main(int argc, char** argv) {
       return 2;
     }
   }
-  if (cfg.sessions < 1 || cfg.clients < 1 || cfg.tuples < 1 ||
-      cfg.rounds < 1) {
-    std::fprintf(stderr, "all sizes must be positive\n");
-    return 2;
-  }
-
   PersonOptions popts;
   popts.num_entities = std::min(cfg.sessions, 12);
   popts.min_tuples = cfg.tuples;
@@ -283,7 +281,7 @@ int Main(int argc, char** argv) {
   SessionManager* manager = nullptr;
   Server* server = nullptr;
   ServiceOptions service_opts;
-  service_opts.max_resident = std::max(1, cfg.sessions / 4);
+  service_opts.max_resident = std::clamp(cfg.sessions / 4, 1, kMaxResident);
   service_opts.workers = std::max(2, cfg.clients / 2);
   std::string address = cfg.connect;
   if (address.empty()) {

@@ -71,41 +71,32 @@ namespace ccr {
 namespace {
 
 int BenchThreads() {
-  const char* env = std::getenv("CCR_BENCH_THREADS");
-  if (env != nullptr) {
-    const int v = std::atoi(env);
-    if (v > 0) return v;
-  }
   // Derive the N-thread point from the machine instead of hardcoding 8:
   // a 2-core runner then measures a genuine 2-thread speedup rather than
   // oversubscription overhead. hardware_concurrency() may report 0 when
   // unknown; fall back to 2 (the 1-core case skips the section anyway).
   const unsigned hc = std::thread::hardware_concurrency();
-  return hc > 1 ? static_cast<int>(hc) : 2;
+  const int fallback =
+      hc > 1 ? std::min(static_cast<int>(hc), kMaxExperimentThreads) : 2;
+  return bench::BenchInt("CCR_BENCH_THREADS", std::getenv("CCR_BENCH_THREADS"),
+                         fallback, kMaxExperimentThreads);
 }
 
 int BenchTuples() {
-  const char* env = std::getenv("CCR_BENCH_TUPLES");
-  if (env != nullptr) {
-    const int v = std::atoi(env);
-    if (v > 0) return v;
-  }
-  return 1000;
+  return bench::BenchInt("CCR_BENCH_TUPLES", std::getenv("CCR_BENCH_TUPLES"),
+                         1000);
 }
 
 int BenchSoakRounds() {
-  const char* env = std::getenv("CCR_BENCH_SOAK_ROUNDS");
-  if (env != nullptr) {
-    const int v = std::atoi(env);
-    if (v > 0) return v;
-  }
   // The arena's dead fraction after R answer rounds on an n-tuple entity
   // grows like R/n (per-round churn is O(n) words against an O(n^2)-word
   // clause database), so a fixed round count would never cross the
   // gc_frac trigger at full corpus size. Scale rounds with the corpus:
   // n/3 rounds put the soak comfortably past the default 25% trigger at
   // every scale the bench runs.
-  return std::max(64, BenchTuples() / 3);
+  return bench::BenchInt("CCR_BENCH_SOAK_ROUNDS",
+                         std::getenv("CCR_BENCH_SOAK_ROUNDS"),
+                         std::max(64, BenchTuples() / 3));
 }
 
 Dataset BigPersonCorpus(int num_entities) {

@@ -8,20 +8,36 @@
 #ifndef CCR_BENCH_BENCH_UTIL_H_
 #define CCR_BENCH_BENCH_UTIL_H_
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "src/ccr.h"
+#include "src/common/strings.h"
 
 namespace ccr::bench {
 
+/// Reads `text`, the value of the flag or environment variable `name`, as
+/// a whole decimal integer in [1, hi]; `fallback` when `text` is null (an
+/// unset variable). A malformed or out-of-range value ("12abc", "0", an
+/// overflowing one) ends the bench with a message and exit status 2.
+inline int BenchInt(const char* name, const char* text, int fallback,
+                    int hi = INT_MAX) {
+  if (text == nullptr) return fallback;
+  int64_t v = 0;
+  if (!ParseInt64(text, &v) || v < 1 || v > hi) {
+    std::fprintf(stderr, "%s wants an integer in [1, %d], got '%s'\n", name,
+                 hi, text);
+    std::exit(2);
+  }
+  return static_cast<int>(v);
+}
+
 inline int BenchScale() {
-  const char* env = std::getenv("CCR_BENCH_SCALE");
-  if (env == nullptr) return 1;
-  const int v = std::atoi(env);
-  return v > 0 ? v : 1;
+  return BenchInt("CCR_BENCH_SCALE", std::getenv("CCR_BENCH_SCALE"), 1);
 }
 
 /// One size bucket of entity instances (by tuple count), as on the x-axes

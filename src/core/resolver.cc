@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
-#include <string>
 #include <utility>
 
 #include "src/common/timer.h"
@@ -11,39 +10,16 @@
 
 namespace ccr {
 
-namespace {
-
-// True iff lo <= x <= hi; false for NaN.
-bool InRange(double x, double lo, double hi) { return x >= lo && x <= hi; }
-
-Status ValidateSolverOptions(const char* what, const sat::SolverOptions& o) {
-  const std::string prefix = std::string("ResolveOptions: ") + what;
-  if (!InRange(o.gc_frac, 0.0, 1.0)) {
-    return Status::InvalidArgument(prefix + ".gc_frac must be in [0, 1]");
-  }
-  if (!(o.var_decay > 0.0 && o.var_decay <= 1.0) ||
-      !(o.clause_decay > 0.0 && o.clause_decay <= 1.0)) {
-    return Status::InvalidArgument(prefix +
-                                   ": decay factors must be in (0, 1]");
-  }
-  if (o.sls_max_flips < 0 || o.sls_tries < 0) {
-    return Status::InvalidArgument(
-        prefix + ": sls_max_flips and sls_tries must be >= 0");
-  }
-  if (!InRange(o.sls_noise, 0.0, 1.0)) {
-    return Status::InvalidArgument(prefix + ".sls_noise must be in [0, 1]");
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 Status ResolveOptions::Validate() const {
   if (max_rounds < 0) {
     return Status::InvalidArgument("ResolveOptions: max_rounds must be >= 0");
   }
-  CCR_RETURN_NOT_OK(ValidateSolverOptions("solver", solver));
-  return ValidateSolverOptions("suggest.solver", suggest.solver);
+  // Written so that NaN fails too.
+  if (!(solver.gc_frac >= 0.0 && solver.gc_frac <= 1.0)) {
+    return Status::InvalidArgument(
+        "ResolveOptions: solver.gc_frac must be in [0, 1]");
+  }
+  return Status::OK();
 }
 
 int CountResolvableAttrs(const VarMap& vm) {

@@ -67,11 +67,9 @@ struct ResolveOptions {
   /// must outlive the Resolve call and serve one resolution at a time.
   SessionScratch* scratch = nullptr;
 
-  /// Fails closed on out-of-range knobs: max_rounds >= 0 and, for both
-  /// `solver` and `suggest.solver`, gc_frac in [0, 1] (0 = compact at
-  /// every chance), var_decay and clause_decay in (0, 1],
-  /// sls_max_flips >= 0, sls_tries >= 0 and sls_noise in [0, 1].
-  /// Resolve returns this status before doing any work.
+  /// Fails closed on out-of-range knobs: max_rounds >= 0 and
+  /// solver.gc_frac in [0, 1] (0 = compact at every chance). Resolve
+  /// returns this status before doing any work.
   Status Validate() const;
 };
 

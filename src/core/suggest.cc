@@ -141,7 +141,7 @@ Suggestion SuggestImpl(const Instantiation& inst, sat::Solver* solver,
   if (!clique.empty()) {
     std::optional<sat::Solver> local;
     if (solver == nullptr) {
-      local.emplace(options.solver);
+      local.emplace();
       local->AddCnf(*phi);
       solver = &*local;
     }

@@ -48,7 +48,6 @@ struct Suggestion {
 struct SuggestOptions {
   /// Exact branch-and-bound clique vs. greedy heuristic (ablation).
   bool exact_clique = true;
-  sat::SolverOptions solver;
 };
 
 /// Computes a suggestion for `se` from its encoding and deduced state.

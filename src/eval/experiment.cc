@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <optional>
+#include <string>
 #include <thread>
 
 #include "src/core/session.h"
@@ -37,6 +38,11 @@ Status ExperimentOptions::Validate() const {
   if (answers_per_round < 1) {
     return Status::InvalidArgument(
         "ExperimentOptions: answers_per_round must be >= 1");
+  }
+  if (num_threads > kMaxExperimentThreads) {
+    return Status::InvalidArgument(
+        "ExperimentOptions: num_threads must be <= " +
+        std::to_string(kMaxExperimentThreads));
   }
   const auto unit = [](double x) { return x >= 0.0 && x <= 1.0; };
   if (!unit(sigma_fraction) || !unit(gamma_fraction) ||

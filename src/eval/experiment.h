@@ -16,6 +16,12 @@
 
 namespace ccr {
 
+/// Most worker threads one RunExperiment starts (ExperimentOptions::
+/// num_threads, `ccr_experiment --threads`): far above any core count the
+/// entity pool scales to, far below what would exhaust the process's
+/// threads.
+inline constexpr int kMaxExperimentThreads = 256;
+
 /// Configuration of one dataset-level run.
 struct ExperimentOptions {
   double sigma_fraction = 1.0;
@@ -40,10 +46,10 @@ struct ExperimentOptions {
   ResolveOptions resolve;
 
   /// Fails closed on out-of-range knobs: max_rounds >= 0,
-  /// answers_per_round >= 1, sigma/gamma fractions and
-  /// oracle_answer_prob in [0, 1], and resolve.Validate() (whose
-  /// max_rounds RunExperiment overrides with this one). RunExperiment
-  /// CCR_CHECKs it.
+  /// answers_per_round >= 1, num_threads <= kMaxExperimentThreads,
+  /// sigma/gamma fractions and oracle_answer_prob in [0, 1], and
+  /// resolve.Validate() (whose max_rounds RunExperiment overrides with
+  /// this one). RunExperiment CCR_CHECKs it.
   Status Validate() const;
 };
 

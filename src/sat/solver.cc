@@ -47,6 +47,11 @@ constexpr uint32_t kMovedHeader = 7;
 constexpr int64_t kSlsFlipsBase = 256;
 constexpr int64_t kSlsFlipsPerVar = 1;
 constexpr int64_t kSlsFlipsCap = 1 << 13;
+// Restarts per call (try 0 starts from the saved phases, or from the
+// least model on a Horn formula) and the probability of a random, not
+// greedy min-break, flip in a non-freebie WalkSAT step.
+constexpr int kSlsTries = 2;
+constexpr double kSlsNoise = 0.5;
 // Greedy repair (the middle tier between "phases are already a model"
 // and the full WalkSAT search): only attempted when the evaluation scan
 // finds at most kSlsRepairMaxUnsat falsified clauses, and bounded to
@@ -769,7 +774,7 @@ void Solver::CancelUntil(int target) {
       order_value_[slot.col] = Lbool::kUndef;
     }
     assigns_[v] = Lbool::kUndef;
-    if (options_.use_phase_saving) polarity_[v] = trail_[i].negated();
+    polarity_[v] = trail_[i].negated();
     reason_[v] = kRefUndef;
     if (heap_pos_[v] < 0) HeapInsert(v);
   }
@@ -833,19 +838,10 @@ Var Solver::HeapPop() {
 
 Lit Solver::PickBranchLit() {
   Var next = kVarUndef;
-  if (options_.use_vsids) {
-    while (!HeapEmpty()) {
-      next = HeapPop();
-      if (assigns_[next] == Lbool::kUndef) break;
-      next = kVarUndef;
-    }
-  } else {
-    for (Var v = 0; v < num_vars(); ++v) {
-      if (assigns_[v] == Lbool::kUndef) {
-        next = v;
-        break;
-      }
-    }
+  while (!HeapEmpty()) {
+    next = HeapPop();
+    if (assigns_[next] == Lbool::kUndef) break;
+    next = kVarUndef;
   }
   if (next == kVarUndef) return kLitUndef;
   CCR_DCHECK(!frozen_[next]);
@@ -1142,18 +1138,12 @@ SolveResult Solver::Search(int64_t conflict_budget,
     }
 
     // No conflict.
-    if (conflict_budget >= 0 && conflicts_here >= conflict_budget) {
+    if (conflicts_here >= conflict_budget) {
       CancelUntil(0);
       return SolveResult::kUnknown;  // restart
     }
-    if (options_.max_conflicts >= 0 &&
-        stats_.conflicts >= options_.max_conflicts) {
-      CancelUntil(0);
-      return SolveResult::kUnknown;
-    }
     if (DecisionLevel() == 0) RemoveSatisfiedTopLevel();
-    if (options_.use_clause_deletion &&
-        static_cast<double>(learnts_.size()) >= max_learnts_) {
+    if (static_cast<double>(learnts_.size()) >= max_learnts_) {
       ReduceDb();
       max_learnts_ *= 1.1;
       MaybeGarbageCollect();
@@ -1668,9 +1658,8 @@ LocalSearchResult Solver::SeedFromLocalSearch(
                      kSlsFlipsBase +
                          kSlsFlipsPerVar *
                              static_cast<int64_t>(s.free_vars.size()));
-  const int tries =
-      std::max(1, budget.tries > 0 ? budget.tries : options_.sls_tries);
-  const double noise = budget.noise >= 0 ? budget.noise : options_.sls_noise;
+  const int tries = budget.tries > 0 ? budget.tries : kSlsTries;
+  const double noise = budget.noise >= 0 ? budget.noise : kSlsNoise;
   Rng rng(budget.has_seed
               ? budget.seed
               : kSlsSeedBase ^ (0x9e3779b97f4a7c15ULL * ++sls_salt_));
@@ -1904,19 +1893,12 @@ SolveResult Solver::SolveLoop(std::span<const Lit> assumptions) {
 
   int64_t restart_round = 0;
   while (true) {
-    const int64_t budget =
-        options_.use_restarts ? 100 * Luby(restart_round) : -1;
-    const SolveResult r = Search(budget, assumptions);
+    const SolveResult r = Search(100 * Luby(restart_round), assumptions);
     if (r != SolveResult::kUnknown) {
       CancelUntil(0);
       return r;
     }
-    // Search returned kUnknown at level 0: a restart boundary or an
-    // exhausted budget.
-    if (options_.max_conflicts >= 0 &&
-        stats_.conflicts >= options_.max_conflicts) {
-      return SolveResult::kUnknown;
-    }
+    // Search returned kUnknown at level 0: a restart boundary.
     ++restart_round;
     ++stats_.restarts;
   }

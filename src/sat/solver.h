@@ -23,9 +23,12 @@
 // Φ(Se) is Horn and the pipeline never reaches a conflict: validity and
 // the Lemma-6 Deduce are decided by one propagation probe (BeginProbe),
 // GetSug by one probe per candidate kept set, so no phase makes a solve.
-// The whole-formula passes — WalkSAT seeding, between-round inprocessing
-// (vivification, subsumption) — are off by default and stay behind their
-// SolverOptions flags for the byte-identity lanes. Because
+// The search heuristics are therefore fixed, not options: VSIDS, phase
+// saving, Luby restarts, learnt-clause deletion and their decay factors
+// are constants, and a solve runs to a verdict (no conflict budget).
+// SolverOptions keeps only what a service preset sets: the whole-formula
+// passes — WalkSAT seeding, between-round inprocessing (vivification,
+// subsumption), both off by default — and the arena collector. Because
 // the pipeline above consumes only SAT/UNSAT verdicts, every option
 // combination resolves every entity identically.
 
@@ -45,15 +48,11 @@
 
 namespace ccr::sat {
 
-/// Tunables. The defaults are the CDCL core with every whole-formula
-/// pass off (see the file comment): `use_inprocessing` and
-/// `use_sls_seeding` default to false and remain for the byte-identity
-/// lanes (`ccr_experiment --solver sls` turns both on).
+/// The settings a service preset chooses (service::SolverOptionsForPreset:
+/// `nogc` turns the collector off, `sls` turns seeding and inprocessing
+/// on). The defaults are the CDCL core with every whole-formula pass off
+/// (see the file comment).
 struct SolverOptions {
-  bool use_vsids = true;          // activity-ordered decisions vs. lowest id
-  bool use_phase_saving = true;   // remember last polarity per variable
-  bool use_restarts = true;       // Luby restarts enabled at all
-  bool use_clause_deletion = true;  // periodically shrink the learnt DB
   /// Inprocessing in Simplify(): clause vivification and backward
   /// subsumption / self-subsuming resolution over the problem clauses.
   /// Intended between session rounds, after the encode layer appended the
@@ -69,28 +68,20 @@ struct SolverOptions {
   /// only, never a verdict or a model.
   bool use_arena_gc = true;
   double gc_frac = 0.25;
-  /// Stochastic local search (WalkSAT) as a warm start. It may only
-  /// change time-to-verdict, never a verdict: every answer is still
-  /// produced by propagation or the exact CDCL search.
-  ///
-  /// use_sls_seeding: before CDCL search, a budgeted local-search pass
-  /// (Solver::SeedFromLocalSearch) installs its best assignment into the
-  /// saved-phase array, and — when the assignment satisfies every problem
-  /// clause — pushes it into the cached-model ring as a genuine witness.
-  /// Off by default: on the Horn pipeline formula validity is decided by
-  /// propagation (IsValidShared), so a warm start buys nothing.
+  /// Stochastic local search (WalkSAT) as a warm start: before CDCL
+  /// search, a budgeted local-search pass (Solver::SeedFromLocalSearch)
+  /// installs its best assignment into the saved-phase array, and — when
+  /// the assignment satisfies every problem clause — pushes it into the
+  /// cached-model ring as a genuine witness. It may only change
+  /// time-to-verdict, never a verdict. Off by default: on the Horn
+  /// pipeline formula validity is decided by propagation (IsValidShared),
+  /// so a warm start buys nothing.
   bool use_sls_seeding = false;
-  /// Local-search budget: flips per try (0 = scaled to the free-variable
-  /// count), number of restarts, and WalkSAT noise probability.
-  int64_t sls_max_flips = 0;
-  int sls_tries = 2;
-  double sls_noise = 0.5;
-  double var_decay = 0.95;
-  double clause_decay = 0.999;
-  int64_t max_conflicts = -1;     // < 0 means unlimited
 };
 
-/// Outcome of a solve call.
+/// Outcome of a solve call. Solve and SolveWithAssumptions always return
+/// kSat or kUnsat: there is no conflict budget, so a solve runs to its
+/// verdict. kUnknown is internal — the search loop's restart signal.
 enum class SolveResult { kSat, kUnsat, kUnknown };
 
 /// Solver statistics (cumulative across Solve calls).
@@ -193,11 +184,12 @@ struct SolverStats {
 };
 
 /// Explicit budget for one local-search pass. Zero / negative fields fall
-/// back to SolverOptions (sls_max_flips / sls_tries / sls_noise).
+/// back to the solver's fixed defaults: a flip budget scaled to the
+/// free-variable count (capped), 2 tries and WalkSAT noise 0.5.
 struct LocalSearchBudget {
   int64_t max_flips = 0;  // per try; 0 = auto
-  int tries = 0;          // 0 = SolverOptions::sls_tries
-  double noise = -1.0;    // < 0 = SolverOptions::sls_noise
+  int tries = 0;          // 0 = 2 tries
+  double noise = -1.0;    // < 0 = noise 0.5
   /// When set, seeds the RNG from `seed` instead of the solver's per-call
   /// salt — RunWalkSat's same-seed determinism contract rides on this.
   bool has_seed = false;
@@ -695,11 +687,14 @@ class Solver {
   }
   int DecisionLevel() const { return static_cast<int>(trail_lim_.size()); }
 
-  // VSIDS helpers.
+  // VSIDS helpers. The activity increments grow by 1/decay per conflict
+  // (MiniSat's defaults).
+  static constexpr double kVarDecay = 0.95;
+  static constexpr double kClauseDecay = 0.999;
   void VarBump(Var v);
-  void VarDecay() { var_inc_ /= options_.var_decay; }
+  void VarDecay() { var_inc_ /= kVarDecay; }
   void ClauseBump(ClauseRef c);
-  void ClauseDecay() { clause_inc_ /= options_.clause_decay; }
+  void ClauseDecay() { clause_inc_ /= kClauseDecay; }
   void HeapInsert(Var v);
   Var HeapPop();
   void HeapDecrease(Var v);

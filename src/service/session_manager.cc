@@ -1,6 +1,7 @@
 #include "src/service/session_manager.h"
 
 #include <chrono>
+#include <string>
 #include <utility>
 
 #include "src/common/json.h"
@@ -53,11 +54,14 @@ struct SessionManager::Queued {
 };
 
 Status ServiceOptions::Validate() const {
-  if (max_resident < 1) {
-    return Status::InvalidArgument("ServiceOptions: max_resident must be >= 1");
+  if (max_resident < 1 || max_resident > kMaxResident) {
+    return Status::InvalidArgument(
+        "ServiceOptions: max_resident must be in [1, " +
+        std::to_string(kMaxResident) + "]");
   }
-  if (workers < 1) {
-    return Status::InvalidArgument("ServiceOptions: workers must be >= 1");
+  if (workers < 1 || workers > kMaxWorkers) {
+    return Status::InvalidArgument("ServiceOptions: workers must be in [1, " +
+                                   std::to_string(kMaxWorkers) + "]");
   }
   if (queue_capacity < 1) {
     return Status::InvalidArgument(

@@ -43,6 +43,13 @@
 namespace ccr {
 namespace service {
 
+/// Upper bounds on ServiceOptions::workers and max_resident. The manager
+/// starts `workers` threads and allocates `max_resident` SessionScratch
+/// pools when it is constructed, so both are capped well above any
+/// useful value and well below what would exhaust threads or memory.
+inline constexpr int kMaxWorkers = 256;
+inline constexpr int kMaxResident = 4096;
+
 /// Manager knobs; the daemon exposes these as flags (docs/OPERATIONS.md).
 struct ServiceOptions {
   /// Live-session cap; colder sessions exist only as snapshots.
@@ -54,9 +61,9 @@ struct ServiceOptions {
   /// Default per-request deadline; 0 = no deadline. Requests may override.
   int64_t default_deadline_ms = 0;
 
-  /// Fails closed on out-of-range knobs: max_resident, workers and
-  /// queue_capacity >= 1, default_deadline_ms >= 0. SessionManager
-  /// CCR_CHECKs it.
+  /// Fails closed on out-of-range knobs: max_resident in [1,
+  /// kMaxResident], workers in [1, kMaxWorkers], queue_capacity >= 1,
+  /// default_deadline_ms >= 0. SessionManager CCR_CHECKs it.
   Status Validate() const;
 };
 

@@ -231,8 +231,12 @@ TEST(ExperimentOptionsTest, OutOfRangeKnobsFailClosed) {
            [](ExperimentOptions* o) { o->gamma_fraction = -0.5; }},
           {"answer prob 1.5",
            [](ExperimentOptions* o) { o->oracle_answer_prob = 1.5; }},
-          {"resolve sls_noise 2",
-           [](ExperimentOptions* o) { o->resolve.solver.sls_noise = 2; }},
+          {"resolve gc_frac 2",
+           [](ExperimentOptions* o) { o->resolve.solver.gc_frac = 2; }},
+          {"threads above the bound",
+           [](ExperimentOptions* o) {
+             o->num_threads = kMaxExperimentThreads + 1;
+           }},
       };
   for (const auto& [what, mutate] : mutations) {
     ExperimentOptions opts;
@@ -247,6 +251,9 @@ TEST(ExperimentOptionsTest, OutOfRangeKnobsFailClosed) {
   ExperimentOptions nan_sigma;
   nan_sigma.sigma_fraction = nan;
   EXPECT_FALSE(nan_sigma.Validate().ok());
+  ExperimentOptions most_threads;
+  most_threads.num_threads = kMaxExperimentThreads;
+  EXPECT_TRUE(most_threads.Validate().ok());
 }
 
 }  // namespace

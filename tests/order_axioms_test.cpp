@@ -188,22 +188,15 @@ TEST(OrderAxiomsTest, SolverMatchesMaterializedFormula) {
   int sat = 0, unsat = 0, materialized = 0, probes = 0, conflicted = 0;
   for (int round = 0; round < 300; ++round) {
     const bool horn = round % 2 == 0;
-    SolverOptions opts;
-    if (round % 5 == 4) {
-      // Plain search: lowest-id decisions, no saved phases or restarts.
-      opts.use_vsids = false;
-      opts.use_phase_saving = false;
-      opts.use_restarts = false;
-    }
     Cnf cnf = RandomBlockCnf(&rng, horn);
-    Solver implicit(opts), explicit_(opts);
+    Solver implicit, explicit_;
     implicit.AddCnf(cnf);
     explicit_.AddCnf(cnf.Materialized());
     const std::string where = "round " + std::to_string(round);
     for (int q = 0; q < 3; ++q) {
       const std::vector<Lit> assume = RandomAssumptions(&rng, cnf.num_vars());
       // Fresh solvers: propagation alone must agree literal for literal.
-      Solver fresh_implicit(opts), fresh_explicit(opts);
+      Solver fresh_implicit, fresh_explicit;
       fresh_implicit.AddCnf(cnf);
       fresh_explicit.AddCnf(cnf.Materialized());
       ExpectSameProbe(&fresh_implicit, &fresh_explicit, cnf.num_vars(), assume,

@@ -66,6 +66,15 @@ TEST(ServiceOptionsTest, ValidateFailsClosed) {
   EXPECT_TRUE(rejects([](ServiceOptions* o) { o->max_resident = 0; }));
   EXPECT_TRUE(rejects([](ServiceOptions* o) { o->queue_capacity = -3; }));
   EXPECT_TRUE(rejects([](ServiceOptions* o) { o->default_deadline_ms = -5; }));
+  // The manager starts every worker and allocates every resident slot's
+  // scratch up front, so both counts have a ceiling.
+  EXPECT_TRUE(rejects([](ServiceOptions* o) { o->workers = kMaxWorkers + 1; }));
+  EXPECT_TRUE(
+      rejects([](ServiceOptions* o) { o->max_resident = kMaxResident + 1; }));
+  ServiceOptions largest;
+  largest.workers = kMaxWorkers;
+  largest.max_resident = kMaxResident;
+  EXPECT_TRUE(largest.Validate().ok());
   ServiceOptions minimal;
   minimal.workers = 1;
   minimal.max_resident = 1;

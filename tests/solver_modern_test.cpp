@@ -1,7 +1,7 @@
-// Tests for the CDCL core: the ablation-equivalence suite (every
-// SolverOptions combination must resolve every entity to the byte — the
-// pipeline consumes only SAT verdicts, so heuristics cannot change
-// results), a DIMACS-level regression that learnt clauses survive
+// Tests for the CDCL core: the ablation-equivalence suite (the `sls`
+// preset and eager arena GC must resolve every entity to the default
+// options' bytes — the pipeline consumes only SAT verdicts, so the
+// whole-formula passes cannot change results), a DIMACS-level regression that learnt clauses survive
 // minimization still implied (checked by re-solve), and unit tests for
 // implicit binary watches, batched ScopedVars release, inprocessing, the
 // cached-model witness pool and arena GC.
@@ -24,20 +24,6 @@ using sat::SolveResult;
 using sat::Solver;
 using sat::SolverOptions;
 using sat::Var;
-
-// The search axes that remain: VSIDS, phase saving, restarts, clause
-// deletion, and the whole-formula passes of the `sls` preset.
-SolverOptions MakeOptions(bool vsids, bool phase, bool restarts,
-                          bool deletion, bool sls) {
-  SolverOptions o;
-  o.use_vsids = vsids;
-  o.use_phase_saving = phase;
-  o.use_restarts = restarts;
-  o.use_clause_deletion = deletion;
-  o.use_sls_seeding = sls;
-  o.use_inprocessing = sls;
-  return o;
-}
 
 // ~60 generated entities across all three corpora, small enough that a
 // full resolve sweep per option combination stays fast.
@@ -80,22 +66,18 @@ std::string ResolveCorpusToJson(const Dataset& ds,
   return ExperimentResultToJson(r, jopts);
 }
 
-// Every combination of the five search axes, on both deduce pipelines,
-// plus eager arena GC, resolves all three corpora to the default
+// The `sls` preset (seeding and inprocessing on) and eager arena GC, on
+// both deduce pipelines, resolve all three corpora to the default
 // configuration's bytes.
 TEST(SolverAblationEquivalenceTest, EveryOptionComboResolvesIdentically) {
+  const SolverOptions sls = service::SolverOptionsForPreset("sls").value();
   for (const std::string kind : {"person", "nba", "career"}) {
     const Dataset ds = AblationCorpus(kind);
     for (const bool naive : {false, true}) {
       const std::string baseline =
           ResolveCorpusToJson(ds, SolverOptions{}, naive);
-      for (int mask = 0; mask < 32; ++mask) {
-        if (mask == 15) continue;  // the defaults: the baseline itself
-        const SolverOptions opts = MakeOptions(mask & 1, mask & 2, mask & 4,
-                                               mask & 8, mask & 16);
-        EXPECT_EQ(ResolveCorpusToJson(ds, opts, naive), baseline)
-            << kind << " naive " << naive << " flag mask " << mask;
-      }
+      EXPECT_EQ(ResolveCorpusToJson(ds, sls, naive), baseline)
+          << kind << " naive " << naive << " sls";
       // Collector pressure extreme: compact at every opportunity
       // (gc_frac = 0 fires on the first dead word) — the arena lifecycle
       // may never move a result.

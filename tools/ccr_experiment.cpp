@@ -20,9 +20,11 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/ccr.h"
+#include "src/common/strings.h"
 
 namespace ccr {
 namespace {
@@ -65,8 +67,8 @@ void PrintUsage(std::FILE* to) {
                "  --max-tuples N    override generator max tuples/entity\n"
                "  --shard K/N       resolve entities i with i%%N == K "
                "(default 0/1)\n"
-               "  --threads T       worker threads in this process "
-               "(default 1)\n"
+               "  --threads T       worker threads in this process, at most\n"
+               "                    %d (default 1)\n"
                "  --rounds R        max interaction rounds (default 3)\n"
                "  --answers-per-round N  oracle answers per suggestion\n"
                "  --sigma F         fraction of Sigma (default 1.0)\n"
@@ -95,27 +97,27 @@ void PrintUsage(std::FILE* to) {
                "  --out FILE        output path, '-' = stdout (default)\n"
                "  --no-timings      zero the machine-dependent timings so\n"
                "                    equal results serialize to equal bytes\n"
-               "  --help            this text\n");
+               "  --help            this text\n",
+               kMaxExperimentThreads);
 }
 
-// Strict numeric parse: the whole string must be consumed ("1O0" or "abc"
-// must be a usage error, not a silent 1 or 0).
-bool ParseInt64(const char* s, long long* out) {
-  char* end = nullptr;
-  *out = std::strtoll(s, &end, 10);
-  return end != s && *end == '\0';
-}
-
-bool ParseShard(const std::string& arg, int* shard, int* num_shards) {
+// Reads K/N, each half a whole decimal integer, with 0 <= K < N <= INT_MAX
+// (a count that overflows int must fail, not wrap to a small one).
+bool ParseShard(std::string_view arg, int* shard, int* num_shards) {
   const size_t slash = arg.find('/');
-  if (slash == std::string::npos) return false;
-  char* end = nullptr;
-  *shard = static_cast<int>(std::strtol(arg.c_str(), &end, 10));
-  if (end != arg.c_str() + slash) return false;
-  *num_shards =
-      static_cast<int>(std::strtol(arg.c_str() + slash + 1, &end, 10));
-  if (*end != '\0') return false;
-  return *num_shards > 0 && *shard >= 0 && *shard < *num_shards;
+  if (slash == std::string_view::npos) return false;
+  int64_t k = 0;
+  int64_t n = 0;
+  if (!ParseInt64(arg.substr(0, slash), &k) ||
+      !ParseInt64(arg.substr(slash + 1), &n)) {
+    return false;
+  }
+  if (n < 1 || n > std::numeric_limits<int>::max() || k < 0 || k >= n) {
+    return false;
+  }
+  *shard = static_cast<int>(k);
+  *num_shards = static_cast<int>(n);
+  return true;
 }
 
 // Returns 0/1/2 exit-style; fills `opts`.
@@ -212,21 +214,24 @@ int ParseArgs(int argc, char** argv, CliOptions* opts) {
         arg == "--answers-per-round" || arg == "--seed") {
       const char* v = next_value(arg.c_str());
       if (v == nullptr) return 2;
-      long long n = 0;
-      // Bounds per flag: --seed takes any non-negative 64-bit value, the
-      // rest are ints with a flag-specific floor (a negative --rounds
-      // would make RunExperiment size vectors with max_rounds + 1 < 0).
-      long long min_ok = 1;
+      // Bounds per flag: --seed takes any non-negative 64-bit value,
+      // --threads at most kMaxExperimentThreads, the rest are ints with a
+      // flag-specific floor (a negative --rounds would make RunExperiment
+      // size vectors with max_rounds + 1 < 0). The whole value must be a
+      // decimal integer: "1O0", "abc" and an overflowing value fail.
+      int64_t min_ok = 1;
       if (arg == "--rounds" || arg == "--min-tuples" ||
           arg == "--max-tuples" || arg == "--seed") {
         min_ok = 0;
       }
-      const long long max_ok =
-          arg == "--seed" ? std::numeric_limits<long long>::max()
-                          : std::numeric_limits<int>::max();
+      int64_t max_ok = std::numeric_limits<int>::max();
+      if (arg == "--seed") max_ok = std::numeric_limits<int64_t>::max();
+      if (arg == "--threads") max_ok = kMaxExperimentThreads;
+      int64_t n = 0;
       if (!ParseInt64(v, &n) || n < min_ok || n > max_ok) {
-        std::fprintf(stderr, "%s wants an integer >= %lld, got '%s'\n",
-                     arg.c_str(), min_ok, v);
+        std::fprintf(stderr, "%s wants an integer in [%lld, %lld], got '%s'\n",
+                     arg.c_str(), static_cast<long long>(min_ok),
+                     static_cast<long long>(max_ok), v);
         return 2;
       }
       if (arg == "--entities") opts->entities = static_cast<int>(n);

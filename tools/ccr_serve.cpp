@@ -40,9 +40,11 @@ void PrintUsage(std::FILE* to) {
                "\n"
                "  --listen SPEC     unix:/path or tcp:PORT (default tcp:0;\n"
                "                    port 0 = OS-picked, see the READY line)\n"
-               "  --workers N       request worker threads (default 2)\n"
-               "  --max-resident N  warm session cap; colder sessions are\n"
-               "                    evicted to snapshots (default 64)\n"
+               "  --workers N       request worker threads, at most %d\n"
+               "                    (default 2)\n"
+               "  --max-resident N  warm session cap, at most %d; colder\n"
+               "                    sessions are evicted to snapshots\n"
+               "                    (default 64)\n"
                "  --queue-cap N     admission queue bound; a full queue\n"
                "                    rejects with OVERLOADED (default 256)\n"
                "  --deadline-ms N   default per-request deadline, 0 = none\n"
@@ -50,7 +52,8 @@ void PrintUsage(std::FILE* to) {
                "  --max-conns N     concurrent connection cap (default 256)\n"
                "  --help            this text\n"
                "\n"
-               "Protocol: docs/PROTOCOL.md. Tuning: docs/OPERATIONS.md.\n");
+               "Protocol: docs/PROTOCOL.md. Tuning: docs/OPERATIONS.md.\n",
+               kMaxWorkers, kMaxResident);
 }
 
 // Parses the whole of `text` as a decimal integer in [lo, hi] ("4x",
@@ -98,9 +101,10 @@ int Main(int argc, char** argv) {
     }
     bool parsed = true;
     if (arg == "--workers") {
-      parsed = int_flag("--workers", 1, kIntMax, &service.workers);
+      parsed = int_flag("--workers", 1, kMaxWorkers, &service.workers);
     } else if (arg == "--max-resident") {
-      parsed = int_flag("--max-resident", 1, kIntMax, &service.max_resident);
+      parsed =
+          int_flag("--max-resident", 1, kMaxResident, &service.max_resident);
     } else if (arg == "--queue-cap") {
       parsed = int_flag("--queue-cap", 1, kIntMax, &service.queue_capacity);
     } else if (arg == "--deadline-ms") {
