@@ -1,7 +1,8 @@
 // Substrate micro-benchmarks (google-benchmark): SAT solving, grounding
 // (a fresh Build, and a session's recycled BuildInto plus ExtendWith),
 // CNF construction, unit-propagation deduction (counter-based and by a
-// probe on the session solver), and max-clique.
+// probe on the session solver), Suggest's rule mining (TrueDer, CompGraph
+// and MaxClique) and max-clique.
 
 #include <benchmark/benchmark.h>
 
@@ -179,6 +180,48 @@ void BM_SessionDeduceOrder(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SessionDeduceOrder)->Arg(50)->Arg(500)->Arg(5000);
+
+// Suggest's rule mining on the person-batch corpus shape (250-300 tuples,
+// the full Σ and Γ): TrueDer, CompGraph and the exact MaxClique, from the
+// candidates and known values of a session's round-0 Deduce, cycling over
+// 8 entities. Items are Suggest calls; `rules` is the mean rule count.
+void BM_TrueDer(benchmark::State& state) {
+  PersonOptions opts;
+  opts.num_entities = 8;
+  opts.min_tuples = 250;
+  opts.max_tuples = 300;
+  const Dataset ds = GeneratePerson(opts);
+  struct Input {
+    ResolutionSession session;
+    std::vector<std::vector<int>> candidates;
+    std::vector<int> known_true;
+  };
+  std::vector<Input> inputs;
+  for (int e = 0; e < opts.num_entities; ++e) {
+    auto session = ResolutionSession::Create(ds.MakeSpec(e));
+    if (!session.ok()) {
+      state.SkipWithError("session creation failed");
+      return;
+    }
+    const DeducedOrders od = session->Deduce();
+    const VarMap& vm = session->instantiation().varmap;
+    inputs.push_back({std::move(*session), CandidateValues(vm, od),
+                      ExtractTrueValueIndices(vm, od)});
+  }
+  int64_t rules = 0;
+  size_t e = 0;
+  for (auto _ : state) {
+    const Input& in = inputs[e++ % inputs.size()];
+    const std::vector<DerivationRule> mined =
+        TrueDer(in.session.instantiation(), in.candidates, in.known_true);
+    benchmark::DoNotOptimize(graph::MaxClique(CompGraph(mined)).size());
+    rules += static_cast<int64_t>(mined.size());
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["rules"] =
+      static_cast<double>(rules) / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_TrueDer);
 
 void BM_IsValidPerson(benchmark::State& state) {
   const Dataset ds = PersonForBench(static_cast<int>(state.range(0)));

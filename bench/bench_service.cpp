@@ -49,6 +49,7 @@ using bench::BenchInt;
 // Most client threads: each starts a thread, and the in-process server
 // runs half as many workers, which must stay within kMaxWorkers.
 constexpr int kMaxClients = 2 * kMaxWorkers;
+static_assert(kMaxClients <= kMaxConnections);
 
 struct BenchConfig {
   int sessions = BenchInt("CCR_BENCH_SERVICE_SESSIONS",
@@ -286,7 +287,11 @@ int Main(int argc, char** argv) {
   std::string address = cfg.connect;
   if (address.empty()) {
     manager = new SessionManager(service_opts);
-    server = new Server(manager, ServerOptions{});
+    // Every client holds one connection for the whole run.
+    ServerOptions server_opts;
+    server_opts.max_connections =
+        std::max(server_opts.max_connections, cfg.clients);
+    server = new Server(manager, server_opts);
     const Status st = server->Start();
     if (!st.ok()) {
       std::fprintf(stderr, "bench_service: %s\n", st.ToString().c_str());

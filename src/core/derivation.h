@@ -38,6 +38,10 @@ struct DerivationRule {
 /// holds the validated/deduced true value index per attribute, or -1.
 /// Rules are only generated for attributes whose true value is unknown,
 /// and only with premises drawn from candidate (or known) values.
+///
+/// Cost: one pass over Ω(Se) with a constant-time test per constraint;
+/// indexing and rule search then touch only the Σ constraints whose head
+/// orders two candidates of an unknown attribute.
 std::vector<DerivationRule> TrueDer(
     const Instantiation& inst,
     const std::vector<std::vector<int>>& candidates,

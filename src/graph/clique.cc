@@ -4,23 +4,41 @@
 
 namespace ccr::graph {
 
-std::vector<int> GreedyClique(const Graph& g) {
+namespace {
+
+// Vertices 0..n-1 by degree, highest first. std::sort is not stable, so
+// ties land wherever its comparisons leave them; degrees are computed
+// once, and the comparisons — hence the order — are those of sorting by
+// Graph::Degree directly.
+std::vector<int> ByDegreeDescending(const Graph& g) {
   const int n = g.num_vertices();
+  std::vector<int> degree(n);
   std::vector<int> order(n);
-  for (int i = 0; i < n; ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    return g.Degree(a) > g.Degree(b);
-  });
+  for (int v = 0; v < n; ++v) {
+    degree[v] = g.Degree(v);
+    order[v] = v;
+  }
+  std::sort(order.begin(), order.end(),
+            [&](int a, int b) { return degree[a] > degree[b]; });
+  return order;
+}
+
+bool TestBit(const uint64_t* bits, int v) {
+  return (bits[v >> 6] >> (v & 63)) & 1u;
+}
+
+}  // namespace
+
+std::vector<int> GreedyClique(const Graph& g) {
+  // `common` is the intersection of the clique members' adjacency rows: a
+  // vertex is compatible iff it is adjacent to every member.
+  std::vector<uint64_t> common(g.words_per_row(), ~uint64_t{0});
   std::vector<int> clique;
-  for (int v : order) {
-    bool compatible = true;
-    for (int u : clique) {
-      if (!g.HasEdge(u, v)) {
-        compatible = false;
-        break;
-      }
-    }
-    if (compatible) clique.push_back(v);
+  for (int v : ByDegreeDescending(g)) {
+    if (!TestBit(common.data(), v)) continue;
+    clique.push_back(v);
+    const uint64_t* row = g.Row(v);
+    for (int w = 0; w < g.words_per_row(); ++w) common[w] &= row[w];
   }
   std::sort(clique.begin(), clique.end());
   return clique;
@@ -28,87 +46,102 @@ std::vector<int> GreedyClique(const Graph& g) {
 
 namespace {
 
-struct BnBState {
-  const Graph* g;
-  std::vector<int> best;
-  std::vector<int> current;
-  int64_t nodes_left;
-};
+// Branch-and-bound with a greedy-coloring bound. A search node at depth d
+// works in the buffers of index d — its candidates in the order its parent
+// handed them over, the same reordered by color class, and their colors —
+// so buffers are allocated once per depth reached, not once per node.
+class CliqueSearch {
+ public:
+  CliqueSearch(const Graph& g, std::vector<int> warm_start, int64_t max_nodes)
+      : g_(g),
+        best_(std::move(warm_start)),
+        nodes_left_(max_nodes),
+        levels_(static_cast<size_t>(g.num_vertices()) + 1),
+        forbidden_(g.words_per_row()) {}
 
-// Greedy coloring of `candidates`; returns them reordered with color
-// numbers, colors ascending. The color number of a vertex bounds the size
-// of any clique among it and its predecessors.
-void ColorSort(const Graph& g, const std::vector<int>& candidates,
-               std::vector<int>* ordered, std::vector<int>* colors) {
-  ordered->clear();
-  colors->clear();
-  std::vector<std::vector<int>> classes;
-  for (int v : candidates) {
-    bool placed = false;
-    for (auto& cls : classes) {
-      bool independent = true;
-      for (int u : cls) {
-        if (g.HasEdge(u, v)) {
-          independent = false;
-          break;
+  std::vector<int> Run(std::vector<int> all) {
+    levels_[0].candidates = std::move(all);
+    Expand(0);
+    return std::move(best_);
+  }
+
+ private:
+  struct Level {
+    std::vector<int> candidates;
+    std::vector<int> ordered;
+    std::vector<int> colors;
+  };
+
+  // Greedy coloring of the depth's candidates: each takes the lowest color
+  // whose class so far has no neighbor of it. Colors are filled one class
+  // at a time, scanning the uncolored candidates in order, which gives the
+  // same classes. Output is the candidates by class, colors ascending; the
+  // color of a vertex bounds the size of any clique among it and its
+  // predecessors.
+  void ColorSort(Level* level) {
+    level->ordered.clear();
+    level->colors.clear();
+    uncolored_ = level->candidates;
+    for (int color = 1; !uncolored_.empty(); ++color) {
+      std::fill(forbidden_.begin(), forbidden_.end(), 0);
+      deferred_.clear();
+      for (int v : uncolored_) {
+        if (TestBit(forbidden_.data(), v)) {
+          deferred_.push_back(v);
+          continue;
         }
+        level->ordered.push_back(v);
+        level->colors.push_back(color);
+        const uint64_t* row = g_.Row(v);
+        for (size_t w = 0; w < forbidden_.size(); ++w) forbidden_[w] |= row[w];
       }
-      if (independent) {
-        cls.push_back(v);
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) classes.push_back({v});
-  }
-  for (size_t c = 0; c < classes.size(); ++c) {
-    for (int v : classes[c]) {
-      ordered->push_back(v);
-      colors->push_back(static_cast<int>(c) + 1);
+      uncolored_.swap(deferred_);
     }
   }
-}
 
-void Expand(BnBState* s, std::vector<int> candidates) {
-  if (s->nodes_left-- <= 0) return;
-  std::vector<int> ordered;
-  std::vector<int> colors;
-  ColorSort(*s->g, candidates, &ordered, &colors);
-  for (int i = static_cast<int>(ordered.size()) - 1; i >= 0; --i) {
-    const int bound =
-        static_cast<int>(s->current.size()) + colors[i];
-    if (bound <= static_cast<int>(s->best.size())) return;
-    const int v = ordered[i];
-    s->current.push_back(v);
-    std::vector<int> next;
-    for (int j = 0; j < i; ++j) {
-      if (s->g->HasEdge(ordered[j], v)) next.push_back(ordered[j]);
+  void Expand(int depth) {
+    if (nodes_left_-- <= 0) return;
+    Level& level = levels_[depth];
+    ColorSort(&level);
+    for (int i = static_cast<int>(level.ordered.size()) - 1; i >= 0; --i) {
+      const int bound = static_cast<int>(current_.size()) + level.colors[i];
+      if (bound <= static_cast<int>(best_.size())) return;
+      const int v = level.ordered[i];
+      const uint64_t* row = g_.Row(v);
+      current_.push_back(v);
+      std::vector<int>& next = levels_[depth + 1].candidates;
+      next.clear();
+      for (int j = 0; j < i; ++j) {
+        if (TestBit(row, level.ordered[j])) next.push_back(level.ordered[j]);
+      }
+      if (next.empty()) {
+        if (current_.size() > best_.size()) best_ = current_;
+      } else {
+        Expand(depth + 1);
+      }
+      current_.pop_back();
     }
-    if (next.empty()) {
-      if (s->current.size() > s->best.size()) s->best = s->current;
-    } else {
-      Expand(s, std::move(next));
-    }
-    s->current.pop_back();
   }
-}
+
+  const Graph& g_;
+  std::vector<int> best_;
+  std::vector<int> current_;
+  int64_t nodes_left_;
+  std::vector<Level> levels_;  // one per depth; depth <= clique size <= n
+  std::vector<uint64_t> forbidden_;  // neighbors of the class being filled
+  std::vector<int> uncolored_;
+  std::vector<int> deferred_;
+};
 
 }  // namespace
 
 std::vector<int> MaxClique(const Graph& g, int64_t max_nodes) {
-  BnBState s;
-  s.g = &g;
-  s.best = GreedyClique(g);  // warm start for pruning
-  s.nodes_left = max_nodes;
-  std::vector<int> all(g.num_vertices());
-  for (int i = 0; i < g.num_vertices(); ++i) all[i] = i;
-  // Order by degree descending helps the coloring bound.
-  std::sort(all.begin(), all.end(), [&](int a, int b) {
-    return g.Degree(a) > g.Degree(b);
-  });
-  Expand(&s, all);
-  std::sort(s.best.begin(), s.best.end());
-  return s.best;
+  // Warm start for pruning; ordering by degree descending helps the
+  // coloring bound.
+  CliqueSearch search(g, GreedyClique(g), max_nodes);
+  std::vector<int> best = search.Run(ByDegreeDescending(g));
+  std::sort(best.begin(), best.end());
+  return best;
 }
 
 }  // namespace ccr::graph

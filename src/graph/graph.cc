@@ -1,31 +1,34 @@
 #include "src/graph/graph.h"
 
+#include <bit>
+
 namespace ccr::graph {
 
-Graph::Graph(int num_vertices) : n_(num_vertices) {
+Graph::Graph(int num_vertices)
+    : n_(num_vertices), words_((num_vertices + 63) / 64) {
   CCR_CHECK(num_vertices >= 0);
-  adj_.assign(static_cast<size_t>(n_) * n_, 0);
+  adj_.assign(static_cast<size_t>(n_) * words_, 0);
 }
 
 void Graph::AddEdge(int u, int v) {
   CCR_DCHECK(u >= 0 && v >= 0 && u < n_ && v < n_);
   if (u == v) return;
-  if (adj_[u * n_ + v]) return;
-  adj_[u * n_ + v] = 1;
-  adj_[v * n_ + u] = 1;
+  if (HasEdge(u, v)) return;
+  adj_[static_cast<size_t>(u) * words_ + (v >> 6)] |= uint64_t{1} << (v & 63);
+  adj_[static_cast<size_t>(v) * words_ + (u >> 6)] |= uint64_t{1} << (u & 63);
   ++num_edges_;
 }
 
 int Graph::Degree(int v) const {
   int d = 0;
-  for (int u = 0; u < n_; ++u) d += adj_[v * n_ + u];
+  for (int w = 0; w < words_; ++w) d += std::popcount(Row(v)[w]);
   return d;
 }
 
 std::vector<int> Graph::Neighbors(int v) const {
   std::vector<int> out;
   for (int u = 0; u < n_; ++u) {
-    if (adj_[v * n_ + u]) out.push_back(u);
+    if (HasEdge(v, u)) out.push_back(u);
   }
   return out;
 }

@@ -26,7 +26,18 @@ std::vector<Value> EntityInstance::ActiveDomain(int attr) const {
 }
 
 bool EntityInstance::HasConflict(int attr) const {
-  return ActiveDomain(attr).size() > 1;
+  // Stops at the second distinct non-null value; no set is built.
+  const Value* first = nullptr;
+  for (const Tuple& t : tuples_) {
+    const Value& v = t.at(attr);
+    if (v.is_null()) continue;
+    if (first == nullptr) {
+      first = &v;
+    } else if (!(v == *first)) {
+      return true;
+    }
+  }
+  return false;
 }
 
 int EntityInstance::CountConflictAttributes() const {

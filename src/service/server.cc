@@ -49,12 +49,22 @@ struct Server::Connection {
   std::atomic<bool> done{false};
 };
 
+Status ServerOptions::Validate() const {
+  if (max_connections < 1 || max_connections > kMaxConnections) {
+    return Status::InvalidArgument(
+        "ServerOptions: max_connections must be in [1, " +
+        std::to_string(kMaxConnections) + "]");
+  }
+  return Status::OK();
+}
+
 Server::Server(SessionManager* manager, const ServerOptions& options)
     : manager_(manager), options_(options) {}
 
 Server::~Server() { Shutdown(); }
 
 Status Server::Start() {
+  if (Status valid = options_.Validate(); !valid.ok()) return valid;
   const std::string& spec = options_.listen;
   if (spec.rfind("unix:", 0) == 0) {
     unix_path_ = spec.substr(5);

@@ -27,6 +27,12 @@
 namespace ccr {
 namespace service {
 
+/// Upper bound on ServerOptions::max_connections. The server starts one
+/// thread per accepted connection, so this also bounds its connection
+/// threads; it sits well above any useful value (requests run on at most
+/// kMaxWorkers workers) and well below what would exhaust threads.
+inline constexpr int kMaxConnections = 1024;
+
 struct ServerOptions {
   /// "unix:/path/to.sock" or "tcp:PORT" (TCP binds 127.0.0.1; port 0 picks
   /// a free port, readable from port() after Start).
@@ -34,6 +40,10 @@ struct ServerOptions {
   /// Connections over this cap are greeted with an OVERLOADED error frame
   /// and closed.
   int max_connections = 256;
+
+  /// Fails closed on max_connections outside [1, kMaxConnections]. The
+  /// listen spec is checked by Server::Start, which also runs this.
+  Status Validate() const;
 };
 
 /// \brief The daemon's accept loop. Owns the listening socket and the
@@ -48,7 +58,7 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds, listens, and starts the accept thread.
+  /// Validates the options, binds, listens, and starts the accept thread.
   Status Start();
 
   /// Bound TCP port (after Start with a tcp: listen spec); -1 for unix.

@@ -102,6 +102,7 @@ TEST(CliqueTest, PaperFig6Structure) {
   }
   const auto c = MaxClique(g);
   EXPECT_EQ(c, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(GreedyClique(g), (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
 TEST(CliqueTest, GreedyIsAValidClique) {
@@ -119,6 +120,21 @@ TEST(CliqueTest, GreedyIsAValidClique) {
 }
 
 TEST(CliqueTest, ExactMatchesBruteForceOnRandomGraphs) {
+  // Which maximum clique is returned decides which derivation rules
+  // Suggest keeps, so the exact vertex sets are pinned, not only their
+  // size: the search order, node budget and tie-breaks must not drift.
+  const std::vector<std::vector<int>> kExpected = {
+      {0, 1}, {2, 3, 5, 6}, {1, 4, 5}, {1, 3, 4}, {0, 1, 3}, {0, 1, 3, 4, 5},
+      {0, 1}, {0, 1}, {0, 2, 6, 7}, {2, 3, 5}, {0, 3, 4, 5}, {3, 7, 8},
+      {0, 2, 6}, {0, 1, 2}, {0}, {0, 1, 2, 5}, {1, 2, 6}, {3, 5, 9},
+      {7, 9}, {0, 2, 3}, {0, 1, 2, 5}, {0, 1, 4}, {1, 3, 5, 6, 8}, {4, 5, 6},
+      {0, 2}, {0, 1, 5}, {0, 1, 3, 4}, {0, 3, 4}, {0, 3, 4, 10}, {0, 2, 3},
+      {0, 3, 5, 7}, {0, 1, 2, 4, 5}, {0, 3, 4, 5, 6, 7}, {0, 1, 3, 4}, {1, 2},
+      {0, 3}, {1, 4, 7, 9, 10}, {1, 3}, {0, 2, 3}, {0, 4, 5}, {1, 6},
+      {2, 5, 8, 9}, {1, 4, 5, 7, 8}, {1, 3, 5}, {3, 4, 6, 8, 11}, {1, 4, 5},
+      {0, 2, 3, 5}, {2, 3, 6}, {3, 4, 6}, {0, 3, 8}, {0, 1, 2}, {0, 2, 6, 7},
+      {0, 2}, {0, 1}, {0, 1}, {0, 3, 5, 8}, {0, 2, 4}, {1, 3, 4, 8, 9},
+      {1, 9, 10}, {4, 5, 8}};
   Rng rng(1234);
   for (int round = 0; round < 60; ++round) {
     const int n = 3 + static_cast<int>(rng.Below(10));
@@ -133,6 +149,26 @@ TEST(CliqueTest, ExactMatchesBruteForceOnRandomGraphs) {
     EXPECT_TRUE(g.IsClique(c)) << "round " << round;
     EXPECT_EQ(static_cast<int>(c.size()), BruteForceMaxClique(g))
         << "round " << round;
+    EXPECT_EQ(c, kExpected[round]) << "round " << round;
+  }
+}
+
+TEST(CliqueTest, PinnedOnDenseRandomGraphs) {
+  // Deeper searches than the brute-force sizes allow (bench_micro's
+  // BM_MaxClique graphs), pinned the same way.
+  const std::vector<std::pair<int, std::vector<int>>> kExpected = {
+      {20, {0, 8, 9, 17, 18, 19}},
+      {40, {5, 9, 18, 26, 35, 38}},
+      {60, {3, 17, 19, 40, 41, 48, 57, 58}}};
+  for (const auto& [n, expected] : kExpected) {
+    Rng rng(7);
+    Graph g(n);
+    for (int u = 0; u < n; ++u) {
+      for (int v = u + 1; v < n; ++v) {
+        if (rng.Chance(0.5)) g.AddEdge(u, v);
+      }
+    }
+    EXPECT_EQ(MaxClique(g), expected) << "n = " << n;
   }
 }
 

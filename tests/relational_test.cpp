@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/relational/entity_instance.h"
 
 namespace ccr {
@@ -141,6 +144,45 @@ TEST_F(EntityInstanceTest, ConflictDetection) {
   EXPECT_TRUE(instance_.HasConflict(1));
   EXPECT_TRUE(instance_.HasConflict(2));
   EXPECT_EQ(instance_.CountConflictAttributes(), 2);
+}
+
+TEST(EntityInstanceConflictTest, MatchesActiveDomainWithNullsAndDuplicates) {
+  // HasConflict stops at the second distinct non-null value; it must agree
+  // with the active domain's size on every column, whatever the mix of
+  // nulls, repeats and equal values of different types (Int 3 == Real 3.0).
+  const Value pool[] = {Value::Null(), Value::Null(), Value::Int(3),
+                        Value::Real(3.0), Value::Int(4), Value::Str("x")};
+  const int columns = 40;
+  std::vector<std::string> names;
+  for (int a = 0; a < columns; ++a) names.push_back("a" + std::to_string(a));
+  EntityInstance e(Schema::Make(names).value(), "mixed");
+  // Column a draws from the first 2 + a % 5 pool entries, so the early
+  // columns hold only nulls and 3s; tuple i picks entry (i * (a + 1)) % n.
+  for (int i = 0; i < 7; ++i) {
+    std::vector<Value> row;
+    for (int a = 0; a < columns; ++a) {
+      const int n = 2 + a % 5;
+      row.push_back(pool[(i * (a + 1) + a / 5) % n]);
+    }
+    ASSERT_TRUE(e.Add(Tuple(std::move(row))).ok());
+  }
+  int conflicted = 0;
+  for (int a = 0; a < columns; ++a) {
+    EXPECT_EQ(e.HasConflict(a), e.ActiveDomain(a).size() > 1) << "attr " << a;
+    conflicted += e.HasConflict(a) ? 1 : 0;
+  }
+  EXPECT_GT(conflicted, 0);
+  EXPECT_LT(conflicted, columns);
+
+  EntityInstance nulls(Schema::Make({"a"}).value(), "nulls");
+  ASSERT_TRUE(nulls.Add(Tuple({Value::Null()})).ok());
+  ASSERT_TRUE(nulls.Add(Tuple({Value::Int(3)})).ok());
+  ASSERT_TRUE(nulls.Add(Tuple({Value::Null()})).ok());
+  ASSERT_TRUE(nulls.Add(Tuple({Value::Real(3.0)})).ok());
+  EXPECT_FALSE(nulls.HasConflict(0));
+  EXPECT_EQ(nulls.ActiveDomain(0).size(), 1u);
+  ASSERT_TRUE(nulls.Add(Tuple({Value::Int(4)})).ok());
+  EXPECT_TRUE(nulls.HasConflict(0));
 }
 
 TEST(EntityInstanceEmptyTest, EmptyInstance) {

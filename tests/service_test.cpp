@@ -491,6 +491,25 @@ TEST(ServerTest, ServesOverUnixSockets) {
   ::rmdir(tmpl);
 }
 
+TEST(ServerTest, ConnectionCapIsBounded) {
+  // One thread per connection: a cap above kMaxConnections fails closed,
+  // in Validate and in Start, before anything is bound or accepted.
+  ServerOptions opts;
+  EXPECT_TRUE(opts.Validate().ok());
+  opts.max_connections = kMaxConnections;
+  EXPECT_TRUE(opts.Validate().ok());
+  for (int bad : {0, -1, kMaxConnections + 1}) {
+    opts.max_connections = bad;
+    EXPECT_FALSE(opts.Validate().ok()) << bad;
+  }
+  SessionManager manager(ServiceOptions{});
+  opts.max_connections = kMaxConnections + 1;
+  Server server(&manager, opts);
+  const Status st = server.Start();
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_EQ(server.port(), -1);  // nothing was bound
+}
+
 TEST(ServerTest, RejectsBadListenSpecs) {
   SessionManager manager(ServiceOptions{});
   for (const char* spec : {"", "udp:1234", "unix:", "http://x"}) {

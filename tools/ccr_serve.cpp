@@ -49,11 +49,12 @@ void PrintUsage(std::FILE* to) {
                "                    rejects with OVERLOADED (default 256)\n"
                "  --deadline-ms N   default per-request deadline, 0 = none\n"
                "                    (default 0)\n"
-               "  --max-conns N     concurrent connection cap (default 256)\n"
+               "  --max-conns N     concurrent connection cap, at most %d\n"
+               "                    (default 256)\n"
                "  --help            this text\n"
                "\n"
                "Protocol: docs/PROTOCOL.md. Tuning: docs/OPERATIONS.md.\n",
-               kMaxWorkers, kMaxResident);
+               kMaxWorkers, kMaxResident, kMaxConnections);
 }
 
 // Parses the whole of `text` as a decimal integer in [lo, hi] ("4x",
@@ -112,8 +113,8 @@ int Main(int argc, char** argv) {
                         std::numeric_limits<int64_t>::max(),
                         &service.default_deadline_ms);
     } else if (arg == "--max-conns") {
-      parsed =
-          int_flag("--max-conns", 1, kIntMax, &server_opts.max_connections);
+      parsed = int_flag("--max-conns", 1, kMaxConnections,
+                        &server_opts.max_connections);
     } else {
       std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
       PrintUsage(stderr);
@@ -121,9 +122,10 @@ int Main(int argc, char** argv) {
     }
     if (!parsed) return 2;
   }
-  // The flag ranges above already imply this; it stays the one rule the
-  // daemon and SessionManager share.
-  const Status valid = service.Validate();
+  // The flag ranges above already imply these; they stay the one rule the
+  // daemon shares with SessionManager and Server::Start.
+  Status valid = service.Validate();
+  if (valid.ok()) valid = server_opts.Validate();
   if (!valid.ok()) {
     std::fprintf(stderr, "ccr_serve: %s\n", valid.ToString().c_str());
     return 2;
