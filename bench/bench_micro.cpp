@@ -1,10 +1,13 @@
 // Substrate micro-benchmarks (google-benchmark): SAT solving, grounding
 // (a fresh Build, and a session's recycled BuildInto plus ExtendWith),
+// session creation (ResolutionSession::Create on a warm scratch),
 // CNF construction, unit-propagation deduction (counter-based and by a
 // probe on the session solver), Suggest's rule mining (TrueDer, CompGraph
 // and MaxClique) and max-clique.
 
 #include <benchmark/benchmark.h>
+
+#include <optional>
 
 #include "src/ccr.h"
 
@@ -126,6 +129,33 @@ void BM_InstantiationSession(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_InstantiationSession);
+
+// ResolutionSession::Create alone on one person-batch entity (250-300
+// tuples, the full Σ and Γ) with a warm SessionScratch: ground, build the
+// CNF, feed the solver. The previous session is destroyed outside the
+// timed region, as a scratch serves one live session at a time.
+void BM_SessionCreate(benchmark::State& state) {
+  PersonOptions opts;
+  opts.num_entities = 1;
+  opts.min_tuples = 250;
+  opts.max_tuples = 300;
+  const Dataset ds = GeneratePerson(opts);
+  const Specification se = ds.MakeSpec(0);
+  SessionScratch scratch;
+  ResolveOptions options;
+  options.scratch = &scratch;
+  std::optional<Result<ResolutionSession>> session;
+  session.emplace(ResolutionSession::Create(se, options));  // warm-up
+  for (auto _ : state) {
+    state.PauseTiming();
+    session.reset();
+    state.ResumeTiming();
+    session.emplace(ResolutionSession::Create(se, options));
+    benchmark::DoNotOptimize(session->ok());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SessionCreate);
 
 void BM_BuildCnf(benchmark::State& state) {
   const Dataset ds = PersonForBench(static_cast<int>(state.range(0)));

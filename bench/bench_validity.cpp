@@ -14,8 +14,8 @@ using namespace ccr::bench;
 
 void RunSeries(const char* name, const Dataset& ds,
                const std::vector<Bucket>& buckets) {
-  std::printf("%s: |Sigma|=%zu |Gamma|=%zu\n", name, ds.sigma.size(),
-              ds.gamma.size());
+  std::printf("%s: |Sigma|=%zu |Gamma|=%zu\n", name, ds.sigma().size(),
+              ds.gamma().size());
   std::printf("%-14s %10s %10s %12s %12s\n", "bucket", "entities",
               "ms/entity", "cnf-vars", "cnf-clauses");
   for (const Bucket& b : buckets) {

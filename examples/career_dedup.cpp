@@ -16,7 +16,7 @@ int main() {
   const Dataset ds = GenerateCareer(options);
   std::printf("CAREER-like corpus: %zu authors, |Sigma|=%zu (citation "
               "pairs), |Gamma|=%zu (affiliation patterns)\n",
-              ds.entities.size(), ds.sigma.size(), ds.gamma.size());
+              ds.entities.size(), ds.sigma().size(), ds.gamma().size());
 
   int automatic = 0, interactive = 0, unresolved = 0;
   for (size_t i = 0; i < ds.entities.size(); ++i) {

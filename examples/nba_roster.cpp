@@ -16,7 +16,7 @@ int main() {
   options.num_entities = 40;
   const Dataset ds = GenerateNba(options);
   std::printf("NBA-like corpus: %zu players, |Sigma|=%zu, |Gamma|=%zu\n",
-              ds.entities.size(), ds.sigma.size(), ds.gamma.size());
+              ds.entities.size(), ds.sigma().size(), ds.gamma().size());
 
   // Resolve the first few players and print their current rows.
   for (int i = 0; i < 3; ++i) {

@@ -26,6 +26,8 @@ Specification MakeSpec(EntityInstance instance) {
   Specification se;
   se.temporal = TemporalInstance(std::move(instance));
   // Fig. 3, stated in the textual constraint DSL.
+  std::vector<CurrencyConstraint> sigma;
+  std::vector<ConstantCfd> gamma;
   for (const char* text : {
            "t1[status] = 'working' & t2[status] = 'retired' -> status",
            "t1[status] = 'retired' & t2[status] = 'deceased' -> status",
@@ -36,12 +38,13 @@ Specification MakeSpec(EntityInstance instance) {
            "prec(status) -> zip",
            "prec(city) & prec(zip) -> county",
        }) {
-    se.sigma.push_back(ParseCurrencyConstraint(schema, text).value());
+    sigma.push_back(ParseCurrencyConstraint(schema, text).value());
   }
   for (const char* text :
        {"AC = 213 -> city = 'LA'", "AC = 212 -> city = 'NY'"}) {
-    se.gamma.push_back(ParseCfd(schema, text).value());
+    gamma.push_back(ParseCfd(schema, text).value());
   }
+  CCR_CHECK(se.SetRules(std::move(sigma), std::move(gamma)).ok());
   return se;
 }
 

@@ -163,14 +163,14 @@ class Premises {
     attrs_.clear();
   }
 
-  // Merges the body of `gc`, read as "each atom's more-current value is
-  // true", if it is admissible, does not assume another value for B than
-  // b, and agrees with the premises so far. Leaves the premises unchanged
-  // and returns false otherwise.
-  bool TryMerge(const GroundConstraint& gc, int b_attr, int b,
+  // Merges a constraint's body, read as "each atom's more-current value
+  // is true", if it is admissible, does not assume another value for B
+  // than b, and agrees with the premises so far. Leaves the premises
+  // unchanged and returns false otherwise.
+  bool TryMerge(std::span<const OrderAtom> body, int b_attr, int b,
                 const AdmissibleTable& adm) {
     const size_t mark = attrs_.size();
-    for (const OrderAtom& atom : gc.body) {
+    for (const OrderAtom& atom : body) {
       const int attr = atom.attr;
       const int assumed = atom.more;
       bool ok = (attr != b_attr || assumed == b) &&
@@ -250,7 +250,7 @@ std::vector<DerivationRule> TrueDer(
       }
     } else if (gc.source == GroundSource::kCurrencyConstraint &&
                gc.head_kind == GroundHead::kAtom &&
-               !gc.body.empty()) {  // unconditional: already in Od
+               gc.has_body()) {  // unconditional: already in Od
       by_head.Add(&gc);
     }
   }
@@ -275,7 +275,7 @@ std::vector<DerivationRule> TrueDer(
     // domination atoms (other ≺ cj); head is (b ≺ tp[B]). An attribute
     // with two different cj makes no pattern.
     pattern.clear();
-    for (const OrderAtom& atom : gc->body) {
+    for (const OrderAtom& atom : inst.body(*gc)) {
       pattern.emplace_back(atom.attr, atom.more);
     }
     std::sort(pattern.begin(), pattern.end());
@@ -310,7 +310,7 @@ std::vector<DerivationRule> TrueDer(
         if (bi == b) continue;
         bool covered = false;
         for (const GroundConstraint* gc : by_head.Bucket(b_attr, bi, b)) {
-          if (premises.TryMerge(*gc, b_attr, b, adm)) {
+          if (premises.TryMerge(inst.body(*gc), b_attr, b, adm)) {
             covered = true;
             break;
           }

@@ -51,6 +51,8 @@ Dataset GenerateCareer(const CareerOptions& options) {
       {"first_name", "last_name", "affiliation", "city", "country"});
   CCR_CHECK(schema.ok());
   ds.schema = std::move(schema).value();
+  std::vector<CurrencyConstraint> sigma;
+  std::vector<ConstantCfd> gamma;
 
   // Affiliation i sits in city "Cty_i" and one of 40 countries; the CFD
   // affiliation → (city, country) becomes two constant CFDs per pattern.
@@ -62,11 +64,11 @@ Dataset GenerateCareer(const CareerOptions& options) {
     // Pattern tableaus discovered from data are incomplete; skip every
     // pattern_gap-th affiliation.
     if (options.pattern_gap > 0 && i % options.pattern_gap == 5) continue;
-    ds.gamma.emplace_back(
+    gamma.emplace_back(
         std::vector<std::pair<int, Value>>{
             {kAffiliation, Value::Str(Label("Univ_", i))}},
         kCity, Value::Str(aff_city[i]));
-    ds.gamma.emplace_back(
+    gamma.emplace_back(
         std::vector<std::pair<int, Value>>{
             {kAffiliation, Value::Str(Label("Univ_", i))}},
         kCountry, Value::Str(aff_country[i]));
@@ -144,7 +146,7 @@ Dataset GenerateCareer(const CareerOptions& options) {
                         Value::Str(Label("Univ_", a_old)));
     phi.AddConstCompare(2, kAffiliation, CmpOp::kEq,
                         Value::Str(Label("Univ_", a_new)));
-    ds.sigma.push_back(std::move(phi));
+    sigma.push_back(std::move(phi));
   }
 
   // Second pass: materialize tuples and ground truth.
@@ -177,6 +179,7 @@ Dataset GenerateCareer(const CareerOptions& options) {
                 Value::Str(aff_country[last_aff])};
     ds.entities.push_back(std::move(ec));
   }
+  ds.SetRules(std::move(sigma), std::move(gamma));
   return ds;
 }
 

@@ -36,20 +36,48 @@ Status ValidateCorpusSize(const char* what, int num_entities, int min_tuples,
   return Status::OK();
 }
 
+void Dataset::SetRules(std::vector<CurrencyConstraint> sigma,
+                       std::vector<ConstantCfd> gamma) {
+  Result<std::shared_ptr<const RuleSet>> made =
+      RuleSet::Make(schema.size(), std::move(sigma), std::move(gamma));
+  CCR_CHECK(made.ok());
+  rules = std::move(made).value();
+}
+
+std::shared_ptr<const RuleSet> Dataset::SubsetRules(
+    double sigma_fraction, double gamma_fraction,
+    uint64_t subset_seed) const {
+  if (sigma_fraction >= 1.0 && gamma_fraction >= 1.0) return rules;
+  std::vector<CurrencyConstraint> sigma_part;
+  for (int i : SelectFraction(static_cast<int>(sigma().size()),
+                              sigma_fraction, subset_seed)) {
+    sigma_part.push_back(sigma()[i]);
+  }
+  std::vector<ConstantCfd> gamma_part;
+  for (int i : SelectFraction(static_cast<int>(gamma().size()),
+                              gamma_fraction, subset_seed ^ 0xABCDEF)) {
+    gamma_part.push_back(gamma()[i]);
+  }
+  // A subset of a rule set made for `schema` fits it.
+  Result<std::shared_ptr<const RuleSet>> made = RuleSet::Make(
+      schema.size(), std::move(sigma_part), std::move(gamma_part));
+  CCR_CHECK(made.ok());
+  return std::move(made).value();
+}
+
+Specification Dataset::MakeSpec(int idx,
+                                std::shared_ptr<const RuleSet> rules) const {
+  Specification se;
+  se.temporal = TemporalInstance(entities[idx].instance);
+  se.rules = std::move(rules);
+  return se;
+}
+
 Specification Dataset::MakeSpec(int idx, double sigma_fraction,
                                 double gamma_fraction,
                                 uint64_t subset_seed) const {
-  Specification se;
-  se.temporal = TemporalInstance(entities[idx].instance);
-  for (int i : SelectFraction(static_cast<int>(sigma.size()),
-                              sigma_fraction, subset_seed)) {
-    se.sigma.push_back(sigma[i]);
-  }
-  for (int i : SelectFraction(static_cast<int>(gamma.size()),
-                              gamma_fraction, subset_seed ^ 0xABCDEF)) {
-    se.gamma.push_back(gamma[i]);
-  }
-  return se;
+  return MakeSpec(idx,
+                  SubsetRules(sigma_fraction, gamma_fraction, subset_seed));
 }
 
 std::vector<UserOracle::Answer> TruthOracle::Provide(

@@ -11,6 +11,7 @@
 #ifndef CCR_DATA_DATASET_H_
 #define CCR_DATA_DATASET_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -32,16 +33,35 @@ struct EntityCase {
 struct Dataset {
   std::string name;
   Schema schema;
-  std::vector<CurrencyConstraint> sigma;
-  std::vector<ConstantCfd> gamma;
+  /// Σ and Γ, made once for `schema`; every specification MakeSpec builds
+  /// with the full constraint sets shares it.
+  std::shared_ptr<const RuleSet> rules = RuleSet::Empty();
   std::vector<EntityCase> entities;
 
+  const std::vector<CurrencyConstraint>& sigma() const {
+    return rules->sigma();
+  }
+  const std::vector<ConstantCfd>& gamma() const { return rules->gamma(); }
+
+  /// Makes `rules` from Σ and Γ for `schema`. Aborts when a constraint
+  /// names an attribute outside the schema: generators build them.
+  void SetRules(std::vector<CurrencyConstraint> sigma,
+                std::vector<ConstantCfd> gamma);
+
+  /// The rule set of a fraction of Σ / Γ: `sigma_fraction` /
+  /// `gamma_fraction` select a prefix-shuffled fraction of each
+  /// (deterministic in `subset_seed`), used by the Fig. 8(f)-(p) sweeps.
+  /// Fractions of 1 return `rules` itself.
+  std::shared_ptr<const RuleSet> SubsetRules(double sigma_fraction,
+                                             double gamma_fraction,
+                                             uint64_t subset_seed) const;
+
   /// Builds the specification for entity `idx` with empty currency orders
-  /// and (optionally) a subset of the constraints.
-  ///
-  /// `sigma_fraction` / `gamma_fraction` select a prefix-shuffled fraction
-  /// of Σ / Γ (deterministic in `subset_seed`), used by the Fig. 8(f)-(p)
-  /// sweeps.
+  /// and `rules`, which must fit `schema`.
+  Specification MakeSpec(int idx, std::shared_ptr<const RuleSet> rules) const;
+
+  /// Builds the specification for entity `idx` with empty currency orders
+  /// and (optionally) a subset of the constraints (SubsetRules).
   Specification MakeSpec(int idx, double sigma_fraction = 1.0,
                          double gamma_fraction = 1.0,
                          uint64_t subset_seed = 1) const;

@@ -77,6 +77,8 @@ Dataset GenerateNba(const NbaOptions& options) {
                               "arena", "opened", "capacity", "city"});
   CCR_CHECK(schema.ok());
   ds.schema = std::move(schema).value();
+  std::vector<CurrencyConstraint> sigma;
+  std::vector<ConstantCfd> gamma;
 
   Rng master(options.seed);
 
@@ -136,7 +138,7 @@ Dataset GenerateNba(const NbaOptions& options) {
     CurrencyConstraint phi(kTname);
     phi.AddConstCompare(1, kTname, CmpOp::kEq, Value::Str(teams[t].tnames[0]));
     phi.AddConstCompare(2, kTname, CmpOp::kEq, Value::Str(teams[t].tnames[1]));
-    ds.sigma.push_back(std::move(phi));
+    sigma.push_back(std::move(phi));
   }
   // 32 arena move pairs (ϕ2 form).
   for (const TeamInfo& info : teams) {
@@ -146,7 +148,7 @@ Dataset GenerateNba(const NbaOptions& options) {
                           Value::Str(arenas[info.arenas[m]].name));
       phi.AddConstCompare(2, kArena, CmpOp::kEq,
                           Value::Str(arenas[info.arenas[m + 1]].name));
-      ds.sigma.push_back(std::move(phi));
+      sigma.push_back(std::move(phi));
     }
   }
   // 4 allpoints constraints (ϕ3 form): the monotone career total orders
@@ -154,30 +156,30 @@ Dataset GenerateNba(const NbaOptions& options) {
   {
     CurrencyConstraint phi(kAllpoints);
     phi.AddAttrCompare(kAllpoints, CmpOp::kLt);
-    ds.sigma.push_back(std::move(phi));
+    sigma.push_back(std::move(phi));
   }
   for (int target : {kPoints, kPoss, kMin}) {
     CurrencyConstraint phi(target);
     phi.AddAttrCompare(kAllpoints, CmpOp::kLt);
     phi.AddAttrCompare(target, CmpOp::kNe);
-    ds.sigma.push_back(std::move(phi));
+    sigma.push_back(std::move(phi));
   }
   // 3 arena propagation rules (ϕ4 form).
   for (int target : {kOpened, kCapacity, kCity}) {
     CurrencyConstraint phi(target);
     phi.AddOrder(kArena);
     phi.AddAttrCompare(target, CmpOp::kNe);
-    ds.sigma.push_back(std::move(phi));
+    sigma.push_back(std::move(phi));
   }
-  CCR_CHECK(static_cast<int>(ds.sigma.size()) == 54);
+  CCR_CHECK(static_cast<int>(sigma.size()) == 54);
 
   // --- Γ: 58 arena → city CFDs (ψ1 form) -----------------------------------
   for (const ArenaInfo& a : arenas) {
-    ds.gamma.emplace_back(
+    gamma.emplace_back(
         std::vector<std::pair<int, Value>>{{kArena, Value::Str(a.name)}},
         kCity, Value::Str(a.city));
   }
-  CCR_CHECK(static_cast<int>(ds.gamma.size()) == 58);
+  CCR_CHECK(static_cast<int>(gamma.size()) == 58);
 
   // --- entities -------------------------------------------------------------
   ds.entities.reserve(options.num_entities);
@@ -263,6 +265,7 @@ Dataset GenerateNba(const NbaOptions& options) {
     ec.truth = history[max_season].values();
     ds.entities.push_back(std::move(ec));
   }
+  ds.SetRules(std::move(sigma), std::move(gamma));
   return ds;
 }
 

@@ -63,6 +63,8 @@ Dataset GeneratePerson(const PersonOptions& options) {
                               "zip", "county"});
   CCR_CHECK(schema.ok());
   ds.schema = std::move(schema).value();
+  std::vector<CurrencyConstraint> sigma;
+  std::vector<ConstantCfd> gamma;
 
   // --- Σ: 983 currency constraints of the paper's forms -----------------
   // (a) status transition chain: consecutive-pair constraints like ϕ1/ϕ2.
@@ -71,38 +73,38 @@ Dataset GeneratePerson(const PersonOptions& options) {
     phi.AddConstCompare(1, kStatus, CmpOp::kEq, Value::Str(Label("st", i)));
     phi.AddConstCompare(2, kStatus, CmpOp::kEq,
                         Value::Str(Label("st", i + 1)));
-    ds.sigma.push_back(std::move(phi));
+    sigma.push_back(std::move(phi));
   }
   // (b) job transition chain, like ϕ3 of Fig. 3.
   for (int i = 0; i + 1 < options.job_chain; ++i) {
     CurrencyConstraint phi(kJob);
     phi.AddConstCompare(1, kJob, CmpOp::kEq, Value::Str(Label("jb", i)));
     phi.AddConstCompare(2, kJob, CmpOp::kEq, Value::Str(Label("jb", i + 1)));
-    ds.sigma.push_back(std::move(phi));
+    sigma.push_back(std::move(phi));
   }
   // (c) monotone kids (ϕ4).
   {
     CurrencyConstraint phi(kKids);
     phi.AddAttrCompare(kKids, CmpOp::kLt);
-    ds.sigma.push_back(std::move(phi));
+    sigma.push_back(std::move(phi));
   }
   // (d) propagation rules ϕ5–ϕ8.
   for (int target : {kJob, kAC, kZip}) {
     CurrencyConstraint phi(target);
     phi.AddOrder(kStatus);
-    ds.sigma.push_back(std::move(phi));
+    sigma.push_back(std::move(phi));
   }
   {
     CurrencyConstraint phi(kCounty);
     phi.AddOrder(kCity);
     phi.AddOrder(kZip);
-    ds.sigma.push_back(std::move(phi));
+    sigma.push_back(std::move(phi));
   }
 
   // --- Γ: AC → city, 1000 constant patterns (ψ1/ψ2 style) ---------------
   // City i has area code 200+i and county Label("cn", i).
   for (int i = 0; i < options.num_cities; ++i) {
-    ds.gamma.emplace_back(
+    gamma.emplace_back(
         std::vector<std::pair<int, Value>>{{kAC, Value::Int(200 + i)}},
         kCity, Value::Str(Label("ct", i)));
   }
@@ -230,6 +232,7 @@ Dataset GeneratePerson(const PersonOptions& options) {
     ec.truth = history[max_version].values();
     ds.entities.push_back(std::move(ec));
   }
+  ds.SetRules(std::move(sigma), std::move(gamma));
   return ds;
 }
 

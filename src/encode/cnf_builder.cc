@@ -12,13 +12,14 @@ namespace {
 // (CFD rules under guarded grounding) is emitted as (¬guard ∨ clause):
 // it binds only while its guard is assumed true, and retiring the guard
 // (unit ¬guard) permanently deactivates it without retracting anything.
-void AddConstraintClause(const VarMap& vm, const GroundConstraint& gc,
+void AddConstraintClause(const Instantiation& inst, const GroundConstraint& gc,
                          std::vector<sat::Lit>* scratch, sat::Cnf* cnf) {
+  const VarMap& vm = inst.varmap;
   scratch->clear();
   if (gc.guard != sat::kVarUndef) {
     scratch->push_back(sat::Lit::Neg(gc.guard));
   }
-  for (const OrderAtom& atom : gc.body) {
+  for (const OrderAtom& atom : inst.body(gc)) {
     scratch->push_back(sat::Lit::Neg(vm.VarOf(atom)));
   }
   if (gc.head_kind == GroundHead::kAtom) {
@@ -72,7 +73,7 @@ void BuildCnfInto(const Instantiation& inst, sat::Cnf* out,
   // Materialized ground constraints.
   std::vector<sat::Lit> clause;
   for (const GroundConstraint& gc : inst.constraints) {
-    AddConstraintClause(vm, gc, &clause, &cnf);
+    AddConstraintClause(inst, gc, &clause, &cnf);
   }
 
   // Structural axioms per attribute domain: asymmetry as explicit
@@ -113,7 +114,7 @@ void ExtendCnf(const Instantiation& inst, const InstantiationDelta& delta,
   std::vector<sat::Lit> clause;
   const int n_constraints = static_cast<int>(inst.constraints.size());
   for (int c = delta.first_new_constraint; c < n_constraints; ++c) {
-    AddConstraintClause(vm, inst.constraints[c], &clause, cnf);
+    AddConstraintClause(inst, inst.constraints[c], &clause, cnf);
   }
 
   // Structural axioms for atom pairs touching a new domain value: the

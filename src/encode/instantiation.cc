@@ -1,7 +1,6 @@
 #include "src/encode/instantiation.h"
 
 #include <algorithm>
-#include <numeric>
 #include <span>
 
 #include "src/common/status.h"
@@ -9,19 +8,6 @@
 namespace ccr {
 
 namespace {
-
-// Appends the attributes a currency constraint mentions (body and head),
-// sorted and deduplicated, to `out`.
-void AppendMentionedAttrs(const CurrencyConstraint& phi,
-                          std::vector<int>* out) {
-  const size_t first = out->size();
-  for (const auto& p : phi.order_predicates()) out->push_back(p.attr);
-  for (const auto& p : phi.compare_predicates()) out->push_back(p.attr);
-  for (const auto& p : phi.constant_predicates()) out->push_back(p.attr);
-  out->push_back(phi.head_attr());
-  std::sort(out->begin() + first, out->end());
-  out->erase(std::unique(out->begin() + first, out->end()), out->end());
-}
 
 // Code of a non-null constant outside its attribute's domain: it equals no
 // projection code (they are >= -1), so = never holds and != always does.
@@ -57,15 +43,17 @@ uint64_t SigmaSeq(int ci, int p, int q) {
 
 }  // namespace
 
-std::string GroundConstraint::ToString(const VarMap& vm,
+std::string GroundConstraint::ToString(const Instantiation& inst,
                                        const Schema& schema) const {
+  const VarMap& vm = inst.varmap;
   std::string out;
-  if (body.empty()) {
+  if (!has_body()) {
     out += "true";
   } else {
-    for (size_t i = 0; i < body.size(); ++i) {
+    const std::span<const OrderAtom> atoms = inst.body(*this);
+    for (size_t i = 0; i < atoms.size(); ++i) {
       if (i > 0) out += " & ";
-      out += vm.AtomToString(body[i], schema);
+      out += vm.AtomToString(atoms[i], schema);
     }
   }
   out += " -> ";
@@ -75,7 +63,6 @@ std::string GroundConstraint::ToString(const VarMap& vm,
 }
 
 void Instantiation::ProjTable::KeepLastIfNew() {
-  const size_t width = attrs.size();
   const int id = size() - 1;
   if (slots.size() < 2 * static_cast<size_t>(id + 1)) {
     // Grow to keep the load at most 1/2, re-placing the earlier rows
@@ -102,24 +89,25 @@ void Instantiation::ProjTable::KeepLastIfNew() {
   }
 }
 
-void Instantiation::AddProjections(const EntityInstance& ie, int first_tuple,
-                                   int n_attrs) {
-  // Each new tuple's code row, computed once for every table.
-  const int n_new = ie.size() - first_tuple;
-  codes_.resize(static_cast<size_t>(n_new) * n_attrs);
-  for (int t = 0; t < n_new; ++t) {
-    const Tuple& tuple = ie.tuple(first_tuple + t);
-    for (int a = 0; a < n_attrs; ++a) {
-      const Value& v = tuple.at(a);
-      codes_[t * n_attrs + a] = v.is_null() ? -1 : varmap.ValueIndex(a, v);
-    }
-  }
-  for (ProjTable& table : proj_tables_) {
+void Instantiation::AddProjections(const RuleSet& rules, const int* codes,
+                                   int n_new, int n_attrs) {
+  for (int ti = 0; ti < static_cast<int>(proj_tables_.size()); ++ti) {
+    ProjTable& table = proj_tables_[ti];
+    const std::vector<int>& attrs = rules.table_attrs(ti);
     for (int t = 0; t < n_new; ++t) {
-      const int* codes = codes_.data() + t * n_attrs;
-      for (int a : table.attrs) table.rows.push_back(codes[a]);
+      const int* row = codes + static_cast<size_t>(t) * n_attrs;
+      for (int a : attrs) table.rows.push_back(row[a]);
       table.KeepLastIfNew();
     }
+  }
+}
+
+void Instantiation::ResolveSigmaConstants(const RuleSet& rules, int attr,
+                                          int first) {
+  const std::vector<Value>& dom = varmap.domain(attr);
+  for (int i = first; i < static_cast<int>(dom.size()); ++i) {
+    const int id = rules.SigmaConstantId(attr, dom[i]);
+    if (id >= 0) sigma_codes_[id] = i;
   }
 }
 
@@ -128,33 +116,38 @@ const Value& Instantiation::CodeValue(int attr, int code) const {
   return code < 0 ? kNull : varmap.domain(attr)[code];
 }
 
-void Instantiation::GroundSigma(const CurrencyConstraint& phi, int ci,
-                                int old_np,
+void Instantiation::GroundOrderUnit(int a, int t_less, int t_more) {
+  // Null endpoints carry no value-level content: a null is ranked lowest
+  // regardless (§II-A). Equal codes are equal values.
+  const int li = varmap.tuple_codes(t_less)[a];
+  const int mi = varmap.tuple_codes(t_more)[a];
+  if (li < 0 || mi < 0 || li == mi) return;
+  if (!unit_seen_.insert(UnitKey(a, li, mi)).second) return;
+  GroundConstraint& gc = constraints.emplace_back();
+  gc.source = GroundSource::kCurrencyOrder;
+  gc.head = OrderAtom{a, li, mi};
+}
+
+void Instantiation::GroundSigma(const RuleSet& rules, int ci, int old_np,
                                 const InstantiationOptions& options) {
-  const SigmaPlan& plan = sigma_plans_[ci];
+  const RuleSet::SigmaPlan& plan = rules.sigma_plan(ci);
   const ProjTable& table = proj_tables_[plan.table];
   const int np = table.size();
   if (np == old_np) return;
+  const CurrencyConstraint& phi = rules.sigma()[ci];
 
-  // Resolve each constant predicate once: the constant's code, -1 for a
-  // null constant. An equality with a value outside the attribute's
-  // domain holds on no projection, so one of ϕ's sides is empty and ϕ
-  // grounds nothing.
+  // Each constant predicate's code, resolved once per entity: -1 for a
+  // null constant, kNoCode for one outside the attribute's domain. An
+  // equality with such a constant holds on no projection, so one of ϕ's
+  // sides is empty and ϕ grounds nothing.
   const auto& consts = phi.constant_predicates();
   const_codes_.resize(consts.size());
   for (size_t k = 0; k < consts.size(); ++k) {
-    const ConstComparePredicate& cp = consts[k];
-    int code = -1;
-    if (!cp.constant.is_null()) {
-      code = varmap.ValueIndex(cp.attr, cp.constant);
-      if (code < 0) {
-        if (cp.op == CmpOp::kEq) return;
-        code = kNoCode;
-      }
-    }
+    const int id = plan.constant_id[k];
+    const int code = id < 0 ? -1 : sigma_codes_[id];
+    if (code == kNoCode && consts[k].op == CmpOp::kEq) return;
     const_codes_[k] = code;
   }
-
   // The unary part of GroundSigmaPair's checks, per side: a projection
   // failing its side's test can never produce a constraint in that role.
   // t2 may carry a null head only under strict null semantics, where the
@@ -212,9 +205,9 @@ void Instantiation::GroundSigma(const CurrencyConstraint& phi, int ci,
     size_t j = 0;
     while (i < end1 || j < end2) {
       if (j == end2 || (i < end1 && side1_[i] <= side2_[j])) {
-        GroundSigmaPair(phi, ci, side1_[i++], n, options);
+        GroundSigmaPair(phi, plan, ci, side1_[i++], n, options);
       } else {
-        GroundSigmaPair(phi, ci, n, side2_[j++], options);
+        GroundSigmaPair(phi, plan, ci, n, side2_[j++], options);
       }
     }
   }
@@ -223,10 +216,10 @@ void Instantiation::GroundSigma(const CurrencyConstraint& phi, int ci,
 // Grounds ϕ = sigma[ci] on the (ordered) projection pair (p, q) of its
 // table, appending at most one constraint. Its constant predicates hold:
 // GroundSigma's side lists decided them.
-void Instantiation::GroundSigmaPair(const CurrencyConstraint& phi, int ci,
+void Instantiation::GroundSigmaPair(const CurrencyConstraint& phi,
+                                    const RuleSet::SigmaPlan& plan, int ci,
                                     int p, int q,
                                     const InstantiationOptions& options) {
-  const SigmaPlan& plan = sigma_plans_[ci];
   const ProjTable& table = proj_tables_[plan.table];
   const int* s1 = table.row(p);
   const int* s2 = table.row(q);
@@ -280,11 +273,12 @@ void Instantiation::GroundSigmaPair(const CurrencyConstraint& phi, int ci,
   gc.source = GroundSource::kCurrencyConstraint;
   gc.source_index = ci;
   gc.seq = SigmaSeq(ci, p, q);
-  gc.body.reserve(orders.size());
+  gc.body_begin = static_cast<uint32_t>(body_atoms_.size());
   for (size_t k = 0; k < orders.size(); ++k) {
-    gc.body.push_back(
+    body_atoms_.push_back(
         OrderAtom{orders[k].attr, s1[plan.order[k]], s2[plan.order[k]]});
   }
+  gc.body_end = static_cast<uint32_t>(body_atoms_.size());
   if (head_false) {
     gc.head_kind = GroundHead::kFalse;
   } else {
@@ -294,10 +288,12 @@ void Instantiation::GroundSigmaPair(const CurrencyConstraint& phi, int ci,
 }
 
 // Family (3) for gamma[gi]: ωX -> b ≺^v_B tp[B] for each competing value b
-// with index >= first_b (0 grounds the full family; ExtendWith passes the
-// pre-extension domain size to ground only newly competing values).
-void Instantiation::GroundCfd(int gi, const Specification& se, int first_b) {
-  const ConstantCfd& cfd = se.gamma[gi];
+// with index >= first_b. 0 grounds the full family of a new guard version
+// and stores its body ωX; ExtendWith passes the pre-extension domain size
+// to ground only newly competing values, which share the stored body (the
+// version's LHS domains have not changed).
+void Instantiation::GroundCfd(int gi, const RuleSet& rules, int first_b) {
+  const ConstantCfd& cfd = rules.gamma()[gi];
   const int rb = cfd.rhs_attr();
   const int rhs_idx = varmap.ValueIndex(rb, cfd.rhs_value());
   CCR_DCHECK(rhs_idx >= 0);
@@ -305,28 +301,33 @@ void Instantiation::GroundCfd(int gi, const Specification& se, int first_b) {
   const int db = static_cast<int>(varmap.domain(rb).size());
   if (first_b >= db) return;
 
-  // Shared body ωX: tp[Aj] dominates every other domain value of Aj.
-  std::vector<OrderAtom> body;
-  for (const auto& [aj, cj] : cfd.lhs()) {
-    const int cj_idx = varmap.ValueIndex(aj, cj);
-    CCR_DCHECK(cj_idx >= 0);
-    const int d = static_cast<int>(varmap.domain(aj).size());
-    for (int other = 0; other < d; ++other) {
-      if (other == cj_idx) continue;
-      body.push_back(OrderAtom{aj, other, cj_idx});
+  if (first_b == 0) {
+    // Shared body ωX: tp[Aj] dominates every other domain value of Aj.
+    const uint32_t begin = static_cast<uint32_t>(body_atoms_.size());
+    for (const auto& [aj, cj] : cfd.lhs()) {
+      const int cj_idx = varmap.ValueIndex(aj, cj);
+      CCR_DCHECK(cj_idx >= 0);
+      const int d = static_cast<int>(varmap.domain(aj).size());
+      for (int other = 0; other < d; ++other) {
+        if (other == cj_idx) continue;
+        body_atoms_.push_back(OrderAtom{aj, other, cj_idx});
+      }
     }
+    cfd_body_[gi] = {begin, static_cast<uint32_t>(body_atoms_.size())};
   }
 
+  const auto [body_begin, body_end] = cfd_body_[gi];
+  const sat::Var guard = guarded_ ? cfd_guard_[gi] : sat::kVarUndef;
   for (int b = first_b; b < db; ++b) {
     if (b == rhs_idx) continue;
-    GroundConstraint gc;
+    GroundConstraint& gc = constraints.emplace_back();
     gc.source = GroundSource::kCfd;
     gc.source_index = gi;
-    gc.body = body;
+    gc.body_begin = body_begin;
+    gc.body_end = body_end;
     gc.head_kind = GroundHead::kAtom;
     gc.head = OrderAtom{rb, b, rhs_idx};
-    gc.guard = guarded_ ? cfd_guard_[gi] : sat::kVarUndef;
-    constraints.push_back(std::move(gc));
+    gc.guard = guard;
   }
 }
 
@@ -341,133 +342,56 @@ Status Instantiation::BuildInto(const Specification& se, Instantiation* out,
                                 const InstantiationOptions& options) {
   Instantiation& inst = *out;
   // Clear-in-place so a recycled Instantiation refills into the buffers it
-  // already grew (constraint vector, projection tables and their hash
-  // buckets, the unit-dedup set).
+  // already grew (constraints, the body arena, projection tables and their
+  // hash buckets, the unit-dedup set). Nothing here owns heap memory per
+  // constraint, so clearing frees nothing.
   inst.constraints.clear();
+  inst.body_atoms_.clear();
   inst.unit_seen_.clear();
-  for (ProjTable& table : inst.proj_tables_) {
-    table.rows.clear();
-    table.slots.clear();
-  }
   inst.active_guards_.clear();
   inst.guarded_ = options.guard_cfds;
+  // The rule set was checked when it was made; BuildFrom checks that it
+  // fits this schema before it reads any rule.
   CCR_RETURN_NOT_OK(inst.varmap.BuildFrom(se));
+  inst.rules_ = se.rules;
+  const RuleSet& rules = *se.rules;
   const VarMap& vm = inst.varmap;
-  const Schema& schema = se.schema();
   const EntityInstance& ie = se.instance();
-  const int n_attrs = schema.size();
-
-  // Bounds-check constraints up front, keeping each Σ constraint's
-  // mentioned attributes: sigma_attrs[sigma_begin[ci], sigma_begin[ci+1]).
-  const int n_sigma = static_cast<int>(se.sigma.size());
-  std::vector<int> sigma_attrs;
-  std::vector<int> sigma_begin(n_sigma + 1, 0);
-  for (int ci = 0; ci < n_sigma; ++ci) {
-    const CurrencyConstraint& phi = se.sigma[ci];
-    if (phi.head_attr() < 0 || phi.head_attr() >= n_attrs) {
-      return Status::InvalidArgument("currency constraint head attribute "
-                                     "out of range");
-    }
-    AppendMentionedAttrs(phi, &sigma_attrs);
-    sigma_begin[ci + 1] = static_cast<int>(sigma_attrs.size());
-    for (int i = sigma_begin[ci]; i < sigma_begin[ci + 1]; ++i) {
-      if (sigma_attrs[i] < 0 || sigma_attrs[i] >= n_attrs) {
-        return Status::InvalidArgument(
-            "currency constraint attribute out of range");
-      }
-    }
-  }
-  for (const auto& cfd : se.gamma) {
-    if (cfd.rhs_attr() < 0 || cfd.rhs_attr() >= n_attrs) {
-      return Status::InvalidArgument("CFD RHS attribute out of range");
-    }
-    for (const auto& [a, c] : cfd.lhs()) {
-      if (a < 0 || a >= n_attrs) {
-        return Status::InvalidArgument("CFD LHS attribute out of range");
-      }
-    }
-  }
+  const int n_attrs = se.schema().size();
+  const size_t n_gamma = rules.gamma().size();
 
   inst.num_tuples_ = ie.size();
-  inst.cfd_applicable_.assign(se.gamma.size(), false);
+  inst.cfd_applicable_.assign(n_gamma, false);
   inst.cfd_lhs_attr_.assign(n_attrs, false);
-  inst.cfd_guard_.assign(se.gamma.size(), sat::kVarUndef);
+  inst.cfd_guard_.assign(n_gamma, sat::kVarUndef);
+  inst.cfd_body_.resize(n_gamma);
 
   // (1a) Partial currency orders of It, lifted to value-level unit rules.
   for (int a = 0; a < n_attrs; ++a) {
     for (const auto& [t_less, t_more] : se.temporal.orders(a)) {
-      const Value& lv = ie.tuple(t_less).at(a);
-      const Value& mv = ie.tuple(t_more).at(a);
-      // Null endpoints carry no value-level content: a null is ranked
-      // lowest regardless (§II-A).
-      if (lv.is_null() || mv.is_null() || lv == mv) continue;
-      const int li = vm.ValueIndex(a, lv);
-      const int mi = vm.ValueIndex(a, mv);
-      CCR_DCHECK(li >= 0 && mi >= 0);
-      if (!inst.unit_seen_.insert(UnitKey(a, li, mi)).second) continue;
-      GroundConstraint gc;
-      gc.source = GroundSource::kCurrencyOrder;
-      gc.head = OrderAtom{a, li, mi};
-      inst.constraints.push_back(std::move(gc));
+      inst.GroundOrderUnit(a, t_less, t_more);
     }
   }
 
-  // (2) Currency constraints, joined over projection tables shared per
-  // mentioned-attribute set. Each constraint's pairs are emitted in `seq`
-  // order — generation-major: for every projection n, all pairs with
-  // earlier projections m < n — so that ExtendWith (which appends
-  // projections) emits the same sequence. Sorting the constraints by
-  // attribute set puts those sharing a table next to each other.
-  auto attrs_of = [&](int ci) {
-    return std::span<const int>(sigma_attrs.data() + sigma_begin[ci],
-                                sigma_attrs.data() + sigma_begin[ci + 1]);
-  };
-  std::vector<int> by_attrs(n_sigma);
-  std::iota(by_attrs.begin(), by_attrs.end(), 0);
-  std::sort(by_attrs.begin(), by_attrs.end(), [&](int x, int y) {
-    return std::ranges::lexicographical_compare(attrs_of(x), attrs_of(y));
-  });
-  inst.sigma_plans_.resize(n_sigma);
-  int n_tables = 0;
-  for (int k = 0; k < n_sigma; ++k) {
-    const int ci = by_attrs[k];
-    if (k == 0 ||
-        !std::ranges::equal(attrs_of(ci), attrs_of(by_attrs[k - 1]))) {
-      if (n_tables == static_cast<int>(inst.proj_tables_.size())) {
-        inst.proj_tables_.emplace_back();
-      }
-      const std::span<const int> attrs = attrs_of(ci);
-      inst.proj_tables_[n_tables++].attrs.assign(attrs.begin(), attrs.end());
-    }
-    SigmaPlan& plan = inst.sigma_plans_[ci];
-    const std::vector<int>& table_attrs =
-        inst.proj_tables_[n_tables - 1].attrs;
-    auto column = [&](int attr) {
-      return static_cast<int>(
-          std::lower_bound(table_attrs.begin(), table_attrs.end(), attr) -
-          table_attrs.begin());
-    };
-    const CurrencyConstraint& phi = se.sigma[ci];
-    plan.table = n_tables - 1;
-    plan.head = column(phi.head_attr());
-    plan.order.clear();
-    for (const auto& p : phi.order_predicates()) {
-      plan.order.push_back(column(p.attr));
-    }
-    plan.compare.clear();
-    for (const auto& p : phi.compare_predicates()) {
-      plan.compare.push_back(column(p.attr));
-    }
-    plan.constant.clear();
-    for (const auto& p : phi.constant_predicates()) {
-      plan.constant.push_back(column(p.attr));
-    }
+  // (2) Currency constraints, joined over the rule set's projection
+  // tables. Each constraint's pairs are emitted in `seq` order —
+  // generation-major: for every projection n, all pairs with earlier
+  // projections m < n — so that ExtendWith (which appends projections)
+  // emits the same sequence.
+  inst.proj_tables_.resize(rules.num_tables());
+  for (int t = 0; t < rules.num_tables(); ++t) {
+    ProjTable& table = inst.proj_tables_[t];
+    table.width = rules.table_attrs(t).size();
+    table.rows.clear();
+    table.slots.clear();
   }
-  inst.proj_tables_.resize(n_tables);
-  inst.AddProjections(ie, /*first_tuple=*/0, n_attrs);
-  for (size_t ci = 0; ci < se.sigma.size(); ++ci) {
-    inst.GroundSigma(se.sigma[ci], static_cast<int>(ci), /*old_np=*/0,
-                     options);
+  inst.sigma_codes_.assign(rules.num_sigma_constants(), kNoCode);
+  for (int a = 0; a < n_attrs; ++a) {
+    if (rules.HasSigmaConstants(a)) inst.ResolveSigmaConstants(rules, a, 0);
+  }
+  inst.AddProjections(rules, vm.tuple_codes(0), ie.size(), n_attrs);
+  for (int ci = 0; ci < static_cast<int>(rules.sigma().size()); ++ci) {
+    inst.GroundSigma(rules, ci, /*old_np=*/0, options);
   }
 
   // (3) Applicable constant CFDs: ωX -> b ≺^v_B tp[B] for each competing b.
@@ -476,9 +400,9 @@ Status Instantiation::BuildInto(const Specification& se, Instantiation* out,
       inst.cfd_guard_[gi] = inst.varmap.NewAuxVar();
       inst.active_guards_.push_back(sat::Lit::Pos(inst.cfd_guard_[gi]));
     }
-    inst.GroundCfd(gi, se, /*first_b=*/0);
+    inst.GroundCfd(gi, rules, /*first_b=*/0);
     inst.cfd_applicable_[gi] = true;
-    for (const auto& [aj, cj] : se.gamma[gi].lhs()) {
+    for (const auto& [aj, cj] : rules.gamma()[gi].lhs()) {
       inst.cfd_lhs_attr_[aj] = true;
     }
   }
@@ -491,12 +415,18 @@ Result<InstantiationDelta> Instantiation::ExtendWith(
     const InstantiationOptions& options) {
   const EntityInstance& ie = extended_se.instance();
   const int n_attrs = extended_se.schema().size();
+  if (extended_se.rules != rules_) {
+    return Status::InvalidArgument(
+        "ExtendWith: extended_se does not share the grounded "
+        "specification's rule set");
+  }
   if (ie.size() !=
       num_tuples_ + static_cast<int>(delta.new_tuples.size())) {
     return Status::InvalidArgument(
         "ExtendWith: extended_se does not extend the grounded "
         "specification by exactly delta's tuples");
   }
+  const RuleSet& rules = *rules_;
 
   // --- plan: which domain values would the delta introduce? --------------
   // (No mutation yet: the rebuild check below must be able to bail out.)
@@ -506,49 +436,57 @@ Result<InstantiationDelta> Instantiation::ExtendWith(
     bool active;  // from the extended active domain vs. a CFD constant
   };
   std::vector<PendingValue> pending;  // in discovery order
-  auto in_domain = [&](int a, const Value& v) {
-    if (varmap.ValueIndex(a, v) >= 0) return true;
-    for (const auto& p : pending) {
-      if (p.attr == a && p.value == v) return true;
+  // A value's domain code, or kPending - i for pending[i]; -1 if neither.
+  constexpr int kPending = -2;
+  auto code_of = [&](int a, const Value& v) {
+    const int code = varmap.ValueIndex(a, v);
+    if (code >= 0) return code;
+    for (size_t i = 0; i < pending.size(); ++i) {
+      if (pending[i].attr == a && pending[i].value == v) {
+        return kPending - static_cast<int>(i);
+      }
     }
-    return false;
+    return -1;
   };
-  for (int t = num_tuples_; t < ie.size(); ++t) {
+  // The new tuples' code rows, with pending values as kPending - i until
+  // they are applied.
+  const int n_new = ie.size() - num_tuples_;
+  std::vector<int> new_codes(static_cast<size_t>(n_new) * n_attrs, -1);
+  for (int t = 0; t < n_new; ++t) {
     for (int a = 0; a < n_attrs; ++a) {
-      const Value& v = ie.tuple(t).at(a);
-      if (!v.is_null() && !in_domain(a, v)) {
+      const Value& v = ie.tuple(num_tuples_ + t).at(a);
+      if (v.is_null()) continue;
+      int code = code_of(a, v);
+      if (code == -1) {
+        code = kPending - static_cast<int>(pending.size());
         pending.push_back({a, v, /*active=*/true});
       }
+      new_codes[static_cast<size_t>(t) * n_attrs + a] = code;
     }
   }
 
   // CFD reachability fixpoint over the pending values: a CFD whose LHS
   // becomes reachable contributes its RHS constant (possibly cascading).
+  // Only CFDs whose LHS names a pending value can become applicable.
+  auto met_before = [&](int gi) {
+    if (cfd_applicable_[gi]) return -1;
+    int met = 0;
+    for (const auto& [attr, c] : rules.gamma()[gi].lhs()) {
+      met += varmap.ValueIndex(attr, c) >= 0 ? 1 : 0;
+    }
+    return met;
+  };
+  reach_.Start(rules, /*seed_empty_lhs=*/false);
+  for (const PendingValue& p : pending) {
+    reach_.AddValue(p.attr, p.value, met_before);
+  }
   std::vector<int> newly_applicable;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (size_t i = 0; i < extended_se.gamma.size(); ++i) {
-      if (cfd_applicable_[i]) continue;
-      if (std::find(newly_applicable.begin(), newly_applicable.end(),
-                    static_cast<int>(i)) != newly_applicable.end()) {
-        continue;
-      }
-      const ConstantCfd& cfd = extended_se.gamma[i];
-      bool lhs_reachable = true;
-      for (const auto& [attr, c] : cfd.lhs()) {
-        if (!in_domain(attr, c)) {
-          lhs_reachable = false;
-          break;
-        }
-      }
-      if (!lhs_reachable) continue;
-      newly_applicable.push_back(static_cast<int>(i));
-      changed = true;
-      if (!in_domain(cfd.rhs_attr(), cfd.rhs_value())) {
-        pending.push_back({cfd.rhs_attr(), cfd.rhs_value(),
-                           /*active=*/false});
-      }
+  for (int gi = reach_.Next(); gi >= 0; gi = reach_.Next()) {
+    newly_applicable.push_back(gi);
+    const ConstantCfd& cfd = rules.gamma()[gi];
+    if (code_of(cfd.rhs_attr(), cfd.rhs_value()) == -1) {
+      pending.push_back({cfd.rhs_attr(), cfd.rhs_value(), /*active=*/false});
+      reach_.AddValue(cfd.rhs_attr(), cfd.rhs_value(), met_before);
     }
   }
 
@@ -567,14 +505,8 @@ Result<InstantiationDelta> Instantiation::ExtendWith(
       out.needs_rebuild = true;
       return out;
     }
-    for (size_t gi = 0; gi < extended_se.gamma.size(); ++gi) {
-      if (!cfd_applicable_[gi]) continue;
-      for (const auto& [aj, cj] : extended_se.gamma[gi].lhs()) {
-        if (aj == p.attr) {
-          retired_cfds.push_back(static_cast<int>(gi));
-          break;
-        }
-      }
+    for (const int gi : rules.CfdsWithLhsAttr(p.attr)) {
+      if (cfd_applicable_[gi]) retired_cfds.push_back(gi);
     }
   }
   std::sort(retired_cfds.begin(), retired_cfds.end());
@@ -605,14 +537,29 @@ Result<InstantiationDelta> Instantiation::ExtendWith(
         static_cast<int>(varmap.domain(a).size());
   }
 
-  for (const auto& p : pending) {
-    varmap.AddDomainValue(p.attr, p.value, p.active);
+  std::vector<int> pending_codes(pending.size());
+  for (size_t i = 0; i < pending.size(); ++i) {
+    pending_codes[i] =
+        varmap.AddDomainValue(pending[i].attr, pending[i].value,
+                              pending[i].active);
+  }
+  for (int t = 0; t < n_new; ++t) {
+    int* row = new_codes.data() + static_cast<size_t>(t) * n_attrs;
+    for (int a = 0; a < n_attrs; ++a) {
+      if (row[a] <= kPending) row[a] = pending_codes[kPending - row[a]];
+    }
+    varmap.AddTupleCodes(std::span<const int>(row, n_attrs));
+  }
+  for (int a = 0; a < n_attrs; ++a) {
+    if (rules.HasSigmaConstants(a)) {
+      ResolveSigmaConstants(rules, a, out.old_domain_sizes[a]);
+    }
   }
   std::sort(newly_applicable.begin(), newly_applicable.end());
   for (int gi : newly_applicable) {
     varmap.MarkCfdApplicable(gi);
     cfd_applicable_[gi] = true;
-    for (const auto& [aj, cj] : extended_se.gamma[gi].lhs()) {
+    for (const auto& [aj, cj] : rules.gamma()[gi].lhs()) {
       cfd_lhs_attr_[aj] = true;
     }
   }
@@ -637,17 +584,7 @@ Result<InstantiationDelta> Instantiation::ExtendWith(
 
   // (1a) The delta's currency orders, lifted to value-level unit rules.
   for (const auto& [a, t_less, t_more] : delta.orders) {
-    const Value& lv = ie.tuple(t_less).at(a);
-    const Value& mv = ie.tuple(t_more).at(a);
-    if (lv.is_null() || mv.is_null() || lv == mv) continue;
-    const int li = varmap.ValueIndex(a, lv);
-    const int mi = varmap.ValueIndex(a, mv);
-    CCR_DCHECK(li >= 0 && mi >= 0);
-    if (!unit_seen_.insert(UnitKey(a, li, mi)).second) continue;
-    GroundConstraint gc;
-    gc.source = GroundSource::kCurrencyOrder;
-    gc.head = OrderAtom{a, li, mi};
-    constraints.push_back(std::move(gc));
+    GroundOrderUnit(a, t_less, t_more);
   }
 
   // (2) New tuple-pair projections, paired with everything before them.
@@ -655,32 +592,29 @@ Result<InstantiationDelta> Instantiation::ExtendWith(
   for (size_t i = 0; i < proj_tables_.size(); ++i) {
     old_np[i] = proj_tables_[i].size();
   }
-  AddProjections(ie, num_tuples_, n_attrs);
-  for (size_t ci = 0; ci < extended_se.sigma.size(); ++ci) {
-    GroundSigma(extended_se.sigma[ci], static_cast<int>(ci),
-                old_np[sigma_plans_[ci].table], options);
+  AddProjections(rules, varmap.tuple_codes(num_tuples_), n_new, n_attrs);
+  for (int ci = 0; ci < static_cast<int>(rules.sigma().size()); ++ci) {
+    GroundSigma(rules, ci, old_np[rules.sigma_plan(ci).table], options);
   }
 
   // (3) CFDs: newly competing values of still-valid applicable CFDs (their
-  // LHS domains did not change, so recomputed bodies match the rules
-  // already emitted), full re-grounds of retired versions under their
-  // fresh guards, then the full families of newly applicable ones.
-  for (size_t gi = 0; gi < extended_se.gamma.size(); ++gi) {
-    if (!cfd_applicable_[gi]) continue;
-    const bool is_new =
-        std::binary_search(newly_applicable.begin(), newly_applicable.end(),
-                           static_cast<int>(gi));
-    if (is_new) continue;
+  // LHS domains did not change, so they keep their body), full re-grounds
+  // of retired versions under their fresh guards, then the full families
+  // of newly applicable ones.
+  for (const int gi : varmap.applicable_cfds()) {
+    if (std::binary_search(newly_applicable.begin(), newly_applicable.end(),
+                           gi)) {
+      continue;
+    }
     const bool is_retired =
-        std::binary_search(retired_cfds.begin(), retired_cfds.end(),
-                           static_cast<int>(gi));
-    GroundCfd(static_cast<int>(gi), extended_se,
+        std::binary_search(retired_cfds.begin(), retired_cfds.end(), gi);
+    GroundCfd(gi, rules,
               is_retired
                   ? 0
-                  : out.old_domain_sizes[extended_se.gamma[gi].rhs_attr()]);
+                  : out.old_domain_sizes[rules.gamma()[gi].rhs_attr()]);
   }
   for (int gi : newly_applicable) {
-    GroundCfd(gi, extended_se, /*first_b=*/0);
+    GroundCfd(gi, rules, /*first_b=*/0);
   }
 
   num_tuples_ = ie.size();

@@ -12,22 +12,25 @@
 // directly into the CNF by cnf_builder.h, never stored.
 //
 // Family (2) is grounded as a filtered join on dense value codes. Each
-// tuple is first turned into a row of codes — a value's index in its
-// VarMap domain, -1 for null — once. Σ constraints that mention the same
-// attribute set share one table of the distinct code projections onto
-// those attributes. Per constraint, each constant predicate is resolved
-// once: an equality with a value outside the attribute's domain holds on
-// no tuple, so the constraint is skipped in O(1), without a scan (most of
-// Person's status/job transition rules name a status this entity never
-// had). Otherwise one pass over its table keeps the projections that can
-// stand as t1 (non-null head and order values, every t1 constant
-// predicate true) and those that can stand as t2, and only pairs drawn
-// from those two side lists are checked; = and != compare codes, and the
-// head and body atoms are the codes themselves. A constraint therefore
-// costs its table length plus |side1|·|side2| pair checks — not |It|^2,
-// nor the square of the distinct projections. A Person status/job
-// transition rule keeps about one projection per side, which is what
-// makes the paper's 10k-tuple Person entities (Fig. 8(a)) tractable.
+// tuple is turned into a row of codes — a value's index in its VarMap
+// domain, -1 for null — once, by VarMap::BuildFrom as it assigns the
+// domains. Σ constraints that mention the same attribute set share one
+// table of the distinct code projections onto those attributes; the
+// grouping and each predicate's column come from the shared RuleSet.
+// Σ's constants are resolved once per entity, by looking each domain
+// value up among them; an equality with a value outside the attribute's
+// domain holds on no tuple, so the constraint is skipped in O(1), without
+// a scan (most of Person's status/job transition rules name a status this
+// entity never had). Otherwise one pass over its table keeps the
+// projections that can stand as t1 (non-null head and order values, every
+// t1 constant predicate true) and those that can stand as t2, and only
+// pairs drawn from those two side lists are checked; = and != compare
+// codes, and the head and body atoms are the codes themselves. A
+// constraint therefore costs its table length plus |side1|·|side2| pair
+// checks — not |It|^2, nor the square of the distinct projections. A
+// Person status/job transition rule keeps about one projection per side,
+// which is what makes the paper's 10k-tuple Person entities (Fig. 8(a))
+// tractable.
 //
 // The framework loop (Fig. 4) re-grounds the *same* specification plus a
 // small user delta every round, so Build retains its grounding state
@@ -36,13 +39,21 @@
 // disturbing anything already emitted. Appended constraints follow the
 // same canonical order a from-scratch Build would produce (see `seq`), so
 // downstream rule mining is bit-compatible with a full rebuild.
+//
+// Bodies live in one OrderAtom arena on the Instantiation; a constraint
+// holds a range of it. The rules of one (CFD, guard version) all share
+// one range, so a CFD grounded against d competing values stores its
+// body once, not d times, and recycling an Instantiation frees nothing.
 
 #ifndef CCR_ENCODE_INSTANTIATION_H_
 #define CCR_ENCODE_INSTANTIATION_H_
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "src/constraints/specification.h"
@@ -63,12 +74,17 @@ enum class GroundSource {
   kCfd,                 // some ψ ∈ Γ and a competing value
 };
 
+struct Instantiation;
+
 /// \brief One materialized instance constraint: conjunction of positive
 /// order atoms implying a head atom (or false).
 struct GroundConstraint {
   GroundSource source = GroundSource::kCurrencyOrder;
   int source_index = -1;  // index into Σ or Γ; -1 for order pairs
-  std::vector<OrderAtom> body;
+  /// The body is Instantiation::body(*this): atoms [body_begin, body_end)
+  /// of the instantiation's body arena.
+  uint32_t body_begin = 0;
+  uint32_t body_end = 0;
   GroundHead head_kind = GroundHead::kAtom;
   OrderAtom head;
   /// Guard selector (guarded grounding only): the CNF clause is emitted as
@@ -82,7 +98,8 @@ struct GroundConstraint {
   /// incremental appends and full rebuilds mine identical rule orders.
   uint64_t seq = 0;
 
-  std::string ToString(const VarMap& vm, const Schema& schema) const;
+  bool has_body() const { return body_end != body_begin; }
+  std::string ToString(const Instantiation& inst, const Schema& schema) const;
 };
 
 /// Grounding options.
@@ -135,9 +152,16 @@ struct Instantiation {
   VarMap varmap;
   std::vector<GroundConstraint> constraints;
 
-  /// Grounds `se`. Fails on malformed constraints (e.g. attribute
-  /// indices out of range) and, with ResourceExhausted, on domains whose
-  /// order variables exceed the solver's range (VarMap::BuildFrom); an
+  /// The body atoms of `gc`, one of `constraints`.
+  std::span<const OrderAtom> body(const GroundConstraint& gc) const {
+    return std::span<const OrderAtom>(body_atoms_.data() + gc.body_begin,
+                                      body_atoms_.data() + gc.body_end);
+  }
+
+  /// Grounds `se`. Fails with InvalidArgument when the schema has no
+  /// attribute se.rules->max_attr() (RuleSet::Make has checked every
+  /// other bound) and, with ResourceExhausted, on domains whose order
+  /// variables exceed the solver's range (VarMap::BuildFrom); an
   /// unsatisfiable Se still grounds fine and is detected later by IsValid.
   static Result<Instantiation> Build(const Specification& se,
                                      const InstantiationOptions& options = {});
@@ -161,7 +185,8 @@ struct Instantiation {
   /// Incrementally grounds Se ⊕ Ot. `extended_se` must be
   /// Extend(previous, delta) for the specification this instantiation was
   /// built from (or last extended to); only `delta`'s tuples and orders
-  /// are grounded. Appends domain values / variables / constraints; never
+  /// are grounded; `extended_se` must share the built specification's
+  /// rule set. Appends domain values / variables / constraints; never
   /// reorders or mutates existing ones. When the returned delta has
   /// needs_rebuild set, this instantiation is unchanged and the caller
   /// must Build(extended_se) instead.
@@ -171,55 +196,57 @@ struct Instantiation {
 
  private:
   // The deduplicated projections of the grounded tuples onto one attribute
-  // set, shared by every Σ constraint mentioning exactly that set and
-  // retained so ExtendWith can ground only projections contributed by new
-  // tuples. A projection is a row of value codes, one per attribute of
-  // `attrs`: the value's VarMap::ValueIndex, or -1 for null. Codes are
-  // exact — VarMap dedups values by ==, so equal codes mean equal values.
-  // Projection ids follow tuple-insertion order.
+  // set (RuleSet::table_attrs), shared by every Σ constraint mentioning
+  // exactly that set and retained so ExtendWith can ground only
+  // projections contributed by new tuples. A projection is a row of value
+  // codes, one per attribute of the set: the value's VarMap::ValueIndex,
+  // or -1 for null. Codes are exact — VarMap dedups values by ==, so equal
+  // codes mean equal values. Projection ids follow tuple-insertion order.
   struct ProjTable {
-    std::vector<int> attrs;  // sorted
-    std::vector<int> rows;   // attrs.size() codes per projection, flat
+    size_t width = 0;        // attributes in the set
+    std::vector<int> rows;   // `width` codes per projection, flat
     std::vector<int> slots;  // open-addressing row hash: projection id, -1
-    int size() const { return static_cast<int>(rows.size() / attrs.size()); }
-    const int* row(int p) const { return rows.data() + p * attrs.size(); }
+    int size() const { return static_cast<int>(rows.size() / width); }
+    const int* row(int p) const { return rows.data() + p * width; }
     // Keeps the row last appended to `rows` as a new projection if no
     // earlier row equals it, and drops it otherwise.
     void KeepLastIfNew();
   };
 
-  // Where a Σ constraint reads its table: the column of each predicate's
-  // attribute in the table's rows, in the constraint's predicate order.
-  struct SigmaPlan {
-    int table = -1;
-    int head = -1;
-    std::vector<int> order;     // order_predicates()
-    std::vector<int> compare;   // compare_predicates()
-    std::vector<int> constant;  // constant_predicates()
-  };
-
-  // Adds the projections of tuples [first_tuple, ie.size()) to every table.
-  void AddProjections(const EntityInstance& ie, int first_tuple,
+  // Adds the projections of `n_new` tuples, given by their code rows
+  // (`n_attrs` codes each, flat), to every table.
+  void AddProjections(const RuleSet& rules, const int* codes, int n_new,
                       int n_attrs);
+  // Marks the Σ constants equal to domain values [first, end) of `attr`
+  // as resolved to those values' codes.
+  void ResolveSigmaConstants(const RuleSet& rules, int attr, int first);
   // Grounds ϕ = sigma[ci] on every projection pair of its table with
   // max(p, q) >= old_np, appending in canonical `seq` order.
-  void GroundSigma(const CurrencyConstraint& phi, int ci, int old_np,
+  void GroundSigma(const RuleSet& rules, int ci, int old_np,
                    const InstantiationOptions& options);
-  void GroundSigmaPair(const CurrencyConstraint& phi, int ci, int p, int q,
+  void GroundSigmaPair(const CurrencyConstraint& phi,
+                       const RuleSet::SigmaPlan& plan, int ci, int p, int q,
                        const InstantiationOptions& options);
-  void GroundCfd(int gi, const Specification& se, int first_b);
+  // Appends the family-(1a) unit for tuple t_less preceding tuple t_more
+  // in attribute `a`, unless it is vacuous or already emitted.
+  void GroundOrderUnit(int a, int t_less, int t_more);
+  void GroundCfd(int gi, const RuleSet& rules, int first_b);
   // The value a projection code stands for: domain(attr)[code], or null
   // for -1.
   const Value& CodeValue(int attr, int code) const;
 
-  std::vector<ProjTable> proj_tables_;
-  std::vector<SigmaPlan> sigma_plans_;   // per Σ index
-  std::vector<int> codes_;               // AddProjections' tuple code rows
+  std::vector<OrderAtom> body_atoms_;    // every constraint's body
+  std::vector<ProjTable> proj_tables_;   // per RuleSet table
+  std::shared_ptr<const RuleSet> rules_;  // the grounded rules
+  std::vector<int> sigma_codes_;         // per Σ constant: code or kNoCode
   std::vector<int> const_codes_;         // GroundSigma's resolved constants
   std::vector<int> side1_, side2_;       // GroundSigma's join scratch
   std::unordered_set<uint64_t> unit_seen_;  // family (1a) dedup keys
   std::vector<bool> cfd_applicable_;        // per gamma index
   std::vector<bool> cfd_lhs_attr_;  // attr is LHS of an applicable CFD
+  // Body range of each applicable CFD's current guard version.
+  std::vector<std::pair<uint32_t, uint32_t>> cfd_body_;
+  CfdReach reach_;                  // ExtendWith's Γ fixpoint
   int num_tuples_ = 0;              // tuples grounded so far
   bool guarded_ = false;            // InstantiationOptions::guard_cfds
   std::vector<sat::Var> cfd_guard_;  // current guard per gamma index

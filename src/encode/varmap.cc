@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "src/common/status.h"
 
@@ -13,11 +14,54 @@ Result<VarMap> VarMap::Build(const Specification& se) {
   return vm;
 }
 
+void CfdReach::Start(const RuleSet& rules, bool seed_empty_lhs) {
+  for (const int gi : touched_) met_[gi] = kUntouched;
+  touched_.clear();
+  met_.resize(rules.gamma().size(), kUntouched);
+  rules_ = &rules;
+  pass_ = {};
+  next_pass_.clear();
+  cursor_ = -1;
+  if (seed_empty_lhs) {
+    for (const int gi : rules.empty_lhs_cfds()) {
+      touched_.push_back(gi);
+      Ready(gi);
+    }
+  }
+}
+
+void CfdReach::Ready(int gi) {
+  met_[gi] = kDone;
+  if (gi > cursor_) {
+    pass_.push(gi);
+  } else {
+    next_pass_.push_back(gi);
+  }
+}
+
+int CfdReach::Next() {
+  if (pass_.empty()) {
+    // A new pass: the scan restarts at index 0.
+    for (const int gi : next_pass_) pass_.push(gi);
+    next_pass_.clear();
+    if (pass_.empty()) return -1;
+  }
+  cursor_ = pass_.top();
+  pass_.pop();
+  return cursor_;
+}
+
 Status VarMap::BuildFrom(const Specification& se) {
   VarMap& vm = *this;
   const Schema& schema = se.schema();
   const EntityInstance& inst = se.instance();
+  const RuleSet& rules = *se.rules;
   const int n_attrs = schema.size();
+  if (rules.max_attr() >= n_attrs) {
+    return Status::InvalidArgument(
+        "rule set names attribute " + std::to_string(rules.max_attr()) +
+        " of a schema with " + std::to_string(n_attrs) + " attributes");
+  }
 
   // Clear-in-place: inner vectors and hash tables keep their buffers so a
   // recycled VarMap (SessionScratch's Instantiation arena) refills warm.
@@ -34,50 +78,45 @@ Status VarMap::BuildFrom(const Specification& se) {
   vm.num_vars_ = 0;
   vm.dense_num_vars_ = 0;
 
+  // The value's domain index, and whether it was new and is now
+  // appended: the one hash lookup a value costs.
   auto add_value = [&vm](int attr, const Value& v) {
-    if (vm.index_[attr]
-            .try_emplace(v, static_cast<int>(vm.domains_[attr].size()))
-            .second) {
-      vm.domains_[attr].push_back(v);
-    }
+    const auto [it, added] = vm.index_[attr].try_emplace(
+        v, static_cast<int>(vm.domains_[attr].size()));
+    if (added) vm.domains_[attr].push_back(v);
+    return std::pair<int, bool>(it->second, added);
   };
 
   // Active domains in first-occurrence order, as EntityInstance::
   // ActiveDomain lists them (nulls excluded; they rank lowest and are
-  // never candidate current values).
+  // never candidate current values), writing each tuple's code row.
+  vm.codes_.resize(static_cast<size_t>(inst.size()) * n_attrs);
   for (int a = 0; a < n_attrs; ++a) {
     for (int t = 0; t < inst.size(); ++t) {
       const Value& v = inst.tuple(t).at(a);
-      if (!v.is_null()) add_value(a, v);
+      vm.codes_[static_cast<size_t>(t) * n_attrs + a] =
+          v.is_null() ? -1 : add_value(a, v).first;
     }
     vm.adom_sizes_[a] = static_cast<int>(vm.domains_[a].size());
   }
 
   // Reachability fixpoint over CFD constants: applicable CFDs contribute
   // their RHS constant as a possible (repaired) current value.
-  std::vector<bool> applicable(se.gamma.size(), false);
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (size_t i = 0; i < se.gamma.size(); ++i) {
-      if (applicable[i]) continue;
-      const ConstantCfd& cfd = se.gamma[i];
-      bool lhs_reachable = true;
-      for (const auto& [attr, c] : cfd.lhs()) {
-        if (vm.ValueIndex(attr, c) < 0) {
-          lhs_reachable = false;
-          break;
-        }
-      }
-      if (!lhs_reachable) continue;
-      applicable[i] = true;
-      changed = true;
-      add_value(cfd.rhs_attr(), cfd.rhs_value());
+  CfdReach& reach = vm.reach_;
+  reach.Start(rules, /*seed_empty_lhs=*/true);
+  auto none_before = [](int) { return 0; };
+  for (int a = 0; a < n_attrs; ++a) {
+    if (!rules.IsCfdLhsAttr(a)) continue;
+    for (const Value& v : vm.domains_[a]) reach.AddValue(a, v, none_before);
+  }
+  for (int gi = reach.Next(); gi >= 0; gi = reach.Next()) {
+    vm.applicable_cfds_.push_back(gi);
+    const ConstantCfd& cfd = rules.gamma()[gi];
+    if (add_value(cfd.rhs_attr(), cfd.rhs_value()).second) {
+      reach.AddValue(cfd.rhs_attr(), cfd.rhs_value(), none_before);
     }
   }
-  for (size_t i = 0; i < se.gamma.size(); ++i) {
-    if (applicable[i]) vm.applicable_cfds_.push_back(static_cast<int>(i));
-  }
+  std::sort(vm.applicable_cfds_.begin(), vm.applicable_cfds_.end());
 
   // d² slots per attribute (diagonal unused, but decode stays O(1)),
   // summed wide: one attribute of 46,341 values already overflows int.

@@ -3,7 +3,7 @@
 //
 // The order domain of attribute A is adom(Ie.A) plus the constants that
 // constant CFDs can introduce as repaired current values. CFD constants
-// are added by a reachability fixpoint:
+// are added by a reachability fixpoint (CfdReach):
 // a CFD is *applicable* when every LHS constant is already in its
 // attribute's domain, and an applicable CFD adds its RHS constant. CFDs
 // that can never fire on this entity are dropped, which keeps the domain —
@@ -16,6 +16,9 @@
 #define CCR_ENCODE_VARMAP_H_
 
 #include <cstdint>
+#include <functional>
+#include <queue>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -36,6 +39,60 @@ struct OrderAtom {
   bool operator==(const OrderAtom& o) const {
     return attr == o.attr && less == o.less && more == o.more;
   }
+};
+
+/// \brief Γ's reachability fixpoint, driven by the domain values an entity
+/// gains instead of by scans over Γ.
+///
+/// A CFD applies once all its LHS pairs are in their attributes' domains.
+/// CfdReach counts, per CFD, the LHS pairs met so far, walking the rule
+/// set's Γ index from each new domain value, and hands out ready CFDs in
+/// the order repeated ascending scans over Γ would apply them: within a
+/// pass, ascending from a cursor at the CFD applied last; a CFD that
+/// becomes ready behind the cursor waits for the next pass. Domain order
+/// (RHS constants are appended as CFDs apply) and with it every variable
+/// id therefore equal the scan's.
+class CfdReach {
+ public:
+  /// Starts a fixpoint over `rules`' Γ, which must outlive it. A fresh
+  /// build passes `seed_empty_lhs` to queue the CFDs with an empty LHS; an
+  /// extension has applied them already.
+  void Start(const RuleSet& rules, bool seed_empty_lhs);
+
+  /// Counts (attr, v), a value new to attr's domain, as met by every CFD
+  /// whose LHS names it. `met_before(gi)` is called at a CFD's first hit:
+  /// the number of its LHS pairs met before this fixpoint started, or -1
+  /// to leave the CFD out (it is applicable already).
+  template <class MetBefore>
+  void AddValue(int attr, const Value& v, MetBefore&& met_before) {
+    for (const int gi : rules_->CfdsWithLhs(attr, v)) {
+      int& met = met_[gi];
+      if (met == kUntouched) {
+        touched_.push_back(gi);
+        met = met_before(gi);
+        if (met < 0) met = kDone;
+      }
+      if (met == kDone) continue;
+      if (++met == rules_->CfdLhsSize(gi)) Ready(gi);
+    }
+  }
+
+  /// The next CFD to apply, or -1 at the fixpoint. The caller applies it
+  /// (and AddValue()s its RHS constant if new) before calling again.
+  int Next();
+
+ private:
+  static constexpr int kUntouched = -1;
+  static constexpr int kDone = -2;  // queued, applied or left out
+
+  void Ready(int gi);
+
+  const RuleSet* rules_ = nullptr;
+  std::vector<int> met_;      // per gamma index: LHS pairs met, or a state
+  std::vector<int> touched_;  // entries of met_ to reset at Start
+  std::priority_queue<int, std::vector<int>, std::greater<int>> pass_;
+  std::vector<int> next_pass_;
+  int cursor_ = -1;
 };
 
 /// \brief Per-attribute value domains and the dense atom ↔ variable map.
@@ -78,6 +135,21 @@ class VarMap {
 
   /// Index of `v` in domain(attr), or -1.
   int ValueIndex(int attr, const Value& v) const;
+
+  /// The code row of tuple `t` of the instance BuildFrom read: per
+  /// attribute, the value's index in domain(attr), or -1 for null.
+  /// Written while the domains are assigned, so grounding never hashes a
+  /// tuple value again. Covers the tuples BuildFrom saw, then those
+  /// appended by AddTupleCodes.
+  const int* tuple_codes(int t) const {
+    return codes_.data() + static_cast<size_t>(t) * domains_.size();
+  }
+
+  /// Appends the code row of the next tuple (num_attrs() codes), for a
+  /// tuple grounded after BuildFrom whose values are in the domains.
+  void AddTupleCodes(std::span<const int> row) {
+    codes_.insert(codes_.end(), row.begin(), row.end());
+  }
 
   /// Indices into Specification::gamma of CFDs that can fire on this
   /// entity (reachability fixpoint).
@@ -147,6 +219,8 @@ class VarMap {
   std::vector<int> offsets_;      // var id base per attribute (dense region)
   std::vector<int> dense_sizes_;  // domain size covered by the dense block
   std::vector<int> applicable_cfds_;
+  std::vector<int> codes_;  // tuple-major code rows (tuple_codes)
+  CfdReach reach_;
   int num_vars_ = 0;
   int dense_num_vars_ = 0;
   // Atoms touching post-Build values: packed atom -> var, and the inverse.

@@ -97,6 +97,9 @@ ExperimentResult RunExperiment(const Dataset& ds,
   // claimed are positions in `indices`, so sharded runs (strided entity
   // subsets) batch equally well.
   const int batch = std::clamp(n / (n_threads * 8), 1, 16);
+  // One rule set for every entity: the corpus's own, or one subset of it.
+  const std::shared_ptr<const RuleSet> rules = ds.SubsetRules(
+      options.sigma_fraction, options.gamma_fraction, options.subset_seed);
   auto worker = [&]() {
     // Cross-entity pooling: one scratch per worker, so consecutive
     // entities on this thread recycle the same solver arena / watch lists
@@ -109,9 +112,7 @@ ExperimentResult RunExperiment(const Dataset& ds,
       for (int i = begin; i < end; ++i) {
         const int idx = indices[i];
         const EntityCase& ec = ds.entities[idx];
-        const Specification se =
-            ds.MakeSpec(idx, options.sigma_fraction, options.gamma_fraction,
-                        options.subset_seed);
+        const Specification se = ds.MakeSpec(idx, rules);
         TruthOracle oracle(ec.truth, options.answers_per_round,
                            options.oracle_answer_prob,
                            options.oracle_seed + static_cast<uint64_t>(idx));
@@ -188,10 +189,11 @@ AccuracyCounts RunPick(const Dataset& ds, uint64_t seed,
       indices[i] = static_cast<int>(i);
     }
   }
+  const std::shared_ptr<const RuleSet> favored = FavoredPickRules(*ds.rules);
   for (int idx : indices) {
     const EntityCase& ec = ds.entities[idx];
     const Specification se = ds.MakeSpec(idx);
-    const PickResult pick = PickBaseline(se, &rng);
+    const PickResult pick = PickBaseline(se, &rng, favored);
     pooled.Add(
         ScoreAssignment(ec.instance, ec.truth, pick.values, pick.resolved));
   }

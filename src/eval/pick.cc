@@ -1,21 +1,35 @@
 #include "src/eval/pick.h"
 
+#include <utility>
+
 #include "src/common/status.h"
 #include "src/core/deduce.h"
 #include "src/encode/instantiation.h"
 
 namespace ccr {
 
-PickResult PickBaseline(const Specification& se, Rng* rng) {
+std::shared_ptr<const RuleSet> FavoredPickRules(const RuleSet& rules) {
+  std::vector<CurrencyConstraint> comparison_only;
+  for (const CurrencyConstraint& phi : rules.sigma()) {
+    if (phi.IsComparisonOnly()) comparison_only.push_back(phi);
+  }
+  // A subset of a rule set fits every schema the rule set fits.
+  auto made = RuleSet::Make(rules.max_attr() + 1, std::move(comparison_only),
+                            {});
+  CCR_CHECK(made.ok());
+  return std::move(made).value();
+}
+
+PickResult PickBaseline(const Specification& se, Rng* rng,
+                        std::shared_ptr<const RuleSet> favored) {
   // Keep only comparison-only currency constraints and drop Γ, then let
   // grounding produce the unconditional value orders they imply.
-  Specification favored;
-  favored.temporal = se.temporal;
-  for (const CurrencyConstraint& phi : se.sigma) {
-    if (phi.IsComparisonOnly()) favored.sigma.push_back(phi);
-  }
+  Specification favored_se;
+  favored_se.temporal = se.temporal;
+  favored_se.rules =
+      favored != nullptr ? std::move(favored) : FavoredPickRules(*se.rules);
 
-  auto inst_or = Instantiation::Build(favored);
+  auto inst_or = Instantiation::Build(favored_se);
   CCR_CHECK(inst_or.ok());
   const Instantiation& inst = inst_or.value();
   const VarMap& vm = inst.varmap;
@@ -26,7 +40,7 @@ PickResult PickBaseline(const Specification& se, Rng* rng) {
     od.per_attr.emplace_back(static_cast<int>(vm.domain(a).size()));
   }
   for (const GroundConstraint& gc : inst.constraints) {
-    if (!gc.body.empty() || gc.head_kind != GroundHead::kAtom) continue;
+    if (gc.has_body() || gc.head_kind != GroundHead::kAtom) continue;
     (void)od.per_attr[gc.head.attr].Add(gc.head.less, gc.head.more);
   }
 

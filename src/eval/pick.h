@@ -9,6 +9,7 @@
 #ifndef CCR_EVAL_PICK_H_
 #define CCR_EVAL_PICK_H_
 
+#include <memory>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -22,9 +23,15 @@ struct PickResult {
   std::vector<bool> resolved;  // false only for all-null attributes
 };
 
-/// Runs favored Pick on `se` (Γ is ignored; order-predicate constraints in
-/// Σ are ignored, matching the paper's setup).
-PickResult PickBaseline(const Specification& se, Rng* rng);
+/// The rules favored Pick grounds for specifications with `rules`: the
+/// comparison-only constraints of Σ, and no Γ (matching the paper's
+/// setup). Make it once per corpus.
+std::shared_ptr<const RuleSet> FavoredPickRules(const RuleSet& rules);
+
+/// Runs favored Pick on `se`. `favored` is FavoredPickRules(*se.rules),
+/// made here when null.
+PickResult PickBaseline(const Specification& se, Rng* rng,
+                        std::shared_ptr<const RuleSet> favored = nullptr);
 
 }  // namespace ccr
 

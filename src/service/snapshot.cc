@@ -77,8 +77,8 @@ void WriteSpec(const Specification& spec, json::Writer* w) {
   w->EndArray();
   w->Key("sigma");
   w->BeginArray();
-  for (size_t i = 0; i < spec.sigma.size(); ++i) {
-    const CurrencyConstraint& cc = spec.sigma[i];
+  for (size_t i = 0; i < spec.sigma().size(); ++i) {
+    const CurrencyConstraint& cc = spec.sigma()[i];
     w->ArraySep(i == 0);
     w->BeginObject();
     w->Key("head");
@@ -127,8 +127,8 @@ void WriteSpec(const Specification& spec, json::Writer* w) {
   w->EndArray();
   w->Key("gamma");
   w->BeginArray();
-  for (size_t i = 0; i < spec.gamma.size(); ++i) {
-    const ConstantCfd& cfd = spec.gamma[i];
+  for (size_t i = 0; i < spec.gamma().size(); ++i) {
+    const ConstantCfd& cfd = spec.gamma()[i];
     w->ArraySep(i == 0);
     w->BeginObject();
     w->Key("lhs");
@@ -397,37 +397,13 @@ Result<Specification> AssembleSpec(RawSpec raw) {
     }
     CCR_RETURN_NOT_OK(temporal.AddOrder(attr, less, more));
   }
-  auto check_attr = [&](int attr, const char* what) -> Status {
-    if (attr < 0 || attr >= n_attrs) {
-      return Status::InvalidArgument("session snapshot: " + std::string(what) +
-                                     " attribute " + std::to_string(attr) +
-                                     " out of range");
-    }
-    return Status::OK();
-  };
-  for (const CurrencyConstraint& cc : raw.sigma) {
-    CCR_RETURN_NOT_OK(check_attr(cc.head_attr(), "sigma head"));
-    for (const OrderPredicate& p : cc.order_predicates()) {
-      CCR_RETURN_NOT_OK(check_attr(p.attr, "sigma prec"));
-    }
-    for (const AttrComparePredicate& p : cc.compare_predicates()) {
-      CCR_RETURN_NOT_OK(check_attr(p.attr, "sigma cmp"));
-    }
-    for (const ConstComparePredicate& p : cc.constant_predicates()) {
-      CCR_RETURN_NOT_OK(check_attr(p.attr, "sigma const"));
-    }
-  }
-  for (const ConstantCfd& cfd : raw.gamma) {
-    CCR_RETURN_NOT_OK(check_attr(cfd.rhs_attr(), "gamma rhs"));
-    for (const auto& [attr, value] : cfd.lhs()) {
-      (void)value;
-      CCR_RETURN_NOT_OK(check_attr(attr, "gamma lhs"));
-    }
-  }
   Specification spec;
   spec.temporal = std::move(temporal);
-  spec.sigma = std::move(raw.sigma);
-  spec.gamma = std::move(raw.gamma);
+  const Status rules =
+      spec.SetRules(std::move(raw.sigma), std::move(raw.gamma));
+  if (!rules.ok()) {
+    return Status::InvalidArgument("session snapshot: " + rules.message());
+  }
   return spec;
 }
 

@@ -101,7 +101,7 @@ TEST(SpecificationTest, ExtendSharesConstraints) {
   se.temporal = TemporalInstance(std::move(inst));
   CurrencyConstraint phi(0);
   phi.AddAttrCompare(0, CmpOp::kLt);
-  se.sigma.push_back(phi);
+  ASSERT_TRUE(se.SetRules({phi}, {}).ok());
 
   PartialTemporalOrder ot;
   ot.new_tuples.push_back(Tuple({Value::Int(9)}));
@@ -109,7 +109,7 @@ TEST(SpecificationTest, ExtendSharesConstraints) {
   auto extended = Extend(se, ot);
   ASSERT_TRUE(extended.ok());
   EXPECT_EQ(extended->instance().size(), 3);
-  EXPECT_EQ(extended->sigma.size(), 1u);
+  EXPECT_EQ(extended->sigma().size(), 1u);
   EXPECT_EQ(extended->temporal.orders(0).size(), 1u);
   // The original is untouched.
   EXPECT_EQ(se.instance().size(), 2);

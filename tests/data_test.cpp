@@ -18,8 +18,8 @@ TEST(PersonGeneratorTest, MatchesPaperConstraintCounts) {
   PersonOptions opts;
   opts.num_entities = 5;
   const Dataset ds = GeneratePerson(opts);
-  EXPECT_EQ(ds.sigma.size(), 983u);   // §VI: 983 currency constraints
-  EXPECT_EQ(ds.gamma.size(), 1000u);  // one CFD with 1000 patterns
+  EXPECT_EQ(ds.sigma().size(), 983u);   // §VI: 983 currency constraints
+  EXPECT_EQ(ds.gamma().size(), 1000u);  // one CFD with 1000 patterns
   EXPECT_EQ(ds.schema.size(), 8);
   EXPECT_EQ(ds.entities.size(), 5u);
 }
@@ -115,8 +115,8 @@ TEST(NbaGeneratorTest, MatchesPaperConstraintCounts) {
   NbaOptions opts;
   opts.num_entities = 5;
   const Dataset ds = GenerateNba(opts);
-  EXPECT_EQ(ds.sigma.size(), 54u);  // §VI: 54 currency constraints
-  EXPECT_EQ(ds.gamma.size(), 58u);  // 58 constant CFDs
+  EXPECT_EQ(ds.sigma().size(), 54u);  // §VI: 54 currency constraints
+  EXPECT_EQ(ds.gamma().size(), 58u);  // 58 constant CFDs
   EXPECT_EQ(ds.schema.size(), 14);  // the joined NBA schema
   EXPECT_EQ(ds.schema.IndexOf("allpoints"), 8);
 }
@@ -182,12 +182,12 @@ TEST(CareerGeneratorTest, MatchesPaperShape) {
   EXPECT_EQ(ds.entities.size(), 65u);  // §VI: 65 persons
   EXPECT_EQ(ds.schema.size(), 5);
   // ≈503 currency constraints; citation sampling puts us in the vicinity.
-  EXPECT_GT(ds.sigma.size(), 350u);
-  EXPECT_LT(ds.sigma.size(), 650u);
+  EXPECT_GT(ds.sigma().size(), 350u);
+  EXPECT_LT(ds.sigma().size(), 650u);
   // ≈347 CFD patterns: two per affiliation, minus the deliberately
   // missing pattern-gap entries.
-  EXPECT_GT(ds.gamma.size(), 290u);
-  EXPECT_LE(ds.gamma.size(), 348u);
+  EXPECT_GT(ds.gamma().size(), 290u);
+  EXPECT_LE(ds.gamma().size(), 348u);
 }
 
 TEST(CareerGeneratorTest, AllSpecificationsAreValid) {
@@ -334,15 +334,15 @@ TEST(DatasetTest, MakeSpecSubsetsConstraints) {
   opts.num_entities = 1;
   const Dataset ds = GeneratePerson(opts);
   const Specification half = ds.MakeSpec(0, 0.5, 0.5);
-  EXPECT_NEAR(half.sigma.size(), ds.sigma.size() / 2.0,
-              ds.sigma.size() * 0.02 + 1);
-  EXPECT_NEAR(half.gamma.size(), ds.gamma.size() / 2.0,
-              ds.gamma.size() * 0.02 + 1);
+  EXPECT_NEAR(half.sigma().size(), ds.sigma().size() / 2.0,
+              ds.sigma().size() * 0.02 + 1);
+  EXPECT_NEAR(half.gamma().size(), ds.gamma().size() / 2.0,
+              ds.gamma().size() * 0.02 + 1);
   // Deterministic subsetting.
   const Specification again = ds.MakeSpec(0, 0.5, 0.5);
-  EXPECT_EQ(half.sigma.size(), again.sigma.size());
+  EXPECT_EQ(half.sigma().size(), again.sigma().size());
   const Specification full = ds.MakeSpec(0);
-  EXPECT_EQ(full.sigma.size(), ds.sigma.size());
+  EXPECT_EQ(full.sigma().size(), ds.sigma().size());
 }
 
 }  // namespace

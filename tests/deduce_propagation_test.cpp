@@ -488,9 +488,10 @@ TEST(DeducePropagationTest, ContradictingCfdAnswerTakesTheFallback) {
   ASSERT_TRUE(e.Add(Tuple({Value::Str("a2"), Value::Str("b2")})).ok());
   Specification se;
   se.temporal = TemporalInstance(std::move(e));
-  se.gamma.emplace_back(
-      std::vector<std::pair<int, Value>>{{0, Value::Str("a1")}}, 1,
-      Value::Str("b1"));
+  ASSERT_TRUE(se.SetRules({}, {ConstantCfd(std::vector<std::pair<int, Value>>{
+                                               {0, Value::Str("a1")}},
+                                           1, Value::Str("b1"))})
+                  .ok());
   for (const auto& [mode_name, mode] : DeduceModes()) {
     ResolveOptions options;
     options.deduce = mode;

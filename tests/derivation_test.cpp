@@ -373,11 +373,13 @@ TEST(TrueDerHeadOrderTest, AppendedConstraintThatRanksFirstWinsItsHead) {
                   .ok());
   Specification se;
   se.temporal = TemporalInstance(std::move(e));
+  std::vector<CurrencyConstraint> sigma;
   for (const char* text : {"prec(B) -> A", "prec(C) -> A"}) {
     auto phi = ParseCurrencyConstraint(schema, text);
     ASSERT_TRUE(phi.ok()) << text;
-    se.sigma.push_back(*std::move(phi));
+    sigma.push_back(*std::move(phi));
   }
+  ASSERT_TRUE(se.SetRules(std::move(sigma), {}).ok());
   auto session = ResolutionSession::Create(se);
   ASSERT_TRUE(session.ok());
   PartialTemporalOrder delta;

@@ -20,8 +20,8 @@ namespace {
 // against the schema), every tuple of every entity, and the ground truth.
 std::string Fingerprint(const Dataset& ds) {
   std::string out = ds.name + "\n";
-  for (const auto& cc : ds.sigma) out += cc.ToString(ds.schema) + "\n";
-  for (const auto& cfd : ds.gamma) out += cfd.ToString(ds.schema) + "\n";
+  for (const auto& cc : ds.sigma()) out += cc.ToString(ds.schema) + "\n";
+  for (const auto& cfd : ds.gamma()) out += cfd.ToString(ds.schema) + "\n";
   for (const auto& e : ds.entities) {
     out += "entity " + e.instance.entity_id() + "\n";
     for (const auto& t : e.instance.tuples()) {

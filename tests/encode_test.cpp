@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 
 #include "paper_fixture.h"
 #include "src/core/deduce.h"
@@ -48,7 +49,9 @@ TEST_F(VarMapTest, UnreachableCfdIsPruned) {
   Specification se = EdithSpec();
   auto extra = ParseCfd(PaperSchema(), "AC = 999 -> city = 'Nowhere'");
   ASSERT_TRUE(extra.ok());
-  se.gamma.push_back(std::move(extra).value());
+  std::vector<ConstantCfd> gamma = se.gamma();
+  gamma.push_back(std::move(extra).value());
+  ASSERT_TRUE(se.SetRules(se.sigma(), std::move(gamma)).ok());
   const VarMap vm = VarMap::Build(se).value();
   // AC 999 never occurs: the CFD can never fire, its RHS constant must not
   // pollute the city domain.
@@ -61,7 +64,9 @@ TEST_F(VarMapTest, ReachableCfdConstantExtendsDomain) {
   Specification se = EdithSpec();
   auto extra = ParseCfd(PaperSchema(), "AC = 213 -> county = 'LA County'");
   ASSERT_TRUE(extra.ok());
-  se.gamma.push_back(std::move(extra).value());
+  std::vector<ConstantCfd> gamma = se.gamma();
+  gamma.push_back(std::move(extra).value());
+  ASSERT_TRUE(se.SetRules(se.sigma(), std::move(gamma)).ok());
   const VarMap vm = VarMap::Build(se).value();
   const int county = PaperSchema().IndexOf("county");
   EXPECT_EQ(vm.domain(county).size(), 4u);  // 3 adom + introduced constant
@@ -76,8 +81,10 @@ TEST_F(VarMapTest, CfdChainingFixpoint) {
   auto c1 = ParseCfd(PaperSchema(), "AC = 213 -> county = 'LA County'");
   auto c2 = ParseCfd(PaperSchema(), "county = 'LA County' -> zip = '90001'");
   ASSERT_TRUE(c1.ok() && c2.ok());
-  se.gamma.push_back(std::move(c1).value());
-  se.gamma.push_back(std::move(c2).value());
+  std::vector<ConstantCfd> gamma = se.gamma();
+  gamma.push_back(std::move(c1).value());
+  gamma.push_back(std::move(c2).value());
+  ASSERT_TRUE(se.SetRules(se.sigma(), std::move(gamma)).ok());
   const VarMap vm = VarMap::Build(se).value();
   const int zip = PaperSchema().IndexOf("zip");
   EXPECT_GE(vm.ValueIndex(zip, Value::Str("90001")), 0);
@@ -206,7 +213,7 @@ TEST_F(InstantiationTest, EdithGroundsTheExampleConstraints) {
   const int retired = vm.ValueIndex(status, Value::Str("retired"));
   bool found_unconditional = false;
   for (const auto& gc : inst->constraints) {
-    if (gc.source == GroundSource::kCurrencyConstraint && gc.body.empty() &&
+    if (gc.source == GroundSource::kCurrencyConstraint && !gc.has_body() &&
         gc.head_kind == GroundHead::kAtom && gc.head.attr == status &&
         gc.head.less == working && gc.head.more == retired) {
       found_unconditional = true;
@@ -231,8 +238,8 @@ TEST_F(InstantiationTest, Example8CfdEncoding) {
     if (gc.head.attr == city && gc.head.more == la) {
       ++cfd_heads_to_la;
       // Body: both other AC values dominated by 213.
-      EXPECT_EQ(gc.body.size(), 2u);
-      for (const auto& atom : gc.body) {
+      EXPECT_EQ(inst->body(gc).size(), 2u);
+      for (const auto& atom : inst->body(gc)) {
         EXPECT_EQ(atom.attr, ac);
         EXPECT_EQ(vm.domain(ac)[atom.more], Value::Int(213));
       }
@@ -256,8 +263,9 @@ TEST_F(InstantiationTest, OrderPredicateGrounding) {
   bool found = false;
   for (const auto& gc : inst->constraints) {
     if (gc.source != GroundSource::kCurrencyConstraint) continue;
-    if (gc.body.size() == 1 && gc.body[0].attr == status &&
-        gc.body[0].less == working && gc.body[0].more == retired &&
+    const std::span<const OrderAtom> body = inst->body(gc);
+    if (body.size() == 1 && body[0].attr == status &&
+        body[0].less == working && body[0].more == retired &&
         gc.head_kind == GroundHead::kAtom && gc.head.attr == ac &&
         gc.head.less == ac212 && gc.head.more == ac415) {
       found = true;
@@ -275,7 +283,7 @@ TEST_F(InstantiationTest, NullHeadsAreVacuous) {
   ASSERT_TRUE(inst.ok());
   const VarMap& vm = inst->varmap;
   for (const auto& gc : inst->constraints) {
-    for (const auto& atom : gc.body) {
+    for (const auto& atom : inst->body(gc)) {
       EXPECT_GE(atom.less, 0);
       EXPECT_LT(atom.less, static_cast<int>(vm.domain(atom.attr).size()));
     }
@@ -315,7 +323,7 @@ TEST_F(InstantiationTest, CurrencyOrdersBecomeUnitConstraints) {
   int order_units = 0;
   for (const auto& gc : inst->constraints) {
     if (gc.source == GroundSource::kCurrencyOrder) {
-      EXPECT_TRUE(gc.body.empty());
+      EXPECT_FALSE(gc.has_body());
       ++order_units;
     }
   }
@@ -367,7 +375,7 @@ TEST(CnfBuilderTest, NullHeadSemantics) {
   auto phi = ParseCurrencyConstraint(
       schema, "t1[status] = 'working' & t2[status] = 'retired' -> email");
   ASSERT_TRUE(phi.ok());
-  se.sigma.push_back(std::move(phi).value());
+  ASSERT_TRUE(se.SetRules({std::move(phi).value()}, {}).ok());
 
   // Default (operational) semantics: the rule is dropped, Se stays valid.
   auto ground = Instantiation::Build(se);
@@ -469,9 +477,10 @@ Specification GuardSpec() {
   EXPECT_TRUE(e.Add(Tuple({Value::Str("a2"), Value::Str("b2")})).ok());
   Specification se;
   se.temporal = TemporalInstance(std::move(e));
-  se.gamma.emplace_back(
-      std::vector<std::pair<int, Value>>{{0, Value::Str("a1")}}, 1,
-      Value::Str("b1"));
+  EXPECT_TRUE(se.SetRules({}, {ConstantCfd(std::vector<std::pair<int, Value>>{
+                                               {0, Value::Str("a1")}},
+                                           1, Value::Str("b1"))})
+                  .ok());
   return se;
 }
 
@@ -508,7 +517,8 @@ TEST(GuardedGroundingTest, CfdClausesCarryGuardLiterals) {
 TEST(GuardedGroundingTest, LhsGrowthRetiresAndRegrounds) {
   InstantiationOptions guarded;
   guarded.guard_cfds = true;
-  auto inst = Instantiation::Build(GuardSpec(), guarded);
+  const Specification base = GuardSpec();
+  auto inst = Instantiation::Build(base, guarded);
   ASSERT_TRUE(inst.ok());
   const sat::Lit old_guard = inst->guard_assumptions()[0];
   sat::Cnf cnf = BuildCnf(*inst);
@@ -518,7 +528,7 @@ TEST(GuardedGroundingTest, LhsGrowthRetiresAndRegrounds) {
   ot.new_tuples.push_back(Tuple({Value::Str("a3"), Value::Null()}));
   ot.orders.emplace_back(0, 0, 2);
   ot.orders.emplace_back(0, 1, 2);
-  auto next = Extend(GuardSpec(), ot);
+  auto next = Extend(base, ot);
   ASSERT_TRUE(next.ok());
   auto delta = inst->ExtendWith(*next, ot, guarded);
   ASSERT_TRUE(delta.ok());
@@ -538,11 +548,11 @@ TEST(GuardedGroundingTest, LhsGrowthRetiresAndRegrounds) {
     if (gc.source != GroundSource::kCfd) continue;
     if (gc.guard == old_guard.var()) {
       ++stale;
-      EXPECT_EQ(gc.body.size(), 1u);  // dominated {a2} only
+      EXPECT_EQ(inst->body(gc).size(), 1u);  // dominated {a2} only
     } else {
       EXPECT_EQ(gc.guard, new_guard.var());
       ++fresh_rules;
-      EXPECT_EQ(gc.body.size(), 2u);  // dominates {a2, a3}
+      EXPECT_EQ(inst->body(gc).size(), 2u);  // dominates {a2, a3}
     }
   }
   EXPECT_GT(stale, 0);
@@ -583,8 +593,8 @@ TEST(GuardedGroundingTest, BuildIntoRecyclesArena) {
     ASSERT_EQ(arena.constraints.size(), fresh->constraints.size());
     for (size_t i = 0; i < arena.constraints.size(); ++i) {
       EXPECT_EQ(arena.constraints[i].source, fresh->constraints[i].source);
-      EXPECT_EQ(arena.constraints[i].body.size(),
-                fresh->constraints[i].body.size());
+      EXPECT_TRUE(std::ranges::equal(arena.body(arena.constraints[i]),
+                                     fresh->body(fresh->constraints[i])));
       EXPECT_EQ(arena.constraints[i].seq, fresh->constraints[i].seq);
     }
     EXPECT_EQ(arena.varmap.num_vars(), fresh->varmap.num_vars());

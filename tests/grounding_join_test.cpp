@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,17 +35,30 @@ uint64_t RefSeq(int ci, int p, int q) {
          (p > q ? 1 : 0);
 }
 
+// A ground constraint with its body atoms held inline, so rules of an
+// Instantiation (whose bodies are ranges of its arena) and the
+// reference's compare field by field.
+struct RefRule {
+  GroundSource source = GroundSource::kCurrencyConstraint;
+  int source_index = -1;
+  std::vector<OrderAtom> body;
+  GroundHead head_kind = GroundHead::kAtom;
+  OrderAtom head;
+  sat::Var guard = sat::kVarUndef;
+  uint64_t seq = 0;
+};
+
 // Nested-loop family-(2) grounder with one projection table per
 // constraint. Ground() covers the tuples added since the previous call.
 class RefGrounder {
  public:
-  std::vector<GroundConstraint> Ground(const Specification& se,
-                                       const VarMap& vm, bool strict) {
+  std::vector<RefRule> Ground(const Specification& se, const VarMap& vm,
+                              bool strict) {
     const EntityInstance& ie = se.instance();
-    tables_.resize(se.sigma.size());
-    std::vector<GroundConstraint> out;
-    for (size_t ci = 0; ci < se.sigma.size(); ++ci) {
-      const CurrencyConstraint& phi = se.sigma[ci];
+    tables_.resize(se.sigma().size());
+    std::vector<RefRule> out;
+    for (size_t ci = 0; ci < se.sigma().size(); ++ci) {
+      const CurrencyConstraint& phi = se.sigma()[ci];
       Table& table = tables_[ci];
       const int old_np = static_cast<int>(table.keys.size());
       const std::vector<int> attrs = Mentioned(phi);
@@ -88,7 +102,7 @@ class RefGrounder {
 
   static void Pair(const CurrencyConstraint& phi, int ci, const Table& table,
                    int p, int q, const VarMap& vm, bool strict,
-                   std::vector<GroundConstraint>* out) {
+                   std::vector<RefRule>* out) {
     const Tuple& s1 = table.projections[p];
     const Tuple& s2 = table.projections[q];
     for (const auto& c : phi.compare_predicates()) {
@@ -103,8 +117,7 @@ class RefGrounder {
     const Value& h2 = s2.at(ar);
     if (h1.is_null() || h1 == h2) return;
     if (h2.is_null() && !strict) return;
-    GroundConstraint gc;
-    gc.source = GroundSource::kCurrencyConstraint;
+    RefRule gc;
     gc.source_index = ci;
     gc.seq = RefSeq(ci, p, q);
     for (const auto& op : phi.order_predicates()) {
@@ -126,22 +139,46 @@ class RefGrounder {
   int grounded_ = 0;
 };
 
+RefRule ToRefRule(const Instantiation& inst, const GroundConstraint& gc) {
+  RefRule r;
+  r.source = gc.source;
+  r.source_index = gc.source_index;
+  const std::span<const OrderAtom> body = inst.body(gc);
+  r.body.assign(body.begin(), body.end());
+  r.head_kind = gc.head_kind;
+  r.head = gc.head;
+  r.guard = gc.guard;
+  r.seq = gc.seq;
+  return r;
+}
+
 // The Σ-sourced constraints of `inst`, in emission order.
-std::vector<GroundConstraint> SigmaRules(const Instantiation& inst) {
-  std::vector<GroundConstraint> out;
+std::vector<RefRule> SigmaRules(const Instantiation& inst) {
+  std::vector<RefRule> out;
   for (const GroundConstraint& gc : inst.constraints) {
-    if (gc.source == GroundSource::kCurrencyConstraint) out.push_back(gc);
+    if (gc.source == GroundSource::kCurrencyConstraint) {
+      out.push_back(ToRefRule(inst, gc));
+    }
   }
   return out;
 }
 
-void ExpectSameConstraints(const std::vector<GroundConstraint>& got,
-                           const std::vector<GroundConstraint>& want,
+// Every constraint of `inst`, in emission order.
+std::vector<RefRule> AllRules(const Instantiation& inst) {
+  std::vector<RefRule> out;
+  for (const GroundConstraint& gc : inst.constraints) {
+    out.push_back(ToRefRule(inst, gc));
+  }
+  return out;
+}
+
+void ExpectSameConstraints(const std::vector<RefRule>& got,
+                           const std::vector<RefRule>& want,
                            const std::string& where) {
   ASSERT_EQ(got.size(), want.size()) << where;
   for (size_t i = 0; i < got.size(); ++i) {
-    const GroundConstraint& g = got[i];
-    const GroundConstraint& w = want[i];
+    const RefRule& g = got[i];
+    const RefRule& w = want[i];
     EXPECT_EQ(g.source, w.source) << where << " #" << i;
     EXPECT_EQ(g.source_index, w.source_index) << where << " #" << i;
     EXPECT_EQ(g.body, w.body) << where << " #" << i;
@@ -255,7 +292,7 @@ void NoteValueCoverage(const Specification& se, Coverage* cov) {
   }
   cov->mixed_numbers += mixed ? 1 : 0;
   cov->signed_zeros += zeros ? 1 : 0;
-  for (const CurrencyConstraint& phi : se.sigma) {
+  for (const CurrencyConstraint& phi : se.sigma()) {
     for (const auto& cp : phi.constant_predicates()) {
       if (cp.constant.is_null()) continue;
       bool carried = false;
@@ -289,19 +326,23 @@ Specification RandomSpec(Rng& rng, Coverage* cov) {
                               static_cast<int>(rng.Below(n_tuples)))
                     .ok());
   }
+  std::vector<CurrencyConstraint> sigma;
   for (int i = 1 + static_cast<int>(rng.Below(8)); i > 0; --i) {
-    se.sigma.push_back(RandomConstraint(rng, cov));
+    sigma.push_back(RandomConstraint(rng, cov));
   }
+  EXPECT_TRUE(se.SetRules(std::move(sigma), {}).ok());
   NoteValueCoverage(se, cov);
+  std::vector<ConstantCfd> gamma;
   for (int i = static_cast<int>(rng.Below(3)); i > 0; --i) {
     const int lhs = static_cast<int>(rng.Below(kAttrs));
     const int rhs = (lhs + 1 + static_cast<int>(rng.Below(kAttrs - 1))) %
                     kAttrs;
-    se.gamma.emplace_back(
+    gamma.emplace_back(
         std::vector<std::pair<int, Value>>{
             {lhs, Value::Str("v" + std::to_string(rng.Below(3)))}},
         rhs, Value::Str("v" + std::to_string(rng.Below(3))));
   }
+  EXPECT_TRUE(se.SetRules(se.sigma(), std::move(gamma)).ok());
   return se;
 }
 
@@ -328,7 +369,7 @@ int CheckAgainstReference(Rng& rng, Specification se, int rounds,
                           Instantiation* inst, const std::string& where) {
   RefGrounder ref;
   EXPECT_TRUE(Instantiation::BuildInto(se, inst, options).ok()) << where;
-  std::vector<GroundConstraint> want =
+  std::vector<RefRule> want =
       ref.Ground(se, inst->varmap, options.strict_null_order);
   ExpectSameConstraints(SigmaRules(*inst), want, where + " build");
   int extended = 0;
@@ -341,7 +382,7 @@ int CheckAgainstReference(Rng& rng, Specification se, int rounds,
     EXPECT_TRUE(delta.ok()) << where;
     if (!delta.ok() || delta->needs_rebuild) break;
     se = std::move(next).value();
-    const std::vector<GroundConstraint> more =
+    const std::vector<RefRule> more =
         ref.Ground(se, inst->varmap, options.strict_null_order);
     want.insert(want.end(), more.begin(), more.end());
     ExpectSameConstraints(SigmaRules(*inst), want,
@@ -398,13 +439,11 @@ TEST(GroundingJoinTest, NullHeadsBodiesAndOrderValues) {
   se.temporal = TemporalInstance(std::move(ie));
   CurrencyConstraint head_b(1);
   head_b.AddConstCompare(1, 0, CmpOp::kNe, Value::Str("zz"));
-  se.sigma.push_back(head_b);
   CurrencyConstraint ordered(1);
   ordered.AddOrder(2);
-  se.sigma.push_back(ordered);
   CurrencyConstraint null_const(2);
   null_const.AddConstCompare(2, 1, CmpOp::kEq, n);
-  se.sigma.push_back(null_const);
+  ASSERT_TRUE(se.SetRules({head_b, ordered, null_const}, {}).ok());
   for (bool strict : {false, true}) {
     for (bool guarded : {false, true}) {
       InstantiationOptions options;
@@ -430,15 +469,17 @@ TEST(GroundingJoinTest, RecycledInstantiationDropsStaleTables) {
   Rng rng(99);
   Coverage cov;
   Specification wide = RandomSpec(rng, &cov);
-  wide.sigma.clear();
+  std::vector<CurrencyConstraint> sigma;
   for (int head = 0; head < kAttrs; ++head) {
     CurrencyConstraint phi(head);
     phi.AddConstCompare(1, (head + 1) % kAttrs, CmpOp::kNe, Value::Null());
-    wide.sigma.push_back(phi);
-    wide.sigma.push_back(CurrencyConstraint(head));
+    sigma.push_back(phi);
+    sigma.push_back(CurrencyConstraint(head));
   }
+  ASSERT_TRUE(wide.SetRules(sigma, wide.gamma()).ok());
   Specification narrow = wide;
-  narrow.sigma.resize(1);
+  sigma.resize(1);
+  ASSERT_TRUE(narrow.SetRules(sigma, wide.gamma()).ok());
 
   Instantiation recycled;
   const Specification* specs[] = {&wide, &narrow, &wide, &narrow};
@@ -455,7 +496,7 @@ TEST(GroundingJoinTest, RecycledInstantiationDropsStaleTables) {
     CheckAgainstReference(again, *specs[i], 3, options, &fresh,
                           "fresh " + std::to_string(i));
     ASSERT_EQ(recycled.constraints.size(), fresh.constraints.size());
-    ExpectSameConstraints(recycled.constraints, fresh.constraints,
+    ExpectSameConstraints(AllRules(recycled), AllRules(fresh),
                           "recycled vs fresh " + std::to_string(i));
   }
 }

@@ -268,9 +268,10 @@ TEST(HornFastPathTest, SessionValidityAfterContradictingAnswer) {
   ASSERT_TRUE(e.Add(Tuple({Value::Str("a2"), Value::Str("b2")})).ok());
   Specification se;
   se.temporal = TemporalInstance(std::move(e));
-  se.gamma.emplace_back(
-      std::vector<std::pair<int, Value>>{{0, Value::Str("a1")}}, 1,
-      Value::Str("b1"));
+  ASSERT_TRUE(se.SetRules({}, {ConstantCfd(std::vector<std::pair<int, Value>>{
+                                               {0, Value::Str("a1")}},
+                                           1, Value::Str("b1"))})
+                  .ok());
   auto session = ResolutionSession::Create(se);
   ASSERT_TRUE(session.ok());
   ASSERT_TRUE(session->CheckValidity().valid);

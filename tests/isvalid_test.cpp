@@ -39,13 +39,15 @@ TEST(IsValidTest, CyclicCurrencyConstraintsInvalid) {
   ASSERT_TRUE(inst.Add(Tuple({Value::Str("a")})).ok());
   ASSERT_TRUE(inst.Add(Tuple({Value::Str("b")})).ok());
   se.temporal = TemporalInstance(std::move(inst));
+  std::vector<CurrencyConstraint> sigma;
   for (const char* t :
        {"t1[status] = 'a' & t2[status] = 'b' -> status",
         "t1[status] = 'b' & t2[status] = 'a' -> status"}) {
     auto phi = ParseCurrencyConstraint(schema, t);
     ASSERT_TRUE(phi.ok());
-    se.sigma.push_back(std::move(phi).value());
+    sigma.push_back(std::move(phi).value());
   }
+  ASSERT_TRUE(se.SetRules(std::move(sigma), {}).ok());
   auto r = IsValid(se);
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r->valid);
@@ -61,13 +63,15 @@ TEST(IsValidTest, TransitivityCycleDetected) {
     ASSERT_TRUE(inst.Add(Tuple({Value::Str(v)})).ok());
   }
   se.temporal = TemporalInstance(std::move(inst));
+  std::vector<CurrencyConstraint> sigma;
   for (auto [from, to] : {std::pair{"a", "b"}, {"b", "c"}, {"c", "a"}}) {
     auto phi = ParseCurrencyConstraint(
         schema, std::string("t1[x] = '") + from + "' & t2[x] = '" + to +
                     "' -> x");
     ASSERT_TRUE(phi.ok());
-    se.sigma.push_back(std::move(phi).value());
+    sigma.push_back(std::move(phi).value());
   }
+  ASSERT_TRUE(se.SetRules(std::move(sigma), {}).ok());
   auto r = IsValid(se);
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r->valid);
@@ -107,18 +111,19 @@ TEST(IsValidTest, CfdConflictingWithConstraintsInvalid) {
                   .ok());
   Specification se;
   se.temporal = TemporalInstance(std::move(inst));
+  std::vector<CurrencyConstraint> sigma;
   for (const char* t :
        {"t1[status] = 'working' & t2[status] = 'retired' -> status",
         // city follows status: NY (retired tuple) would be most current
         "prec(status) -> city"}) {
     auto phi = ParseCurrencyConstraint(schema, t);
     ASSERT_TRUE(phi.ok());
-    se.sigma.push_back(std::move(phi).value());
+    sigma.push_back(std::move(phi).value());
   }
   // But AC 213 is the only AC value, so the CFD forces city=LA.
   auto psi = ParseCfd(schema, "AC = 213 -> city = 'LA'");
   ASSERT_TRUE(psi.ok());
-  se.gamma.push_back(std::move(psi).value());
+  ASSERT_TRUE(se.SetRules(std::move(sigma), {std::move(psi).value()}).ok());
   auto r = IsValid(se);
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r->valid);

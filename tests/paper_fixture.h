@@ -107,16 +107,14 @@ inline std::vector<ConstantCfd> PaperGamma() {
 inline Specification EdithSpec() {
   Specification se;
   se.temporal = TemporalInstance(MakeEdith());
-  se.sigma = PaperSigma();
-  se.gamma = PaperGamma();
+  CCR_CHECK(se.SetRules(PaperSigma(), PaperGamma()).ok());
   return se;
 }
 
 inline Specification GeorgeSpec() {
   Specification se;
   se.temporal = TemporalInstance(MakeGeorge());
-  se.sigma = PaperSigma();
-  se.gamma = PaperGamma();
+  CCR_CHECK(se.SetRules(PaperSigma(), PaperGamma()).ok());
   return se;
 }
 

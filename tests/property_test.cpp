@@ -32,6 +32,8 @@ Specification RandomSpec(uint64_t seed, bool allow_conflicts) {
   Specification se;
   se.temporal = TemporalInstance(std::move(inst));
   // Random chain constraints on s.
+  std::vector<CurrencyConstraint> sigma;
+  std::vector<ConstantCfd> gamma;
   const int n_chain = 1 + static_cast<int>(rng.Below(4));
   for (int i = 0; i < n_chain; ++i) {
     const int from = static_cast<int>(rng.Below(4));
@@ -43,25 +45,26 @@ Specification RandomSpec(uint64_t seed, bool allow_conflicts) {
                         Value::Str("s" + std::to_string(from)));
     phi.AddConstCompare(2, 0, CmpOp::kEq,
                         Value::Str("s" + std::to_string(to)));
-    se.sigma.push_back(std::move(phi));
+    sigma.push_back(std::move(phi));
   }
   // Monotone k; propagation s -> j.
   {
     CurrencyConstraint phi(2);
     phi.AddAttrCompare(2, CmpOp::kLt);
-    se.sigma.push_back(std::move(phi));
+    sigma.push_back(std::move(phi));
   }
   {
     CurrencyConstraint phi(1);
     phi.AddOrder(0);
-    se.sigma.push_back(std::move(phi));
+    sigma.push_back(std::move(phi));
   }
   // A CFD j -> c.
   if (rng.Chance(0.7)) {
-    se.gamma.emplace_back(
+    gamma.emplace_back(
         std::vector<std::pair<int, Value>>{{1, Value::Str("j1")}}, 3,
         Value::Str("c0"));
   }
+  CCR_CHECK(se.SetRules(std::move(sigma), std::move(gamma)).ok());
   return se;
 }
 
@@ -114,8 +117,9 @@ TEST_P(PropertySweep, DroppingConstraintsPreservesValidity) {
   ASSERT_TRUE(full.ok());
   if (!full->valid) return;
   Specification fewer = se;
-  if (!fewer.sigma.empty()) fewer.sigma.pop_back();
-  fewer.gamma.clear();
+  std::vector<CurrencyConstraint> sigma = se.sigma();
+  if (!sigma.empty()) sigma.pop_back();
+  ASSERT_TRUE(fewer.SetRules(std::move(sigma), {}).ok());
   auto r = IsValid(fewer);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->valid) << "seed " << GetParam();
@@ -165,7 +169,7 @@ TEST_P(PropertySweep, ResolverNeverInventsValues) {
       if (t.at(a) == r->true_values[a]) in_instance = true;
     }
     bool in_cfd = false;
-    for (const auto& cfd : se.gamma) {
+    for (const auto& cfd : se.gamma()) {
       if (cfd.rhs_attr() == a && cfd.rhs_value() == r->true_values[a]) {
         in_cfd = true;
       }

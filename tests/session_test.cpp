@@ -182,9 +182,10 @@ Specification CfdSpec() {
       e.Add(Tuple({Value::Str("a2"), Value::Str("b2")})).ok());
   Specification se;
   se.temporal = TemporalInstance(std::move(e));
-  se.gamma.emplace_back(
-      std::vector<std::pair<int, Value>>{{0, Value::Str("a1")}}, 1,
-      Value::Str("b1"));
+  EXPECT_TRUE(se.SetRules({}, {ConstantCfd(std::vector<std::pair<int, Value>>{
+                                               {0, Value::Str("a1")}},
+                                           1, Value::Str("b1"))})
+                  .ok());
   return se;
 }
 
@@ -356,8 +357,8 @@ TEST(ResolutionSessionTest, RejectedDeltaLeavesTheSessionUnchanged) {
   bad->orders.emplace_back(0, 0, n + 5);
   EXPECT_FALSE(session->ExtendWith(*bad).ok());
   EXPECT_EQ(session->spec().instance().size(), n);
-  EXPECT_EQ(session->spec().sigma.size(), se.sigma.size());
-  EXPECT_EQ(session->spec().gamma.size(), se.gamma.size());
+  EXPECT_EQ(session->spec().sigma().size(), se.sigma().size());
+  EXPECT_EQ(session->spec().gamma().size(), se.gamma().size());
   EXPECT_EQ(session->spec().ToString(), spec_before);
   EXPECT_EQ(session->incremental_extensions(), 0);
   ASSERT_TRUE(session->CheckValidity().valid);

@@ -112,8 +112,8 @@ TEST(SnapshotJsonTest, SnapshotRoundTripsByteIdentically) {
   EXPECT_EQ(got.instance().entity_id(), snap.spec.instance().entity_id());
   EXPECT_EQ(got.schema().names(), snap.spec.schema().names());
   EXPECT_EQ(got.instance().size(), snap.spec.instance().size());
-  EXPECT_EQ(got.sigma.size(), snap.spec.sigma.size());
-  EXPECT_EQ(got.gamma.size(), snap.spec.gamma.size());
+  EXPECT_EQ(got.sigma().size(), snap.spec.sigma().size());
+  EXPECT_EQ(got.gamma().size(), snap.spec.gamma().size());
   ASSERT_EQ(back.value().ops.size(), 2u);
   EXPECT_EQ(back.value().ops[0].kind, SessionOp::Kind::kRound);
   EXPECT_EQ(back.value().ops[1].kind, SessionOp::Kind::kExtend);
