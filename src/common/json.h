@@ -142,6 +142,13 @@ class Reader {
     return pos_ >= text_.size();
   }
 
+  /// Offset of the next unread byte.
+  size_t pos() const { return pos_; }
+  /// The text read since offset `begin`.
+  std::string_view Since(size_t begin) const {
+    return text_.substr(begin, pos_ - begin);
+  }
+
   Status ParseString(std::string* out);
   Status ParseDouble(double* out);
   /// Integral double in int range; rejects fractions ("expected integer").

@@ -9,17 +9,17 @@ namespace ccr {
 
 namespace {
 
-// The attributes a currency constraint mentions (body and head), sorted
-// and deduplicated.
-std::vector<int> MentionedAttrs(const CurrencyConstraint& phi) {
-  std::vector<int> out;
-  for (const auto& p : phi.order_predicates()) out.push_back(p.attr);
-  for (const auto& p : phi.compare_predicates()) out.push_back(p.attr);
-  for (const auto& p : phi.constant_predicates()) out.push_back(p.attr);
-  out.push_back(phi.head_attr());
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
+// Appends the attributes a currency constraint mentions (body and head),
+// sorted and deduplicated, to `out`.
+void AppendMentionedAttrs(const CurrencyConstraint& phi,
+                          std::vector<int>* out) {
+  const size_t begin = out->size();
+  for (const auto& p : phi.order_predicates()) out->push_back(p.attr);
+  for (const auto& p : phi.compare_predicates()) out->push_back(p.attr);
+  for (const auto& p : phi.constant_predicates()) out->push_back(p.attr);
+  out->push_back(phi.head_attr());
+  std::sort(out->begin() + begin, out->end());
+  out->erase(std::unique(out->begin() + begin, out->end()), out->end());
 }
 
 // Stable counting sort of (key, item) pairs into CSR form: begin[k] is
@@ -73,20 +73,42 @@ Result<std::shared_ptr<const RuleSet>> RuleSet::Make(
   // Σ: constraints that mention the same attribute set share one table.
   // Sorting by attribute set puts them next to each other.
   const int n_sigma = static_cast<int>(sigma.size());
-  std::vector<std::vector<int>> mentioned(n_sigma);
+  std::vector<int> mentioned;  // constraint ci's set: [begin[ci], begin[ci+1])
+  std::vector<int> mentioned_begin(n_sigma + 1, 0);
+  size_t num_columns = 0;
   for (int ci = 0; ci < n_sigma; ++ci) {
-    mentioned[ci] = MentionedAttrs(sigma[ci]);
+    const CurrencyConstraint& phi = sigma[ci];
+    AppendMentionedAttrs(phi, &mentioned);
+    mentioned_begin[ci + 1] = static_cast<int>(mentioned.size());
+    num_columns += phi.order_predicates().size() +
+                   phi.compare_predicates().size() +
+                   2 * phi.constant_predicates().size();
   }
+  auto attrs_of = [&](int ci) {
+    return std::span<const int>(mentioned.data() + mentioned_begin[ci],
+                                mentioned.data() + mentioned_begin[ci + 1]);
+  };
   std::vector<int> by_attrs(n_sigma);
   std::iota(by_attrs.begin(), by_attrs.end(), 0);
-  std::sort(by_attrs.begin(), by_attrs.end(),
-            [&](int x, int y) { return mentioned[x] < mentioned[y]; });
+  std::sort(by_attrs.begin(), by_attrs.end(), [&](int x, int y) {
+    const std::span<const int> ax = attrs_of(x), ay = attrs_of(y);
+    return std::lexicographical_compare(ax.begin(), ax.end(), ay.begin(),
+                                        ay.end());
+  });
   rs->sigma_constants_.resize(width);
   rs->sigma_plans_.resize(n_sigma);
+  // Reserved in full, so the plans' spans stay valid while it fills.
+  std::vector<int>& columns = rs->plan_columns_;
+  columns.reserve(num_columns);
+  auto span_from = [&columns](size_t begin) {
+    return std::span<const int>(columns.data() + begin,
+                                columns.data() + columns.size());
+  };
   for (int k = 0; k < n_sigma; ++k) {
     const int ci = by_attrs[k];
-    if (k == 0 || mentioned[ci] != mentioned[by_attrs[k - 1]]) {
-      rs->table_attrs_.push_back(mentioned[ci]);
+    const std::span<const int> set = attrs_of(ci);
+    if (k == 0 || !std::ranges::equal(set, attrs_of(by_attrs[k - 1]))) {
+      rs->table_attrs_.emplace_back(set.begin(), set.end());
     }
     const std::vector<int>& attrs = rs->table_attrs_.back();
     auto column = [&](int attr) {
@@ -97,14 +119,23 @@ Result<std::shared_ptr<const RuleSet>> RuleSet::Make(
     SigmaPlan& plan = rs->sigma_plans_[ci];
     plan.table = rs->num_tables() - 1;
     plan.head = column(phi.head_attr());
+    size_t begin = columns.size();
     for (const auto& p : phi.order_predicates()) {
-      plan.order.push_back(column(p.attr));
+      columns.push_back(column(p.attr));
     }
+    plan.order = span_from(begin);
+    begin = columns.size();
     for (const auto& p : phi.compare_predicates()) {
-      plan.compare.push_back(column(p.attr));
+      columns.push_back(column(p.attr));
     }
+    plan.compare = span_from(begin);
+    begin = columns.size();
     for (const auto& p : phi.constant_predicates()) {
-      plan.constant.push_back(column(p.attr));
+      columns.push_back(column(p.attr));
+    }
+    plan.constant = span_from(begin);
+    begin = columns.size();
+    for (const auto& p : phi.constant_predicates()) {
       int id = -1;
       if (!p.constant.is_null()) {
         id = rs->sigma_constants_[p.attr]
@@ -112,8 +143,9 @@ Result<std::shared_ptr<const RuleSet>> RuleSet::Make(
                  .first->second;
         if (id == rs->num_sigma_constants_) ++rs->num_sigma_constants_;
       }
-      plan.constant_id.push_back(id);
+      columns.push_back(id);
     }
+    plan.constant_id = span_from(begin);
   }
 
   // Γ index: one (key, CFD) entry per LHS pair, CFDs ascending per key,

@@ -36,16 +36,20 @@ class RuleSet {
  public:
   /// Where a Σ constraint reads its projection table: the column of each
   /// predicate's attribute in the table's rows, in the constraint's
-  /// predicate order.
+  /// predicate order. The spans view one array of the rule set.
   struct SigmaPlan {
     int table = -1;
     int head = -1;
-    std::vector<int> order;     // order_predicates()
-    std::vector<int> compare;   // compare_predicates()
-    std::vector<int> constant;  // constant_predicates()
+    std::span<const int> order;     // order_predicates()
+    std::span<const int> compare;   // compare_predicates()
+    std::span<const int> constant;  // constant_predicates()
     /// sigma_constant id per constant predicate; -1 for a null constant.
-    std::vector<int> constant_id;
+    std::span<const int> constant_id;
   };
+
+  // Plans view plan_columns_, so a rule set stays where it was made.
+  RuleSet(const RuleSet&) = delete;
+  RuleSet& operator=(const RuleSet&) = delete;
 
   /// Makes the rule set for schemas of `num_attrs` attributes. Every
   /// attribute index Σ and Γ mention is checked here, once:
@@ -112,6 +116,7 @@ class RuleSet {
 
   std::vector<std::vector<int>> table_attrs_;
   std::vector<SigmaPlan> sigma_plans_;
+  std::vector<int> plan_columns_;  // every plan's spans, back to back
   // Per attribute: Σ constant -> dense id.
   std::vector<std::unordered_map<Value, int, ValueHash>> sigma_constants_;
   int num_sigma_constants_ = 0;

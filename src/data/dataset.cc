@@ -69,15 +69,8 @@ Specification Dataset::MakeSpec(int idx,
                                 std::shared_ptr<const RuleSet> rules) const {
   Specification se;
   se.temporal = TemporalInstance(entities[idx].instance);
-  se.rules = std::move(rules);
+  se.rules = rules != nullptr ? std::move(rules) : this->rules;
   return se;
-}
-
-Specification Dataset::MakeSpec(int idx, double sigma_fraction,
-                                double gamma_fraction,
-                                uint64_t subset_seed) const {
-  return MakeSpec(idx,
-                  SubsetRules(sigma_fraction, gamma_fraction, subset_seed));
 }
 
 std::vector<UserOracle::Answer> TruthOracle::Provide(

@@ -57,14 +57,10 @@ struct Dataset {
                                              uint64_t subset_seed) const;
 
   /// Builds the specification for entity `idx` with empty currency orders
-  /// and `rules`, which must fit `schema`.
-  Specification MakeSpec(int idx, std::shared_ptr<const RuleSet> rules) const;
-
-  /// Builds the specification for entity `idx` with empty currency orders
-  /// and (optionally) a subset of the constraints (SubsetRules).
-  Specification MakeSpec(int idx, double sigma_fraction = 1.0,
-                         double gamma_fraction = 1.0,
-                         uint64_t subset_seed = 1) const;
+  /// and `rules` (this dataset's `rules` when null), which must fit
+  /// `schema`; pass SubsetRules for a fraction of the constraints.
+  Specification MakeSpec(int idx,
+                         std::shared_ptr<const RuleSet> rules = nullptr) const;
 };
 
 /// Checks the corpus-size options every generator shares: num_entities

@@ -476,17 +476,18 @@ Result<InstantiationDelta> Instantiation::ExtendWith(
     }
     return met;
   };
-  reach_.Start(rules, /*seed_empty_lhs=*/false);
+  CfdReach& reach = varmap.reach_;
+  reach.Start(rules, /*seed_empty_lhs=*/false);
   for (const PendingValue& p : pending) {
-    reach_.AddValue(p.attr, p.value, met_before);
+    reach.AddValue(p.attr, p.value, met_before);
   }
   std::vector<int> newly_applicable;
-  for (int gi = reach_.Next(); gi >= 0; gi = reach_.Next()) {
+  for (int gi = reach.Next(); gi >= 0; gi = reach.Next()) {
     newly_applicable.push_back(gi);
     const ConstantCfd& cfd = rules.gamma()[gi];
     if (code_of(cfd.rhs_attr(), cfd.rhs_value()) == -1) {
       pending.push_back({cfd.rhs_attr(), cfd.rhs_value(), /*active=*/false});
-      reach_.AddValue(cfd.rhs_attr(), cfd.rhs_value(), met_before);
+      reach.AddValue(cfd.rhs_attr(), cfd.rhs_value(), met_before);
     }
   }
 

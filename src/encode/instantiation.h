@@ -246,7 +246,6 @@ struct Instantiation {
   std::vector<bool> cfd_lhs_attr_;  // attr is LHS of an applicable CFD
   // Body range of each applicable CFD's current guard version.
   std::vector<std::pair<uint32_t, uint32_t>> cfd_body_;
-  CfdReach reach_;                  // ExtendWith's Γ fixpoint
   int num_tuples_ = 0;              // tuples grounded so far
   bool guarded_ = false;            // InstantiationOptions::guard_cfds
   std::vector<sat::Var> cfd_guard_;  // current guard per gamma index

@@ -29,6 +29,8 @@
 
 namespace ccr {
 
+struct Instantiation;
+
 /// \brief A value-level currency-order atom: value `less` is less current
 /// than value `more` in attribute `attr` (indices into VarMap domains).
 struct OrderAtom {
@@ -208,6 +210,8 @@ class VarMap {
   }
 
  private:
+  friend struct Instantiation;  // ExtendWith reuses reach_
+
   static uint64_t PackAtom(int attr, int less, int more) {
     return (static_cast<uint64_t>(attr) << 42) |
            (static_cast<uint64_t>(less) << 21) | static_cast<uint64_t>(more);
@@ -220,6 +224,8 @@ class VarMap {
   std::vector<int> dense_sizes_;  // domain size covered by the dense block
   std::vector<int> applicable_cfds_;
   std::vector<int> codes_;  // tuple-major code rows (tuple_codes)
+  // The Γ fixpoint's scratch, for BuildFrom and for the ExtendWith of the
+  // Instantiation that owns this VarMap; the two never run at once.
   CfdReach reach_;
   int num_vars_ = 0;
   int dense_num_vars_ = 0;

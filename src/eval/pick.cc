@@ -21,13 +21,12 @@ std::shared_ptr<const RuleSet> FavoredPickRules(const RuleSet& rules) {
 }
 
 PickResult PickBaseline(const Specification& se, Rng* rng,
-                        std::shared_ptr<const RuleSet> favored) {
+                        const std::shared_ptr<const RuleSet>& favored) {
   // Keep only comparison-only currency constraints and drop Γ, then let
   // grounding produce the unconditional value orders they imply.
   Specification favored_se;
   favored_se.temporal = se.temporal;
-  favored_se.rules =
-      favored != nullptr ? std::move(favored) : FavoredPickRules(*se.rules);
+  favored_se.rules = favored;
 
   auto inst_or = Instantiation::Build(favored_se);
   CCR_CHECK(inst_or.ok());

@@ -28,10 +28,10 @@ struct PickResult {
 /// setup). Make it once per corpus.
 std::shared_ptr<const RuleSet> FavoredPickRules(const RuleSet& rules);
 
-/// Runs favored Pick on `se`. `favored` is FavoredPickRules(*se.rules),
-/// made here when null.
+/// Runs favored Pick on `se`. `favored` must be FavoredPickRules(*se.rules),
+/// made once by the caller and shared by every entity of the corpus.
 PickResult PickBaseline(const Specification& se, Rng* rng,
-                        std::shared_ptr<const RuleSet> favored = nullptr);
+                        const std::shared_ptr<const RuleSet>& favored);
 
 }  // namespace ccr
 

@@ -1,5 +1,7 @@
 #include "src/service/snapshot.h"
 
+#include <memory>
+#include <mutex>
 #include <set>
 #include <utility>
 
@@ -188,6 +190,9 @@ struct RawSpec {
   std::vector<std::tuple<int, int, int>> orders;
   std::vector<CurrencyConstraint> sigma;
   std::vector<ConstantCfd> gamma;
+  // The text sigma and gamma were parsed from (views into the snapshot).
+  std::string_view sigma_text;
+  std::string_view gamma_text;
 };
 
 Status ParseTupleValues(json::Reader* rd, std::vector<Value>* out) {
@@ -364,12 +369,20 @@ Status ParseSpecObject(json::Reader* rd, RawSpec* raw) {
           [&]() -> Status { return ParseOrderTriple(rd, &raw->orders); });
     }
     if (f == "sigma") {
-      return rd->ParseArray(
-          [&]() -> Status { return ParseSigmaEntry(rd, &raw->sigma); });
+      rd->SkipWs();
+      const size_t begin = rd->pos();
+      CCR_RETURN_NOT_OK(rd->ParseArray(
+          [&]() -> Status { return ParseSigmaEntry(rd, &raw->sigma); }));
+      raw->sigma_text = rd->Since(begin);
+      return Status::OK();
     }
     if (f == "gamma") {
-      return rd->ParseArray(
-          [&]() -> Status { return ParseGammaEntry(rd, &raw->gamma); });
+      rd->SkipWs();
+      const size_t begin = rd->pos();
+      CCR_RETURN_NOT_OK(rd->ParseArray(
+          [&]() -> Status { return ParseGammaEntry(rd, &raw->gamma); }));
+      raw->gamma_text = rd->Since(begin);
+      return Status::OK();
     }
     return rd->Fail("unknown spec field '" + f + "'");
   }));
@@ -379,6 +392,55 @@ Status ParseSpecObject(json::Reader* rd, RawSpec* raw) {
     }
   }
   return Status::OK();
+}
+
+// Parsed snapshots whose Σ and Γ read the same text share one rule set,
+// as the specifications of one corpus do: a daemon serving a corpus makes
+// its rule set once, not at every OPEN and rehydration. The pool holds no
+// rule set alive: once the last specification using one is gone, the
+// next Get drops its entry.
+class RuleSetPool {
+ public:
+  // The rule set of `raw`'s Σ and Γ for `num_attrs` attributes: a live
+  // one parsed from the same text, or RuleSet::Make's.
+  Result<std::shared_ptr<const RuleSet>> Get(int num_attrs, RawSpec* raw) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      std::erase_if(entries_,
+                    [](const Entry& e) { return e.rules.expired(); });
+      for (const Entry& e : entries_) {
+        if (e.num_attrs != num_attrs || e.sigma_text != raw->sigma_text ||
+            e.gamma_text != raw->gamma_text) {
+          continue;
+        }
+        if (std::shared_ptr<const RuleSet> rules = e.rules.lock()) {
+          return rules;
+        }
+      }
+    }
+    CCR_ASSIGN_OR_RETURN(
+        std::shared_ptr<const RuleSet> rules,
+        RuleSet::Make(num_attrs, std::move(raw->sigma), std::move(raw->gamma)));
+    std::lock_guard<std::mutex> lock(mu_);
+    entries_.push_back(Entry{num_attrs, std::string(raw->sigma_text),
+                             std::string(raw->gamma_text), rules});
+    return rules;
+  }
+
+ private:
+  struct Entry {
+    int num_attrs;
+    std::string sigma_text;
+    std::string gamma_text;
+    std::weak_ptr<const RuleSet> rules;
+  };
+  std::mutex mu_;
+  std::vector<Entry> entries_;
+};
+
+RuleSetPool& SnapshotRuleSets() {
+  static RuleSetPool pool;
+  return pool;
 }
 
 Result<Specification> AssembleSpec(RawSpec raw) {
@@ -397,13 +459,15 @@ Result<Specification> AssembleSpec(RawSpec raw) {
     }
     CCR_RETURN_NOT_OK(temporal.AddOrder(attr, less, more));
   }
+  Result<std::shared_ptr<const RuleSet>> rules =
+      SnapshotRuleSets().Get(n_attrs, &raw);
+  if (!rules.ok()) {
+    return Status::InvalidArgument("session snapshot: " +
+                                   rules.status().message());
+  }
   Specification spec;
   spec.temporal = std::move(temporal);
-  const Status rules =
-      spec.SetRules(std::move(raw.sigma), std::move(raw.gamma));
-  if (!rules.ok()) {
-    return Status::InvalidArgument("session snapshot: " + rules.message());
-  }
+  spec.rules = std::move(rules).value();
   return spec;
 }
 

@@ -333,13 +333,13 @@ TEST(DatasetTest, MakeSpecSubsetsConstraints) {
   PersonOptions opts;
   opts.num_entities = 1;
   const Dataset ds = GeneratePerson(opts);
-  const Specification half = ds.MakeSpec(0, 0.5, 0.5);
+  const Specification half = ds.MakeSpec(0, ds.SubsetRules(0.5, 0.5, 1));
   EXPECT_NEAR(half.sigma().size(), ds.sigma().size() / 2.0,
               ds.sigma().size() * 0.02 + 1);
   EXPECT_NEAR(half.gamma().size(), ds.gamma().size() / 2.0,
               ds.gamma().size() * 0.02 + 1);
   // Deterministic subsetting.
-  const Specification again = ds.MakeSpec(0, 0.5, 0.5);
+  const Specification again = ds.MakeSpec(0, ds.SubsetRules(0.5, 0.5, 1));
   EXPECT_EQ(half.sigma().size(), again.sigma().size());
   const Specification full = ds.MakeSpec(0);
   EXPECT_EQ(full.sigma().size(), ds.sigma().size());

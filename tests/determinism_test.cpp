@@ -86,8 +86,10 @@ TEST(DeterminismTest, MakeSpecSubsetIsSeedDeterministic) {
   PersonOptions opts;
   opts.num_entities = 3;
   const Dataset ds = GeneratePerson(opts);
-  const Specification s1 = ds.MakeSpec(0, 0.5, 0.5, /*subset_seed=*/9);
-  const Specification s2 = ds.MakeSpec(0, 0.5, 0.5, /*subset_seed=*/9);
+  const Specification s1 =
+      ds.MakeSpec(0, ds.SubsetRules(0.5, 0.5, /*subset_seed=*/9));
+  const Specification s2 =
+      ds.MakeSpec(0, ds.SubsetRules(0.5, 0.5, /*subset_seed=*/9));
   EXPECT_EQ(s1.ToString(), s2.ToString());
 }
 

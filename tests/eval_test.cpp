@@ -89,10 +89,11 @@ TEST(PickTest, UsesComparisonOnlyConstraints) {
   opts.num_entities = 20;
   const Dataset ds = GeneratePerson(opts);
   Rng rng(5);
+  const std::shared_ptr<const RuleSet> favored = FavoredPickRules(*ds.rules);
   int kids_correct = 0, kids_total = 0;
   for (size_t i = 0; i < ds.entities.size(); ++i) {
     const Specification se = ds.MakeSpec(static_cast<int>(i));
-    const PickResult pr = PickBaseline(se, &rng);
+    const PickResult pr = PickBaseline(se, &rng, favored);
     const int kids = ds.schema.IndexOf("kids");
     if (ds.entities[i].instance.HasConflict(kids)) {
       ++kids_total;
@@ -109,7 +110,8 @@ TEST(PickTest, ResolvesEveryNonNullAttr) {
   opts.num_entities = 3;
   const Dataset ds = GeneratePerson(opts);
   Rng rng(6);
-  const PickResult pr = PickBaseline(ds.MakeSpec(0), &rng);
+  const Specification se = ds.MakeSpec(0);
+  const PickResult pr = PickBaseline(se, &rng, FavoredPickRules(*se.rules));
   for (int a = 0; a < ds.schema.size(); ++a) {
     EXPECT_TRUE(pr.resolved[a]) << ds.schema.name(a);
   }

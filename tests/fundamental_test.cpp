@@ -129,7 +129,8 @@ TEST_P(FundamentalSweep, OracleAnswersAreConsistentExtensions) {
 TEST_P(FundamentalSweep, SubsettingConstraintsNeverInvalidates) {
   const Dataset ds = MakeCorpus();
   for (double f : {0.0, 0.3, 0.7}) {
-    const Specification se = ds.MakeSpec(0, f, f, GetParam() + 1);
+    const Specification se =
+        ds.MakeSpec(0, ds.SubsetRules(f, f, GetParam() + 1));
     auto r = IsValid(se);
     ASSERT_TRUE(r.ok());
     EXPECT_TRUE(r->valid) << "fraction " << f;

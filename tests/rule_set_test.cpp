@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -147,7 +148,9 @@ TEST(RuleSetTest, GroupsSigmaAndIndexesGamma) {
   EXPECT_EQ(rs.table_attrs(rs.sigma_plan(0).table), (std::vector<int>{0, 1}));
   EXPECT_EQ(rs.table_attrs(rs.sigma_plan(2).table), (std::vector<int>{0, 2}));
   EXPECT_EQ(rs.sigma_plan(0).head, 0);
-  EXPECT_EQ(rs.sigma_plan(0).order, (std::vector<int>{1}));
+  const std::span<const int> order0 = rs.sigma_plan(0).order;
+  EXPECT_EQ(std::vector<int>(order0.begin(), order0.end()),
+            (std::vector<int>{1}));
   EXPECT_EQ(rs.sigma_plan(2).head, 1);  // attribute 2 is column 1 of {0, 2}
 
   // Σ constants: x and y on attribute 0, each once; null has no id.
@@ -201,7 +204,8 @@ TEST(RuleSetTest, SpecsExtensionsAndSessionsShareOneRuleSet) {
   // A fraction is a new rule set, the same for every entity.
   const auto half = ds.SubsetRules(0.5, 0.5, 7);
   EXPECT_NE(half, ds.rules);
-  EXPECT_EQ(half->sigma().size(), ds.MakeSpec(0, 0.5, 0.5, 7).sigma().size());
+  EXPECT_EQ(half->sigma().size(), ds.SubsetRules(0.5, 0.5, 7)->sigma().size());
+  EXPECT_EQ(ds.MakeSpec(0, half).rules, half);
 }
 
 TEST(RuleSetTest, ExtendWithRefusesAnotherRuleSet) {

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -183,6 +184,58 @@ TEST(SnapshotJsonTest, RejectsOutOfRangeAttributeIndices) {
   EXPECT_NE(parsed.status().ToString().find("out of range"),
             std::string::npos)
       << parsed.status().ToString();
+}
+
+TEST(SnapshotJsonTest, SnapshotsWithTheSameRulesShareOneRuleSet) {
+  const Dataset ds = SmallPersonCorpus();
+  auto a = SnapshotFromJson(SnapshotToJson(MakeSnapshot(ds, 0), 0));
+  auto b = SnapshotFromJson(SnapshotToJson(MakeSnapshot(ds, 1), 0));
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_EQ(a->spec.rules, b->spec.rules);
+  EXPECT_EQ(a->spec.sigma().size(), ds.sigma().size());
+  EXPECT_EQ(a->spec.gamma().size(), ds.gamma().size());
+
+  // Other rules make another rule set.
+  SessionSnapshot half;
+  half.spec = ds.MakeSpec(0, ds.SubsetRules(1.0, 0.5, 3));
+  auto c = SnapshotFromJson(SnapshotToJson(half, 0));
+  ASSERT_TRUE(c.ok());
+  EXPECT_NE(c->spec.rules, a->spec.rules);
+  EXPECT_EQ(c->spec.gamma().size(), half.spec.gamma().size());
+
+  // The pool keeps no rule set alive.
+  const std::weak_ptr<const RuleSet> shared = a->spec.rules;
+  a = Status::Internal("released");
+  b = Status::Internal("released");
+  EXPECT_TRUE(shared.expired());
+  auto again = SnapshotFromJson(SnapshotToJson(MakeSnapshot(ds, 2), 0));
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->spec.sigma().size(), ds.sigma().size());
+}
+
+TEST(SnapshotJsonTest, SharedRulesAreCheckedAgainstEachSchema) {
+  // The same rule text, valid for nine attributes, arrives with a schema
+  // of two: it is rejected although a rule set parsed from that text is
+  // alive.
+  Schema wide_schema =
+      Schema::Make({"A", "B", "C", "D", "E", "F", "G", "H", "I"}).value();
+  SessionSnapshot wide;
+  wide.spec.temporal = TemporalInstance(EntityInstance(wide_schema, "wide"));
+  ASSERT_TRUE(wide.spec.SetRules({}, {ConstantCfd({}, 8, Value::Str("q"))})
+                  .ok());
+  SessionSnapshot narrow;
+  narrow.spec.temporal = TemporalInstance(
+      EntityInstance(Schema::Make({"A", "B"}).value(), "narrow"));
+  narrow.spec.rules = wide.spec.rules;
+
+  auto wide_back = SnapshotFromJson(SnapshotToJson(wide, 0));
+  ASSERT_TRUE(wide_back.ok()) << wide_back.status().ToString();
+  auto narrow_back = SnapshotFromJson(SnapshotToJson(narrow, 0));
+  ASSERT_FALSE(narrow_back.ok());
+  EXPECT_EQ(narrow_back.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(narrow_back.status().ToString().find("out of range"),
+            std::string::npos)
+      << narrow_back.status().ToString();
 }
 
 // --- replay equivalence ----------------------------------------------------
