@@ -77,7 +77,13 @@ void RunDataset(const char* name, const Dataset& ds, int max_rounds,
                 int answers_per_round, double answer_prob) {
   std::printf("\n%s (%zu entities)\n", name, ds.entities.size());
   RunFigure(ds, Mode::kBoth, max_rounds, answers_per_round, answer_prob);
-  std::printf("  Pick baseline F-measure: %.3f\n", RunPick(ds).F1());
+  const Result<AccuracyCounts> pick = RunPick(ds);
+  if (pick.ok()) {
+    std::printf("  Pick baseline F-measure: %.3f\n", pick->F1());
+  } else {
+    std::printf("  Pick baseline failed: %s\n",
+                pick.status().ToString().c_str());
+  }
   RunFigure(ds, Mode::kSigmaOnly, max_rounds, answers_per_round,
             answer_prob);
   RunFigure(ds, Mode::kGammaOnly, max_rounds, answers_per_round,

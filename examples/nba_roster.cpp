@@ -42,10 +42,15 @@ int main() {
   ExperimentOptions eopts;
   eopts.max_rounds = 2;
   const ExperimentResult ours = RunExperiment(ds, eopts);
-  const AccuracyCounts pick = RunPick(ds);
+  const Result<AccuracyCounts> pick = RunPick(ds);
+  if (!pick.ok()) {
+    std::fprintf(stderr, "Pick baseline: %s\n",
+                 pick.status().ToString().c_str());
+    return 1;
+  }
   std::printf("\naccuracy (F-measure): 0-round %.3f | 2-round %.3f | "
               "Pick %.3f\n",
               ours.accuracy_by_round[0].F1(),
-              ours.accuracy_by_round[2].F1(), pick.F1());
+              ours.accuracy_by_round[2].F1(), pick->F1());
   return 0;
 }

@@ -84,16 +84,16 @@ Result<ResolutionSession> ResolutionSession::Create(
       Instantiation::BuildInto(s.spec_, s.inst_, SessionGroundingOptions()));
   BuildCnfInto(*s.inst_, s.cnf_);
   s.FeedSolver();
-  // Inprocessing cadence: the freshly built Φ(Se) is the baseline; every
-  // ExtendWith ends in a Simplify() that vivifies and backward-subsumes
-  // exactly the round's appended delta against the whole database.
+  // Inprocessing cadence: the freshly built Φ(Se) is the baseline; each
+  // sweep an ExtendWith schedules vivifies and backward-subsumes exactly
+  // the clauses appended since the previous one against the whole
+  // database.
   if (s.options_.solver.use_inprocessing) s.solver_->PrimeInprocessing();
   // SLS warm start: a local-search pass under the active guards installs
   // a near-model into the saved phases (and, when fully satisfying, the
   // witness ring) before the first validity solve ever runs. Skipped on
   // NaiveDeduce pipelines, where it once slowed the per-pair entailment
-  // solves; the call sequence stays as perfbench's traced session
-  // mirrors it.
+  // solves.
   if (s.options_.solver.use_sls_seeding && !s.options_.naive_deduce) {
     s.solver_->SeedFromLocalSearch(s.inst_->guard_assumptions());
   }
@@ -126,9 +126,11 @@ Suggestion ResolutionSession::MakeSuggestion(
 }
 
 Status ResolutionSession::ExtendWith(const PartialTemporalOrder& ot) {
-  // Only It grows: extend the temporal instance and swap it in, so Σ and Γ
-  // are never copied after Create. A failed extension swaps it back.
-  CCR_ASSIGN_OR_RETURN(TemporalInstance next, Extend(spec_.temporal, ot));
+  // Only It grows, in place: Append costs what Ot adds, and Σ and Γ are
+  // never copied after Create. Append rejects a bad delta before touching
+  // anything; a delta the grounding rejects is truncated away again.
+  const TemporalInstance::Mark before = spec_.temporal.mark();
+  CCR_RETURN_NOT_OK(spec_.temporal.Append(ot));
   Timer timer;
   // GetSug's MaxSAT fallback allocates selector/cardinality variables in
   // released scopes directly on the persistent solver; advance the
@@ -139,11 +141,10 @@ Status ResolutionSession::ExtendWith(const PartialTemporalOrder& ot) {
     inst_->varmap.NewAuxVar();
   }
   cnf_->EnsureVars(inst_->varmap.num_vars());
-  std::swap(spec_.temporal, next);
   Result<InstantiationDelta> extended =
       inst_->ExtendWith(spec_, ot, SessionGroundingOptions());
   if (!extended.ok()) {
-    std::swap(spec_.temporal, next);
+    spec_.temporal.TruncateTo(before);
     return extended.status();
   }
   const InstantiationDelta& delta = *extended;
@@ -153,13 +154,18 @@ Status ResolutionSession::ExtendWith(const PartialTemporalOrder& ot) {
   ExtendCnf(*inst_, delta, cnf_);
   FeedSolver();
   // New clauses (and retired-guard units) may have asserted fresh
-  // top-level facts; fold them in and drop clauses they satisfy before
-  // the next phase solves. This is also the arena GC schedule point: a
-  // round's sweeps and inprocessing mark dead clauses, and Simplify ends
-  // by compacting the arena once the dead fraction crosses
-  // SolverOptions::gc_frac — which is what keeps a multi-hundred-round
-  // session's solver memory proportional to its live clause set.
-  solver_->Simplify();
+  // top-level facts; fold them in before the next phase solves. Sweeping
+  // the clauses they satisfy costs a pass over the whole database, so it
+  // runs on MaybeSimplify's schedule: only once the level-0 trail has
+  // grown and either the propagations since the last sweep reach the
+  // arena's size or the satisfied clauses have been held, round after
+  // round, as long as a sweep costs. The sweep is also the arena GC
+  // schedule point: it marks dead clauses and ends by compacting the
+  // arena once the dead fraction crosses SolverOptions::gc_frac — which
+  // is what keeps a multi-hundred-round session's solver memory
+  // proportional to its live clause set. (perfbench's traced drive still
+  // runs the full Simplify() here and times it as sat.simplify.)
+  solver_->MaybeSimplify();
   // Re-seed from local search: the phases still hold (near) the previous
   // round's model, so a short pass usually repairs it against the delta
   // and refills the witness ring the extension just invalidated — the

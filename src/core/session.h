@@ -3,7 +3,7 @@
 //
 // The framework loops validity → deduction → suggestion over the *same*
 // specification, growing it by a small user delta Ot each round. A session
-// therefore owns the three artifacts that survive rounds:
+// therefore owns the four artifacts that survive rounds:
 //   * Ω(Se): the instantiation, extended in place (ExtendWith grounds only
 //     the delta's tuples/orders and appends). CFD rule bodies are guarded
 //     by per-(CFD, LHS-pattern) selector variables, so even the one
@@ -20,8 +20,13 @@
 //     GetSug's MaxSAT fallback (a non-Horn formula or an oversized
 //     clique) allocates variables, in a released ScopedVars scope —
 //     nothing a round introduces constrains the next.
-//     A top-level Simplify pass after each extension sweeps clauses
-//     deactivated by retired guards.
+//     After each extension the solver propagates the new level-0 facts;
+//     the top-level sweep of clauses they satisfy (those deactivated by
+//     retired guards among them) runs only once search work or the
+//     satisfied clauses held have paid for it (Solver::MaybeSimplify),
+//     so an answer costs what it adds.
+//   * It, the temporal instance, appended in place (TemporalInstance::
+//     Append) and truncated back when the grounding rejects the delta.
 //
 // Resolve() drives a session internally; the class is public so batch
 // drivers and benches can observe per-round encode costs and the

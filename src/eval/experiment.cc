@@ -178,8 +178,8 @@ ExperimentResult RunExperiment(const Dataset& ds,
   return out;
 }
 
-AccuracyCounts RunPick(const Dataset& ds, uint64_t seed,
-                       const std::vector<int>& entity_indices) {
+Result<AccuracyCounts> RunPick(const Dataset& ds, uint64_t seed,
+                               const std::vector<int>& entity_indices) {
   AccuracyCounts pooled;
   Rng rng(seed);
   std::vector<int> indices = entity_indices;
@@ -193,7 +193,8 @@ AccuracyCounts RunPick(const Dataset& ds, uint64_t seed,
   for (int idx : indices) {
     const EntityCase& ec = ds.entities[idx];
     const Specification se = ds.MakeSpec(idx);
-    const PickResult pick = PickBaseline(se, &rng, favored);
+    CCR_ASSIGN_OR_RETURN(const PickResult pick,
+                         PickBaseline(se, &rng, favored));
     pooled.Add(
         ScoreAssignment(ec.instance, ec.truth, pick.values, pick.resolved));
   }

@@ -102,9 +102,10 @@ void RecomputePctTrueByRound(ExperimentResult* r);
 /// scale-out for the multi-process driver (tools/ccr_experiment).
 std::vector<int> ShardIndices(int num_entities, int shard, int num_shards);
 
-/// Pick baseline accuracy over the same entities.
-AccuracyCounts RunPick(const Dataset& ds, uint64_t seed = 99,
-                       const std::vector<int>& entity_indices = {});
+/// Pick baseline accuracy over the same entities. Fails with the first
+/// entity's PickBaseline error.
+Result<AccuracyCounts> RunPick(const Dataset& ds, uint64_t seed = 99,
+                               const std::vector<int>& entity_indices = {});
 
 }  // namespace ccr
 

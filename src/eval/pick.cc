@@ -20,17 +20,17 @@ std::shared_ptr<const RuleSet> FavoredPickRules(const RuleSet& rules) {
   return std::move(made).value();
 }
 
-PickResult PickBaseline(const Specification& se, Rng* rng,
-                        const std::shared_ptr<const RuleSet>& favored) {
+Result<PickResult> PickBaseline(
+    const Specification& se, Rng* rng,
+    const std::shared_ptr<const RuleSet>& favored) {
   // Keep only comparison-only currency constraints and drop Γ, then let
   // grounding produce the unconditional value orders they imply.
   Specification favored_se;
   favored_se.temporal = se.temporal;
   favored_se.rules = favored;
 
-  auto inst_or = Instantiation::Build(favored_se);
-  CCR_CHECK(inst_or.ok());
-  const Instantiation& inst = inst_or.value();
+  CCR_ASSIGN_OR_RETURN(const Instantiation inst,
+                       Instantiation::Build(favored_se));
   const VarMap& vm = inst.varmap;
 
   // Unconditional ground heads give the known currency orders.

@@ -30,8 +30,10 @@ std::shared_ptr<const RuleSet> FavoredPickRules(const RuleSet& rules);
 
 /// Runs favored Pick on `se`. `favored` must be FavoredPickRules(*se.rules),
 /// made once by the caller and shared by every entity of the corpus.
-PickResult PickBaseline(const Specification& se, Rng* rng,
-                        const std::shared_ptr<const RuleSet>& favored);
+/// InvalidArgument when grounding `favored` on `se` fails — a rule set
+/// that names an attribute past `se`'s schema.
+Result<PickResult> PickBaseline(const Specification& se, Rng* rng,
+                                const std::shared_ptr<const RuleSet>& favored);
 
 }  // namespace ccr
 

@@ -35,15 +35,41 @@ Status TemporalInstance::AddTuple(Tuple t) {
   return instance_.Add(std::move(t));
 }
 
+Status TemporalInstance::Append(const PartialTemporalOrder& delta) {
+  const Mark before = mark();
+  auto append = [&]() -> Status {
+    for (const Tuple& t : delta.new_tuples) CCR_RETURN_NOT_OK(AddTuple(t));
+    for (const auto& [attr, less, more] : delta.orders) {
+      CCR_RETURN_NOT_OK(AddOrder(attr, less, more));
+    }
+    return Status::OK();
+  };
+  Status st = append();
+  if (!st.ok()) TruncateTo(before);
+  return st;
+}
+
+TemporalInstance::Mark TemporalInstance::mark() const {
+  Mark m;
+  m.tuples = instance_.size();
+  m.orders.reserve(orders_.size());
+  for (const auto& per_attr : orders_) m.orders.push_back(per_attr.size());
+  return m;
+}
+
+void TemporalInstance::TruncateTo(const Mark& mark) {
+  CCR_CHECK(mark.orders.size() == orders_.size());
+  instance_.Truncate(mark.tuples);
+  for (size_t a = 0; a < orders_.size(); ++a) {
+    CCR_CHECK(mark.orders[a] <= orders_[a].size());
+    orders_[a].resize(mark.orders[a]);
+  }
+}
+
 Result<TemporalInstance> Extend(const TemporalInstance& base,
                                 const PartialTemporalOrder& delta) {
   TemporalInstance out = base;
-  for (const Tuple& t : delta.new_tuples) {
-    CCR_RETURN_NOT_OK(out.AddTuple(t));
-  }
-  for (const auto& [attr, less, more] : delta.orders) {
-    CCR_RETURN_NOT_OK(out.AddOrder(attr, less, more));
-  }
+  CCR_RETURN_NOT_OK(out.Append(delta));
   return out;
 }
 

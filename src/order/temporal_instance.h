@@ -19,6 +19,8 @@
 
 namespace ccr {
 
+struct PartialTemporalOrder;
+
 /// \brief An entity instance plus one (possibly empty) currency order per
 /// attribute: the paper's temporal instance It.
 class TemporalInstance {
@@ -48,6 +50,24 @@ class TemporalInstance {
   /// t_o, §III Remark (1)).
   Status AddTuple(Tuple t);
 
+  /// It ← It ⊕ Ot in place: appends Ot's tuples, then merges its order
+  /// pairs, each through AddTuple / AddOrder. The first tuple or pair
+  /// those reject truncates away whatever this call appended, so a
+  /// rejected delta leaves the instance unchanged. Cycle detection is
+  /// left to validity checking, as in Extend.
+  Status Append(const PartialTemporalOrder& delta);
+
+  /// How much of the instance exists at one moment: the tuple count and
+  /// the stored pairs per attribute. TruncateTo(mark) drops whatever was
+  /// appended after mark() — how a session undoes an Append whose
+  /// grounding it then rejects.
+  struct Mark {
+    int tuples = 0;
+    std::vector<size_t> orders;  // per attribute
+  };
+  Mark mark() const;
+  void TruncateTo(const Mark& mark);
+
  private:
   EntityInstance instance_;
   std::vector<std::vector<std::pair<int, int>>> orders_;
@@ -70,8 +90,9 @@ struct PartialTemporalOrder {
   bool empty() const { return new_tuples.empty() && orders.empty(); }
 };
 
-/// Computes It ⊕ Ot: appends Ot's tuples and merges its currency orders.
-/// Fails if an order pair is out of range; cycle detection is left to
+/// Computes It ⊕ Ot on a copy of `base` (TemporalInstance::Append):
+/// appends Ot's tuples and merges its currency orders. Fails if a tuple's
+/// arity or an order pair is out of range; cycle detection is left to
 /// validity checking (IsValid), as in the framework of Fig. 4.
 Result<TemporalInstance> Extend(const TemporalInstance& base,
                                 const PartialTemporalOrder& delta);

@@ -14,6 +14,11 @@ Status EntityInstance::Add(Tuple t) {
   return Status::OK();
 }
 
+void EntityInstance::Truncate(int n) {
+  CCR_CHECK(n >= 0 && n <= size());
+  tuples_.erase(tuples_.begin() + n, tuples_.end());
+}
+
 std::vector<Value> EntityInstance::ActiveDomain(int attr) const {
   std::vector<Value> out;
   std::unordered_set<Value, ValueHash> seen;

@@ -33,6 +33,9 @@ class EntityInstance {
   /// Appends a tuple; its arity must match the schema.
   Status Add(Tuple t);
 
+  /// Drops every tuple past the first `n` (n <= size()).
+  void Truncate(int n);
+
   /// Active domain adom(Ie.A): the distinct non-null values of attribute
   /// `attr` across all tuples, in first-occurrence order (§II-A).
   ///

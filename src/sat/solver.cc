@@ -153,6 +153,11 @@ void Solver::Reset(SolverOptions options) {
   arena_dead_words_ = 0;
   arena_peak_words_ = 0;
   arena_tmp_.clear();
+  sweep_trail_ = 0;
+  sweep_props_ = 0;
+  sat_head_ = 0;
+  sat_clauses_ = 0;
+  sat_held_ = 0;
   for (std::vector<ClauseRef>& o : occur_) o.clear();
   model_fresh_ = false;
   model_pool_.clear();
@@ -982,6 +987,12 @@ bool Solver::Simplify() {
     ok_ = false;
     return false;
   }
+  ++stats_.sweeps;
+  sweep_trail_ = trail_.size();
+  sweep_props_ = stats_.propagations + stats_.binary_propagations;
+  sat_head_ = trail_.size();
+  sat_clauses_ = 0;
+  sat_held_ = 0;
   RemoveSatisfiedTopLevel();
   SweepSatisfiedProblem();
   SweepBinaries();
@@ -991,6 +1002,34 @@ bool Solver::Simplify() {
   }
   MaybeGarbageCollect();
   return ok_;
+}
+
+bool Solver::MaybeSimplify() {
+  CCR_DCHECK(DecisionLevel() == 0);
+  if (!ok_) return false;
+  if (Propagate() != kRefUndef) {
+    ok_ = false;
+    return false;
+  }
+  if (trail_.size() == sweep_trail_) return true;
+  // Search pays: long plus binary propagations since the last sweep have
+  // reached the arena's size in words.
+  const int64_t props = stats_.propagations + stats_.binary_propagations;
+  if (props - sweep_props_ >= static_cast<int64_t>(arena_.size())) {
+    return Simplify();
+  }
+  // Memory pays: every clause watching a fact fixed since the last sweep
+  // is satisfied, so counting the new facts' watchers (a clause may be
+  // counted twice) estimates what a sweep would detach. Each call holds
+  // that many satisfied clauses one more round; once the held total
+  // reaches the clause database's size, keeping them has cost as much as
+  // the pass that drops them (the ski-rental rule).
+  for (; sat_head_ < trail_.size(); ++sat_head_) {
+    sat_clauses_ += watches_[(~trail_[sat_head_]).index()].size();
+  }
+  sat_held_ += sat_clauses_;
+  if (sat_held_ >= clauses_.size() + learnts_.size()) return Simplify();
+  return true;
 }
 
 void Solver::PrimeInprocessing() {

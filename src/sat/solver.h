@@ -111,6 +111,9 @@ struct SolverStats {
   /// (use_arena_gc).
   int64_t gc_runs = 0;
   int64_t gc_reclaimed_words = 0;
+  /// Top-level sweeps run: Simplify() calls, whether made directly or
+  /// scheduled by MaybeSimplify().
+  int64_t sweeps = 0;
   /// Stochastic local search: flips performed across all
   /// SeedFromLocalSearch calls, and fully satisfying assignments pushed
   /// into the cached-model ring (use_sls_seeding).
@@ -148,6 +151,7 @@ struct SolverStats {
             model_cache_hits - o.model_cache_hits,
             gc_runs - o.gc_runs,
             gc_reclaimed_words - o.gc_reclaimed_words,
+            sweeps - o.sweeps,
             sls_flips - o.sls_flips,
             sls_seeded_models - o.sls_seeded_models,
             deduce_queries - o.deduce_queries,
@@ -172,6 +176,7 @@ struct SolverStats {
     model_cache_hits += o.model_cache_hits;
     gc_runs += o.gc_runs;
     gc_reclaimed_words += o.gc_reclaimed_words;
+    sweeps += o.sweeps;
     sls_flips += o.sls_flips;
     sls_seeded_models += o.sls_seeded_models;
     deduce_queries += o.deduce_queries;
@@ -287,16 +292,39 @@ class Solver {
   /// per-call delta keeps phase attribution meaningful.
   const SolverStats& last_call_stats() const { return last_call_; }
 
-  /// Top-level simplification hook: propagates any pending level-0 facts,
+  /// Top-level simplification: propagates any pending level-0 facts,
   /// detaches problem and learnt clauses already satisfied at level 0,
-  /// and — when options.use_inprocessing is set — runs the inprocessing
-  /// passes (backward subsumption / self-subsuming resolution, then
-  /// clause vivification) over the problem clauses. Intended between
-  /// rounds of an incremental session, after new clauses were appended.
-  /// Both passes are equivalence-preserving, so every verdict the solver
-  /// produces afterwards is unchanged. Returns false if the solver is
-  /// (now) unsatisfiable.
+  /// prunes binary entries over fixed variables, and — when
+  /// options.use_inprocessing is set — runs the inprocessing passes
+  /// (backward subsumption / self-subsuming resolution, then clause
+  /// vivification) over the problem clauses, then collects the arena once
+  /// its dead fraction crosses gc_frac. An unconditional full pass, whose
+  /// cost is proportional to the whole clause database; a caller that
+  /// simplifies after every small extension wants MaybeSimplify(). Both
+  /// inprocessing passes are equivalence-preserving, so every verdict the
+  /// solver produces afterwards is unchanged. Returns false if the solver
+  /// is (now) unsatisfiable.
   bool Simplify();
+
+  /// Simplify() on a schedule: always propagates pending level-0 facts,
+  /// but runs the full pass only when the level-0 trail has grown since
+  /// the last one (there is something new to sweep) and the pass has
+  /// been paid for, by either of
+  ///   * search: long plus binary propagations since the last sweep have
+  ///     reached the arena's size in words — MiniSat's simplify() rule
+  ///     (Eén & Sörensson, "An Extensible SAT-solver", SAT 2003);
+  ///   * memory: each call adds the clauses known satisfied at level 0
+  ///     since the last sweep (the watchers of the new facts, counted
+  ///     once per fact) to a running total, and the pass runs once that
+  ///     total reaches the number of long clauses — satisfied clauses
+  ///     are held only until holding them has cost as much as dropping
+  ///     them (ski rental), which keeps a long session's arena within a
+  ///     bounded number of rounds of its live clause set.
+  /// ResolutionSession calls it after every extension, so an answer costs
+  /// what it adds rather than a pass over the whole entity. Sweeping
+  /// later changes no verdict: a clause satisfied at level 0 never
+  /// propagates. Returns false if the solver is (now) unsatisfiable.
+  bool MaybeSimplify();
 
   /// Declares the problem clauses loaded so far the inprocessing
   /// baseline: they will not be re-distilled or self-subsumed; future
@@ -796,6 +824,17 @@ class Solver {
   size_t arena_dead_words_ = 0;
   size_t arena_peak_words_ = 0;
   std::vector<uint32_t> arena_tmp_;
+
+  // MaybeSimplify's schedule: the level-0 trail length and the long plus
+  // binary propagation count when the last sweep ran; the next trail fact
+  // whose watchers are still to be counted, the clauses known satisfied
+  // at level 0 since the last sweep (an estimate), and their sum over the
+  // MaybeSimplify calls since then.
+  size_t sweep_trail_ = 0;
+  int64_t sweep_props_ = 0;
+  size_t sat_head_ = 0;
+  size_t sat_clauses_ = 0;
+  size_t sat_held_ = 0;
 
   // Persistent occurrence index over the problem clauses (maintained
   // whenever inprocessing is on): occur_[v] lists every arena

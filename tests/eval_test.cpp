@@ -93,12 +93,13 @@ TEST(PickTest, UsesComparisonOnlyConstraints) {
   int kids_correct = 0, kids_total = 0;
   for (size_t i = 0; i < ds.entities.size(); ++i) {
     const Specification se = ds.MakeSpec(static_cast<int>(i));
-    const PickResult pr = PickBaseline(se, &rng, favored);
+    auto pr = PickBaseline(se, &rng, favored);
+    ASSERT_TRUE(pr.ok()) << pr.status().ToString();
     const int kids = ds.schema.IndexOf("kids");
     if (ds.entities[i].instance.HasConflict(kids)) {
       ++kids_total;
       kids_correct +=
-          (pr.values[kids] == ds.entities[i].truth[kids]) ? 1 : 0;
+          (pr->values[kids] == ds.entities[i].truth[kids]) ? 1 : 0;
     }
   }
   ASSERT_GT(kids_total, 0);
@@ -111,10 +112,36 @@ TEST(PickTest, ResolvesEveryNonNullAttr) {
   const Dataset ds = GeneratePerson(opts);
   Rng rng(6);
   const Specification se = ds.MakeSpec(0);
-  const PickResult pr = PickBaseline(se, &rng, FavoredPickRules(*se.rules));
+  auto pr = PickBaseline(se, &rng, FavoredPickRules(*se.rules));
+  ASSERT_TRUE(pr.ok()) << pr.status().ToString();
   for (int a = 0; a < ds.schema.size(); ++a) {
-    EXPECT_TRUE(pr.resolved[a]) << ds.schema.name(a);
+    EXPECT_TRUE(pr->resolved[a]) << ds.schema.name(a);
   }
+}
+
+TEST(PickTest, RuleSetPastTheSchemaFailsClosed) {
+  // A favored rule set made for a wider schema names an attribute the
+  // entity does not have: grounding it fails, and Pick reports that
+  // instead of aborting — per entity and over a whole corpus.
+  PersonOptions opts;
+  opts.num_entities = 3;
+  Dataset ds = GeneratePerson(opts);
+  const int n = ds.schema.size();
+  CurrencyConstraint past(n);
+  past.AddAttrCompare(n, CmpOp::kLt);
+  auto wide = RuleSet::Make(n + 1, {past}, {});
+  ASSERT_TRUE(wide.ok());
+  const std::shared_ptr<const RuleSet> favored = FavoredPickRules(**wide);
+  ASSERT_EQ(favored->sigma().size(), 1u);
+  Rng rng(7);
+  auto pr = PickBaseline(ds.MakeSpec(0), &rng, favored);
+  ASSERT_FALSE(pr.ok());
+  EXPECT_EQ(pr.status().code(), StatusCode::kInvalidArgument);
+
+  ds.rules = *wide;
+  auto pooled = RunPick(ds);
+  ASSERT_FALSE(pooled.ok());
+  EXPECT_EQ(pooled.status().code(), StatusCode::kInvalidArgument);
 }
 
 class ExperimentTest : public ::testing::Test {
@@ -162,7 +189,9 @@ TEST_F(ExperimentTest, UnifiedBeatsPickHeadline) {
   opts.max_rounds = 2;
   const double f_ours =
       RunExperiment(ds, opts).accuracy_by_round.back().F1();
-  const double f_pick = RunPick(ds).F1();
+  const auto pick = RunPick(ds);
+  ASSERT_TRUE(pick.ok()) << pick.status().ToString();
+  const double f_pick = pick->F1();
   EXPECT_GT(f_ours, f_pick);
 }
 

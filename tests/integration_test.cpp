@@ -76,8 +76,9 @@ TEST(IntegrationTest, CareerPipelines) {
   EXPECT_EQ(r.invalid_entities, 0);
   EXPECT_GE(r.accuracy_by_round.back().F1(),
             r.accuracy_by_round[0].F1());
-  const AccuracyCounts pick = RunPick(ds);
-  EXPECT_GT(r.accuracy_by_round.back().F1(), pick.F1());
+  const auto pick = RunPick(ds);
+  ASSERT_TRUE(pick.ok()) << pick.status().ToString();
+  EXPECT_GT(r.accuracy_by_round.back().F1(), pick->F1());
 }
 
 TEST(IntegrationTest, WalkSatSolvesGeneratedPhi) {

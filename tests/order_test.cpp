@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "src/order/partial_order.h"
 #include "src/order/temporal_instance.h"
 
@@ -167,6 +170,81 @@ TEST_F(TemporalInstanceTest, ExtendRejectsBadIndices) {
   PartialTemporalOrder ot;
   ot.orders.emplace_back(0, 0, 7);
   EXPECT_FALSE(Extend(ti_, ot).ok());
+}
+
+// Every tuple and every stored pair, for byte-level comparisons.
+std::string Render(const TemporalInstance& ti) {
+  std::string out = ti.instance().ToString();
+  for (int a = 0; a < ti.schema().size(); ++a) {
+    out += "attr " + std::to_string(a) + ":";
+    for (const auto& [less, more] : ti.orders(a)) {
+      out += " " + std::to_string(less) + "<" + std::to_string(more);
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+TEST_F(TemporalInstanceTest, AppendRejectingBadArityLeavesItUnchanged) {
+  ASSERT_TRUE(ti_.AddOrder(0, 0, 1).ok());
+  const std::string before = Render(ti_);
+  PartialTemporalOrder ot;
+  ot.new_tuples.push_back(Tuple({Value::Str("deceased"), Value::Null()}));
+  ot.new_tuples.push_back(Tuple({Value::Str("deceased")}));  // arity 1
+  ot.orders.emplace_back(0, 0, 3);
+  EXPECT_EQ(ti_.Append(ot).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ti_.instance().size(), 3);
+  EXPECT_EQ(Render(ti_), before);
+}
+
+TEST_F(TemporalInstanceTest, AppendRejectsBadPairAfterValidOnes) {
+  ASSERT_TRUE(ti_.AddOrder(0, 0, 1).ok());
+  const std::string before = Render(ti_);
+  for (const std::tuple<int, int, int>& bad :
+       {std::tuple<int, int, int>{1, 0, 9}, {5, 0, 1}, {1, -1, 0}}) {
+    PartialTemporalOrder ot;
+    ot.new_tuples.push_back(Tuple({Value::Str("deceased"), Value::Int(4)}));
+    ot.orders.emplace_back(0, 0, 3);
+    ot.orders.emplace_back(1, 1, 3);
+    ot.orders.push_back(bad);
+    EXPECT_EQ(ti_.Append(ot).code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(ti_.instance().size(), 3);
+    EXPECT_EQ(Render(ti_), before);
+  }
+}
+
+TEST_F(TemporalInstanceTest, ExtendIsCopyThenAppend) {
+  ASSERT_TRUE(ti_.AddOrder(1, 0, 1).ok());
+  PartialTemporalOrder ot;
+  ot.new_tuples.push_back(Tuple({Value::Str("deceased"), Value::Int(3)}));
+  ot.new_tuples.push_back(Tuple({Value::Str("working"), Value::Null()}));
+  ot.orders.emplace_back(0, 0, 3);
+  ot.orders.emplace_back(1, 1, 3);  // equal kids values: dropped
+  ot.orders.emplace_back(0, 4, 4);  // self pair: dropped
+  ot.orders.emplace_back(0, 4, 2);
+  const std::string base_before = Render(ti_);
+  auto extended = Extend(ti_, ot);
+  ASSERT_TRUE(extended.ok());
+  EXPECT_EQ(Render(ti_), base_before);  // Extend leaves its base alone
+  ASSERT_TRUE(ti_.Append(ot).ok());
+  EXPECT_EQ(Render(*extended), Render(ti_));
+  EXPECT_EQ(ti_.instance().size(), 5);
+  EXPECT_EQ(ti_.orders(0).size(), 2u);
+  EXPECT_EQ(ti_.orders(1).size(), 1u);
+}
+
+TEST_F(TemporalInstanceTest, TruncateToUndoesAppend) {
+  ASSERT_TRUE(ti_.AddOrder(0, 0, 1).ok());
+  const std::string before = Render(ti_);
+  const TemporalInstance::Mark mark = ti_.mark();
+  PartialTemporalOrder ot;
+  ot.new_tuples.push_back(Tuple({Value::Str("deceased"), Value::Int(4)}));
+  ot.orders.emplace_back(0, 0, 3);
+  ot.orders.emplace_back(1, 1, 3);
+  ASSERT_TRUE(ti_.Append(ot).ok());
+  ASSERT_NE(Render(ti_), before);
+  ti_.TruncateTo(mark);
+  EXPECT_EQ(Render(ti_), before);
 }
 
 }  // namespace

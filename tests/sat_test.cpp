@@ -375,6 +375,80 @@ INSTANTIATE_TEST_SUITE_P(
         FuzzParams{.name = "SweepOnlyMidway", .inprocessing = false,
                    .simplify_midway = true}));
 
+// Random Horn churn in the mid-stream pattern above: clauses arrive in
+// rounds, each round ending in a top-level simplification, with probes
+// and solves in between doing propagation work. One solver sweeps on
+// MaybeSimplify's schedule, its twin runs the full Simplify() every
+// round; both must answer every probe and every solve identically, and
+// as brute force does.
+TEST(SweepScheduleTest, HornChurnAnswersAsIfSweptEveryRound) {
+  Rng rng(0x5EE9);
+  int64_t scheduled_sweeps = 0, always_sweeps = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const int n_vars = 4 + static_cast<int>(rng.Below(9));
+    Cnf cnf;
+    cnf.EnsureVars(n_vars);
+    Solver scheduled;
+    Solver always;
+    for (int v = 0; v < n_vars; ++v) {
+      scheduled.NewVar();
+      always.NewVar();
+    }
+    for (int round = 0; round < 10; ++round) {
+      // Horn clauses: every literal negative but, usually, the first.
+      const int n_new = 1 + static_cast<int>(rng.Below(6));
+      bool alive_s = true, alive_a = true;
+      for (int c = 0; c < n_new; ++c) {
+        const int len = 1 + static_cast<int>(rng.Below(4));
+        std::vector<Lit> clause;
+        for (int k = 0; k < len; ++k) {
+          clause.push_back(Lit::Neg(static_cast<Var>(rng.Below(n_vars))));
+        }
+        if (rng.Chance(0.75)) clause[0] = ~clause[0];
+        cnf.AddClause(std::span<const Lit>(clause.data(), clause.size()));
+        alive_s = scheduled.AddClause(clause) && alive_s;
+        alive_a = always.AddClause(clause) && alive_a;
+      }
+      if (alive_s) alive_s = scheduled.MaybeSimplify();
+      if (alive_a) alive_a = always.Simplify();
+      const bool expected = BruteForceSat(cnf);
+      ASSERT_EQ(alive_s, alive_a) << "trial " << trial << " round " << round;
+      if (!alive_s) {
+        EXPECT_FALSE(expected) << "trial " << trial << " round " << round;
+        break;
+      }
+      for (int q = 0; q < 4; ++q) {
+        const Lit base[2] = {
+            Lit(static_cast<Var>(rng.Below(n_vars)), rng.Chance(0.5)),
+            Lit(static_cast<Var>(rng.Below(n_vars)), rng.Chance(0.5))};
+        const bool probe_s = scheduled.BeginProbe(base);
+        ASSERT_EQ(probe_s, always.BeginProbe(base))
+            << "trial " << trial << " round " << round;
+        if (!probe_s) continue;
+        for (Var v = 0; v < n_vars; ++v) {
+          EXPECT_EQ(scheduled.ProbeValue(v), always.ProbeValue(v))
+              << "trial " << trial << " round " << round << " var " << v;
+        }
+        scheduled.EndProbe();
+        always.EndProbe();
+      }
+      const SolveResult got = scheduled.Solve();
+      ASSERT_EQ(got, always.Solve())
+          << "trial " << trial << " round " << round;
+      ASSERT_EQ(got == SolveResult::kSat, expected)
+          << "trial " << trial << " round " << round;
+      if (expected) {
+        EXPECT_TRUE(ModelSatisfies(cnf, scheduled));
+      }
+    }
+    scheduled_sweeps += scheduled.stats().sweeps;
+    always_sweeps += always.stats().sweeps;
+  }
+  // The schedule did sweep, just less often than every round.
+  EXPECT_GT(scheduled_sweeps, 0);
+  EXPECT_LT(scheduled_sweeps, always_sweeps);
+}
+
 TEST(DimacsTest, RoundTrip) {
   Cnf cnf;
   cnf.EnsureVars(3);

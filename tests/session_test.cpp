@@ -383,6 +383,80 @@ TEST(ResolutionSessionTest, RejectedDeltaLeavesTheSessionUnchanged) {
   EXPECT_GE(after.size(), before.size());
 }
 
+TEST(ResolutionSessionTest, AnswersDoNotSweepTheWholeSolver) {
+  // Each answer adds a tuple and a few order pairs; after it the solver
+  // propagates the new facts but sweeps only once propagation work, or
+  // the satisfied clauses held round after round, have paid for a pass
+  // over the arena. Three answers on a person entity never get there.
+  PersonOptions opts;
+  opts.num_entities = 1;
+  opts.min_tuples = 60;
+  opts.max_tuples = 60;
+  const Dataset ds = GeneratePerson(opts);
+  const Specification se = ds.MakeSpec(0);
+  const std::vector<Value>& truth = ds.entities[0].truth;
+  auto session = ResolutionSession::Create(se);
+  ASSERT_TRUE(session.ok());
+  int answers = 0;
+  for (int a = 0; a < se.schema().size() && answers < 3; ++a) {
+    if (truth[a].is_null()) continue;
+    ASSERT_TRUE(session->CheckValidity().valid);
+    (void)session->Deduce();
+    auto delta = MakeAnswerDelta(session->spec(), {{a, truth[a]}});
+    ASSERT_TRUE(delta.ok());
+    ASSERT_TRUE(session->ExtendWith(*delta).ok());
+    ++answers;
+  }
+  ASSERT_EQ(answers, 3);
+  EXPECT_EQ(session->incremental_extensions(), 3);
+  EXPECT_EQ(session->solver_stats().sweeps, 0);
+  // Unswept, the session still answers as a fresh one on the same
+  // specification does.
+  auto fresh = ResolutionSession::Create(session->spec());
+  ASSERT_TRUE(fresh.ok());
+  ASSERT_EQ(session->CheckValidity().valid, fresh->CheckValidity().valid);
+  EXPECT_EQ(DeducedValuePairs(*session, session->Deduce()),
+            DeducedValuePairs(*fresh, fresh->Deduce()));
+}
+
+TEST(ResolutionSessionTest, LongSessionsStillSweepAndCollect) {
+  // A long-lived session fed truth answers round after round: its
+  // searches propagate far less than the arena holds, so the propagation
+  // rule alone would never sweep, but the clauses the answers satisfy
+  // are held round after round until they have cost a sweep — which then
+  // detaches them, and the collector reclaims their words.
+  PersonOptions opts;
+  opts.num_entities = 1;
+  opts.min_tuples = 60;
+  opts.max_tuples = 60;
+  const Dataset ds = GeneratePerson(opts);
+  const Specification se = ds.MakeSpec(0);
+  const std::vector<Value>& truth = ds.entities[0].truth;
+  ResolveOptions ropts;
+  ropts.naive_deduce = true;
+  ropts.solver.gc_frac = 0.10;
+  auto session = ResolutionSession::Create(se, ropts);
+  ASSERT_TRUE(session.ok());
+  const int n_attrs = se.schema().size();
+  for (int r = 0; r < 4 * n_attrs; ++r) {
+    const int a = r % n_attrs;
+    if (truth[a].is_null()) continue;
+    auto delta = MakeAnswerDelta(session->spec(), {{a, truth[a]}});
+    ASSERT_TRUE(delta.ok());
+    ASSERT_TRUE(session->ExtendWith(*delta).ok());
+    ASSERT_TRUE(session->CheckValidity().valid);
+  }
+  const sat::Solver& solver = session->solver();
+  EXPECT_GE(solver.stats().sweeps, 1);
+  EXPECT_GE(solver.stats().gc_runs, 1);
+  EXPECT_GT(solver.stats().gc_reclaimed_words, 0);
+  EXPECT_LT(solver.arena_words(), solver.arena_peak_words());
+  auto fresh = ResolutionSession::Create(session->spec(), ropts);
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(DeducedValuePairs(*session, session->Deduce()),
+            DeducedValuePairs(*fresh, fresh->Deduce()));
+}
+
 TEST(ResolutionSessionTest, NaiveDeduceSharesSessionSolver) {
   ResolveOptions opts;
   opts.naive_deduce = true;

@@ -4,7 +4,7 @@
 // whole-formula passes cannot change results), a DIMACS-level regression that learnt clauses survive
 // minimization still implied (checked by re-solve), and unit tests for
 // implicit binary watches, batched ScopedVars release, inprocessing, the
-// cached-model witness pool and arena GC.
+// cached-model witness pool, arena GC and MaybeSimplify's sweep schedule.
 
 #include <gtest/gtest.h>
 
@@ -318,6 +318,176 @@ TEST(ArenaGcTest, ModelCacheSurvivesRelocation) {
   EXPECT_EQ(s.stats().decisions, decisions_before);
   EXPECT_EQ(s.ModelValue(b), mb);
   EXPECT_EQ(s.ModelValue(c), mc);
+}
+
+// MaybeSimplify's schedule. The fixture: a pile of wide clauses that
+// `hub` satisfies once it is forced, one clause that stays alive, and a
+// binary chain v0 -> v1 -> ... whose probes generate propagation work
+// without asserting anything at level 0.
+struct SweepPile {
+  std::vector<Var> v;
+  Var hub = 0;
+};
+
+SweepPile LoadSweepPile(Solver* s) {
+  SweepPile pile;
+  const int n = 64;
+  for (int i = 0; i < n; ++i) pile.v.push_back(s->NewVar());
+  pile.hub = s->NewVar();
+  const std::vector<Var>& v = pile.v;
+  for (int i = 0; i + 3 < n; ++i) {
+    EXPECT_TRUE(s->AddClause({Lit::Pos(pile.hub), Lit::Pos(v[i]),
+                              Lit::Pos(v[i + 1]), Lit::Pos(v[i + 2]),
+                              Lit::Pos(v[i + 3])}));
+  }
+  EXPECT_TRUE(s->AddClause({Lit::Pos(v[0]), Lit::Pos(v[1]), Lit::Pos(v[2])}));
+  for (int i = 0; i + 1 < n; ++i) {
+    EXPECT_TRUE(s->AddClause({Lit::Neg(v[i]), Lit::Pos(v[i + 1])}));
+  }
+  return pile;
+}
+
+int64_t SweepWork(const Solver& s) {
+  return s.stats().propagations + s.stats().binary_propagations;
+}
+
+// Probes the chain head until the long plus binary propagations counted
+// since the call began reach `work`.
+void ProbeChain(Solver* s, const SweepPile& pile, int64_t work) {
+  const int64_t start = SweepWork(*s);
+  const Lit head = Lit::Pos(pile.v[0]);
+  while (SweepWork(*s) - start < work) {
+    ASSERT_TRUE(s->BeginProbe(std::span<const Lit>(&head, 1)));
+    s->EndProbe();
+  }
+}
+
+TEST(SweepScheduleTest, NoNewLevelZeroFactMeansNoSweep) {
+  Solver s;
+  const SweepPile pile = LoadSweepPile(&s);
+  ProbeChain(&s, pile, 4 * static_cast<int64_t>(s.arena_words()));
+  // Plenty of propagation work, but the level-0 trail never grew.
+  ASSERT_TRUE(s.MaybeSimplify());
+  EXPECT_EQ(s.stats().sweeps, 0);
+  ASSERT_TRUE(s.AddClause({Lit::Pos(pile.hub)}));
+  ASSERT_TRUE(s.MaybeSimplify());
+  EXPECT_EQ(s.stats().sweeps, 1);
+  // Work again, but nothing new at level 0 since that sweep.
+  ProbeChain(&s, pile, 4 * static_cast<int64_t>(s.arena_words()));
+  ASSERT_TRUE(s.MaybeSimplify());
+  EXPECT_EQ(s.stats().sweeps, 1);
+  // Simplify() stays an unconditional pass, and counts as a sweep.
+  ASSERT_TRUE(s.Simplify());
+  EXPECT_EQ(s.stats().sweeps, 2);
+}
+
+TEST(SweepScheduleTest, SweepWaitsForPropagationsThenCollectsAsBefore) {
+  Solver scheduled;
+  Solver always;
+  const SweepPile pile = LoadSweepPile(&scheduled);
+  (void)LoadSweepPile(&always);
+  ASSERT_TRUE(scheduled.AddClause({Lit::Pos(pile.hub)}));
+  ASSERT_TRUE(always.AddClause({Lit::Pos(pile.hub)}));
+  ASSERT_TRUE(always.Simplify());
+  ASSERT_GE(always.stats().gc_runs, 1);
+
+  // The fresh fact is propagated at once, but the sweep waits: a single
+  // propagation does not pay for a pass over the arena, and the satisfied
+  // pile, one clause short of the database, has been held for one round.
+  ASSERT_TRUE(scheduled.MaybeSimplify());
+  EXPECT_EQ(scheduled.ProbeValue(pile.hub), sat::Lbool::kTrue);
+  EXPECT_EQ(scheduled.stats().sweeps, 0);
+  EXPECT_EQ(scheduled.arena_words(), scheduled.arena_live_words());
+  EXPECT_GT(scheduled.arena_words(), always.arena_words());
+
+  // Once propagations reach the arena's size, the sweep detaches the
+  // satisfied pile and the collector compacts exactly as Simplify did.
+  ProbeChain(&scheduled, pile, static_cast<int64_t>(scheduled.arena_words()));
+  ASSERT_TRUE(scheduled.MaybeSimplify());
+  EXPECT_EQ(scheduled.stats().sweeps, 1);
+  EXPECT_EQ(scheduled.stats().gc_runs, always.stats().gc_runs);
+  EXPECT_EQ(scheduled.stats().gc_reclaimed_words,
+            always.stats().gc_reclaimed_words);
+  EXPECT_EQ(scheduled.arena_words(), always.arena_words());
+  EXPECT_EQ(scheduled.arena_live_words(), always.arena_live_words());
+  // The survivor still constrains the relocated world.
+  EXPECT_EQ(scheduled.SolveWithAssumptions({Lit::Neg(pile.v[0]),
+                                            Lit::Neg(pile.v[1]),
+                                            Lit::Neg(pile.v[2])}),
+            SolveResult::kUnsat);
+}
+
+TEST(SweepScheduleTest, HeldSatisfiedClausesPayForTheSweep) {
+  // Ten independent ternary clauses and no search at all: a fact that
+  // satisfies one of them is held one round per MaybeSimplify call, and
+  // once the rounds held reach the database's ten clauses the sweep runs.
+  // Run twice on one solver: Reset must clear the count as well.
+  Solver s;
+  for (int pass = 0; pass < 2; ++pass) {
+    SCOPED_TRACE(pass);
+    if (pass == 1) s.Reset();
+    std::vector<Var> v;
+    for (int i = 0; i < 30; ++i) v.push_back(s.NewVar());
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_TRUE(s.AddClause({Lit::Pos(v[3 * i]), Lit::Pos(v[3 * i + 1]),
+                               Lit::Pos(v[3 * i + 2])}));
+    }
+    ASSERT_TRUE(s.AddClause({Lit::Pos(v[0])}));
+    const int64_t props = SweepWork(s);
+    for (int call = 1; call < 10; ++call) {
+      ASSERT_TRUE(s.MaybeSimplify());
+      EXPECT_EQ(s.stats().sweeps, 0) << "call " << call;
+    }
+    ASSERT_LT(SweepWork(s) - props, static_cast<int64_t>(s.arena_words()));
+    ASSERT_TRUE(s.MaybeSimplify());
+    EXPECT_EQ(s.stats().sweeps, 1);
+    // Nothing new since: no rounds are held, and no sweep follows.
+    for (int call = 0; call < 20; ++call) ASSERT_TRUE(s.MaybeSimplify());
+    EXPECT_EQ(s.stats().sweeps, 1);
+    // Facts satisfying five of the nine left are held for two rounds.
+    const Var x = s.NewVar();
+    for (int i = 1; i < 6; ++i) {
+      ASSERT_TRUE(s.AddClause({Lit::Neg(x), Lit::Pos(v[3 * i])}));
+    }
+    ASSERT_TRUE(s.AddClause({Lit::Pos(x)}));
+    ASSERT_TRUE(s.MaybeSimplify());
+    EXPECT_EQ(s.stats().sweeps, 1);
+    ASSERT_TRUE(s.MaybeSimplify());
+    EXPECT_EQ(s.stats().sweeps, 2);
+  }
+}
+
+TEST(SweepScheduleTest, ResetClearsTheSchedule) {
+  // A long-lived solver swept at a large propagation count; after Reset
+  // its schedule must start from zero, as a fresh solver's does.
+  Solver recycled;
+  const SweepPile pile = LoadSweepPile(&recycled);
+  ASSERT_TRUE(recycled.AddClause({Lit::Pos(pile.hub)}));
+  ProbeChain(&recycled, pile, 8 * static_cast<int64_t>(recycled.arena_words()));
+  ASSERT_TRUE(recycled.MaybeSimplify());
+  ASSERT_EQ(recycled.stats().sweeps, 1);
+  recycled.Reset();
+
+  // A small formula whose one unit propagates down a binary chain: more
+  // propagations than the single long clause's arena words.
+  auto load = [](Solver* s) {
+    std::vector<Var> v;
+    for (int i = 0; i < 10; ++i) v.push_back(s->NewVar());
+    EXPECT_TRUE(s->AddClause({Lit::Neg(v[0]), Lit::Pos(v[1]),
+                              Lit::Pos(v[2])}));
+    for (int i = 0; i + 1 < 10; ++i) {
+      EXPECT_TRUE(s->AddClause({Lit::Neg(v[i]), Lit::Pos(v[i + 1])}));
+    }
+    EXPECT_TRUE(s->AddClause({Lit::Pos(v[0])}));
+  };
+  Solver fresh;
+  load(&recycled);
+  load(&fresh);
+  ASSERT_TRUE(recycled.MaybeSimplify());
+  ASSERT_TRUE(fresh.MaybeSimplify());
+  EXPECT_EQ(fresh.stats().sweeps, 1);
+  EXPECT_EQ(recycled.stats().sweeps, fresh.stats().sweeps);
+  EXPECT_EQ(recycled.arena_words(), fresh.arena_words());
 }
 
 // Release-build sanity for the std::bit_cast activity accessors: a
