@@ -1,13 +1,17 @@
 // Substrate micro-benchmarks (google-benchmark): SAT solving, grounding
 // (a fresh Build, and a session's recycled BuildInto plus ExtendWith),
-// session creation (ResolutionSession::Create on a warm scratch),
+// session creation (ResolutionSession::Create on a warm scratch, and on a
+// scratch that last held a larger entity),
 // CNF construction, unit-propagation deduction (counter-based and by a
 // probe on the session solver), Suggest's rule mining (TrueDer, CompGraph
 // and MaxClique) and max-clique.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "src/ccr.h"
 
@@ -156,6 +160,43 @@ void BM_SessionCreate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SessionCreate);
+
+// Create of the median NBA entity (by tuple count, default corpus) on a
+// SessionScratch that last held the corpus's largest entity (Arg 1), beside
+// the same Create on a scratch that only ever held the median entity
+// (Arg 0). A recycled scratch pays for the entity it opens, so the two
+// should match. The previous sessions, and the largest entity's Create,
+// run outside the timed region.
+void BM_SessionCreatePooled(benchmark::State& state) {
+  const bool after_largest = state.range(0) != 0;
+  const Dataset ds = GenerateNba(NbaOptions{});
+  std::vector<std::pair<int, int>> by_size;
+  for (int e = 0; e < static_cast<int>(ds.entities.size()); ++e) {
+    by_size.emplace_back(ds.entities[e].instance.size(), e);
+  }
+  std::sort(by_size.begin(), by_size.end());
+  const Specification median = ds.MakeSpec(by_size[by_size.size() / 2].second);
+  const Specification largest = ds.MakeSpec(by_size.back().second);
+  SessionScratch scratch;
+  ResolveOptions options;
+  options.scratch = &scratch;
+  std::optional<Result<ResolutionSession>> session;
+  session.emplace(ResolutionSession::Create(median, options));  // warm-up
+  for (auto _ : state) {
+    state.PauseTiming();
+    session.reset();
+    if (after_largest) {
+      session.emplace(ResolutionSession::Create(largest, options));
+      session.reset();
+    }
+    state.ResumeTiming();
+    session.emplace(ResolutionSession::Create(median, options));
+    benchmark::DoNotOptimize(session->ok());
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel(after_largest ? "after the largest entity" : "own scratch");
+}
+BENCHMARK(BM_SessionCreatePooled)->Arg(0)->Arg(1);
 
 void BM_BuildCnf(benchmark::State& state) {
   const Dataset ds = PersonForBench(static_cast<int>(state.range(0)));

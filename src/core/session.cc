@@ -40,7 +40,7 @@ sat::Cnf* SessionScratch::AcquireCnf() {
 
 Instantiation* SessionScratch::AcquireInstantiation() {
   // No clearing needed here: BuildInto clears in place, recycling the
-  // projection tables and hash buckets the previous session grew.
+  // projection tables and index slots the previous session grew.
   if (inst_ == nullptr) inst_ = std::make_unique<Instantiation>();
   return inst_.get();
 }

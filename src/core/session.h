@@ -69,8 +69,8 @@ class SessionScratch {
   /// An empty CNF, recycled with its pool capacity intact.
   sat::Cnf* AcquireCnf();
 
-  /// An Instantiation arena for BuildInto: projection tables, hash-table
-  /// buckets and the constraint vector stay warm across entities.
+  /// An Instantiation arena for BuildInto: projection tables, index slots
+  /// and the constraint vector stay warm across entities.
   Instantiation* AcquireInstantiation();
 
   /// WalkSAT working buffers (occurrence CSR, counters, unsat stack) for

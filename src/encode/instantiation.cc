@@ -21,13 +21,6 @@ uint64_t HashRow(const int* row, size_t width) {
   return h ^ (h >> 32);
 }
 
-// Stable dedup key for a family-(1a) unit (independent of domain sizes, so
-// it survives incremental domain growth).
-uint64_t UnitKey(int attr, int less, int more) {
-  return (static_cast<uint64_t>(attr) << 42) |
-         (static_cast<uint64_t>(less) << 21) | static_cast<uint64_t>(more);
-}
-
 // Canonical emission rank of a family-(2) ground constraint: constraint
 // index major, then the projection-pair generation (max index, min index,
 // direction). GroundSigma emits each constraint's pairs in exactly this
@@ -122,7 +115,14 @@ void Instantiation::GroundOrderUnit(int a, int t_less, int t_more) {
   const int li = varmap.tuple_codes(t_less)[a];
   const int mi = varmap.tuple_codes(t_more)[a];
   if (li < 0 || mi < 0 || li == mi) return;
-  if (!unit_seen_.insert(UnitKey(a, li, mi)).second) return;
+  // The atom's variable is its dedup key: ids are stable under domain
+  // growth and one per atom.
+  const sat::Var v = varmap.VarOf(a, li, mi);
+  const size_t word = static_cast<size_t>(v) >> 6;
+  const uint64_t bit = uint64_t{1} << (v & 63);
+  if (word >= unit_seen_.size()) unit_seen_.resize(word + 1, 0);
+  if ((unit_seen_[word] & bit) != 0) return;
+  unit_seen_[word] |= bit;
   GroundConstraint& gc = constraints.emplace_back();
   gc.source = GroundSource::kCurrencyOrder;
   gc.head = OrderAtom{a, li, mi};
@@ -343,7 +343,7 @@ Status Instantiation::BuildInto(const Specification& se, Instantiation* out,
   Instantiation& inst = *out;
   // Clear-in-place so a recycled Instantiation refills into the buffers it
   // already grew (constraints, the body arena, projection tables and their
-  // hash buckets, the unit-dedup set). Nothing here owns heap memory per
+  // slots, the unit-dedup bits). Nothing here owns heap memory per
   // constraint, so clearing frees nothing.
   inst.constraints.clear();
   inst.body_atoms_.clear();

@@ -52,7 +52,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -167,7 +166,7 @@ struct Instantiation {
                                      const InstantiationOptions& options = {});
 
   /// In-place Build: grounds `se` into `*out`, recycling the projection
-  /// tables, hash-table buckets and vectors `*out` has already grown
+  /// tables, value-index slots and vectors `*out` has already grown
   /// (SessionScratch's cross-entity Instantiation arena). Observably
   /// identical to assigning a fresh Build. On error `*out` is left in an
   /// unspecified (but destructible/reusable) state.
@@ -241,7 +240,10 @@ struct Instantiation {
   std::vector<int> sigma_codes_;         // per Σ constant: code or kNoCode
   std::vector<int> const_codes_;         // GroundSigma's resolved constants
   std::vector<int> side1_, side2_;       // GroundSigma's join scratch
-  std::unordered_set<uint64_t> unit_seen_;  // family (1a) dedup keys
+  // Family (1a) dedup: bit v is set once the unit on order variable v is
+  // emitted. Emptied at BuildInto and grown as units come, so it costs
+  // this entity's variables, not the largest entity's.
+  std::vector<uint64_t> unit_seen_;
   std::vector<bool> cfd_applicable_;        // per gamma index
   std::vector<bool> cfd_lhs_attr_;  // attr is LHS of an applicable CFD
   // Body range of each applicable CFD's current guard version.

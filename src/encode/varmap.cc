@@ -1,6 +1,7 @@
 #include "src/encode/varmap.h"
 
 #include <algorithm>
+#include <bit>
 #include <string>
 #include <utility>
 
@@ -63,29 +64,23 @@ Status VarMap::BuildFrom(const Specification& se) {
         " of a schema with " + std::to_string(n_attrs) + " attributes");
   }
 
-  // Clear-in-place: inner vectors and hash tables keep their buffers so a
-  // recycled VarMap (SessionScratch's Instantiation arena) refills warm.
+  // Clear-in-place: inner vectors keep their buffers so a recycled VarMap
+  // (SessionScratch's Instantiation arena) refills warm, and every table
+  // is cleared at this entity's size: the value indexes are re-sized from
+  // its tuple count, whatever an earlier entity grew them to.
   vm.domains_.resize(n_attrs);
   vm.index_.resize(n_attrs);
+  vm.ext_base_.resize(n_attrs);
   vm.adom_sizes_.resize(n_attrs);
   for (int a = 0; a < n_attrs; ++a) {
     vm.domains_[a].clear();
-    vm.index_[a].clear();
+    vm.ResetIndex(a, inst.size());
+    vm.ext_base_[a].clear();
   }
   vm.applicable_cfds_.clear();
-  vm.ext_vars_.clear();
   vm.ext_atoms_.clear();
   vm.num_vars_ = 0;
   vm.dense_num_vars_ = 0;
-
-  // The value's domain index, and whether it was new and is now
-  // appended: the one hash lookup a value costs.
-  auto add_value = [&vm](int attr, const Value& v) {
-    const auto [it, added] = vm.index_[attr].try_emplace(
-        v, static_cast<int>(vm.domains_[attr].size()));
-    if (added) vm.domains_[attr].push_back(v);
-    return std::pair<int, bool>(it->second, added);
-  };
 
   // Active domains in first-occurrence order, as EntityInstance::
   // ActiveDomain lists them (nulls excluded; they rank lowest and are
@@ -95,7 +90,7 @@ Status VarMap::BuildFrom(const Specification& se) {
     for (int t = 0; t < inst.size(); ++t) {
       const Value& v = inst.tuple(t).at(a);
       vm.codes_[static_cast<size_t>(t) * n_attrs + a] =
-          v.is_null() ? -1 : add_value(a, v).first;
+          v.is_null() ? -1 : vm.InsertValue(a, v).first;
     }
     vm.adom_sizes_[a] = static_cast<int>(vm.domains_[a].size());
   }
@@ -112,7 +107,7 @@ Status VarMap::BuildFrom(const Specification& se) {
   for (int gi = reach.Next(); gi >= 0; gi = reach.Next()) {
     vm.applicable_cfds_.push_back(gi);
     const ConstantCfd& cfd = rules.gamma()[gi];
-    if (add_value(cfd.rhs_attr(), cfd.rhs_value()).second) {
+    if (vm.InsertValue(cfd.rhs_attr(), cfd.rhs_value()).second) {
       reach.AddValue(cfd.rhs_attr(), cfd.rhs_value(), none_before);
     }
   }
@@ -156,19 +151,18 @@ sat::Var VarMap::NewAuxVar() {
 }
 
 int VarMap::AddDomainValue(int attr, const Value& v, bool active) {
-  auto [it, inserted] =
-      index_[attr].emplace(v, static_cast<int>(domains_[attr].size()));
-  if (!inserted) return it->second;
-  const int idx = it->second;
-  domains_[attr].push_back(v);
+  const auto [idx, inserted] = InsertValue(attr, v);
+  if (!inserted) return idx;
   if (active) ++adom_sizes_[attr];
   CCR_CHECK(num_vars_ <= sat::kMaxVars - 2 * idx);
+  CCR_DCHECK(idx - dense_sizes_[attr] ==
+             static_cast<int>(ext_base_[attr].size()));
+  ext_base_[attr].push_back(num_vars_);
   for (int other = 0; other < idx; ++other) {
-    ext_vars_.emplace(PackAtom(attr, other, idx), num_vars_++);
     ext_atoms_.push_back(OrderAtom{attr, other, idx});
-    ext_vars_.emplace(PackAtom(attr, idx, other), num_vars_++);
     ext_atoms_.push_back(OrderAtom{attr, idx, other});
   }
+  num_vars_ += 2 * idx;
   return idx;
 }
 
@@ -179,10 +173,63 @@ void VarMap::MarkCfdApplicable(int gi) {
   applicable_cfds_.insert(pos, gi);
 }
 
+uint32_t VarMap::SlotHash(const Value& v) {
+  // The high half of a product depends on every bit of the hash below
+  // it; the slot is then picked by its low bits.
+  const uint64_t h = ValueHash{}(v) * 0xbf58476d1ce4e5b9ULL;
+  return static_cast<uint32_t>(h >> 32);
+}
+
+void VarMap::ResetIndex(int attr, int expected) {
+  ValueTable& table = index_[attr];
+  table.slots.assign(std::bit_ceil(std::max<size_t>(
+                         8, static_cast<size_t>(expected))),
+                     ValueSlot{});
+  table.size = 0;
+}
+
+std::pair<int, bool> VarMap::InsertValue(int attr, const Value& v) {
+  ValueTable& table = index_[attr];
+  std::vector<Value>& dom = domains_[attr];
+  const uint32_t h = SlotHash(v);
+  const size_t mask = table.slots.size() - 1;
+  size_t i = h & mask;
+  for (; table.slots[i].index >= 0; i = (i + 1) & mask) {
+    const ValueSlot& slot = table.slots[i];
+    if (slot.hash == h && dom[slot.index] == v) return {slot.index, false};
+  }
+  const int idx = static_cast<int>(dom.size());
+  dom.push_back(v);
+  table.slots[i] = ValueSlot{idx, h};
+  if (2 * static_cast<size_t>(++table.size) > table.slots.size()) {
+    GrowIndex(&table);
+  }
+  return {idx, true};
+}
+
+void VarMap::GrowIndex(ValueTable* table) {
+  // Doubles the table, re-placing each entry by its kept hash; entries
+  // are distinct, so no value is compared.
+  regrow_.assign(table->slots.begin(), table->slots.end());
+  table->slots.assign(2 * regrow_.size(), ValueSlot{});
+  const size_t mask = table->slots.size() - 1;
+  for (const ValueSlot& slot : regrow_) {
+    if (slot.index < 0) continue;
+    size_t i = slot.hash & mask;
+    while (table->slots[i].index >= 0) i = (i + 1) & mask;
+    table->slots[i] = slot;
+  }
+}
+
 int VarMap::ValueIndex(int attr, const Value& v) const {
-  const auto& idx = index_[attr];
-  auto it = idx.find(v);
-  return it == idx.end() ? -1 : it->second;
+  const ValueTable& table = index_[attr];
+  const uint32_t h = SlotHash(v);
+  const size_t mask = table.slots.size() - 1;
+  for (size_t i = h & mask; table.slots[i].index >= 0; i = (i + 1) & mask) {
+    const ValueSlot& slot = table.slots[i];
+    if (slot.hash == h && domains_[attr][slot.index] == v) return slot.index;
+  }
+  return -1;
 }
 
 sat::Var VarMap::VarOf(int attr, int less, int more) const {
@@ -192,9 +239,10 @@ sat::Var VarMap::VarOf(int attr, int less, int more) const {
   CCR_DCHECK(less != more);
   const int d = dense_sizes_[attr];
   if (less < d && more < d) return offsets_[attr] + less * d + more;
-  auto it = ext_vars_.find(PackAtom(attr, less, more));
-  CCR_DCHECK(it != ext_vars_.end());
-  return it->second;
+  // The later value owns the atom: its base id, two ids per earlier value.
+  const int hi = std::max(less, more);
+  return ext_base_[attr][hi - d] + 2 * std::min(less, more) +
+         (less == hi ? 1 : 0);
 }
 
 std::string VarMap::AtomToString(const OrderAtom& atom,

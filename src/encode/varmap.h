@@ -20,7 +20,7 @@
 #include <queue>
 #include <span>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/common/status.h"
@@ -103,8 +103,12 @@ class CfdReach {
 /// values, newly reachable CFD constants) keep every existing variable id
 /// stable — atoms over the build-time domains live in dense per-attribute
 /// blocks, atoms touching an appended value get fresh ids past the dense
-/// region (hash-mapped). This is what lets the ResolutionSession append
-/// CNF clauses across rounds instead of re-encoding.
+/// region (two per earlier value, from a base id kept per appended
+/// value). This is what lets the ResolutionSession append CNF clauses
+/// across rounds instead of re-encoding.
+///
+/// Every table is flat and sized by the entity at BuildFrom, so a VarMap
+/// recycled after a larger entity rebuilds at this entity's cost.
 class VarMap {
  public:
   /// Builds domains from `se` and selects the applicable CFDs. Fails
@@ -112,7 +116,7 @@ class VarMap {
   static Result<VarMap> Build(const Specification& se);
 
   /// In-place equivalent of `*this = Build(se)` that keeps the heap
-  /// allocations (domain vectors, value-index hash tables, extension maps)
+  /// allocations (domain vectors, value indexes, extension bases)
   /// already grown — the Instantiation arena recycles one VarMap across
   /// back-to-back entities. Observably identical to a fresh Build.
   /// Fails closed with ResourceExhausted when the order variables, Σ d²
@@ -212,14 +216,35 @@ class VarMap {
  private:
   friend struct Instantiation;  // ExtendWith reuses reach_
 
-  static uint64_t PackAtom(int attr, int less, int more) {
-    return (static_cast<uint64_t>(attr) << 42) |
-           (static_cast<uint64_t>(less) << 21) | static_cast<uint64_t>(more);
-  }
+  // One attribute's value index: an open-addressing table (linear
+  // probing, a power-of-two number of slots, at most half full) of
+  // indices into domains_[attr]. Each slot also keeps 32 bits of its
+  // value's hash, so a probe compares values only on a hash match and
+  // regrowth never rehashes a value. Values compare by Value::operator==
+  // through the domain, so the index dedups exactly as an
+  // unordered_map<Value, int, ValueHash> would: Int(1) and Real(1.0)
+  // share an entry, so do 0.0 and -0.0, and a NaN (unequal to itself) is
+  // never found, so each occurrence appends a new domain value.
+  struct ValueSlot {
+    int32_t index = -1;  // -1: free
+    uint32_t hash = 0;
+  };
+  struct ValueTable {
+    std::vector<ValueSlot> slots;
+    int size = 0;
+  };
+  static uint32_t SlotHash(const Value& v);
+  // Empties attr's index with room for `expected` values.
+  void ResetIndex(int attr, int expected);
+  // v's index in domain(attr), appending (and indexing) it when it is
+  // new; `second` says whether it was.
+  std::pair<int, bool> InsertValue(int attr, const Value& v);
+  void GrowIndex(ValueTable* table);
 
   std::vector<std::vector<Value>> domains_;
   std::vector<int> adom_sizes_;
-  std::vector<std::unordered_map<Value, int, ValueHash>> index_;
+  std::vector<ValueTable> index_;
+  std::vector<ValueSlot> regrow_;  // GrowIndex's copy of the old slots
   std::vector<int> offsets_;      // var id base per attribute (dense region)
   std::vector<int> dense_sizes_;  // domain size covered by the dense block
   std::vector<int> applicable_cfds_;
@@ -229,8 +254,11 @@ class VarMap {
   CfdReach reach_;
   int num_vars_ = 0;
   int dense_num_vars_ = 0;
-  // Atoms touching post-Build values: packed atom -> var, and the inverse.
-  std::unordered_map<uint64_t, sat::Var> ext_vars_;
+  // Atoms touching post-Build values. AddDomainValue gives value
+  // idx >= dense_sizes_[attr] the ids base, base+1, ... for (other, idx),
+  // (idx, other) over every other < idx; ext_base_[attr][idx - dense
+  // size] is that base. ext_atoms_ is the inverse, from dense_num_vars_.
+  std::vector<std::vector<sat::Var>> ext_base_;
   std::vector<OrderAtom> ext_atoms_;
 };
 

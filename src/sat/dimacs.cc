@@ -1,6 +1,7 @@
 #include "src/sat/dimacs.h"
 
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "src/common/strings.h"
@@ -37,6 +38,12 @@ Result<Cnf> FromDimacs(const std::string& text) {
       for (const auto& p : parts) {
         int64_t v = 0;
         if (ParseInt64(StripWhitespace(p), &v) && v > 0) {
+          if (v > kMaxVars) {
+            return Status::InvalidArgument(
+                "DIMACS header declares " + std::to_string(v) +
+                " variables, more than the solver's " +
+                std::to_string(kMaxVars));
+          }
           cnf.EnsureVars(static_cast<int>(v));
           break;
         }
@@ -50,6 +57,13 @@ Result<Cnf> FromDimacs(const std::string& text) {
         cnf.AddClause(std::span<const Lit>(clause.data(), clause.size()));
         clause.clear();
       } else {
+        // Checked before negating: -x overflows for INT64_MIN.
+        if (x > kMaxVars || x < -static_cast<int64_t>(kMaxVars)) {
+          return Status::InvalidArgument(
+              "DIMACS literal " + std::to_string(x) +
+              " names a variable past the solver's " +
+              std::to_string(kMaxVars));
+        }
         const Var v = static_cast<Var>((x > 0 ? x : -x) - 1);
         // Headerless input must still satisfy the Cnf invariant that every
         // clause ranges over [0, num_vars).

@@ -18,7 +18,9 @@ namespace ccr::sat {
 std::string ToDimacs(const Cnf& cnf);
 
 /// Parses DIMACS text. Accepts comment lines ('c ...') and tolerates a
-/// missing header; literal 0 terminates each clause.
+/// missing header; literal 0 terminates each clause. Fails closed with
+/// InvalidArgument on a header variable count or a literal whose variable
+/// lies past kMaxVars, the most a Solver can hold.
 Result<Cnf> FromDimacs(const std::string& text);
 
 }  // namespace ccr::sat

@@ -72,31 +72,41 @@ constexpr uint64_t kSlsSeedBase = 0x51e5'5eed'c0de'2013ULL;
 Solver::Solver(SolverOptions options) : options_(options) {}
 
 Var Solver::NewVar() {
-  const Var v = static_cast<Var>(assigns_.size());
-  CCR_CHECK(v < kMaxVars);
-  assigns_.push_back(Lbool::kUndef);
-  polarity_.push_back(false);
-  frozen_.push_back(0);
-  level_.push_back(0);
-  reason_.push_back(kRefUndef);
-  activity_.push_back(0.0);
-  heap_pos_.push_back(-1);
-  seen_.push_back(0);
-  // 2 watch lists (and 2 binary implication lists) per var; after a Reset
-  // the lists (already cleared) are still there and keep their buffers.
-  while (watches_.size() < 2 * static_cast<size_t>(v) + 2) {
-    watches_.emplace_back();
-  }
-  while (bins_.size() < 2 * static_cast<size_t>(v) + 2) {
-    bins_.emplace_back();
-  }
-  while (occur_.size() < static_cast<size_t>(v) + 1) {
-    occur_.emplace_back();
-  }
-  order_bytes_.emplace_back();
-  order_pos_.emplace_back();
-  HeapInsert(v);
+  const Var v = num_vars();
+  GrowVars(v + 1);
   return v;
+}
+
+void Solver::GrowVars(int n) {
+  const int old = num_vars();
+  if (n <= old) return;
+  // Checked before anything grows: a literal packs 2*var+sign into an
+  // int32_t.
+  CCR_CHECK(n <= kMaxVars);
+  const size_t nv = static_cast<size_t>(n);
+  assigns_.resize(nv, Lbool::kUndef);
+  polarity_.resize(nv, false);
+  frozen_.resize(nv, 0);
+  level_.resize(nv, 0);
+  reason_.resize(nv, kRefUndef);
+  activity_.resize(nv, 0.0);
+  seen_.resize(nv, 0);
+  order_bytes_.resize(nv);
+  order_pos_.resize(nv);
+  // 2 watch lists (and 2 binary implication lists) per var. Past
+  // num_vars() every list is empty (see Reset), so the ones a Reset left
+  // behind are re-adopted as they are, buffers included.
+  if (watches_.size() < 2 * nv) watches_.resize(2 * nv);
+  if (bins_.size() < 2 * nv) bins_.resize(2 * nv);
+  if (occur_.size() < nv) occur_.resize(nv);
+  // A new variable has activity 0 and every activity is >= 0, so
+  // HeapInsert would leave each one where it lands: at the end, in id
+  // order.
+  heap_pos_.resize(nv);
+  for (Var v = old; v < n; ++v) {
+    heap_pos_[v] = static_cast<int>(heap_.size());
+    heap_.push_back(v);
+  }
 }
 
 void Solver::Reset(SolverOptions options) {
@@ -113,10 +123,16 @@ void Solver::Reset(SolverOptions options) {
   sls_bin_log_overflow_ = false;
   sls_new_bins_.clear();
   learnts_.clear();
-  // Keep the outer vectors (and each inner list's buffer); NewVar re-adopts
-  // the lists as the variable universe regrows.
-  for (std::vector<Watcher>& ws : watches_) ws.clear();
-  for (std::vector<Lit>& bs : bins_) bs.clear();
+  // Only the lists of this session's variables can be non-empty (the
+  // invariant GrowVars relies on), so clearing them costs what the session
+  // used, not the largest universe ever grown. The outer vectors and each
+  // list's buffer stay for GrowVars to re-adopt.
+  const size_t nv = static_cast<size_t>(num_vars());
+  for (size_t i = 0; i < 2 * nv; ++i) {
+    watches_[i].clear();
+    bins_[i].clear();
+  }
+  for (size_t v = 0; v < nv; ++v) occur_[v].clear();
   learnt_binaries_.clear();
   bin_conflict_[0] = bin_conflict_[1] = kLitUndef;
   assigns_.clear();
@@ -158,7 +174,6 @@ void Solver::Reset(SolverOptions options) {
   sat_head_ = 0;
   sat_clauses_ = 0;
   sat_held_ = 0;
-  for (std::vector<ClauseRef>& o : occur_) o.clear();
   model_fresh_ = false;
   model_pool_.clear();
   model_pool_next_ = 0;
@@ -226,9 +241,9 @@ bool Solver::AddClause(std::vector<Lit> lits) {
   if (!ok_) return false;
   CCR_DCHECK(DecisionLevel() == 0);
   InvalidateModelCache();
-  for (Lit l : lits) {
-    while (l.var() >= num_vars()) NewVar();
-  }
+  Var max_var = kVarUndef;
+  for (Lit l : lits) max_var = std::max(max_var, l.var());
+  GrowVars(max_var + 1);
   return AddClauseInternal(lits);
 }
 
@@ -296,7 +311,7 @@ bool Solver::AddClauseInternal(std::span<const Lit> lits) {
 }
 
 void Solver::AddCnfFrom(const Cnf& cnf, int first_clause) {
-  while (num_vars() < cnf.num_vars()) NewVar();
+  GrowVars(cnf.num_vars());
   if (!ok_) return;
   CCR_DCHECK(DecisionLevel() == 0);
   // Blocks first, so the level-0 units among the clauses below already
@@ -550,7 +565,7 @@ void Solver::SyncOrderBlock(int size, std::span<const Var> vars) {
       CCR_CHECK(i == j || vars[i * size + j] >= 0);
     }
   }
-  while (num_vars() <= max_var) NewVar();
+  GrowVars(max_var + 1);
   int b = order_pos_[vars[1]].block;
   if (b < 0) {
     CCR_CHECK(blocks_.size() < (1u << 16));
@@ -964,7 +979,7 @@ void Solver::SweepBinaries() {
   // false implies p's var was fixed by the same propagation. This is what
   // sweeps the binary clauses of released ScopedVars scopes.
   CCR_DCHECK(DecisionLevel() == 0);
-  for (size_t i = 0; i < bins_.size(); ++i) {
+  for (size_t i = 0; i < 2 * static_cast<size_t>(num_vars()); ++i) {
     std::vector<Lit>& list = bins_[i];
     if (list.empty()) continue;
     const Lit p = Lit::FromIndex(static_cast<int32_t>(i));
@@ -2230,8 +2245,8 @@ void Solver::GarbageCollect() {
   learnts_.resize(k);
   // Every watched clause is live (each MarkClauseDead site detaches), so
   // every watcher's target has a forwarding ref by now.
-  for (std::vector<Watcher>& ws : watches_) {
-    for (Watcher& w : ws) {
+  for (size_t i = 0; i < 2 * static_cast<size_t>(num_vars()); ++i) {
+    for (Watcher& w : watches_[i]) {
       CCR_DCHECK(arena_[w.cref] == kMovedHeader);
       w.cref = arena_[w.cref + 1];
     }
@@ -2270,7 +2285,7 @@ void Solver::MaybeGarbageCollect() {
 }
 
 void Solver::RebuildOccurrenceIndex() {
-  for (std::vector<ClauseRef>& o : occur_) o.clear();
+  for (Var v = 0; v < num_vars(); ++v) occur_[v].clear();
   // Iterating clauses_ reproduces clause-addition order, the same order
   // the incremental appends in AddClauseInternal produce.
   for (ClauseRef c : clauses_) {

@@ -446,6 +446,14 @@ class Solver {
   /// to `Solver(options)`: same decisions, same models, same statistics on
   /// the same input. SessionScratch uses it to recycle one solver across
   /// back-to-back ResolutionSessions without re-allocating from cold.
+  ///
+  /// Reset costs the variables of the session it ends, not the largest
+  /// universe the solver ever held: a watch, binary or occurrence list
+  /// past num_vars() is always empty (nothing is ever attached to a
+  /// variable that does not exist yet, and Reset empties the lists of
+  /// every variable that did), so only the first num_vars() variables'
+  /// lists are cleared. The variable universe then regrows in one step
+  /// per batch, which re-adopts the emptied lists with their buffers.
   void Reset(SolverOptions options = {});
 
   /// Compacts the clause arena: live clauses move into a fresh arena and
@@ -647,6 +655,11 @@ class Solver {
   void AttachClause(ClauseRef c);
   void DetachClause(ClauseRef c);
   void AttachBinary(Lit a, Lit b);
+  // Grows the variable universe to `n` variables (no-op if it is that
+  // large already): checks n <= kMaxVars before anything grows, resizes
+  // each per-variable array once and appends the new variables to the
+  // decision heap in id order. Every variable is created here.
+  void GrowVars(int n);
   void RecordLearnt(const std::vector<Lit>& learnt);
   void ReduceDb();
   void RemoveSatisfiedTopLevel();

@@ -89,6 +89,31 @@ TEST(DimacsTest, RejectsUnterminatedClause) {
   EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
 }
 
+// Counts and literals are int64 in the text but int in a Cnf: each one
+// past kMaxVars must be refused, not truncated into a different variable.
+// These inputs are only parsed, never fed to a Solver.
+TEST(DimacsTest, RejectsVariablesPastMaxVars) {
+  for (const std::string text :
+       {"p cnf 5000000000 1\n1 0\n", "p cnf 3 1\n3000000000 0\n",
+        "p cnf 3 1\n1 -3000000000 0\n", "p cnf 1073741824 1\n1 0\n",
+        "1 -9223372036854775808 0\n"}) {
+    auto parsed = FromDimacs(text);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << text;
+  }
+}
+
+TEST(DimacsTest, AcceptsMaxVarsExactly) {
+  const std::string max = std::to_string(kMaxVars);
+  auto header = FromDimacs("p cnf " + max + " 1\n1 0\n");
+  ASSERT_TRUE(header.ok()) << header.status().ToString();
+  EXPECT_EQ(header->num_vars(), kMaxVars);
+  auto literal = FromDimacs("-" + max + " 0\n");
+  ASSERT_TRUE(literal.ok()) << literal.status().ToString();
+  EXPECT_EQ(literal->num_vars(), kMaxVars);
+  EXPECT_EQ(literal->clause(0)[0], Lit::Neg(kMaxVars - 1));
+}
+
 TEST(DimacsTest, EmptyInputIsEmptyFormula) {
   auto parsed = FromDimacs("");
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();

@@ -6,7 +6,8 @@
 // and after each of three ExtendWith rounds it hashes, in order, every
 // ground constraint of Ω(Se) (source, source index, body atoms, head,
 // guard, seq), every CNF clause and order-block size, the guard
-// assumptions, and the VarMap's domains and applicable CFDs. The rounds
+// assumptions, and the VarMap's domains and applicable CFDs. Each corpus
+// runs with fresh sessions and through one recycled SessionScratch. The rounds
 // are driven as Resolve drives them: deduce, suggest, and let a truth
 // oracle answer two suggested attributes. A mismatch means the encoding
 // moved — a rule, a variable id or an emission order changed — even if
@@ -130,38 +131,65 @@ Dataset MakeCorpus(const std::string& name) {
   return GeneratePerson(o);
 }
 
+// How the sessions get their solver, CNF and grounding buffers: each
+// session its own, or one SessionScratch recycled across the corpus, in
+// entity order or after it has held the corpus's largest entity.
+enum class Lane { kFresh, kPooled, kPooledAfterLargest };
+
+// Creates entity `e`'s session and drives its rounds as Resolve would,
+// hashing the grounding after Create and after each ExtendWith into `h`
+// (when not null).
+bool DriveEntity(const Dataset& ds, int e, const ResolveOptions& options,
+                 Fnv* h) {
+  Result<ResolutionSession> session =
+      ResolutionSession::Create(ds.MakeSpec(e), options);
+  EXPECT_TRUE(session.ok()) << session.status().ToString();
+  if (!session.ok()) return false;
+  if (h != nullptr) HashSession(*session, h);
+  TruthOracle oracle(ds.entities[e].truth, /*answers_per_round=*/2);
+  for (int round = 0; round < kRounds; ++round) {
+    (void)session->CheckValidity();
+    const DeducedOrders od = session->Deduce();
+    const VarMap& vm = session->instantiation().varmap;
+    const std::vector<int> true_idx = ExtractTrueValueIndices(vm, od);
+    const Suggestion sug =
+        session->MakeSuggestion(CandidateValues(vm, od), true_idx);
+    const std::vector<UserOracle::Answer> answers =
+        oracle.Provide(session->spec(), sug, vm);
+    Result<PartialTemporalOrder> delta =
+        MakeAnswerDelta(session->spec(), answers);
+    EXPECT_TRUE(delta.ok()) << delta.status().ToString();
+    if (!delta.ok()) return false;
+    const Status st = session->ExtendWith(*delta);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    if (!st.ok()) return false;
+    if (h != nullptr) HashSession(*session, h);
+  }
+  return true;
+}
+
 // The digest of every entity's grounding after Create and after each
 // ExtendWith round.
-uint64_t GroundingDigest(const std::string& corpus, bool naive) {
+uint64_t GroundingDigest(const std::string& corpus, bool naive, Lane lane) {
   const Dataset ds = MakeCorpus(corpus);
+  const int n = static_cast<int>(ds.entities.size());
   ResolveOptions options;
   options.naive_deduce = naive;
-  Fnv h;
-  for (int e = 0; e < static_cast<int>(ds.entities.size()); ++e) {
-    Result<ResolutionSession> session =
-        ResolutionSession::Create(ds.MakeSpec(e), options);
-    EXPECT_TRUE(session.ok()) << session.status().ToString();
-    if (!session.ok()) return 0;
-    HashSession(*session, &h);
-    TruthOracle oracle(ds.entities[e].truth, /*answers_per_round=*/2);
-    for (int round = 0; round < kRounds; ++round) {
-      (void)session->CheckValidity();
-      const DeducedOrders od = session->Deduce();
-      const VarMap& vm = session->instantiation().varmap;
-      const std::vector<int> true_idx = ExtractTrueValueIndices(vm, od);
-      const Suggestion sug =
-          session->MakeSuggestion(CandidateValues(vm, od), true_idx);
-      const std::vector<UserOracle::Answer> answers =
-          oracle.Provide(session->spec(), sug, vm);
-      Result<PartialTemporalOrder> delta =
-          MakeAnswerDelta(session->spec(), answers);
-      EXPECT_TRUE(delta.ok()) << delta.status().ToString();
-      if (!delta.ok()) return 0;
-      const Status st = session->ExtendWith(*delta);
-      EXPECT_TRUE(st.ok()) << st.ToString();
-      if (!st.ok()) return 0;
-      HashSession(*session, &h);
+  SessionScratch scratch;
+  if (lane != Lane::kFresh) options.scratch = &scratch;
+  if (lane == Lane::kPooledAfterLargest) {
+    int largest = 0;
+    for (int e = 1; e < n; ++e) {
+      if (ds.entities[e].instance.size() >
+          ds.entities[largest].instance.size()) {
+        largest = e;
+      }
     }
+    if (!DriveEntity(ds, largest, options, nullptr)) return 0;
+  }
+  Fnv h;
+  for (int e = 0; e < n; ++e) {
+    if (!DriveEntity(ds, e, options, &h)) return 0;
   }
   return h.value();
 }
@@ -178,13 +206,24 @@ void PrintTo(const DigestCase& c, std::ostream* os) {
 
 class GroundingDigestTest : public ::testing::TestWithParam<DigestCase> {};
 
-TEST_P(GroundingDigestTest, MatchesRecording) {
-  const DigestCase& c = GetParam();
-  const uint64_t got = GroundingDigest(c.corpus, c.naive);
+void ExpectDigest(const DigestCase& c, Lane lane, const char* what) {
+  const uint64_t got = GroundingDigest(c.corpus, c.naive, lane);
   char hex[32];
   std::snprintf(hex, sizeof hex, "0x%016" PRIx64, got);
   EXPECT_EQ(got, c.digest) << c.corpus << (c.naive ? "/naive" : "/fast")
-                           << " grounding digest is " << hex;
+                           << " grounding digest " << what << " is " << hex;
+}
+
+TEST_P(GroundingDigestTest, MatchesRecording) {
+  ExpectDigest(GetParam(), Lane::kFresh, "with fresh sessions");
+}
+
+// A recycled scratch must ground exactly as fresh sessions do, whatever
+// it held before: the recorded digests hold for both pooled lanes.
+TEST_P(GroundingDigestTest, PooledScratchMatchesRecording) {
+  ExpectDigest(GetParam(), Lane::kPooled, "on one scratch");
+  ExpectDigest(GetParam(), Lane::kPooledAfterLargest,
+               "on one scratch after the largest entity");
 }
 
 INSTANTIATE_TEST_SUITE_P(

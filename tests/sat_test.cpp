@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -537,6 +540,174 @@ TEST(SolverTest, ResetIsObservablyAFreshSolver) {
       for (Var v = 0; v < cnf.num_vars(); ++v) {
         EXPECT_EQ(recycled.ModelLbool(v), fresh.ModelLbool(v))
             << "round " << round << " var " << v;
+      }
+    }
+  }
+}
+
+// A formula with every kind of state a session leaves in its solver:
+// `blocks` order blocks of `size` values with asymmetry and totality
+// binaries (the search must find total orders, conflicting through the
+// blocks' transitivity axioms), level-0 units, and random binaries and
+// long clauses over the order variables and `aux` auxiliary ones.
+Cnf MixedFormula(Rng* rng, int blocks, int size, int aux, int n_clauses) {
+  Cnf cnf;
+  for (int b = 0; b < blocks; ++b) {
+    cnf.AddOrderBlock();
+    cnf.GrowOrderBlock(b, size);
+    for (int i = 0; i < size; ++i) {
+      for (int j = 0; j < size; ++j) {
+        if (i != j) cnf.SetOrderVar(b, i, j, cnf.NewVar());
+      }
+    }
+    const OrderBlock& block = cnf.order_block(b);
+    for (int i = 0; i < size; ++i) {
+      for (int j = i + 1; j < size; ++j) {
+        cnf.AddBinary(Lit::Neg(block.at(i, j)), Lit::Neg(block.at(j, i)));
+        cnf.AddBinary(Lit::Pos(block.at(i, j)), Lit::Pos(block.at(j, i)));
+      }
+    }
+  }
+  for (int k = 0; k < aux; ++k) cnf.NewVar();
+  const int n = cnf.num_vars();
+  for (int b = 0; b < blocks; ++b) {
+    cnf.AddUnit(Lit::Pos(cnf.order_block(b).at(0, 1)));
+  }
+  cnf.AddUnit(Lit(static_cast<Var>(n - 1), rng->Chance(0.5)));
+  std::vector<Lit> clause;
+  for (int c = 0; c < n_clauses; ++c) {
+    clause.clear();
+    const int len = 2 + static_cast<int>(rng->Below(4));
+    for (int k = 0; k < len; ++k) {
+      clause.push_back(Lit(static_cast<Var>(rng->Below(n)), rng->Chance(0.5)));
+    }
+    cnf.AddClause(clause);
+  }
+  return cnf;
+}
+
+void ExpectSameSolverState(const Solver& got, const Solver& want,
+                           const std::string& where) {
+  EXPECT_EQ(got.num_vars(), want.num_vars()) << where;
+  EXPECT_EQ(got.stats().decisions, want.stats().decisions) << where;
+  EXPECT_EQ(got.stats().propagations, want.stats().propagations) << where;
+  EXPECT_EQ(got.stats().binary_propagations,
+            want.stats().binary_propagations)
+      << where;
+  EXPECT_EQ(got.stats().conflicts, want.stats().conflicts) << where;
+  EXPECT_EQ(got.arena_words(), want.arena_words()) << where;
+  EXPECT_EQ(got.materialized_axioms(), want.materialized_axioms()) << where;
+}
+
+TEST(SolverTest, RecycledSolverMatchesFreshAcrossSizes) {
+  // One solver Reset between alternating large and small formulas, as a
+  // pooled SessionScratch sees a big entity and then a median one. Reset
+  // clears only the lists of the variables the last formula used, and
+  // the universe regrows in one step: each formula must still run exactly
+  // as on a fresh solver, through learning, sweeps and materialized axioms.
+  Rng rng(0x5eed'0024);
+  Solver recycled;
+  int64_t conflicts = 0, materialized = 0, learnt = 0;
+  for (int round = 0; round < 16; ++round) {
+    const bool large = round % 2 == 0;
+    SolverOptions options;
+    options.use_inprocessing = round % 4 < 2;
+    const Cnf cnf = large ? MixedFormula(&rng, 3, 10, 120, 700)
+                          : MixedFormula(&rng, 1, 4, 6, 12);
+    const std::string where =
+        "round " + std::to_string(round) + (large ? " large" : " small");
+    recycled.Reset(options);
+    ASSERT_EQ(recycled.num_vars(), 0) << where;
+    Solver fresh(options);
+    for (Solver* s : {&recycled, &fresh}) s->AddCnf(cnf);
+    ExpectSameSolverState(recycled, fresh, where + " fed");
+
+    if (!large) {
+      // The probe trail: the level-0 facts, then what the base implies.
+      const std::vector<Lit> base = {Lit::Pos(cnf.order_block(0).at(1, 2))};
+      const bool opened = recycled.BeginProbe(base);
+      ASSERT_EQ(opened, fresh.BeginProbe(base)) << where;
+      if (opened) {
+        const std::span<const Lit> a = recycled.ProbeTrail();
+        const std::span<const Lit> b = fresh.ProbeTrail();
+        EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+            << where;
+        recycled.EndProbe();
+        fresh.EndProbe();
+      }
+    }
+
+    // Searches under assumptions (they learn clauses), a sweep, and a
+    // final solve whose model must match.
+    for (int q = 0; q < 4; ++q) {
+      std::vector<Lit> assume;
+      for (int k = 0; k < 3; ++k) {
+        assume.push_back(Lit(static_cast<Var>(rng.Below(cnf.num_vars())),
+                             rng.Chance(0.5)));
+      }
+      const SolveResult r = recycled.SolveWithAssumptions(assume);
+      ASSERT_EQ(r, fresh.SolveWithAssumptions(assume)) << where;
+    }
+    recycled.Simplify();
+    fresh.Simplify();
+    const SolveResult r = recycled.Solve();
+    ASSERT_EQ(r, fresh.Solve()) << where;
+    ExpectSameSolverState(recycled, fresh, where + " solved");
+    if (r == SolveResult::kSat) {
+      for (Var v = 0; v < cnf.num_vars(); ++v) {
+        ASSERT_EQ(recycled.ModelLbool(v), fresh.ModelLbool(v))
+            << where << " var " << v;
+      }
+    }
+    conflicts += recycled.stats().conflicts;
+    materialized += recycled.materialized_axioms();
+    learnt += static_cast<int64_t>(recycled.LearntClauses().size());
+  }
+  // The searches really learnt, and reasons really got materialized.
+  EXPECT_GT(conflicts, 0);
+  EXPECT_GT(learnt, 0);
+  EXPECT_GT(materialized, 0);
+}
+
+TEST(SolverTest, VariablesAppearingOneByOneMatchOneBatch) {
+  // AddClause grows the universe as each clause names new variables;
+  // AddCnfFrom grows it once for the whole formula. Both create the same
+  // variables in the same heap order, so the searches are identical.
+  Rng rng(0x0b1e);
+  Solver recycled;
+  for (int round = 0; round < 12; ++round) {
+    const int n = round % 2 == 0 ? 400 : 20;
+    Cnf cnf;
+    cnf.EnsureVars(n);
+    std::vector<Lit> clause;
+    for (int c = 0; c < 4 * n; ++c) {
+      clause.clear();
+      // Clause c < n introduces variable c; each names only earlier ones.
+      const int hi = std::min(c, n - 1);
+      clause.push_back(Lit(static_cast<Var>(hi), rng.Chance(0.5)));
+      const int len = 1 + static_cast<int>(rng.Below(3));
+      for (int k = 0; k < len; ++k) {
+        clause.push_back(
+            Lit(static_cast<Var>(rng.Below(hi + 1)), rng.Chance(0.5)));
+      }
+      cnf.AddClause(clause);
+    }
+    const std::string where = "round " + std::to_string(round);
+    recycled.Reset();
+    Solver batch;
+    batch.AddCnf(cnf);
+    for (int c = 0; c < cnf.num_clauses(); ++c) {
+      const std::span<const Lit> lits = cnf.clause(c);
+      recycled.AddClause(std::vector<Lit>(lits.begin(), lits.end()));
+    }
+    const SolveResult r = recycled.Solve();
+    ASSERT_EQ(r, batch.Solve()) << where;
+    EXPECT_EQ(recycled.stats().decisions, batch.stats().decisions) << where;
+    EXPECT_EQ(recycled.stats().conflicts, batch.stats().conflicts) << where;
+    if (r == SolveResult::kSat) {
+      for (Var v = 0; v < n; ++v) {
+        ASSERT_EQ(recycled.ModelLbool(v), batch.ModelLbool(v))
+            << where << " var " << v;
       }
     }
   }
