@@ -1,24 +1,10 @@
-// bench_throughput: batch resolution throughput (entities/sec) and the
-// ResolutionSession's incremental-extension advantage over the legacy
-// re-encode-every-round path.
+// bench_throughput: batch resolution throughput (entities/sec), pooling,
+// the solver's memory lifecycle and the local-search warm start.
 //
 // Unlike the Fig. 8 reproduction benches, this one emits machine-readable
 // JSON on stdout (scripts/bench.sh redirects it into
 // BENCH_throughput.json) so the repo's perf trajectory can be tracked
 // across PRs. Sections:
-//   * "incremental": Person entities with >= 1k tuples driven through
-//     >= 3 one-answer oracle rounds, session vs. legacy engine; compares
-//     the summed encode+validity time of rounds >= 1 (the rounds where
-//     the session appends instead of rebuilding) and checks the two
-//     engines resolve identically.
-//   * "suggest_incremental": same corpus and runs, but comparing the
-//     summed Suggest-phase time of rounds >= 1 — the session decides
-//     GetSug by propagation probes on its persistent solver (no Φ(Se)
-//     copy, no fresh solver), the legacy engine re-loads Φ(Se) into a
-//     throwaway solver every round. Also reports the session's total
-//     rebuild count, which selector-guarded CFDs pin at zero, and its
-//     assumption solves, which GetSug by propagation pins at zero (no
-//     pipeline phase makes a solve on the Horn Φ(Se)).
 //   * "thread_scaling": the "entity_pool" tier — RunExperiment's batched
 //     work-stealing driver (entities across worker threads) — measured as
 //     a real speedup curve at {1, 2, N} threads (N = CCR_BENCH_THREADS,
@@ -39,7 +25,7 @@
 //     rounds of appended tuples plus validity/deduction solves, with the
 //     arena GC on vs off. Reports the solver arena's peak and live words
 //     and the words reclaimed by collections, checks the two runs deduce
-//     identically, and re-checks num_rebuilds == 0.
+//     identically, and re-checks session_rebuilds == 0.
 //     scripts/bench_smoke.sh gates identical_results and a reclaim floor
 //     (CCR_BENCH_GC_RECLAIM_FLOOR).
 //   * "sls_warm_start": the same session engine with the stochastic
@@ -48,10 +34,10 @@
 //     summed rounds >= 1 Deduce speedup and the local-search counters,
 //     and checks the two configurations resolve identically — SLS only
 //     ever changes time-to-verdict. scripts/bench_smoke.sh gates
-//     identical_results, session_rebuilds == 0 and a Deduce
-//     non-regression floor (CCR_BENCH_SLS_DEDUCE_FLOOR) — SLS phase
-//     publishing once made the entailment solves measurably slower, so
-//     the Deduce ratio may not silently sink again.
+//     identical_results and a Deduce non-regression floor
+//     (CCR_BENCH_SLS_DEDUCE_FLOOR) — SLS phase publishing once made the
+//     entailment solves measurably slower, so the Deduce ratio may not
+//     silently sink again.
 //
 // CCR_BENCH_SCALE multiplies entity counts as in the other benches;
 // CCR_BENCH_TUPLES overrides the per-entity tuple floor (default 1000 —
@@ -222,58 +208,13 @@ int main() {
   using namespace ccr;
   const int scale = bench::BenchScale();
 
-  // --- incremental round extension vs. full per-round rebuild ------------
+  // The >= 1k-tuple Person corpus the allocation_pooling and
+  // sls_warm_start sections resolve.
   const Dataset inc_ds = BigPersonCorpus(4 * scale);
-  ResolveOptions session_opts;
-  session_opts.use_session = true;
-  ResolveOptions legacy_opts;
-  legacy_opts.use_session = false;
-
-  double session_ms = 0;     // rounds >= 1, encode + validity
-  double legacy_ms = 0;
-  double session_suggest_ms = 0;  // rounds >= 1, Suggest phase
-  double legacy_suggest_ms = 0;
-  int64_t session_rebuilds = 0;
-  int64_t session_assumption_solves = 0;
-  int max_oracle_rounds = 0;
   int min_tuples = 1 << 30;
-  int resolve_errors = 0;  // entities skipped (not an equivalence verdict)
-  bool identical = true;
-  for (size_t e = 0; e < inc_ds.entities.size(); ++e) {
-    min_tuples = std::min(min_tuples, inc_ds.entities[e].instance.size());
-    // One answer per round forces several interaction rounds.
-    TruthOracle o1(inc_ds.entities[e].truth, /*answers_per_round=*/1);
-    TruthOracle o2(inc_ds.entities[e].truth, /*answers_per_round=*/1);
-    session_opts.max_rounds = 6;
-    legacy_opts.max_rounds = 6;
-    auto rs = Resolve(inc_ds.MakeSpec(static_cast<int>(e)), &o1,
-                      session_opts);
-    auto rl = Resolve(inc_ds.MakeSpec(static_cast<int>(e)), &o2,
-                      legacy_opts);
-    if (!rs.ok() || !rl.ok()) {
-      ++resolve_errors;
-      continue;
-    }
-    identical = identical && SameResolution(*rs, *rl);
-    max_oracle_rounds = std::max(max_oracle_rounds, rs->rounds_used);
-    for (const RoundTrace& t : rs->trace) {
-      if (t.round >= 1) {
-        session_ms += t.encode_ms + t.validity_ms;
-        session_suggest_ms += t.suggest_ms;
-      }
-      session_rebuilds += t.num_rebuilds;
-      session_assumption_solves += t.num_assumption_solves;
-    }
-    for (const RoundTrace& t : rl->trace) {
-      if (t.round >= 1) {
-        legacy_ms += t.encode_ms + t.validity_ms;
-        legacy_suggest_ms += t.suggest_ms;
-      }
-    }
+  for (const auto& entity : inc_ds.entities) {
+    min_tuples = std::min(min_tuples, entity.instance.size());
   }
-  const double inc_speedup = session_ms > 0 ? legacy_ms / session_ms : 0.0;
-  const double suggest_speedup =
-      session_suggest_ms > 0 ? legacy_suggest_ms / session_suggest_ms : 0.0;
 
   // --- thread scaling: the entity pool -------------------------------------
   Timer timer;
@@ -358,7 +299,6 @@ int main() {
   // NaiveDeduce pipeline: the SLS phases + witness-ring seeding is what a
   // fallback solve would start from.
   ResolveOptions sls_on;
-  sls_on.use_session = true;
   sls_on.naive_deduce = true;
   sls_on.max_rounds = 6;
   // The `--solver sls` preset: seeding on, and inprocessing too, whose
@@ -371,7 +311,6 @@ int main() {
 
   double sls_deduce_ms = 0, nosls_deduce_ms = 0;
   int64_t sls_flips = 0, sls_seeded_models = 0;
-  int64_t sls_rebuilds = 0;
   int sls_errors = 0;
   bool sls_identical = true;
   // The aggregate deduce time here is a few milliseconds, well inside
@@ -397,7 +336,6 @@ int main() {
       for (const RoundTrace& t : rs->trace) {
         if (t.round >= 1) rep_sls_deduce += t.deduce_ms;
         if (rep == 0) {
-          sls_rebuilds += t.num_rebuilds;
           for (const sat::SolverStats* s :
                {&t.encode_solver, &t.validity_solver, &t.deduce_solver,
                 &t.suggest_solver}) {
@@ -425,34 +363,6 @@ int main() {
   std::printf("  \"scale\": %d,\n", scale);
   std::printf("  \"hardware_concurrency\": %u,\n",
               std::thread::hardware_concurrency());
-  std::printf("  \"incremental\": {\n");
-  std::printf("    \"entities\": %d,\n",
-              static_cast<int>(inc_ds.entities.size()));
-  std::printf("    \"min_tuples_per_entity\": %d,\n", min_tuples);
-  std::printf("    \"oracle_rounds\": %d,\n", max_oracle_rounds);
-  std::printf("    \"session_round1plus_encode_validity_ms\": %.3f,\n",
-              session_ms);
-  std::printf("    \"legacy_round1plus_encode_validity_ms\": %.3f,\n",
-              legacy_ms);
-  std::printf("    \"speedup\": %.3f,\n", inc_speedup);
-  std::printf("    \"resolve_errors\": %d,\n", resolve_errors);
-  std::printf("    \"identical_results\": %s\n", identical ? "true" : "false");
-  std::printf("  },\n");
-  std::printf("  \"suggest_incremental\": {\n");
-  std::printf("    \"entities\": %d,\n",
-              static_cast<int>(inc_ds.entities.size()));
-  std::printf("    \"min_tuples_per_entity\": %d,\n", min_tuples);
-  std::printf("    \"session_round1plus_suggest_ms\": %.3f,\n",
-              session_suggest_ms);
-  std::printf("    \"legacy_round1plus_suggest_ms\": %.3f,\n",
-              legacy_suggest_ms);
-  std::printf("    \"speedup\": %.3f,\n", suggest_speedup);
-  std::printf("    \"session_rebuilds\": %lld,\n",
-              static_cast<long long>(session_rebuilds));
-  std::printf("    \"session_assumption_solves\": %lld,\n",
-              static_cast<long long>(session_assumption_solves));
-  std::printf("    \"identical_results\": %s\n", identical ? "true" : "false");
-  std::printf("  },\n");
   std::printf("  \"thread_scaling\": {\n");
   std::printf("    \"entities\": %d,\n", n_entities);
   std::printf("    \"threads_max\": %d,\n", n_threads);
@@ -524,8 +434,6 @@ int main() {
   std::printf("    \"sls_seeded_models\": %lld,\n",
               static_cast<long long>(sls_seeded_models));
   std::printf("    \"resolve_errors\": %d,\n", sls_errors);
-  std::printf("    \"session_rebuilds\": %lld,\n",
-              static_cast<long long>(sls_rebuilds));
   std::printf("    \"identical_results\": %s\n",
               sls_identical ? "true" : "false");
   std::printf("  }\n");

@@ -7,15 +7,13 @@
 # to a single-process run over the same corpus — the property that makes
 # multi-machine sharding a matter of scp'ing JSON files.
 #
-# Every run uses ccr_experiment's default engine — the persistent-solver
-# session engine (GetSug by propagation, selector-guarded CFDs) with the
-# default solver options. Four gates in all:
+# Every run resolves through one persistent-solver session per entity
+# (GetSug by propagation probes, selector-guarded CFDs) with the default
+# solver options unless a gate names a preset. Three gates in all:
 #   1. merge: the merged shards equal the single-process run;
-#   2. --engine legacy (re-encode every round) serializes to the same
-#      bytes: the two engines are interchangeable, shard by shard;
-#   3. --solver nogc (arena GC off): compaction relocates clauses and may
+#   2. --solver nogc (arena GC off): compaction relocates clauses and may
 #      not move a single result byte;
-#   4. --solver sls (local-search seeding and between-round inprocessing
+#   3. --solver sls (local-search seeding and between-round inprocessing
 #      on; both are off by default): SLS reorders which models CDCL finds,
 #      inprocessing rewrites the problem clauses, and none of it may move
 #      a result byte either.
@@ -67,17 +65,6 @@ if cmp "$WORK_DIR/merged.json" "$WORK_DIR/single.json"; then
 else
   echo "FAIL: merged result differs from the single-process run" >&2
   diff "$WORK_DIR/merged.json" "$WORK_DIR/single.json" >&2 || true
-  exit 1
-fi
-
-echo "Cross-engine exactness: session (default) vs --engine legacy..."
-"$BIN" "${FLAGS[@]}" --engine legacy --no-timings \
-  --out "$WORK_DIR/legacy.json"
-if cmp "$WORK_DIR/legacy.json" "$WORK_DIR/single.json"; then
-  echo "OK: legacy engine run is byte-identical to the session engine run"
-else
-  echo "FAIL: legacy engine result differs from the session engine" >&2
-  diff "$WORK_DIR/legacy.json" "$WORK_DIR/single.json" >&2 || true
   exit 1
 fi
 

@@ -37,7 +37,6 @@
 #include "src/eval/pick.h"
 #include "src/eval/result_io.h"
 #include "src/graph/clique.h"
-#include "src/maxsat/maxsat.h"
 #include "src/maxsat/walksat.h"
 #include "src/order/partial_order.h"
 #include "src/relational/entity_instance.h"

@@ -1,8 +1,5 @@
 #include "src/core/resolver.h"
 
-#include <algorithm>
-#include <memory>
-#include <optional>
 #include <utility>
 
 #include "src/common/timer.h"
@@ -52,151 +49,6 @@ Result<PartialTemporalOrder> MakeAnswerDelta(
   return ot;
 }
 
-namespace {
-
-// The per-round encode/solve strategy behind the framework loop. Both
-// engines run the identical pipeline (validity → deduce → suggest →
-// extend) and produce identical results; they differ only in what they
-// keep alive between rounds.
-class Engine {
- public:
-  virtual ~Engine() = default;
-
-  /// Makes the encoding current for this round; reports the grounding +
-  /// CNF time attributable to it.
-  virtual Status Encode(double* encode_ms) = 0;
-  virtual const Specification& spec() const = 0;
-  virtual const Instantiation& inst() const = 0;
-  virtual ValidityResult CheckValidity() = 0;
-  virtual DeducedOrders Deduce() = 0;
-  virtual Suggestion MakeSuggestion(
-      const std::vector<std::vector<int>>& candidates,
-      const std::vector<int>& known_true) = 0;
-  virtual Status Extend(const PartialTemporalOrder& ot) = 0;
-
-  /// Cumulative counters for the RoundTrace (Resolve reports per-round
-  /// deltas): full re-encodes performed and assumption-carrying solves
-  /// answered so far.
-  virtual int64_t Rebuilds() const = 0;
-  virtual int64_t AssumptionSolves() const = 0;
-
-  /// Cumulative statistics of the engine's persistent solver; Resolve
-  /// diffs these around each phase call to attribute solver work
-  /// (conflicts, binary propagations, inprocessing counters) per phase.
-  /// The legacy engine's throwaway solvers are not traced: all zeros.
-  virtual sat::SolverStats SolverStatsNow() const = 0;
-};
-
-// Legacy engine: re-grounds Ω(Se), rebuilds Φ(Se) and constructs fresh
-// solver state every round. Kept as the regression baseline and the
-// bench_throughput comparison point.
-class RebuildEngine : public Engine {
- public:
-  RebuildEngine(const Specification& se, const ResolveOptions& options)
-      : options_(options), spec_(se) {}
-
-  Status Encode(double* encode_ms) override {
-    Timer timer;
-    CCR_ASSIGN_OR_RETURN(inst_, Instantiation::Build(spec_));
-    cnf_ = BuildCnf(inst_);
-    *encode_ms = timer.ElapsedMs();
-    ++rebuilds_;
-    return Status::OK();
-  }
-
-  const Specification& spec() const override { return spec_; }
-  const Instantiation& inst() const override { return inst_; }
-
-  ValidityResult CheckValidity() override {
-    return IsValidCnf(cnf_, options_.solver);
-  }
-
-  DeducedOrders Deduce() override {
-    return options_.naive_deduce
-               ? NaiveDeduce(inst_, cnf_, options_.solver)
-               : DeduceOrder(inst_, cnf_, options_.deduce);
-  }
-
-  Suggestion MakeSuggestion(const std::vector<std::vector<int>>& candidates,
-                            const std::vector<int>& known_true) override {
-    return Suggest(inst_, cnf_, candidates, known_true, options_.suggest);
-  }
-
-  Status Extend(const PartialTemporalOrder& ot) override {
-    CCR_ASSIGN_OR_RETURN(spec_, ::ccr::Extend(spec_, ot));
-    return Status::OK();
-  }
-
-  int64_t Rebuilds() const override { return rebuilds_; }
-  int64_t AssumptionSolves() const override { return 0; }
-  sat::SolverStats SolverStatsNow() const override { return {}; }
-
- private:
-  ResolveOptions options_;
-  Specification spec_;
-  Instantiation inst_;
-  sat::Cnf cnf_;
-  int64_t rebuilds_ = 0;
-};
-
-// Session engine: one ResolutionSession across all rounds.
-class SessionEngine : public Engine {
- public:
-  // `se` must outlive the engine; the session keeps the one copy.
-  SessionEngine(const Specification& se, const ResolveOptions& options)
-      : options_(options), se_(se) {}
-
-  Status Encode(double* encode_ms) override {
-    if (!session_.has_value()) {
-      auto s = ResolutionSession::Create(se_, options_);
-      if (!s.ok()) return s.status();
-      session_.emplace(std::move(s).value());
-    }
-    // Round r > 0 was encoded by the ExtendWith that ended round r-1;
-    // attribute that cost to the round it produced.
-    *encode_ms = session_->last_encode_ms();
-    return Status::OK();
-  }
-
-  const Specification& spec() const override { return session_->spec(); }
-  const Instantiation& inst() const override {
-    return session_->instantiation();
-  }
-
-  ValidityResult CheckValidity() override {
-    return session_->CheckValidity();
-  }
-
-  DeducedOrders Deduce() override { return session_->Deduce(); }
-
-  Suggestion MakeSuggestion(const std::vector<std::vector<int>>& candidates,
-                            const std::vector<int>& known_true) override {
-    return session_->MakeSuggestion(candidates, known_true);
-  }
-
-  Status Extend(const PartialTemporalOrder& ot) override {
-    return session_->ExtendWith(ot);
-  }
-
-  int64_t Rebuilds() const override {
-    return session_.has_value() ? session_->rebuilds() : 0;
-  }
-  int64_t AssumptionSolves() const override {
-    return session_.has_value() ? session_->assumption_solves() : 0;
-  }
-  sat::SolverStats SolverStatsNow() const override {
-    return session_.has_value() ? session_->solver_stats()
-                                : sat::SolverStats{};
-  }
-
- private:
-  ResolveOptions options_;
-  const Specification& se_;
-  std::optional<ResolutionSession> session_;
-};
-
-}  // namespace
-
 Result<ResolveResult> Resolve(const Specification& se, UserOracle* oracle,
                               const ResolveOptions& options) {
   CCR_RETURN_NOT_OK(options.Validate());
@@ -206,23 +58,17 @@ Result<ResolveResult> Resolve(const Specification& se, UserOracle* oracle,
   result.resolved.assign(n_attrs, false);
   result.user_provided.assign(n_attrs, false);
 
-  std::unique_ptr<Engine> engine;
-  if (options.use_session) {
-    engine = std::make_unique<SessionEngine>(se, options);
-  } else {
-    engine = std::make_unique<RebuildEngine>(se, options);
-  }
+  CCR_ASSIGN_OR_RETURN(ResolutionSession session,
+                       ResolutionSession::Create(se, options));
+  const Instantiation& inst = session.instantiation();
 
-  // Per-round deltas of the engine's cumulative rebuild/assumption
-  // counters, stamped into each RoundTrace right before it is recorded.
-  int64_t prev_rebuilds = 0;
+  // Assumption-carrying solves are cumulative on the session solver;
+  // each RoundTrace gets this round's delta, stamped right before it is
+  // recorded.
   int64_t prev_assumption_solves = 0;
   auto stamp_counters = [&](RoundTrace* t) {
-    const int64_t rebuilds = engine->Rebuilds();
-    const int64_t assumption_solves = engine->AssumptionSolves();
-    t->num_rebuilds = rebuilds - prev_rebuilds;
+    const int64_t assumption_solves = session.assumption_solves();
     t->num_assumption_solves = assumption_solves - prev_assumption_solves;
-    prev_rebuilds = rebuilds;
     prev_assumption_solves = assumption_solves;
   };
 
@@ -235,16 +81,17 @@ Result<ResolveResult> Resolve(const Specification& se, UserOracle* oracle,
   for (int round = 0; round <= options.max_rounds; ++round) {
     RoundTrace trace;
     trace.round = round;
-    CCR_RETURN_NOT_OK(engine->Encode(&trace.encode_ms));
+    // Round r > 0 was encoded by the ExtendWith that ended round r-1;
+    // attribute that cost to the round it produced.
+    trace.encode_ms = session.last_encode_ms();
     trace.encode_solver = pending_extend_stats;
     pending_extend_stats = {};
-    const Instantiation& inst = engine->inst();
     Timer timer;
 
     // Step (1): validity.
-    sat::SolverStats phase_start = engine->SolverStatsNow();
-    const ValidityResult validity = engine->CheckValidity();
-    trace.validity_solver = engine->SolverStatsNow() - phase_start;
+    sat::SolverStats phase_start = session.solver_stats();
+    const ValidityResult validity = session.CheckValidity();
+    trace.validity_solver = session.solver_stats() - phase_start;
     trace.validity_ms = timer.ElapsedMs();
     if (!validity.valid) {
       // Initial specification invalid (or a user's answer clashed with the
@@ -258,9 +105,9 @@ Result<ResolveResult> Resolve(const Specification& se, UserOracle* oracle,
 
     // Step (2): deduce true values.
     timer.Restart();
-    phase_start = engine->SolverStatsNow();
-    const DeducedOrders od = engine->Deduce();
-    trace.deduce_solver = engine->SolverStatsNow() - phase_start;
+    phase_start = session.solver_stats();
+    const DeducedOrders od = session.Deduce();
+    trace.deduce_solver = session.solver_stats() - phase_start;
     const std::vector<int> true_idx =
         ExtractTrueValueIndices(inst.varmap, od);
     trace.deduce_ms = timer.ElapsedMs();
@@ -293,30 +140,30 @@ Result<ResolveResult> Resolve(const Specification& se, UserOracle* oracle,
 
     // Step (4): suggestion + user input.
     timer.Restart();
-    phase_start = engine->SolverStatsNow();
+    phase_start = session.solver_stats();
     const std::vector<std::vector<int>> candidates =
         CandidateValues(inst.varmap, od);
     const Suggestion suggestion =
-        engine->MakeSuggestion(candidates, true_idx);
-    trace.suggest_solver = engine->SolverStatsNow() - phase_start;
+        session.MakeSuggestion(candidates, true_idx);
+    trace.suggest_solver = session.solver_stats() - phase_start;
     trace.suggest_ms = timer.ElapsedMs();
     stamp_counters(&trace);
     result.trace.push_back(trace);
 
     const std::vector<UserOracle::Answer> answers =
-        oracle->Provide(engine->spec(), suggestion, inst.varmap);
+        oracle->Provide(session.spec(), suggestion, inst.varmap);
     if (answers.empty()) break;  // user settles
 
     // Materialize the answers as a new tuple t_o that dominates every
     // existing tuple on the answered attributes (§III Remark (1)).
     CCR_ASSIGN_OR_RETURN(const PartialTemporalOrder ot,
-                         MakeAnswerDelta(engine->spec(), answers));
+                         MakeAnswerDelta(session.spec(), answers));
     for (const auto& ans : answers) {
       result.user_provided[ans.attr] = true;
     }
-    phase_start = engine->SolverStatsNow();
-    CCR_RETURN_NOT_OK(engine->Extend(ot));
-    pending_extend_stats = engine->SolverStatsNow() - phase_start;
+    phase_start = session.solver_stats();
+    CCR_RETURN_NOT_OK(session.ExtendWith(ot));
+    pending_extend_stats = session.solver_stats() - phase_start;
   }
 
   return result;

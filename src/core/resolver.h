@@ -6,7 +6,10 @@
 // oracle for true values of the suggested attributes, extends Se ⊕ Ot and
 // loops. Users may answer a subset of the suggestion or none at all
 // ("settle"); everything derivable from their answers is deduced
-// automatically in the next round.
+// automatically in the next round. Resolve runs every round on one
+// ResolutionSession (src/core/session.h): Se is grounded and encoded
+// once, each answer extends the encoding in place, and one solver serves
+// every phase.
 
 #ifndef CCR_CORE_RESOLVER_H_
 #define CCR_CORE_RESOLVER_H_
@@ -53,18 +56,12 @@ struct ResolveOptions {
   sat::SolverOptions solver;
   /// Use NaiveDeduce (Lemma 6's exact pair set) instead of DeduceOrder.
   bool naive_deduce = false;
-  /// Drive the rounds through a ResolutionSession (encode once, extend
-  /// incrementally, one solver across phases). Off = the legacy engine
-  /// that re-grounds and re-encodes from scratch every round; both produce
-  /// identical results, the flag exists for regression tests and the
-  /// bench_throughput comparison.
-  bool use_session = true;
-  /// Borrowed (not owned) per-worker allocation pool the session engine
+  /// Borrowed (not owned) per-worker allocation pool the session
   /// recycles its solver and CNF buffers from, so back-to-back Resolve
   /// calls start warm (batch drivers resolving many entities on one
   /// thread). Null = the session allocates privately. Results are
-  /// bit-identical either way; the legacy engine ignores it. The scratch
-  /// must outlive the Resolve call and serve one resolution at a time.
+  /// bit-identical either way. The scratch must outlive the Resolve call
+  /// and serve one resolution at a time.
   SessionScratch* scratch = nullptr;
 
   /// Fails closed on out-of-range knobs: max_rounds >= 0 and
@@ -82,20 +79,14 @@ struct RoundTrace {
   double validity_ms = 0;
   double deduce_ms = 0;
   double suggest_ms = 0;
-  /// Full re-encodes this round performed. The session engine's guarded
-  /// grounding makes this 0 on every round by construction; the legacy
-  /// engine reports 1 per round (it rebuilds by design).
-  int64_t num_rebuilds = 0;
-  /// Assumption-carrying solver calls this round (incremental-MaxSAT
-  /// steps; validity and NaiveDeduce solve only on a non-Horn formula).
-  /// 0 for the legacy engine, whose throwaway solvers are not traced.
+  /// Assumption-carrying solver calls this round (validity and
+  /// NaiveDeduce solve only on a non-Horn formula).
   int64_t num_assumption_solves = 0;
   /// Per-phase session-solver statistics deltas (conflicts, binary
   /// propagations, glue sums, learnt-tier and inprocessing counters).
   /// `encode_solver` covers the extension that produced this round —
   /// clause feeding plus the between-round Simplify, which is where the
-  /// inprocessing (subsumed/vivified) counters accrue. All four are zero
-  /// for the legacy engine, whose throwaway solvers are not traced.
+  /// inprocessing (subsumed/vivified) counters accrue.
   sat::SolverStats encode_solver;
   sat::SolverStats validity_solver;
   sat::SolverStats deduce_solver;
@@ -125,8 +116,8 @@ struct ResolveResult {
   std::vector<std::vector<bool>> round_resolved;
 };
 
-/// Runs the framework loop. `oracle` may be null: the resolver then
-/// performs only the automatic step (round 0).
+/// Runs the framework loop on one ResolutionSession. `oracle` may be
+/// null: the resolver then performs only the automatic step (round 0).
 Result<ResolveResult> Resolve(const Specification& se, UserOracle* oracle,
                               const ResolveOptions& options = {});
 

@@ -132,14 +132,9 @@ Status ResolutionSession::ExtendWith(const PartialTemporalOrder& ot) {
   const TemporalInstance::Mark before = spec_.temporal.mark();
   CCR_RETURN_NOT_OK(spec_.temporal.Append(ot));
   Timer timer;
-  // GetSug's MaxSAT fallback allocates selector/cardinality variables in
-  // released scopes directly on the persistent solver; advance the
-  // VarMap's allocator past them so this round's atom and guard variables
-  // get ids the solver has not already bound. (The burnt ids stay frozen
-  // aux variables.) GetSug by propagation allocates none.
-  while (inst_->varmap.num_vars() < solver_->num_vars()) {
-    inst_->varmap.NewAuxVar();
-  }
+  // No phase allocates solver variables, so the VarMap names every one
+  // and this round's atom and guard variables get fresh ids.
+  CCR_CHECK(solver_->num_vars() <= inst_->varmap.num_vars());
   cnf_->EnsureVars(inst_->varmap.num_vars());
   Result<InstantiationDelta> extended =
       inst_->ExtendWith(spec_, ot, SessionGroundingOptions());

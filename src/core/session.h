@@ -16,10 +16,9 @@
 //     learnt. Every phase queries it under assumptions: validity and both
 //     Deduce pipelines open a propagation probe on the active CFD guards
 //     (DeduceOrderShared extends it by the totality rule and reads Od off
-//     its trail), and GetSug opens one probe per candidate kept set. Only
-//     GetSug's MaxSAT fallback (a non-Horn formula or an oversized
-//     clique) allocates variables, in a released ScopedVars scope —
-//     nothing a round introduces constrains the next.
+//     its trail), and GetSug searches kept sets over probes extended
+//     rule by rule. No phase adds a clause or a variable, so nothing a
+//     round asks constrains the next.
 //     After each extension the solver propagates the new level-0 facts;
 //     the top-level sweep of clauses they satisfy (those deactivated by
 //     retired guards among them) runs only once search work or the
@@ -28,9 +27,9 @@
 //   * It, the temporal instance, appended in place (TemporalInstance::
 //     Append) and truncated back when the grounding rejects the delta.
 //
-// Resolve() drives a session internally; the class is public so batch
-// drivers and benches can observe per-round encode costs and the
-// assumption/rebuild counters.
+// Resolve() drives one session through every round; the class is public
+// so batch drivers, the service and benches can drive the phases
+// themselves and observe per-round encode costs and solver counters.
 
 #ifndef CCR_CORE_SESSION_H_
 #define CCR_CORE_SESSION_H_
@@ -117,8 +116,7 @@ class ResolutionSession {
 
   /// Step (4a): suggestion from the deduced state (`candidates` from
   /// CandidateValues, `known_true` from ExtractTrueValueIndices). Runs
-  /// GetSug on the session solver: propagation probes on the Horn Φ(Se),
-  /// incremental MaxSAT otherwise.
+  /// GetSug's probe search on the session solver.
   Suggestion MakeSuggestion(const std::vector<std::vector<int>>& candidates,
                             const std::vector<int>& known_true);
 
@@ -132,8 +130,7 @@ class ResolutionSession {
 
   /// Wall time the last Create/ExtendWith spent grounding + encoding (ms).
   double last_encode_ms() const { return last_encode_ms_; }
-  /// ExtendWith calls (every one of them appends; kept alongside
-  /// `rebuilds` for the A/B counters in RoundTrace).
+  /// ExtendWith calls (every one of them appends).
   int incremental_extensions() const { return incremental_extensions_; }
   /// Full re-encodes this session performed. Guarded grounding makes this
   /// 0 by construction; the counter exists so tests and traces can assert
@@ -141,8 +138,8 @@ class ResolutionSession {
   int rebuilds() const { return rebuilds_; }
   /// Assumption-carrying solves answered by the session solver so far.
   /// Every pipeline phase decides the Horn Φ(Se) by propagation, so this
-  /// stays 0 unless a formula is non-Horn (validity, NaiveDeduce and
-  /// GetSug then fall back to solves).
+  /// stays 0 unless a formula is non-Horn (validity and NaiveDeduce then
+  /// fall back to solves).
   int64_t assumption_solves() const {
     return solver_->stats().assumption_solves;
   }

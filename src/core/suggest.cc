@@ -1,6 +1,5 @@
 #include "src/core/suggest.h"
 
-#include <bit>
 #include <cstdint>
 #include <optional>
 
@@ -31,83 +30,110 @@ std::string Suggestion::ToString(const VarMap& vm,
 
 namespace {
 
-// GetSug by propagation. Φ(Se) plus the "selector → atom" clauses is Horn
+// GetSug's exact search. Φ(Se) plus the "selector → atom" clauses is Horn
 // and the softs are positive unit selectors, so a kept set is feasible iff
-// propagating the guards plus that set's atoms reaches no conflict, and a
-// subset of a feasible set is feasible. Kept sets are tried by decreasing
-// size and, within one size, lexicographically greatest first in soft
-// order: bit n-1-i of `mask` stands for soft i, so a descending mask is
-// exactly that order. The first quiet probe is therefore the canonical
-// optimum IncrementalMaxSat's extraction returns. The empty set is tried
-// last; if even the guards alone are refuted, nothing is kept.
-std::vector<bool> GetSugByPropagation(
-    sat::Solver* solver, std::span<const sat::Lit> assumptions,
-    const std::vector<std::vector<sat::Lit>>& rule_atoms) {
-  const int n = static_cast<int>(rule_atoms.size());
-  std::vector<bool> kept(rule_atoms.size(), false);
-  std::vector<sat::Lit> base;
-  int64_t probes = 0;
-  for (int size = n; size >= 0; --size) {
-    for (uint32_t mask = 1u << n; mask-- > 0;) {
-      if (std::popcount(mask) != size) continue;
-      base.assign(assumptions.begin(), assumptions.end());
-      for (int i = 0; i < n; ++i) {
-        if ((mask >> (n - 1 - i)) & 1u) {
-          base.insert(base.end(), rule_atoms[i].begin(), rule_atoms[i].end());
-        }
-      }
-      ++probes;
-      if (solver->BeginProbe(base)) {
-        solver->EndProbe();
-        for (int i = 0; i < n; ++i) kept[i] = (mask >> (n - 1 - i)) & 1u;
-        solver->RecordSuggest(probes, /*fallback=*/false);
-        return kept;
+// propagating the guards plus that set's atoms reaches no conflict
+// (Dowling & Gallier 1984), and a subset of a feasible set is feasible.
+// The search decides rule i before rule i+1, trying "keep" before "drop",
+// so it meets kept sets in lexicographically decreasing order; a branch
+// is pruned when its kept count plus the rules left cannot beat the best
+// set found, so the first largest set it finds is the canonical one.
+// One probe is kept open on guards ∪ the kept atoms and extended by each
+// rule kept; it is reopened only when a refutation closed it or a "drop"
+// branch needs a smaller set. The search runs only when a first probe on
+// the whole clique is refuted, so a feasible clique costs that one probe
+// (with the atoms and the guards propagated together, as one base).
+class KeptSetSearch {
+ public:
+  KeptSetSearch(sat::Solver* solver, std::span<const sat::Lit> assumptions,
+                const std::vector<std::vector<sat::Lit>>& rule_atoms)
+      : solver_(solver),
+        assumptions_(assumptions),
+        rule_atoms_(rule_atoms),
+        n_(static_cast<int>(rule_atoms.size())),
+        kept_(rule_atoms.size(), false),
+        best_(rule_atoms.size(), false) {}
+
+  std::vector<bool> Run() {
+    // A clique is usually feasible whole: one probe on all of its atoms
+    // decides it.
+    kept_.assign(kept_.size(), true);
+    if (Reopen(n_)) {
+      solver_->EndProbe();
+      best_ = kept_;
+    } else if (n_ > 0) {
+      kept_.assign(kept_.size(), false);
+      // The guards alone refuted: nothing can be kept.
+      if (Reopen(0)) {
+        Visit(0, 0);
+        if (open_) solver_->EndProbe();
       }
     }
+    solver_->RecordSuggest(probes_);
+    return best_;
   }
-  solver->RecordSuggest(probes, /*fallback=*/false);
-  return kept;
-}
+
+ private:
+  // Opens a probe on the guards plus the atoms of the kept rules before
+  // rule `i`. Inside the search those rules were kept on a probe that
+  // stayed quiet, so only the probe on the guards alone can be refuted.
+  bool Reopen(int i) {
+    base_.assign(assumptions_.begin(), assumptions_.end());
+    for (int j = 0; j < i; ++j) {
+      if (kept_[j]) {
+        base_.insert(base_.end(), rule_atoms_[j].begin(),
+                     rule_atoms_[j].end());
+      }
+    }
+    ++probes_;
+    open_ = solver_->BeginProbe(base_);
+    return open_;
+  }
+
+  // Decides rules i.. with `count` rules kept so far. On entry the probe
+  // holds exactly the kept rules before i when `open_` is set.
+  void Visit(int i, int count) {
+    if (i == n_) {
+      if (count > best_count_) {
+        best_ = kept_;
+        best_count_ = count;
+      }
+      return;
+    }
+    if (count + (n_ - i) > best_count_) {
+      if (!open_) CCR_CHECK(Reopen(i));
+      open_ = solver_->ProbeExtend(rule_atoms_[i]);
+      if (open_) {
+        kept_[i] = true;
+        Visit(i + 1, count + 1);
+        kept_[i] = false;
+        // The probe now holds rule i's atoms (and perhaps later ones).
+        if (open_) solver_->EndProbe();
+        open_ = false;
+      }
+    }
+    if (count + (n_ - i - 1) > best_count_) Visit(i + 1, count);
+  }
+
+  sat::Solver* solver_;
+  std::span<const sat::Lit> assumptions_;
+  const std::vector<std::vector<sat::Lit>>& rule_atoms_;
+  const int n_;
+  std::vector<bool> kept_;
+  std::vector<bool> best_;
+  int best_count_ = -1;
+  bool open_ = false;  // a probe is open and holds exactly the kept rules
+  std::vector<sat::Lit> base_;
+  int64_t probes_ = 0;
+};
 
 }  // namespace
-
-std::vector<bool> GetSugByMaxSat(
-    sat::Solver* solver, std::span<const sat::Lit> assumptions,
-    const std::vector<std::vector<sat::Lit>>& rule_atoms) {
-  // Each rule gets a scoped selector implying its atoms; the softs
-  // maximize kept rules. The scope dies with this call, so later rounds
-  // on the same solver never see these selectors or clauses.
-  sat::ScopedVars scope(solver);
-  std::vector<sat::Lit> base(assumptions.begin(), assumptions.end());
-  base.push_back(scope.activation());
-  std::vector<std::vector<sat::Lit>> softs;
-  softs.reserve(rule_atoms.size());
-  for (const std::vector<sat::Lit>& atoms : rule_atoms) {
-    const sat::Var sel = scope.NewVar();
-    for (const sat::Lit atom : atoms) {
-      scope.AddClause({sat::Lit::Neg(sel), atom});
-    }
-    softs.push_back({sat::Lit::Pos(sel)});
-  }
-  maxsat::IncrementalMaxSat max_sat(solver);
-  const maxsat::MaxSatResult ms = max_sat.Solve(softs, base);
-  if (!ms.hard_satisfiable) return std::vector<bool>(rule_atoms.size());
-  // The MaxSAT result covers every soft positionally — anything less
-  // would silently drop kept rules from the tail of the clique. A soft is
-  // "kept" when it holds in the canonical optimum.
-  CCR_CHECK(ms.soft_satisfied.size() == rule_atoms.size());
-  return ms.soft_satisfied;
-}
 
 std::vector<bool> GetSug(sat::Solver* solver,
                          std::span<const sat::Lit> assumptions,
                          const std::vector<std::vector<sat::Lit>>& rule_atoms) {
-  if (static_cast<int>(rule_atoms.size()) <= kMaxPropagationClique &&
-      solver->ProblemIsHorn()) {
-    return GetSugByPropagation(solver, assumptions, rule_atoms);
-  }
-  solver->RecordSuggest(/*probes=*/0, /*fallback=*/true);
-  return GetSugByMaxSat(solver, assumptions, rule_atoms);
+  CCR_CHECK(solver->ProblemIsHorn());
+  return KeptSetSearch(solver, assumptions, rule_atoms).Run();
 }
 
 namespace {

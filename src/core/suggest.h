@@ -9,11 +9,10 @@
 // GetSug is a MaxSAT instance: Φ(Se) plus "selector → atom" clauses, with
 // positive unit selectors as softs. Φ(Se) is Horn, so a rule set is
 // feasible iff propagating the guards plus that set's atoms reaches no
-// conflict (Dowling & Gallier 1984), and GetSug is decided by propagation
-// probes on the caller's solver — no search, no new variable.
-// IncrementalMaxSat stays as the fallback, for a non-Horn formula or a
-// clique above kMaxPropagationClique, and as the reference the
-// differential test checks the probes against.
+// conflict (Dowling & Gallier 1984), and feasible sets are closed under
+// subsets. GetSug is therefore an exact search over propagation probes on
+// the caller's solver, for a clique of any size — no CDCL search, no new
+// variable.
 
 #ifndef CCR_CORE_SUGGEST_H_
 #define CCR_CORE_SUGGEST_H_
@@ -23,7 +22,7 @@
 #include <vector>
 
 #include "src/core/derivation.h"
-#include "src/maxsat/maxsat.h"
+#include "src/sat/solver.h"
 
 namespace ccr {
 
@@ -61,8 +60,8 @@ Suggestion Suggest(const Instantiation& inst, const sat::Cnf& phi,
 
 /// Suggest against a caller-owned solver that already holds Φ(Se)'s
 /// clauses — the ResolutionSession path. GetSug runs on `solver` (see
-/// GetSug); nothing is copied and no clause the call introduces survives
-/// it. `assumptions` conditions every query (the session's active CFD
+/// GetSug); nothing is copied and the call adds no clause or variable.
+/// `assumptions` conditions every query (the session's active CFD
 /// guards). The kept-rule set is canonical, so this and the one-shot form
 /// agree bit-for-bit on equal specifications.
 Suggestion SuggestOnSolver(const Instantiation& inst, sat::Solver* solver,
@@ -71,33 +70,22 @@ Suggestion SuggestOnSolver(const Instantiation& inst, sat::Solver* solver,
                            const std::vector<int>& known_true,
                            const SuggestOptions& options = {});
 
-/// Largest clique GetSug decides by propagation: at most 2^8 = 256 probes.
-/// The largest clique seen on any corpus holds 5 rules.
-inline constexpr int kMaxPropagationClique = 8;
-
-/// GetSug (Fig. 7, line 4) on a solver holding Φ(Se). `rule_atoms[i]` are
-/// the literals clique rule i asserts (each premise and the consequent
-/// dominating every other value of its attribute); `assumptions` are the
-/// guards. Returns, per rule, whether it is in the kept set: the largest
-/// set whose atoms are jointly consistent with Φ(Se) under the guards,
-/// lexicographically greatest in rule order among the largest (all false
-/// when the guards alone are inconsistent). On a Horn formula with at
-/// most kMaxPropagationClique rules the answer is the first quiet
-/// propagation probe, trying sets by decreasing size and lexicographically
-/// greatest first; otherwise GetSugByMaxSat decides it. Either way the
-/// call is recorded in the solver's stats (RecordSuggest).
+/// GetSug (Fig. 7, line 4) on a solver holding the Horn Φ(Se) (checked).
+/// `rule_atoms[i]` are the literals clique rule i asserts (each premise
+/// and the consequent dominating every other value of its attribute);
+/// `assumptions` are the guards. Returns, per rule, whether it is in the
+/// kept set: the largest set whose atoms are jointly consistent with
+/// Φ(Se) under the guards, lexicographically greatest in rule order among
+/// the largest (all false when the guards alone are inconsistent). One
+/// probe on the whole clique decides a feasible clique. Otherwise a
+/// depth-first search decides the rules in order, keep before drop, on
+/// one propagation probe extended rule by rule and reopened only after a
+/// refutation or to drop a kept rule; a branch that cannot beat the best
+/// set found is pruned. The probes opened are recorded in the solver's
+/// stats (RecordSuggest).
 std::vector<bool> GetSug(sat::Solver* solver,
                          std::span<const sat::Lit> assumptions,
                          const std::vector<std::vector<sat::Lit>>& rule_atoms);
-
-/// GetSug's fallback and reference: one scoped selector per rule implying
-/// its atoms, and IncrementalMaxSat over the positive unit selectors. Its
-/// canonical extraction returns the same kept set as the propagation
-/// probes. The selectors live in a ScopedVars scope released before
-/// returning, so the call burns variable ids but leaves no live clause.
-std::vector<bool> GetSugByMaxSat(
-    sat::Solver* solver, std::span<const sat::Lit> assumptions,
-    const std::vector<std::vector<sat::Lit>>& rule_atoms);
 
 }  // namespace ccr
 

@@ -4,8 +4,8 @@
 // module reimplements that algorithm: greedy flips with random noise,
 // scored by the number of clauses a flip breaks. It doubles as an
 // approximate MaxSAT engine (best assignment seen = most clauses
-// satisfied), which the ablation bench compares against the exact engine
-// in maxsat.h. Two entry points share the options and result types: the
+// satisfied), which the ablation bench (A3) compares against the CDCL
+// solver. Two entry points share the options and result types: the
 // CNF form below (paper-faithful, runs on pooled WalkSatScratch buffers)
 // and the solver form, which runs the same search directly on a live
 // Solver's clause arena and binary watch lists with no CNF copy —

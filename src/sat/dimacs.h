@@ -18,9 +18,13 @@ namespace ccr::sat {
 std::string ToDimacs(const Cnf& cnf);
 
 /// Parses DIMACS text. Accepts comment lines ('c ...') and tolerates a
-/// missing header; literal 0 terminates each clause. Fails closed with
-/// InvalidArgument on a header variable count or a literal whose variable
-/// lies past kMaxVars, the most a Solver can hold.
+/// missing header; literal 0 terminates each clause. A header must read
+/// exactly "p cnf V C" and come once, before any clause: the formula then
+/// has V variables and must hold exactly C clauses, none naming a
+/// variable past V. Fails closed with InvalidArgument on a malformed,
+/// repeated or late header, a clause count other than C, a token that is
+/// not an integer literal, a literal past V, or a variable count or
+/// literal past kMaxVars, the most a Solver can hold.
 Result<Cnf> FromDimacs(const std::string& text);
 
 }  // namespace ccr::sat

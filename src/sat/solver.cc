@@ -86,7 +86,6 @@ void Solver::GrowVars(int n) {
   const size_t nv = static_cast<size_t>(n);
   assigns_.resize(nv, Lbool::kUndef);
   polarity_.resize(nv, false);
-  frozen_.resize(nv, 0);
   level_.resize(nv, 0);
   reason_.resize(nv, kRefUndef);
   activity_.resize(nv, 0.0);
@@ -137,7 +136,6 @@ void Solver::Reset(SolverOptions options) {
   bin_conflict_[0] = bin_conflict_[1] = kLitUndef;
   assigns_.clear();
   polarity_.clear();
-  frozen_.clear();
   level_.clear();
   reason_.clear();
   trail_.clear();
@@ -807,9 +805,6 @@ void Solver::CancelUntil(int target) {
 // --- decision heap -------------------------------------------------------
 
 void Solver::HeapInsert(Var v) {
-  // Released scope variables are frozen false at level 0 and must never
-  // come back as decision candidates.
-  CCR_DCHECK(!frozen_[v]);
   heap_pos_[v] = static_cast<int>(heap_.size());
   heap_.push_back(v);
   HeapDecrease(v);
@@ -864,7 +859,6 @@ Lit Solver::PickBranchLit() {
     next = kVarUndef;
   }
   if (next == kVarUndef) return kLitUndef;
-  CCR_DCHECK(!frozen_[next]);
   return Lit(next, polarity_[next]);
 }
 
@@ -976,8 +970,7 @@ void Solver::SweepBinaries() {
   // An entry (p -> q) is dead once either variable is fixed at level 0:
   // p fixed means the list is never scanned again (or was fully
   // propagated), q fixed true means the clause is satisfied, and q fixed
-  // false implies p's var was fixed by the same propagation. This is what
-  // sweeps the binary clauses of released ScopedVars scopes.
+  // false implies p's var was fixed by the same propagation.
   CCR_DCHECK(DecisionLevel() == 0);
   for (size_t i = 0; i < 2 * static_cast<size_t>(num_vars()); ++i) {
     std::vector<Lit>& list = bins_[i];
@@ -1052,36 +1045,6 @@ void Solver::PrimeInprocessing() {
   vivify_primed_ = true;
   inproc_watermark_ = clauses_.size();
   pending_bins_.clear();
-}
-
-bool Solver::FreezeScope(Lit activation, std::span<const Var> vars) {
-  if (!ok_) return false;
-  CCR_DCHECK(DecisionLevel() == 0);
-  InvalidateModelCache();
-  // One batched multi-literal pass: enqueue ¬activation and every ¬v,
-  // then run a single propagation fixpoint — instead of one unit clause
-  // (each with its own propagation round) per variable.
-  const Lit neg_act = ~activation;
-  const Lbool av = ValueOf(neg_act);
-  if (av == Lbool::kFalse) {
-    ok_ = false;
-    return false;
-  }
-  if (av == Lbool::kUndef) UncheckedEnqueue(neg_act, kRefUndef);
-  frozen_[activation.var()] = 1;
-  for (Var v : vars) {
-    const Lbool val = assigns_[v];
-    if (val == Lbool::kTrue) {
-      // A scope var fixed true at level 0 means the formula already
-      // contradicts the freeze — only possible if it is UNSAT.
-      ok_ = false;
-      return false;
-    }
-    if (val == Lbool::kUndef) UncheckedEnqueue(Lit::Neg(v), kRefUndef);
-    frozen_[v] = 1;
-  }
-  ok_ = (Propagate() == kRefUndef);
-  return ok_;
 }
 
 bool Solver::BeginProbe(std::span<const Lit> base) {

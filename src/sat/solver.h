@@ -10,7 +10,7 @@
 // Luby restarts, VSIDS decision ordering, phase saving, a small pool of
 // recent models that answers assumption solves without search, and
 // incremental solving under assumptions (used by the per-pair Lemma-6
-// loop and the MaxSAT layer, the non-Horn fallbacks).
+// loop and by validity's and Deduce's fallbacks for a non-Horn formula).
 //
 // Besides clauses the solver takes the Cnf's order blocks: the
 // transitivity axioms ¬x_ij ∨ ¬x_jk ∨ x_ik of each currency order, kept
@@ -22,7 +22,8 @@
 //
 // Φ(Se) is Horn and the pipeline never reaches a conflict: validity and
 // the Lemma-6 Deduce are decided by one propagation probe (BeginProbe),
-// GetSug by one probe per candidate kept set, so no phase makes a solve.
+// GetSug by one probe on the whole clique or else a search over probes
+// extended rule by rule (ProbeExtend), so no phase makes a solve.
 // The search heuristics are therefore fixed, not options: VSIDS, phase
 // saving, Luby restarts, learnt-clause deletion and their decay factors
 // are constants, and a solve runs to a verdict (no conflict budget).
@@ -125,11 +126,8 @@ struct SolverStats {
   /// propagation on a Horn formula issues none.
   int64_t deduce_queries = 0;
   /// GetSug work (reported by src/core/suggest.cc via RecordSuggest):
-  /// propagation probes opened on a Horn formula, and calls that fell
-  /// back to IncrementalMaxSat (a non-Horn formula or an oversized
-  /// clique).
+  /// propagation probes opened.
   int64_t suggest_probes = 0;
-  int64_t suggest_fallbacks = 0;
   /// Deduce by propagation (reported by src/core/deduce.cc via
   /// RecordDeduceProbe): probes opened, and calls that fell back to a
   /// reference — the counter-based DeduceOrder on the fast pipeline, the
@@ -156,7 +154,6 @@ struct SolverStats {
             sls_seeded_models - o.sls_seeded_models,
             deduce_queries - o.deduce_queries,
             suggest_probes - o.suggest_probes,
-            suggest_fallbacks - o.suggest_fallbacks,
             deduce_probes - o.deduce_probes,
             deduce_fallbacks - o.deduce_fallbacks};
   }
@@ -181,7 +178,6 @@ struct SolverStats {
     sls_seeded_models += o.sls_seeded_models;
     deduce_queries += o.deduce_queries;
     suggest_probes += o.suggest_probes;
-    suggest_fallbacks += o.suggest_fallbacks;
     deduce_probes += o.deduce_probes;
     deduce_fallbacks += o.deduce_fallbacks;
     return *this;
@@ -346,10 +342,8 @@ class Solver {
   /// fixpoint extends to a model (assign every open variable false), so
   /// propagation alone decides satisfiability (IsValidShared). Tracked as
   /// clauses are added: only the non-Horn ones are remembered, and each
-  /// stops counting once it is satisfied at level 0 — which is how a
-  /// released ScopedVars scope's clauses, all carrying the retired
-  /// activation literal, drop out. Learnt clauses are implied and never
-  /// count. Must be called at decision level 0.
+  /// stops counting once it is satisfied at level 0. Learnt clauses are
+  /// implied and never count. Must be called at decision level 0.
   bool ProblemIsHorn();
 
   /// \brief WalkSAT-style local search run directly on the solver's own
@@ -378,13 +372,9 @@ class Solver {
   /// the counter up with no extra plumbing.
   void RecordDeduce(int64_t queries) { stats_.deduce_queries += queries; }
 
-  /// GetSug reporting (src/core/suggest.cc): propagation probes opened,
-  /// and whether the call fell back to IncrementalMaxSat. Folded into
-  /// stats_ like RecordDeduce.
-  void RecordSuggest(int64_t probes, bool fallback) {
-    stats_.suggest_probes += probes;
-    if (fallback) ++stats_.suggest_fallbacks;
-  }
+  /// GetSug reporting (src/core/suggest.cc): propagation probes opened.
+  /// Folded into stats_ like RecordDeduce.
+  void RecordSuggest(int64_t probes) { stats_.suggest_probes += probes; }
 
   /// Deduce-by-propagation reporting (src/core/deduce.cc): probes opened,
   /// and whether the call fell back to its reference. Folded into stats_
@@ -423,14 +413,6 @@ class Solver {
   std::span<const Lit> ProbeTrail() const { return trail_; }
   void EndProbe();
   /// @}
-
-  /// Asserts ¬activation plus ¬v for every scope variable in one batch —
-  /// a single multi-literal pass with ONE propagation round, instead of
-  /// one AddClause (each with its own propagation fixpoint) per variable.
-  /// The frozen variables are additionally barred from ever re-entering
-  /// the decision heap (checked). Returns false if the solver became
-  /// unsatisfiable. ScopedVars::Release is the caller.
-  bool FreezeScope(Lit activation, std::span<const Var> vars);
 
   /// Debug/test accessor: every learnt clause currently in the database,
   /// plus every binary clause ever learnt into the implicit
@@ -687,8 +669,8 @@ class Solver {
   // --- model cache ------------------------------------------------------
   bool ModelWitnesses(const std::vector<Lbool>& m,
                       std::span<const Lit> assumptions) const {
-    // Backwards: callers append the discriminating literal (cell value,
-    // bound selector) after the long-lived guard prefix, so misses fail
+    // Backwards: callers append the discriminating literal (the pair's
+    // order literal) after the long-lived guard prefix, so misses fail
     // on the first probe instead of re-checking the shared guards.
     for (size_t i = assumptions.size(); i-- > 0;) {
       const Lit a = assumptions[i];
@@ -697,7 +679,7 @@ class Solver {
     }
     return true;
   }
-  // A clause was added or a scope frozen: cached models may be falsified.
+  // A clause was added: cached models may be falsified.
   // Clause learning and inprocessing are implication-preserving and do
   // not invalidate.
   void InvalidateModelCache() {
@@ -762,8 +744,6 @@ class Solver {
 
   std::vector<Lbool> assigns_;                 // per var
   std::vector<bool> polarity_;                 // saved phases
-  std::vector<uint8_t> frozen_;  // per var; released scope vars, barred
-                                 // from the decision heap
   std::vector<int> level_;                     // per var
   std::vector<ClauseRef> reason_;              // per var
   std::vector<Lit> trail_;
@@ -805,9 +785,9 @@ class Solver {
   // models — one satisfying every assumption IS the answer, no search.
   // model_ itself is the newest entry when model_fresh_; older models
   // ride in a small ring. Cleared whenever the formula genuinely
-  // strengthens (AddClause, FreezeScope). The verdict is exact either
-  // way. No pipeline phase solves on the Horn Φ(Se); the per-pair
-  // Lemma-6 loop and GetSug's MaxSAT fallback use it.
+  // strengthens (AddClause). The verdict is exact either way. No
+  // pipeline phase solves on the Horn Φ(Se); the per-pair Lemma-6 loop
+  // uses it.
   static constexpr size_t kModelPoolSize = 4;
   std::vector<std::vector<Lbool>> model_pool_;
   size_t model_pool_next_ = 0;
@@ -899,68 +879,6 @@ class Solver {
   uint64_t sls_verified_epoch_ = 0;
   bool sls_bin_log_overflow_ = false;
   std::vector<std::pair<Lit, Lit>> sls_new_bins_;
-};
-
-/// \brief A batch of temporary variables and clauses on a persistent
-/// solver, deactivated wholesale when the scope is released.
-///
-/// Incremental MaxSAT (and GetSug's fallback rule selectors) introduce
-/// auxiliary variables whose clauses must not constrain later rounds of
-/// the same session. A scope ties every clause added through it to a fresh
-/// activation literal `act`: the clause is stored as (clause ∨ ¬act), so it
-/// only bites while `act` is among the solve assumptions. Release() hands
-/// the whole scope to Solver::FreezeScope, which asserts ¬act and freezes
-/// every scope variable false in one batched pass with a single
-/// propagation round — every scope clause (and every learnt clause derived
-/// from one, which necessarily contains ¬act) becomes permanently
-/// satisfied and is swept by the solver's top-level simplification — and
-/// bars the frozen variables from re-entering the decision heap. Variable
-/// ids are not reclaimed; everything else about the scope is gone.
-///
-/// Usage:
-///   ScopedVars scope(&solver);
-///   Var s = scope.NewVar();
-///   scope.AddClause({Lit::Neg(s), some_lit});
-///   solver.SolveWithAssumptions({scope.activation(), Lit::Pos(s)});
-///   // scope.Release() — or let the destructor do it.
-class ScopedVars {
- public:
-  explicit ScopedVars(Solver* solver)
-      : solver_(solver), act_(solver->NewVar()) {}
-  ~ScopedVars() { Release(); }
-  ScopedVars(const ScopedVars&) = delete;
-  ScopedVars& operator=(const ScopedVars&) = delete;
-
-  /// Assume this literal (true) in every solve that should see the
-  /// scope's clauses.
-  Lit activation() const { return Lit::Pos(act_); }
-
-  /// A fresh variable owned by the scope (frozen to false on release).
-  Var NewVar() {
-    const Var v = solver_->NewVar();
-    vars_.push_back(v);
-    return v;
-  }
-
-  /// Adds (lits ∨ ¬activation): active only while activation() is assumed.
-  bool AddClause(std::vector<Lit> lits) {
-    lits.push_back(Lit::Neg(act_));
-    return solver_->AddClause(std::move(lits));
-  }
-
-  /// Permanently deactivates the scope (idempotent): one batched
-  /// freeze-and-propagate pass over the activation plus every scope var.
-  void Release() {
-    if (released_) return;
-    released_ = true;
-    solver_->FreezeScope(activation(), vars_);
-  }
-
- private:
-  Solver* solver_;
-  Var act_;
-  std::vector<Var> vars_;
-  bool released_ = false;
 };
 
 }  // namespace ccr::sat

@@ -53,9 +53,8 @@ RoundOutcome RunSessionRound(ResolutionSession* session) {
   if (outcome.complete) return outcome;
 
   // Suggestion runs only when the round is incomplete — same as the
-  // framework loop, and load-bearing for replay: GetSug's MaxSAT fallback
-  // (a non-Horn formula or an oversized clique) allocates solver-scope
-  // variables, so whether it ran is part of the state.
+  // framework loop. Replay makes the same calls, so a rehydrated solver's
+  // counters and phases follow the live session's.
   const std::vector<std::vector<int>> candidates = CandidateValues(vm, od);
   const Suggestion suggestion = session->MakeSuggestion(candidates, true_idx);
   outcome.has_suggestion = true;
@@ -137,7 +136,7 @@ Result<ResolutionSession> ReplaySnapshot(const SessionSnapshot& snapshot,
   for (const SessionOp& op : snapshot.ops) {
     if (op.kind == SessionOp::Kind::kRound) {
       // Replies are discarded; the calls themselves recreate the solver's
-      // variable allocation and learnt state.
+      // counters, phases and learnt state.
       (void)RunSessionRound(&session);
     } else {
       CCR_RETURN_NOT_OK(session.ExtendWith(op.delta));

@@ -7,11 +7,11 @@
 // that — spec + op log + engine config — as versioned strict JSON (sibling
 // of result_io's ExperimentResult format, built on the same ccr::json
 // primitives). Rehydration replays the log against a fresh session and
-// lands on byte-identical verdict state; ROUND entries matter because
-// MakeSuggestion's MaxSAT fallback (GetSug on a non-Horn formula or an
-// oversized clique) allocates solver-scope variables, which shifts the
-// ids of everything grounded later. On the Horn Φ(Se) GetSug decides by
-// propagation and allocates nothing, but replay stays exact either way.
+// lands on byte-identical verdict state. ROUND entries replay too: a
+// round adds no clause or variable, but its probes move the solver's
+// propagation counters (which schedule its sweeps) and saved phases, and
+// a solve on a non-Horn formula learns clauses, so replaying the rounds
+// leaves the rehydrated solver where the live one was.
 //
 // The format is strict both ways: stable field order and %.17g doubles on
 // write (equal snapshots are equal bytes), unknown/duplicate/missing

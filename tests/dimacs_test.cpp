@@ -114,6 +114,52 @@ TEST(DimacsTest, AcceptsMaxVarsExactly) {
   EXPECT_EQ(literal->clause(0)[0], Lit::Neg(kMaxVars - 1));
 }
 
+// The header is exactly "p cnf V C", given once before the clauses, and
+// the body must match it.
+TEST(DimacsTest, RejectsHeadersTheBodyDoesNotMatch) {
+  for (const std::string text : {
+           // malformed
+           "p cnf 3\n1 0\n", "p cnf 3 1 7\n1 0\n",
+           "p dnf 3 1\n1 0\n", "p cnf -3 1\n1 0\n", "p cnf 3 -1\n",
+           "p cnf x 1\n1 0\n", "pcnf 3 1\n1 0\n",
+           // repeated, or after clause data
+           "p cnf 3 1\np cnf 3 1\n1 0\n", "1 0\np cnf 3 1\n",
+           // a literal past V
+           "p cnf 2 1\n1 -3 0\n", "p cnf 0 1\n1 0\n",
+           // a clause count other than C
+           "p cnf 0 5\n", "p cnf 2 7\n1 2 0\n", "p cnf 2 0\n1 0\n",
+           "p cnf 2 1\n1 0\n2 0\n"}) {
+    auto parsed = FromDimacs(text);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << text;
+  }
+}
+
+// A clause line holds integers only: a stray token used to end the line
+// silently, so "1 x 0" and "2 0" parsed as the one clause (1 ∨ 2).
+TEST(DimacsTest, RejectsTokensThatAreNotLiterals) {
+  for (const std::string text :
+       {"1 x 0\n2 0\n", "1 2 0 junk\n", "1 2.5 0\n",
+        "1 99999999999999999999 0\n", "p cnf 2 1\n1 -2 0 %\n"}) {
+    auto parsed = FromDimacs(text);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << text;
+  }
+}
+
+TEST(DimacsTest, HeaderSetsTheVariableCount) {
+  // Variables the clauses never name still exist.
+  auto parsed = FromDimacs("p cnf 5 1\n1 -2 0\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->num_vars(), 5);
+  EXPECT_EQ(parsed->num_clauses(), 1);
+  // Extra whitespace between the fields is fine.
+  auto spaced = FromDimacs("p  cnf\t0   0\n");
+  ASSERT_TRUE(spaced.ok()) << spaced.status().ToString();
+  EXPECT_EQ(spaced->num_vars(), 0);
+  EXPECT_EQ(spaced->num_clauses(), 0);
+}
+
 TEST(DimacsTest, EmptyInputIsEmptyFormula) {
   auto parsed = FromDimacs("");
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();

@@ -1,20 +1,20 @@
-// Differential suite for GetSug by propagation (src/core/suggest.cc).
-// GetSug keeps the largest subset of a clique of derivation rules whose
-// atoms are consistent with Φ(Se) under the guards. On a Horn formula it
-// is decided by propagation probes, tried by decreasing size and
-// lexicographically greatest first; the kept set must equal the canonical
-// optimum of IncrementalMaxSat (GetSugByMaxSat), soft for soft:
-//   * on random Horn formulas with positive-unit softs under ± guard
-//     assumptions, rules conflicting pairwise and with the formula;
+// Differential suite for GetSug (src/core/suggest.cc). GetSug keeps the
+// largest subset of a clique of derivation rules whose atoms are
+// consistent with Φ(Se) under the guards, lexicographically greatest in
+// clique order among the largest. It searches kept sets over propagation
+// probes. The reference below decides every subset of the clique by a
+// CDCL solve under guards ∪ atoms instead, and takes the canonical
+// optimum; the two must agree rule for rule:
+//   * on random Horn formulas with positive-unit rules under ± guard
+//     assumptions, cliques of 0-12 rules conflicting pairwise and with the
+//     formula;
 //   * on live sessions of all three corpora on both deduce pipelines,
 //     built and after each of three ExtendWith rounds, including
-//     Person-naive calls that drop rules;
-//   * on a formula with one non-Horn clause, where a quiet probe does not
-//     mean feasible, and on a clique above kMaxPropagationClique — both
-//     must take the MaxSAT fallback.
-
+//     Person-naive calls that drop rules.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -75,13 +75,56 @@ int CountKept(const std::vector<bool>& kept) {
   return n;
 }
 
+// GetSug's answer without probes: every subset of the rules is decided by
+// a CDCL solve under guards ∪ its atoms, and the answer is the largest
+// satisfiable subset, lexicographically greatest in rule order among the
+// largest (all false when the guards alone are unsatisfiable). Bit
+// n-1-i of a mask stands for rule i, so a greater mask of the same size
+// is lexicographically greater. Also checks that the satisfiable subsets
+// are closed under subsets, the property GetSug's pruning rests on.
+std::vector<bool> ReferenceGetSug(Solver* solver,
+                                  const std::vector<Lit>& guards,
+                                  const std::vector<std::vector<Lit>>& rules) {
+  const int n = static_cast<int>(rules.size());
+  std::vector<bool> feasible(size_t{1} << n);
+  uint32_t best = 0;
+  int best_size = -1;
+  for (uint32_t mask = 0; mask < (1u << n); ++mask) {
+    std::vector<Lit> assumptions = guards;
+    for (int i = 0; i < n; ++i) {
+      if ((mask >> (n - 1 - i)) & 1u) {
+        assumptions.insert(assumptions.end(), rules[i].begin(),
+                           rules[i].end());
+      }
+    }
+    feasible[mask] =
+        solver->SolveWithAssumptions(assumptions) == sat::SolveResult::kSat;
+    if (!feasible[mask]) continue;
+    // Any subset misses one of mask's bits; the ones one bit smaller
+    // (already decided: smaller masks) suffice by induction.
+    for (int i = 0; i < n; ++i) {
+      if ((mask >> i) & 1u) {
+        EXPECT_TRUE(feasible[mask & ~(1u << i)]);
+      }
+    }
+    const int size = std::popcount(mask);
+    if (size > best_size || (size == best_size && mask > best)) {
+      best = mask;
+      best_size = size;
+    }
+  }
+  std::vector<bool> kept(rules.size(), false);
+  for (int i = 0; i < n; ++i) kept[i] = (best >> (n - 1 - i)) & 1u;
+  return kept;
+}
+
 // Random Horn formulas, each served back-to-back by one persistent
-// solver per engine (the session usage pattern). The propagation kept
-// set equals IncrementalMaxSat's on every clique, and the propagating
-// solver never solves and never falls back.
-TEST(GetSugPropagationTest, RandomHornFormulasMatchIncrementalMaxSat) {
+// solver per side (the session usage pattern). GetSug's kept set equals
+// the reference's on every clique, the probing solver never solves, and
+// a clique kept whole costs one probe.
+TEST(GetSugPropagationTest, RandomHornFormulasMatchTheReference) {
   Rng rng(0x6E75);
-  int dropping = 0, refuted = 0, pairwise = 0;
+  int dropping = 0, refuted = 0, pairwise = 0, large = 0;
   for (int formula = 0; formula < 80; ++formula) {
     const int n_vars = 8 + static_cast<int>(rng.Below(8));
     const int n_clauses = 4 + static_cast<int>(rng.Below(14));
@@ -103,15 +146,22 @@ TEST(GetSugPropagationTest, RandomHornFormulasMatchIncrementalMaxSat) {
         guards.push_back(
             Lit(static_cast<Var>(rng.Below(n_vars)), rng.Chance(0.5)));
       }
-      const int n_rules = 1 + static_cast<int>(rng.Below(6));
+      const int n_rules = static_cast<int>(rng.Below(13));
+      if (n_rules > 8) ++large;
       const std::vector<std::vector<Lit>> rules =
           RandomClique(&rng, n_vars, n_rules);
+      const int64_t probes_before = probing.stats().suggest_probes;
       const std::vector<bool> got = GetSug(&probing, guards, rules);
-      ASSERT_EQ(got, GetSugByMaxSat(&reference, guards, rules))
+      ASSERT_EQ(got, ReferenceGetSug(&reference, guards, rules))
           << "formula " << formula << " query " << query;
+      const int64_t probes = probing.stats().suggest_probes - probes_before;
+      EXPECT_GE(probes, 1) << "formula " << formula << " query " << query;
 
       const int kept = CountKept(got);
-      if (kept == n_rules) continue;
+      if (kept == n_rules) {
+        EXPECT_EQ(probes, 1) << "formula " << formula << " query " << query;
+        continue;
+      }
       ++dropping;
       if (!Quiet(&probing, guards, {})) {
         ++refuted;  // the guards alone contradict the formula
@@ -125,14 +175,14 @@ TEST(GetSugPropagationTest, RandomHornFormulasMatchIncrementalMaxSat) {
       if (each_alone) ++pairwise;
     }
     EXPECT_EQ(probing.stats().assumption_solves, 0) << "formula " << formula;
-    EXPECT_EQ(probing.stats().suggest_fallbacks, 0) << "formula " << formula;
-    EXPECT_GT(probing.stats().suggest_probes, 0) << "formula " << formula;
   }
   // The family exercises every branch: dropped rules, guards refuted
-  // outright, and rules that conflict only with each other.
+  // outright, rules that conflict only with each other, and cliques above
+  // the eight rules the search once stopped at.
   EXPECT_GT(dropping, 200);
   EXPECT_GT(refuted, 10);
   EXPECT_GT(pairwise, 30);
+  EXPECT_GT(large, 100);
 }
 
 // --- sessions ---------------------------------------------------------------
@@ -162,25 +212,6 @@ Dataset SessionCorpus(const std::string& kind) {
   return GeneratePerson(o);
 }
 
-// Suggest on a fresh solver holding the session's formula plus one
-// independent clause with two positive literals: the formula is no longer
-// Horn, so GetSug takes the IncrementalMaxSat fallback.
-Suggestion ReferenceSuggest(const ResolutionSession& s,
-                            const std::vector<std::vector<int>>& candidates,
-                            const std::vector<int>& known_true,
-                            int64_t* fallbacks) {
-  Solver reference;
-  reference.AddCnf(s.cnf());
-  const Var p = reference.NewVar(), q = reference.NewVar();
-  reference.AddClause({Lit::Pos(p), Lit::Pos(q)});
-  const Suggestion out =
-      SuggestOnSolver(s.instantiation(), &reference,
-                      s.instantiation().guard_assumptions(), candidates,
-                      known_true);
-  *fallbacks += reference.stats().suggest_fallbacks;
-  return out;
-}
-
 bool SameRules(const std::vector<DerivationRule>& a,
                const std::vector<DerivationRule>& b) {
   if (a.size() != b.size()) return false;
@@ -193,6 +224,42 @@ bool SameRules(const std::vector<DerivationRule>& a,
   return true;
 }
 
+// The clique rules GetSug is asked about (as SuggestImpl builds them: each
+// premise and the consequent dominating every other value of its
+// attribute) and the rules the reference keeps of them, decided on a
+// fresh solver holding the session's formula.
+std::vector<DerivationRule> ReferenceKeptRules(
+    const ResolutionSession& s, const std::vector<DerivationRule>& rules,
+    const std::vector<int>& clique) {
+  const VarMap& vm = s.instantiation().varmap;
+  std::vector<std::vector<Lit>> rule_atoms;
+  for (const int node : clique) {
+    const DerivationRule& rule = rules[node];
+    std::vector<Lit>& atoms = rule_atoms.emplace_back();
+    auto dominates = [&](int attr, int value_idx) {
+      const int d = static_cast<int>(vm.domain(attr).size());
+      for (int other = 0; other < d; ++other) {
+        if (other != value_idx) {
+          atoms.push_back(Lit::Pos(vm.VarOf(attr, other, value_idx)));
+        }
+      }
+    };
+    for (const auto& [attr, v] : rule.lhs) dominates(attr, v);
+    dominates(rule.rhs_attr, rule.rhs_value);
+  }
+  Solver reference;
+  reference.AddCnf(s.cnf());
+  const std::span<const Lit> guards = s.instantiation().guard_assumptions();
+  const std::vector<bool> kept = ReferenceGetSug(
+      &reference, std::vector<Lit>(guards.begin(), guards.end()),
+      rule_atoms);
+  std::vector<DerivationRule> out;
+  for (size_t i = 0; i < clique.size(); ++i) {
+    if (kept[i]) out.push_back(rules[clique[i]]);
+  }
+  return out;
+}
+
 // Each entity: Suggest after Create and after each of three ExtendWith
 // rounds, where the user answers the first suggested attribute with its
 // true value. Returns the number of calls whose clique lost a rule.
@@ -202,8 +269,6 @@ int ExpectSessionsMatchReference(const std::string& kind, bool naive,
   ResolveOptions options;
   options.naive_deduce = naive;
   int dropping = 0;
-  int64_t reference_fallbacks = 0;
-  int reference_calls = 0;
   for (size_t e = 0; e < ds.entities.size(); ++e) {
     const std::vector<Value>& truth = ds.entities[e].truth;
     auto s = ResolutionSession::Create(ds.MakeSpec(static_cast<int>(e)),
@@ -222,18 +287,14 @@ int ExpectSessionsMatchReference(const std::string& kind, bool naive,
           CandidateValues(vm, od);
       const std::vector<int> known_true = ExtractTrueValueIndices(vm, od);
       const Suggestion got = s->MakeSuggestion(candidates, known_true);
-      const Suggestion want =
-          ReferenceSuggest(*s, candidates, known_true, &reference_fallbacks);
-      EXPECT_EQ(got.attrs, want.attrs) << where;
-      EXPECT_EQ(got.candidates, want.candidates) << where;
-      EXPECT_EQ(got.derivable_attrs, want.derivable_attrs) << where;
-      EXPECT_TRUE(SameRules(got.clique_rules, want.clique_rules)) << where;
-      ++*calls;
       const std::vector<DerivationRule> rules =
           TrueDer(inst, candidates, known_true);
-      const size_t clique = graph::MaxClique(CompGraph(rules)).size();
-      if (clique > 0) ++reference_calls;
-      if (got.clique_rules.size() < clique) ++dropping;
+      const std::vector<int> clique = graph::MaxClique(CompGraph(rules));
+      EXPECT_TRUE(SameRules(got.clique_rules,
+                            ReferenceKeptRules(*s, rules, clique)))
+          << where;
+      ++*calls;
+      if (got.clique_rules.size() < clique.size()) ++dropping;
 
       if (round == 3 || got.attrs.empty()) break;
       const int a = got.attrs[0];
@@ -248,15 +309,12 @@ int ExpectSessionsMatchReference(const std::string& kind, bool naive,
       EXPECT_TRUE(s->ExtendWith(ot).ok()) << where;
     }
     // The session decided every GetSug by propagation.
-    EXPECT_EQ(s->solver_stats().suggest_fallbacks, 0) << kind << " " << e;
     EXPECT_EQ(s->assumption_solves(), 0) << kind << " " << e;
   }
-  // The reference really ran the MaxSAT fallback on every non-empty clique.
-  EXPECT_EQ(reference_fallbacks, reference_calls) << kind;
   return dropping;
 }
 
-TEST(GetSugPropagationTest, SessionsMatchIncrementalMaxSat) {
+TEST(GetSugPropagationTest, SessionsMatchTheReference) {
   int calls = 0;
   int person_naive_dropping = 0;
   for (const std::string kind : {"person", "nba", "career"}) {
@@ -267,74 +325,9 @@ TEST(GetSugPropagationTest, SessionsMatchIncrementalMaxSat) {
   }
   EXPECT_GT(calls, 150);
   // Person on the Lemma-6 pipeline produces cliques whose rules conflict
-  // with Φ(Se): propagation must drop exactly the rules MaxSAT drops.
+  // with Φ(Se): the search must drop exactly the rules the reference
+  // drops.
   EXPECT_GT(person_naive_dropping, 0);
-}
-
-// --- the fallback -----------------------------------------------------------
-
-// Rule 0 asserts a, rule 1 asserts b. The clauses (¬a ∨ p ∨ q),
-// (¬a ∨ p ∨ ¬q), (¬a ∨ ¬p ∨ q) and (¬a ∨ ¬p ∨ ¬q) — the first one not
-// Horn — refute a, but propagating a leaves four open binaries and no
-// conflict. A quiet probe therefore does not prove {a, b} feasible: GetSug
-// must take the MaxSAT fallback and keep rule 1 alone.
-TEST(GetSugPropagationTest, NonHornFormulaTakesTheFallback) {
-  const auto load = [](Solver* s) {
-    for (int v = 0; v < 4; ++v) s->NewVar();  // a, b, p, q
-    for (const bool np : {false, true}) {
-      for (const bool nq : {false, true}) {
-        ASSERT_TRUE(s->AddClause({Lit::Neg(0), Lit(2, np), Lit(3, nq)}));
-      }
-    }
-  };
-  Solver solver, reference;
-  load(&solver);
-  load(&reference);
-  ASSERT_FALSE(solver.ProblemIsHorn());
-  const std::vector<std::vector<Lit>> rules = {{Lit::Pos(0)}, {Lit::Pos(1)}};
-  ASSERT_TRUE(Quiet(&solver, {}, {Lit::Pos(0), Lit::Pos(1)}));
-
-  const std::vector<bool> got = GetSug(&solver, {}, rules);
-  EXPECT_EQ(got, (std::vector<bool>{false, true}));
-  EXPECT_EQ(got, GetSugByMaxSat(&reference, {}, rules));
-  EXPECT_EQ(solver.stats().suggest_fallbacks, 1);
-  EXPECT_EQ(solver.stats().suggest_probes, 0);
-  EXPECT_GT(solver.stats().assumption_solves, 0);
-}
-
-// A clique of kMaxPropagationClique + 1 rules over a Horn formula, some
-// conflicting pairwise: too many kept sets to probe, so GetSug falls back
-// to MaxSAT, with the same answer as the reference.
-TEST(GetSugPropagationTest, OversizedCliqueTakesTheFallback) {
-  const int n_rules = kMaxPropagationClique + 1;
-  const auto load = [&](Solver* s) {
-    for (int v = 0; v < n_rules; ++v) s->NewVar();
-    // Rule 2k conflicts with rule 2k + 1.
-    for (int v = 0; v + 1 < n_rules; v += 2) {
-      ASSERT_TRUE(s->AddClause({Lit::Neg(v), Lit::Neg(v + 1)}));
-    }
-  };
-  Solver solver, reference;
-  load(&solver);
-  load(&reference);
-  ASSERT_TRUE(solver.ProblemIsHorn());
-  std::vector<std::vector<Lit>> rules;
-  for (int v = 0; v < n_rules; ++v) rules.push_back({Lit::Pos(v)});
-
-  const std::vector<bool> got = GetSug(&solver, {}, rules);
-  EXPECT_EQ(got, GetSugByMaxSat(&reference, {}, rules));
-  EXPECT_EQ(CountKept(got), n_rules - n_rules / 2);
-  EXPECT_EQ(solver.stats().suggest_fallbacks, 1);
-  EXPECT_EQ(solver.stats().suggest_probes, 0);
-
-  // One rule fewer fits the bound and is decided by propagation.
-  rules.pop_back();
-  Solver probing;
-  load(&probing);
-  EXPECT_EQ(GetSug(&probing, {}, rules),
-            GetSugByMaxSat(&reference, {}, rules));
-  EXPECT_EQ(probing.stats().suggest_fallbacks, 0);
-  EXPECT_GT(probing.stats().suggest_probes, 0);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // The Horn fast paths of the solver feed, validity and deduction:
 //   (a) IsValidShared, which decides by propagation when every live clause
 //       is Horn, agrees with a full CDCL search — on random Horn and
-//       non-Horn formulas, under positive and negative assumptions, and on
-//       session solvers carrying released Suggest scopes and retired
-//       guards;
+//       non-Horn formulas, under positive and negative assumptions, on
+//       a non-Horn clause later satisfied at level 0, and on session
+//       solvers carrying retired guards;
 //   (b) DeduceOrder with one append-only scratch index kept across rounds
 //       (and recycled across Cnf::Clear, copy and move) equals a fresh
 //       index on every call;
@@ -37,7 +37,6 @@ namespace {
 
 using sat::Cnf;
 using sat::Lit;
-using sat::ScopedVars;
 using sat::SolveResult;
 using sat::Solver;
 using sat::SolverOptions;
@@ -144,21 +143,17 @@ TEST(HornFastPathTest, NonHornClauseAddedToSolverFallsBackToSearch) {
   EXPECT_TRUE(s.IsUnsatForever());
 }
 
-TEST(HornFastPathTest, ReleasedScopeClausesStopCounting) {
+TEST(HornFastPathTest, SatisfiedNonHornClausesStopCounting) {
   Solver s;
-  const Var x = s.NewVar(), y = s.NewVar();
+  const Var x = s.NewVar(), y = s.NewVar(), t = s.NewVar();
   ASSERT_TRUE(s.AddClause({Lit::Neg(x), Lit::Neg(y)}));
-  {
-    ScopedVars scope(&s);
-    const Var t = scope.NewVar();
-    // (x ∨ y ∨ t ∨ ¬act): non-Horn while the scope lives.
-    ASSERT_TRUE(scope.AddClause({Lit::Pos(x), Lit::Pos(y), Lit::Pos(t)}));
-    EXPECT_FALSE(s.ProblemIsHorn());
-    EXPECT_TRUE(ValidUnder(&s, {scope.activation()}));
-    EXPECT_FALSE(ValidUnder(&s, {scope.activation(), Lit::Neg(x),
-                                 Lit::Neg(y), Lit::Neg(t)}));
-  }
-  // Released: ¬act holds at level 0 and satisfies the scope clause.
+  // (x ∨ y ∨ t): non-Horn until a level-0 fact satisfies it.
+  ASSERT_TRUE(s.AddClause({Lit::Pos(x), Lit::Pos(y), Lit::Pos(t)}));
+  EXPECT_FALSE(s.ProblemIsHorn());
+  EXPECT_TRUE(ValidUnder(&s, {}));
+  EXPECT_FALSE(ValidUnder(&s, {Lit::Neg(x), Lit::Neg(y), Lit::Neg(t)}));
+  // The unit t satisfies it at level 0: the formula counts as Horn again.
+  ASSERT_TRUE(s.AddClause({Lit::Pos(t)}));
   EXPECT_TRUE(s.ProblemIsHorn());
   const int64_t solves = s.stats().assumption_solves;
   EXPECT_TRUE(ValidUnder(&s, {Lit::Pos(x)}));
@@ -203,8 +198,8 @@ PartialTemporalOrder FreshTupleDelta(const Specification& se) {
 // Runs entity `idx` of `ds` through a session for up to three extensions:
 // truth answers, then a fresh tuple (retired guards), then a random
 // domain value per suggested attribute, current or not. Every round runs
-// validity, deduce and suggest — GetSug's scope is released before the
-// next round — and `check` sees the session before each round's phases.
+// validity, deduce and suggest, and `check` sees the session before each
+// round's phases.
 void DriveSession(const Dataset& ds, int idx, Rng* rng,
                   const std::function<void(ResolutionSession*)>& check) {
   auto session = ResolutionSession::Create(ds.MakeSpec(idx));
@@ -250,7 +245,7 @@ TEST(HornFastPathTest, SessionValidityMatchesFullSearchAcrossRounds) {
         const int64_t solves = s->assumption_solves();
         const bool v = s->CheckValidity().valid;
         EXPECT_EQ(v, FullSearchValid(s->cnf(), guards)) << kind << " " << i;
-        // Released scopes and retired guards keep the live formula Horn.
+        // Retired guards keep the live formula Horn.
         EXPECT_EQ(s->assumption_solves(), solves) << kind << " " << i;
         valid += v ? 1 : 0;
       });

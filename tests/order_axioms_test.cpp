@@ -3,7 +3,7 @@
 //   (a) the solver's closure propagator vs the same formula with every
 //       ternary written out — equal verdicts, probe values and failed
 //       literals on random block + clause formulas (Horn and non-Horn,
-//       with assumptions, grown blocks and released scopes), and every
+//       with assumptions and grown blocks), and every
 //       model transitively closed; vivification and inprocessed sessions
 //       whose probes materialize axioms; a block grown one value at a
 //       time; a probe extended by ProbeExtend against one opened on the
@@ -37,7 +37,6 @@
 #include "src/data/nba_generator.h"
 #include "src/data/person_generator.h"
 #include "src/encode/cnf_builder.h"
-#include "src/maxsat/maxsat.h"
 #include "src/sat/dimacs.h"
 #include "src/sat/solver.h"
 
@@ -48,7 +47,6 @@ using sat::Cnf;
 using sat::Lbool;
 using sat::Lit;
 using sat::OrderBlock;
-using sat::ScopedVars;
 using sat::SolveResult;
 using sat::Solver;
 using sat::SolverOptions;
@@ -213,19 +211,13 @@ TEST(OrderAxiomsTest, SolverMatchesMaterializedFormula) {
     implicit.AddCnfFrom(cnf, fed);
     // Re-adding the clauses the explicit side already holds is harmless.
     explicit_.AddCnf(cnf.Materialized());
-    // A scope: clauses that bind only under its activation literal, then
-    // released, exactly like a Suggest round.
+    // A Suggest-style query: order atoms of the grown block assumed as a
+    // kept rule asserts them.
     {
-      ScopedVars si(&implicit), se(&explicit_);
-      const Var vi = si.NewVar();
-      const Var ve = se.NewVar();
-      ASSERT_EQ(vi, ve);
-      const Lit head = Lit::Pos(b0.at(1, 0));
-      si.AddClause({Lit::Neg(vi), head});
-      se.AddClause({Lit::Neg(ve), head});
-      const std::vector<Lit> assume = {si.activation(), Lit::Pos(vi)};
+      const std::vector<Lit> assume = {Lit::Pos(b0.at(1, 0)),
+                                       Lit::Pos(b0.at(last, 1))};
       probes += ExpectSameBehaviour(cnf, &implicit, &explicit_, assume,
-                                    where + " scoped");
+                                    where + " atoms");
     }
     for (int q = 0; q < 2; ++q) {
       const std::vector<Lit> assume = RandomAssumptions(&rng, cnf.num_vars());
@@ -244,17 +236,11 @@ TEST(OrderAxiomsTest, SolverMatchesMaterializedFormula) {
     }
     materialized += implicit.materialized_axioms() > 0 ? 1 : 0;
     // Clauses learnt from conflicts on materialized reasons are implied
-    // by the explicit formula (those over the released scope's variables
-    // also used its clauses, which the check does not hold: skipped).
+    // by the explicit formula.
     if (implicit.stats().conflicts > 0) ++conflicted;
     for (const std::vector<Lit>& learnt : implicit.LearntClauses()) {
       std::vector<Lit> negation;
-      bool scoped = false;
-      for (const Lit l : learnt) {
-        negation.push_back(~l);
-        scoped = scoped || l.var() >= cnf.num_vars();
-      }
-      if (scoped) continue;
+      for (const Lit l : learnt) negation.push_back(~l);
       Solver check;
       check.AddCnf(cnf.Materialized());
       EXPECT_EQ(check.SolveWithAssumptions(negation), SolveResult::kUnsat)
@@ -733,57 +719,6 @@ TEST(OrderAxiomsTest, LocalSearchNeverReportsAnOpenAssignmentFeasible) {
   }
   EXPECT_GT(feasible, 3);
   EXPECT_GT(infeasible, 10);
-}
-
-TEST(OrderAxiomsTest, SlsProbedMaxSatMatchesTheMaterializedFormula) {
-  // Φ(Se) of real entities under the guards: the local-search seed's
-  // feasible assignments are closed, and IncrementalMaxSat on the seeded
-  // solver — whose witness ring the seed filled — keeps the same softs as
-  // a plain solver on the materialized formula.
-  InstantiationOptions guarded;
-  guarded.guard_cfds = true;
-  Rng rng(0x5a7);
-  int solved = 0;
-  for (const std::string kind : {"person", "nba", "career"}) {
-    const Dataset ds = SmallCorpus(kind);
-    for (size_t i = 0; i < ds.entities.size(); ++i) {
-      auto inst = Instantiation::Build(ds.MakeSpec(static_cast<int>(i)),
-                                       guarded);
-      ASSERT_TRUE(inst.ok());
-      const Cnf cnf = BuildCnf(*inst);
-      const std::vector<Lit>& guards = inst->guard_assumptions();
-      Solver s(SlsOptions());
-      s.AddCnf(cnf);
-      const sat::LocalSearchResult seed = s.SeedFromLocalSearch(guards);
-      if (seed.feasible) {
-        EXPECT_TRUE(Closed(cnf, [&](Var v) { return seed.model[v] != 0; }))
-            << kind << " " << i;
-      }
-      std::vector<std::vector<Lit>> softs;
-      for (int k = 0; k < 4 && cnf.num_order_blocks() > 0; ++k) {
-        const OrderBlock& b =
-            cnf.order_block(static_cast<int>(rng.Below(cnf.num_order_blocks())));
-        if (b.size < 2) continue;
-        const int u = static_cast<int>(rng.Below(b.size));
-        const int w = (u + 1 + static_cast<int>(rng.Below(b.size - 1))) % b.size;
-        softs.push_back({Lit::Pos(b.at(u, w))});
-      }
-      Solver ref;
-      ref.AddCnf(cnf.Materialized());
-      const maxsat::MaxSatResult got =
-          maxsat::IncrementalMaxSat(&s).Solve(softs, guards);
-      const maxsat::MaxSatResult want =
-          maxsat::IncrementalMaxSat(&ref).Solve(softs, guards);
-      ASSERT_EQ(got.hard_satisfiable, want.hard_satisfiable)
-          << kind << " " << i;
-      if (!got.hard_satisfiable) continue;
-      EXPECT_EQ(got.soft_satisfied, want.soft_satisfied) << kind << " " << i;
-      EXPECT_TRUE(Closed(cnf, [&](Var v) { return got.model[v]; }))
-          << kind << " " << i;
-      ++solved;
-    }
-  }
-  EXPECT_GT(solved, 10);
 }
 
 // --- (d) Cnf value semantics and DIMACS -----------------------------------

@@ -109,9 +109,6 @@ TEST(RuleSetTest, NarrowSchemaFailsClosedAtEveryEntryPoint) {
             "Create with scratch");
     TruthOracle oracle({Value::Str("q"), Value::Str("q")});
     invalid(Resolve(se, &oracle).status(), "Resolve");
-    ResolveOptions legacy;
-    legacy.use_session = false;
-    invalid(Resolve(se, &oracle, legacy).status(), "Resolve, legacy engine");
   }
   // The recycled arena still grounds a fitting specification afterwards.
   Specification ok = TwoAttrSpec();

@@ -1,7 +1,7 @@
 // Tests for the CDCL SAT solver, CNF container and DIMACS I/O.
 //
 // Correctness of the solver is load-bearing for everything above it
-// (IsValid, NaiveDeduce, MaxSAT, GetSug), so besides targeted cases the
+// (IsValid, NaiveDeduce, GetSug), so besides targeted cases the
 // suite cross-checks against brute-force enumeration on hundreds of random
 // small formulas, with every solver feature configuration.
 
@@ -710,80 +710,6 @@ TEST(SolverTest, VariablesAppearingOneByOneMatchOneBatch) {
             << where << " var " << v;
       }
     }
-  }
-}
-
-TEST(ScopedVarsTest, ClausesBindOnlyUnderActivation) {
-  Solver solver;
-  const Var x = solver.NewVar();
-  ScopedVars scope(&solver);
-  scope.AddClause({Lit::Pos(x)});  // x, but only while the scope is live
-
-  // Without the activation assumption the clause does not bind.
-  ASSERT_EQ(solver.SolveWithAssumptions({Lit::Neg(x)}), SolveResult::kSat);
-  // With it, x is forced.
-  ASSERT_EQ(solver.SolveWithAssumptions({scope.activation(), Lit::Neg(x)}),
-            SolveResult::kUnsat);
-  ASSERT_EQ(solver.SolveWithAssumptions({scope.activation()}),
-            SolveResult::kSat);
-  EXPECT_TRUE(solver.ModelValue(x));
-}
-
-TEST(ScopedVarsTest, ReleaseDeactivatesAndFreezes) {
-  Solver solver;
-  const Var x = solver.NewVar();
-  Var s = kVarUndef;
-  {
-    ScopedVars scope(&solver);
-    s = scope.NewVar();
-    // s -> x while the scope lives.
-    scope.AddClause({Lit::Neg(s), Lit::Pos(x)});
-    ASSERT_EQ(solver.SolveWithAssumptions(
-                  {scope.activation(), Lit::Pos(s), Lit::Neg(x)}),
-              SolveResult::kUnsat);
-  }  // destructor releases
-
-  // The scope clause is gone: s-and-not-x is fine now... except s itself
-  // is frozen false, so ask for ¬x alone and read s from the model.
-  ASSERT_EQ(solver.SolveWithAssumptions({Lit::Neg(x)}), SolveResult::kSat);
-  EXPECT_FALSE(solver.ModelValue(s));  // frozen
-  // Asserting the frozen var is now contradictory — it cannot resurface.
-  EXPECT_EQ(solver.SolveWithAssumptions({Lit::Pos(s)}), SolveResult::kUnsat);
-}
-
-TEST(ScopedVarsTest, ReleasedScopesDoNotDisturbLaterQueries) {
-  // A solver that has opened and released many scopes must keep answering
-  // base-formula queries exactly like a fresh solver (semantics, not
-  // necessarily identical search statistics).
-  Rng rng(0xFACE);
-  for (int round = 0; round < 30; ++round) {
-    const int n_vars = 3 + static_cast<int>(rng.Below(8));
-    Cnf cnf;
-    cnf.EnsureVars(n_vars);
-    const int n_clauses = 2 + static_cast<int>(rng.Below(30));
-    for (int c = 0; c < n_clauses; ++c) {
-      const int len = 1 + static_cast<int>(rng.Below(3));
-      std::vector<Lit> clause;
-      for (int k = 0; k < len; ++k) {
-        clause.push_back(
-            Lit(static_cast<Var>(rng.Below(n_vars)), rng.Chance(0.5)));
-      }
-      cnf.AddClause(std::span<const Lit>(clause.data(), clause.size()));
-    }
-    Solver scoped;
-    scoped.AddCnf(cnf);
-    for (int burst = 0; burst < 3; ++burst) {
-      ScopedVars scope(&scoped);
-      const Var t = scope.NewVar();
-      scope.AddClause({Lit::Pos(t), Lit::Neg(t)});  // tautology-ish noise
-      scope.AddClause({Lit::Neg(t),
-                       Lit(static_cast<Var>(rng.Below(n_vars)),
-                           rng.Chance(0.5))});
-      (void)scoped.SolveWithAssumptions({scope.activation(), Lit::Pos(t)});
-    }
-    Solver plain;
-    plain.AddCnf(cnf);
-    EXPECT_EQ(scoped.Solve(), plain.Solve()) << "round " << round;
   }
 }
 

@@ -1,7 +1,8 @@
 // Tests for the encode-once/solve-many pipeline (src/core/session.h):
-// the session engine must be indistinguishable from a from-scratch
-// per-round rebuild, across generators, multi-round oracle runs, the
-// invalid-answer path, and the incremental/rebuild extension split.
+// Resolve, which drives one session, must be indistinguishable from a
+// from-scratch per-round rebuild (RebuildResolve below), across
+// generators, multi-round oracle runs and the invalid-answer path; the
+// extension itself stays incremental on every kind of delta.
 
 #include <gtest/gtest.h>
 
@@ -50,52 +51,99 @@ void ExpectSameResult(const ResolveResult& a, const ResolveResult& b,
   }
 }
 
-// With selector-guarded CFDs every session delta is append-only: the
-// session engine must never rebuild, while the legacy engine rebuilds
-// once per round by definition.
-void ExpectSessionNeverRebuilds(const ResolveResult& session_result,
-                                const ResolveResult& legacy_result) {
-  for (const RoundTrace& t : session_result.trace) {
-    EXPECT_EQ(t.num_rebuilds, 0) << "session round " << t.round;
+// The Fig. 4 loop with a from-scratch rebuild every round and no shared
+// solver: ground Ω(Se) and build Φ(Se) anew (Instantiation::Build +
+// BuildCnf), decide validity on a fresh solver (IsValidCnf), deduce with
+// the one-shot procedure of the configured pipeline (DeduceOrder or
+// NaiveDeduce), suggest with the one-shot Suggest, and extend Se by a
+// copy (Extend). It is the reference the session-driven Resolve must
+// match result for result; it fills only the RoundTrace fields that
+// ExpectSameResult compares.
+Result<ResolveResult> RebuildResolve(const Specification& se,
+                                     UserOracle* oracle,
+                                     const ResolveOptions& options) {
+  const int n_attrs = se.schema().size();
+  ResolveResult result;
+  result.true_values.assign(n_attrs, Value::Null());
+  result.resolved.assign(n_attrs, false);
+  result.user_provided.assign(n_attrs, false);
+  Specification spec = se;
+  for (int round = 0; round <= options.max_rounds; ++round) {
+    RoundTrace trace;
+    trace.round = round;
+    CCR_ASSIGN_OR_RETURN(const Instantiation inst, Instantiation::Build(spec));
+    const sat::Cnf phi = BuildCnf(inst);
+    if (!IsValidCnf(phi, options.solver).valid) {
+      if (round == 0) result.valid = false;
+      result.trace.push_back(trace);
+      break;
+    }
+    const DeducedOrders od = options.naive_deduce
+                                 ? NaiveDeduce(inst, phi, options.solver)
+                                 : DeduceOrder(inst, phi, options.deduce);
+    const std::vector<int> true_idx = ExtractTrueValueIndices(inst.varmap, od);
+    int resolved_count = 0;
+    for (int a = 0; a < n_attrs; ++a) {
+      if (true_idx[a] >= 0) {
+        result.true_values[a] = inst.varmap.domain(a)[true_idx[a]];
+        result.resolved[a] = true;
+        ++resolved_count;
+      }
+    }
+    trace.resolved_attrs = resolved_count;
+    result.rounds_used = round;
+    result.round_values.push_back(result.true_values);
+    result.round_resolved.push_back(result.resolved);
+    result.trace.push_back(trace);
+    if (resolved_count >= CountResolvableAttrs(inst.varmap)) {
+      result.complete = true;
+      break;
+    }
+    if (oracle == nullptr || round == options.max_rounds) break;
+    const Suggestion suggestion =
+        Suggest(inst, phi, CandidateValues(inst.varmap, od), true_idx,
+                options.suggest);
+    const std::vector<UserOracle::Answer> answers =
+        oracle->Provide(spec, suggestion, inst.varmap);
+    if (answers.empty()) break;
+    CCR_ASSIGN_OR_RETURN(const PartialTemporalOrder ot,
+                         MakeAnswerDelta(spec, answers));
+    for (const UserOracle::Answer& ans : answers) {
+      result.user_provided[ans.attr] = true;
+    }
+    CCR_ASSIGN_OR_RETURN(spec, Extend(spec, ot));
   }
-  for (const RoundTrace& t : legacy_result.trace) {
-    EXPECT_EQ(t.num_rebuilds, 1) << "legacy round " << t.round;
-  }
+  return result;
 }
 
-// Resolves every entity of `ds` through both engines and demands
-// identical results. answers_per_round = 1 forces several interaction
-// rounds, exercising repeated incremental extension.
+// Resolves every entity of `ds` through Resolve and through the rebuild
+// reference and demands identical results. answers_per_round = 1 forces
+// several interaction rounds, exercising repeated incremental extension.
 void ExpectEquivalenceOnDataset(const Dataset& ds, int max_rounds,
                                 int answers_per_round) {
   for (size_t e = 0; e < ds.entities.size(); ++e) {
-    ResolveOptions session_opts;
-    session_opts.max_rounds = max_rounds;
-    session_opts.use_session = true;
-    ResolveOptions legacy_opts = session_opts;
-    legacy_opts.use_session = false;
+    ResolveOptions opts;
+    opts.max_rounds = max_rounds;
 
     TruthOracle session_oracle(ds.entities[e].truth, answers_per_round);
-    TruthOracle legacy_oracle(ds.entities[e].truth, answers_per_round);
+    TruthOracle rebuild_oracle(ds.entities[e].truth, answers_per_round);
     auto with_session =
-        Resolve(ds.MakeSpec(static_cast<int>(e)), &session_oracle,
-                session_opts);
-    auto with_legacy = Resolve(ds.MakeSpec(static_cast<int>(e)),
-                               &legacy_oracle, legacy_opts);
-    ASSERT_EQ(with_session.ok(), with_legacy.ok());
+        Resolve(ds.MakeSpec(static_cast<int>(e)), &session_oracle, opts);
+    auto with_rebuild = RebuildResolve(ds.MakeSpec(static_cast<int>(e)),
+                                       &rebuild_oracle, opts);
+    ASSERT_EQ(with_session.ok(), with_rebuild.ok());
     if (!with_session.ok()) continue;
-    ExpectSameResult(*with_session, *with_legacy,
+    ExpectSameResult(*with_session, *with_rebuild,
                      ds.name + " entity " + std::to_string(e));
-    ExpectSessionNeverRebuilds(*with_session, *with_legacy);
 
     // No-oracle (fully automatic) pass as well.
     auto auto_session =
-        Resolve(ds.MakeSpec(static_cast<int>(e)), nullptr, session_opts);
-    auto auto_legacy =
-        Resolve(ds.MakeSpec(static_cast<int>(e)), nullptr, legacy_opts);
+        Resolve(ds.MakeSpec(static_cast<int>(e)), nullptr, opts);
+    auto auto_rebuild =
+        RebuildResolve(ds.MakeSpec(static_cast<int>(e)), nullptr, opts);
     ASSERT_TRUE(auto_session.ok());
-    ASSERT_TRUE(auto_legacy.ok());
-    ExpectSameResult(*auto_session, *auto_legacy,
+    ASSERT_TRUE(auto_rebuild.ok());
+    ExpectSameResult(*auto_session, *auto_rebuild,
                      ds.name + " entity " + std::to_string(e) + " (auto)");
   }
 }
@@ -132,13 +180,10 @@ TEST(SessionEquivalenceTest, PaperExampleMultiAnswerRounds) {
   std::vector<Value> truth(s.size(), Value::Null());
   truth[s.IndexOf("status")] = Value::Str("retired");
   for (int per_round : {1, 100}) {
-    ResolveOptions session_opts;
-    session_opts.use_session = true;
-    ResolveOptions legacy_opts = session_opts;
-    legacy_opts.use_session = false;
+    const ResolveOptions opts;
     TruthOracle o1(truth, per_round), o2(truth, per_round);
-    auto a = Resolve(GeorgeSpec(), &o1, session_opts);
-    auto b = Resolve(GeorgeSpec(), &o2, legacy_opts);
+    auto a = Resolve(GeorgeSpec(), &o1, opts);
+    auto b = RebuildResolve(GeorgeSpec(), &o2, opts);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
     ExpectSameResult(*a, *b,
@@ -189,19 +234,16 @@ Specification CfdSpec() {
   return se;
 }
 
+// The rebuild reference is the loop the legacy engine ran.
 TEST(SessionEquivalenceTest, InvalidAnswerPathMatchesLegacy) {
   // Answering A=a1 and B=b2 contradicts the CFD (a1 current forces b1
-  // current): the extended specification is invalid and both engines must
+  // current): the extended specification is invalid and both loops must
   // report the same partial result.
   std::vector<Value> script = {Value::Str("a1"), Value::Str("b2")};
-  ResolveOptions session_opts;
-  session_opts.use_session = true;
-  ResolveOptions legacy_opts = session_opts;
-  legacy_opts.use_session = false;
-
+  const ResolveOptions opts;
   ScriptedOracle o1(script), o2(script);
-  auto a = Resolve(CfdSpec(), &o1, session_opts);
-  auto b = Resolve(CfdSpec(), &o2, legacy_opts);
+  auto a = Resolve(CfdSpec(), &o1, opts);
+  auto b = RebuildResolve(CfdSpec(), &o2, opts);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   // Round 0 is valid-but-incomplete; the answers make round 1 invalid.

@@ -3,7 +3,7 @@
 // options' bytes — the pipeline consumes only SAT verdicts, so the
 // whole-formula passes cannot change results), a DIMACS-level regression that learnt clauses survive
 // minimization still implied (checked by re-solve), and unit tests for
-// implicit binary watches, batched ScopedVars release, inprocessing, the
+// implicit binary watches, inprocessing, the
 // cached-model witness pool, arena GC and MaybeSimplify's sweep schedule.
 
 #include <gtest/gtest.h>
@@ -19,7 +19,6 @@ namespace ccr {
 namespace {
 
 using sat::Lit;
-using sat::ScopedVars;
 using sat::SolveResult;
 using sat::Solver;
 using sat::SolverOptions;
@@ -176,31 +175,6 @@ TEST(BinaryWatchTest, BinaryConflictAnalyzesCorrectly) {
   EXPECT_FALSE(s.ModelValue(x));
   EXPECT_TRUE(s.ModelValue(y));
   EXPECT_EQ(s.SolveWithAssumptions({Lit::Pos(x)}), SolveResult::kUnsat);
-}
-
-TEST(ScopedVarsTest, BatchedReleaseFreezesEveryVar) {
-  Solver s;
-  const Var keep = s.NewVar();
-  std::vector<Var> scope_vars;
-  {
-    ScopedVars scope(&s);
-    for (int i = 0; i < 32; ++i) {
-      const Var v = scope.NewVar();
-      scope_vars.push_back(v);
-      scope.AddClause({Lit::Pos(v), Lit::Pos(keep)});
-    }
-    ASSERT_EQ(s.SolveWithAssumptions({scope.activation()}),
-              SolveResult::kSat);
-  }  // one batched FreezeScope call releases all 32 vars + the activation
-  ASSERT_EQ(s.Solve(), SolveResult::kSat);
-  for (Var v : scope_vars) {
-    EXPECT_FALSE(s.ModelValue(v));  // frozen false
-    EXPECT_EQ(s.SolveWithAssumptions({Lit::Pos(v)}), SolveResult::kUnsat)
-        << "frozen scope var " << v << " resurfaced";
-  }
-  // The base variable is untouched by the release.
-  EXPECT_EQ(s.SolveWithAssumptions({Lit::Pos(keep)}), SolveResult::kSat);
-  EXPECT_EQ(s.SolveWithAssumptions({Lit::Neg(keep)}), SolveResult::kSat);
 }
 
 TEST(InprocessingTest, SubsumptionAndVivificationCounters) {
@@ -519,8 +493,8 @@ TEST(ClauseActivityTest, ActivityDrivenDeletionSurvivesStrictAliasing) {
   EXPECT_GT(s.stats().conflicts, 100);  // real bump/decay/delete traffic
 }
 
-// The session engine stamps per-phase solver deltas into the RoundTrace;
-// the legacy engine (throwaway solvers) reports zeros.
+// Resolve stamps the session solver's per-phase deltas into the
+// RoundTrace.
 TEST(RoundTraceSolverStatsTest, SessionPhasesAreAttributed) {
   PersonOptions popts;
   popts.num_entities = 1;
@@ -541,18 +515,6 @@ TEST(RoundTraceSolverStatsTest, SessionPhasesAreAttributed) {
                    t.encode_solver.propagations;
   }
   EXPECT_GT(total_props, 0) << "session phases must attribute solver work";
-
-  TruthOracle oracle2(ds.entities[0].truth, 1);
-  ResolveOptions legacy_opts;
-  legacy_opts.max_rounds = 2;
-  legacy_opts.use_session = false;
-  auto rl = Resolve(ds.MakeSpec(0), &oracle2, legacy_opts);
-  ASSERT_TRUE(rl.ok());
-  for (const RoundTrace& t : rl->trace) {
-    EXPECT_EQ(t.validity_solver.propagations, 0);
-    EXPECT_EQ(t.suggest_solver.propagations, 0);
-    EXPECT_EQ(t.encode_solver.propagations, 0);
-  }
 }
 
 }  // namespace

@@ -42,7 +42,6 @@ struct CliOptions {
   int answers_per_round = 1 << 20;
   double sigma_fraction = 1.0;
   double gamma_fraction = 1.0;
-  std::string engine = "session";  // session (default) | legacy
   std::string solver = "modern";   // service::SolverOptionsForPreset name
   std::string deduce = "fast";     // fast (default) | naive (Lemma 6)
   bool include_timings = true;
@@ -73,9 +72,6 @@ void PrintUsage(std::FILE* to) {
                "  --answers-per-round N  oracle answers per suggestion\n"
                "  --sigma F         fraction of Sigma (default 1.0)\n"
                "  --gamma F         fraction of Gamma (default 1.0)\n"
-               "  --engine E        session (persistent-solver incremental\n"
-               "                    engine, default) | legacy (re-encode\n"
-               "                    every round; A/B reference)\n"
                "  --solver S        modern (default) | nogc (arena GC off) |\n"
                "                    sls (local-search seeding and\n"
                "                    inprocessing on; both are off by\n"
@@ -89,8 +85,8 @@ void PrintUsage(std::FILE* to) {
                "  --solver-stats    dump pooled per-phase solver statistics\n"
                "                    (conflicts, propagations, assumption\n"
                "                    solves, model-cache, inprocessing,\n"
-               "                    Deduce and GetSug probe/fallback\n"
-               "                    counters) on stderr\n"
+               "                    Deduce probe/fallback and GetSug\n"
+               "                    probe counters) on stderr\n"
                "  --no-reuse        disable cross-entity solver pooling\n"
                "\n"
                "Common flags:\n"
@@ -182,16 +178,6 @@ int ParseArgs(int argc, char** argv, CliOptions* opts) {
       const char* v = next_value("--dataset");
       if (v == nullptr) return 2;
       opts->dataset = v;
-      continue;
-    }
-    if (arg == "--engine") {
-      const char* v = next_value("--engine");
-      if (v == nullptr) return 2;
-      if (std::string(v) != "session" && std::string(v) != "legacy") {
-        std::fprintf(stderr, "--engine wants session|legacy, got %s\n", v);
-        return 2;
-      }
-      opts->engine = v;
       continue;
     }
     if (arg == "--out") {
@@ -345,7 +331,7 @@ int RunMerge(const CliOptions& o) {
 
 // Dumps the pooled per-phase solver statistics on stderr (NOT into the
 // result JSON: the serialized ExperimentResult must stay byte-identical
-// across engines and solver-heuristic choices).
+// across solver presets and solver-heuristic choices).
 void DumpSolverStats(const ExperimentResult& r) {
   auto dump = [](const char* phase, const sat::SolverStats& s, bool last) {
     std::fprintf(stderr,
@@ -357,7 +343,7 @@ void DumpSolverStats(const ExperimentResult& r) {
                  "\"gc_runs\": %lld, \"gc_reclaimed_words\": %lld, "
                  "\"sweeps\": %lld, \"sls_flips\": %lld, "
                  "\"sls_seeded_models\": %lld, \"deduce_queries\": %lld, "
-                 "\"suggest_probes\": %lld, \"suggest_fallbacks\": %lld, "
+                 "\"suggest_probes\": %lld, "
                  "\"deduce_probes\": %lld, \"deduce_fallbacks\": %lld}%s\n",
                  phase, static_cast<long long>(s.conflicts),
                  static_cast<long long>(s.decisions),
@@ -376,7 +362,6 @@ void DumpSolverStats(const ExperimentResult& r) {
                  static_cast<long long>(s.sls_seeded_models),
                  static_cast<long long>(s.deduce_queries),
                  static_cast<long long>(s.suggest_probes),
-                 static_cast<long long>(s.suggest_fallbacks),
                  static_cast<long long>(s.deduce_probes),
                  static_cast<long long>(s.deduce_fallbacks),
                  last ? "" : ",");
@@ -407,7 +392,6 @@ int RunShard(const CliOptions& o) {
   eopts.gamma_fraction = o.gamma_fraction;
   eopts.num_threads = o.threads;
   eopts.reuse_allocations = o.reuse_allocations;
-  eopts.resolve.use_session = o.engine == "session";
   // Validated by ParseArgs: the preset table cannot fail here.
   eopts.resolve.solver = service::SolverOptionsForPreset(o.solver).value();
   eopts.resolve.naive_deduce = o.deduce == "naive";
