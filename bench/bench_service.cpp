@@ -79,7 +79,8 @@ struct ClientTally {
 // Drives one session end to end: OPEN from a fresh snapshot, then rounds
 // of ROUND (+ ANSWER from ground truth while the engine asks), an
 // explicit EVICT every other round so the next request must rehydrate
-// from frozen bytes, a final SNAPSHOT equivalence check, and CLOSE.
+// by replaying the session's in-memory op log, a final SNAPSHOT
+// equivalence check, and CLOSE.
 // The local mirror session executes the same ops and provides the
 // expected reply bytes.
 void DriveSession(ServiceClient* client, const Dataset& ds, int entity,
@@ -166,8 +167,8 @@ void DriveSession(ServiceClient* client, const Dataset& ds, int entity,
         SessionOp{SessionOp::Kind::kExtend, std::move(delta).value()});
 
     if (round % 2 == 0) {
-      // Force the session cold so the next ROUND replays from frozen
-      // bytes — the equivalence this bench exists to gate.
+      // Force the session cold so the next ROUND replays its op log —
+      // the equivalence this bench exists to gate.
       auto evicted = client->Call(RequestType::kEvict, id, "");
       if (!evicted.ok() || evicted.value().status != ErrorCode::kOk) {
         ++tally->errors;

@@ -1,5 +1,5 @@
-// bench_throughput: batch resolution throughput (entities/sec), pooling,
-// the solver's memory lifecycle and the local-search warm start.
+// bench_throughput: batch resolution throughput (entities/sec), pooling
+// and the solver's memory lifecycle.
 //
 // Unlike the Fig. 8 reproduction benches, this one emits machine-readable
 // JSON on stdout (scripts/bench.sh redirects it into
@@ -24,20 +24,9 @@
 //     entity driven through CCR_BENCH_SOAK_ROUNDS (default 64) ExtendWith
 //     rounds of appended tuples plus validity/deduction solves, with the
 //     arena GC on vs off. Reports the solver arena's peak and live words
-//     and the words reclaimed by collections, checks the two runs deduce
-//     identically, and re-checks session_rebuilds == 0.
-//     scripts/bench_smoke.sh gates identical_results and a reclaim floor
-//     (CCR_BENCH_GC_RECLAIM_FLOOR).
-//   * "sls_warm_start": the same session engine with the stochastic
-//     local-search warm start on vs off (the default), over the
-//     >= 1k-tuple Person corpus on the NaiveDeduce pipeline. Reports the
-//     summed rounds >= 1 Deduce speedup and the local-search counters,
-//     and checks the two configurations resolve identically — SLS only
-//     ever changes time-to-verdict. scripts/bench_smoke.sh gates
-//     identical_results and a Deduce non-regression floor
-//     (CCR_BENCH_SLS_DEDUCE_FLOOR) — SLS phase publishing once made the
-//     entailment solves measurably slower, so the Deduce ratio may not
-//     silently sink again.
+//     and the words reclaimed by collections, and checks the two runs
+//     deduce identically. scripts/bench_smoke.sh gates identical_results
+//     and a reclaim floor (CCR_BENCH_GC_RECLAIM_FLOOR).
 //
 // CCR_BENCH_SCALE multiplies entity counts as in the other benches;
 // CCR_BENCH_TUPLES overrides the per-entity tuple floor (default 1000 —
@@ -99,17 +88,6 @@ Dataset BigPersonCorpus(int num_entities) {
   return GeneratePerson(opts);
 }
 
-bool SameResolution(const ResolveResult& a, const ResolveResult& b) {
-  if (a.valid != b.valid || a.complete != b.complete ||
-      a.rounds_used != b.rounds_used || a.resolved != b.resolved) {
-    return false;
-  }
-  for (size_t i = 0; i < a.true_values.size(); ++i) {
-    if (!(a.true_values[i] == b.true_values[i])) return false;
-  }
-  return true;
-}
-
 // One long-lived session soak for the memory_lifecycle section: append a
 // copied tuple every round (guarded grounding keeps every delta
 // append-only), re-solve validity each round and deduction periodically,
@@ -120,7 +98,6 @@ struct MemorySoak {
   size_t live_words = 0;
   int64_t gc_runs = 0;
   int64_t reclaimed_words = 0;
-  int64_t rebuilds = 0;
   std::vector<bool> valid_by_round;
   std::vector<std::tuple<int, int, int>> deduced;  // (attr, u, v) closure
 };
@@ -183,7 +160,6 @@ MemorySoak RunMemorySoak(const Specification& spec,
   out.live_words = solver.arena_live_words();
   out.gc_runs = solver.stats().gc_runs;
   out.reclaimed_words = solver.stats().gc_reclaimed_words;
-  out.rebuilds = session->rebuilds();
   out.ok = true;
   return out;
 }
@@ -208,13 +184,9 @@ int main() {
   using namespace ccr;
   const int scale = bench::BenchScale();
 
-  // The >= 1k-tuple Person corpus the allocation_pooling and
-  // sls_warm_start sections resolve.
+  // The >= 1k-tuple Person corpus the allocation_pooling section
+  // resolves.
   const Dataset inc_ds = BigPersonCorpus(4 * scale);
-  int min_tuples = 1 << 30;
-  for (const auto& entity : inc_ds.entities) {
-    min_tuples = std::min(min_tuples, entity.instance.size());
-  }
 
   // --- thread scaling: the entity pool -------------------------------------
   Timer timer;
@@ -295,69 +267,6 @@ int main() {
                                   soak_nogc.valid_by_round &&
                               soak_gc.deduced == soak_nogc.deduced;
 
-  // --- SLS warm starts: local search on vs off ---------------------------
-  // NaiveDeduce pipeline: the SLS phases + witness-ring seeding is what a
-  // fallback solve would start from.
-  ResolveOptions sls_on;
-  sls_on.naive_deduce = true;
-  sls_on.max_rounds = 6;
-  // The `--solver sls` preset: seeding on, and inprocessing too, whose
-  // occurrence index SLS's incremental model verification needs (both
-  // are off by default). The baseline differs only in the SLS flag.
-  sls_on.solver.use_sls_seeding = true;
-  sls_on.solver.use_inprocessing = true;
-  ResolveOptions sls_off = sls_on;
-  sls_off.solver.use_sls_seeding = false;
-
-  double sls_deduce_ms = 0, nosls_deduce_ms = 0;
-  int64_t sls_flips = 0, sls_seeded_models = 0;
-  int sls_errors = 0;
-  bool sls_identical = true;
-  // The aggregate deduce time here is a few milliseconds, well inside
-  // scheduler jitter for a single sample — so each configuration is timed
-  // kSlsReps times and the minimum kept (the run least perturbed by the
-  // OS). Counters and the equivalence check come from the first rep; the
-  // runs are deterministic, so later reps would only repeat them.
-  constexpr int kSlsReps = 3;
-  for (int rep = 0; rep < kSlsReps; ++rep) {
-    double rep_sls_deduce = 0, rep_nosls_deduce = 0;
-    for (size_t e = 0; e < inc_ds.entities.size(); ++e) {
-      TruthOracle os(inc_ds.entities[e].truth, /*answers_per_round=*/1);
-      TruthOracle on(inc_ds.entities[e].truth, /*answers_per_round=*/1);
-      auto rs = Resolve(inc_ds.MakeSpec(static_cast<int>(e)), &os, sls_on);
-      auto rn = Resolve(inc_ds.MakeSpec(static_cast<int>(e)), &on, sls_off);
-      if (!rs.ok() || !rn.ok()) {
-        if (rep == 0) ++sls_errors;
-        continue;
-      }
-      if (rep == 0) {
-        sls_identical = sls_identical && SameResolution(*rs, *rn);
-      }
-      for (const RoundTrace& t : rs->trace) {
-        if (t.round >= 1) rep_sls_deduce += t.deduce_ms;
-        if (rep == 0) {
-          for (const sat::SolverStats* s :
-               {&t.encode_solver, &t.validity_solver, &t.deduce_solver,
-                &t.suggest_solver}) {
-            sls_flips += s->sls_flips;
-            sls_seeded_models += s->sls_seeded_models;
-          }
-        }
-      }
-      for (const RoundTrace& t : rn->trace) {
-        if (t.round >= 1) rep_nosls_deduce += t.deduce_ms;
-      }
-    }
-    if (rep == 0 || rep_sls_deduce < sls_deduce_ms) {
-      sls_deduce_ms = rep_sls_deduce;
-    }
-    if (rep == 0 || rep_nosls_deduce < nosls_deduce_ms) {
-      nosls_deduce_ms = rep_nosls_deduce;
-    }
-  }
-  const double sls_deduce_speedup =
-      sls_deduce_ms > 0 ? nosls_deduce_ms / sls_deduce_ms : 0.0;
-
   std::printf("{\n");
   std::printf("  \"bench\": \"throughput\",\n");
   std::printf("  \"scale\": %d,\n", scale);
@@ -415,27 +324,8 @@ int main() {
                   ? static_cast<double>(soak_nogc.peak_words) /
                         static_cast<double>(soak_gc.peak_words)
                   : 0.0);
-  std::printf("    \"session_rebuilds\": %lld,\n",
-              static_cast<long long>(soak_gc.rebuilds + soak_nogc.rebuilds));
   std::printf("    \"identical_results\": %s\n",
               soak_identical ? "true" : "false");
-  std::printf("  },\n");
-  std::printf("  \"sls_warm_start\": {\n");
-  std::printf("    \"entities\": %d,\n",
-              static_cast<int>(inc_ds.entities.size()));
-  std::printf("    \"min_tuples_per_entity\": %d,\n", min_tuples);
-  std::printf("    \"pipeline\": \"naive_deduce\",\n");
-  std::printf("    \"sls_round1plus_deduce_ms\": %.3f,\n", sls_deduce_ms);
-  std::printf("    \"nosls_round1plus_deduce_ms\": %.3f,\n",
-              nosls_deduce_ms);
-  std::printf("    \"deduce_speedup\": %.3f,\n", sls_deduce_speedup);
-  std::printf("    \"sls_flips\": %lld,\n",
-              static_cast<long long>(sls_flips));
-  std::printf("    \"sls_seeded_models\": %lld,\n",
-              static_cast<long long>(sls_seeded_models));
-  std::printf("    \"resolve_errors\": %d,\n", sls_errors);
-  std::printf("    \"identical_results\": %s\n",
-              sls_identical ? "true" : "false");
   std::printf("  }\n");
   std::printf("}\n");
   return 0;

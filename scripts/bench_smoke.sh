@@ -5,23 +5,19 @@
 # then fails if
 #   * any determinism check reported false, or
 #   * the memory_lifecycle soak (one long-lived session fed answer
-#     rounds, arena GC on vs off) reported non-identical results,
-#     performed a session rebuild, or reclaimed fewer arena words than
-#     CCR_BENCH_GC_RECLAIM_FLOOR (default 1000 — the smoke-scale run
-#     deterministically reclaims >= 140k words, so tripping the floor
-#     means compaction stopped firing, not that the runner was noisy), or
-#   * the sls_warm_start section (local-search warm starts on vs off)
-#     reported non-identical resolutions or let SLS slow the Deduce phase below CCR_BENCH_SLS_DEDUCE_FLOOR
-#     (default 0.95 — the regression where soft-biased phase publishing
-#     poisoned the entailment solves may not come back), or
+#     rounds, arena GC on vs off) reported non-identical results or
+#     reclaimed fewer arena words than CCR_BENCH_GC_RECLAIM_FLOOR
+#     (default 1000). The soak is deterministic and reclaims far more
+#     than that at smoke scale, so tripping the floor means compaction
+#     stopped firing, not that the runner was noisy, or
 #   * the service section (bench_service driving a real server over a
 #     loopback socket with forced eviction) reported a ROUND or SNAPSHOT
 #     reply that differed from the never-evicted local session
 #     (identical_after_rehydrate), a dirty shutdown, any client error,
-#     zero rehydrations (the workload forces them — zero means eviction
-#     stopped round-tripping through snapshot bytes), or a sessions/sec
-#     rate below CCR_BENCH_SERVICE_FLOOR (default 1 — a catastrophic-
-#     regression tripwire, not a perf target).
+#     zero rehydrations (the workload forces them — zero means evicted
+#     sessions stopped being replayed from their op logs), or a
+#     sessions/sec rate below CCR_BENCH_SERVICE_FLOOR (default 1 — a
+#     catastrophic-regression tripwire, not a perf target).
 #
 # thread_scaling always runs and must always report identical results at
 # every thread count. The speedup
@@ -43,7 +39,6 @@ export CCR_BENCH_SCALE="${CCR_BENCH_SCALE:-1}"
 export CCR_BENCH_TUPLES="${CCR_BENCH_TUPLES:-250}"
 export CCR_BENCH_THREADS="${CCR_BENCH_THREADS:-2}"
 GC_RECLAIM_FLOOR="${CCR_BENCH_GC_RECLAIM_FLOOR:-1000}"
-SLS_DEDUCE_FLOOR="${CCR_BENCH_SLS_DEDUCE_FLOOR:-0.95}"
 SERVICE_FLOOR="${CCR_BENCH_SERVICE_FLOOR:-1}"
 SCALING_FLOOR="${CCR_BENCH_SCALING_FLOOR:-1.3}"
 # The scaling floor needs real cores: gate it only when the runner has
@@ -59,11 +54,9 @@ scripts/bench.sh "${1:-build-bench}"
 
 echo
 echo "Gating BENCH_throughput.json (GC reclaim floor: ${GC_RECLAIM_FLOOR} words," \
-     "SLS deduce floor: ${SLS_DEDUCE_FLOOR}x," \
      "service floor: ${SERVICE_FLOOR} sessions/s," \
      "scaling floor: ${SCALING_FLOOR}x at 2 threads [gated: ${GATE_SCALING}])"
 jq -e --argjson gcfloor "$GC_RECLAIM_FLOOR" \
-      --argjson slsdedfloor "$SLS_DEDUCE_FLOOR" \
       --argjson svcfloor "$SERVICE_FLOOR" \
       --argjson scalefloor "$SCALING_FLOOR" \
       --argjson gatescaling "$GATE_SCALING" '
@@ -73,11 +66,7 @@ jq -e --argjson gcfloor "$GC_RECLAIM_FLOOR" \
        or (.thread_scaling.entity_pool.speedup_2 >= $scalefloor))
   and (.allocation_pooling.deterministic == true)
   and (.memory_lifecycle.identical_results == true)
-  and (.memory_lifecycle.session_rebuilds == 0)
   and (.memory_lifecycle.gc_on.reclaimed_words >= $gcfloor)
-  and (.sls_warm_start.identical_results == true)
-  and (.sls_warm_start.resolve_errors == 0)
-  and (.sls_warm_start.deduce_speedup >= $slsdedfloor)
   and (.service.identical_after_rehydrate == true)
   and (.service.clean_shutdown == true)
   and (.service.errors == 0)
@@ -90,7 +79,6 @@ jq -e --argjson gcfloor "$GC_RECLAIM_FLOOR" \
 }
 echo "OK: pooling speedup $(jq .allocation_pooling.speedup BENCH_throughput.json)x," \
      "GC reclaimed $(jq .memory_lifecycle.gc_on.reclaimed_words BENCH_throughput.json) arena words," \
-     "SLS deduce speedup $(jq .sls_warm_start.deduce_speedup BENCH_throughput.json)x," \
      "service $(jq .service.sessions_per_sec BENCH_throughput.json) sessions/s" \
      "(p50 $(jq .service.round_p50_ms BENCH_throughput.json) ms," \
      "p99 $(jq .service.round_p99_ms BENCH_throughput.json) ms," \

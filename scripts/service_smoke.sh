@@ -3,7 +3,8 @@
 # bench_service over the wire, and require a clean end-to-end pass:
 #   * the daemon prints its READY line and serves the socket,
 #   * the load generator completes with zero errors, byte-identical
-#     replies after forced eviction/rehydration, and >= 1 rehydration,
+#     replies after forced eviction and rehydration (a replay of the
+#     session's in-memory op log), and >= 1 rehydration,
 #   * the SHUTDOWN frame stops the daemon, which prints its STATS line
 #     and exits 0 (clean teardown of every thread).
 #
@@ -35,7 +36,7 @@ SOCK="$WORK/ccr.sock"
 LOG="$WORK/serve.log"
 
 # A tight resident cap forces LRU eviction on top of the explicit evicts
-# bench_service issues — both rehydration paths get exercised.
+# bench_service issues, so sessions evicted either way get replayed.
 "$BUILD_DIR/tools/ccr_serve" --listen "unix:$SOCK" --max-resident 2 \
   --workers 2 > "$LOG" 2>&1 &
 SERVE_PID=$!

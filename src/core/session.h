@@ -132,10 +132,6 @@ class ResolutionSession {
   double last_encode_ms() const { return last_encode_ms_; }
   /// ExtendWith calls (every one of them appends).
   int incremental_extensions() const { return incremental_extensions_; }
-  /// Full re-encodes this session performed. Guarded grounding makes this
-  /// 0 by construction; the counter exists so tests and traces can assert
-  /// exactly that.
-  int rebuilds() const { return rebuilds_; }
   /// Assumption-carrying solves answered by the session solver so far.
   /// Every pipeline phase decides the Horn Φ(Se) by propagation, so this
   /// stays 0 unless a formula is non-Horn (validity and NaiveDeduce then
@@ -182,7 +178,6 @@ class ResolutionSession {
   int fed_clauses_ = 0;  // prefix of cnf_ already in the solver
   double last_encode_ms_ = 0;
   int incremental_extensions_ = 0;
-  int rebuilds_ = 0;
 };
 
 }  // namespace ccr

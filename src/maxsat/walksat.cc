@@ -165,32 +165,4 @@ Result<WalkSatResult> RunWalkSat(const Cnf& cnf,
   return result;
 }
 
-Result<WalkSatResult> RunWalkSat(sat::Solver* solver,
-                                 const WalkSatOptions& options) {
-  CCR_RETURN_NOT_OK(ValidateOptions(options));
-  WalkSatResult result;
-  result.model.assign(static_cast<size_t>(solver->num_vars()), false);
-  if (solver->IsUnsatForever()) {
-    // Refuted at level 0 before any flip could run.
-    result.best_unsat = 1;
-    return result;
-  }
-  sat::LocalSearchBudget budget;
-  budget.max_flips = options.max_flips;
-  budget.tries = options.tries;
-  budget.noise = options.noise;
-  budget.has_seed = true;
-  budget.seed = options.seed;
-  const sat::LocalSearchResult r =
-      solver->SeedFromLocalSearch({}, budget);
-  if (!r.ran) {
-    result.best_unsat = 1;
-    return result;
-  }
-  for (size_t v = 0; v < r.model.size(); ++v) result.model[v] = r.model[v] != 0;
-  result.best_unsat = r.hard_unsat;
-  result.satisfied = r.feasible;
-  return result;
-}
-
 }  // namespace ccr::maxsat

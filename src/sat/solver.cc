@@ -1228,7 +1228,7 @@ void Solver::CacheCurrentModel() {
 }
 
 LocalSearchResult Solver::SeedFromLocalSearch(
-    std::span<const Lit> assumptions, const LocalSearchBudget& budget) {
+    std::span<const Lit> assumptions) {
   LocalSearchResult out;
   CCR_DCHECK(DecisionLevel() == 0);
   if (!ok_) return out;
@@ -1669,17 +1669,10 @@ LocalSearchResult Solver::SeedFromLocalSearch(
   };
 
   const int64_t max_flips =
-      budget.max_flips > 0
-          ? budget.max_flips
-          : std::min(kSlsFlipsCap,
-                     kSlsFlipsBase +
-                         kSlsFlipsPerVar *
-                             static_cast<int64_t>(s.free_vars.size()));
-  const int tries = budget.tries > 0 ? budget.tries : kSlsTries;
-  const double noise = budget.noise >= 0 ? budget.noise : kSlsNoise;
-  Rng rng(budget.has_seed
-              ? budget.seed
-              : kSlsSeedBase ^ (0x9e3779b97f4a7c15ULL * ++sls_salt_));
+      std::min(kSlsFlipsCap,
+               kSlsFlipsBase +
+                   kSlsFlipsPerVar * static_cast<int64_t>(s.free_vars.size()));
+  Rng rng(kSlsSeedBase ^ (0x9e3779b97f4a7c15ULL * ++sls_salt_));
 
   // O(1) unsatisfied-clause bookkeeping.
   const auto mark_unsat = [&](int c) {
@@ -1732,7 +1725,7 @@ LocalSearchResult Solver::SeedFromLocalSearch(
 
   int64_t flips_done = 0;
   bool perfect = false;
-  for (int attempt = 0; attempt < tries && !perfect; ++attempt) {
+  for (int attempt = 0; attempt < kSlsTries && !perfect; ++attempt) {
     if (attempt > 0) {
       // Restart from a random assignment (try 0 searched the phases).
       for (Var v : s.free_vars) s.val[v] = rng.Chance(0.5) ? 1 : 0;
@@ -1768,7 +1761,7 @@ LocalSearchResult Solver::SeedFromLocalSearch(
       }
       if (!s.cand.empty()) {
         chosen = s.cand[rng.Below(s.cand.size())];
-      } else if (rng.Chance(noise)) {
+      } else if (rng.Chance(kSlsNoise)) {
         const int32_t len = s.starts[c + 1] - s.starts[c];
         chosen = s.pool[s.starts[c] + rng.Below(len)].var();
       }

@@ -27,11 +27,11 @@
 // The search heuristics are therefore fixed, not options: VSIDS, phase
 // saving, Luby restarts, learnt-clause deletion and their decay factors
 // are constants, and a solve runs to a verdict (no conflict budget).
-// SolverOptions keeps only what a service preset sets: the whole-formula
-// passes — WalkSAT seeding, between-round inprocessing (vivification,
-// subsumption), both off by default — and the arena collector. Because
-// the pipeline above consumes only SAT/UNSAT verdicts, every option
-// combination resolves every entity identically.
+// SolverOptions keeps only the whole-formula passes — WalkSAT seeding,
+// between-round inprocessing (vivification, subsumption), both off by
+// default — and the arena collector. Because the pipeline above consumes
+// only SAT/UNSAT verdicts, every option combination resolves every entity
+// identically.
 
 #ifndef CCR_SAT_SOLVER_H_
 #define CCR_SAT_SOLVER_H_
@@ -49,10 +49,9 @@
 
 namespace ccr::sat {
 
-/// The settings a service preset chooses (service::SolverOptionsForPreset:
-/// `nogc` turns the collector off, `sls` turns seeding and inprocessing
-/// on). The defaults are the CDCL core with every whole-formula pass off
-/// (see the file comment).
+/// Solver settings. Every pipeline session runs the defaults: the CDCL
+/// core with every whole-formula pass off (see the file comment); tests
+/// turn the passes on to hold them to byte parity with the defaults.
 struct SolverOptions {
   /// Inprocessing in Simplify(): clause vivification and backward
   /// subsumption / self-subsuming resolution over the problem clauses.
@@ -182,19 +181,6 @@ struct SolverStats {
     deduce_fallbacks += o.deduce_fallbacks;
     return *this;
   }
-};
-
-/// Explicit budget for one local-search pass. Zero / negative fields fall
-/// back to the solver's fixed defaults: a flip budget scaled to the
-/// free-variable count (capped), 2 tries and WalkSAT noise 0.5.
-struct LocalSearchBudget {
-  int64_t max_flips = 0;  // per try; 0 = auto
-  int tries = 0;          // 0 = 2 tries
-  double noise = -1.0;    // < 0 = noise 0.5
-  /// When set, seeds the RNG from `seed` instead of the solver's per-call
-  /// salt — RunWalkSat's same-seed determinism contract rides on this.
-  bool has_seed = false;
-  uint64_t seed = 0;
 };
 
 /// Outcome of Solver::SeedFromLocalSearch.
@@ -359,13 +345,13 @@ class Solver {
   /// assignment found is installed into the saved-phase array (biasing
   /// the next CDCL descent toward it), and when it satisfies every
   /// problem clause it is pushed into the cached-model ring as a genuine
-  /// witness. Deterministic: the RNG is seeded from a per-call
-  /// salt (reset by Reset()) or budget.seed — never wall-clock or global
-  /// state. Must be called at decision level 0. Verdict-neutral by
-  /// construction: phases and cached models only steer search time.
-  LocalSearchResult SeedFromLocalSearch(
-      std::span<const Lit> assumptions = {},
-      const LocalSearchBudget& budget = {});
+  /// witness. The flip budget scales with the free-variable count
+  /// (capped); it runs 2 tries at WalkSAT noise 0.5. Deterministic: the
+  /// RNG is seeded from a per-call salt (reset by Reset()) — never
+  /// wall-clock or global state. Must be called at decision level 0.
+  /// Verdict-neutral by construction: phases and cached models only steer
+  /// search time.
+  LocalSearchResult SeedFromLocalSearch(std::span<const Lit> assumptions = {});
 
   /// Deduce-phase reporting (src/core/deduce.cc): entailment solver
   /// calls issued. Folded into stats_ so RoundTrace per-phase deltas pick

@@ -30,18 +30,14 @@ ServiceReply OkReply(std::string payload) {
 }  // namespace
 
 /// One session's slot in the cache. `snapshot` (spec + op log) is always
-/// current; `live`/`scratch` exist only while resident; `frozen` holds the
-/// serialized snapshot while evicted and is the *authoritative* rehydration
-/// source — eviction round-trips through bytes on purpose, so the
-/// serialization path is exercised (and correctness-gated) by every evict,
-/// not only by the tests.
+/// current and is the only state an evicted session keeps: eviction drops
+/// `live` and returns `scratch`, and rehydration replays `snapshot`.
 struct SessionManager::SessionEntry {
   std::string id;
   std::mutex mu;
   SessionSnapshot snapshot;
   std::optional<ResolutionSession> live;
   SessionScratch* scratch = nullptr;
-  std::string frozen;
   std::list<SessionEntry*>::iterator lru_it;
   bool in_lru = false;
   bool closed = false;
@@ -258,10 +254,7 @@ ServiceReply SessionManager::HandleOpen(const ServiceRequest& request) {
   {
     std::lock_guard<std::mutex> entry_lock(entry->mu);
     SessionScratch* scratch = AcquireScratch();
-    auto opts = MakeResolveOptions(entry->snapshot.engine, scratch);
-    Result<ResolutionSession> live =
-        opts.ok() ? ReplaySnapshot(entry->snapshot, scratch)
-                  : Result<ResolutionSession>(opts.status());
+    Result<ResolutionSession> live = ReplaySnapshot(entry->snapshot, scratch);
     if (!live.ok()) {
       ReleaseScratch(scratch);
       {
@@ -500,20 +493,14 @@ ServiceReply SessionManager::HandleStats() {
 
 Status SessionManager::EnsureLive(SessionEntry* entry) {
   if (entry->live.has_value()) return Status::OK();
-  // Rehydrate from the *frozen bytes*, not the in-memory snapshot: every
-  // rehydration exercises the full serialize → parse → replay path.
-  CCR_ASSIGN_OR_RETURN(const SessionSnapshot thawed,
-                       SnapshotFromJson(entry->frozen));
   SessionScratch* scratch = AcquireScratch();
-  Result<ResolutionSession> live = ReplaySnapshot(thawed, scratch);
+  Result<ResolutionSession> live = ReplaySnapshot(entry->snapshot, scratch);
   if (!live.ok()) {
     ReleaseScratch(scratch);
     return live.status();
   }
   entry->live.emplace(std::move(live).value());
   entry->scratch = scratch;
-  entry->frozen.clear();
-  entry->frozen.shrink_to_fit();
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++resident_;
@@ -524,7 +511,6 @@ Status SessionManager::EnsureLive(SessionEntry* entry) {
 }
 
 void SessionManager::EvictLocked(SessionEntry* entry) {
-  entry->frozen = SnapshotToJson(entry->snapshot, /*indent=*/0);
   entry->live.reset();
   SessionScratch* scratch = entry->scratch;
   entry->scratch = nullptr;

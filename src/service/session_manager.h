@@ -1,14 +1,14 @@
 // The heart of ccr_serve: a bounded pool of warm ResolutionSessions with
-// LRU eviction to snapshots, a worker pool draining a bounded admission
-// queue, per-request deadlines, and counters.
+// LRU eviction to their op logs, a worker pool draining a bounded
+// admission queue, per-request deadlines, and counters.
 //
 // Capacity model: at most `max_resident` sessions hold live solver state;
-// the rest exist only as snapshot JSON (spec + op log — see snapshot.h)
-// and are rehydrated by replay on their next request. Each resident
-// session owns a SessionScratch leased from a free-list pool of exactly
-// `max_resident` scratches, so evict/open churn reuses warm solver arenas
-// instead of allocating cold ones (the same pooling RunExperiment does per
-// worker thread).
+// the rest keep only their in-memory SessionSnapshot (spec + op log — see
+// snapshot.h) and are rehydrated by replaying it on their next request.
+// Each resident session owns a SessionScratch leased from a free-list pool
+// of exactly `max_resident` scratches, so evict/open churn reuses warm
+// solver arenas instead of allocating cold ones (the same pooling
+// RunExperiment does per worker thread).
 //
 // Admission control: Submit() enqueues onto a bounded queue and returns
 // false when it is full — the caller maps that to an OVERLOADED reply
@@ -109,7 +109,7 @@ class SessionManager {
 
   /// Sessions currently holding live solver state.
   int resident_sessions() const;
-  /// Total sessions the manager knows (resident + evicted-to-snapshot).
+  /// Total sessions the manager knows (resident + evicted).
   int known_sessions() const;
 
  private:
@@ -125,7 +125,8 @@ class SessionManager {
   /// Rehydrates `entry` if evicted (replaying its op log); no-op when the
   /// session is already live. Caller holds entry->mu.
   Status EnsureLive(SessionEntry* entry);
-  /// Serializes `entry` and frees its live state. Caller holds entry->mu.
+  /// Frees `entry`'s live state and returns its scratch; the op log stays.
+  /// Caller holds entry->mu.
   void EvictLocked(SessionEntry* entry);
   /// Evicts least-recently-used live sessions until the resident count is
   /// within max_resident. Never evicts `keep`.

@@ -8,26 +8,9 @@
 namespace ccr {
 namespace service {
 
-Result<sat::SolverOptions> SolverOptionsForPreset(const std::string& preset) {
-  sat::SolverOptions options;
-  if (preset == "modern" || preset == "nosls") return options;
-  if (preset == "nogc") {
-    options.use_arena_gc = false;
-    return options;
-  }
-  if (preset == "sls") {
-    options.use_sls_seeding = true;
-    options.use_inprocessing = true;
-    return options;
-  }
-  return Status::InvalidArgument("unknown solver preset '" + preset + "'");
-}
-
 Result<ResolveOptions> MakeResolveOptions(const EngineConfig& engine,
                                           SessionScratch* scratch) {
   ResolveOptions options;
-  CCR_ASSIGN_OR_RETURN(options.solver,
-                       SolverOptionsForPreset(engine.solver_preset));
   options.naive_deduce = engine.naive_deduce;
   options.scratch = scratch;
   return options;

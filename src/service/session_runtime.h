@@ -35,13 +35,8 @@ struct RoundOutcome {
   std::vector<int> derivable_attrs;
 };
 
-/// The one solver preset table: maps a preset name (modern | nogc | sls |
-/// nosls) to SolverOptions and rejects unknown names. ccr_experiment's
-/// --solver, OPEN's solver field and snapshot parsing all go through it.
-Result<sat::SolverOptions> SolverOptionsForPreset(const std::string& preset);
-
-/// ResolveOptions for a service session: preset solver, optional naive
-/// deduction, borrowed per-worker scratch (may be null).
+/// ResolveOptions for a service session: the default solver options,
+/// optional naive deduction, borrowed per-worker scratch (may be null).
 Result<ResolveOptions> MakeResolveOptions(const EngineConfig& engine,
                                           SessionScratch* scratch);
 

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "src/constraints/predicate.h"
-#include "src/service/session_runtime.h"
 
 namespace ccr {
 namespace service {
@@ -571,8 +570,6 @@ std::string SnapshotToJson(const SessionSnapshot& snapshot, int indent) {
   w.Value(kSnapshotSchemaVersion);
   w.Key("engine");
   w.BeginObject();
-  w.Key("solver_preset");
-  w.Value(snapshot.engine.solver_preset);
   w.Key("naive_deduce");
   w.Value(snapshot.engine.naive_deduce);
   w.EndObject();
@@ -612,20 +609,21 @@ Result<SessionSnapshot> SnapshotFromJson(std::string_view text) {
       return rd.Fail("duplicate field '" + key + "'");
     }
     if (key == "schema") return rd.ParseString(&schema);
-    if (key == "schema_version") return rd.ParseInt(&version);
+    if (key == "schema_version") {
+      CCR_RETURN_NOT_OK(rd.ParseInt(&version));
+      if (version != kSnapshotSchemaVersion) {
+        return Status::InvalidArgument(
+            "session snapshot: schema_version " + std::to_string(version) +
+            " unsupported (have " + std::to_string(kSnapshotSchemaVersion) +
+            ")");
+      }
+      return Status::OK();
+    }
     if (key == "engine") {
       std::set<std::string> seen_engine;
       return rd.ParseObject([&](const std::string& f) -> Status {
         if (!seen_engine.insert(f).second) {
           return rd.Fail("duplicate engine field '" + f + "'");
-        }
-        if (f == "solver_preset") {
-          CCR_RETURN_NOT_OK(rd.ParseString(&snap.engine.solver_preset));
-          if (!SolverOptionsForPreset(snap.engine.solver_preset).ok()) {
-            return rd.Fail("unknown solver preset '" +
-                           snap.engine.solver_preset + "'");
-          }
-          return Status::OK();
         }
         if (f == "naive_deduce") {
           return rd.ParseBool(&snap.engine.naive_deduce);
@@ -671,11 +669,6 @@ Result<SessionSnapshot> SnapshotFromJson(std::string_view text) {
   if (schema != kSchemaName) {
     return Status::InvalidArgument("session snapshot: schema is '" + schema +
                                    "', want '" + kSchemaName + "'");
-  }
-  if (version != kSnapshotSchemaVersion) {
-    return Status::InvalidArgument(
-        "session snapshot: schema_version " + std::to_string(version) +
-        " unsupported (have " + std::to_string(kSnapshotSchemaVersion) + ")");
   }
   CCR_ASSIGN_OR_RETURN(snap.spec, AssembleSpec(std::move(raw)));
   return snap;

@@ -31,17 +31,13 @@
 namespace ccr {
 namespace service {
 
-inline constexpr int kSnapshotSchemaVersion = 1;
+/// Version 2 dropped the engine's solver preset name: every session runs
+/// the default solver options. A version-1 snapshot fails to parse.
+inline constexpr int kSnapshotSchemaVersion = 2;
 
-/// \brief Engine knobs that must survive eviction: replaying the op log
-/// under a different solver preset would still yield identical verdicts,
-/// but pinning them keeps rehydrated sessions bit-comparable in the
-/// equivalence gates (and honors what the client asked for at OPEN).
+/// \brief The engine choice a session keeps across eviction: which deduce
+/// pipeline its rounds run (what the client asked for at OPEN).
 struct EngineConfig {
-  /// One of modern | nogc | sls | nosls (SolverOptionsForPreset, which
-  /// ccr_experiment's --solver shares; "nosls" is an alias of the
-  /// default).
-  std::string solver_preset = "modern";
   bool naive_deduce = false;
 };
 
@@ -80,7 +76,9 @@ Status ParseDelta(json::Reader* rd, PartialTemporalOrder* delta);
 std::string SnapshotToJson(const SessionSnapshot& snapshot, int indent = 1);
 
 /// Parses and validates a snapshot; rejects unknown/duplicate/missing
-/// fields, bad attribute indices, and unsupported schema versions.
+/// fields, bad attribute indices, and any schema_version but
+/// kSnapshotSchemaVersion (checked as soon as it is read, so an old
+/// snapshot fails before its spec is parsed).
 Result<SessionSnapshot> SnapshotFromJson(std::string_view text);
 
 }  // namespace service

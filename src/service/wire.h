@@ -50,7 +50,7 @@ enum class RequestType : uint8_t {
   kAnswer = 0x04,    ///< apply user answers [{"attr", "value"}, ...]
   kExtend = 0x05,    ///< append a raw PartialTemporalOrder delta
   kSnapshot = 0x06,  ///< serialize the session; body of reply is the JSON
-  kEvict = 0x07,     ///< force the session cold (snapshot + free state)
+  kEvict = 0x07,     ///< force the session cold (free its live state)
   kClose = 0x08,     ///< drop the session entirely
   kStats = 0x09,     ///< server counters as JSON
   kShutdown = 0x0A,  ///< orderly daemon shutdown (reply sent first)

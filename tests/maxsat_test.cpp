@@ -5,6 +5,7 @@
 
 #include "src/common/rng.h"
 #include "src/maxsat/walksat.h"
+#include "src/sat/solver.h"
 
 namespace ccr::maxsat {
 namespace {

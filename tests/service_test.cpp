@@ -17,8 +17,10 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "src/common/json.h"
 #include "src/data/person_generator.h"
 #include "src/service/client.h"
 #include "src/service/server.h"
@@ -43,6 +45,22 @@ std::string SnapshotPayload(const Dataset& ds, int entity) {
   SessionSnapshot snap;
   snap.spec = ds.MakeSpec(entity);
   return SnapshotToJson(snap, /*indent=*/0);
+}
+
+// An ANSWER body giving `value` for attribute `attr`.
+std::string AnswerPayload(int attr, const Value& value) {
+  json::Writer w(0);
+  w.BeginObject();
+  w.Key("answers");
+  w.BeginArray();
+  w.BeginArray();
+  w.Value(attr);
+  w.ArraySep(false);
+  WriteValue(value, &w);
+  w.EndArray();
+  w.EndArray();
+  w.EndObject();
+  return std::move(w).Take();
 }
 
 ServiceReply Call(SessionManager* manager, RequestType type,
@@ -260,14 +278,95 @@ TEST(SessionManagerTest, ExplicitEvictThenUseRehydrates) {
   EXPECT_EQ(manager.resident_sessions(), 0);
   EXPECT_EQ(manager.known_sessions(), 1);
 
-  // Snapshots serve straight from the frozen state; a second evict is a
-  // no-op; a round rehydrates.
+  // Snapshots serve straight from the op log; a second evict is a no-op;
+  // a round rehydrates by replaying the log.
   EXPECT_EQ(Call(&manager, RequestType::kSnapshot, "a").payload,
             before.payload);
   ServiceReply again = Call(&manager, RequestType::kEvict, "a");
   EXPECT_NE(again.payload.find("\"was_live\": false"), std::string::npos);
   EXPECT_EQ(Call(&manager, RequestType::kRound, "a").code, ErrorCode::kOk);
   EXPECT_EQ(manager.resident_sessions(), 1);
+}
+
+// Eviction no longer serializes, so the snapshot bytes a client sees are
+// gated here: OPENing a SNAPSHOT reply under a fresh id replays it, and
+// every later ROUND and ANSWER reply equals the original session's.
+TEST(SessionManagerTest, SnapshotReplyReopensAsTheSameSession) {
+  const Dataset ds = SmallPersonCorpus();
+  const std::vector<Value>& truth = ds.entities[0].truth;
+  std::vector<int> answerable;
+  for (int a = 0; a < static_cast<int>(truth.size()); ++a) {
+    if (!truth[a].is_null()) answerable.push_back(a);
+  }
+  ASSERT_GE(answerable.size(), 3u);
+  SessionManager manager(ServiceOptions{});
+  ASSERT_EQ(
+      Call(&manager, RequestType::kOpen, "orig", SnapshotPayload(ds, 0)).code,
+      ErrorCode::kOk);
+  ASSERT_EQ(Call(&manager, RequestType::kRound, "orig").code, ErrorCode::kOk);
+  const int first = answerable[0];
+  ASSERT_EQ(Call(&manager, RequestType::kAnswer, "orig",
+                 AnswerPayload(first, truth[first]))
+                .code,
+            ErrorCode::kOk);
+
+  const ServiceReply snapshot = Call(&manager, RequestType::kSnapshot, "orig");
+  ASSERT_EQ(snapshot.code, ErrorCode::kOk);
+  const ServiceReply reopened =
+      Call(&manager, RequestType::kOpen, "copy", snapshot.payload);
+  ASSERT_EQ(reopened.code, ErrorCode::kOk) << reopened.payload;
+  EXPECT_NE(reopened.payload.find("\"replayed_ops\": 2"), std::string::npos)
+      << reopened.payload;
+
+  for (size_t i = 1; i < answerable.size() && i <= 3; ++i) {
+    const int attr = answerable[i];
+    for (const auto& [type, payload] :
+         {std::pair{RequestType::kRound, std::string()},
+          std::pair{RequestType::kAnswer, AnswerPayload(attr, truth[attr])}}) {
+      const ServiceReply want = Call(&manager, type, "orig", payload);
+      const ServiceReply got = Call(&manager, type, "copy", payload);
+      ASSERT_EQ(want.code, ErrorCode::kOk) << want.payload;
+      EXPECT_EQ(got.code, want.code);
+      EXPECT_EQ(got.payload, want.payload)
+          << "type " << static_cast<int>(type) << " answering attr " << attr;
+    }
+  }
+  EXPECT_EQ(Call(&manager, RequestType::kRound, "copy").payload,
+            Call(&manager, RequestType::kRound, "orig").payload);
+  EXPECT_EQ(Call(&manager, RequestType::kSnapshot, "copy").payload,
+            Call(&manager, RequestType::kSnapshot, "orig").payload);
+}
+
+// Schema version 2 dropped the engine's solver preset name. A version-1
+// snapshot, which always names it, fails closed: it does not parse, and its OPEN is
+// answered BAD_REQUEST without creating a session. Naming the preset
+// under version 2 fails the same way.
+TEST(SessionManagerTest, VersionOneSnapshotFailsClosed) {
+  const Dataset ds = SmallPersonCorpus();
+  const std::string current = SnapshotPayload(ds, 0);
+  const auto swap = [](std::string text, const std::string& from,
+                       const std::string& to) {
+    const size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) text.replace(at, from.size(), to);
+    return text;
+  };
+  const std::string v1 = swap(
+      swap(current, "\"schema_version\": 2", "\"schema_version\": 1"),
+      "\"engine\": {", "\"engine\": {\"solver_preset\": \"modern\", ");
+  const std::string v2_with_preset =
+      swap(v1, "\"schema_version\": 1", "\"schema_version\": 2");
+  SessionManager manager(ServiceOptions{});
+  for (const std::string& text : {v1, v2_with_preset}) {
+    const auto parsed = SnapshotFromJson(text);
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(Call(&manager, RequestType::kOpen, "old", text).code,
+              ErrorCode::kBadRequest);
+    EXPECT_EQ(manager.known_sessions(), 0);
+  }
+  EXPECT_EQ(Call(&manager, RequestType::kOpen, "old", current).code,
+            ErrorCode::kOk);
 }
 
 // --- admission control and deadlines ---------------------------------------

@@ -1,7 +1,8 @@
-// Tests for the CDCL core: the ablation-equivalence suite (the `sls`
-// preset and eager arena GC must resolve every entity to the default
-// options' bytes — the pipeline consumes only SAT verdicts, so the
-// whole-formula passes cannot change results), a DIMACS-level regression that learnt clauses survive
+// Tests for the CDCL core: the ablation-equivalence suite (seeding plus
+// inprocessing, and eager arena GC, must resolve every entity to the
+// default options' bytes — the pipeline consumes only SAT verdicts, so
+// the whole-formula passes cannot change results), a DIMACS-level
+// regression that learnt clauses survive
 // minimization still implied (checked by re-solve), and unit tests for
 // implicit binary watches, inprocessing, the
 // cached-model witness pool, arena GC and MaybeSimplify's sweep schedule.
@@ -65,11 +66,13 @@ std::string ResolveCorpusToJson(const Dataset& ds,
   return ExperimentResultToJson(r, jopts);
 }
 
-// The `sls` preset (seeding and inprocessing on) and eager arena GC, on
-// both deduce pipelines, resolve all three corpora to the default
+// Seeding and inprocessing on together, and eager arena GC, on both
+// deduce pipelines, resolve all three corpora to the default
 // configuration's bytes.
 TEST(SolverAblationEquivalenceTest, EveryOptionComboResolvesIdentically) {
-  const SolverOptions sls = service::SolverOptionsForPreset("sls").value();
+  SolverOptions sls;
+  sls.use_sls_seeding = true;
+  sls.use_inprocessing = true;
   for (const std::string kind : {"person", "nba", "career"}) {
     const Dataset ds = AblationCorpus(kind);
     for (const bool naive : {false, true}) {

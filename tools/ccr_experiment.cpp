@@ -42,7 +42,6 @@ struct CliOptions {
   int answers_per_round = 1 << 20;
   double sigma_fraction = 1.0;
   double gamma_fraction = 1.0;
-  std::string solver = "modern";   // service::SolverOptionsForPreset name
   std::string deduce = "fast";     // fast (default) | naive (Lemma 6)
   bool include_timings = true;
   bool reuse_allocations = true;
@@ -72,12 +71,6 @@ void PrintUsage(std::FILE* to) {
                "  --answers-per-round N  oracle answers per suggestion\n"
                "  --sigma F         fraction of Sigma (default 1.0)\n"
                "  --gamma F         fraction of Gamma (default 1.0)\n"
-               "  --solver S        modern (default) | nogc (arena GC off) |\n"
-               "                    sls (local-search seeding and\n"
-               "                    inprocessing on; both are off by\n"
-               "                    default) | nosls (alias of\n"
-               "                    modern). The daemon's preset table;\n"
-               "                    results are bit-identical in all cases.\n"
                "  --deduce D        fast (Fig. 5 unit propagation, default)\n"
                "                    | naive (the exact Lemma-6 pair set,\n"
                "                    read off the least model of the Horn\n"
@@ -151,17 +144,6 @@ int ParseArgs(int argc, char** argv, CliOptions* opts) {
     if (arg == "--solver-stats") {
       opts->solver_stats = true;
       in_merge_list = false;
-      continue;
-    }
-    if (arg == "--solver") {
-      const char* v = next_value("--solver");
-      if (v == nullptr) return 2;
-      if (!service::SolverOptionsForPreset(v).ok()) {
-        std::fprintf(stderr, "--solver wants modern|nogc|sls|nosls, got %s\n",
-                     v);
-        return 2;
-      }
-      opts->solver = v;
       continue;
     }
     if (arg == "--deduce") {
@@ -331,7 +313,7 @@ int RunMerge(const CliOptions& o) {
 
 // Dumps the pooled per-phase solver statistics on stderr (NOT into the
 // result JSON: the serialized ExperimentResult must stay byte-identical
-// across solver presets and solver-heuristic choices).
+// across solver options and solver-heuristic choices).
 void DumpSolverStats(const ExperimentResult& r) {
   auto dump = [](const char* phase, const sat::SolverStats& s, bool last) {
     std::fprintf(stderr,
@@ -392,8 +374,6 @@ int RunShard(const CliOptions& o) {
   eopts.gamma_fraction = o.gamma_fraction;
   eopts.num_threads = o.threads;
   eopts.reuse_allocations = o.reuse_allocations;
-  // Validated by ParseArgs: the preset table cannot fail here.
-  eopts.resolve.solver = service::SolverOptionsForPreset(o.solver).value();
   eopts.resolve.naive_deduce = o.deduce == "naive";
   const std::vector<int> indices = ShardIndices(
       static_cast<int>(ds.entities.size()), o.shard, o.num_shards);
