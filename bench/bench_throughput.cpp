@@ -1,5 +1,5 @@
-// bench_throughput: batch resolution throughput (entities/sec), pooling
-// and the solver's memory lifecycle.
+// bench_throughput: batch resolution throughput (entities/sec) and the
+// solver's memory lifecycle.
 //
 // Unlike the Fig. 8 reproduction benches, this one emits machine-readable
 // JSON on stdout (scripts/bench.sh redirects it into
@@ -8,24 +8,22 @@
 //   * "thread_scaling": the "entity_pool" tier — RunExperiment's batched
 //     work-stealing driver (entities across worker threads) — measured as
 //     a real speedup curve at {1, 2, N} threads (N = CCR_BENCH_THREADS,
-//     default hardware_concurrency), each point the minimum of 3 reps. It
-//     checks the pooled accuracy vectors are identical across all thread
-//     counts — threads may change wall time, never results. The section
+//     default hardware_concurrency), each point the minimum of 5
+//     interleaved reps over the same kScalingEntities entities, enough
+//     that thread start-up stays noise even at smoke size. It checks the
+//     pooled accuracy vectors are identical across all thread counts —
+//     threads may change wall time, never results. The section
 //     always runs and always reports measured numbers; on a 1-core
 //     machine the curve simply documents the overhead
 //     (scripts/bench_smoke.sh only gates the speedup floor when the
 //     machine has >= 2 cores).
-//   * "allocation_pooling": the cross-entity SessionScratch effect — the
-//     same single-threaded batch with reuse_allocations off (every entity
-//     allocates its solver arena / watch lists / CNF pool from cold) vs.
-//     on (entity N+1 recycles entity N's warm buffers), plus a check that
-//     pooling leaves the results bit-identical.
 //   * "memory_lifecycle": one long-lived session on a >= 1k-tuple Person
 //     entity driven through CCR_BENCH_SOAK_ROUNDS (default 64) ExtendWith
 //     rounds of appended tuples plus validity/deduction solves, with the
-//     arena GC on vs off. Reports the solver arena's peak and live words
-//     and the words reclaimed by collections, and checks the two runs
-//     deduce identically. scripts/bench_smoke.sh gates identical_results
+//     arena GC on (gc_frac 0.10) vs off (gc_frac 1: dead words never
+//     exceed the arena, so it never collects). Reports the solver arena's
+//     peak and live words and the words reclaimed by collections, and
+//     checks the two runs deduce identically. scripts/bench_smoke.sh gates identical_results
 //     and a reclaim floor (CCR_BENCH_GC_RECLAIM_FLOOR).
 //
 // CCR_BENCH_SCALE multiplies entity counts as in the other benches;
@@ -37,6 +35,7 @@
 #include <cstdlib>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "bench_util.h"
 #include "src/common/timer.h"
@@ -44,6 +43,11 @@
 
 namespace ccr {
 namespace {
+
+// Entities in every thread_scaling point (times CCR_BENCH_SCALE). At the
+// smoke size (CCR_BENCH_TUPLES=250) one thread resolves them in about
+// 0.3 s, so thread start-up is noise in every point of the curve.
+constexpr int kScalingEntities = 256;
 
 int BenchThreads() {
   // Derive the N-thread point from the machine instead of hardcoding 8:
@@ -108,14 +112,14 @@ MemorySoak RunMemorySoak(const Specification& spec,
   MemorySoak out;
   ResolveOptions opts;
   opts.naive_deduce = true;  // Lemma-6 probes on the persistent solver
-  opts.solver.use_arena_gc = lifecycle_on;
   // A long-lived memory-bound service runs the collector eagerly; the
   // answer-round dead fraction plateaus near ~20% of the arena at large
   // corpus sizes, so the production default (0.25) would let this soak
   // coast without ever compacting. 0.10 makes the collector fire at
   // every scale the bench runs — which is the point: trigger, compact,
-  // and prove the results unchanged.
-  opts.solver.gc_frac = 0.10;
+  // and prove the results unchanged. Off is gc_frac 1, which never
+  // collects.
+  opts.solver.gc_frac = lifecycle_on ? 0.10 : 1.0;
   auto session = ResolutionSession::Create(spec, opts);
   if (!session.ok()) return out;
   const int n_attrs = spec.schema().size();
@@ -184,73 +188,51 @@ int main() {
   using namespace ccr;
   const int scale = bench::BenchScale();
 
-  // The >= 1k-tuple Person corpus the allocation_pooling section
-  // resolves.
-  const Dataset inc_ds = BigPersonCorpus(4 * scale);
-
   // --- thread scaling: the entity pool -------------------------------------
   Timer timer;
   const int n_threads = BenchThreads();
-  const Dataset batch_ds = BigPersonCorpus(2 * n_threads * scale);
+  const Dataset batch_ds = BigPersonCorpus(kScalingEntities * scale);
   const int n_entities = static_cast<int>(batch_ds.entities.size());
   // Each curve point is the minimum of kScalingReps timed runs: the
   // per-point wall time sits inside scheduler jitter for one sample, and
-  // the min is the run least perturbed by the OS. The equivalence check
-  // uses the first rep's result; the runs are deterministic, so later
-  // reps would only repeat it.
-  constexpr int kScalingReps = 3;
-  auto time_experiment = [&](const ExperimentOptions& o,
-                             ExperimentResult* first) {
-    double best = 0;
-    for (int rep = 0; rep < kScalingReps; ++rep) {
-      timer.Restart();
-      ExperimentResult r = RunExperiment(batch_ds, o);
-      const double sec = timer.ElapsedMs() / 1000.0;
-      if (rep == 0) {
-        *first = std::move(r);
-        best = sec;
-      } else {
-        best = std::min(best, sec);
-      }
-    }
-    return best;
-  };
-
+  // the min is the run least perturbed by the OS. The reps interleave the
+  // thread counts (1, 2, N, 1, 2, N, ...), so a burst of load from
+  // outside the process slows runs of every count alike instead of one
+  // point of the curve. The equivalence check uses each count's first
+  // result; the runs are deterministic, so later reps would only repeat
+  // it.
+  constexpr int kScalingReps = 5;
+  const std::vector<int> counts =
+      n_threads > 2 ? std::vector<int>{1, 2, n_threads}
+                    : std::vector<int>{1, 2};
+  std::vector<double> best(counts.size(), 0);
+  std::vector<ExperimentResult> first(counts.size());
   // The batched work-stealing driver spreads whole entities across worker
   // threads.
   ExperimentOptions eopts;
   eopts.max_rounds = 3;
   eopts.answers_per_round = 1;
-  ExperimentResult pool_r1, pool_r2, pool_rn;
-  eopts.num_threads = 1;
-  const double pool_t1 = time_experiment(eopts, &pool_r1);
-  eopts.num_threads = 2;
-  const double pool_t2 = time_experiment(eopts, &pool_r2);
-  double pool_tn = pool_t2;
-  if (n_threads > 2) {
-    eopts.num_threads = n_threads;
-    pool_tn = time_experiment(eopts, &pool_rn);
-  } else {
-    pool_rn = pool_r2;
+  for (int rep = 0; rep < kScalingReps; ++rep) {
+    for (size_t k = 0; k < counts.size(); ++k) {
+      eopts.num_threads = counts[k];
+      timer.Restart();
+      ExperimentResult r = RunExperiment(batch_ds, eopts);
+      const double sec = timer.ElapsedMs() / 1000.0;
+      if (rep == 0) {
+        first[k] = std::move(r);
+        best[k] = sec;
+      } else {
+        best[k] = std::min(best[k], sec);
+      }
+    }
   }
-  const bool pool_identical =
-      SameAccuracy(pool_r1, pool_r2) && SameAccuracy(pool_r1, pool_rn);
-
-  // --- cross-entity allocation pooling (SessionScratch) ------------------
-  ExperimentOptions popts;
-  popts.max_rounds = 3;
-  popts.answers_per_round = 1;
-  popts.num_threads = 1;
-
-  popts.reuse_allocations = false;
-  timer.Restart();
-  const ExperimentResult r_cold = RunExperiment(inc_ds, popts);
-  const double cold_sec = timer.ElapsedMs() / 1000.0;
-
-  popts.reuse_allocations = true;
-  timer.Restart();
-  const ExperimentResult r_pooled = RunExperiment(inc_ds, popts);
-  const double pooled_sec = timer.ElapsedMs() / 1000.0;
+  const double pool_t1 = best[0];
+  const double pool_t2 = best[1];
+  const double pool_tn = best.back();
+  bool pool_identical = true;
+  for (const ExperimentResult& r : first) {
+    pool_identical = pool_identical && SameAccuracy(first[0], r);
+  }
 
   // --- solver memory lifecycle (arena GC on vs off) ----------------------
   const int soak_rounds = BenchSoakRounds();
@@ -293,16 +275,6 @@ int main() {
   std::printf("    },\n");
   std::printf("    \"deterministic\": %s\n",
               pool_identical ? "true" : "false");
-  std::printf("  },\n");
-  std::printf("  \"allocation_pooling\": {\n");
-  std::printf("    \"entities\": %d,\n",
-              static_cast<int>(inc_ds.entities.size()));
-  std::printf("    \"cold_seconds\": %.3f,\n", cold_sec);
-  std::printf("    \"pooled_seconds\": %.3f,\n", pooled_sec);
-  std::printf("    \"speedup\": %.3f,\n",
-              pooled_sec > 0 ? cold_sec / pooled_sec : 0.0);
-  std::printf("    \"deterministic\": %s\n",
-              SameAccuracy(r_cold, r_pooled) ? "true" : "false");
   std::printf("  },\n");
   std::printf("  \"memory_lifecycle\": {\n");
   std::printf("    \"tuples\": %d,\n", soak_spec.instance().size());

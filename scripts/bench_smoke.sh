@@ -5,9 +5,10 @@
 # then fails if
 #   * any determinism check reported false, or
 #   * the memory_lifecycle soak (one long-lived session fed answer
-#     rounds, arena GC on vs off) reported non-identical results or
-#     reclaimed fewer arena words than CCR_BENCH_GC_RECLAIM_FLOOR
-#     (default 1000). The soak is deterministic and reclaims far more
+#     rounds, arena GC on vs off, off being gc_frac 1) reported
+#     non-identical results or reclaimed fewer arena words than
+#     CCR_BENCH_GC_RECLAIM_FLOOR (default 1000). The soak is
+#     deterministic and reclaims far more
 #     than that at smoke scale, so tripping the floor means compaction
 #     stopped firing, not that the runner was noisy, or
 #   * the service section (bench_service driving a real server over a
@@ -20,9 +21,10 @@
 #     catastrophic-regression tripwire, not a perf target).
 #
 # thread_scaling always runs and must always report identical results at
-# every thread count. The speedup
-# floor (CCR_BENCH_SCALING_FLOOR, default 1.3 at the 2-thread point of
-# the entity-pool curve) is only gated on multi-core runners: a 1-core
+# every thread count. Each of its points resolves the same 256 entities,
+# about 0.3 s on one thread at this size. The speedup floor
+# (CCR_BENCH_SCALING_FLOOR, default 1.3 at the 2-thread point of the
+# entity-pool curve) is only gated on multi-core runners: a 1-core
 # container measures scheduling overhead, not scaling, so only the
 # determinism contract is enforced there.
 #
@@ -64,7 +66,6 @@ jq -e --argjson gcfloor "$GC_RECLAIM_FLOOR" \
   and (.thread_scaling.entity_pool.identical_results == true)
   and ((($gatescaling | not))
        or (.thread_scaling.entity_pool.speedup_2 >= $scalefloor))
-  and (.allocation_pooling.deterministic == true)
   and (.memory_lifecycle.identical_results == true)
   and (.memory_lifecycle.gc_on.reclaimed_words >= $gcfloor)
   and (.service.identical_after_rehydrate == true)
@@ -77,8 +78,7 @@ jq -e --argjson gcfloor "$GC_RECLAIM_FLOOR" \
   cat BENCH_throughput.json >&2
   exit 1
 }
-echo "OK: pooling speedup $(jq .allocation_pooling.speedup BENCH_throughput.json)x," \
-     "GC reclaimed $(jq .memory_lifecycle.gc_on.reclaimed_words BENCH_throughput.json) arena words," \
+echo "OK: GC reclaimed $(jq .memory_lifecycle.gc_on.reclaimed_words BENCH_throughput.json) arena words," \
      "service $(jq .service.sessions_per_sec BENCH_throughput.json) sessions/s" \
      "(p50 $(jq .service.round_p50_ms BENCH_throughput.json) ms," \
      "p99 $(jq .service.round_p99_ms BENCH_throughput.json) ms," \

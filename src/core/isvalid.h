@@ -51,7 +51,8 @@ ValidityResult IsValidCnf(const sat::Cnf& phi,
 ///     variable false satisfies every clause — the least model.
 ///   * Otherwise (some live clause has two positive literals) the answer
 ///     comes from SolveWithAssumptions, as before.
-/// Φ(Se) is Horn by construction (BuildCnfInto DCHECKs it), guards and
+/// Φ(Se) is Horn by construction (ResolutionSession checks it as each
+/// clause batch enters the solver), guards and
 /// retired guards are units, and the clauses of released Suggest scopes
 /// are satisfied by their retired activation literals, so the session
 /// path is decided by propagation alone: no assumption solve, no model.

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "src/common/timer.h"
 #include "src/core/session.h"
 
 namespace ccr {
@@ -62,16 +61,6 @@ Result<ResolveResult> Resolve(const Specification& se, UserOracle* oracle,
                        ResolutionSession::Create(se, options));
   const Instantiation& inst = session.instantiation();
 
-  // Assumption-carrying solves are cumulative on the session solver;
-  // each RoundTrace gets this round's delta, stamped right before it is
-  // recorded.
-  int64_t prev_assumption_solves = 0;
-  auto stamp_counters = [&](RoundTrace* t) {
-    const int64_t assumption_solves = session.assumption_solves();
-    t->num_assumption_solves = assumption_solves - prev_assumption_solves;
-    prev_assumption_solves = assumption_solves;
-  };
-
   // Solver work of the ExtendWith that *produced* a round (clause feed +
   // between-round Simplify, where inprocessing runs) is captured when the
   // extension happens and stamped into the next round's trace — the same
@@ -79,79 +68,41 @@ Result<ResolveResult> Resolve(const Specification& se, UserOracle* oracle,
   sat::SolverStats pending_extend_stats;
 
   for (int round = 0; round <= options.max_rounds; ++round) {
-    RoundTrace trace;
+    const SessionRound r =
+        session.RunRound(oracle != nullptr && round < options.max_rounds);
+    RoundTrace& trace = result.trace.emplace_back(r.trace);
     trace.round = round;
     // Round r > 0 was encoded by the ExtendWith that ended round r-1;
     // attribute that cost to the round it produced.
     trace.encode_ms = session.last_encode_ms();
     trace.encode_solver = pending_extend_stats;
     pending_extend_stats = {};
-    Timer timer;
-
-    // Step (1): validity.
-    sat::SolverStats phase_start = session.solver_stats();
-    const ValidityResult validity = session.CheckValidity();
-    trace.validity_solver = session.solver_stats() - phase_start;
-    trace.validity_ms = timer.ElapsedMs();
-    if (!validity.valid) {
+    if (!r.valid) {
       // Initial specification invalid (or a user's answer clashed with the
       // constraints): report and stop. The framework's "No" branch sends
       // users back to revise; a programmatic oracle cannot, so we stop.
       if (round == 0) result.valid = false;
-      stamp_counters(&trace);
-      result.trace.push_back(trace);
       break;
     }
 
-    // Step (2): deduce true values.
-    timer.Restart();
-    phase_start = session.solver_stats();
-    const DeducedOrders od = session.Deduce();
-    trace.deduce_solver = session.solver_stats() - phase_start;
-    const std::vector<int> true_idx =
-        ExtractTrueValueIndices(inst.varmap, od);
-    trace.deduce_ms = timer.ElapsedMs();
-
-    int resolved_count = 0;
     for (int a = 0; a < n_attrs; ++a) {
-      if (true_idx[a] >= 0) {
-        result.true_values[a] = inst.varmap.domain(a)[true_idx[a]];
+      if (r.true_idx[a] >= 0) {
+        result.true_values[a] = inst.varmap.domain(a)[r.true_idx[a]];
         result.resolved[a] = true;
-        ++resolved_count;
       }
     }
-    trace.resolved_attrs = resolved_count;
     result.rounds_used = round;
     result.round_values.push_back(result.true_values);
     result.round_resolved.push_back(result.resolved);
-
-    // Step (3): done when every resolvable attribute has a true value.
-    if (resolved_count >= CountResolvableAttrs(inst.varmap)) {
+    if (r.complete) {
       result.complete = true;
-      stamp_counters(&trace);
-      result.trace.push_back(trace);
       break;
     }
-    if (oracle == nullptr || round == options.max_rounds) {
-      stamp_counters(&trace);
-      result.trace.push_back(trace);
-      break;
-    }
+    if (!r.suggestion.has_value()) break;  // no oracle, or no rounds left
 
-    // Step (4): suggestion + user input.
-    timer.Restart();
-    phase_start = session.solver_stats();
-    const std::vector<std::vector<int>> candidates =
-        CandidateValues(inst.varmap, od);
-    const Suggestion suggestion =
-        session.MakeSuggestion(candidates, true_idx);
-    trace.suggest_solver = session.solver_stats() - phase_start;
-    trace.suggest_ms = timer.ElapsedMs();
-    stamp_counters(&trace);
-    result.trace.push_back(trace);
-
+    // Step (4b): user input.
     const std::vector<UserOracle::Answer> answers =
-        oracle->Provide(session.spec(), suggestion, inst.varmap);
+        oracle->Provide(session.spec(), *r.suggestion, inst.varmap);
     if (answers.empty()) break;  // user settles
 
     // Materialize the answers as a new tuple t_o that dominates every
@@ -161,7 +112,7 @@ Result<ResolveResult> Resolve(const Specification& se, UserOracle* oracle,
     for (const auto& ans : answers) {
       result.user_provided[ans.attr] = true;
     }
-    phase_start = session.solver_stats();
+    const sat::SolverStats phase_start = session.solver_stats();
     CCR_RETURN_NOT_OK(session.ExtendWith(ot));
     pending_extend_stats = session.solver_stats() - phase_start;
   }

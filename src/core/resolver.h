@@ -59,7 +59,7 @@ struct ResolveOptions {
   /// Borrowed (not owned) per-worker allocation pool the session
   /// recycles its solver and CNF buffers from, so back-to-back Resolve
   /// calls start warm (batch drivers resolving many entities on one
-  /// thread). Null = the session allocates privately. Results are
+  /// thread). Null = the session owns a fresh one. Results are
   /// bit-identical either way. The scratch must outlive the Resolve call
   /// and serve one resolution at a time.
   SessionScratch* scratch = nullptr;
@@ -79,9 +79,6 @@ struct RoundTrace {
   double validity_ms = 0;
   double deduce_ms = 0;
   double suggest_ms = 0;
-  /// Assumption-carrying solver calls this round (validity and
-  /// NaiveDeduce solve only on a non-Horn formula).
-  int64_t num_assumption_solves = 0;
   /// Per-phase session-solver statistics deltas (conflicts, binary
   /// propagations, glue sums, learnt-tier and inprocessing counters).
   /// `encode_solver` covers the extension that produced this round —

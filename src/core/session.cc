@@ -56,21 +56,14 @@ DeduceScratch* SessionScratch::AcquireDeduceScratch() {
 }
 
 void ResolutionSession::AdoptScratchObjects() {
-  if (options_.scratch != nullptr) {
-    inst_ = options_.scratch->AcquireInstantiation();
-    cnf_ = options_.scratch->AcquireCnf();
-    solver_ = options_.scratch->AcquireSolver(options_.solver);
-    owned_inst_.reset();
-    owned_cnf_.reset();
-    owned_solver_.reset();
-  } else {
-    owned_inst_ = std::make_unique<Instantiation>();
-    owned_cnf_ = std::make_unique<sat::Cnf>();
-    owned_solver_ = std::make_unique<sat::Solver>(options_.solver);
-    inst_ = owned_inst_.get();
-    cnf_ = owned_cnf_.get();
-    solver_ = owned_solver_.get();
+  SessionScratch* scratch = options_.scratch;
+  if (scratch == nullptr) {
+    owned_scratch_ = std::make_unique<SessionScratch>();
+    scratch = owned_scratch_.get();
   }
+  inst_ = scratch->AcquireInstantiation();
+  cnf_ = scratch->AcquireCnf();
+  solver_ = scratch->AcquireSolver(options_.solver);
 }
 
 Result<ResolutionSession> ResolutionSession::Create(
@@ -83,7 +76,7 @@ Result<ResolutionSession> ResolutionSession::Create(
   CCR_RETURN_NOT_OK(
       Instantiation::BuildInto(s.spec_, s.inst_, SessionGroundingOptions()));
   BuildCnfInto(*s.inst_, s.cnf_);
-  s.FeedSolver();
+  CCR_RETURN_NOT_OK(s.FeedSolver());
   // Inprocessing cadence: the freshly built Φ(Se) is the baseline; each
   // sweep an ExtendWith schedules vivifies and backward-subsumes exactly
   // the clauses appended since the previous one against the whole
@@ -101,9 +94,16 @@ Result<ResolutionSession> ResolutionSession::Create(
   return s;
 }
 
-void ResolutionSession::FeedSolver() {
+Status ResolutionSession::FeedSolver() {
   solver_->AddCnfFrom(*cnf_, fed_clauses_);
   fed_clauses_ = cnf_->num_clauses();
+  // Every phase decides Φ(Se) by propagation, which is exact only on a
+  // Horn formula. The solver counts positive literals as clauses arrive,
+  // so on a Horn formula this is O(1).
+  if (!solver_->ProblemIsHorn()) {
+    return Status::Internal("the encoding of Se is not a Horn formula");
+  }
+  return Status::OK();
 }
 
 ValidityResult ResolutionSession::CheckValidity() {
@@ -123,6 +123,41 @@ Suggestion ResolutionSession::MakeSuggestion(
     const std::vector<int>& known_true) {
   return SuggestOnSolver(*inst_, solver_, inst_->guard_assumptions(),
                          candidates, known_true, options_.suggest);
+}
+
+SessionRound ResolutionSession::RunRound(bool want_suggestion) {
+  SessionRound out;
+  RoundTrace& trace = out.trace;
+  Timer timer;
+
+  // Step (1): validity.
+  sat::SolverStats phase_start = solver_->stats();
+  out.valid = CheckValidity().valid;
+  trace.validity_solver = solver_->stats() - phase_start;
+  trace.validity_ms = timer.ElapsedMs();
+  if (!out.valid) return out;
+
+  // Step (2): deduce true values.
+  timer.Restart();
+  phase_start = solver_->stats();
+  out.od = Deduce();
+  trace.deduce_solver = solver_->stats() - phase_start;
+  out.true_idx = ExtractTrueValueIndices(inst_->varmap, out.od);
+  trace.deduce_ms = timer.ElapsedMs();
+
+  // Step (3): done when every resolvable attribute has a true value.
+  for (const int idx : out.true_idx) trace.resolved_attrs += idx >= 0;
+  out.complete = trace.resolved_attrs >= CountResolvableAttrs(inst_->varmap);
+  if (out.complete || !want_suggestion) return out;
+
+  // Step (4a): the suggestion.
+  timer.Restart();
+  phase_start = solver_->stats();
+  out.candidates = CandidateValues(inst_->varmap, out.od);
+  out.suggestion = MakeSuggestion(out.candidates, out.true_idx);
+  trace.suggest_solver = solver_->stats() - phase_start;
+  trace.suggest_ms = timer.ElapsedMs();
+  return out;
 }
 
 Status ResolutionSession::ExtendWith(const PartialTemporalOrder& ot) {
@@ -147,7 +182,7 @@ Status ResolutionSession::ExtendWith(const PartialTemporalOrder& ot) {
   // case retires guards instead of demanding a rebuild.
   CCR_CHECK(!delta.needs_rebuild);
   ExtendCnf(*inst_, delta, cnf_);
-  FeedSolver();
+  CCR_RETURN_NOT_OK(FeedSolver());
   // New clauses (and retired-guard units) may have asserted fresh
   // top-level facts; fold them in before the next phase solves. Sweeping
   // the clauses they satisfy costs a pass over the whole database, so it

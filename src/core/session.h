@@ -27,15 +27,17 @@
 //   * It, the temporal instance, appended in place (TemporalInstance::
 //     Append) and truncated back when the grounding rejects the delta.
 //
-// Resolve() drives one session through every round; the class is public
-// so batch drivers, the service and benches can drive the phases
-// themselves and observe per-round encode costs and solver counters.
+// RunRound is the one definition of a round's phase sequence; Resolve()
+// and the service's ROUND both call it. The phases stay public so tests
+// and benches can drive them one by one and observe per-round encode
+// costs and solver counters.
 
 #ifndef CCR_CORE_SESSION_H_
 #define CCR_CORE_SESSION_H_
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/core/resolver.h"
@@ -55,7 +57,8 @@ namespace ccr {
 /// objects semantically reset to their freshly-constructed state
 /// (Solver::Reset, Cnf::Clear, Instantiation::BuildInto), so entity N+1
 /// reuses entity N's warm allocations while every result stays
-/// bit-identical to a scratch-free run.
+/// bit-identical to a session on a fresh scratch. A session created
+/// without one owns a private scratch.
 ///
 /// A scratch serves ONE live session at a time and must outlive it. Not
 /// thread-safe — use one scratch per worker thread.
@@ -99,10 +102,40 @@ class SessionScratch {
   int64_t solver_reuses_ = 0;
 };
 
+/// \brief One framework round on a session (Fig. 4, steps 1 to 4a): its
+/// verdicts and what each phase cost. Od and V(A) are returned, not freed
+/// inside RunRound: freed there, their blocks serve the caller's answer
+/// and extension, and the next round's Deduce and GetSug allocate from
+/// colder memory (7–9% slower Deduce and Suggest on NBA rounds).
+struct SessionRound {
+  bool valid = false;
+  /// Step (3): every resolvable attribute (CountResolvableAttrs) has a
+  /// true value. False when invalid.
+  bool complete = false;
+  /// Step (2): the deduced orders Od. Empty when invalid.
+  DeducedOrders od;
+  /// Per-attribute true value index into the VarMap domain, -1 when
+  /// unresolved (ExtractTrueValueIndices). Empty when invalid.
+  std::vector<int> true_idx;
+  /// V(A): the candidate values per attribute (CandidateValues) the
+  /// suggestion was made from. Empty when no suggestion was made.
+  std::vector<std::vector<int>> candidates;
+  /// Step (4a): present iff it was asked for and the round is valid but
+  /// incomplete.
+  std::optional<Suggestion> suggestion;
+  /// The round's phases: validity_ms; deduce_ms (Deduce plus true-value
+  /// extraction); suggest_ms (CandidateValues plus GetSug); the three
+  /// phase solver deltas; resolved_attrs. `round`, `encode_ms` and
+  /// `encode_solver` describe the extension that produced the round and
+  /// are left for the caller.
+  RoundTrace trace;
+};
+
 /// \brief Encode-once/solve-many pipeline state for one specification.
 class ResolutionSession {
  public:
-  /// Grounds and encodes `se` and loads the solver.
+  /// Grounds and encodes `se` and loads the solver. Fails with
+  /// Status::Internal if the encoding fed the solver a non-Horn clause.
   static Result<ResolutionSession> Create(const Specification& se,
                                           const ResolveOptions& options = {});
 
@@ -120,8 +153,17 @@ class ResolutionSession {
   Suggestion MakeSuggestion(const std::vector<std::vector<int>>& candidates,
                             const std::vector<int>& known_true);
 
+  /// Steps (1) to (4a) in order: validity; if valid, Deduce and the true
+  /// values; the stop test; and, if `want_suggestion` and the round is
+  /// incomplete, CandidateValues and MakeSuggestion. Resolve and the
+  /// service's ROUND both run their rounds through here, so the solver
+  /// sees the same call sequence from either, and snapshot replay
+  /// recreates a live session's solver state.
+  SessionRound RunRound(bool want_suggestion);
+
   /// Step (4b): Se ← Se ⊕ Ot. Always extends incrementally — CFD guards
-  /// absorb the one formerly non-append-only delta.
+  /// absorb the one formerly non-append-only delta. Fails with
+  /// Status::Internal if the extension fed the solver a non-Horn clause.
   Status ExtendWith(const PartialTemporalOrder& ot);
 
   const Specification& spec() const { return spec_; }
@@ -132,17 +174,12 @@ class ResolutionSession {
   double last_encode_ms() const { return last_encode_ms_; }
   /// ExtendWith calls (every one of them appends).
   int incremental_extensions() const { return incremental_extensions_; }
-  /// Assumption-carrying solves answered by the session solver so far.
-  /// Every pipeline phase decides the Horn Φ(Se) by propagation, so this
-  /// stays 0 unless a formula is non-Horn (validity and NaiveDeduce then
-  /// fall back to solves).
-  int64_t assumption_solves() const {
-    return solver_->stats().assumption_solves;
-  }
-  /// Cumulative statistics of the session solver. Resolve diffs these
+  /// Cumulative statistics of the session solver. RunRound diffs these
   /// around each phase call to stamp per-phase deltas (binary
   /// propagations, glue sums, tier/inprocessing counters) into the
-  /// RoundTrace.
+  /// RoundTrace. Every pipeline phase decides the Horn Φ(Se) by
+  /// propagation, so `assumption_solves` stays 0 unless a caller solves
+  /// on mutable_solver().
   const sat::SolverStats& solver_stats() const { return solver_->stats(); }
   /// The persistent session solver, read-only. Soak tests and the bench
   /// harness use it to watch the arena lifecycle (live vs peak words, GC
@@ -158,20 +195,19 @@ class ResolutionSession {
  private:
   ResolutionSession() = default;
 
-  /// Points solver_/cnf_/inst_ at fresh objects: the scratch's
-  /// recycled ones when options_.scratch is set, privately owned ones
-  /// otherwise.
-  /// All targets are heap-stable, so moving the session keeps them valid.
+  /// Points solver_/cnf_/inst_ at objects acquired from
+  /// options_.scratch, or from a private scratch the session owns when
+  /// that is null. All targets are heap-stable, so moving the session
+  /// keeps them valid.
   void AdoptScratchObjects();
 
-  /// Feeds the solver the cnf_ suffix it has not seen yet.
-  void FeedSolver();
+  /// Feeds the solver the cnf_ suffix it has not seen yet, and fails if
+  /// that made the formula non-Horn.
+  Status FeedSolver();
 
   ResolveOptions options_;
   Specification spec_;
-  std::unique_ptr<Instantiation> owned_inst_;  // null when scratch-backed
-  std::unique_ptr<sat::Cnf> owned_cnf_;        // null when scratch-backed
-  std::unique_ptr<sat::Solver> owned_solver_;  // null when scratch-backed
+  std::unique_ptr<SessionScratch> owned_scratch_;  // null when borrowed
   Instantiation* inst_ = nullptr;
   sat::Cnf* cnf_ = nullptr;
   sat::Solver* solver_ = nullptr;

@@ -2,8 +2,6 @@
 
 #include <vector>
 
-#include "src/common/status.h"
-
 namespace ccr {
 
 namespace {
@@ -41,30 +39,15 @@ void FillOrderBlock(const VarMap& vm, int a, int from, sat::Cnf* cnf) {
   }
 }
 
-// Φ(Se) is Horn: every clause has at most one positive literal. Rules
-// carry one positive head (none for a false head) behind negated body
-// atoms and guards, asymmetry clauses have none, transitivity one, and a
-// retired guard is a negative unit. Checks clauses [first, end) of `cnf`;
-// the order blocks' implicit ternaries are Horn by their shape.
-[[maybe_unused]] bool ClausesAreHorn(const sat::Cnf& cnf, int first) {
-  for (int c = first; c < cnf.num_clauses(); ++c) {
-    int positive = 0;
-    for (const sat::Lit l : cnf.clause(c)) positive += l.negated() ? 0 : 1;
-    if (positive > 1) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
-sat::Cnf BuildCnf(const Instantiation& inst, const CnfBuildOptions& options) {
+sat::Cnf BuildCnf(const Instantiation& inst) {
   sat::Cnf cnf;
-  BuildCnfInto(inst, &cnf, options);
+  BuildCnfInto(inst, &cnf);
   return cnf;
 }
 
-void BuildCnfInto(const Instantiation& inst, sat::Cnf* out,
-                  const CnfBuildOptions& options) {
+void BuildCnfInto(const Instantiation& inst, sat::Cnf* out) {
   const VarMap& vm = inst.varmap;
   sat::Cnf& cnf = *out;
   cnf.Clear();
@@ -81,26 +64,20 @@ void BuildCnfInto(const Instantiation& inst, sat::Cnf* out,
   // attribute a's; ExtendCnf relies on that numbering).
   for (int a = 0; a < vm.num_attrs(); ++a) {
     const int d = static_cast<int>(vm.domain(a).size());
-    if (options.asymmetry) {
-      for (int i = 0; i < d; ++i) {
-        for (int j = i + 1; j < d; ++j) {
-          cnf.AddBinary(sat::Lit::Neg(vm.VarOf(a, i, j)),
-                        sat::Lit::Neg(vm.VarOf(a, j, i)));
-        }
+    for (int i = 0; i < d; ++i) {
+      for (int j = i + 1; j < d; ++j) {
+        cnf.AddBinary(sat::Lit::Neg(vm.VarOf(a, i, j)),
+                      sat::Lit::Neg(vm.VarOf(a, j, i)));
       }
     }
-    if (options.transitivity) {
-      cnf.AddOrderBlock();
-      FillOrderBlock(vm, a, 0, &cnf);
-    }
+    cnf.AddOrderBlock();
+    FillOrderBlock(vm, a, 0, &cnf);
   }
-  CCR_DCHECK(ClausesAreHorn(cnf, 0));
 }
 
 void ExtendCnf(const Instantiation& inst, const InstantiationDelta& delta,
-               sat::Cnf* cnf, const CnfBuildOptions& options) {
+               sat::Cnf* cnf) {
   const VarMap& vm = inst.varmap;
-  [[maybe_unused]] const int first_clause = cnf->num_clauses();
   cnf->EnsureVars(vm.num_vars());
 
   // Retired CFD guards first: each unit permanently satisfies every clause
@@ -124,17 +101,14 @@ void ExtendCnf(const Instantiation& inst, const InstantiationDelta& delta,
     const int d0 = delta.old_domain_sizes[a];
     const int d = static_cast<int>(vm.domain(a).size());
     if (d == d0) continue;
-    if (options.asymmetry) {
-      for (int j = d0; j < d; ++j) {
-        for (int i = 0; i < j; ++i) {
-          cnf->AddBinary(sat::Lit::Neg(vm.VarOf(a, i, j)),
-                         sat::Lit::Neg(vm.VarOf(a, j, i)));
-        }
+    for (int j = d0; j < d; ++j) {
+      for (int i = 0; i < j; ++i) {
+        cnf->AddBinary(sat::Lit::Neg(vm.VarOf(a, i, j)),
+                       sat::Lit::Neg(vm.VarOf(a, j, i)));
       }
     }
-    if (options.transitivity) FillOrderBlock(vm, a, d0, cnf);
+    FillOrderBlock(vm, a, d0, cnf);
   }
-  CCR_DCHECK(ClausesAreHorn(*cnf, first_clause));
 }
 
 }  // namespace ccr

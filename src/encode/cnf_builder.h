@@ -10,9 +10,12 @@
 // is valid iff Φ(Se) is satisfiable (a consistent strict partial order
 // always extends to a total order).
 //
-// Φ(Se) is Horn: every clause has at most one positive literal. Debug
-// builds assert it over every explicit clause BuildCnfInto and ExtendCnf
-// emit; the implicit ternaries ¬x_ij ∨ ¬x_jk ∨ x_ik are Horn by shape.
+// Φ(Se) is Horn: every clause has at most one positive literal. Rules
+// carry one positive head (none for a false head) behind negated body
+// atoms and guards, asymmetry binaries have none, a retired guard is a
+// negative unit, and the implicit ternaries ¬x_ij ∨ ¬x_jk ∨ x_ik have
+// one. ResolutionSession checks it as each clause batch enters the
+// solver (Solver::ProblemIsHorn).
 
 #ifndef CCR_ENCODE_CNF_BUILDER_H_
 #define CCR_ENCODE_CNF_BUILDER_H_
@@ -22,25 +25,15 @@
 
 namespace ccr {
 
-/// Φ(Se) construction knobs.
-struct CnfBuildOptions {
-  /// Include the transitivity axioms (one order block per attribute).
-  /// Always on for semantic fidelity; exposed for the encoding
-  /// micro-benchmarks and tests.
-  bool transitivity = true;
-  /// Include the asymmetry axioms (x_ab -> ¬x_ba).
-  bool asymmetry = true;
-};
-
-/// Builds Φ(Se) over the variables of `inst.varmap`.
-sat::Cnf BuildCnf(const Instantiation& inst,
-                  const CnfBuildOptions& options = {});
+/// Builds Φ(Se) over the variables of `inst.varmap`: one clause per
+/// ground constraint, then per attribute a its asymmetry binaries and
+/// order block a.
+sat::Cnf BuildCnf(const Instantiation& inst);
 
 /// Builds Φ(Se) into `*cnf` (cleared first, keeping its buffer capacity).
 /// Identical output to BuildCnf; the out-parameter form lets a recycled
 /// formula (SessionScratch) be refilled without fresh allocations.
-void BuildCnfInto(const Instantiation& inst, sat::Cnf* cnf,
-                  const CnfBuildOptions& options = {});
+void BuildCnfInto(const Instantiation& inst, sat::Cnf* cnf);
 
 /// Appends to `cnf` exactly what Φ(Se ⊕ Ot) gains from an
 /// Instantiation::ExtendWith call: one unit per retired CFD guard
@@ -49,9 +42,9 @@ void BuildCnfInto(const Instantiation& inst, sat::Cnf* cnf,
 /// touch a newly added domain value, and the new rows and columns of the
 /// grown attributes' order blocks (existing entries keep their
 /// variables). `cnf` must be the formula previously built (and possibly
-/// already extended) from `inst`; `options` must match across all calls.
+/// already extended) from `inst`.
 void ExtendCnf(const Instantiation& inst, const InstantiationDelta& delta,
-               sat::Cnf* cnf, const CnfBuildOptions& options = {});
+               sat::Cnf* cnf);
 
 }  // namespace ccr
 

@@ -120,8 +120,8 @@ ExperimentResult RunExperiment(const Dataset& ds,
         ropts.max_rounds = options.max_rounds;
         // Never let a caller-set scratch leak through: one scratch shared
         // by several workers would be a data race (SessionScratch serves
-        // one resolution at a time); each worker uses its own or none.
-        ropts.scratch = options.reuse_allocations ? &scratch : nullptr;
+        // one resolution at a time); each worker uses its own.
+        ropts.scratch = &scratch;
         auto rr_or = Resolve(se, &oracle, ropts);
         if (rr_or.ok()) results[i] = std::move(rr_or).value();
       }

@@ -37,12 +37,6 @@ struct ExperimentOptions {
   /// so every thread count produces bit-identical ExperimentResults
   /// (timings aside).
   int num_threads = 1;
-  /// Cross-entity pooling: each worker thread keeps a SessionScratch so
-  /// entity N+1's session recycles entity N's warm solver/CNF allocations
-  /// instead of building them from cold. Results are bit-identical either
-  /// way (Solver::Reset restores the exact fresh state); the flag exists
-  /// for the bench_throughput A/B and regression tests.
-  bool reuse_allocations = true;
   ResolveOptions resolve;
 
   /// Fails closed on out-of-range knobs: max_rounds >= 0,

@@ -2232,7 +2232,7 @@ void Solver::GarbageCollect() {
 }
 
 void Solver::MaybeGarbageCollect() {
-  if (!options_.use_arena_gc || arena_dead_words_ == 0) return;
+  if (arena_dead_words_ == 0) return;
   if (static_cast<double>(arena_dead_words_) <=
       options_.gc_frac * static_cast<double>(arena_.size())) {
     return;

@@ -65,8 +65,8 @@ struct SolverOptions {
   /// watch lists, reason slots, the learnt list, the occurrence index — is
   /// rewritten. Triggered from Simplify() and after learnt-DB reductions;
   /// list and watcher order is preserved, so GC changes memory and time
-  /// only, never a verdict or a model.
-  bool use_arena_gc = true;
+  /// only, never a verdict or a model. 0 compacts at every chance; 1
+  /// never does (dead words never exceed the arena).
   double gc_frac = 0.25;
   /// Stochastic local search (WalkSAT) as a warm start: before CDCL
   /// search, a budgeted local-search pass (Solver::SeedFromLocalSearch)
@@ -108,7 +108,7 @@ struct SolverStats {
   /// search.
   int64_t model_cache_hits = 0;
   /// Arena garbage collections run, and the arena words they reclaimed
-  /// (use_arena_gc).
+  /// (gc_frac).
   int64_t gc_runs = 0;
   int64_t gc_reclaimed_words = 0;
   /// Top-level sweeps run: Simplify() calls, whether made directly or
@@ -429,7 +429,7 @@ class Solver {
   /// list, the occurrence index — is rewritten to the relocated
   /// references. (The cached-model pool holds no references, only
   /// per-variable values, so it survives untouched.) Runs automatically
-  /// under SolverOptions::use_arena_gc / gc_frac; public so tests and
+  /// under SolverOptions::gc_frac; public so tests and
   /// benches can force a relocation. Order inside every clause list and
   /// watch list is preserved, which makes the collection search-neutral:
   /// every later decision, propagation and verdict is identical to a run

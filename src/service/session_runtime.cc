@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "src/common/json.h"
-#include "src/core/deduce.h"
 
 namespace ccr {
 namespace service {
@@ -17,29 +16,19 @@ Result<ResolveOptions> MakeResolveOptions(const EngineConfig& engine,
 }
 
 RoundOutcome RunSessionRound(ResolutionSession* session) {
+  const SessionRound round = session->RunRound(/*want_suggestion=*/true);
   RoundOutcome outcome;
-  const ValidityResult validity = session->CheckValidity();
-  outcome.valid = validity.valid;
-  if (!validity.valid) return outcome;
-
+  outcome.valid = round.valid;
+  outcome.complete = round.complete;
   const VarMap& vm = session->instantiation().varmap;
-  const DeducedOrders od = session->Deduce();
-  const std::vector<int> true_idx = ExtractTrueValueIndices(vm, od);
-  int resolved_count = 0;
-  for (int a = 0; a < vm.num_attrs(); ++a) {
-    if (true_idx[a] >= 0) {
-      outcome.resolved.emplace_back(a, vm.domain(a)[true_idx[a]]);
-      ++resolved_count;
+  for (int a = 0; a < static_cast<int>(round.true_idx.size()); ++a) {
+    if (round.true_idx[a] >= 0) {
+      outcome.resolved.emplace_back(a, vm.domain(a)[round.true_idx[a]]);
     }
   }
-  outcome.complete = resolved_count >= CountResolvableAttrs(vm);
-  if (outcome.complete) return outcome;
+  if (!round.suggestion.has_value()) return outcome;
 
-  // Suggestion runs only when the round is incomplete — same as the
-  // framework loop. Replay makes the same calls, so a rehydrated solver's
-  // counters and phases follow the live session's.
-  const std::vector<std::vector<int>> candidates = CandidateValues(vm, od);
-  const Suggestion suggestion = session->MakeSuggestion(candidates, true_idx);
+  const Suggestion& suggestion = *round.suggestion;
   outcome.has_suggestion = true;
   outcome.suggested_attrs = suggestion.attrs;
   outcome.derivable_attrs = suggestion.derivable_attrs;

@@ -40,11 +40,10 @@ struct RoundOutcome {
 Result<ResolveOptions> MakeResolveOptions(const EngineConfig& engine,
                                           SessionScratch* scratch);
 
-/// Runs one round of the Fig. 4 pipeline against `session`, mirroring
-/// Resolve()'s per-round sequence exactly (validity; deduce + true-value
-/// extraction; completeness test; suggestion only when valid and
-/// incomplete). The solver call sequence is part of the replay contract:
-/// rehydration re-runs this function for every logged ROUND.
+/// Runs one round of the Fig. 4 pipeline against `session`
+/// (ResolutionSession::RunRound, asking for the suggestion) and renders
+/// its verdicts as values. Rehydration re-runs this function for every
+/// logged ROUND, so a replayed solver follows the live one.
 RoundOutcome RunSessionRound(ResolutionSession* session);
 
 /// Canonical single-line JSON for a round verdict — the bytes the

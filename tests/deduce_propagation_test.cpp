@@ -370,8 +370,7 @@ struct OneAttribute {
   sat::Lit Neg(int less, int more) const { return ~Pos(less, more); }
 };
 
-OneAttribute MakeOneAttribute(int values,
-                              const CnfBuildOptions& cnf_options = {}) {
+OneAttribute MakeOneAttribute(int values) {
   Schema schema = Schema::Make({"A"}).value();
   EntityInstance e(schema, "one-attribute");
   for (int v = 0; v < values; ++v) {
@@ -380,7 +379,7 @@ OneAttribute MakeOneAttribute(int values,
   Specification se;
   se.temporal = TemporalInstance(std::move(e));
   OneAttribute out{Instantiation::Build(se).value(), {}};
-  out.phi = BuildCnf(out.inst, cnf_options);
+  out.phi = BuildCnf(out.inst);
   return out;
 }
 
@@ -463,10 +462,18 @@ TEST(DeducePropagationTest, NaivePositiveCycleTakesTheFallback) {
   // Without the asymmetry binaries, x_ba and x_ab are both true in the
   // least model and Od rejects the second: the pair kept depends on the
   // recording order. NaiveDeduceShared must answer with the per-pair
-  // loop, which keeps a ≺ b, not the trail's b ≺ a.
-  CnfBuildOptions no_asymmetry;
-  no_asymmetry.asymmetry = false;
-  OneAttribute t = MakeOneAttribute(3, no_asymmetry);
+  // loop, which keeps a ≺ b, not the trail's b ≺ a. Φ always carries
+  // asymmetry, so this formula is the attribute's order block alone.
+  OneAttribute t = MakeOneAttribute(3);
+  const VarMap& vm = t.inst.varmap;
+  t.phi = sat::Cnf();
+  t.phi.EnsureVars(vm.num_vars());
+  t.phi.GrowOrderBlock(t.phi.AddOrderBlock(), 3);
+  for (int i = 0; i < 3; ++i) {
+    for (int j = 0; j < 3; ++j) {
+      if (i != j) t.phi.SetOrderVar(0, i, j, vm.VarOf(0, i, j));
+    }
+  }
   t.phi.AddUnit(t.Pos(1, 0));
   t.phi.AddUnit(t.Pos(0, 1));
   sat::Solver solver, reference;

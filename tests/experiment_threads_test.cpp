@@ -5,11 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "src/data/nba_generator.h"
 #include "src/data/person_generator.h"
 #include "src/eval/experiment.h"
+#include "src/eval/result_io.h"
 
 namespace ccr {
 namespace {
@@ -50,21 +52,30 @@ void ExpectThreadCountInvariance(const Dataset& ds) {
 }
 
 TEST(ExperimentThreadsTest, AllocationPoolingDoesNotChangeResults) {
-  // Cross-entity solver pooling (per-worker SessionScratch) must be
-  // invisible in the results at any thread count.
+  // Each worker recycles one SessionScratch across its entities. An entity
+  // resolved alone (on a fresh scratch) must serialize to the same bytes
+  // as the same entity resolved mid-batch on a recycled one.
   PersonOptions popts;
   popts.num_entities = 12;
   popts.max_tuples = 32;
   const Dataset ds = GeneratePerson(popts);
+  ResultJsonOptions json_opts;
+  json_opts.include_timings = false;
 
   ExperimentOptions opts;
   opts.max_rounds = 2;
-  opts.reuse_allocations = false;
-  const ExperimentResult cold = RunExperiment(ds, opts);
+  std::vector<ExperimentResult> alone;
+  for (int i = 0; i < static_cast<int>(ds.entities.size()); ++i) {
+    alone.push_back(RunExperiment(ds, opts, {i}));
+  }
+  auto merged = MergeExperimentResults(alone);
+  ASSERT_TRUE(merged.ok());
+  const std::string expected = ExperimentResultToJson(*merged, json_opts);
   for (int threads : {1, 4}) {
     opts.num_threads = threads;
-    opts.reuse_allocations = true;
-    ExpectSameExperiment(cold, RunExperiment(ds, opts), threads);
+    EXPECT_EQ(ExperimentResultToJson(RunExperiment(ds, opts), json_opts),
+              expected)
+        << "num_threads=" << threads;
   }
 }
 

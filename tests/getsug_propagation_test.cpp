@@ -309,7 +309,7 @@ int ExpectSessionsMatchReference(const std::string& kind, bool naive,
       EXPECT_TRUE(s->ExtendWith(ot).ok()) << where;
     }
     // The session decided every GetSug by propagation.
-    EXPECT_EQ(s->assumption_solves(), 0) << kind << " " << e;
+    EXPECT_EQ(s->solver_stats().assumption_solves, 0) << kind << " " << e;
   }
   return dropping;
 }

@@ -242,11 +242,12 @@ TEST(HornFastPathTest, SessionValidityMatchesFullSearchAcrossRounds) {
       DriveSession(ds, static_cast<int>(i), &rng, [&](ResolutionSession* s) {
         const std::vector<Lit>& guards =
             s->instantiation().guard_assumptions();
-        const int64_t solves = s->assumption_solves();
+        const int64_t solves = s->solver_stats().assumption_solves;
         const bool v = s->CheckValidity().valid;
         EXPECT_EQ(v, FullSearchValid(s->cnf(), guards)) << kind << " " << i;
         // Retired guards keep the live formula Horn.
-        EXPECT_EQ(s->assumption_solves(), solves) << kind << " " << i;
+        EXPECT_EQ(s->solver_stats().assumption_solves, solves)
+            << kind << " " << i;
         valid += v ? 1 : 0;
       });
     }
@@ -278,11 +279,11 @@ TEST(HornFastPathTest, SessionValidityAfterContradictingAnswer) {
       session->spec(), {{0, Value::Str("a1")}, {1, Value::Str("b2")}});
   ASSERT_TRUE(delta.ok());
   ASSERT_TRUE(session->ExtendWith(*delta).ok());
-  const int64_t solves = session->assumption_solves();
+  const int64_t solves = session->solver_stats().assumption_solves;
   EXPECT_FALSE(session->CheckValidity().valid);
   EXPECT_FALSE(FullSearchValid(session->cnf(),
                                session->instantiation().guard_assumptions()));
-  EXPECT_EQ(session->assumption_solves(), solves);
+  EXPECT_EQ(session->solver_stats().assumption_solves, solves);
 }
 
 // --- (b) append-only Deduce index -------------------------------------
@@ -488,9 +489,10 @@ TEST(HornFastPathTest, PhiIsHornAndSessionsNeverSearchForValidity) {
         Solver fed;
         fed.AddCnf(s->cnf().Materialized());
         EXPECT_TRUE(fed.ProblemIsHorn()) << kind << " " << i;
-        const int64_t solves = s->assumption_solves();
+        const int64_t solves = s->solver_stats().assumption_solves;
         const ValidityResult v = s->CheckValidity();
-        EXPECT_EQ(s->assumption_solves(), solves) << kind << " " << i;
+        EXPECT_EQ(s->solver_stats().assumption_solves, solves)
+            << kind << " " << i;
         EXPECT_EQ(v.solver_conflicts, 0) << kind << " " << i;
         ++checks;
       });

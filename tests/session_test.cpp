@@ -748,27 +748,27 @@ TEST(SessionSuggestEquivalenceTest, PersonMultiRound) {
 
 TEST(ResolutionSessionTest, AssumptionSolvesAreCounted) {
   // Guarded CFD sessions query the solver under assumptions; the counter
-  // must reflect every solve so RoundTrace attribution works. Over the
+  // must reflect every solve so the per-phase deltas are right. Over the
   // Horn formula validity, Deduce and GetSug are all decided by
   // propagation under the guards, with no solve at all.
   auto session = ResolutionSession::Create(CfdSpec());
   ASSERT_TRUE(session.ok());
-  EXPECT_EQ(session->assumption_solves(), 0);
+  EXPECT_EQ(session->solver_stats().assumption_solves, 0);
   EXPECT_TRUE(session->CheckValidity().valid);
-  EXPECT_EQ(session->assumption_solves(), 0);
+  EXPECT_EQ(session->solver_stats().assumption_solves, 0);
   const VarMap& vm = session->instantiation().varmap;
   const DeducedOrders od = session->Deduce();
   const Suggestion sug = session->MakeSuggestion(
       CandidateValues(vm, od), ExtractTrueValueIndices(vm, od));
   EXPECT_FALSE(sug.attrs.empty());
   EXPECT_FALSE(sug.clique_rules.empty());  // GetSug had rules to check
-  EXPECT_EQ(session->assumption_solves(), 0);
+  EXPECT_EQ(session->solver_stats().assumption_solves, 0);
   EXPECT_GT(session->solver_stats().suggest_probes, 0);
   // The per-pair Lemma-6 loop still solves, under the same guards.
   const Instantiation& inst = session->instantiation();
   (void)Lemma6DeduceShared(inst, session->mutable_solver(),
                            inst.guard_assumptions());
-  EXPECT_GT(session->assumption_solves(), 0);  // guarded solves
+  EXPECT_GT(session->solver_stats().assumption_solves, 0);  // guarded solves
 }
 
 TEST(ResolutionSessionTest, ValidityConflictsArePerCallDelta) {

@@ -82,11 +82,12 @@ SoakOutcome RunSoak(const Specification& spec,
   SoakOutcome out;
   ResolveOptions opts;
   opts.naive_deduce = true;  // Lemma-6 probes on the persistent solver
-  opts.solver.use_arena_gc = lifecycle_on;
   // The answer-round dead fraction plateaus near ~20% of the arena, so
   // the production trigger (0.25) would coast at this scale; 0.10 makes
-  // the collector genuinely run. `eager` compacts at every opportunity.
-  if (lifecycle_on) opts.solver.gc_frac = eager ? 0.0 : 0.10;
+  // the collector genuinely run. `eager` compacts at every opportunity,
+  // and off (1) never does.
+  opts.solver.gc_frac = eager ? 0.0 : 0.10;
+  if (!lifecycle_on) opts.solver.gc_frac = 1.0;
   auto session = ResolutionSession::Create(spec, opts);
   if (!session.ok()) return out;
 
@@ -248,18 +249,17 @@ TEST(SessionSoakTest, ExperimentBytesAreIdenticalAcrossLifecycleConfigs) {
   ResultJsonOptions json_opts;
   json_opts.include_timings = false;
 
-  auto run = [&](bool lifecycle_on, double gc_frac) {
+  auto run = [&](double gc_frac) {
     ExperimentOptions eopts;
     eopts.max_rounds = 3;
     eopts.answers_per_round = 1;
-    eopts.resolve.solver.use_arena_gc = lifecycle_on;
     eopts.resolve.solver.gc_frac = gc_frac;
     return ExperimentResultToJson(RunExperiment(ds, eopts), json_opts);
   };
 
-  const std::string off = run(false, 0.25);
-  const std::string defaults = run(true, 0.25);
-  const std::string eager = run(true, 0.0);
+  const std::string off = run(1.0);
+  const std::string defaults = run(0.25);
+  const std::string eager = run(0.0);
   EXPECT_EQ(defaults, off);
   EXPECT_EQ(eager, off);
 }

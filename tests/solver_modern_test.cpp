@@ -99,8 +99,10 @@ TEST(DeepMinimizationTest, LearntClausesStayImplied) {
   Rng rng(0xD1CE);
   int checked = 0;
   // Random near-threshold 3-SAT plus pigeonhole instances — the latter
-  // guarantee a conflict-heavy search with a meaty learnt DB.
-  for (int round = 0; round < 46; ++round) {
+  // guarantee a conflict-heavy search with a meaty learnt DB. The last,
+  // 8 pigeons in 7 holes, is the smallest that passes 1000 learnt
+  // clauses, so its search also runs learnt-DB reductions.
+  for (int round = 0; round < 45; ++round) {
     sat::Cnf cnf;
     if (round < 40) {
       const int n_vars = 8 + static_cast<int>(rng.Below(8));
@@ -116,7 +118,7 @@ TEST(DeepMinimizationTest, LearntClausesStayImplied) {
         cnf.AddClause(std::span<const Lit>(clause.data(), clause.size()));
       }
     } else {
-      const int holes = 3 + (round - 40);  // 3..8
+      const int holes = 3 + (round - 40);  // 3..7
       const int pigeons = holes + 1;
       auto var = [&](int p, int h) { return p * holes + h; };
       for (int p = 0; p < pigeons; ++p) {
@@ -247,7 +249,7 @@ TEST(ModelCacheTest, WitnessReuseAnswersWithoutSearch) {
 
 TEST(ArenaGcTest, CompactionReclaimsDeadWordsAndKeepsAnswers) {
   SolverOptions gc_opts;
-  gc_opts.use_arena_gc = false;  // hold the trigger; collect by hand below
+  gc_opts.gc_frac = 1.0;  // hold the trigger; collect by hand below
   Solver s(gc_opts);
   const int n = 64;
   std::vector<Var> v(n);
@@ -473,11 +475,12 @@ TEST(SweepScheduleTest, ResetClearsTheSchedule) {
 // whole suite compiles with -fstrict-aliasing, so a type-punning
 // regression in ClauseActivity/SetClauseActivity is UB the optimizer is
 // entitled to exploit — this test gives it a dense workload to exploit
-// it on.
+// it on. 8 pigeons in 7 holes is the smallest pigeonhole instance whose
+// search passes 1000 learnt clauses and so deletes by activity.
 TEST(ClauseActivityTest, ActivityDrivenDeletionSurvivesStrictAliasing) {
   Solver s;
   sat::Cnf cnf;
-  const int holes = 9, pigeons = 10;
+  const int holes = 7, pigeons = 8;
   auto var = [&](int p, int h) { return p * holes + h; };
   for (int p = 0; p < pigeons; ++p) {
     std::vector<Lit> clause;

@@ -44,7 +44,6 @@ struct CliOptions {
   double gamma_fraction = 1.0;
   std::string deduce = "fast";     // fast (default) | naive (Lemma 6)
   bool include_timings = true;
-  bool reuse_allocations = true;
   bool solver_stats = false;
   std::string out = "-";
   bool merge_mode = false;
@@ -80,7 +79,6 @@ void PrintUsage(std::FILE* to) {
                "                    solves, model-cache, inprocessing,\n"
                "                    Deduce probe/fallback and GetSug\n"
                "                    probe counters) on stderr\n"
-               "  --no-reuse        disable cross-entity solver pooling\n"
                "\n"
                "Common flags:\n"
                "  --out FILE        output path, '-' = stdout (default)\n"
@@ -133,11 +131,6 @@ int ParseArgs(int argc, char** argv, CliOptions* opts) {
     }
     if (arg == "--no-timings") {
       opts->include_timings = false;
-      in_merge_list = false;
-      continue;
-    }
-    if (arg == "--no-reuse") {
-      opts->reuse_allocations = false;
       in_merge_list = false;
       continue;
     }
@@ -373,7 +366,6 @@ int RunShard(const CliOptions& o) {
   eopts.sigma_fraction = o.sigma_fraction;
   eopts.gamma_fraction = o.gamma_fraction;
   eopts.num_threads = o.threads;
-  eopts.reuse_allocations = o.reuse_allocations;
   eopts.resolve.naive_deduce = o.deduce == "naive";
   const std::vector<int> indices = ShardIndices(
       static_cast<int>(ds.entities.size()), o.shard, o.num_shards);
