@@ -243,9 +243,10 @@ void BM_SessionDeduceOrder(benchmark::State& state) {
   const Dataset ds = PersonForBench(static_cast<int>(state.range(0)));
   auto session = ResolutionSession::Create(ds.MakeSpec(0));
   const Instantiation& inst = session->instantiation();
+  const sat::Cnf phi = BuildCnf(inst);
   DeduceScratch scratch;
   for (auto _ : state) {
-    const DeducedOrders od = DeduceOrder(inst, session->cnf(), {},
+    const DeducedOrders od = DeduceOrder(inst, phi, {},
                                          inst.guard_assumptions(), &scratch);
     benchmark::DoNotOptimize(od.CountPairs());
   }

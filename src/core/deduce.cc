@@ -3,6 +3,8 @@
 #include <span>
 #include <vector>
 
+#include "src/encode/cnf_builder.h"
+
 namespace ccr {
 
 int DeducedOrders::CountPairs() const {
@@ -201,7 +203,7 @@ DeducedOrders DeduceOrder(const Instantiation& inst, const sat::Cnf& phi,
 }
 
 DeducedOrders DeduceOrderShared(const Instantiation& inst,
-                                const sat::Cnf& phi, sat::Solver* solver,
+                                sat::Solver* solver,
                                 const DeduceOptions& options,
                                 std::span<const sat::Lit> guards) {
   // The probe propagates exactly what DeduceOrder propagates only while
@@ -216,7 +218,7 @@ DeducedOrders DeduceOrderShared(const Instantiation& inst,
     }
   }
   solver->RecordDeduceProbe(0, true);
-  return DeduceOrder(inst, phi, options, guards);
+  return DeduceOrder(inst, BuildCnf(inst), options, guards);
 }
 
 DeducedOrders NaiveDeduce(const Instantiation& inst, const sat::Cnf& phi,

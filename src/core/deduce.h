@@ -116,15 +116,18 @@ DeducedOrders DeduceOrder(const Instantiation& inst, const sat::Cnf& phi,
                           std::span<const sat::Lit> assume = {},
                           DeduceScratch* scratch = nullptr);
 
-/// DeduceOrder on a caller-owned solver already holding `phi`'s clauses
+/// DeduceOrder on a caller-owned solver already holding Φ(Se)'s clauses
 /// (the ResolutionSession's): one propagation probe under `guards`,
 /// extended by the totality rule in paper mode, with Od read off its
-/// trail. Equal to DeduceOrder(inst, phi, options, guards), which it
-/// calls as its fallback (see the file comment). Must be called at
-/// decision level 0. SolverStats::deduce_probes / deduce_fallbacks count
-/// its probes and fallbacks.
+/// trail. Equal to DeduceOrder(inst, BuildCnf(inst), options, guards),
+/// which it calls as its fallback (see the file comment). The fallback
+/// builds Φ afresh, so it lacks the units ¬g a session asserted for its
+/// retired guards g; under the live `guards` a retired guard's clauses
+/// can derive only ¬g, a variable Od never reads, so Od is the same.
+/// Must be called at decision level 0. SolverStats::deduce_probes /
+/// deduce_fallbacks count its probes and fallbacks.
 DeducedOrders DeduceOrderShared(const Instantiation& inst,
-                                const sat::Cnf& phi, sat::Solver* solver,
+                                sat::Solver* solver,
                                 const DeduceOptions& options = {},
                                 std::span<const sat::Lit> guards = {});
 

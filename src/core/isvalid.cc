@@ -11,9 +11,15 @@ ValidityResult IsValidCnf(const sat::Cnf& phi,
 
 ValidityResult IsValidShared(sat::Solver* solver, const sat::Cnf& phi,
                              std::span<const sat::Lit> assumptions) {
-  ValidityResult result;
+  ValidityResult result = IsValidShared(solver, assumptions);
   result.num_vars = phi.num_vars();
   result.num_clauses = phi.num_clauses() + phi.num_implicit_clauses();
+  return result;
+}
+
+ValidityResult IsValidShared(sat::Solver* solver,
+                             std::span<const sat::Lit> assumptions) {
+  ValidityResult result;
   // Propagation first (see the header): a conflict refutes the
   // assumptions, and a quiet fixpoint over a Horn formula is a model.
   if (!solver->BeginProbe(assumptions)) return result;

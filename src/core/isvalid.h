@@ -58,7 +58,7 @@ ValidityResult IsValidCnf(const sat::Cnf& phi,
 /// path is decided by propagation alone: no assumption solve, no model.
 ///
 /// The transitivity axioms are not clauses of the solver but order
-/// blocks (sat::Cnf), and the argument still holds: each implicit
+/// blocks (sat::OrderBlock), and the argument still holds: each implicit
 /// ternary ¬x_ij ∨ ¬x_jk ∨ x_ik is Horn, and the solver's closure
 /// propagator applies exactly its unit rules, so a conflict-free fixpoint
 /// leaves every ternary satisfied or with two open literals, one of them
@@ -67,7 +67,13 @@ ValidityResult IsValidCnf(const sat::Cnf& phi,
 /// model of the materialized Φ(Se) as well.
 /// `solver_conflicts` reports this call's delta, not the cumulative count,
 /// so per-phase attribution survives solver sharing (0 when propagation
-/// decided).
+/// decided). The size fields stay 0: the solver holds no formula to count
+/// (the session's path).
+ValidityResult IsValidShared(sat::Solver* solver,
+                             std::span<const sat::Lit> assumptions = {});
+
+/// IsValidShared, with the size fields filled from `phi`, the formula the
+/// solver was loaded with.
 ValidityResult IsValidShared(sat::Solver* solver, const sat::Cnf& phi,
                              std::span<const sat::Lit> assumptions = {});
 

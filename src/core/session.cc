@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "src/common/timer.h"
+#include "src/encode/cnf_builder.h"
 
 namespace ccr {
 
@@ -15,6 +16,16 @@ InstantiationOptions SessionGroundingOptions() {
   InstantiationOptions opts;
   opts.guard_cfds = true;
   return opts;
+}
+
+// Every phase decides Φ(Se) by propagation, which is exact only on a Horn
+// formula. The solver counts positive literals as clauses arrive, so on a
+// Horn formula this is O(1).
+Status HornCheck(sat::Solver* solver) {
+  if (!solver->ProblemIsHorn()) {
+    return Status::Internal("the encoding of Se is not a Horn formula");
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -62,7 +73,6 @@ void ResolutionSession::AdoptScratchObjects() {
     scratch = owned_scratch_.get();
   }
   inst_ = scratch->AcquireInstantiation();
-  cnf_ = scratch->AcquireCnf();
   solver_ = scratch->AcquireSolver(options_.solver);
 }
 
@@ -75,8 +85,8 @@ Result<ResolutionSession> ResolutionSession::Create(
   s.AdoptScratchObjects();
   CCR_RETURN_NOT_OK(
       Instantiation::BuildInto(s.spec_, s.inst_, SessionGroundingOptions()));
-  BuildCnfInto(*s.inst_, s.cnf_);
-  CCR_RETURN_NOT_OK(s.FeedSolver());
+  LoadSolver(*s.inst_, s.solver_);
+  CCR_RETURN_NOT_OK(HornCheck(s.solver_));
   // Inprocessing cadence: the freshly built Φ(Se) is the baseline; each
   // sweep an ExtendWith schedules vivifies and backward-subsumes exactly
   // the clauses appended since the previous one against the whole
@@ -94,27 +104,15 @@ Result<ResolutionSession> ResolutionSession::Create(
   return s;
 }
 
-Status ResolutionSession::FeedSolver() {
-  solver_->AddCnfFrom(*cnf_, fed_clauses_);
-  fed_clauses_ = cnf_->num_clauses();
-  // Every phase decides Φ(Se) by propagation, which is exact only on a
-  // Horn formula. The solver counts positive literals as clauses arrive,
-  // so on a Horn formula this is O(1).
-  if (!solver_->ProblemIsHorn()) {
-    return Status::Internal("the encoding of Se is not a Horn formula");
-  }
-  return Status::OK();
-}
-
 ValidityResult ResolutionSession::CheckValidity() {
-  return IsValidShared(solver_, *cnf_, inst_->guard_assumptions());
+  return IsValidShared(solver_, inst_->guard_assumptions());
 }
 
 DeducedOrders ResolutionSession::Deduce() {
   if (options_.naive_deduce) {
     return NaiveDeduceShared(*inst_, solver_, inst_->guard_assumptions());
   }
-  return DeduceOrderShared(*inst_, *cnf_, solver_, options_.deduce,
+  return DeduceOrderShared(*inst_, solver_, options_.deduce,
                            inst_->guard_assumptions());
 }
 
@@ -170,7 +168,6 @@ Status ResolutionSession::ExtendWith(const PartialTemporalOrder& ot) {
   // No phase allocates solver variables, so the VarMap names every one
   // and this round's atom and guard variables get fresh ids.
   CCR_CHECK(solver_->num_vars() <= inst_->varmap.num_vars());
-  cnf_->EnsureVars(inst_->varmap.num_vars());
   Result<InstantiationDelta> extended =
       inst_->ExtendWith(spec_, ot, SessionGroundingOptions());
   if (!extended.ok()) {
@@ -181,8 +178,8 @@ Status ResolutionSession::ExtendWith(const PartialTemporalOrder& ot) {
   // Guarded grounding expresses every delta append-only — the LHS-growth
   // case retires guards instead of demanding a rebuild.
   CCR_CHECK(!delta.needs_rebuild);
-  ExtendCnf(*inst_, delta, cnf_);
-  CCR_RETURN_NOT_OK(FeedSolver());
+  ExtendSolver(*inst_, delta, solver_);
+  CCR_RETURN_NOT_OK(HornCheck(solver_));
   // New clauses (and retired-guard units) may have asserted fresh
   // top-level facts; fold them in before the next phase solves. Sweeping
   // the clauses they satisfy costs a pass over the whole database, so it
@@ -193,8 +190,7 @@ Status ResolutionSession::ExtendWith(const PartialTemporalOrder& ot) {
   // schedule point: it marks dead clauses and ends by compacting the
   // arena once the dead fraction crosses SolverOptions::gc_frac — which
   // is what keeps a multi-hundred-round session's solver memory
-  // proportional to its live clause set. (perfbench's traced drive still
-  // runs the full Simplify() here and times it as sat.simplify.)
+  // proportional to its live clause set.
   solver_->MaybeSimplify();
   // Re-seed from local search: the phases still hold (near) the previous
   // round's model, so a short pass usually repairs it against the delta

@@ -11,9 +11,11 @@
 //     attribute — extends incrementally: the stale version's guard is
 //     asserted off and re-grounded guarded rules are appended. Sessions
 //     never rebuild.
-//   * Φ(Se): the CNF, extended append-only (ExtendCnf);
-//   * one incremental CDCL solver holding Φ's clauses plus everything it
-//     learnt. Every phase queries it under assumptions: validity and both
+//   * one incremental CDCL solver holding Φ(Se) plus everything it
+//     learnt. Φ is never materialized: one encoding pass over Ω(Se)
+//     loads it (LoadSolver), and each extension feeds the solver only
+//     what the delta adds (ExtendSolver), so the session holds no
+//     sat::Cnf. Every phase queries it under assumptions: validity and both
 //     Deduce pipelines open a propagation probe on the active CFD guards
 //     (DeduceOrderShared extends it by the totality rule and reads Od off
 //     its trail), and GetSug searches kept sets over probes extended
@@ -68,7 +70,9 @@ class SessionScratch {
   /// previous session already grew one.
   sat::Solver* AcquireSolver(const sat::SolverOptions& options);
 
-  /// An empty CNF, recycled with its pool capacity intact.
+  /// An empty CNF, recycled with its pool capacity intact. Sessions load
+  /// their solver without one; perfbench's traced drive, which times the
+  /// CNF build and the solver feed apart, still builds one.
   sat::Cnf* AcquireCnf();
 
   /// An Instantiation arena for BuildInto: projection tables, index slots
@@ -168,7 +172,6 @@ class ResolutionSession {
 
   const Specification& spec() const { return spec_; }
   const Instantiation& instantiation() const { return *inst_; }
-  const sat::Cnf& cnf() const { return *cnf_; }
 
   /// Wall time the last Create/ExtendWith spent grounding + encoding (ms).
   double last_encode_ms() const { return last_encode_ms_; }
@@ -195,23 +198,16 @@ class ResolutionSession {
  private:
   ResolutionSession() = default;
 
-  /// Points solver_/cnf_/inst_ at objects acquired from
-  /// options_.scratch, or from a private scratch the session owns when
-  /// that is null. All targets are heap-stable, so moving the session
-  /// keeps them valid.
+  /// Points solver_/inst_ at objects acquired from options_.scratch, or
+  /// from a private scratch the session owns when that is null. All
+  /// targets are heap-stable, so moving the session keeps them valid.
   void AdoptScratchObjects();
-
-  /// Feeds the solver the cnf_ suffix it has not seen yet, and fails if
-  /// that made the formula non-Horn.
-  Status FeedSolver();
 
   ResolveOptions options_;
   Specification spec_;
   std::unique_ptr<SessionScratch> owned_scratch_;  // null when borrowed
   Instantiation* inst_ = nullptr;
-  sat::Cnf* cnf_ = nullptr;
   sat::Solver* solver_ = nullptr;
-  int fed_clauses_ = 0;  // prefix of cnf_ already in the solver
   double last_encode_ms_ = 0;
   int incremental_extensions_ = 0;
 };

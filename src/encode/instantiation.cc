@@ -426,6 +426,12 @@ Result<InstantiationDelta> Instantiation::ExtendWith(
         "ExtendWith: extended_se does not extend the grounded "
         "specification by exactly delta's tuples");
   }
+  if (ie.size() > kMaxTuples) {
+    return Status::ResourceExhausted(
+        "ExtendWith: the delta brings the entity past the formula size "
+        "limit of " +
+        std::to_string(kMaxTuples) + " tuples");
+  }
   const RuleSet& rules = *rules_;
 
   // --- plan: which domain values would the delta introduce? --------------
@@ -495,9 +501,9 @@ Result<InstantiationDelta> Instantiation::ExtendWith(
   // *strengthens* every emitted rule body for that CFD (the pattern must
   // now dominate the new value too), and clauses cannot be retracted.
   // Unguarded grounding must bail out and rebuild. Guarded grounding
-  // instead retires the affected CFDs' guards — ExtendCnf asserts them
-  // off — and re-grounds those CFDs below under fresh guards, keeping the
-  // whole extension append-only.
+  // instead retires the affected CFDs' guards — the encoding pass asserts
+  // them off — and re-grounds those CFDs below under fresh guards, keeping
+  // the whole extension append-only.
   InstantiationDelta out;
   std::vector<int> retired_cfds;
   for (const auto& p : pending) {
@@ -514,9 +520,10 @@ Result<InstantiationDelta> Instantiation::ExtendWith(
   retired_cfds.erase(std::unique(retired_cfds.begin(), retired_cfds.end()),
                      retired_cfds.end());
 
-  // Fail closed before anything is applied: the appended values' order
-  // atoms (two per existing value) and the fresh guards must stay within
-  // the solver's variable range.
+  // Fail closed before anything is applied: the grown domains must stay
+  // within the formula size limit (Σ d², as VarMap::BuildFrom counts it),
+  // and the appended values' order atoms (two per existing value) plus
+  // the fresh guards within the solver's variable range.
   int64_t added_vars =
       static_cast<int64_t>(retired_cfds.size() + newly_applicable.size());
   std::vector<int64_t> grown(n_attrs, 0);
@@ -524,14 +531,25 @@ Result<InstantiationDelta> Instantiation::ExtendWith(
     added_vars += 2 * (static_cast<int64_t>(varmap.domain(p.attr).size()) +
                        grown[p.attr]++);
   }
+  int64_t order_vars = 0;
+  for (int a = 0; a < n_attrs; ++a) {
+    const int64_t d =
+        static_cast<int64_t>(varmap.domain(a).size()) + grown[a];
+    order_vars += d * d;
+  }
+  if (order_vars > kMaxOrderVars) {
+    return Status::ResourceExhausted(
+        "ExtendWith: the delta's order variables exceed the formula size "
+        "limit of " +
+        std::to_string(kMaxOrderVars));
+  }
   if (varmap.num_vars() + added_vars > sat::kMaxVars) {
     return Status::ResourceExhausted(
-        "ExtendWith: the delta's order variables exceed the solver's range");
+        "ExtendWith: the delta's variables exceed the solver's range");
   }
 
   // --- apply --------------------------------------------------------------
   out.first_new_constraint = static_cast<int>(constraints.size());
-  out.old_num_vars = varmap.num_vars();
   out.old_domain_sizes.resize(n_attrs);
   for (int a = 0; a < n_attrs; ++a) {
     out.old_domain_sizes[a] =

@@ -123,8 +123,8 @@ struct InstantiationOptions {
   bool guard_cfds = false;
 };
 
-/// \brief What an ExtendWith call changed — consumed by ExtendCnf to
-/// append exactly the matching clauses.
+/// \brief What an ExtendWith call changed — consumed by the encoding pass
+/// (ExtendSolver, ExtendCnf) to add exactly the matching clauses.
 struct InstantiationDelta {
   /// True when the delta cannot be grounded append-only (a new domain
   /// value landed in the LHS attribute of an already-grounded CFD, which
@@ -138,10 +138,8 @@ struct InstantiationDelta {
   /// Per-attribute domain sizes before the extension (new values have
   /// indices past these).
   std::vector<int> old_domain_sizes;
-  /// Variable count before the extension.
-  int old_num_vars = 0;
   /// Guards of CFD versions invalidated by this delta (their LHS domain
-  /// grew). ExtendCnf asserts each one off with a permanent unit clause;
+  /// grew). The encoding pass asserts each one off with a permanent unit;
   /// the re-grounded replacement rules are among the new constraints.
   std::vector<sat::Var> retired_guards;
 };
@@ -176,7 +174,7 @@ struct Instantiation {
   /// Active CFD guard literals (guarded grounding only; empty otherwise).
   /// Every solve or unit-propagation pass over the guarded CNF must
   /// assume these true — a retired guard is instead asserted off inside
-  /// the formula by ExtendCnf.
+  /// the formula by the encoding pass (ExtendSolver, ExtendCnf).
   const std::vector<sat::Lit>& guard_assumptions() const {
     return active_guards_;
   }

@@ -63,6 +63,14 @@ Status VarMap::BuildFrom(const Specification& se) {
         "rule set names attribute " + std::to_string(rules.max_attr()) +
         " of a schema with " + std::to_string(n_attrs) + " attributes");
   }
+  if (n_attrs > kMaxAttrs || inst.size() > kMaxTuples) {
+    return Status::ResourceExhausted(
+        "the entity exceeds the formula size limits: " +
+        std::to_string(inst.size()) + " tuples of " +
+        std::to_string(n_attrs) + " attributes (at most " +
+        std::to_string(kMaxTuples) + " and " + std::to_string(kMaxAttrs) +
+        ")");
+  }
 
   // Clear-in-place: inner vectors keep their buffers so a recycled VarMap
   // (SessionScratch's Instantiation arena) refills warm, and every table
@@ -115,17 +123,16 @@ Status VarMap::BuildFrom(const Specification& se) {
 
   // d² slots per attribute (diagonal unused, but decode stays O(1)),
   // summed wide: one attribute of 46,341 values already overflows int.
-  // The bound is sat::kMaxVars, not INT32_MAX: a literal packs 2*var+sign
-  // into an int32_t, so 32,768 values of one attribute are too many.
   int64_t total = 0;
   for (int a = 0; a < n_attrs; ++a) {
     const int64_t d = static_cast<int64_t>(vm.domains_[a].size());
     total += d * d;
-    if (total > sat::kMaxVars) {
+    if (total > kMaxOrderVars) {
       return Status::ResourceExhausted(
-          "order variables exceed the solver's range: attribute " +
-          schema.name(a) + " brings the total to " + std::to_string(total) +
-          " (sum of squared domain sizes)");
+          "order variables exceed the formula size limit of " +
+          std::to_string(kMaxOrderVars) + ": attribute " + schema.name(a) +
+          " brings the sum of squared domain sizes to " +
+          std::to_string(total));
     }
   }
   vm.offsets_.resize(n_attrs);
@@ -230,19 +237,6 @@ int VarMap::ValueIndex(int attr, const Value& v) const {
     if (slot.hash == h && domains_[attr][slot.index] == v) return slot.index;
   }
   return -1;
-}
-
-sat::Var VarMap::VarOf(int attr, int less, int more) const {
-  CCR_DCHECK(less >= 0 && more >= 0 &&
-             less < static_cast<int>(domains_[attr].size()) &&
-             more < static_cast<int>(domains_[attr].size()));
-  CCR_DCHECK(less != more);
-  const int d = dense_sizes_[attr];
-  if (less < d && more < d) return offsets_[attr] + less * d + more;
-  // The later value owns the atom: its base id, two ids per earlier value.
-  const int hi = std::max(less, more);
-  return ext_base_[attr][hi - d] + 2 * std::min(less, more) +
-         (less == hi ? 1 : 0);
 }
 
 std::string VarMap::AtomToString(const OrderAtom& atom,

@@ -15,6 +15,7 @@
 #ifndef CCR_ENCODE_VARMAP_H_
 #define CCR_ENCODE_VARMAP_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <queue>
@@ -30,6 +31,25 @@
 namespace ccr {
 
 struct Instantiation;
+
+// Fixed bounds on what one entity may ground, so that a specification
+// that fits in one OPEN frame cannot make the engine allocate gigabytes
+// (docs/OPERATIONS.md "Formula size limits"). Past any of them, grounding
+// fails with ResourceExhausted before anything sized by them is
+// allocated: VarMap::BuildFrom checks them for Create, and
+// Instantiation::ExtendWith in its plan phase.
+//
+// Order variables: Σ d² over the attributes' domains. A loaded session
+// holds about 205 bytes per order variable (solver, grounding and value
+// regions; measured on one attribute of 250–1,500 values), so the bound
+// keeps one session below about 0.9 GB. One attribute may then hold 2,048
+// values; the corpora need at most 36.
+inline constexpr int64_t kMaxOrderVars = int64_t{1} << 22;
+// Tuples and attributes: grounding keeps one value code per cell (4
+// bytes), so the two bounds keep that table below 256 MiB. The corpora
+// use at most 50,000 tuples and 14 attributes.
+inline constexpr int kMaxTuples = 1 << 18;
+inline constexpr int kMaxAttrs = 1 << 8;
 
 /// \brief A value-level currency-order atom: value `less` is less current
 /// than value `more` in attribute `attr` (indices into VarMap domains).
@@ -119,10 +139,10 @@ class VarMap {
   /// allocations (domain vectors, value indexes, extension bases)
   /// already grown — the Instantiation arena recycles one VarMap across
   /// back-to-back entities. Observably identical to a fresh Build.
-  /// Fails closed with ResourceExhausted when the order variables, Σ d²
-  /// over the attributes' domains, exceed sat::kMaxVars (the most whose
-  /// literals fit an int32_t); nothing sized by d² has been allocated
-  /// then.
+  /// Fails closed with ResourceExhausted past kMaxAttrs attributes or
+  /// kMaxTuples tuples, before anything is read, and when the order
+  /// variables, Σ d² over the attributes' domains, exceed kMaxOrderVars;
+  /// nothing sized by d² has been allocated then.
   Status BuildFrom(const Specification& se);
 
   int num_attrs() const { return static_cast<int>(domains_.size()); }
@@ -166,7 +186,19 @@ class VarMap {
 
   /// Variable for the atom less ≺^v more on attr. Precondition:
   /// 0 <= less, more < |domain(attr)| and less != more.
-  sat::Var VarOf(int attr, int less, int more) const;
+  sat::Var VarOf(int attr, int less, int more) const {
+    CCR_DCHECK(less >= 0 && more >= 0 &&
+               less < static_cast<int>(domains_[attr].size()) &&
+               more < static_cast<int>(domains_[attr].size()));
+    CCR_DCHECK(less != more);
+    const int d = dense_sizes_[attr];
+    if (less < d && more < d) return offsets_[attr] + less * d + more;
+    // The later value owns the atom: its base id, two ids per earlier
+    // value.
+    const int hi = std::max(less, more);
+    return ext_base_[attr][hi - d] + 2 * std::min(less, more) +
+           (less == hi ? 1 : 0);
+  }
   sat::Var VarOf(const OrderAtom& atom) const {
     return VarOf(atom.attr, atom.less, atom.more);
   }

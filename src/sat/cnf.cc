@@ -21,26 +21,9 @@ void Cnf::AddClause(std::span<const Lit> lits) {
   starts_.push_back(static_cast<uint32_t>(pool_.size()));
 }
 
-void Cnf::GrowOrderBlock(int b, int size) {
-  OrderBlock& block = blocks_[b];
-  const int old = block.size;
-  CCR_CHECK(size >= old);
-  if (size == old) return;
-  std::vector<Var> vars(static_cast<size_t>(size) * size, kVarUndef);
-  for (int i = 0; i < old; ++i) {
-    for (int j = 0; j < old; ++j) {
-      vars[static_cast<size_t>(i) * size + j] = block.at(i, j);
-    }
-  }
-  block.vars = std::move(vars);
-  block.size = size;
-}
-
-void Cnf::SetOrderVar(int b, int i, int j, Var v) {
-  OrderBlock& block = blocks_[b];
-  CCR_DCHECK(i != j && i < block.size && j < block.size && v >= 0);
+void Cnf::RecordOrderPos(int b, int i, int j, Var v) {
+  CCR_DCHECK(v >= 0);
   EnsureVars(v + 1);
-  block.vars[static_cast<size_t>(i) * block.size + j] = v;
   if (order_pos_.size() <= static_cast<size_t>(v)) order_pos_.resize(v + 1);
   CCR_DCHECK(order_pos_[v].block < 0);
   order_pos_[v] = {b, i, j};

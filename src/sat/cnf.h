@@ -17,6 +17,8 @@
 #ifndef CCR_SAT_CNF_H_
 #define CCR_SAT_CNF_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <initializer_list>
 #include <span>
@@ -39,6 +41,29 @@ struct OrderBlock {
   std::vector<Var> vars;
 
   Var at(int i, int j) const { return vars[static_cast<size_t>(i) * size + j]; }
+
+  /// Grows the block to `n` >= size values in place. Existing entries keep
+  /// their variables; each new entry x_ij (row or column at or past the
+  /// old size, i != j) becomes `var(i, j)`, row by row.
+  template <class VarFn>
+  void Grow(int n, VarFn var) {
+    const int old = size;
+    vars.resize(static_cast<size_t>(n) * n, kVarUndef);
+    // Rows move right from the last one down, so none is overwritten
+    // before it has moved; row 0 stays.
+    for (int i = old - 1; i > 0; --i) {
+      std::copy_backward(vars.begin() + static_cast<ptrdiff_t>(i) * old,
+                         vars.begin() + static_cast<ptrdiff_t>(i) * old + old,
+                         vars.begin() + static_cast<ptrdiff_t>(i) * n + old);
+    }
+    size = n;
+    for (int i = 0; i < n; ++i) {
+      for (int j = i < old ? old : 0; j < n; ++j) {
+        vars[static_cast<size_t>(i) * n + j] = i == j ? kVarUndef : var(i, j);
+      }
+    }
+  }
+
   int64_t num_axioms() const {
     return static_cast<int64_t>(size) * (size - 1) * (size - 2);
   }
@@ -208,14 +233,21 @@ class Cnf {
     return static_cast<int>(blocks_.size()) - 1;
   }
 
-  /// Grows block `b` to `size` values. Existing entries keep their
-  /// variables; the new ones (row or column >= the old size) start as
-  /// kVarUndef and must each be set with SetOrderVar.
-  void GrowOrderBlock(int b, int size);
-
-  /// Sets x_ij of block `b` (i != j, both below its size) to `v`, a
-  /// variable in no block yet.
-  void SetOrderVar(int b, int i, int j, Var v);
+  /// Grows block `b` to `size` values (OrderBlock::Grow): existing
+  /// entries keep their variables, and each new x_ij becomes `var(i, j)`,
+  /// a variable in no block yet.
+  template <class VarFn>
+  void GrowOrderBlock(int b, int size, VarFn var) {
+    OrderBlock& block = blocks_[b];
+    const int old = block.size;
+    if (size <= old) return;
+    block.Grow(size, var);
+    for (int i = 0; i < size; ++i) {
+      for (int j = i < old ? old : 0; j < size; ++j) {
+        if (j != i) RecordOrderPos(b, i, j, block.at(i, j));
+      }
+    }
+  }
 
   int num_order_blocks() const { return static_cast<int>(blocks_.size()); }
   const OrderBlock& order_block(int b) const { return blocks_[b]; }
@@ -265,13 +297,15 @@ class Cnf {
 
  private:
   static uint64_t NextId();
+  // Notes that variable `v` is x_ij of block `b`.
+  void RecordOrderPos(int b, int i, int j, Var v);
 
   uint64_t id_ = NextId();
   int num_vars_ = 0;
   std::vector<Lit> pool_;
   std::vector<uint32_t> starts_{0};
   std::vector<OrderBlock> blocks_;
-  std::vector<OrderPos> order_pos_;  // per var, grown by SetOrderVar
+  std::vector<OrderPos> order_pos_;  // per var, grown by GrowOrderBlock
 };
 
 }  // namespace ccr::sat

@@ -187,12 +187,13 @@ Solver::ClauseRef Solver::AllocClause(std::span<const Lit> lits,
   // Arena references must leave bit 31 free for the literal-encoded
   // binary reasons.
   CCR_CHECK(ref < kRefBinaryFlag);
-  arena_.push_back((static_cast<uint32_t>(lits.size()) << 3) |
-                   (learnt ? 1u : 0u));
-  arena_.push_back(0);  // activity bits
-  arena_.push_back(0);  // signature hi (problem clauses)
-  for (Lit l : lits) {
-    arena_.push_back(static_cast<uint32_t>(l.index()));
+  arena_.resize(ref + 3 + lits.size());
+  uint32_t* words = arena_.data() + ref;
+  words[0] = (static_cast<uint32_t>(lits.size()) << 3) | (learnt ? 1u : 0u);
+  words[1] = 0;  // activity bits
+  words[2] = 0;  // signature hi (problem clauses)
+  for (size_t k = 0; k < lits.size(); ++k) {
+    words[3 + k] = static_cast<uint32_t>(lits[k].index());
   }
   arena_peak_words_ = std::max(arena_peak_words_, arena_.size());
   return ref;
@@ -237,33 +238,25 @@ void Solver::AttachBinary(Lit a, Lit b) {
 
 bool Solver::AddClause(std::vector<Lit> lits) {
   if (!ok_) return false;
-  CCR_DCHECK(DecisionLevel() == 0);
-  InvalidateModelCache();
   Var max_var = kVarUndef;
   for (Lit l : lits) max_var = std::max(max_var, l.var());
   GrowVars(max_var + 1);
-  return AddClauseInternal(lits);
+  return FeedClause(lits);
 }
 
-bool Solver::AddClauseInternal(std::span<const Lit> lits) {
-  // Simplify in place: drop duplicate/false literals; detect
-  // tautology/satisfied. Kept literals compact to the buffer's front.
-  std::vector<Lit>& out = add_buf_;
-  out.assign(lits.begin(), lits.end());
-  std::sort(out.begin(), out.end());
-  size_t n = 0;
-  Lit prev = kLitUndef;
-  for (size_t i = 0; i < out.size(); ++i) {
-    const Lit l = out[i];
-    if (l == prev) continue;
-    if (l == ~prev) return true;  // tautology: p ∨ ~p
-    const Lbool v = ValueOf(l);
-    if (v == Lbool::kTrue) return true;  // already satisfied at level 0
-    if (v == Lbool::kFalse) continue;    // already false at level 0
-    out[n++] = l;
-    prev = l;
+bool Solver::AttachNormalized(size_t n) {
+  Lit* buf = add_buf_.data();
+  // Sorted, duplicates and a variable's two literals (a tautology) are
+  // neighbours.
+  size_t kept = 0;
+  int positives = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (kept > 0 && buf[i] == buf[kept - 1]) continue;
+    if (kept > 0 && buf[i] == ~buf[kept - 1]) return true;
+    positives += buf[i].negated() ? 0 : 1;
+    buf[kept++] = buf[i];
   }
-  out.resize(n);
+  const std::span<const Lit> out(buf, kept);
   if (out.empty()) {
     ok_ = false;
     return false;
@@ -273,8 +266,6 @@ bool Solver::AddClauseInternal(std::span<const Lit> lits) {
     ok_ = (Propagate() == kRefUndef);
     return ok_;
   }
-  int positives = 0;
-  for (Lit l : out) positives += l.negated() ? 0 : 1;
   if (positives > 1) {
     non_horn_lits_.insert(non_horn_lits_.end(), out.begin(), out.end());
     non_horn_lits_.push_back(kLitUndef);
@@ -310,25 +301,12 @@ bool Solver::AddClauseInternal(std::span<const Lit> lits) {
 
 void Solver::AddCnfFrom(const Cnf& cnf, int first_clause) {
   GrowVars(cnf.num_vars());
-  if (!ok_) return;
-  CCR_DCHECK(DecisionLevel() == 0);
-  // Blocks first, so the level-0 units among the clauses below already
-  // propagate through them.
-  for (int b = 0; b < cnf.num_order_blocks() && ok_; ++b) {
+  for (int b = 0; b < cnf.num_order_blocks(); ++b) {
     const OrderBlock& block = cnf.order_block(b);
-    if (block.size < 2) continue;  // no variables yet
-    const int registered = order_pos_[block.at(0, 1)].block;
-    if (registered >= 0 && blocks_[registered].block.size == block.size) {
-      continue;
-    }
-    SyncOrderBlock(block.size, block.vars);
+    SyncOrderBlock(block.size, [&](int i, int j) { return block.at(i, j); });
   }
-  if (!ok_ || first_clause >= cnf.num_clauses()) return;
-  // One invalidation for the batch: per-clause AddClause would repeat it
-  // for every clause with the same end state.
-  InvalidateModelCache();
   for (int i = first_clause; i < cnf.num_clauses() && ok_; ++i) {
-    AddClauseInternal(cnf.clause(i));
+    FeedClause(cnf.clause(i));
   }
 }
 
@@ -552,50 +530,29 @@ Solver::ClauseRef Solver::MaterializeAxiom(const Lit (&lits)[3]) {
   return c;
 }
 
-void Solver::SyncOrderBlock(int size, std::span<const Var> vars) {
-  CCR_DCHECK(DecisionLevel() == 0);
-  CCR_CHECK(size >= 2 && size < (1 << 16) &&
-            vars.size() == static_cast<size_t>(size) * size);
-  Var max_var = kVarUndef;
-  for (int i = 0; i < size; ++i) {
-    for (int j = 0; j < size; ++j) {
-      if (i != j) max_var = std::max(max_var, vars[i * size + j]);
-      CCR_CHECK(i == j || vars[i * size + j] >= 0);
-    }
-  }
-  GrowVars(max_var + 1);
-  int b = order_pos_[vars[1]].block;
-  if (b < 0) {
-    CCR_CHECK(blocks_.size() < (1u << 16));
-    b = static_cast<int>(blocks_.size());
-    blocks_.emplace_back();
-  }
+int Solver::OrderBlockOf(Var x01) {
+  CCR_CHECK(x01 >= 0 && x01 < num_vars());
+  if (order_pos_[x01].block >= 0) return order_pos_[x01].block;
+  CCR_CHECK(blocks_.size() < (1u << 16));
+  blocks_.emplace_back();
+  return static_cast<int>(blocks_.size()) - 1;
+}
+
+void Solver::RegisterOrderEntries(int b, int old) {
   OrderBlockState& state = blocks_[b];
-  const int old = state.block.size;
-  if (size <= old) return;
-  // The grown matrix keeps every registered entry; only the new rows and
-  // columns are registered. They must not belong to any block yet, and
-  // must still be open: the closure rules never saw an earlier value.
-  for (int i = 0; i < size; ++i) {
-    for (int j = 0; j < size; ++j) {
-      if (i == j) continue;
-      const Var v = vars[i * size + j];
-      if (i < old && j < old) {
-        CCR_DCHECK(state.block.at(i, j) == v);
-        continue;
-      }
-      CCR_CHECK(v >= 0 && order_pos_[v].block < 0 &&
-                assigns_[v] == Lbool::kUndef);
-    }
-  }
-  state.block.vars.assign(vars.begin(), vars.end());
-  state.block.size = size;
+  const int size = state.block.size;
+  // Entry x_ij's value bytes, in the row region and the transposed one.
+  const auto seat = [&](int i, int j, Var v) {
+    OrderBytes& slot = order_bytes_[v];
+    slot.row = state.rows + static_cast<uint32_t>(i * state.stride + j);
+    slot.col = state.cols + static_cast<uint32_t>(j * state.stride + i);
+    order_pos_[v] = {b, i, j};
+    order_value_[slot.row] = order_value_[slot.col] = assigns_[v];
+  };
   // The value regions hold stride×stride entries. A block that outgrows
-  // them gets fresh ones at least twice as wide, seeded with the level-0
-  // facts of every entry; the old regions stay unused until Reset, and
-  // the doubling keeps them smaller than the live ones. Otherwise only
-  // the new entries are written.
-  int from = old;
+  // them gets fresh ones at least twice as wide, reseated with the
+  // level-0 facts of every registered entry; the old regions stay unused
+  // until Reset, and the doubling keeps them smaller than the live ones.
   if (size > state.stride) {
     state.stride = (std::max(size, 2 * state.stride) + 7) & ~7;
     const size_t region = static_cast<size_t>(state.stride) * state.stride;
@@ -603,17 +560,21 @@ void Solver::SyncOrderBlock(int size, std::span<const Var> vars) {
     state.rows = static_cast<uint32_t>(order_value_.size());
     state.cols = static_cast<uint32_t>(order_value_.size() + region);
     order_value_.resize(order_value_.size() + 2 * region, Lbool::kTrue);
-    from = 0;
+    for (int i = 0; i < old; ++i) {
+      for (int j = 0; j < old; ++j) {
+        if (i != j) seat(i, j, state.block.at(i, j));
+      }
+    }
   }
+  // The new rows and columns must not belong to any block yet, and must
+  // still be open: the closure rules never saw an earlier value.
   for (int i = 0; i < size; ++i) {
-    for (int j = i < from ? from : 0; j < size; ++j) {
+    for (int j = i < old ? old : 0; j < size; ++j) {
       if (i == j) continue;
-      const Var v = vars[i * size + j];
-      OrderBytes& slot = order_bytes_[v];
-      slot.row = state.rows + static_cast<uint32_t>(i * state.stride + j);
-      slot.col = state.cols + static_cast<uint32_t>(j * state.stride + i);
-      order_pos_[v] = {b, i, j};
-      order_value_[slot.row] = order_value_[slot.col] = assigns_[v];
+      const Var v = state.block.at(i, j);
+      CCR_CHECK(v >= 0 && v < num_vars() && order_pos_[v].block < 0 &&
+                assigns_[v] == Lbool::kUndef);
+      seat(i, j, v);
     }
   }
 }
@@ -887,6 +848,7 @@ void Solver::RecordLearnt(const std::vector<Lit>& learnt) {
 void Solver::ReduceDb() {
   // MiniSat's reduction: keep the most active half of the learnt clauses;
   // never drop reasons.
+  ++stats_.reductions;
   std::sort(learnts_.begin(), learnts_.end(),
             [this](ClauseRef a, ClauseRef b) {
               return ClauseActivity(a) > ClauseActivity(b);
@@ -2243,7 +2205,7 @@ void Solver::MaybeGarbageCollect() {
 void Solver::RebuildOccurrenceIndex() {
   for (Var v = 0; v < num_vars(); ++v) occur_[v].clear();
   // Iterating clauses_ reproduces clause-addition order, the same order
-  // the incremental appends in AddClauseInternal produce.
+  // the incremental appends in FeedClauseFrom produce.
   for (ClauseRef c : clauses_) {
     const Lit* lits = ClauseLits(c);
     for (int k = 0; k < ClauseSize(c); ++k) {

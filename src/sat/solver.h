@@ -12,7 +12,7 @@
 // incremental solving under assumptions (used by the per-pair Lemma-6
 // loop and by validity's and Deduce's fallbacks for a non-Horn formula).
 //
-// Besides clauses the solver takes the Cnf's order blocks: the
+// Besides clauses the solver takes order blocks (SyncOrderBlock): the
 // transitivity axioms ¬x_ij ∨ ¬x_jk ∨ x_ik of each currency order, kept
 // implicit (lazy clause generation). A closure propagator applies their
 // unit rules from the block's variable matrix during propagation, so
@@ -114,6 +114,9 @@ struct SolverStats {
   /// Top-level sweeps run: Simplify() calls, whether made directly or
   /// scheduled by MaybeSimplify().
   int64_t sweeps = 0;
+  /// Learnt-database reductions (ReduceDb): each drops the less active
+  /// half of the learnt clauses. Only CDCL search reaches one.
+  int64_t reductions = 0;
   /// Stochastic local search: flips performed across all
   /// SeedFromLocalSearch calls, and fully satisfying assignments pushed
   /// into the cached-model ring (use_sls_seeding).
@@ -149,6 +152,7 @@ struct SolverStats {
             gc_runs - o.gc_runs,
             gc_reclaimed_words - o.gc_reclaimed_words,
             sweeps - o.sweeps,
+            reductions - o.reductions,
             sls_flips - o.sls_flips,
             sls_seeded_models - o.sls_seeded_models,
             deduce_queries - o.deduce_queries,
@@ -173,6 +177,7 @@ struct SolverStats {
     gc_runs += o.gc_runs;
     gc_reclaimed_words += o.gc_reclaimed_words;
     sweeps += o.sweeps;
+    reductions += o.reductions;
     sls_flips += o.sls_flips;
     sls_seeded_models += o.sls_seeded_models;
     deduce_queries += o.deduce_queries;
@@ -218,27 +223,56 @@ class Solver {
   Var NewVar();
   int num_vars() const { return static_cast<int>(assigns_.size()); }
 
-  /// Adds a clause. Returns false if the solver is already in an
-  /// unsatisfiable state (empty clause derived at level 0).
+  /// Adds a clause, growing the variable universe to its variables.
+  /// Returns false if the solver is already in an unsatisfiable state
+  /// (empty clause derived at level 0).
   bool AddClause(std::vector<Lit> lits);
+
+  /// Grows the variable universe to at least `n` variables.
+  void EnsureVars(int n) { GrowVars(n); }
+
+  /// The one clause-add path, shared by FeedClause, AddClause, AddCnfFrom
+  /// and the encoding pass that loads Φ(Se) straight from its grounding
+  /// (LoadSolver in src/encode/cnf_builder.h). Adds, at decision level 0,
+  /// the clause whose literals `emit(add)` hands to `add` one at a time;
+  /// their variables must exist. `add` returns false once a literal true
+  /// at level 0 satisfies the clause, and the emitter may stop there.
+  /// The literals are normalized as they arrive, in one reused buffer, so
+  /// a batch allocates nothing per clause: literals false at level 0
+  /// drop, the rest are insertion-sorted (clauses are short), then
+  /// duplicates drop and a tautology is satisfied. A unit is enqueued and
+  /// propagated at once; long clauses keep their literals sorted. Returns
+  /// false once the solver is unsatisfiable.
+  template <class EmitFn>
+  bool FeedClauseFrom(EmitFn emit);
+  /// FeedClauseFrom over the literals `lits`.
+  bool FeedClause(std::span<const Lit> lits) {
+    return FeedClauseFrom([&](auto add) {
+      for (const Lit l : lits) {
+        if (!add(l)) return;
+      }
+    });
+  }
+
+  /// Registers an order block of `size` values whose x_ij is `var(i, j)`,
+  /// or grows the registered block it extends; a `size` below 2 has no
+  /// variables and registers nothing. A block is recognised by its x_01:
+  /// one the solver already holds in a block extends that block, whose
+  /// existing entries keep their variables; any other is new. Only the
+  /// new entries are read. Their variables must exist, belong to no block
+  /// yet and still be unassigned (checked). Decision level 0.
+  template <class VarFn>
+  void SyncOrderBlock(int size, VarFn var);
 
   /// Adds every clause of `cnf`, growing the variable universe as needed.
   void AddCnf(const Cnf& cnf) { AddCnfFrom(cnf, 0); }
 
-  /// Adds the clauses of `cnf` starting at index `first_clause`. Used by
-  /// callers that keep one solver alive while their CNF grows append-only
-  /// (the ResolutionSession pipeline): only the new suffix is fed. The
-  /// resulting clause state is exactly that of one AddClause per clause,
-  /// in order, but the batch allocates nothing per clause (each clause is
-  /// normalized in one reused buffer) and invalidates the model cache
-  /// once.
-  ///
-  /// Every order block of `cnf` is registered (or grown to its current
-  /// size) first, whatever `first_clause` is. A block is recognised by
-  /// its variables: one whose x_01 the solver already knows extends the
-  /// registered block, whose entries must agree; any other is new. A
-  /// variable belongs to at most one block, and is still unassigned when
-  /// its block registers it (both checked).
+  /// Adds the clauses of `cnf` starting at index `first_clause`, for a
+  /// caller that keeps one solver alive while its CNF grows append-only:
+  /// only the new suffix is fed, each clause through FeedClause. Every
+  /// order block of `cnf` is synced first (SyncOrderBlock), whatever
+  /// `first_clause` is, so the level-0 units among the clauses already
+  /// propagate through the blocks.
   void AddCnfFrom(const Cnf& cnf, int first_clause);
 
   /// Decides satisfiability of the accumulated clauses.
@@ -577,10 +611,15 @@ class Solver {
     uint32_t row = kNone;  // x_ij's byte in its block's row region
     uint32_t col = 0;      // and in the transposed region
   };
-  // Registers a block (size×size row-major `vars`, diagonal ignored) or
-  // grows the registered block it extends. Decision level 0; the new
-  // entries' variables must be unassigned.
-  void SyncOrderBlock(int size, std::span<const Var> vars);
+  // FeedClauseFrom's tail: the `n` open literals in add_buf_, sorted, lose
+  // their duplicates (a tautology is satisfied); the clause is then
+  // enqueued, attached as a binary or allocated.
+  bool AttachNormalized(size_t n);
+  // SyncOrderBlock's non-template parts: the index of the block holding
+  // `x01`, or of a new empty one; and, once block b has grown from `old`
+  // values, the checks and value bytes of its new entries.
+  int OrderBlockOf(Var x01);
+  void RegisterOrderEntries(int b, int old);
   ClauseRef PropagateOrder(Lit p);
   // PropagateOrder's slow path: applies the ternaries of word `k0` whose
   // bits are set in `hits` (k = k0 + byte index).
@@ -634,11 +673,6 @@ class Solver {
   void SweepSatisfied(std::vector<ClauseRef>* list);
   void SweepSatisfiedProblem();
   void SweepBinaries();
-  // Shared tail of AddClause and AddCnfFrom: normalize `lits` in add_buf_
-  // (sort, dedupe, drop level-0-false literals; a tautology or a
-  // level-0-true literal satisfies it), then enqueue, attach or allocate.
-  // The variables must exist and the caller invalidates the model cache.
-  bool AddClauseInternal(std::span<const Lit> lits);
 
   // --- arena lifecycle --------------------------------------------------
   // Whether the persistent occurrence index is maintained at all: the
@@ -743,7 +777,7 @@ class Solver {
   std::vector<Var> heap_;       // binary max-heap of vars by activity
   std::vector<int> heap_pos_;   // per var; -1 if absent
 
-  // AddClauseInternal's normalization buffer, reused by every add.
+  // FeedClauseFrom's normalization buffer, reused by every add.
   std::vector<Lit> add_buf_;
   // Added problem clauses with two or more positive literals, each
   // followed by kLitUndef; ProblemIsHorn drops the ones satisfied at
@@ -866,6 +900,43 @@ class Solver {
   bool sls_bin_log_overflow_ = false;
   std::vector<std::pair<Lit, Lit>> sls_new_bins_;
 };
+
+template <class EmitFn>
+bool Solver::FeedClauseFrom(EmitFn emit) {
+  if (!ok_) return false;
+  CCR_DCHECK(DecisionLevel() == 0);
+  InvalidateModelCache();
+  bool satisfied = false;
+  size_t n = 0;
+  emit([&](Lit l) {
+    const Lbool v = ValueOf(l);
+    if (v == Lbool::kTrue) {
+      satisfied = true;
+      return false;
+    }
+    if (v == Lbool::kFalse) return true;
+    if (n == add_buf_.size()) add_buf_.resize(2 * n + 8);
+    Lit* buf = add_buf_.data();
+    size_t j = n++;
+    for (; j > 0 && l < buf[j - 1]; --j) buf[j] = buf[j - 1];
+    buf[j] = l;
+    return true;
+  });
+  return satisfied || AttachNormalized(n);
+}
+
+template <class VarFn>
+void Solver::SyncOrderBlock(int size, VarFn var) {
+  CCR_DCHECK(DecisionLevel() == 0);
+  if (!ok_ || size < 2) return;
+  CCR_CHECK(size < (1 << 16));
+  const int b = OrderBlockOf(var(0, 1));
+  OrderBlock& block = blocks_[b].block;
+  const int old = block.size;
+  if (size <= old) return;
+  block.Grow(size, var);
+  RegisterOrderEntries(b, old);
+}
 
 }  // namespace ccr::sat
 

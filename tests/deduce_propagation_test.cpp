@@ -137,7 +137,7 @@ TEST(DeducePropagationTest, SessionDeduceUnderGuardsAndExtension) {
         const Instantiation& inst = s->instantiation();
         const PairSet deduced = ToPairSet(s->Deduce());
         EXPECT_EQ(deduced,
-                  Lemma6Fresh(inst, s->cnf(), inst.guard_assumptions()))
+                  Lemma6Fresh(inst, BuildCnf(inst), inst.guard_assumptions()))
             << where;
         ++checks;
         pairs += static_cast<int>(deduced.size());
@@ -182,7 +182,7 @@ TEST(DeducePropagationTest, CountersShowNoDeduceSolves) {
     EXPECT_EQ(delta.conflicts, 0) << "entity " << e;
 
     sat::Solver solver;
-    solver.AddCnf(s->cnf());
+    solver.AddCnf(BuildCnf(s->instantiation()));
     (void)Lemma6DeduceShared(s->instantiation(), &solver,
                              s->instantiation().guard_assumptions());
     perpair_queries += solver.stats().deduce_queries;
@@ -294,7 +294,7 @@ TEST(DeducePropagationTest, SessionDeduceMatchesDeduceOrderAcrossRounds) {
           const DeducedOrders od = s->Deduce();
           const sat::SolverStats delta = s->solver_stats() - before;
           const PairSet deduced = ToPairSet(od);
-          EXPECT_EQ(deduced, ToPairSet(DeduceOrder(inst, s->cnf(), mode,
+          EXPECT_EQ(deduced, ToPairSet(DeduceOrder(inst, BuildCnf(inst), mode,
                                                    inst.guard_assumptions())))
               << where;
           EXPECT_EQ(delta.deduce_probes, 1) << where;
@@ -383,35 +383,42 @@ OneAttribute MakeOneAttribute(int values) {
   return out;
 }
 
-// DeduceOrderShared on a fresh solver holding `phi`, which must take the
-// fallback and match DeduceOrder.
-void ExpectFallbackMatches(const Instantiation& inst, const sat::Cnf& phi,
+// DeduceOrderShared on a fresh solver holding Φ(inst), under `assume`,
+// which must take the fallback and match DeduceOrder.
+void ExpectFallbackMatches(const Instantiation& inst,
+                           const std::vector<sat::Lit>& assume,
                            const DeduceOptions& mode,
                            const std::string& where) {
+  const sat::Cnf phi = BuildCnf(inst);
   sat::Solver solver;
   solver.AddCnf(phi);
   const PairSet shared =
-      ToPairSet(DeduceOrderShared(inst, phi, &solver, mode));
-  EXPECT_EQ(shared, ToPairSet(DeduceOrder(inst, phi, mode))) << where;
+      ToPairSet(DeduceOrderShared(inst, &solver, mode, assume));
+  EXPECT_EQ(shared, ToPairSet(DeduceOrder(inst, phi, mode, assume)))
+      << where;
   EXPECT_EQ(solver.stats().deduce_fallbacks, 1) << where;
 }
 
 TEST(DeducePropagationTest, TotalityConflictTakesTheFallback) {
   // ¬x_ab and ¬x_ba: totality asserts x_ba, which is already false.
   OneAttribute t = MakeOneAttribute(3);
-  t.phi.AddUnit(t.Neg(0, 1));
-  t.phi.AddUnit(t.Neg(1, 0));
-  ExpectFallbackMatches(t.inst, t.phi, DeduceOptions{}, "immediate");
+  ExpectFallbackMatches(t.inst, {t.Neg(0, 1), t.Neg(1, 0)}, DeduceOptions{},
+                        "immediate");
   // ¬x_ab and ¬x_bc are consistent (c ≺ b ≺ a), but their totality
   // atoms x_ba and x_cb falsify ¬x_ba ∨ ¬x_cb. DeduceOrder ignores the
   // conflict and goes on: x_cb fires ¬x_cb ∨ x_da, so Od holds d ≺ a,
-  // which no conflict-free probe reaches.
+  // which no conflict-free probe reaches. The probe therefore gives up.
+  // (Its fallback deduces on Φ(Se) as grounded, which lacks the two
+  // binaries added here, so only the refusal is compared.)
   OneAttribute u = MakeOneAttribute(4);
   u.phi.AddUnit(u.Neg(0, 1));
   u.phi.AddUnit(u.Neg(1, 2));
   u.phi.AddBinary(u.Neg(1, 0), u.Neg(2, 1));
   u.phi.AddBinary(u.Neg(2, 1), u.Pos(3, 0));
-  ExpectFallbackMatches(u.inst, u.phi, DeduceOptions{}, "propagated");
+  sat::Solver solver;
+  solver.AddCnf(u.phi);
+  (void)DeduceOrderShared(u.inst, &solver, DeduceOptions{});
+  EXPECT_EQ(solver.stats().deduce_fallbacks, 1);
   EXPECT_TRUE(
       ToPairSet(DeduceOrder(u.inst, u.phi, DeduceOptions{})).contains(
           {0, 3, 0}));
@@ -428,7 +435,7 @@ TEST(DeducePropagationTest, TotalityChainsThroughTheProbe) {
   sat::Solver solver;
   solver.AddCnf(t.phi);
   const PairSet shared =
-      ToPairSet(DeduceOrderShared(t.inst, t.phi, &solver, DeduceOptions{}));
+      ToPairSet(DeduceOrderShared(t.inst, &solver, DeduceOptions{}));
   EXPECT_EQ(shared, ToPairSet(DeduceOrder(t.inst, t.phi, DeduceOptions{})));
   EXPECT_TRUE(shared.contains({0, 3, 0}));
   EXPECT_EQ(solver.stats().deduce_probes, 1);
@@ -446,13 +453,14 @@ TEST(DeducePropagationTest, NegativeUnitCycleTakesTheFallback) {
   t.phi.AddUnit(t.Neg(2, 0));
   DeduceOptions paper_only;
   paper_only.totality_propagation = false;
-  ExpectFallbackMatches(t.inst, t.phi, paper_only, "cycle");
+  ExpectFallbackMatches(t.inst, {t.Neg(0, 1), t.Neg(1, 2), t.Neg(2, 0)},
+                        paper_only, "cycle");
   // Strict mode records no negative unit: the probe answers.
   DeduceOptions strict;
   strict.paper_negative_units = false;
   sat::Solver solver;
   solver.AddCnf(t.phi);
-  EXPECT_EQ(ToPairSet(DeduceOrderShared(t.inst, t.phi, &solver, strict)),
+  EXPECT_EQ(ToPairSet(DeduceOrderShared(t.inst, &solver, strict)),
             ToPairSet(DeduceOrder(t.inst, t.phi, strict)));
   EXPECT_EQ(solver.stats().deduce_fallbacks, 0);
   EXPECT_EQ(solver.stats().deduce_probes, 1);
@@ -468,12 +476,8 @@ TEST(DeducePropagationTest, NaivePositiveCycleTakesTheFallback) {
   const VarMap& vm = t.inst.varmap;
   t.phi = sat::Cnf();
   t.phi.EnsureVars(vm.num_vars());
-  t.phi.GrowOrderBlock(t.phi.AddOrderBlock(), 3);
-  for (int i = 0; i < 3; ++i) {
-    for (int j = 0; j < 3; ++j) {
-      if (i != j) t.phi.SetOrderVar(0, i, j, vm.VarOf(0, i, j));
-    }
-  }
+  t.phi.GrowOrderBlock(t.phi.AddOrderBlock(), 3,
+                       [&](int i, int j) { return vm.VarOf(0, i, j); });
   t.phi.AddUnit(t.Pos(1, 0));
   t.phi.AddUnit(t.Pos(0, 1));
   sat::Solver solver, reference;
@@ -506,7 +510,7 @@ TEST(DeducePropagationTest, ContradictingCfdAnswerTakesTheFallback) {
     ASSERT_TRUE(s.ok());
     const Instantiation& inst = s->instantiation();
     EXPECT_EQ(ToPairSet(s->Deduce()),
-              ToPairSet(DeduceOrder(inst, s->cnf(), mode,
+              ToPairSet(DeduceOrder(inst, BuildCnf(inst), mode,
                                     inst.guard_assumptions())))
         << mode_name;
     EXPECT_EQ(s->solver_stats().deduce_fallbacks, 0) << mode_name;
@@ -516,7 +520,7 @@ TEST(DeducePropagationTest, ContradictingCfdAnswerTakesTheFallback) {
     ASSERT_TRUE(s->ExtendWith(*delta).ok());
     ASSERT_FALSE(s->CheckValidity().valid);
     EXPECT_EQ(ToPairSet(s->Deduce()),
-              ToPairSet(DeduceOrder(inst, s->cnf(), mode,
+              ToPairSet(DeduceOrder(inst, BuildCnf(inst), mode,
                                     inst.guard_assumptions())))
         << mode_name;
     EXPECT_EQ(s->solver_stats().deduce_fallbacks, 1) << mode_name;
@@ -567,7 +571,7 @@ TEST(DeducePropagationTest, LearntClausesTakeTheFallback) {
   ASSERT_TRUE(solver.BeginProbe({}));
   EXPECT_EQ(solver.ProbeValue(x.var()), sat::Lbool::kTrue);
   solver.EndProbe();
-  EXPECT_EQ(ToPairSet(DeduceOrderShared(*inst, phi, &solver)), reference);
+  EXPECT_EQ(ToPairSet(DeduceOrderShared(*inst, &solver)), reference);
   EXPECT_EQ(solver.stats().deduce_fallbacks, 1);
   EXPECT_EQ(solver.stats().deduce_probes, 0);
 }

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <span>
+#include <string>
+#include <vector>
 
 #include "paper_fixture.h"
 #include "src/core/deduce.h"
@@ -123,12 +125,11 @@ TEST_F(VarMapTest, DistinctAtomsGetDistinctVars) {
   EXPECT_EQ(std::adjacent_find(vars.begin(), vars.end()), vars.end());
 }
 
-// One attribute of 32,768 distinct values: its 32,768² = 2³⁰ order slots
-// are one more than sat::kMaxVars, the most variables whose literal
-// indices 2·var+1 fit int32_t. The build fails closed, before anything
+// One attribute of 2,049 distinct values: its 2,049² order slots are past
+// kMaxOrderVars = 2²² = 2,048². The build fails closed, before anything
 // sized by d² exists: no order variable, no ground constraint.
-TEST(VarMapLimitTest, DomainBeyondTheSolverRangeFailsClosed) {
-  constexpr int kValues = 32768;
+TEST(VarMapLimitTest, DomainBeyondTheOrderVariableLimitFailsClosed) {
+  constexpr int kValues = 2049;
   EntityInstance e(Schema::Make({"v"}).value(), "huge");
   for (int i = 0; i < kValues; ++i) {
     ASSERT_TRUE(e.Add(Tuple({Value::Int(i)})).ok());
@@ -146,7 +147,7 @@ TEST(VarMapLimitTest, DomainBeyondTheSolverRangeFailsClosed) {
   EXPECT_EQ(inst.varmap.num_vars(), 0);
   EXPECT_TRUE(inst.constraints.empty());
 
-  // One value fewer fits: 32,767² is below 2³⁰.
+  // One value fewer fits exactly: 2,048² = kMaxOrderVars.
   EntityInstance fits(Schema::Make({"v"}).value(), "large");
   for (int i = 0; i < kValues - 1; ++i) {
     ASSERT_TRUE(fits.Add(Tuple({Value::Int(i)})).ok());
@@ -154,15 +155,15 @@ TEST(VarMapLimitTest, DomainBeyondTheSolverRangeFailsClosed) {
   se.temporal = TemporalInstance(std::move(fits));
   const Result<VarMap> large = VarMap::Build(se);
   ASSERT_TRUE(large.ok());
-  EXPECT_EQ(large->num_vars(), (kValues - 1) * (kValues - 1));
+  EXPECT_EQ(large->num_vars(), kMaxOrderVars);
 }
 
-// ExtendWith checks the same bound before it applies a delta. 32,767
-// values fill the dense block with 32,767² variables; the first appended
-// value adds two atoms per existing value, 32,767² + 2·32,767 =
-// sat::kMaxVars exactly, so one more value fits and two do not.
-TEST(VarMapLimitTest, ExtensionBeyondTheSolverRangeFailsClosed) {
-  constexpr int kValues = 32767;
+// ExtendWith checks the same bound before it applies a delta. 2,047
+// values fill the dense block; the first appended value brings the
+// domain to 2,048 values, 2,048² = kMaxOrderVars exactly, so one more
+// value fits and two do not.
+TEST(VarMapLimitTest, ExtensionBeyondTheOrderVariableLimitFailsClosed) {
+  constexpr int kValues = 2047;
   EntityInstance e(Schema::Make({"v"}).value(), "large");
   for (int i = 0; i < kValues; ++i) {
     ASSERT_TRUE(e.Add(Tuple({Value::Int(i)})).ok());
@@ -189,7 +190,36 @@ TEST(VarMapLimitTest, ExtensionBeyondTheSolverRangeFailsClosed) {
   auto one_more = Extend(se, one);
   ASSERT_TRUE(one_more.ok());
   ASSERT_TRUE(inst->ExtendWith(*one_more, one).ok());
-  EXPECT_EQ(inst->varmap.num_vars(), sat::kMaxVars);
+  EXPECT_EQ(inst->varmap.num_vars(), built_vars + 2 * kValues);
+}
+
+// Too many tuples or attributes fail closed before grounding reads them.
+TEST(VarMapLimitTest, TuplesAndAttributesBeyondTheLimitsFailClosed) {
+  std::vector<std::string> names;
+  for (int a = 0; a <= kMaxAttrs; ++a) names.push_back("a" + std::to_string(a));
+  EntityInstance wide(Schema::Make(names).value(), "wide");
+  ASSERT_TRUE(wide.Add(Tuple(std::vector<Value>(names.size(), Value::Int(1))))
+                  .ok());
+  Specification se;
+  se.temporal = TemporalInstance(std::move(wide));
+  EXPECT_EQ(VarMap::Build(se).status().code(),
+            StatusCode::kResourceExhausted);
+
+  EntityInstance tall(Schema::Make({"v"}).value(), "tall");
+  for (int t = 0; t < kMaxTuples; ++t) {
+    ASSERT_TRUE(tall.Add(Tuple({Value::Int(t % 7)})).ok());
+  }
+  se.temporal = TemporalInstance(std::move(tall));
+  auto inst = Instantiation::Build(se);
+  ASSERT_TRUE(inst.ok());
+  PartialTemporalOrder past;
+  past.new_tuples.push_back(Tuple({Value::Int(0)}));
+  auto grown = Extend(se, past);
+  ASSERT_TRUE(grown.ok());
+  EXPECT_EQ(inst->ExtendWith(*grown, past).status().code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(VarMap::Build(*grown).status().code(),
+            StatusCode::kResourceExhausted);
 }
 
 class InstantiationTest : public ::testing::Test {

@@ -248,7 +248,7 @@ std::vector<DerivationRule> ReferenceKeptRules(
     dominates(rule.rhs_attr, rule.rhs_value);
   }
   Solver reference;
-  reference.AddCnf(s.cnf());
+  reference.AddCnf(BuildCnf(s.instantiation()));
   const std::span<const Lit> guards = s.instantiation().guard_assumptions();
   const std::vector<bool> kept = ReferenceGetSug(
       &reference, std::vector<Lit>(guards.begin(), guards.end()),

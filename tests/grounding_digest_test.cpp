@@ -6,7 +6,12 @@
 // and after each of three ExtendWith rounds it hashes, in order, every
 // ground constraint of Ω(Se) (source, source index, body atoms, head,
 // guard, seq), every CNF clause and order-block size, the guard
-// assumptions, and the VarMap's domains and applicable CFDs. Each corpus
+// assumptions, and the VarMap's domains and applicable CFDs. The session
+// feeds its solver without a CNF, so the CNF hashed is the one the
+// encoding pass writes for the same calls: BuildCnfInto on the session's
+// grounding after Create, then ExtendCnf with each round's
+// InstantiationDelta, taken from a second grounding of the entity that
+// is extended by the same deltas. Each corpus
 // runs with fresh sessions and through one recycled SessionScratch. The rounds
 // are driven as Resolve drives them: deduce, suggest, and let a truth
 // oracle answer two suggested attributes. A mismatch means the encoding
@@ -27,6 +32,7 @@
 #include "src/data/career_generator.h"
 #include "src/data/nba_generator.h"
 #include "src/data/person_generator.h"
+#include "src/encode/cnf_builder.h"
 
 namespace ccr {
 namespace {
@@ -62,7 +68,7 @@ std::span<const OrderAtom> Body(const Instantiation& inst,
   return inst.body(gc);
 }
 
-void HashSession(const ResolutionSession& s, Fnv* h) {
+void HashSession(const ResolutionSession& s, const sat::Cnf& cnf, Fnv* h) {
   const Instantiation& inst = s.instantiation();
   h->Add(inst.constraints.size());
   for (const GroundConstraint& gc : inst.constraints) {
@@ -76,7 +82,6 @@ void HashSession(const ResolutionSession& s, Fnv* h) {
     h->Add(static_cast<uint64_t>(gc.guard));
     h->Add(gc.seq);
   }
-  const sat::Cnf& cnf = s.cnf();
   h->Add(static_cast<uint64_t>(cnf.num_vars()));
   h->Add(static_cast<uint64_t>(cnf.num_clauses()));
   for (int c = 0; c < cnf.num_clauses(); ++c) {
@@ -141,11 +146,19 @@ enum class Lane { kFresh, kPooled, kPooledAfterLargest };
 // (when not null).
 bool DriveEntity(const Dataset& ds, int e, const ResolveOptions& options,
                  Fnv* h) {
+  const Specification spec = ds.MakeSpec(e);
   Result<ResolutionSession> session =
-      ResolutionSession::Create(ds.MakeSpec(e), options);
+      ResolutionSession::Create(spec, options);
   EXPECT_TRUE(session.ok()) << session.status().ToString();
   if (!session.ok()) return false;
-  if (h != nullptr) HashSession(*session, h);
+  InstantiationOptions guarded;  // the session's grounding options
+  guarded.guard_cfds = true;
+  Result<Instantiation> twin = Instantiation::Build(spec, guarded);
+  EXPECT_TRUE(twin.ok()) << twin.status().ToString();
+  if (!twin.ok()) return false;
+  sat::Cnf cnf;
+  BuildCnfInto(session->instantiation(), &cnf);
+  if (h != nullptr) HashSession(*session, cnf, h);
   TruthOracle oracle(ds.entities[e].truth, /*answers_per_round=*/2);
   for (int round = 0; round < kRounds; ++round) {
     (void)session->CheckValidity();
@@ -163,7 +176,12 @@ bool DriveEntity(const Dataset& ds, int e, const ResolveOptions& options,
     const Status st = session->ExtendWith(*delta);
     EXPECT_TRUE(st.ok()) << st.ToString();
     if (!st.ok()) return false;
-    if (h != nullptr) HashSession(*session, h);
+    Result<InstantiationDelta> grown =
+        twin->ExtendWith(session->spec(), *delta, guarded);
+    EXPECT_TRUE(grown.ok()) << grown.status().ToString();
+    if (!grown.ok()) return false;
+    ExtendCnf(session->instantiation(), *grown, &cnf);
+    if (h != nullptr) HashSession(*session, cnf, h);
   }
   return true;
 }

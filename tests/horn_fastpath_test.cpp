@@ -244,7 +244,8 @@ TEST(HornFastPathTest, SessionValidityMatchesFullSearchAcrossRounds) {
             s->instantiation().guard_assumptions();
         const int64_t solves = s->solver_stats().assumption_solves;
         const bool v = s->CheckValidity().valid;
-        EXPECT_EQ(v, FullSearchValid(s->cnf(), guards)) << kind << " " << i;
+        EXPECT_EQ(v, FullSearchValid(BuildCnf(s->instantiation()), guards))
+            << kind << " " << i;
         // Retired guards keep the live formula Horn.
         EXPECT_EQ(s->solver_stats().assumption_solves, solves)
             << kind << " " << i;
@@ -281,7 +282,7 @@ TEST(HornFastPathTest, SessionValidityAfterContradictingAnswer) {
   ASSERT_TRUE(session->ExtendWith(*delta).ok());
   const int64_t solves = session->solver_stats().assumption_solves;
   EXPECT_FALSE(session->CheckValidity().valid);
-  EXPECT_FALSE(FullSearchValid(session->cnf(),
+  EXPECT_FALSE(FullSearchValid(BuildCnf(session->instantiation()),
                                session->instantiation().guard_assumptions()));
   EXPECT_EQ(session->solver_stats().assumption_solves, solves);
 }
@@ -311,13 +312,14 @@ TEST(HornFastPathTest, KeptDeduceScratchMatchesFreshAcrossRounds) {
       DriveSession(ds, static_cast<int>(i), &rng, [&](ResolutionSession* s) {
         const Instantiation& inst = s->instantiation();
         const std::vector<Lit>& guards = inst.guard_assumptions();
-        const DeducedOrders fresh = DeduceOrder(inst, s->cnf(), {}, guards);
+        const Cnf phi = BuildCnf(inst);
+        const DeducedOrders fresh = DeduceOrder(inst, phi, {}, guards);
         EXPECT_TRUE(SameOrders(
-            DeduceOrder(inst, s->cnf(), {}, guards, &kept_paper), fresh))
+            DeduceOrder(inst, phi, {}, guards, &kept_paper), fresh))
             << kind << " " << i;
-        EXPECT_TRUE(SameOrders(DeduceOrder(inst, s->cnf(), strict, guards,
-                                           &kept_strict),
-                               DeduceOrder(inst, s->cnf(), strict, guards)))
+        EXPECT_TRUE(SameOrders(
+            DeduceOrder(inst, phi, strict, guards, &kept_strict),
+            DeduceOrder(inst, phi, strict, guards)))
             << kind << " " << i;
         EXPECT_TRUE(SameOrders(s->Deduce(), fresh)) << kind << " " << i;
         ++calls;
@@ -487,7 +489,7 @@ TEST(HornFastPathTest, PhiIsHornAndSessionsNeverSearchForValidity) {
         // Φ(Se) as built and extended so far, nothing else, with the
         // order blocks' transitivity axioms as explicit clauses.
         Solver fed;
-        fed.AddCnf(s->cnf().Materialized());
+        fed.AddCnf(BuildCnf(s->instantiation()).Materialized());
         EXPECT_TRUE(fed.ProblemIsHorn()) << kind << " " << i;
         const int64_t solves = s->solver_stats().assumption_solves;
         const ValidityResult v = s->CheckValidity();

@@ -67,13 +67,7 @@ bool ModelClosed(const Cnf& cnf, const Solver& s) {
 // Adds block `b` of `size` values over fresh variables of `cnf`, or grows
 // it to `size` with fresh variables for the new entries.
 void GrowBlock(Cnf* cnf, int b, int size) {
-  const int old = cnf->order_block(b).size;
-  cnf->GrowOrderBlock(b, size);
-  for (int i = 0; i < size; ++i) {
-    for (int j = i < old ? old : 0; j < size; ++j) {
-      if (j != i) cnf->SetOrderVar(b, i, j, cnf->NewVar());
-    }
-  }
+  cnf->GrowOrderBlock(b, size, [&](int, int) { return cnf->NewVar(); });
 }
 
 // A random formula: 1–3 order blocks of 3–6 values plus a few auxiliary
@@ -562,7 +556,7 @@ TEST(OrderAxiomsTest, DeduceOrderMatchesMaterializedFormula) {
   Rng rng(0xded);
   ForEachSessionRound([&](ResolutionSession* s, const std::string& where) {
     const Instantiation& inst = s->instantiation();
-    const Cnf& cnf = s->cnf();
+    const Cnf cnf = BuildCnf(inst);
     const Cnf explicit_cnf = cnf.Materialized();
     const std::vector<Lit>& guards = inst.guard_assumptions();
     for (const DeduceOptions& mode : {paper, strict, negatives}) {
@@ -638,10 +632,11 @@ TEST(OrderAxiomsTest, StrictDeduceOrderIsTheLemma6PairSet) {
   ForEachSessionRound([&](ResolutionSession* s, const std::string& where) {
     const Instantiation& inst = s->instantiation();
     const std::vector<Lit>& guards = inst.guard_assumptions();
+    const Cnf cnf = BuildCnf(inst);
     Solver reference;
-    reference.AddCnf(s->cnf().Materialized());
+    reference.AddCnf(cnf.Materialized());
     const DeducedOrders exact = Lemma6DeduceShared(inst, &reference, guards);
-    const DeducedOrders fast = DeduceOrder(inst, s->cnf(), strict, guards);
+    const DeducedOrders fast = DeduceOrder(inst, cnf, strict, guards);
     EXPECT_TRUE(SameOrders(fast, exact)) << where;
     ++checks;
     pairs += exact.CountPairs();
@@ -673,7 +668,7 @@ TEST(OrderAxiomsTest, InprocessedSessionSolverMatchesTheMaterializedFormula) {
       [&](ResolutionSession* s, const std::string& where) {
         const std::vector<Lit>& guards = s->instantiation().guard_assumptions();
         Solver reference;
-        reference.AddCnf(s->cnf().Materialized());
+        reference.AddCnf(BuildCnf(s->instantiation()).Materialized());
         EXPECT_EQ(s->CheckValidity().valid,
                   reference.SolveWithAssumptions(guards) == SolveResult::kSat)
             << where;

@@ -554,12 +554,7 @@ Cnf MixedFormula(Rng* rng, int blocks, int size, int aux, int n_clauses) {
   Cnf cnf;
   for (int b = 0; b < blocks; ++b) {
     cnf.AddOrderBlock();
-    cnf.GrowOrderBlock(b, size);
-    for (int i = 0; i < size; ++i) {
-      for (int j = 0; j < size; ++j) {
-        if (i != j) cnf.SetOrderVar(b, i, j, cnf.NewVar());
-      }
-    }
+    cnf.GrowOrderBlock(b, size, [&](int, int) { return cnf.NewVar(); });
     const OrderBlock& block = cnf.order_block(b);
     for (int i = 0; i < size; ++i) {
       for (int j = i + 1; j < size; ++j) {

@@ -102,6 +102,7 @@ TEST(DeepMinimizationTest, LearntClausesStayImplied) {
   // guarantee a conflict-heavy search with a meaty learnt DB. The last,
   // 8 pigeons in 7 holes, is the smallest that passes 1000 learnt
   // clauses, so its search also runs learnt-DB reductions.
+  int64_t reductions = 0;
   for (int round = 0; round < 45; ++round) {
     sat::Cnf cnf;
     if (round < 40) {
@@ -139,6 +140,7 @@ TEST(DeepMinimizationTest, LearntClausesStayImplied) {
     Solver s;
     s.AddCnf(cnf);
     (void)s.Solve();
+    reductions += s.stats().reductions;
     for (const std::vector<Lit>& learnt : s.LearntClauses()) {
       ASSERT_FALSE(learnt.empty());
       Solver check;
@@ -152,6 +154,7 @@ TEST(DeepMinimizationTest, LearntClausesStayImplied) {
     }
   }
   EXPECT_GT(checked, 50);  // the family must actually produce learnts
+  EXPECT_GE(reductions, 1);  // and checks them across a learnt-DB reduction
 }
 
 TEST(BinaryWatchTest, BinaryChainsPropagateAndCount) {
@@ -497,6 +500,7 @@ TEST(ClauseActivityTest, ActivityDrivenDeletionSurvivesStrictAliasing) {
   s.AddCnf(cnf);
   ASSERT_EQ(s.Solve(), SolveResult::kUnsat);
   EXPECT_GT(s.stats().conflicts, 100);  // real bump/decay/delete traffic
+  EXPECT_GE(s.stats().reductions, 1);   // deletion by activity happened
 }
 
 // Resolve stamps the session solver's per-phase deltas into the

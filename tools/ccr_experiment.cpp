@@ -316,7 +316,8 @@ void DumpSolverStats(const ExperimentResult& r) {
                  "\"learnt_literals\": %lld, \"subsumed\": %lld, "
                  "\"vivified\": %lld, \"model_cache_hits\": %lld, "
                  "\"gc_runs\": %lld, \"gc_reclaimed_words\": %lld, "
-                 "\"sweeps\": %lld, \"sls_flips\": %lld, "
+                 "\"sweeps\": %lld, \"reductions\": %lld, "
+                 "\"sls_flips\": %lld, "
                  "\"sls_seeded_models\": %lld, \"deduce_queries\": %lld, "
                  "\"suggest_probes\": %lld, "
                  "\"deduce_probes\": %lld, \"deduce_fallbacks\": %lld}%s\n",
@@ -333,6 +334,7 @@ void DumpSolverStats(const ExperimentResult& r) {
                  static_cast<long long>(s.gc_runs),
                  static_cast<long long>(s.gc_reclaimed_words),
                  static_cast<long long>(s.sweeps),
+                 static_cast<long long>(s.reductions),
                  static_cast<long long>(s.sls_flips),
                  static_cast<long long>(s.sls_seeded_models),
                  static_cast<long long>(s.deduce_queries),
