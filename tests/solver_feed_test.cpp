@@ -116,6 +116,46 @@ void ExpectSameState(Solver* got, Solver* want, const std::string& where) {
   EXPECT_EQ(got_trail, want_trail) << where;
 }
 
+// DIMACS-style literal: x > 0 is variable x - 1, x < 0 its negation.
+Lit DimacsLit(int x) { return x > 0 ? Lit::Pos(x - 1) : Lit::Neg(-x - 1); }
+
+// FeedClause on its own, one clause per row, into a solver that holds
+// the unit 3: the arena words the clause took (3 + its kept literals for
+// a long clause, 0 for a unit, a binary or a dropped clause) and the
+// level-0 facts after it.
+TEST(SolverFeedTest, FeedClauseNormalizesEachClause) {
+  struct Row {
+    std::vector<int> clause;
+    size_t arena_words;
+    std::vector<int> facts;  // empty: the solver is unsatisfiable
+  };
+  const Row rows[] = {
+      {{1, -1}, 0, {3}},           // a tautology is dropped
+      {{1, 2, 4}, 6, {3}},         // kept as it is
+      {{1, 1, 1, 2, 4}, 6, {3}},   // duplicates drop
+      {{4, 4}, 0, {3, 4}},         // a unit, propagated at once
+      {{-3, 1, 2, 5}, 6, {3}},     // a literal false at level 0 drops
+      {{3, 1, 2}, 0, {3}},         // satisfied at level 0
+      {{2, -2, -3}, 0, {3}},       // a tautology after a false literal
+      {{-3, -3}, 0, {}},           // empty once normalized
+  };
+  for (const Row& row : rows) {
+    Solver s;
+    s.EnsureVars(5);
+    ASSERT_TRUE(s.FeedClause(std::vector<Lit>{DimacsLit(3)}));
+    std::vector<Lit> lits;
+    for (const int x : row.clause) lits.push_back(DimacsLit(x));
+    const std::string where = ::testing::PrintToString(row.clause);
+    EXPECT_EQ(s.FeedClause(lits), !row.facts.empty()) << where;
+    EXPECT_EQ(s.IsUnsatForever(), row.facts.empty()) << where;
+    if (row.facts.empty()) continue;
+    EXPECT_EQ(s.arena_words(), row.arena_words) << where;
+    std::set<Lit> facts;
+    for (const int x : row.facts) facts.insert(DimacsLit(x));
+    EXPECT_EQ(Level0(&s), facts) << where;
+  }
+}
+
 // A guarded grounding of `se` loaded both ways.
 struct Loaded {
   Instantiation inst;
