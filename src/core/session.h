@@ -52,10 +52,10 @@ namespace ccr {
 /// \brief Reusable solver/CNF/instantiation allocations shared by
 /// back-to-back sessions on one worker thread (cross-entity pooling).
 ///
-/// A batch driver resolves thousands of entities per thread, and every
-/// session used to grow its solver's clause arena, watch lists, the CNF
-/// literal pool and the grounding's projection tables from cold. A scratch
-/// keeps those buffers alive between sessions: Acquire* hands out the same
+/// A batch driver resolves thousands of entities per thread, and a
+/// session on fresh objects grows its solver's clause arena, watch lists
+/// and the grounding's projection tables from cold. A scratch keeps those
+/// buffers alive between sessions: Acquire* hands out the same
 /// objects semantically reset to their freshly-constructed state
 /// (Solver::Reset, Cnf::Clear, Instantiation::BuildInto), so entity N+1
 /// reuses entity N's warm allocations while every result stays
