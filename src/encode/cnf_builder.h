@@ -57,10 +57,10 @@ void BuildCnfInto(const Instantiation& inst, sat::Cnf* cnf);
 void ExtendCnf(const Instantiation& inst, const InstantiationDelta& delta,
                sat::Cnf* cnf);
 
-/// Loads Φ(Se) into `solver` in one pass, with no sat::Cnf in between:
-/// the solver ends in the state AddCnf(BuildCnf(inst)) leaves — the same
-/// clauses through the same FeedClause, in the same order, after the same
-/// order blocks.
+/// Loads Φ(Se) into `solver`, which holds nothing yet (fresh or Reset),
+/// in one pass with no sat::Cnf in between: the solver ends in the state
+/// AddCnf(BuildCnf(inst)) leaves — the same clauses through the same
+/// Solver::FeedClauseFrom, in the same order, after the same order blocks.
 void LoadSolver(const Instantiation& inst, sat::Solver* solver);
 
 /// Feeds `solver`, loaded from `inst` before the Instantiation::ExtendWith
