@@ -1,5 +1,6 @@
 #include "src/core/deduce.h"
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -45,49 +46,70 @@ bool RecordLiteral(const VarMap& vm, sat::Lit lit, bool paper_mode,
 enum class ProbeRead {
   kDeduced,   // `od` holds the probe's Od
   kRefuted,   // the guards, or a totality extension, met a conflict
-  kRejected,  // PartialOrder::Add rejected a trail pair
+  kRejected,  // a trail pair closed a cycle
 };
 
 // Opens a propagation probe on `guards`, closes it under the totality
-// rule when `options` asks for it, and records every order literal of
-// the trail into `od` (RecordLiteral). Totality is the clause
-// x_ij ∨ x_ji: each false order literal ¬x_ij on the trail enqueues x_ji,
-// round after round, until the trail holds no new false order literal.
-// The probe is closed on return; `od` is still empty when it was
-// refuted.
+// rule when `options` asks for it, and reads Od off the quiet trail in
+// one pass, which each totality extension resumes. Totality is the
+// clause x_ij ∨ x_ji: a false order literal ¬x_ij enqueues x_ji.
+//
+// No closure is computed. Precondition: the solver propagates an order
+// block for every attribute (LoadSolver registers one per attribute,
+// AddCnf syncs a Cnf's), so a quiet trail's true order atoms are
+// transitively closed, and each sets one bit (PartialOrder::SetPair). On
+// a closed relation every cycle holds a pair whose reverse bit is set,
+// which SetPair rejects. With totality, a false atom's reversal is on the
+// quiet trail as a true one; paper mode without totality adds the
+// reversals through PartialOrder::Add, which closes the relation again.
+// The probe is closed on return; without totality `od` is still empty
+// when the probe was refuted.
 ProbeRead ReadOrdersOffProbe(const VarMap& vm, sat::Solver* solver,
                              const DeduceOptions& options,
                              std::span<const sat::Lit> guards,
                              DeducedOrders* od) {
   solver->RecordDeduceProbe(1, false);
   if (!solver->BeginProbe(guards)) return ProbeRead::kRefuted;
-  if (options.paper_negative_units && options.totality_propagation) {
-    std::vector<sat::Lit> reversed;
-    size_t scanned = 0;
-    while (true) {
-      const std::span<const sat::Lit> trail = solver->ProbeTrail();
-      reversed.clear();
-      for (; scanned < trail.size(); ++scanned) {
-        const sat::Lit l = trail[scanned];
-        if (!l.negated() || !vm.IsOrderVar(l.var())) continue;
-        const OrderAtom atom = vm.Decode(l.var());
-        const sat::Var rev = vm.VarOf(atom.attr, atom.more, atom.less);
-        if (solver->ProbeValue(rev) != sat::Lbool::kTrue) {
-          reversed.push_back(sat::Lit::Pos(rev));
+  const bool totality =
+      options.paper_negative_units && options.totality_propagation;
+  std::vector<sat::Lit> reversed;
+  size_t scanned = 0;
+  while (true) {
+    const std::span<const sat::Lit> trail = solver->ProbeTrail();
+    for (; scanned < trail.size(); ++scanned) {
+      const sat::Lit l = trail[scanned];
+      if ((l.negated() && !totality) || !vm.IsOrderVar(l.var())) continue;
+      const OrderAtom atom = vm.Decode(l.var());
+      if (!l.negated()) {
+        if (!od->per_attr[atom.attr].SetPair(atom.less, atom.more)) {
+          solver->EndProbe();
+          return ProbeRead::kRejected;
         }
+        continue;
       }
-      if (reversed.empty()) break;
-      if (!solver->ProbeExtend(reversed)) return ProbeRead::kRefuted;
+      const sat::Var rev = vm.VarOf(atom.attr, atom.more, atom.less);
+      if (solver->ProbeValue(rev) != sat::Lbool::kTrue) {
+        reversed.push_back(sat::Lit::Pos(rev));
+      }
     }
+    if (reversed.empty()) break;
+    if (!solver->ProbeExtend(reversed)) return ProbeRead::kRefuted;
+    reversed.clear();
   }
-  for (const sat::Lit l : solver->ProbeTrail()) {
-    if (!RecordLiteral(vm, l, options.paper_negative_units, od)) {
-      solver->EndProbe();
-      return ProbeRead::kRejected;
+  CCR_DCHECK(std::all_of(
+      od->per_attr.begin(), od->per_attr.end(),
+      [](const PartialOrder& po) { return po.IsTransitivelyClosed(); }));
+  ProbeRead read = ProbeRead::kDeduced;
+  if (options.paper_negative_units && !totality) {
+    for (const sat::Lit l : solver->ProbeTrail()) {
+      if (l.negated() && !RecordLiteral(vm, l, true, od)) {
+        read = ProbeRead::kRejected;
+        break;
+      }
     }
   }
   solver->EndProbe();
-  return ProbeRead::kDeduced;
+  return read;
 }
 
 }  // namespace
@@ -285,21 +307,10 @@ DeducedOrders Lemma6DeduceShared(const Instantiation& inst,
 
 std::vector<int> ExtractTrueValueIndices(const VarMap& vm,
                                          const DeducedOrders& od) {
-  std::vector<int> out(vm.num_attrs(), -1);
-  for (int a = 0; a < vm.num_attrs(); ++a) {
-    const int d = static_cast<int>(vm.domain(a).size());
-    if (d == 0) continue;  // only nulls: no true value derivable
-    if (d == 1) {
-      out[a] = 0;  // unique value dominates vacuously
-      continue;
-    }
-    for (int v = 0; v < d; ++v) {
-      if (od.per_attr[a].DominatesAll(v)) {
-        out[a] = v;
-        break;
-      }
-    }
-  }
+  // An attribute of only nulls has no true value (Top() is -1), and a
+  // unique value dominates vacuously (Top() is 0).
+  std::vector<int> out(vm.num_attrs());
+  for (int a = 0; a < vm.num_attrs(); ++a) out[a] = od.per_attr[a].Top();
   return out;
 }
 

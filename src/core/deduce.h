@@ -12,11 +12,16 @@
 // DeduceOrderShared computes the same Od on a session's solver, which
 // already holds Φ(Se) and its level-0 fixpoint: one propagation probe
 // under the guards, closed under the totality rule inside the probe
-// (paper mode), with Od read off the probe's trail. A conflict-free
-// fixpoint is unique, and Od is a transitive closure, so outside its
-// fallback — a refuted probe or totality extension, a pair Od rejects as
-// a cycle, or a solver holding learnt or strengthened clauses — the
-// result equals DeduceOrder's. The fallback is DeduceOrder itself.
+// (paper mode), with Od read off the probe's trail. No closure is
+// computed there: the solver propagates every attribute's transitivity
+// axioms (its order blocks), so a quiet trail's true order atoms are
+// already transitively closed, and each sets one bit of its attribute's
+// PartialOrder rows; a pair whose reverse bit is set is a cycle. A
+// conflict-free fixpoint is unique, and Od is a transitive closure, so
+// outside its fallback — a refuted probe or totality extension, a pair
+// Od rejects as a cycle, or a solver holding learnt or strengthened
+// clauses — the result equals DeduceOrder's. The fallback is DeduceOrder
+// itself.
 //
 // NaiveDeduce computes Lemma 6's Od exactly: the pairs x with
 // Φ(Se) ∧ ¬x unsatisfiable, i.e. the order atoms Φ(Se) entails. Φ(Se) is
@@ -25,10 +30,10 @@
 // propagation fixpoint computes that model (Dowling & Gallier, "Linear-
 // time algorithms for testing the satisfiability of propositional Horn
 // formulae", 1984). NaiveDeduceShared therefore reads the true order
-// atoms off the same kind of probe — no solver call. A formula that is
-// not Horn falls back to Lemma6DeduceShared, the paper's per-pair loop:
-// one SAT call per order variable, O(d²) calls per attribute
-// (Fig. 8(b)). Both return the same pair set on a Horn formula;
+// atoms off the same kind of probe, one bit each — no solver call. A
+// formula that is not Horn falls back to Lemma6DeduceShared, the paper's
+// per-pair loop: one SAT call per order variable, O(d²) calls per
+// attribute (Fig. 8(b)). Both return the same pair set on a Horn formula;
 // tests/deduce_propagation_test.cpp checks that pair for pair, and
 // DeduceOrderShared against DeduceOrder.
 
@@ -119,11 +124,13 @@ DeducedOrders DeduceOrder(const Instantiation& inst, const sat::Cnf& phi,
 /// DeduceOrder on a caller-owned solver already holding Φ(Se)'s clauses
 /// (the ResolutionSession's): one propagation probe under `guards`,
 /// extended by the totality rule in paper mode, with Od read off its
-/// trail. Equal to DeduceOrder(inst, BuildCnf(inst), options, guards),
-/// which it calls as its fallback (see the file comment). The fallback
-/// builds Φ afresh, so it lacks the units ¬g a session asserted for its
-/// retired guards g; under the live `guards` a retired guard's clauses
-/// can derive only ¬g, a variable Od never reads, so Od is the same.
+/// trail (no closure computed: the solver must propagate an order block
+/// for every attribute, as LoadSolver and AddCnf set it up). Equal to
+/// DeduceOrder(inst, BuildCnf(inst), options, guards), which it calls as
+/// its fallback (see the file comment). The fallback builds Φ afresh, so
+/// it lacks the units ¬g a session asserted for its retired guards g;
+/// under the live `guards` a retired guard's clauses can derive only ¬g,
+/// a variable Od never reads, so Od is the same.
 /// Must be called at decision level 0. SolverStats::deduce_probes /
 /// deduce_fallbacks count its probes and fallbacks.
 DeducedOrders DeduceOrderShared(const Instantiation& inst,

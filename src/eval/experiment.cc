@@ -82,6 +82,7 @@ ExperimentResult RunExperiment(const Dataset& ds,
   // bit-identical at any thread count and any batch size (timings aside).
   const int n_threads = std::clamp(options.num_threads, 1, std::max(1, n));
   std::vector<std::optional<ResolveResult>> results(n);
+  std::vector<Status> errors(n);
   // The claim counter lives alone on its cache line: it is the one word
   // every worker hammers, and sharing its line with the result slots (or
   // the lambda's captures) would put that contention on unrelated reads.
@@ -123,7 +124,11 @@ ExperimentResult RunExperiment(const Dataset& ds,
         // one resolution at a time); each worker uses its own.
         ropts.scratch = &scratch;
         auto rr_or = Resolve(se, &oracle, ropts);
-        if (rr_or.ok()) results[i] = std::move(rr_or).value();
+        if (rr_or.ok()) {
+          results[i] = std::move(rr_or).value();
+        } else {
+          errors[i] = rr_or.status();
+        }
       }
     }
   };
@@ -139,7 +144,7 @@ ExperimentResult RunExperiment(const Dataset& ds,
   for (int i = 0; i < n; ++i) {
     const EntityCase& ec = ds.entities[indices[i]];
     if (!results[i].has_value()) {
-      ++out.invalid_entities;  // Resolve returned an error
+      if (out.error.ok()) out.error = errors[i];
       continue;
     }
     const ResolveResult& rr = *results[i];

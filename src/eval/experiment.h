@@ -73,10 +73,16 @@ struct ExperimentResult {
   int invalid_entities = 0;
   /// Maximum interaction rounds any entity actually used.
   int max_rounds_used = 0;
+  /// The first error, in entity-index order, of an entity whose Resolve
+  /// failed (an over-limit formula, any other engine error); OK when none
+  /// did. Such an entity is counted neither as resolved nor as invalid:
+  /// an error is not a verdict, and the run has failed. Not serialized,
+  /// so the JSON of a run without errors is unchanged by this field.
+  Status error;
 };
 
 /// Resolves every entity in `ds` (or the sublist `entity_indices` if
-/// non-empty) and pools the results.
+/// non-empty) and pools the results. A failed entity sets `error`.
 ExperimentResult RunExperiment(const Dataset& ds,
                                const ExperimentOptions& options,
                                const std::vector<int>& entity_indices = {});

@@ -173,6 +173,7 @@ Result<ExperimentResult> MergeExperimentResults(
     out.entities += p.entities;
     out.invalid_entities += p.invalid_entities;
     out.max_rounds_used = std::max(out.max_rounds_used, p.max_rounds_used);
+    if (out.error.ok()) out.error = p.error;
     out.encode_ms += p.encode_ms;
     out.validity_ms += p.validity_ms;
     out.deduce_ms += p.deduce_ms;

@@ -54,7 +54,8 @@ Result<ExperimentResult> ExperimentResultFromJson(std::string_view json);
 /// on accuracy_by_round length — shards run with different max_rounds — a
 /// shorter part's final counts carry forward, mirroring the per-entity
 /// carry-forward inside RunExperiment. pct_true_by_round is recomputed
-/// from the pooled counts. The merge is associative and order-independent.
+/// from the pooled counts. The merge is associative and order-independent,
+/// apart from `error`: the first part's error in input order is kept.
 /// Fails on an empty input.
 Result<ExperimentResult> MergeExperimentResults(
     const std::vector<ExperimentResult>& parts);

@@ -57,7 +57,11 @@ struct SolverOptions {
   /// subsumption / self-subsuming resolution over the problem clauses.
   /// Intended between session rounds, after the encode layer appended the
   /// round's delta. Off (the default) = Simplify only sweeps satisfied
-  /// clauses; on Φ(Se) the passes never fire (0 subsumed, 0 vivified).
+  /// clauses. On Φ(Se) as loaded the passes find nothing (0 subsumed,
+  /// 0 vivified), but after an extension that retires CFD guards
+  /// vivification can strengthen clauses; from then on every
+  /// DeduceOrderShared of that session takes its fallback, which rebuilds
+  /// Φ with BuildCnf every round.
   bool use_inprocessing = false;
   /// Compacting arena garbage collection: once the words owned by dead
   /// clauses (removed, subsumed, shrunk) exceed gc_frac of the arena, live

@@ -13,10 +13,13 @@
 // DeduceOrder pair for pair in all three DeduceOptions modes, across
 // ExtendWith rounds of truth answers and fresh tuples, with no fallback
 // and no solver call on any corpus, and on a hand-built chain of
-// totality steps. Hand-built cases — totality conflicts, a cycle of
-// negative units, a contradicting CFD answer and a solver that learnt
-// clauses — must take the DeduceOrder fallback and still match it; a
-// cycle of true atoms sends NaiveDeduceShared to the per-pair loop.
+// totality steps. Both pipelines' session Deduce, which reads Od off the
+// trail without computing a closure, must also equal the trail's pairs
+// closed by PartialOrder::Add, across Create and three extensions.
+// Hand-built cases — totality conflicts, a cycle of negative units, a
+// contradicting CFD answer and a solver that learnt clauses — must take
+// the DeduceOrder fallback and still match it; a cycle of true atoms
+// sends NaiveDeduceShared to the per-pair loop.
 
 #include <gtest/gtest.h>
 
@@ -327,6 +330,124 @@ TEST(DeducePropagationTest, SessionDeduceMatchesDeduceOrderAcrossRounds) {
   }
   EXPECT_EQ(checks, 3 * 3 * 4 * 3);
   EXPECT_GT(pairs, 500);
+}
+
+// Od as the probe read it while it closed the relation itself: the same
+// probe on `solver` under the guards, closed under totality in paper mode
+// with totality, and every order literal of the trail recorded through
+// PartialOrder::Add in trail order (a negative one reversed, in paper
+// mode).
+PairSet AddTrailPairs(const Instantiation& inst, sat::Solver* solver,
+                      const DeduceOptions& mode) {
+  const VarMap& vm = inst.varmap;
+  DeducedOrders od;
+  for (int a = 0; a < vm.num_attrs(); ++a) {
+    od.per_attr.emplace_back(static_cast<int>(vm.domain(a).size()));
+  }
+  if (!solver->BeginProbe(inst.guard_assumptions())) {
+    ADD_FAILURE() << "probe refuted";
+    return {};
+  }
+  const bool totality =
+      mode.paper_negative_units && mode.totality_propagation;
+  for (size_t scanned = 0; totality;) {
+    std::vector<sat::Lit> reversed;
+    const std::span<const sat::Lit> trail = solver->ProbeTrail();
+    for (; scanned < trail.size(); ++scanned) {
+      const sat::Lit l = trail[scanned];
+      if (!l.negated() || !vm.IsOrderVar(l.var())) continue;
+      const OrderAtom atom = vm.Decode(l.var());
+      const sat::Var rev = vm.VarOf(atom.attr, atom.more, atom.less);
+      if (solver->ProbeValue(rev) != sat::Lbool::kTrue) {
+        reversed.push_back(sat::Lit::Pos(rev));
+      }
+    }
+    if (reversed.empty()) break;
+    if (!solver->ProbeExtend(reversed)) {
+      ADD_FAILURE() << "totality extension refuted";
+      return {};
+    }
+  }
+  for (const sat::Lit l : solver->ProbeTrail()) {
+    if (!vm.IsOrderVar(l.var())) continue;
+    if (l.negated() && !mode.paper_negative_units) continue;
+    const OrderAtom atom = vm.Decode(l.var());
+    PartialOrder& po = od.per_attr[atom.attr];
+    EXPECT_TRUE(l.negated() ? po.Add(atom.more, atom.less).ok()
+                            : po.Add(atom.less, atom.more).ok());
+  }
+  solver->EndProbe();
+  return ToPairSet(od);
+}
+
+// The session's Deduce sets one bit per true order atom of the trail and
+// computes no closure. On both pipelines and in every DeduceOptions mode
+// (the naive pipeline reads in strict mode), after Create and after each
+// of three extensions — two oracle answers, then a tuple of fresh values
+// that retires guards — its Od must equal the trail's pairs closed by
+// PartialOrder::Add and DeduceOrder's, from one probe and no fallback.
+TEST(DeducePropagationTest, SessionDeduceMatchesTheClosedTrailAndDeduceOrder) {
+  DeduceOptions strict;
+  strict.paper_negative_units = false;
+  std::vector<std::tuple<std::string, bool, DeduceOptions>> configs;
+  for (const auto& [mode_name, mode] : DeduceModes()) {
+    configs.emplace_back("fast " + mode_name, false, mode);
+  }
+  configs.emplace_back("naive", true, strict);
+  int checks = 0, pairs = 0, retired = 0;
+  for (const auto& [config, naive, mode] : configs) {
+    ResolveOptions options;
+    options.naive_deduce = naive;
+    options.deduce = mode;
+    for (const std::string kind : {"person", "nba", "career"}) {
+      const Dataset ds = SmallCorpus(kind, 0x0D0D);
+      for (size_t e = 0; e < ds.entities.size(); ++e) {
+        auto s = ResolutionSession::Create(
+            ds.MakeSpec(static_cast<int>(e)), options);
+        ASSERT_TRUE(s.ok());
+        TruthOracle oracle(ds.entities[e].truth, /*answers_per_round=*/1);
+        for (int round = 0; round <= 3; ++round) {
+          const std::string where = config + " " + kind + " entity " +
+                                    std::to_string(e) + " round " +
+                                    std::to_string(round);
+          const Instantiation& inst = s->instantiation();
+          ASSERT_TRUE(s->CheckValidity().valid) << where;
+          const sat::SolverStats before = s->solver_stats();
+          const PairSet deduced = ToPairSet(s->Deduce());
+          const sat::SolverStats delta = s->solver_stats() - before;
+          EXPECT_EQ(delta.deduce_probes, 1) << where;
+          EXPECT_EQ(delta.deduce_fallbacks, 0) << where;
+          EXPECT_EQ(deduced, AddTrailPairs(inst, s->mutable_solver(), mode))
+              << where;
+          EXPECT_EQ(deduced, ToPairSet(DeduceOrder(inst, BuildCnf(inst), mode,
+                                                   inst.guard_assumptions())))
+              << where;
+          ++checks;
+          pairs += static_cast<int>(deduced.size());
+          if (round == 3) break;
+          PartialTemporalOrder ot = FreshTupleDelta(s->spec());
+          const SessionRound r = s->RunRound(/*want_suggestion=*/true);
+          if (round < 2 && r.suggestion.has_value()) {
+            const std::vector<UserOracle::Answer> answers =
+                oracle.Provide(s->spec(), *r.suggestion, inst.varmap);
+            if (!answers.empty()) {
+              auto d = MakeAnswerDelta(s->spec(), answers);
+              ASSERT_TRUE(d.ok()) << where;
+              ot = std::move(d).value();
+            }
+          }
+          const std::vector<sat::Lit> guards = inst.guard_assumptions();
+          ASSERT_TRUE(s->ExtendWith(ot).ok()) << where;
+          for (size_t g = 0; g < guards.size(); ++g) {
+            retired += guards[g] != inst.guard_assumptions()[g];
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checks, 4 * 3 * 4 * 4);
+  EXPECT_GT(pairs, 1000);
+  EXPECT_GT(retired, 0);
 }
 
 // Whole resolves on all three corpora, both pipelines: every Deduce is

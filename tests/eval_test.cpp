@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "src/data/person_generator.h"
 #include "src/eval/experiment.h"
 #include "src/eval/pick.h"
+#include "src/eval/result_io.h"
 
 namespace ccr {
 namespace {
@@ -227,6 +229,53 @@ TEST_F(ExperimentTest, EntitySubsetSelection) {
   opts.max_rounds = 0;
   const ExperimentResult r = RunExperiment(ds, opts, {0, 1, 2});
   EXPECT_EQ(r.entities, 3);
+}
+
+// An entity the engine cannot resolve fails the run instead of reading
+// as an invalid specification. Entities 1 and 2 get 2,049 and 2,100 new
+// values in one attribute, past the formula size limits (Σ d² <= 2²²),
+// and the error kept is entity 1's, at any thread count. It is not
+// serialized, and a merge keeps the first part's.
+TEST_F(ExperimentTest, AFailedEntityFailsTheRun) {
+  Dataset ds = SmallPerson();
+  ExperimentOptions opts;
+  opts.max_rounds = 1;
+  const ExperimentResult clean = RunExperiment(ds, opts);
+  ASSERT_TRUE(clean.error.ok());
+  for (const auto& [e, values] : {std::pair{1, 2049}, std::pair{2, 2100}}) {
+    EntityInstance& inst = ds.entities[e].instance;
+    const Tuple first = inst.tuple(0);
+    for (int i = 0; i < values; ++i) {
+      Tuple t = first;
+      t[0] = Value::Str("over-" + std::to_string(i));
+      ASSERT_TRUE(inst.Add(std::move(t)).ok());
+    }
+  }
+  const Status first_error = RunExperiment(ds, opts, {1}).error;
+  ASSERT_FALSE(first_error.ok());
+  EXPECT_EQ(first_error.code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(first_error.message().find("formula size limit"),
+            std::string::npos)
+      << first_error.ToString();
+  EXPECT_NE(RunExperiment(ds, opts, {2}).error.message(),
+            first_error.message());
+  for (const int threads : {1, 3}) {
+    opts.num_threads = threads;
+    const ExperimentResult failed = RunExperiment(ds, opts);
+    EXPECT_EQ(failed.error.ToString(), first_error.ToString()) << threads;
+    EXPECT_EQ(failed.entities, 10) << threads;
+  }
+
+  ExperimentResult marked = clean;
+  marked.error = first_error;
+  EXPECT_EQ(ExperimentResultToJson(marked), ExperimentResultToJson(clean));
+  auto merged =
+      MergeExperimentResults({clean, marked, RunExperiment(ds, opts)});
+  ASSERT_TRUE(merged.ok());
+  EXPECT_EQ(merged->error.ToString(), first_error.ToString());
+  auto merged_clean = MergeExperimentResults({clean, clean});
+  ASSERT_TRUE(merged_clean.ok());
+  EXPECT_TRUE(merged_clean->error.ok());
 }
 
 TEST(ExperimentNbaTest, InteractionCurveShape) {

@@ -1,9 +1,11 @@
-// Unit tests for src/order: DenseBitset, PartialOrder, TemporalInstance.
+// Unit tests for src/order: PartialOrder, TemporalInstance.
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "src/order/partial_order.h"
 #include "src/order/temporal_instance.h"
@@ -11,27 +13,105 @@
 namespace ccr {
 namespace {
 
-TEST(DenseBitsetTest, SetAndTest) {
-  DenseBitset b(130);
-  EXPECT_FALSE(b.Test(0));
-  b.Set(0);
-  b.Set(64);
-  b.Set(129);
-  EXPECT_TRUE(b.Test(0));
-  EXPECT_TRUE(b.Test(64));
-  EXPECT_TRUE(b.Test(129));
-  EXPECT_FALSE(b.Test(1));
-  EXPECT_EQ(b.Count(), 3);
+// The closure of `edges` over n elements by Floyd–Warshall, as a
+// reference independent of PartialOrder's rows.
+std::vector<std::vector<bool>> ReferenceClosure(
+    int n, const std::vector<std::pair<int, int>>& edges) {
+  std::vector<std::vector<bool>> less(n, std::vector<bool>(n, false));
+  for (const auto& [u, v] : edges) less[u][v] = true;
+  for (int k = 0; k < n; ++k) {
+    for (int u = 0; u < n; ++u) {
+      if (!less[u][k]) continue;
+      for (int v = 0; v < n; ++v) {
+        if (less[k][v]) less[u][v] = true;
+      }
+    }
+  }
+  return less;
 }
 
-TEST(DenseBitsetTest, UnionWith) {
-  DenseBitset a(70), b(70);
-  a.Set(3);
-  b.Set(65);
-  a.UnionWith(b);
-  EXPECT_TRUE(a.Test(3));
-  EXPECT_TRUE(a.Test(65));
-  EXPECT_EQ(a.Count(), 2);
+// Every read of `po` against the reference relation.
+void ExpectMatchesReference(const PartialOrder& po,
+                            const std::vector<std::vector<bool>>& less,
+                            const std::string& where) {
+  const int n = static_cast<int>(less.size());
+  std::vector<int> maximal;
+  std::vector<std::pair<int, int>> pairs;
+  int top = -1;
+  for (int u = 0; u < n; ++u) {
+    bool above = false;
+    bool dominates = true;
+    for (int v = 0; v < n; ++v) {
+      ASSERT_EQ(po.Less(u, v), less[u][v]) << where << " " << u << "<" << v;
+      above = above || less[u][v];
+      dominates = dominates && (v == u || less[v][u]);
+      if (less[u][v]) pairs.emplace_back(u, v);
+    }
+    if (!above) maximal.push_back(u);
+    if (dominates) top = u;
+    EXPECT_EQ(po.DominatesAll(u), dominates) << where << " top " << u;
+  }
+  EXPECT_EQ(po.Top(), top) << where;
+  EXPECT_EQ(po.Maximal(), maximal) << where;
+  EXPECT_EQ(po.Pairs(), pairs) << where;
+  EXPECT_EQ(po.CountPairs(), static_cast<int>(pairs.size())) << where;
+  EXPECT_TRUE(po.IsTransitivelyClosed()) << where;
+}
+
+// Rows of ceil(n / 64) words: sizes on both sides of one and two word
+// boundaries, with pairs whose bits sit in a row's last word and pairs
+// that close across words. First a sparse order around the boundaries,
+// then a chain making it total; SetPair over the closed pair set must
+// give the same rows as Add.
+TEST(PartialOrderTest, FlatRowsAcrossWordBoundaries) {
+  for (const int n : {1, 63, 64, 65, 130}) {
+    const std::string where = "n=" + std::to_string(n);
+    PartialOrder po(n);
+    std::vector<std::pair<int, int>> edges;
+    ExpectMatchesReference(po, ReferenceClosure(n, edges), where + " empty");
+    if (n == 1) continue;
+    // Element n-1 sits in the last word of every row; 62..65 and
+    // 126..129 straddle the boundaries.
+    for (const auto& [u, v] : std::vector<std::pair<int, int>>{
+             {0, n - 1}, {62, 63}, {63, 64}, {64, 65}, {1, 62},
+             {65, 127}, {127, 128}, {128, 129}}) {
+      if (u >= n || v >= n || u == v) continue;
+      ASSERT_TRUE(po.Add(u, v).ok()) << where << " " << u << "<" << v;
+      edges.emplace_back(u, v);
+    }
+    ExpectMatchesReference(po, ReferenceClosure(n, edges), where + " sparse");
+    EXPECT_FALSE(po.Add(n - 1, 0).ok()) << where;
+    EXPECT_FALSE(po.SetPair(n - 1, 0)) << where;
+    EXPECT_FALSE(po.Less(n - 1, 0)) << where;
+
+    PartialOrder direct(n);
+    for (const auto& [u, v] : po.Pairs()) {
+      ASSERT_TRUE(direct.SetPair(u, v)) << where;
+    }
+    ExpectMatchesReference(direct, ReferenceClosure(n, edges),
+                           where + " direct");
+
+    for (int k = n - 2; k >= 0; --k) {
+      ASSERT_TRUE(po.Add(k, k + 1).ok()) << where << " chain " << k;
+      edges.emplace_back(k, k + 1);
+    }
+    ExpectMatchesReference(po, ReferenceClosure(n, edges), where + " total");
+    EXPECT_EQ(po.CountPairs(), n * (n - 1) / 2) << where;
+    EXPECT_EQ(po.Maximal(), std::vector<int>{n - 1}) << where;
+  }
+}
+
+TEST(PartialOrderTest, SetPairSkipsTheClosure) {
+  PartialOrder po(70);
+  EXPECT_TRUE(po.SetPair(0, 65));
+  EXPECT_TRUE(po.SetPair(65, 69));
+  EXPECT_FALSE(po.Less(0, 69));
+  EXPECT_FALSE(po.IsTransitivelyClosed());
+  EXPECT_TRUE(po.SetPair(0, 69));
+  EXPECT_TRUE(po.IsTransitivelyClosed());
+  EXPECT_FALSE(po.SetPair(69, 65));  // reverse bit set: a cycle
+  EXPECT_FALSE(po.Less(69, 65));
+  EXPECT_EQ(po.CountPairs(), 3);
 }
 
 TEST(PartialOrderTest, BasicAdd) {
@@ -114,6 +194,8 @@ TEST(PartialOrderTest, PairsAndCount) {
 TEST(PartialOrderTest, SingleElementDominatesVacuously) {
   PartialOrder po(1);
   EXPECT_TRUE(po.DominatesAll(0));
+  EXPECT_EQ(po.Top(), 0);
+  EXPECT_EQ(PartialOrder(0).Top(), -1);
 }
 
 class TemporalInstanceTest : public ::testing::Test {

@@ -84,7 +84,10 @@ void PrintUsage(std::FILE* to) {
                "  --out FILE        output path, '-' = stdout (default)\n"
                "  --no-timings      zero the machine-dependent timings so\n"
                "                    equal results serialize to equal bytes\n"
-               "  --help            this text\n",
+               "  --help            this text\n"
+               "\n"
+               "Exits 2, writing no result, on a bad flag or when any\n"
+               "entity fails to resolve (the first error is printed).\n",
                kMaxExperimentThreads);
 }
 
@@ -381,6 +384,12 @@ int RunShard(const CliOptions& o) {
     RecomputePctTrueByRound(&result);
   } else {
     result = RunExperiment(ds, eopts, indices);
+  }
+  if (!result.error.ok()) {
+    // An entity the engine could not resolve fails the run: its error is
+    // not a verdict, so no result is written.
+    std::fprintf(stderr, "%s\n", result.error.ToString().c_str());
+    return 2;
   }
   if (o.solver_stats) DumpSolverStats(result);
   ResultJsonOptions jopts;
