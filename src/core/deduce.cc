@@ -54,14 +54,18 @@ enum class ProbeRead {
 // one pass, which each totality extension resumes. Totality is the
 // clause x_ij ∨ x_ji: a false order literal ¬x_ij enqueues x_ji.
 //
-// No closure is computed. Precondition: the solver propagates an order
-// block for every attribute (LoadSolver registers one per attribute,
-// AddCnf syncs a Cnf's), so a quiet trail's true order atoms are
-// transitively closed, and each sets one bit (PartialOrder::SetPair). On
-// a closed relation every cycle holds a pair whose reverse bit is set,
-// which SetPair rejects. With totality, a false atom's reversal is on the
-// quiet trail as a true one; paper mode without totality adds the
-// reversals through PartialOrder::Add, which closes the relation again.
+// No closure is computed, and no atom is decoded through the VarMap: the
+// solver's order blocks give each trail variable's (i, j), and the
+// attribute is its block's. Precondition: the solver propagates an order
+// block for every attribute of two or more values (LoadSolver registers
+// one per attribute, AddCnf syncs a Cnf's), so a quiet trail's true order
+// atoms are transitively closed and asymmetric, and each sets one bit
+// (PartialOrder::SetPair). The blocks make both true atoms of a pair a
+// conflict, so a quiet trail holds no cycle; SetPair's reverse-bit check
+// stays as the guard that rejects one. With totality, a false atom's
+// reversal is on the quiet trail as a true one; paper mode without
+// totality adds the reversals through PartialOrder::Add, which closes the
+// relation again.
 // The probe is closed on return; without totality `od` is still empty
 // when the probe was refuted.
 ProbeRead ReadOrdersOffProbe(const VarMap& vm, sat::Solver* solver,
@@ -69,6 +73,15 @@ ProbeRead ReadOrdersOffProbe(const VarMap& vm, sat::Solver* solver,
                              std::span<const sat::Lit> guards,
                              DeducedOrders* od) {
   solver->RecordDeduceProbe(1, false);
+  // Block b's attribute: a block registers once its attribute has two
+  // values, so block b need not be attribute b.
+  std::vector<int> attr_of_block(vm.num_attrs(), -1);
+  for (int a = 0; a < vm.num_attrs(); ++a) {
+    if (vm.domain(a).size() < 2) continue;
+    const int b = solver->order_pos(vm.VarOf(a, 0, 1)).block;
+    CCR_DCHECK(b >= 0);
+    if (b >= 0) attr_of_block[b] = a;
+  }
   if (!solver->BeginProbe(guards)) return ProbeRead::kRefuted;
   const bool totality =
       options.paper_negative_units && options.totality_propagation;
@@ -78,16 +91,18 @@ ProbeRead ReadOrdersOffProbe(const VarMap& vm, sat::Solver* solver,
     const std::span<const sat::Lit> trail = solver->ProbeTrail();
     for (; scanned < trail.size(); ++scanned) {
       const sat::Lit l = trail[scanned];
-      if ((l.negated() && !totality) || !vm.IsOrderVar(l.var())) continue;
-      const OrderAtom atom = vm.Decode(l.var());
+      if (l.negated() && !totality) continue;
+      const sat::OrderPos& pos = solver->order_pos(l.var());
+      if (pos.block < 0) continue;  // a guard or a definitional atom
+      const int attr = attr_of_block[pos.block];
       if (!l.negated()) {
-        if (!od->per_attr[atom.attr].SetPair(atom.less, atom.more)) {
+        if (!od->per_attr[attr].SetPair(pos.i, pos.j)) {
           solver->EndProbe();
           return ProbeRead::kRejected;
         }
         continue;
       }
-      const sat::Var rev = vm.VarOf(atom.attr, atom.more, atom.less);
+      const sat::Var rev = vm.VarOf(attr, pos.j, pos.i);
       if (solver->ProbeValue(rev) != sat::Lbool::kTrue) {
         reversed.push_back(sat::Lit::Pos(rev));
       }
@@ -202,14 +217,16 @@ DeducedOrders DeduceOrder(const Instantiation& inst, const sat::Cnf& phi,
       // Nothing further can be soundly deduced from this clause.
     }
 
-    // The transitivity ternaries ¬x_ab ∨ ¬x_bc ∨ x_ac holding l's
-    // variable, by the unit rules the solver applies too
-    // (OrderBlock::PropagateAxioms). A falsified ternary's `first` is
+    // The block's axioms holding l's variable, by the unit rules the
+    // solver applies too: asymmetry (x_ij true makes x_ji false) and the
+    // transitivity ternaries ¬x_ab ∨ ¬x_bc ∨ x_ac
+    // (OrderBlock::PropagateAxioms). A falsified axiom's `first` is
     // already false, so the queue skips it: a conflict, ignored like
     // above.
     const sat::OrderPos pos = phi.order_pos(l.var());
     if (pos.block < 0) continue;
     const sat::OrderBlock& block = phi.order_block(pos.block);
+    if (!l.negated()) queue.push_back(sat::Lit::Neg(block.at(pos.j, pos.i)));
     const auto val = [&](int a, int b) { return value[block.at(a, b)]; };
     const auto push = [&](int, int, int, sat::Lit first, sat::Lit) {
       queue.push_back(first);

@@ -56,57 +56,65 @@ class SolverSink {
   sat::Solver* solver_;
 };
 
-// The clause of one ground constraint (b1 ∧ ... ∧ bk → h):
-// (¬b1 ∨ ... ∨ ¬bk ∨ h), without h for a false head, literal by literal.
-// A guarded constraint (CFD rules under guarded grounding) is emitted as
-// (¬guard ∨ clause): it binds only while its guard is assumed true, and
-// retiring the guard (unit ¬guard) permanently deactivates it without
-// retracting anything.
+// The clause of one ground constraint of families (1a) and (2),
+// (b1 ∧ ... ∧ bk → h): (¬b1 ∨ ... ∨ ¬bk ∨ h), without h for a false head,
+// literal by literal.
 template <class AddFn>
 void ConstraintClause(const Instantiation& inst, const GroundConstraint& gc,
                       AddFn&& add) {
   const VarMap& vm = inst.varmap;
-  if (gc.guard != sat::kVarUndef && !add(sat::Lit::Neg(gc.guard))) return;
   for (const OrderAtom& atom : inst.body(gc)) {
     if (!add(sat::Lit::Neg(vm.VarOf(atom)))) return;
   }
   if (gc.head_kind == GroundHead::kAtom) add(sat::Lit::Pos(vm.VarOf(gc.head)));
 }
 
-// The asymmetry of ≺ on attribute a's values i and j: ¬x_ij ∨ ¬x_ji.
-template <class Sink>
-void AsymmetryBinary(const VarMap& vm, int a, int i, int j, Sink* sink) {
-  sink->Clause([&](auto add) {
-    add(sat::Lit::Neg(vm.VarOf(a, i, j))) &&
-        add(sat::Lit::Neg(vm.VarOf(a, j, i)));
-  });
+// The defining clause of a CFD version's atom t, (g ∧ ωX → t):
+// (¬g ∨ ¬ωX ∨ t), without ¬g when the version is unguarded. A guard
+// retired by a unit ¬g leaves t underivable, which deactivates every rule
+// of the version without retracting anything.
+template <class AddFn>
+void DefinitionClause(const Instantiation& inst, const CfdVersion& ver,
+                      AddFn&& add) {
+  const VarMap& vm = inst.varmap;
+  if (ver.guard != sat::kVarUndef && !add(sat::Lit::Neg(ver.guard))) return;
+  for (const OrderAtom& atom : inst.body(ver)) {
+    if (!add(sat::Lit::Neg(vm.VarOf(atom)))) return;
+  }
+  add(sat::Lit::Pos(ver.def));
 }
 
 // The one encoding pass: all of Φ(Se) when `delta` is null, else exactly
 // what Φ(Se ⊕ Ot) gains from the Instantiation::ExtendWith call that
 // returned `delta`. Order blocks come first, so the level-0 units among
 // the clauses already propagate through them in a solver; then the
-// retired guards' units, the ground constraints' clauses and the
-// asymmetry binaries, in that order.
+// retired versions' units and the ground constraints' clauses, in that
+// order. Each CFD rule (ωX → b ≺ tp[B]) is the binary (¬t ∨ x_b,rhs) on
+// its version's atom t, and the version's defining clause comes with its
+// first rule; an extension that only adds competing values to a version
+// adds only binaries.
 template <class Sink>
 void EncodePhi(const Instantiation& inst, const InstantiationDelta* delta,
                Sink* sink) {
   const VarMap& vm = inst.varmap;
   sink->EnsureVars(vm.num_vars());
 
-  // Transitivity: one implicit order block per attribute, over its whole
-  // domain; an extension adds the grown attributes' new rows and columns.
+  // Transitivity and asymmetry: one implicit order block per attribute,
+  // over its whole domain; an extension adds the grown attributes' new
+  // rows and columns.
   for (int a = 0; a < vm.num_attrs(); ++a) {
     sink->OrderBlock(a, static_cast<int>(vm.domain(a).size()),
                      [&](int i, int j) { return vm.VarOf(a, i, j); });
   }
 
-  // Retired CFD guards: each unit permanently satisfies every clause of
-  // the invalidated rule version, before the re-grounded replacements
-  // (guarded by fresh selectors) are appended below.
+  // Retired CFD versions: the units ¬g and ¬t permanently satisfy every
+  // clause of the invalidated version, before the re-grounded
+  // replacements (under fresh guards and atoms) are appended below.
   if (delta != nullptr) {
-    for (const sat::Var g : delta->retired_guards) {
-      sink->Clause([&](auto add) { add(sat::Lit::Neg(g)); });
+    for (const int v : delta->retired_versions) {
+      const CfdVersion& ver = inst.cfd_versions()[v];
+      sink->Clause([&](auto add) { add(sat::Lit::Neg(ver.guard)); });
+      sink->Clause([&](auto add) { add(sat::Lit::Neg(ver.def)); });
     }
   }
 
@@ -114,22 +122,17 @@ void EncodePhi(const Instantiation& inst, const InstantiationDelta* delta,
   for (int c = delta != nullptr ? delta->first_new_constraint : 0;
        c < n_constraints; ++c) {
     const GroundConstraint& gc = inst.constraints[c];
-    sink->Clause([&](auto add) { ConstraintClause(inst, gc, add); });
-  }
-
-  // Asymmetry, for every pair of values or, in an extension, for the
-  // pairs that touch a new value: O(d · Δ) per grown attribute.
-  for (int a = 0; a < vm.num_attrs(); ++a) {
-    const int d = static_cast<int>(vm.domain(a).size());
-    if (delta == nullptr) {
-      for (int i = 0; i < d; ++i) {
-        for (int j = i + 1; j < d; ++j) AsymmetryBinary(vm, a, i, j, sink);
-      }
-    } else {
-      for (int j = delta->old_domain_sizes[a]; j < d; ++j) {
-        for (int i = 0; i < j; ++i) AsymmetryBinary(vm, a, i, j, sink);
-      }
+    if (gc.version < 0) {
+      sink->Clause([&](auto add) { ConstraintClause(inst, gc, add); });
+      continue;
     }
+    const CfdVersion& ver = inst.version(gc);
+    if (c == ver.first_rule) {
+      sink->Clause([&](auto add) { DefinitionClause(inst, ver, add); });
+    }
+    sink->Clause([&](auto add) {
+      add(sat::Lit::Neg(ver.def)) && add(sat::Lit::Pos(vm.VarOf(gc.head)));
+    });
   }
 }
 

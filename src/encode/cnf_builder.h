@@ -1,14 +1,23 @@
 // ConvertToCNF: Φ(Se) from Ω(Se) (§V-A).
 //
-// Every materialized ground constraint (b1 ∧ ... ∧ bk → h) becomes
-// the clause (¬b1 ∨ ... ∨ ¬bk ∨ h), and the asymmetry of each ≺^v_A
-// becomes the binaries ¬x_ab ∨ ¬x_ba. Transitivity, the O(d³) part of
-// the paper's encoding, is not written out: each attribute gets one
-// implicit order block (its d×d matrix of order variables), which the
-// solver and DeduceOrder propagate directly and Cnf::Materialized spells
-// out on demand. By Lemma 5 of the paper, Se is valid iff Φ(Se) is
-// satisfiable (a consistent strict partial order always extends to a
-// total order).
+// A ground constraint of families (1a) and (2), (b1 ∧ ... ∧ bk → h),
+// becomes the clause (¬b1 ∨ ... ∨ ¬bk ∨ h). Family (3) is written once
+// per CFD guard version (CfdVersion), not once per rule: the version's
+// definitional atom t gets the clause (¬g ∨ ¬ωX ∨ t), written with the
+// version's first rule, and each rule ωX → x_b,rhs the binary
+// (¬t ∨ x_b,rhs), so the body ωX is fed once however many values
+// compete. t is derivable exactly when g and ωX hold, so the least model
+// on order atoms is the one the rules' copied-body clauses would give.
+// An unguarded version writes (¬ωX ∨ t). A retired version gets the
+// units ¬g and ¬t.
+//
+// The structural axioms of each ≺^v_A, transitivity (the O(d³) part of
+// the paper's encoding) and asymmetry (¬x_ab ∨ ¬x_ba), are not written
+// out: each attribute gets one implicit order block (its d×d matrix of
+// order variables), which the solver and DeduceOrder propagate directly
+// and Cnf::Materialized spells out on demand. By Lemma 5 of the paper,
+// Se is valid iff Φ(Se) is satisfiable (a consistent strict partial
+// order always extends to a total order).
 //
 // These rules are written once, as one pass over the Instantiation that
 // writes into a sink. LoadSolver/ExtendSolver run it straight into a
@@ -22,9 +31,10 @@
 //
 // Φ(Se) is Horn: every clause has at most one positive literal. Rules
 // carry one positive head (none for a false head) behind negated body
-// atoms and guards, asymmetry binaries have none, a retired guard is a
-// negative unit, and the implicit ternaries ¬x_ij ∨ ¬x_jk ∨ x_ik have
-// one. ResolutionSession checks it as each clause batch enters the
+// atoms, a version's clause has t behind ¬g and ¬ωX, a rule's binary
+// has x_b,rhs behind ¬t, a retired version's units are negative, and
+// the implicit axioms have at most one (¬x_ij ∨ ¬x_jk ∨ x_ik, and
+// ¬x_ij ∨ ¬x_ji). ResolutionSession checks it as each clause batch enters the
 // solver (Solver::ProblemIsHorn).
 
 #ifndef CCR_ENCODE_CNF_BUILDER_H_
@@ -37,8 +47,9 @@
 namespace ccr {
 
 /// Builds Φ(Se) over the variables of `inst.varmap`: order block a for
-/// each attribute a, one clause per ground constraint, then each
-/// attribute's asymmetry binaries.
+/// each attribute a, then one clause per ground constraint of families
+/// (1a) and (2) and one binary per CFD rule, each CFD version's defining
+/// clause just before its first rule's binary.
 sat::Cnf BuildCnf(const Instantiation& inst);
 
 /// Builds Φ(Se) into `*cnf` (cleared first, keeping its buffer capacity).
@@ -47,13 +58,14 @@ sat::Cnf BuildCnf(const Instantiation& inst);
 void BuildCnfInto(const Instantiation& inst, sat::Cnf* cnf);
 
 /// Appends to `cnf` exactly what Φ(Se ⊕ Ot) gains from an
-/// Instantiation::ExtendWith call: one unit per retired CFD guard
-/// (guarded grounding — deactivates the stale rule version), one clause
-/// per new ground constraint, the asymmetry binaries for atom pairs that
-/// touch a newly added domain value, and the new rows and columns of the
-/// grown attributes' order blocks (existing entries keep their
-/// variables). `cnf` must be the formula previously built (and possibly
-/// already extended) from `inst`.
+/// Instantiation::ExtendWith call: the new rows and columns of the grown
+/// attributes' order blocks (existing entries keep their variables), the
+/// units ¬g and ¬t of each retired CFD version (guarded grounding —
+/// deactivates the stale version), and the clauses of the new ground
+/// constraints: a new version's defining clause with its first rule,
+/// and one binary per new CFD rule, so a version that only gains
+/// competing values gains only binaries. `cnf` must be the formula
+/// previously built (and possibly already extended) from `inst`.
 void ExtendCnf(const Instantiation& inst, const InstantiationDelta& delta,
                sat::Cnf* cnf);
 

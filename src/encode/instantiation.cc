@@ -288,10 +288,11 @@ void Instantiation::GroundSigmaPair(const CurrencyConstraint& phi,
 }
 
 // Family (3) for gamma[gi]: ωX -> b ≺^v_B tp[B] for each competing value b
-// with index >= first_b. 0 grounds the full family of a new guard version
-// and stores its body ωX; ExtendWith passes the pre-extension domain size
-// to ground only newly competing values, which share the stored body (the
-// version's LHS domains have not changed).
+// with index >= first_b. 0 grounds the full family of a new guard version:
+// it stores the version's body ωX and allocates its definitional atom.
+// ExtendWith passes the pre-extension domain size to ground only newly
+// competing values, which join the current version (its LHS domains have
+// not changed).
 void Instantiation::GroundCfd(int gi, const RuleSet& rules, int first_b) {
   const ConstantCfd& cfd = rules.gamma()[gi];
   const int rb = cfd.rhs_attr();
@@ -302,8 +303,13 @@ void Instantiation::GroundCfd(int gi, const RuleSet& rules, int first_b) {
   if (first_b >= db) return;
 
   if (first_b == 0) {
-    // Shared body ωX: tp[Aj] dominates every other domain value of Aj.
-    const uint32_t begin = static_cast<uint32_t>(body_atoms_.size());
+    // A new version. Its body ωX: tp[Aj] dominates every other domain
+    // value of Aj.
+    CfdVersion& ver = cfd_versions_.emplace_back();
+    cfd_version_[gi] = static_cast<int>(cfd_versions_.size()) - 1;
+    ver.def = varmap.NewAuxVar(VarKind::kDefinitional);
+    ver.guard = guarded_ ? cfd_guard_[gi] : sat::kVarUndef;
+    ver.body_begin = static_cast<uint32_t>(body_atoms_.size());
     for (const auto& [aj, cj] : cfd.lhs()) {
       const int cj_idx = varmap.ValueIndex(aj, cj);
       CCR_DCHECK(cj_idx >= 0);
@@ -313,21 +319,24 @@ void Instantiation::GroundCfd(int gi, const RuleSet& rules, int first_b) {
         body_atoms_.push_back(OrderAtom{aj, other, cj_idx});
       }
     }
-    cfd_body_[gi] = {begin, static_cast<uint32_t>(body_atoms_.size())};
+    ver.body_end = static_cast<uint32_t>(body_atoms_.size());
   }
 
-  const auto [body_begin, body_end] = cfd_body_[gi];
-  const sat::Var guard = guarded_ ? cfd_guard_[gi] : sat::kVarUndef;
+  const int v = cfd_version_[gi];
+  CfdVersion& ver = cfd_versions_[v];
   for (int b = first_b; b < db; ++b) {
     if (b == rhs_idx) continue;
+    if (ver.first_rule < 0) {
+      ver.first_rule = static_cast<int>(constraints.size());
+    }
     GroundConstraint& gc = constraints.emplace_back();
     gc.source = GroundSource::kCfd;
     gc.source_index = gi;
-    gc.body_begin = body_begin;
-    gc.body_end = body_end;
+    gc.body_begin = ver.body_begin;
+    gc.body_end = ver.body_end;
     gc.head_kind = GroundHead::kAtom;
     gc.head = OrderAtom{rb, b, rhs_idx};
-    gc.guard = guard;
+    gc.version = v;
   }
 }
 
@@ -364,7 +373,8 @@ Status Instantiation::BuildInto(const Specification& se, Instantiation* out,
   inst.cfd_applicable_.assign(n_gamma, false);
   inst.cfd_lhs_attr_.assign(n_attrs, false);
   inst.cfd_guard_.assign(n_gamma, sat::kVarUndef);
-  inst.cfd_body_.resize(n_gamma);
+  inst.cfd_versions_.clear();
+  inst.cfd_version_.assign(n_gamma, -1);
 
   // (1a) Partial currency orders of It, lifted to value-level unit rules.
   for (int a = 0; a < n_attrs; ++a) {
@@ -523,9 +533,11 @@ Result<InstantiationDelta> Instantiation::ExtendWith(
   // Fail closed before anything is applied: the grown domains must stay
   // within the formula size limit (Σ d², as VarMap::BuildFrom counts it),
   // and the appended values' order atoms (two per existing value) plus
-  // the fresh guards within the solver's variable range.
+  // the new versions' guards and definitional atoms within the solver's
+  // variable range.
   int64_t added_vars =
-      static_cast<int64_t>(retired_cfds.size() + newly_applicable.size());
+      static_cast<int64_t>(retired_cfds.size() + newly_applicable.size()) *
+      (guarded_ ? 2 : 1);
   std::vector<int64_t> grown(n_attrs, 0);
   for (const auto& p : pending) {
     added_vars += 2 * (static_cast<int64_t>(varmap.domain(p.attr).size()) +
@@ -550,10 +562,11 @@ Result<InstantiationDelta> Instantiation::ExtendWith(
 
   // --- apply --------------------------------------------------------------
   out.first_new_constraint = static_cast<int>(constraints.size());
-  out.old_domain_sizes.resize(n_attrs);
+  // Per-attribute domain sizes before the extension: new values have
+  // indices past these.
+  std::vector<int> old_sizes(n_attrs);
   for (int a = 0; a < n_attrs; ++a) {
-    out.old_domain_sizes[a] =
-        static_cast<int>(varmap.domain(a).size());
+    old_sizes[a] = static_cast<int>(varmap.domain(a).size());
   }
 
   std::vector<int> pending_codes(pending.size());
@@ -571,7 +584,7 @@ Result<InstantiationDelta> Instantiation::ExtendWith(
   }
   for (int a = 0; a < n_attrs; ++a) {
     if (rules.HasSigmaConstants(a)) {
-      ResolveSigmaConstants(rules, a, out.old_domain_sizes[a]);
+      ResolveSigmaConstants(rules, a, old_sizes[a]);
     }
   }
   std::sort(newly_applicable.begin(), newly_applicable.end());
@@ -587,7 +600,7 @@ Result<InstantiationDelta> Instantiation::ExtendWith(
   // guard in place — the live-guard list keeps its stable order — and
   // newly applicable CFDs get their first guard before grounding.
   for (int gi : retired_cfds) {
-    out.retired_guards.push_back(cfd_guard_[gi]);
+    out.retired_versions.push_back(cfd_version_[gi]);
     const sat::Var fresh = varmap.NewAuxVar();
     for (sat::Lit& l : active_guards_) {
       if (l.var() == cfd_guard_[gi]) l = sat::Lit::Pos(fresh);
@@ -628,9 +641,7 @@ Result<InstantiationDelta> Instantiation::ExtendWith(
     const bool is_retired =
         std::binary_search(retired_cfds.begin(), retired_cfds.end(), gi);
     GroundCfd(gi, rules,
-              is_retired
-                  ? 0
-                  : out.old_domain_sizes[rules.gamma()[gi].rhs_attr()]);
+              is_retired ? 0 : old_sizes[rules.gamma()[gi].rhs_attr()]);
   }
   for (int gi : newly_applicable) {
     GroundCfd(gi, rules, /*first_b=*/0);

@@ -8,8 +8,17 @@
 //   (3)  constant CFDs expanded per competing value b.
 // Families (2), (3) and (1a) are materialized here — they carry the
 // provenance that TrueDer (§V-C) partitions into derivation rules.
-// Families (1b)/(1c) are pure functions of the domains and are streamed
-// directly into the CNF by cnf_builder.h, never stored.
+// Families (1b)/(1c) are pure functions of the domains: neither is
+// stored, nor written as clauses. Each attribute's order block
+// (sat::OrderBlock) stands for both, and the solver and DeduceOrder
+// propagate them from the block.
+//
+// Family (3) is grounded per CFD guard version (CfdVersion): the version
+// stores its body ωX once, and each competing value b adds one rule
+// ωX -> b ≺^v_B tp[B] that names the version. The encoding pass writes
+// the version once, as a definitional atom t with (g ∧ ωX -> t), and each
+// rule as the binary (t -> x_b,rhs), instead of copying ωX into every
+// rule's clause.
 //
 // Family (2) is grounded as a filtered join on dense value codes. Each
 // tuple is turned into a row of codes — a value's index in its VarMap
@@ -86,12 +95,12 @@ struct GroundConstraint {
   uint32_t body_end = 0;
   GroundHead head_kind = GroundHead::kAtom;
   OrderAtom head;
-  /// Guard selector (guarded grounding only): the CNF clause is emitted as
-  /// (¬guard ∨ clause) and holds only while the guard is assumed true.
-  /// One guard is shared by all rules of a (CFD, LHS-pattern-version); a
-  /// version whose guard has been retired stays in `constraints` but is
-  /// permanently deactivated in the formula. kVarUndef = unguarded.
-  sat::Var guard = sat::kVarUndef;
+  /// Family (3) only: the index of the rule's CFD version in
+  /// Instantiation::cfd_versions() (its guard, definitional atom and the
+  /// body range above); -1 for every other family. A version whose guard
+  /// has been retired stays in `constraints` but is permanently
+  /// deactivated in the formula.
+  int version = -1;
   /// Canonical emission rank within its family. For family (2) this packs
   /// (constraint index, projection-pair generation); TrueDer sorts by it so
   /// incremental appends and full rebuilds mine identical rule orders.
@@ -99,6 +108,29 @@ struct GroundConstraint {
 
   bool has_body() const { return body_end != body_begin; }
   std::string ToString(const Instantiation& inst, const Schema& schema) const;
+};
+
+/// \brief One guard version of an applicable CFD ψ: the rules
+/// ωX -> b ≺^v_B tp[B] grounded against one state of ψ's LHS domains.
+/// Every rule of the version shares its body range and names it
+/// (GroundConstraint::version). A new value in an LHS attribute retires
+/// the version (guarded grounding) and starts a new one.
+struct CfdVersion {
+  /// The definitional atom t (VarKind::kDefinitional): the encoding pass
+  /// writes (¬guard ∨ ¬ωX ∨ t) once and (¬t ∨ x_b,rhs) per rule, so t is
+  /// derivable exactly when the guard and ωX hold.
+  sat::Var def = sat::kVarUndef;
+  /// Guard selector (guarded grounding only): the version binds only while
+  /// it is assumed true. kVarUndef = unguarded; the version's clause is
+  /// then (¬ωX ∨ t).
+  sat::Var guard = sat::kVarUndef;
+  /// ωX: atoms [body_begin, body_end) of the body arena.
+  uint32_t body_begin = 0;
+  uint32_t body_end = 0;
+  /// Index in Instantiation::constraints of the version's first rule,
+  /// which the encoding pass writes t's defining clause with; -1 while the
+  /// version has no rule (every value of the RHS attribute is tp[B]).
+  int first_rule = -1;
 };
 
 /// Grounding options.
@@ -113,7 +145,7 @@ struct InstantiationOptions {
   /// null outside the answered attributes (§III Remark (1)).
   bool strict_null_order = false;
   /// Guard every grounded CFD rule body with a per-(CFD, LHS-pattern)
-  /// selector variable (see GroundConstraint::guard). With guards on, the
+  /// selector variable (see CfdVersion::guard). With guards on, the
   /// one non-append-only delta — a new value in an applicable CFD's LHS
   /// attribute — no longer forces a rebuild: ExtendWith retires the old
   /// guard and appends re-grounded guarded rules. Callers must then pass
@@ -130,18 +162,17 @@ struct InstantiationDelta {
   /// value landed in the LHS attribute of an already-grounded CFD, which
   /// would strengthen existing rule bodies) — unguarded grounding only;
   /// with InstantiationOptions::guard_cfds that case is expressed by
-  /// `retired_guards` instead and this is always false. When set, nothing
+  /// `retired_versions` instead and this is always false. When set, nothing
   /// was mutated; the caller must rebuild from scratch.
   bool needs_rebuild = false;
   /// Constraints [first_new_constraint, constraints.size()) are new.
   int first_new_constraint = 0;
-  /// Per-attribute domain sizes before the extension (new values have
-  /// indices past these).
-  std::vector<int> old_domain_sizes;
-  /// Guards of CFD versions invalidated by this delta (their LHS domain
-  /// grew). The encoding pass asserts each one off with a permanent unit;
-  /// the re-grounded replacement rules are among the new constraints.
-  std::vector<sat::Var> retired_guards;
+  /// CFD versions invalidated by this delta (their LHS domain grew), as
+  /// indices into Instantiation::cfd_versions(). The encoding pass asserts
+  /// each one's guard and definitional atom off with permanent units; the
+  /// re-grounded replacement rules are among the new constraints, under a
+  /// new version.
+  std::vector<int> retired_versions;
 };
 
 /// \brief Ω(Se): the var map plus the materialized constraint families.
@@ -153,6 +184,20 @@ struct Instantiation {
   std::span<const OrderAtom> body(const GroundConstraint& gc) const {
     return std::span<const OrderAtom>(body_atoms_.data() + gc.body_begin,
                                       body_atoms_.data() + gc.body_end);
+  }
+  /// The body ωX of `ver`, one of cfd_versions().
+  std::span<const OrderAtom> body(const CfdVersion& ver) const {
+    return std::span<const OrderAtom>(body_atoms_.data() + ver.body_begin,
+                                      body_atoms_.data() + ver.body_end);
+  }
+
+  /// Every CFD guard version grounded so far, retired ones included.
+  const std::vector<CfdVersion>& cfd_versions() const {
+    return cfd_versions_;
+  }
+  /// The version of `gc`, a family-(3) rule of `constraints`.
+  const CfdVersion& version(const GroundConstraint& gc) const {
+    return cfd_versions_[gc.version];
   }
 
   /// Grounds `se`. Fails with InvalidArgument when the schema has no
@@ -244,8 +289,9 @@ struct Instantiation {
   std::vector<uint64_t> unit_seen_;
   std::vector<bool> cfd_applicable_;        // per gamma index
   std::vector<bool> cfd_lhs_attr_;  // attr is LHS of an applicable CFD
-  // Body range of each applicable CFD's current guard version.
-  std::vector<std::pair<uint32_t, uint32_t>> cfd_body_;
+  std::vector<CfdVersion> cfd_versions_;
+  // Per gamma index: its current version in cfd_versions_, or -1.
+  std::vector<int> cfd_version_;
   int num_tuples_ = 0;              // tuples grounded so far
   bool guarded_ = false;            // InstantiationOptions::guard_cfds
   std::vector<sat::Var> cfd_guard_;  // current guard per gamma index

@@ -149,11 +149,14 @@ Status VarMap::BuildFrom(const Specification& se) {
   return Status::OK();
 }
 
-sat::Var VarMap::NewAuxVar() {
+sat::Var VarMap::NewAuxVar(VarKind kind) {
   // Hold an ext slot so Decode's dense/ext split stays index-aligned; the
-  // sentinel attr marks the slot as "no atom" for IsOrderVar.
-  CCR_CHECK(num_vars_ < sat::kMaxVars);
-  ext_atoms_.push_back(OrderAtom{-1, -1, -1});
+  // sentinel attr marks the slot as "no atom" for IsOrderVar and names
+  // its kind.
+  CCR_CHECK(kind != VarKind::kOrder && num_vars_ < sat::kMaxVars);
+  const int slot =
+      kind == VarKind::kGuard ? kGuardSlot : kDefinitionalSlot;
+  ext_atoms_.push_back(OrderAtom{slot, -1, -1});
   return num_vars_++;
 }
 

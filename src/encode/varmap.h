@@ -1,6 +1,13 @@
 // Mapping between value-level currency-order atoms a1 ≺^v_A a2 and SAT
 // variables x^A_{a1 a2} (§V-A).
 //
+// The map names three kinds of variable in one id universe (VarKind):
+// order atoms x^A_{a1 a2}; CFD guards g, one per (CFD, LHS-pattern)
+// version under guarded grounding; and definitional atoms t, one per
+// version, which stand for "the version's guard and body ωX hold" so that
+// Φ(Se) carries each CFD body once (cnf_builder.h). Only order atoms
+// decode to an OrderAtom.
+//
 // The order domain of attribute A is adom(Ie.A) plus the constants that
 // constant CFDs can introduce as repaired current values. CFD constants
 // are added by a reachability fixpoint (CfdReach):
@@ -50,6 +57,13 @@ inline constexpr int64_t kMaxOrderVars = int64_t{1} << 22;
 // use at most 50,000 tuples and 14 attributes.
 inline constexpr int kMaxTuples = 1 << 18;
 inline constexpr int kMaxAttrs = 1 << 8;
+
+/// What a SAT variable of a VarMap stands for.
+enum class VarKind {
+  kOrder,         // an order atom x^A_{a1 a2}
+  kGuard,         // a CFD version's guard selector g
+  kDefinitional,  // a CFD version's definitional atom t (g ∧ ωX)
+};
 
 /// \brief A value-level currency-order atom: value `less` is less current
 /// than value `more` in attribute `attr` (indices into VarMap domains).
@@ -234,11 +248,21 @@ class VarMap {
   /// sorted (Build emits it sorted; incremental discovery must match).
   void MarkCfdApplicable(int gi);
 
-  /// Allocates an auxiliary SAT variable that denotes no order atom (CFD
-  /// guard selectors). Decode must not be called on it; IsOrderVar
-  /// answers false. Ids share the one universe with atom variables so the
-  /// CNF, the solver and the deduction pass all agree on var counts.
-  sat::Var NewAuxVar();
+  /// Allocates an auxiliary SAT variable of `kind` (a guard or a
+  /// definitional atom), which denotes no order atom: Decode must not be
+  /// called on it, and IsOrderVar answers false. Ids share the one
+  /// universe with atom variables so the CNF, the solver and the deduction
+  /// pass all agree on var counts.
+  sat::Var NewAuxVar(VarKind kind = VarKind::kGuard);
+
+  /// What `v` stands for.
+  VarKind Kind(sat::Var v) const {
+    if (v < dense_num_vars_) return VarKind::kOrder;
+    const int attr = ext_atoms_[v - dense_num_vars_].attr;
+    return attr >= 0 ? VarKind::kOrder
+                     : attr == kGuardSlot ? VarKind::kGuard
+                                          : VarKind::kDefinitional;
+  }
 
   /// True iff `v` encodes an order atom (false for NewAuxVar ids).
   bool IsOrderVar(sat::Var v) const {
@@ -247,6 +271,10 @@ class VarMap {
 
  private:
   friend struct Instantiation;  // ExtendWith reuses reach_
+
+  // The `attr` an auxiliary variable's ext_atoms_ slot holds, by kind.
+  static constexpr int kGuardSlot = -1;
+  static constexpr int kDefinitionalSlot = -2;
 
   // One attribute's value index: an open-addressing table (linear
   // probing, a power-of-two number of slots, at most half full) of

@@ -43,6 +43,11 @@ Cnf Cnf::Materialized() const {
   for (const OrderBlock& block : blocks_) {
     const int d = block.size;
     for (int i = 0; i < d; ++i) {
+      for (int j = i + 1; j < d; ++j) {
+        out.AddBinary(Lit::Neg(block.at(i, j)), Lit::Neg(block.at(j, i)));
+      }
+    }
+    for (int i = 0; i < d; ++i) {
       for (int j = 0; j < d; ++j) {
         if (j == i) continue;
         for (int k = 0; k < d; ++k) {

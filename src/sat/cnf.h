@@ -4,15 +4,15 @@
 // Explicit clauses live in one contiguous literal pool with an offset
 // table — the same layout database engines use for packed row storage.
 //
-// The encoder's transitivity axioms (Φ(Se), §V-A) are not stored as
+// The encoder's structural axioms (Φ(Se), §V-A) are not stored as
 // clauses. An attribute with d domain values would need d(d-1)(d-2)
-// ternaries ¬x_ij ∨ ¬x_jk ∨ x_ik, about 92% of Φ on the Person corpus.
-// Instead the formula carries one *order block* per attribute: the d×d
-// matrix of its order variables, which stands for every one of those
-// ternaries. Consumers that propagate (Solver, DeduceOrder) apply the
-// ternaries' unit rules straight from the matrix; consumers that need
-// the clauses spelled out (DIMACS output, the CNF-form WalkSAT, tests)
-// call Materialized().
+// transitivity ternaries ¬x_ij ∨ ¬x_jk ∨ x_ik, about 92% of Φ on the
+// Person corpus, and d(d-1)/2 asymmetry binaries ¬x_ij ∨ ¬x_ji. Instead
+// the formula carries one *order block* per attribute: the d×d matrix of
+// its order variables, which stands for every one of those clauses.
+// Consumers that propagate (Solver, DeduceOrder) apply their unit rules
+// straight from the matrix; consumers that need the clauses spelled out
+// (DIMACS output, the CNF-form WalkSAT, tests) call Materialized().
 
 #ifndef CCR_SAT_CNF_H_
 #define CCR_SAT_CNF_H_
@@ -30,12 +30,14 @@
 
 namespace ccr::sat {
 
-/// \brief The transitivity axioms of one strict order, kept implicit.
+/// \brief The axioms of one strict order, kept implicit.
 ///
 /// `vars` is the size×size matrix, row-major, of the variables x_ij
 /// ("value i precedes value j"); the diagonal holds kVarUndef. The block
-/// stands for the clause ¬x_ij ∨ ¬x_jk ∨ x_ik for every ordered triple of
-/// distinct values i, j, k: size·(size-1)·(size-2) clauses in all.
+/// stands for the transitivity clause ¬x_ij ∨ ¬x_jk ∨ x_ik for every
+/// ordered triple of distinct values i, j, k, and the asymmetry clause
+/// ¬x_ij ∨ ¬x_ji for every pair i < j: size·(size-1)·(size-2) +
+/// size·(size-1)/2 clauses in all.
 struct OrderBlock {
   int size = 0;
   std::vector<Var> vars;
@@ -65,7 +67,8 @@ struct OrderBlock {
   }
 
   int64_t num_axioms() const {
-    return static_cast<int64_t>(size) * (size - 1) * (size - 2);
+    const int64_t d = size;
+    return d * (d - 1) * (d - 2) + d * (d - 1) / 2;
   }
 
   /// The unit rules of the two or three ternaries that hold x_ij and the
@@ -119,14 +122,17 @@ struct OrderBlock {
            fire(i, k, j, Lit::Neg(at(i, k)), Lit::Neg(at(k, j)));
   }
 
-  /// Ternaries the assignment `value(var)` (true/false per variable)
-  /// falsifies, counting at most `limit`: 0 iff it is transitively closed.
+  /// Axioms the assignment `value(var)` (true/false per variable)
+  /// falsifies, counting at most `limit`: 0 iff it is a strict order
+  /// (asymmetric and transitively closed).
   template <class ValueFn>
   int64_t CountOpenAxioms(ValueFn value, int64_t limit) const {
     int64_t open = 0;
     for (int i = 0; i < size; ++i) {
       for (int j = 0; j < size; ++j) {
         if (j == i || !value(at(i, j))) continue;
+        // Asymmetry, once per pair.
+        if (j > i && value(at(j, i)) && ++open >= limit) return open;
         for (int k = 0; k < size; ++k) {
           if (k == i || k == j || !value(at(j, k)) || value(at(i, k))) {
             continue;
@@ -258,13 +264,14 @@ class Cnf {
                                                       : OrderPos{};
   }
 
-  /// Transitivity clauses the order blocks stand for (Σ d(d-1)(d-2)).
+  /// Clauses the order blocks stand for (OrderBlock::num_axioms summed).
   /// num_clauses() + num_implicit_clauses() is the size of the
   /// materialized formula.
   int64_t num_implicit_clauses() const;
 
   /// The same formula with every order block spelled out as clauses and
-  /// no blocks: the explicit clauses in order, then each block's
+  /// no blocks: the explicit clauses in order, then per block its
+  /// asymmetry binaries ¬x_ij ∨ ¬x_ji (i < j, i then j ascending) and its
   /// ternaries ¬x_ij ∨ ¬x_jk ∨ x_ik (i, then j, then k ascending). For
   /// consumers that read clauses directly: DIMACS output, the CNF-form
   /// WalkSAT and tests that compare against a fully explicit formula.

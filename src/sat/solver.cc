@@ -92,6 +92,7 @@ void Solver::GrowVars(int n) {
   seen_.resize(nv, 0);
   order_bytes_.resize(nv);
   order_pos_.resize(nv);
+  reverse_.resize(nv, kVarUndef);
   // 2 watch lists (and 2 binary implication lists) per var. Past
   // num_vars() every list is empty (see Reset), so the ones a Reset left
   // behind are re-adopted as they are, buffers included.
@@ -153,6 +154,7 @@ void Solver::Reset(SolverOptions options) {
   blocks_.clear();
   order_bytes_.clear();
   order_pos_.clear();
+  reverse_.clear();
   order_value_.clear();
   // Not a fill: one big session would make every later Reset clear its
   // whole table. The next insertion re-allocates at the smallest size.
@@ -172,6 +174,7 @@ void Solver::Reset(SolverOptions options) {
   sat_head_ = 0;
   sat_clauses_ = 0;
   sat_held_ = 0;
+  bin_entries_ = 0;
   model_fresh_ = false;
   model_pool_.clear();
   model_pool_next_ = 0;
@@ -234,6 +237,7 @@ void Solver::DetachClause(ClauseRef c) {
 void Solver::AttachBinary(Lit a, Lit b) {
   bins_[(~a).index()].push_back(b);
   bins_[(~b).index()].push_back(a);
+  bin_entries_ += 2;
 }
 
 bool Solver::AddClause(std::vector<Lit> lits) {
@@ -350,6 +354,23 @@ Solver::ClauseRef Solver::Propagate() {
         ++stats_.binary_propagations;
         UncheckedEnqueue(q, MakeBinaryRef(~bp));
       }
+      // Asymmetry, the order blocks' binaries ¬x_ij ∨ ¬x_ji: x_ij true
+      // makes x_ji false, with that binary as its reason. It fires here,
+      // with the clause binaries, so PropagateOrder below already sees
+      // x_ji false (firing it there was measurably slower).
+      if (bp.negated()) continue;
+      const Var rev = reverse_[bp.var()];
+      if (rev == kVarUndef) continue;
+      const Lbool v = assigns_[rev];
+      if (v == Lbool::kFalse) continue;
+      if (v == Lbool::kTrue) {
+        bin_conflict_[0] = Lit::Neg(rev);
+        bin_conflict_[1] = ~bp;
+        qhead_ = bhead_ = trail_.size();
+        return kRefBinConflict;
+      }
+      ++stats_.binary_propagations;
+      UncheckedEnqueue(Lit::Neg(rev), MakeBinaryRef(~bp));
     }
     const Lit p = trail_[qhead_++];
     ++stats_.propagations;
@@ -547,6 +568,7 @@ void Solver::RegisterOrderEntries(int b, int old) {
     slot.row = state.rows + static_cast<uint32_t>(i * state.stride + j);
     slot.col = state.cols + static_cast<uint32_t>(j * state.stride + i);
     order_pos_[v] = {b, i, j};
+    reverse_[v] = state.block.at(j, i);
     order_value_[slot.row] = order_value_[slot.col] = assigns_[v];
   };
   // The value regions hold stride×stride entries. A block that outgrows
@@ -934,6 +956,7 @@ void Solver::SweepBinaries() {
   // propagated), q fixed true means the clause is satisfied, and q fixed
   // false implies p's var was fixed by the same propagation.
   CCR_DCHECK(DecisionLevel() == 0);
+  bin_entries_ = 0;
   for (size_t i = 0; i < 2 * static_cast<size_t>(num_vars()); ++i) {
     std::vector<Lit>& list = bins_[i];
     if (list.empty()) continue;
@@ -947,6 +970,7 @@ void Solver::SweepBinaries() {
       if (assigns_[q.var()] == Lbool::kUndef) list[j++] = q;
     }
     list.resize(j);
+    bin_entries_ += j;
   }
 }
 
@@ -983,22 +1007,27 @@ bool Solver::MaybeSimplify() {
   }
   if (trail_.size() == sweep_trail_) return true;
   // Search pays: long plus binary propagations since the last sweep have
-  // reached the arena's size in words.
+  // reached what a sweep walks, the arena's words plus the binary
+  // entries.
   const int64_t props = stats_.propagations + stats_.binary_propagations;
-  if (props - sweep_props_ >= static_cast<int64_t>(arena_.size())) {
+  if (props - sweep_props_ >=
+      static_cast<int64_t>(arena_.size() + bin_entries_)) {
     return Simplify();
   }
   // Memory pays: every clause watching a fact fixed since the last sweep
   // is satisfied, so counting the new facts' watchers (a clause may be
   // counted twice) estimates what a sweep would detach. Each call holds
   // that many satisfied clauses one more round; once the held total
-  // reaches the clause database's size, keeping them has cost as much as
-  // the pass that drops them (the ski-rental rule).
+  // reaches the clause database's size, long clauses plus binary
+  // entries, keeping them has cost as much as the pass that drops them
+  // (the ski-rental rule).
   for (; sat_head_ < trail_.size(); ++sat_head_) {
     sat_clauses_ += watches_[(~trail_[sat_head_]).index()].size();
   }
   sat_held_ += sat_clauses_;
-  if (sat_held_ >= clauses_.size() + learnts_.size()) return Simplify();
+  if (sat_held_ >= clauses_.size() + learnts_.size() + bin_entries_) {
+    return Simplify();
+  }
   return true;
 }
 
@@ -1540,7 +1569,7 @@ LocalSearchResult Solver::SeedFromLocalSearch(
         }
       }
       // The order blocks' axioms are not in the clause scan: an
-      // assignment that is not transitively closed is no model.
+      // assignment that is not a strict order is no model.
       if (feasible && !axioms_open(s.val)) {
         // Install the flipped phases so the next descent starts here.
         for (Var v : s.cand) polarity_[v] = s.val[v] == 0;

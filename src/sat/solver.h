@@ -13,12 +13,15 @@
 // loop and by validity's and Deduce's fallbacks for a non-Horn formula).
 //
 // Besides clauses the solver takes order blocks (SyncOrderBlock): the
-// transitivity axioms ¬x_ij ∨ ¬x_jk ∨ x_ik of each currency order, kept
-// implicit (lazy clause generation). A closure propagator applies their
-// unit rules from the block's variable matrix during propagation, so
-// propagation is exactly as strong as with the ternaries written out;
-// a ternary becomes a real clause only when it is the reason of an
-// implication or a conflict. Models are always transitively closed.
+// transitivity axioms ¬x_ij ∨ ¬x_jk ∨ x_ik and the asymmetry axioms
+// ¬x_ij ∨ ¬x_ji of each currency order, kept implicit (lazy clause
+// generation). A closure propagator applies the ternaries' unit rules
+// from the block's variable matrix during propagation, so propagation is
+// exactly as strong as with the ternaries written out; a ternary becomes
+// a real clause only when it is the reason of an implication or a
+// conflict. Asymmetry fires with the binary lists (x_ij true makes x_ji
+// false), its reason the binary itself, encoded like any binary's.
+// Models are always strict orders: transitively closed and asymmetric.
 //
 // Φ(Se) is Horn and the pipeline never reaches a conflict: validity and
 // the Lemma-6 Deduce are decided by one propagation probe (BeginProbe),
@@ -140,6 +143,12 @@ struct SolverStats {
   /// per-pair Lemma-6 loop on the naive one.
   int64_t deduce_probes = 0;
   int64_t deduce_fallbacks = 0;
+  /// Clauses handed to FeedClauseFrom, and the literals their emitters
+  /// handed it, counted as emitted: before normalization drops false
+  /// literals and duplicates, and up to the literal that satisfied the
+  /// clause when one did. What the encoding pass costs the solver.
+  int64_t fed_clauses = 0;
+  int64_t fed_literals = 0;
 
   /// Component-wise difference (for per-call and per-phase deltas).
   SolverStats operator-(const SolverStats& o) const {
@@ -162,7 +171,9 @@ struct SolverStats {
             deduce_queries - o.deduce_queries,
             suggest_probes - o.suggest_probes,
             deduce_probes - o.deduce_probes,
-            deduce_fallbacks - o.deduce_fallbacks};
+            deduce_fallbacks - o.deduce_fallbacks,
+            fed_clauses - o.fed_clauses,
+            fed_literals - o.fed_literals};
   }
 
   /// Component-wise sum (for pooling per-phase deltas across rounds and
@@ -188,6 +199,8 @@ struct SolverStats {
     suggest_probes += o.suggest_probes;
     deduce_probes += o.deduce_probes;
     deduce_fallbacks += o.deduce_fallbacks;
+    fed_clauses += o.fed_clauses;
+    fed_literals += o.fed_literals;
     return *this;
   }
 };
@@ -197,9 +210,9 @@ struct LocalSearchResult {
   /// False when the search could not run at all: the solver is already
   /// UNSAT, or the assumptions contradict each other / the level-0 trail.
   bool ran = false;
-  /// The best assignment satisfies every live problem clause and is
-  /// transitively closed on every order block (together with the level-0
-  /// trail it is then a genuine model).
+  /// The best assignment satisfies every live problem clause and is a
+  /// strict order (asymmetric and transitively closed) on every order
+  /// block (together with the level-0 trail it is then a genuine model).
   bool feasible = false;
   /// Problem clauses, explicit or implicit in an order block, left
   /// unsatisfied by the best assignment.
@@ -331,15 +344,16 @@ class Solver {
   /// the last one (there is something new to sweep) and the pass has
   /// been paid for, by either of
   ///   * search: long plus binary propagations since the last sweep have
-  ///     reached the arena's size in words — MiniSat's simplify() rule
-  ///     (Eén & Sörensson, "An Extensible SAT-solver", SAT 2003);
+  ///     reached what the pass walks, the arena's size in words plus the
+  ///     entries of the binary lists — MiniSat's simplify() rule (Eén &
+  ///     Sörensson, "An Extensible SAT-solver", SAT 2003);
   ///   * memory: each call adds the clauses known satisfied at level 0
   ///     since the last sweep (the watchers of the new facts, counted
   ///     once per fact) to a running total, and the pass runs once that
-  ///     total reaches the number of long clauses — satisfied clauses
-  ///     are held only until holding them has cost as much as dropping
-  ///     them (ski rental), which keeps a long session's arena within a
-  ///     bounded number of rounds of its live clause set.
+  ///     total reaches the number of long clauses plus binary entries —
+  ///     satisfied clauses are held only until holding them has cost as
+  ///     much as dropping them (ski rental), which keeps a long session's
+  ///     arena within a bounded number of rounds of its live clause set.
   /// ResolutionSession calls it after every extension, so an answer costs
   /// what it adds rather than a pass over the whole entity. Sweeping
   /// later changes no verdict: a clause satisfied at level 0 never
@@ -437,6 +451,10 @@ class Solver {
   std::span<const Lit> ProbeTrail() const { return trail_; }
   void EndProbe();
   /// @}
+
+  /// The order-block entry `v` fills: its block (in registration order)
+  /// and its x_ij; block -1 for a variable in no block.
+  const OrderPos& order_pos(Var v) const { return order_pos_[v]; }
 
   /// Debug/test accessor: every learnt clause currently in the database,
   /// plus every binary clause ever learnt into the implicit
@@ -580,10 +598,12 @@ class Solver {
 
   // --- order blocks -----------------------------------------------------
   //
-  // The implicit transitivity axioms ¬x_ij ∨ ¬x_jk ∨ x_ik of each Cnf
-  // order block. Propagate runs PropagateOrder on every order literal
-  // after its watch list: exactly the unit propagation of the ternaries
-  // that contain it (closure, both contrapositives, conflicts). A ternary
+  // The implicit axioms of each Cnf order block. Asymmetry ¬x_ij ∨ ¬x_ji
+  // fires in Propagate's binary-first loop, from reverse_, with the
+  // binary as its reason. Transitivity ¬x_ij ∨ ¬x_jk ∨ x_ik: Propagate
+  // runs PropagateOrder on every order literal after its watch list:
+  // exactly the unit propagation of the ternaries that contain it
+  // (closure, both contrapositives, conflicts). A ternary
   // that implies a literal above level 0, or that is falsified, is then
   // materialized once — allocated as a permanent problem clause, attached
   // and used as the reason — so Analyze, GC, Simplify and ProblemIsHorn
@@ -631,8 +651,9 @@ class Solver {
   // Allocates and attaches the ternary (lits[0] ∨ lits[1] ∨ lits[2]) as a
   // problem clause watched on lits[0] and lits[1].
   ClauseRef MaterializeAxiom(const Lit (&lits)[3]);
-  // Number of order-block ternaries `value(var)` (true/false per
-  // variable) falsifies, stopping once `limit` are found.
+  // Number of order-block axioms (asymmetry binaries and ternaries)
+  // `value(var)` (true/false per variable) falsifies, stopping once
+  // `limit` are found.
   template <class ValueFn>
   int64_t CountOpenAxioms(ValueFn value, int64_t limit) const;
 
@@ -791,6 +812,9 @@ class Solver {
   std::vector<OrderBlockState> blocks_;
   std::vector<OrderBytes> order_bytes_;  // per var
   std::vector<OrderPos> order_pos_;      // per var; block -1: in none
+  // Per var: x_ji for an order-block entry x_ij, else kVarUndef — the
+  // other literal of its asymmetry binary, one load from x_ij.
+  std::vector<Var> reverse_;
   std::vector<Lbool> order_value_;
   // Materialized ternaries (a, b, c) of block `block`, keyed
   // block << 48 | a << 32 | b << 16 | c: an open-addressing set (0 marks
@@ -852,6 +876,10 @@ class Solver {
   size_t sat_head_ = 0;
   size_t sat_clauses_ = 0;
   size_t sat_held_ = 0;
+  // Entries in bins_, two per binary: counted at AttachBinary and
+  // recounted by SweepBinaries, so the schedule measures the binary part
+  // of what a sweep walks (CFD rules are binaries).
+  size_t bin_entries_ = 0;
 
   // Persistent occurrence index over the problem clauses (maintained
   // whenever inprocessing is on): occur_[v] lists every arena
@@ -912,7 +940,9 @@ bool Solver::FeedClauseFrom(EmitFn emit) {
   InvalidateModelCache();
   bool satisfied = false;
   size_t n = 0;
+  int64_t emitted = 0;
   emit([&](Lit l) {
+    ++emitted;
     const Lbool v = ValueOf(l);
     if (v == Lbool::kTrue) {
       satisfied = true;
@@ -926,6 +956,8 @@ bool Solver::FeedClauseFrom(EmitFn emit) {
     buf[j] = l;
     return true;
   });
+  ++stats_.fed_clauses;
+  stats_.fed_literals += emitted;
   return satisfied || AttachNormalized(n);
 }
 

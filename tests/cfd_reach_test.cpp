@@ -184,8 +184,8 @@ class GuardOwners {
                             const InstantiationDelta& delta,
                             const std::vector<int>& newly_applicable) {
     std::vector<int> retired;
-    for (const sat::Var g : delta.retired_guards) {
-      const auto it = owner_.find(g);
+    for (const int v : delta.retired_versions) {
+      const auto it = owner_.find(inst.cfd_versions()[v].guard);
       EXPECT_NE(it, owner_.end());
       if (it != owner_.end()) retired.push_back(it->second);
     }

@@ -587,12 +587,13 @@ TEST(DeducePropagationTest, NegativeUnitCycleTakesTheFallback) {
   EXPECT_EQ(solver.stats().deduce_probes, 1);
 }
 
-TEST(DeducePropagationTest, NaivePositiveCycleTakesTheFallback) {
-  // Without the asymmetry binaries, x_ba and x_ab are both true in the
-  // least model and Od rejects the second: the pair kept depends on the
-  // recording order. NaiveDeduceShared must answer with the per-pair
-  // loop, which keeps a ≺ b, not the trail's b ≺ a. Φ always carries
-  // asymmetry, so this formula is the attribute's order block alone.
+TEST(DeducePropagationTest, NaivePositiveCycleIsAConflict) {
+  // x_ba and x_ab both asserted: the order block's asymmetry makes the
+  // pair a conflict at level 0, so no probe trail holds both atoms and
+  // SetPair's cycle check is never reached. Both pipelines see an
+  // unsatisfiable formula and deduce nothing, without a fallback. (With
+  // asymmetry dropped from Solver::Propagate, both atoms land on the
+  // trail, the probe rejects the cycle and the call falls back.)
   OneAttribute t = MakeOneAttribute(3);
   const VarMap& vm = t.inst.varmap;
   t.phi = sat::Cnf();
@@ -604,11 +605,31 @@ TEST(DeducePropagationTest, NaivePositiveCycleTakesTheFallback) {
   sat::Solver solver, reference;
   solver.AddCnf(t.phi);
   reference.AddCnf(t.phi);
+  EXPECT_TRUE(solver.IsUnsatForever());
   const PairSet deduced = ToPairSet(NaiveDeduceShared(t.inst, &solver));
+  EXPECT_TRUE(deduced.empty());
   EXPECT_EQ(deduced, ToPairSet(Lemma6DeduceShared(t.inst, &reference)));
-  EXPECT_TRUE(deduced.contains({0, 0, 1}));
   EXPECT_EQ(solver.stats().deduce_probes, 1);
-  EXPECT_EQ(solver.stats().deduce_fallbacks, 1);
+  EXPECT_EQ(solver.stats().deduce_fallbacks, 0);
+}
+
+TEST(DeducePropagationTest, CounterEngineAppliesTheBlocksAsymmetry) {
+  // x_ab true makes x_ba false, which turns (x_ba ∨ ¬x_cb) into the unit
+  // ¬x_cb, recorded in paper mode as b ≺ c. DeduceOrder reads asymmetry
+  // from the order block, as the solver's probe does, so both deduce
+  // a ≺ b ≺ c (a ≺ c by transitivity).
+  OneAttribute t = MakeOneAttribute(3);
+  t.phi.AddUnit(t.Pos(0, 1));
+  t.phi.AddBinary(t.Pos(1, 0), t.Neg(2, 1));
+  sat::Solver solver;
+  solver.AddCnf(t.phi);
+  DeduceOptions paper_only;
+  paper_only.totality_propagation = false;
+  const PairSet engine = ToPairSet(DeduceOrder(t.inst, t.phi, paper_only));
+  EXPECT_TRUE(engine.contains({0, 1, 2}));
+  EXPECT_TRUE(engine.contains({0, 0, 2}));
+  EXPECT_EQ(engine, ToPairSet(DeduceOrderShared(t.inst, &solver, paper_only)));
+  EXPECT_EQ(solver.stats().deduce_fallbacks, 0);
 }
 
 TEST(DeducePropagationTest, ContradictingCfdAnswerTakesTheFallback) {

@@ -368,21 +368,29 @@ TEST(CnfBuilderTest, StructuralAxiomCounts) {
 
   const sat::Cnf phi = BuildCnf(*inst);
 
-  // One clause per ground constraint, then the structural axioms:
-  // asymmetry as explicit binaries, transitivity in one implicit order
-  // block per attribute, which the materialized form spells out.
+  // One clause per ground constraint, plus one defining clause per CFD
+  // version with a rule. The structural axioms are no clauses: asymmetry
+  // and transitivity live in one implicit order block per attribute,
+  // which the materialized form spells out.
   const int64_t constraints = static_cast<int64_t>(inst->constraints.size());
+  int64_t definitions = 0;
+  for (const CfdVersion& ver : inst->cfd_versions()) {
+    definitions += ver.first_rule >= 0 ? 1 : 0;
+  }
+  EXPECT_GT(definitions, 0);
   int64_t expected_asymmetry = 0;
-  int64_t expected_implicit = 0;
+  int64_t expected_transitivity = 0;
   for (int a = 0; a < vm.num_attrs(); ++a) {
     const int64_t d = static_cast<int64_t>(vm.domain(a).size());
     expected_asymmetry += d * (d - 1) / 2;
-    expected_implicit += d * (d - 1) * (d - 2);
+    expected_transitivity += d * (d - 1) * (d - 2);
   }
-  EXPECT_EQ(phi.num_clauses(), constraints + expected_asymmetry);
-  EXPECT_EQ(phi.num_implicit_clauses(), expected_implicit);
+  EXPECT_EQ(phi.num_clauses(), constraints + definitions);
+  EXPECT_EQ(phi.num_implicit_clauses(),
+            expected_asymmetry + expected_transitivity);
   EXPECT_EQ(phi.Materialized().num_clauses(),
-            constraints + expected_asymmetry + expected_implicit);
+            constraints + definitions + expected_asymmetry +
+                expected_transitivity);
   EXPECT_EQ(phi.num_order_blocks(), vm.num_attrs());
   EXPECT_EQ(phi.num_vars(), vm.num_vars());
 }
@@ -482,7 +490,7 @@ TEST(CnfBuilderTest, PhiIsHornOnEveryCorpus) {
       ASSERT_TRUE(next.ok());
       auto delta = inst->ExtendWith(*next, ot, guarded);
       ASSERT_TRUE(delta.ok());
-      retired_guards += delta->retired_guards.size();
+      retired_guards += delta->retired_versions.size();
       const int built = cnf.Materialized().num_clauses();
       ExtendCnf(*inst, *delta, &cnf);
       EXPECT_GT(cnf.Materialized().num_clauses(), built);
@@ -521,22 +529,28 @@ TEST(GuardedGroundingTest, CfdClausesCarryGuardLiterals) {
   int guarded_cfd_rules = 0;
   for (const GroundConstraint& gc : inst->constraints) {
     if (gc.source == GroundSource::kCfd) {
-      EXPECT_EQ(gc.guard, guard.var());
+      EXPECT_EQ(inst->version(gc).guard, guard.var());
+      EXPECT_EQ(inst->varmap.Kind(inst->version(gc).def),
+                VarKind::kDefinitional);
       ++guarded_cfd_rules;
     } else {
-      EXPECT_EQ(gc.guard, sat::kVarUndef);
+      EXPECT_EQ(gc.version, -1);
     }
   }
   EXPECT_GT(guarded_cfd_rules, 0);
+  EXPECT_EQ(inst->varmap.Kind(guard.var()), VarKind::kGuard);
 
-  // The guarded CNF widens exactly the CFD clauses by one literal.
+  // The guarded CNF widens exactly each version's defining clause by one
+  // literal; the rules' binaries on its atom are unguarded.
   const sat::Cnf guarded_cnf = BuildCnf(*inst);
   auto plain_inst = Instantiation::Build(GuardSpec());
   ASSERT_TRUE(plain_inst.ok());
   const sat::Cnf plain_cnf = BuildCnf(*plain_inst);
+  EXPECT_EQ(inst->cfd_versions().size(), 1u);
   EXPECT_EQ(guarded_cnf.num_clauses(), plain_cnf.num_clauses());
   EXPECT_EQ(guarded_cnf.num_literals(),
-            plain_cnf.num_literals() + guarded_cfd_rules);
+            plain_cnf.num_literals() +
+                static_cast<int64_t>(inst->cfd_versions().size()));
 }
 
 TEST(GuardedGroundingTest, LhsGrowthRetiresAndRegrounds) {
@@ -558,8 +572,9 @@ TEST(GuardedGroundingTest, LhsGrowthRetiresAndRegrounds) {
   auto delta = inst->ExtendWith(*next, ot, guarded);
   ASSERT_TRUE(delta.ok());
   EXPECT_FALSE(delta->needs_rebuild);
-  ASSERT_EQ(delta->retired_guards.size(), 1u);
-  EXPECT_EQ(delta->retired_guards[0], old_guard.var());
+  ASSERT_EQ(delta->retired_versions.size(), 1u);
+  EXPECT_EQ(inst->cfd_versions()[delta->retired_versions[0]].guard,
+            old_guard.var());
 
   // A fresh guard replaced the retired one.
   ASSERT_EQ(inst->guard_assumptions().size(), 1u);
@@ -571,11 +586,11 @@ TEST(GuardedGroundingTest, LhsGrowthRetiresAndRegrounds) {
   int stale = 0, fresh_rules = 0;
   for (const GroundConstraint& gc : inst->constraints) {
     if (gc.source != GroundSource::kCfd) continue;
-    if (gc.guard == old_guard.var()) {
+    if (inst->version(gc).guard == old_guard.var()) {
       ++stale;
       EXPECT_EQ(inst->body(gc).size(), 1u);  // dominated {a2} only
     } else {
-      EXPECT_EQ(gc.guard, new_guard.var());
+      EXPECT_EQ(inst->version(gc).guard, new_guard.var());
       ++fresh_rules;
       EXPECT_EQ(inst->body(gc).size(), 2u);  // dominates {a2, a3}
     }

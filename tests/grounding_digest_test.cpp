@@ -5,7 +5,7 @@
 // suite pins what the encoder produces: after ResolutionSession::Create
 // and after each of three ExtendWith rounds it hashes, in order, every
 // ground constraint of Ω(Se) (source, source index, body atoms, head,
-// guard, seq), every CNF clause and order-block size, the guard
+// CFD version with its guard and definitional atom, seq), every CNF clause and order-block size, the guard
 // assumptions, and the VarMap's domains and applicable CFDs. The session
 // feeds its solver without a CNF, so the CNF hashed is the one the
 // encoding pass writes for the same calls: BuildCnfInto on the session's
@@ -79,7 +79,11 @@ void HashSession(const ResolutionSession& s, const sat::Cnf& cnf, Fnv* h) {
     for (const OrderAtom& a : body) h->Add(a);
     h->Add(static_cast<uint64_t>(gc.head_kind));
     h->Add(gc.head);
-    h->Add(static_cast<uint64_t>(gc.guard));
+    h->Add(static_cast<uint64_t>(gc.version));
+    if (gc.version >= 0) {
+      h->Add(static_cast<uint64_t>(inst.version(gc).guard));
+      h->Add(static_cast<uint64_t>(inst.version(gc).def));
+    }
     h->Add(gc.seq);
   }
   h->Add(static_cast<uint64_t>(cnf.num_vars()));
@@ -246,14 +250,14 @@ TEST_P(GroundingDigestTest, PooledScratchMatchesRecording) {
 
 INSTANTIATE_TEST_SUITE_P(
     Corpora, GroundingDigestTest,
-    ::testing::Values(DigestCase{"person", false, 0x419b266ec73591d6ULL},
-                      DigestCase{"person", true, 0x419b266ec73591d6ULL},
-                      DigestCase{"person-batch", false, 0x0d86ccd4bada39d3ULL},
-                      DigestCase{"person-batch", true, 0x0d86ccd4bada39d3ULL},
-                      DigestCase{"nba", false, 0x72475cb2d73ff912ULL},
-                      DigestCase{"nba", true, 0x72475cb2d73ff912ULL},
-                      DigestCase{"career", false, 0xef3fc13e9fa37d46ULL},
-                      DigestCase{"career", true, 0xef3fc13e9fa37d46ULL}),
+    ::testing::Values(DigestCase{"person", false, 0x0805e15ea9d70980ULL},
+                      DigestCase{"person", true, 0x0805e15ea9d70980ULL},
+                      DigestCase{"person-batch", false, 0xae00b7f110c5f8ffULL},
+                      DigestCase{"person-batch", true, 0xae00b7f110c5f8ffULL},
+                      DigestCase{"nba", false, 0xd4cecd6b58efe72fULL},
+                      DigestCase{"nba", true, 0xd4cecd6b58efe72fULL},
+                      DigestCase{"career", false, 0x3d531ae82e27c9f6ULL},
+                      DigestCase{"career", true, 0x3d531ae82e27c9f6ULL}),
     [](const ::testing::TestParamInfo<DigestCase>& info) {
       std::string name = info.param.corpus;
       std::erase(name, '-');

@@ -147,7 +147,7 @@ RefRule ToRefRule(const Instantiation& inst, const GroundConstraint& gc) {
   r.body.assign(body.begin(), body.end());
   r.head_kind = gc.head_kind;
   r.head = gc.head;
-  r.guard = gc.guard;
+  r.guard = gc.version >= 0 ? inst.version(gc).guard : sat::kVarUndef;
   r.seq = gc.seq;
   return r;
 }

@@ -134,9 +134,21 @@ TEST(IsValidTest, ReportsEncodingSizes) {
   ASSERT_TRUE(r.ok());
   EXPECT_GT(r->num_vars, 0);
   EXPECT_GT(r->num_clauses, 0);
-  // Φ's full size: the order blocks' transitivity axioms count too.
+  // Φ's full size: one clause per ground constraint, one defining clause
+  // per CFD version with a rule, and the axioms the order blocks stand
+  // for, d(d-1)(d-2) transitivity ternaries and d(d-1)/2 asymmetry
+  // binaries per attribute; the materialized formula spells them all.
   auto inst = Instantiation::Build(EdithSpec());
   ASSERT_TRUE(inst.ok());
+  int64_t expected = static_cast<int64_t>(inst->constraints.size());
+  for (const CfdVersion& ver : inst->cfd_versions()) {
+    expected += ver.first_rule >= 0 ? 1 : 0;
+  }
+  for (int a = 0; a < inst->varmap.num_attrs(); ++a) {
+    const int64_t d = static_cast<int64_t>(inst->varmap.domain(a).size());
+    expected += d * (d - 1) * (d - 2) + d * (d - 1) / 2;
+  }
+  EXPECT_EQ(r->num_clauses, expected);
   EXPECT_EQ(r->num_clauses, BuildCnf(*inst).Materialized().num_clauses());
 }
 

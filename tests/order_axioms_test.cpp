@@ -12,7 +12,8 @@
 //       over the materialized formula, paper and strict mode, across
 //       session rounds that add domain values;
 //   (c) local search (the `--solver sls` flags) never reports an
-//       assignment that is not transitively closed as feasible;
+//       assignment that is not a strict order (transitively closed and
+//       asymmetric) as feasible;
 //   (d) Cnf copy, move and Clear carry the blocks, and DIMACS output
 //       round-trips to the materialized formula;
 // plus the independent oracle for (b): strict-mode DeduceOrder equals the
@@ -409,8 +410,10 @@ TEST(OrderAxiomsTest, ConflictingProbeExtensionClosesTheProbe) {
 
 TEST(OrderAxiomsTest, VivificationSurvivesAxiomsMaterializedByItsProbes) {
   // Vivifying (¬x_01 ∨ y ∨ z) assumes x_01 above level 0; with every
-  // x_1k a level-0 fact, that probe materializes the d-2 ternaries
-  // (0, 1, k) as reasons. They outgrow the arena many times over, so it
+  // x_1k a level-0 fact, and so by the block's asymmetry every x_k1
+  // false, that probe materializes as reasons the d-2 ternaries
+  // (0, 1, k) that make x_0k true and the d-2 ternaries (k, 0, 1) that
+  // make x_k0 false. They outgrow the arena many times over, so it
   // reallocates under the probe, which then reads the clause's next
   // literal (a use-after-free under ASan if it kept a pointer into the
   // arena).
@@ -430,7 +433,7 @@ TEST(OrderAxiomsTest, VivificationSurvivesAxiomsMaterializedByItsProbes) {
   s.AddClause({Lit::Neg(b.at(0, 1)), Lit::Pos(y), Lit::Pos(z)});
   const size_t arena_before = s.arena_words();
   ASSERT_TRUE(s.Simplify());
-  EXPECT_EQ(s.materialized_axioms(), kSize - 2);
+  EXPECT_EQ(s.materialized_axioms(), 2 * (kSize - 2));
   EXPECT_GT(s.arena_words(), 8 * arena_before);
   cnf.AddClause({Lit::Neg(b.at(0, 1)), Lit::Pos(y), Lit::Pos(z)});
   Solver ref;
@@ -716,6 +719,34 @@ TEST(OrderAxiomsTest, LocalSearchNeverReportsAnOpenAssignmentFeasible) {
   EXPECT_GT(infeasible, 10);
 }
 
+TEST(OrderAxiomsTest, LocalSearchCountsABothTruePairAsOpen) {
+  // (x_01 ∨ y) and (x_10 ∨ y) under the assumption ¬y: the explicit
+  // clauses hold only with x_01 and x_10 both true, which the block's
+  // asymmetry forbids. Local search sees only the explicit clauses, so
+  // its best assignment sets both; it must not report that feasible, or
+  // the assignment would enter the model cache and answer the solve below.
+  Cnf cnf;
+  cnf.AddOrderBlock();
+  GrowBlock(&cnf, 0, 2);
+  const OrderBlock& b = cnf.order_block(0);
+  const Var y = cnf.NewVar();
+  cnf.AddClause({Lit::Pos(b.at(0, 1)), Lit::Pos(y)});
+  cnf.AddClause({Lit::Pos(b.at(1, 0)), Lit::Pos(y)});
+  EXPECT_EQ(b.CountOpenAxioms(
+                [&](Var v) { return v == b.at(0, 1) || v == b.at(1, 0); },
+                INT64_MAX),
+            1);
+  Solver s(SlsOptions());
+  s.AddCnf(cnf);
+  const std::vector<Lit> assume = {Lit::Neg(y)};
+  const sat::LocalSearchResult r = s.SeedFromLocalSearch(assume);
+  ASSERT_TRUE(r.ran);
+  EXPECT_FALSE(r.feasible);
+  EXPECT_GT(r.hard_unsat, 0);
+  EXPECT_EQ(s.SolveWithAssumptions(assume), SolveResult::kUnsat);
+  EXPECT_EQ(s.stats().model_cache_hits, 0);
+}
+
 // --- (d) Cnf value semantics and DIMACS -----------------------------------
 
 void ExpectSameClauses(const Cnf& a, const Cnf& b) {
@@ -741,10 +772,10 @@ TEST(OrderAxiomsTest, CnfCopyMoveAndClearCarryTheBlocks) {
   Rng rng(7);
   const Cnf original = RandomBlockCnf(&rng, true);
   ASSERT_GT(original.num_order_blocks(), 0);
-  int64_t implicit = 0;
+  int64_t implicit = 0;  // transitivity ternaries and asymmetry binaries
   for (int k = 0; k < original.num_order_blocks(); ++k) {
     const int64_t d = original.order_block(k).size;
-    implicit += d * (d - 1) * (d - 2);
+    implicit += d * (d - 1) * (d - 2) + d * (d - 1) / 2;
   }
   EXPECT_EQ(original.num_implicit_clauses(), implicit);
   EXPECT_EQ(original.Materialized().num_clauses(),

@@ -288,7 +288,7 @@ TEST(SessionEquivalenceTest, InvalidAnswerPathMatchesLegacy) {
     if (a.source != b.source || a.source_index != b.source_index ||
         a.body_begin != b.body_begin || a.body_end != b.body_end ||
         a.head_kind != b.head_kind || !(a.head == b.head) ||
-        a.guard != b.guard || a.seq != b.seq ||
+        a.version != b.version || a.seq != b.seq ||
         !std::equal(body.begin(), body.end(), bodies[i].begin(),
                     bodies[i].end())) {
       return ::testing::AssertionFailure()

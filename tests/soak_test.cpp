@@ -39,6 +39,12 @@ namespace ccr {
 namespace {
 
 constexpr int kSoakRounds = 240;
+// The one-attribute churn then answers the next attribute for this many
+// more rounds. Its first attribute's answers soon stop satisfying long
+// clauses: CFD rules are binaries on their version's atom, outside the
+// arena, so the arena holds too few dead words to relocate. The second
+// attribute's answers satisfy a new batch, and the collector runs.
+constexpr int kOneAttrTailRounds = 60;
 
 // Generous additive slack on the 2x bound: a single round's worth of
 // fresh clauses can land between the collector's trigger points.
@@ -74,8 +80,9 @@ struct SoakOutcome {
   std::vector<std::vector<int>> suggested;
 };
 
-// `one_attr`: every round answers the first attribute with a truth
-// value instead of rotating across all of them.
+// `one_attr`: every round answers one attribute with a truth value
+// instead of rotating across all of them: the first attribute for
+// kSoakRounds rounds, then the next for kOneAttrTailRounds.
 SoakOutcome RunSoak(const Specification& spec,
                     const std::vector<Value>& truth, bool lifecycle_on,
                     bool eager, bool one_attr = false) {
@@ -94,8 +101,9 @@ SoakOutcome RunSoak(const Specification& spec,
   const int n_attrs = static_cast<int>(spec.schema().size());
   int to_index = static_cast<int>(spec.instance().size());
   int deduce_calls = 0;
-  for (int r = 0; r < kSoakRounds; ++r) {
-    int a = one_attr ? 0 : r % n_attrs;
+  const int rounds = kSoakRounds + (one_attr ? kOneAttrTailRounds : 0);
+  for (int r = 0; r < rounds; ++r) {
+    int a = one_attr ? (r < kSoakRounds ? 0 : 1) : r % n_attrs;
     for (int probe = 0; probe < n_attrs && truth[a].is_null(); ++probe) {
       a = (a + 1) % n_attrs;
     }
@@ -115,7 +123,7 @@ SoakOutcome RunSoak(const Specification& spec,
     }
 
     out.valid_by_round.push_back(session->CheckValidity().valid);
-    if (r % 4 == 3 || r == kSoakRounds - 1) {
+    if (r % 4 == 3 || r == rounds - 1) {
       const DeducedOrders d = session->Deduce();
       for (size_t at = 0; at < d.per_attr.size(); ++at) {
         const PartialOrder& po = d.per_attr[at];

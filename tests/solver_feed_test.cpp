@@ -295,7 +295,9 @@ TEST(SolverFeedTest, ExtensionRetiresGuardsAndGrowsBlocks) {
   const int fed = l.cnf.num_clauses();
   Result<InstantiationDelta> delta = l.inst.ExtendWith(*grown, ot, options);
   ASSERT_TRUE(delta.ok()) << delta.status().ToString();
-  ASSERT_EQ(delta->retired_guards, std::vector<sat::Var>{old_guard});
+  ASSERT_EQ(delta->retired_versions.size(), 1u);
+  ASSERT_EQ(l.inst.cfd_versions()[delta->retired_versions[0]].guard,
+            old_guard);
   ExtendSolver(l.inst, *delta, &l.direct);
   ExtendCnf(l.inst, *delta, &l.cnf);
   l.via_cnf.AddCnfFrom(l.cnf, fed);
@@ -380,18 +382,83 @@ int Retired(const std::vector<Lit>& before, const std::vector<Lit>& after) {
   return n;
 }
 
-// A fresh solver fed the independently built Φ(Se). BuildCnf writes no
-// unit for a retired guard (an extension's ExtendSolver does), so the
-// test asserts ¬g for every auxiliary variable that is not a live guard.
-void LoadReference(const Instantiation& inst, Solver* fresh) {
-  fresh->AddCnf(BuildCnf(inst));
+// The units ¬g of the guards `inst` has retired: guard variables that
+// are not live. BuildCnf writes none (an extension's ExtendSolver does).
+void AssertRetiredGuardsOff(const Instantiation& inst, Solver* solver) {
   std::set<sat::Var> live;
   for (const Lit g : inst.guard_assumptions()) live.insert(g.var());
   for (sat::Var v = 0; v < inst.varmap.num_vars(); ++v) {
-    if (!inst.varmap.IsOrderVar(v) && !live.contains(v)) {
-      fresh->AddClause({Lit::Neg(v)});
+    if (inst.varmap.Kind(v) == VarKind::kGuard && !live.contains(v)) {
+      solver->AddClause({Lit::Neg(v)});
     }
   }
+}
+
+// A fresh solver fed the independently built Φ(Se), with the units an
+// extension writes for each retired version: ¬g, and ¬t for its
+// definitional atom. A live version's atom gets none.
+void LoadReference(const Instantiation& inst, Solver* fresh) {
+  fresh->AddCnf(BuildCnf(inst));
+  AssertRetiredGuardsOff(inst, fresh);
+  std::set<sat::Var> live;
+  for (const Lit g : inst.guard_assumptions()) live.insert(g.var());
+  for (const CfdVersion& ver : inst.cfd_versions()) {
+    if (!live.contains(ver.guard)) fresh->AddClause({Lit::Neg(ver.def)});
+  }
+}
+
+// Φ(Se) in the shape the encoder wrote before CFD versions had
+// definitional atoms and before the order blocks owned asymmetry: each
+// CFD rule's clause carries its guard and a copy of its version's whole
+// body, (¬g ∨ ¬ωX ∨ x_b,rhs), and every pair's asymmetry is an explicit
+// binary ¬x_ij ∨ ¬x_ji. Written here from the grounding alone, so it
+// shares no encoding code with BuildCnf.
+sat::Cnf ParentShapeCnf(const Instantiation& inst) {
+  const VarMap& vm = inst.varmap;
+  sat::Cnf cnf;
+  cnf.EnsureVars(vm.num_vars());
+  for (int a = 0; a < vm.num_attrs(); ++a) {
+    cnf.GrowOrderBlock(cnf.AddOrderBlock(),
+                       static_cast<int>(vm.domain(a).size()),
+                       [&](int i, int j) { return vm.VarOf(a, i, j); });
+  }
+  std::vector<Lit> lits;
+  for (const GroundConstraint& gc : inst.constraints) {
+    lits.clear();
+    if (gc.version >= 0 && inst.version(gc).guard != sat::kVarUndef) {
+      lits.push_back(Lit::Neg(inst.version(gc).guard));
+    }
+    for (const OrderAtom& atom : inst.body(gc)) {
+      lits.push_back(Lit::Neg(vm.VarOf(atom)));
+    }
+    if (gc.head_kind == GroundHead::kAtom) {
+      lits.push_back(Lit::Pos(vm.VarOf(gc.head)));
+    }
+    cnf.AddClause(lits);
+  }
+  for (int a = 0; a < vm.num_attrs(); ++a) {
+    const int d = static_cast<int>(vm.domain(a).size());
+    for (int i = 0; i < d; ++i) {
+      for (int j = i + 1; j < d; ++j) {
+        cnf.AddBinary(Lit::Neg(vm.VarOf(a, i, j)),
+                      Lit::Neg(vm.VarOf(a, j, i)));
+      }
+    }
+  }
+  return cnf;
+}
+
+// The order literals of the probe under `guards`, or nothing when the
+// guards are refuted.
+std::set<Lit> ProbeOrderLits(const Instantiation& inst, Solver* s,
+                             const std::vector<Lit>& guards) {
+  std::set<Lit> out;
+  if (!s->BeginProbe(guards)) return out;
+  for (const Lit l : s->ProbeTrail()) {
+    if (inst.varmap.IsOrderVar(l.var())) out.insert(l);
+  }
+  s->EndProbe();
+  return out;
 }
 
 // Drives `e`'s session through Create and three extensions — two oracle
@@ -450,12 +517,60 @@ TEST(SolverFeedTest, SessionSolverMatchesAFreshSolverFedTheBuiltFormula) {
   EXPECT_GT(retired, 0);
 }
 
+// The session's solver, holding the definitional-atom shape, against a
+// solver fed the parent's shape (ParentShapeCnf): after Create and after
+// each of three extensions, the last of which retires guards, the probe
+// under the guards makes the same order atoms true and false, and
+// validity and Od in paper and strict mode agree. DeduceOrder's counter
+// engine on the parent-shape formula agrees too.
+TEST(SolverFeedTest, SessionMatchesTheParentShapeOfPhi) {
+  int checks = 0, retired = 0;
+  for (const std::string kind : {"person", "nba", "career"}) {
+    const Dataset ds = SmallCorpus(kind);
+    for (int e = 0; e < static_cast<int>(ds.entities.size()); ++e) {
+      const auto check = [&](ResolutionSession* s, int round) {
+        const std::string where = kind + " entity " + std::to_string(e) +
+                                  " round " + std::to_string(round);
+        const Instantiation& inst = s->instantiation();
+        const std::vector<Lit>& guards = inst.guard_assumptions();
+        const sat::Cnf parent = ParentShapeCnf(inst);
+        Solver reference;
+        reference.AddCnf(parent);
+        AssertRetiredGuardsOff(inst, &reference);
+        Solver* session = s->mutable_solver();
+        EXPECT_EQ(ProbeOrderLits(inst, session, guards),
+                  ProbeOrderLits(inst, &reference, guards))
+            << where;
+        EXPECT_EQ(IsValidShared(session, guards).valid,
+                  IsValidShared(&reference, guards).valid)
+            << where;
+        for (const DeduceOptions& mode : {DeduceOptions{}, Strict()}) {
+          const std::string m =
+              where + (mode.paper_negative_units ? " paper" : " strict");
+          const PairSet got =
+              Pairs(DeduceOrderShared(inst, session, mode, guards));
+          EXPECT_EQ(got,
+                    Pairs(DeduceOrderShared(inst, &reference, mode, guards)))
+              << m;
+          EXPECT_EQ(got, Pairs(DeduceOrder(inst, parent, mode, guards))) << m;
+        }
+        ++checks;
+      };
+      retired += DriveSession(ds, e, ResolveOptions{}, check);
+    }
+  }
+  EXPECT_EQ(checks, 3 * 5 * 4);
+  EXPECT_GT(retired, 0);
+}
+
 // DeduceOrderShared's cold fallback rebuilds Φ with BuildCnf, which lacks
 // the session's units for retired guards. Under the live guards a
 // retired guard's clauses can only derive ¬g, which Od never reads, so
 // the fallback's Od equals the probe's on a solver that holds the units.
-// With inprocessing on, the sweep after the retiring extension vivifies
-// clauses on some person entities, and their sessions take the fallback.
+// With inprocessing on, a sweep after the retiring extension vivifies
+// clauses (the new versions' defining clauses) on some entities, and
+// their sessions take the fallback. The session's schedule need not
+// sweep right after that extension, so the check runs the sweep itself.
 TEST(SolverFeedTest, DeduceFallbackAfterAGuardRetirementKeepsOd) {
   ResolveOptions options;
   options.solver.use_inprocessing = true;
@@ -475,6 +590,7 @@ TEST(SolverFeedTest, DeduceFallbackAfterAGuardRetirementKeepsOd) {
             Pairs(DeduceOrderShared(inst, &held, Strict(), guards));
         ASSERT_EQ(held.stats().deduce_fallbacks, 0) << where;
         Solver* solver = s->mutable_solver();
+        ASSERT_TRUE(solver->Simplify()) << where;
         const sat::SolverStats& st = solver->stats();
         if (st.subsumed + st.vivified == 0) return;  // the probe answers
         const int64_t before = st.deduce_fallbacks;

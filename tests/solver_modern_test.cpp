@@ -305,10 +305,12 @@ TEST(ArenaGcTest, ModelCacheSurvivesRelocation) {
 // MaybeSimplify's schedule. The fixture: a pile of wide clauses that
 // `hub` satisfies once it is forced, one clause that stays alive, and a
 // binary chain v0 -> v1 -> ... whose probes generate propagation work
-// without asserting anything at level 0.
+// without asserting anything at level 0. A sweep walks the arena and the
+// binary entries, two per binary, so both count toward its cost.
 struct SweepPile {
   std::vector<Var> v;
   Var hub = 0;
+  int64_t bin_entries = 0;
 };
 
 SweepPile LoadSweepPile(Solver* s) {
@@ -325,6 +327,7 @@ SweepPile LoadSweepPile(Solver* s) {
   EXPECT_TRUE(s->AddClause({Lit::Pos(v[0]), Lit::Pos(v[1]), Lit::Pos(v[2])}));
   for (int i = 0; i + 1 < n; ++i) {
     EXPECT_TRUE(s->AddClause({Lit::Neg(v[i]), Lit::Pos(v[i + 1])}));
+    pile.bin_entries += 2;
   }
   return pile;
 }
@@ -382,9 +385,17 @@ TEST(SweepScheduleTest, SweepWaitsForPropagationsThenCollectsAsBefore) {
   EXPECT_EQ(scheduled.arena_words(), scheduled.arena_live_words());
   EXPECT_GT(scheduled.arena_words(), always.arena_words());
 
-  // Once propagations reach the arena's size, the sweep detaches the
-  // satisfied pile and the collector compacts exactly as Simplify did.
+  // Propagations that reach the arena's size do not pay for the pass
+  // yet: it walks the chain's binary entries too.
   ProbeChain(&scheduled, pile, static_cast<int64_t>(scheduled.arena_words()));
+  ASSERT_LT(SweepWork(scheduled),
+            static_cast<int64_t>(scheduled.arena_words()) + pile.bin_entries);
+  ASSERT_TRUE(scheduled.MaybeSimplify());
+  EXPECT_EQ(scheduled.stats().sweeps, 0);
+
+  // Once they reach both, the sweep detaches the satisfied pile and the
+  // collector compacts exactly as Simplify did.
+  ProbeChain(&scheduled, pile, pile.bin_entries);
   ASSERT_TRUE(scheduled.MaybeSimplify());
   EXPECT_EQ(scheduled.stats().sweeps, 1);
   EXPECT_EQ(scheduled.stats().gc_runs, always.stats().gc_runs);
@@ -426,14 +437,20 @@ TEST(SweepScheduleTest, HeldSatisfiedClausesPayForTheSweep) {
     // Nothing new since: no rounds are held, and no sweep follows.
     for (int call = 0; call < 20; ++call) ASSERT_TRUE(s.MaybeSimplify());
     EXPECT_EQ(s.stats().sweeps, 1);
-    // Facts satisfying five of the nine left are held for two rounds.
+    // Facts satisfying five of the nine left, forced through five
+    // binaries, are held until the rounds held reach the database: the
+    // nine clauses plus the binaries' ten entries, four rounds of five.
     const Var x = s.NewVar();
-    for (int i = 1; i < 6; ++i) {
+    const int binaries = 5;
+    for (int i = 1; i <= binaries; ++i) {
       ASSERT_TRUE(s.AddClause({Lit::Neg(x), Lit::Pos(v[3 * i])}));
     }
     ASSERT_TRUE(s.AddClause({Lit::Pos(x)}));
-    ASSERT_TRUE(s.MaybeSimplify());
-    EXPECT_EQ(s.stats().sweeps, 1);
+    const int rounds = (9 + 2 * binaries + binaries - 1) / binaries;
+    for (int call = 1; call < rounds; ++call) {
+      ASSERT_TRUE(s.MaybeSimplify());
+      EXPECT_EQ(s.stats().sweeps, 1) << "call " << call;
+    }
     ASSERT_TRUE(s.MaybeSimplify());
     EXPECT_EQ(s.stats().sweeps, 2);
   }
@@ -450,21 +467,38 @@ TEST(SweepScheduleTest, ResetClearsTheSchedule) {
   ASSERT_EQ(recycled.stats().sweeps, 1);
   recycled.Reset();
 
-  // A small formula whose one unit propagates down a binary chain: more
-  // propagations than the single long clause's arena words.
-  auto load = [](Solver* s) {
-    std::vector<Var> v;
+  // A small formula whose one unit propagates down a binary chain v,
+  // and a second chain w that only probes walk. The unit's propagations
+  // stay below the long clause's arena words plus the chains' binary
+  // entries, so the sweep waits; probes down w pay for it.
+  Var w0 = 0;
+  auto load = [&w0](Solver* s) {
+    std::vector<Var> v, w;
     for (int i = 0; i < 10; ++i) v.push_back(s->NewVar());
+    for (int i = 0; i < 10; ++i) w.push_back(s->NewVar());
     EXPECT_TRUE(s->AddClause({Lit::Neg(v[0]), Lit::Pos(v[1]),
                               Lit::Pos(v[2])}));
     for (int i = 0; i + 1 < 10; ++i) {
       EXPECT_TRUE(s->AddClause({Lit::Neg(v[i]), Lit::Pos(v[i + 1])}));
+      EXPECT_TRUE(s->AddClause({Lit::Neg(w[i]), Lit::Pos(w[i + 1])}));
     }
     EXPECT_TRUE(s->AddClause({Lit::Pos(v[0])}));
+    w0 = w[0];
   };
   Solver fresh;
   load(&recycled);
   load(&fresh);
+  ASSERT_TRUE(recycled.MaybeSimplify());
+  ASSERT_TRUE(fresh.MaybeSimplify());
+  EXPECT_EQ(fresh.stats().sweeps, 0);
+  EXPECT_EQ(recycled.stats().sweeps, fresh.stats().sweeps);
+  const Lit probe = Lit::Pos(w0);
+  for (int k = 0; k < 2; ++k) {
+    for (Solver* s : {&recycled, &fresh}) {
+      ASSERT_TRUE(s->BeginProbe(std::span<const Lit>(&probe, 1)));
+      s->EndProbe();
+    }
+  }
   ASSERT_TRUE(recycled.MaybeSimplify());
   ASSERT_TRUE(fresh.MaybeSimplify());
   EXPECT_EQ(fresh.stats().sweeps, 1);

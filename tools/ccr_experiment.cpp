@@ -77,8 +77,9 @@ void PrintUsage(std::FILE* to) {
                "  --solver-stats    dump pooled per-phase solver statistics\n"
                "                    (conflicts, propagations, assumption\n"
                "                    solves, model-cache, inprocessing,\n"
-               "                    Deduce probe/fallback and GetSug\n"
-               "                    probe counters) on stderr\n"
+               "                    Deduce probe/fallback, GetSug probe\n"
+               "                    and fed clause/literal counters) on\n"
+               "                    stderr\n"
                "\n"
                "Common flags:\n"
                "  --out FILE        output path, '-' = stdout (default)\n"
@@ -323,7 +324,8 @@ void DumpSolverStats(const ExperimentResult& r) {
                  "\"sls_flips\": %lld, "
                  "\"sls_seeded_models\": %lld, \"deduce_queries\": %lld, "
                  "\"suggest_probes\": %lld, "
-                 "\"deduce_probes\": %lld, \"deduce_fallbacks\": %lld}%s\n",
+                 "\"deduce_probes\": %lld, \"deduce_fallbacks\": %lld, "
+                 "\"fed_clauses\": %lld, \"fed_literals\": %lld}%s\n",
                  phase, static_cast<long long>(s.conflicts),
                  static_cast<long long>(s.decisions),
                  static_cast<long long>(s.propagations),
@@ -344,6 +346,8 @@ void DumpSolverStats(const ExperimentResult& r) {
                  static_cast<long long>(s.suggest_probes),
                  static_cast<long long>(s.deduce_probes),
                  static_cast<long long>(s.deduce_fallbacks),
+                 static_cast<long long>(s.fed_clauses),
+                 static_cast<long long>(s.fed_literals),
                  last ? "" : ",");
   };
   std::fprintf(stderr, "{\n  \"solver_stats\": {\n");
