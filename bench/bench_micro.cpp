@@ -4,16 +4,41 @@
 // scratch that last held a larger entity),
 // CNF construction, unit-propagation deduction (counter-based and by a
 // probe on the session solver), Suggest's rule mining (TrueDer, CompGraph
-// and MaxClique) and max-clique.
+// and MaxClique), one warm session round, and max-clique.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "src/ccr.h"
+
+namespace {
+
+// Heap allocations this process made, counted by the global operator new
+// below, so a benchmark can report its allocations per iteration.
+std::atomic<int64_t> g_allocations{0};
+
+}  // namespace
+
+// Out of line, so that no caller sees malloc and free pair with new and
+// delete.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -294,6 +319,57 @@ void BM_TrueDer(benchmark::State& state) {
       static_cast<double>(rules) / static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_TrueDer);
+
+// One warm framework round (validity, Deduce, V(A), Suggest) on a
+// session whose RoundScratch already served it, for the first entity
+// whose round 0 makes a suggestion: a person-batch entity (250-300
+// tuples, the full Σ and Γ) or an NBA entity of the default corpus. The
+// round repeats on an unchanged session, so every iteration does the
+// same work. `allocs` is the heap allocations of one round (0 when the
+// scratch is warm).
+void BM_SessionRound(benchmark::State& state, const std::string& kind) {
+  Dataset ds;
+  if (kind == "person") {
+    PersonOptions opts;
+    opts.num_entities = 8;
+    opts.min_tuples = 250;
+    opts.max_tuples = 300;
+    ds = GeneratePerson(opts);
+  } else {
+    ds = GenerateNba(NbaOptions{});
+  }
+  std::optional<ResolutionSession> session;
+  for (int e = 0; e < static_cast<int>(ds.entities.size()); ++e) {
+    auto created = ResolutionSession::Create(ds.MakeSpec(e));
+    if (!created.ok()) {
+      state.SkipWithError("session creation failed");
+      return;
+    }
+    if (created->RunRound(/*want_suggestion=*/true).suggestion.has_value()) {
+      session.emplace(std::move(*created));
+      break;
+    }
+  }
+  if (!session.has_value()) {
+    state.SkipWithError("no entity's round 0 makes a suggestion");
+    return;
+  }
+  for (auto _ : state) {
+    const SessionRound& round = session->RunRound(/*want_suggestion=*/true);
+    benchmark::DoNotOptimize(round.suggestion->attrs.size());
+  }
+  state.SetItemsProcessed(state.iterations());
+  // Counted on one more round outside the loop, whose start and end
+  // allocate in the benchmark library.
+  const int64_t before = g_allocations.load(std::memory_order_relaxed);
+  (void)session->RunRound(/*want_suggestion=*/true);
+  state.counters["allocs"] = static_cast<double>(
+      g_allocations.load(std::memory_order_relaxed) - before);
+}
+BENCHMARK_CAPTURE(BM_SessionRound, person, std::string("person"))
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_SessionRound, nba, std::string("nba"))
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_IsValidPerson(benchmark::State& state) {
   const Dataset ds = PersonForBench(static_cast<int>(state.range(0)));

@@ -4,6 +4,7 @@
 #include <span>
 #include <vector>
 
+#include "src/common/pooled.h"
 #include "src/encode/cnf_builder.h"
 
 namespace ccr {
@@ -16,12 +17,20 @@ int DeducedOrders::CountPairs() const {
 
 namespace {
 
+// Empties `od` to one order per attribute over its domain, reusing the
+// orders `od` holds and those parked on `spare`.
+void ResetOrders(const VarMap& vm, std::vector<PartialOrder>* spare,
+                 DeducedOrders* od) {
+  PooledResize(&od->per_attr, vm.num_attrs(), spare);
+  for (int a = 0; a < vm.num_attrs(); ++a) {
+    od->per_attr[a].Reset(static_cast<int>(vm.domain(a).size()));
+  }
+}
+
 DeducedOrders MakeEmptyOrders(const VarMap& vm) {
   DeducedOrders od;
-  od.per_attr.reserve(vm.num_attrs());
-  for (int a = 0; a < vm.num_attrs(); ++a) {
-    od.per_attr.emplace_back(static_cast<int>(vm.domain(a).size()));
-  }
+  std::vector<PartialOrder> none;
+  ResetOrders(vm, &none, &od);
   return od;
 }
 
@@ -71,11 +80,13 @@ enum class ProbeRead {
 ProbeRead ReadOrdersOffProbe(const VarMap& vm, sat::Solver* solver,
                              const DeduceOptions& options,
                              std::span<const sat::Lit> guards,
-                             DeducedOrders* od) {
+                             DeduceScratch* scratch, DeducedOrders* od) {
   solver->RecordDeduceProbe(1, false);
+  ResetOrders(vm, &scratch->spare_orders, od);
   // Block b's attribute: a block registers once its attribute has two
   // values, so block b need not be attribute b.
-  std::vector<int> attr_of_block(vm.num_attrs(), -1);
+  std::vector<int>& attr_of_block = scratch->attr_of_block;
+  attr_of_block.assign(vm.num_attrs(), -1);
   for (int a = 0; a < vm.num_attrs(); ++a) {
     if (vm.domain(a).size() < 2) continue;
     const int b = solver->order_pos(vm.VarOf(a, 0, 1)).block;
@@ -85,7 +96,8 @@ ProbeRead ReadOrdersOffProbe(const VarMap& vm, sat::Solver* solver,
   if (!solver->BeginProbe(guards)) return ProbeRead::kRefuted;
   const bool totality =
       options.paper_negative_units && options.totality_propagation;
-  std::vector<sat::Lit> reversed;
+  std::vector<sat::Lit>& reversed = scratch->reversed;
+  reversed.clear();
   size_t scanned = 0;
   while (true) {
     const std::span<const sat::Lit> trail = solver->ProbeTrail();
@@ -245,19 +257,27 @@ DeducedOrders DeduceOrderShared(const Instantiation& inst,
                                 sat::Solver* solver,
                                 const DeduceOptions& options,
                                 std::span<const sat::Lit> guards) {
+  DeduceScratch scratch;
+  DeducedOrders od;
+  DeduceOrderShared(inst, solver, options, guards, &scratch, &od);
+  return od;
+}
+
+void DeduceOrderShared(const Instantiation& inst, sat::Solver* solver,
+                       const DeduceOptions& options,
+                       std::span<const sat::Lit> guards,
+                       DeduceScratch* scratch, DeducedOrders* od) {
   // The probe propagates exactly what DeduceOrder propagates only while
   // the solver holds nothing stronger than Φ's clauses: no clause learnt
   // from a conflict, none strengthened by inprocessing.
   const sat::SolverStats& st = solver->stats();
-  if (st.conflicts == 0 && st.subsumed == 0 && st.vivified == 0) {
-    DeducedOrders od = MakeEmptyOrders(inst.varmap);
-    if (ReadOrdersOffProbe(inst.varmap, solver, options, guards, &od) ==
-        ProbeRead::kDeduced) {
-      return od;
-    }
+  if (st.conflicts == 0 && st.subsumed == 0 && st.vivified == 0 &&
+      ReadOrdersOffProbe(inst.varmap, solver, options, guards, scratch,
+                         od) == ProbeRead::kDeduced) {
+    return;
   }
   solver->RecordDeduceProbe(0, true);
-  return DeduceOrder(inst, BuildCnf(inst), options, guards);
+  *od = DeduceOrder(inst, BuildCnf(inst), options, guards);
 }
 
 DeducedOrders NaiveDeduce(const Instantiation& inst, const sat::Cnf& phi,
@@ -270,6 +290,15 @@ DeducedOrders NaiveDeduce(const Instantiation& inst, const sat::Cnf& phi,
 DeducedOrders NaiveDeduceShared(const Instantiation& inst,
                                 sat::Solver* solver,
                                 std::span<const sat::Lit> assumptions) {
+  DeduceScratch scratch;
+  DeducedOrders od;
+  NaiveDeduceShared(inst, solver, assumptions, &scratch, &od);
+  return od;
+}
+
+void NaiveDeduceShared(const Instantiation& inst, sat::Solver* solver,
+                       std::span<const sat::Lit> assumptions,
+                       DeduceScratch* scratch, DeducedOrders* od) {
   if (solver->ProblemIsHorn()) {
     // A quiet fixpoint of a Horn formula is its least model: an atom is
     // entailed iff the probe made it true, and strict mode records
@@ -277,14 +306,13 @@ DeducedOrders NaiveDeduceShared(const Instantiation& inst,
     // under the guards, and nothing is deduced.
     DeduceOptions strict;
     strict.paper_negative_units = false;
-    DeducedOrders od = MakeEmptyOrders(inst.varmap);
-    if (ReadOrdersOffProbe(inst.varmap, solver, strict, assumptions, &od) !=
-        ProbeRead::kRejected) {
-      return od;
+    if (ReadOrdersOffProbe(inst.varmap, solver, strict, assumptions, scratch,
+                           od) != ProbeRead::kRejected) {
+      return;
     }
   }
   solver->RecordDeduceProbe(0, true);
-  return Lemma6DeduceShared(inst, solver, assumptions);
+  *od = Lemma6DeduceShared(inst, solver, assumptions);
 }
 
 DeducedOrders Lemma6DeduceShared(const Instantiation& inst,
@@ -324,20 +352,32 @@ DeducedOrders Lemma6DeduceShared(const Instantiation& inst,
 
 std::vector<int> ExtractTrueValueIndices(const VarMap& vm,
                                          const DeducedOrders& od) {
+  std::vector<int> out;
+  ExtractTrueValueIndices(vm, od, &out);
+  return out;
+}
+
+void ExtractTrueValueIndices(const VarMap& vm, const DeducedOrders& od,
+                             std::vector<int>* out) {
   // An attribute of only nulls has no true value (Top() is -1), and a
   // unique value dominates vacuously (Top() is 0).
-  std::vector<int> out(vm.num_attrs());
-  for (int a = 0; a < vm.num_attrs(); ++a) out[a] = od.per_attr[a].Top();
-  return out;
+  out->resize(vm.num_attrs());
+  for (int a = 0; a < vm.num_attrs(); ++a) (*out)[a] = od.per_attr[a].Top();
 }
 
 std::vector<std::vector<int>> CandidateValues(const VarMap& vm,
                                               const DeducedOrders& od) {
-  std::vector<std::vector<int>> out(vm.num_attrs());
-  for (int a = 0; a < vm.num_attrs(); ++a) {
-    out[a] = od.per_attr[a].Maximal();
-  }
+  std::vector<std::vector<int>> out;
+  CandidateValues(vm, od, &out);
   return out;
+}
+
+void CandidateValues(const VarMap& vm, const DeducedOrders& od,
+                     std::vector<std::vector<int>>* out) {
+  out->resize(vm.num_attrs());
+  for (int a = 0; a < vm.num_attrs(); ++a) {
+    od.per_attr[a].MaximalInto(&(*out)[a]);
+  }
 }
 
 }  // namespace ccr

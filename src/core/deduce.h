@@ -77,8 +77,10 @@ struct DeduceOptions {
   bool totality_propagation = true;
 };
 
-/// Reusable state for DeduceOrder's counter-based unit propagation: an
-/// append-only index of one formula plus the per-call arrays.
+/// Reusable state for the Deduce forms: DeduceOrder's counter-based unit
+/// propagation (an append-only index of one formula plus the per-call
+/// arrays), the probe readers' buffers, and the spare orders Od is
+/// refilled from.
 ///
 /// The index — per-literal occurrence lists and the unit clauses' literals
 /// in clause order — covers clauses [0, indexed_clauses) of the formula
@@ -93,8 +95,14 @@ struct DeduceOptions {
 /// every round on one growing formula keeps one instance (pooled through
 /// SessionScratch) warm across rounds and entities; a default-constructed
 /// local works identically for one-shot callers and for
-/// DeduceOrderShared's rare fallback. Sessions deduce by the probe and
-/// keep no instance.
+/// DeduceOrderShared's rare fallback.
+///
+/// Scratch contract of the probe readers (the DeduceOrderShared and
+/// NaiveDeduceShared forms that take a scratch): every buffer is
+/// rewritten before it is read, so the result never depends on what an
+/// earlier call left, and once the buffers have grown to an entity's
+/// sizes, a call allocates nothing outside its fallback. Sessions deduce
+/// through these, on the instance their SessionScratch keeps.
 struct DeduceScratch {
   // Index of the formula named by indexed_cnf (0 = none).
   uint64_t indexed_cnf = 0;
@@ -106,6 +114,12 @@ struct DeduceScratch {
   std::vector<uint8_t> satisfied;
   std::vector<sat::Lbool> value;
   std::vector<sat::Lit> queue;
+  // The probe readers: each order block's attribute, and the reversals
+  // the totality rule adds to the probe.
+  std::vector<int> attr_of_block;
+  std::vector<sat::Lit> reversed;
+  // Orders an Od refilled here parked when it shrank (PooledResize).
+  std::vector<PartialOrder> spare_orders;
 };
 
 /// Algorithm DeduceOrder (Fig. 5): unit propagation over `phi`.
@@ -137,6 +151,12 @@ DeducedOrders DeduceOrderShared(const Instantiation& inst,
                                 sat::Solver* solver,
                                 const DeduceOptions& options = {},
                                 std::span<const sat::Lit> guards = {});
+/// DeduceOrderShared refilling `od` in place on `scratch`'s buffers (see
+/// DeduceScratch); `od`'s per-attribute orders are reused.
+void DeduceOrderShared(const Instantiation& inst, sat::Solver* solver,
+                       const DeduceOptions& options,
+                       std::span<const sat::Lit> guards,
+                       DeduceScratch* scratch, DeducedOrders* od);
 
 /// NaiveDeduce on a fresh solver loaded with `phi` (see
 /// NaiveDeduceShared). Exact per Lemma 6.
@@ -155,6 +175,11 @@ DeducedOrders NaiveDeduce(const Instantiation& inst, const sat::Cnf& phi,
 DeducedOrders NaiveDeduceShared(const Instantiation& inst,
                                 sat::Solver* solver,
                                 std::span<const sat::Lit> assumptions = {});
+/// NaiveDeduceShared refilling `od` in place on `scratch`'s buffers, as
+/// the DeduceOrderShared form above.
+void NaiveDeduceShared(const Instantiation& inst, sat::Solver* solver,
+                       std::span<const sat::Lit> assumptions,
+                       DeduceScratch* scratch, DeducedOrders* od);
 
 /// The paper's per-pair Lemma-6 loop: one SolveWithAssumptions per order
 /// variable x, adding the pair iff Φ(Se) ∧ assumptions ∧ ¬x is
@@ -172,12 +197,19 @@ DeducedOrders Lemma6DeduceShared(const Instantiation& inst,
 /// (including attributes whose domain is empty).
 std::vector<int> ExtractTrueValueIndices(const VarMap& vm,
                                          const DeducedOrders& od);
+/// ExtractTrueValueIndices written over `out`, reusing its storage.
+void ExtractTrueValueIndices(const VarMap& vm, const DeducedOrders& od,
+                             std::vector<int>* out);
 
 /// DeriveVR (§V-C): candidate true values V(A) — domain values of A not
 /// dominated by any other value in Od. Computed for every attribute;
 /// callers skip attributes whose true value is known.
 std::vector<std::vector<int>> CandidateValues(const VarMap& vm,
                                               const DeducedOrders& od);
+/// CandidateValues written over `out`: resized to one entry per attribute
+/// (a no-op when it has that many already), each refilled in place.
+void CandidateValues(const VarMap& vm, const DeducedOrders& od,
+                     std::vector<std::vector<int>>* out);
 
 }  // namespace ccr
 

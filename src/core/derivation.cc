@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <span>
+#include <utility>
 
+#include "src/common/pooled.h"
 #include "src/common/status.h"
 
 namespace ccr {
@@ -28,11 +30,13 @@ namespace {
 // its candidates (non-dominated values). For an unknown attribute the
 // entry is the value's position in candidates[attr], which keys the head
 // index below; a known attribute's true value reads 0; -1 is inadmissible.
+// The table lives in a DerivationScratch.
 class AdmissibleTable {
  public:
   AdmissibleTable(const VarMap& vm,
                   const std::vector<std::vector<int>>& candidates,
-                  const std::vector<int>& known_true) {
+                  const std::vector<int>& known_true, DerivationScratch* s)
+      : offset_(s->adm_offset), position_(s->adm_position) {
     const int n = vm.num_attrs();
     offset_.resize(n);
     int total = 0;
@@ -57,8 +61,8 @@ class AdmissibleTable {
   bool Admissible(int attr, int v) const { return Position(attr, v) >= 0; }
 
  private:
-  std::vector<int> offset_;    // per attribute, into position_
-  std::vector<int> position_;  // per (attr, value index)
+  std::vector<int>& offset_;    // per attribute, into position_
+  std::vector<int>& position_;  // per (attr, value index)
 };
 
 // The Σ atom-head constraints TrueDer can consult, grouped by head. A
@@ -67,12 +71,19 @@ class AdmissibleTable {
 // an unknown attribute with k ≥ 2 candidates owns a k×k block of buckets,
 // keyed by the candidates' positions, and every other constraint is
 // dropped on sight. Buckets are filled by a counting sort, which keeps
-// emission order within a bucket.
+// emission order within a bucket. The index lives in a DerivationScratch.
 class HeadIndex {
  public:
   HeadIndex(const std::vector<std::vector<int>>& candidates,
-            const std::vector<int>& known_true, const AdmissibleTable& adm)
-      : candidates_(candidates), adm_(adm) {
+            const std::vector<int>& known_true, const AdmissibleTable& adm,
+            DerivationScratch* s)
+      : candidates_(candidates),
+        adm_(adm),
+        base_(s->head_base),
+        begin_(s->head_begin),
+        pending_(s->head_pending),
+        entries_(s->head_entries),
+        fill_(s->head_fill) {
     const int n = static_cast<int>(candidates.size());
     base_.assign(n, -1);
     int total = 0;
@@ -83,6 +94,7 @@ class HeadIndex {
       total += k * k;
     }
     begin_.assign(total + 1, 0);
+    pending_.clear();
   }
 
   // Files `gc` under its head, unless no lookup can ask for that head.
@@ -99,20 +111,22 @@ class HeadIndex {
   // canonical emission rank `seq`. Emission order already is, except where
   // ExtendWith appended a constraint that ranks before an earlier one of
   // the same head, or Build, which groups Σ constraints by attribute set,
-  // grounded a later one first; only such a bucket is re-sorted.
+  // grounded a later one first; only such a bucket is re-sorted, by a
+  // stable insertion sort (buckets are short, and it needs no buffer).
   void Finish() {
     for (size_t s = 1; s < begin_.size(); ++s) begin_[s] += begin_[s - 1];
     entries_.resize(pending_.size());
-    std::vector<int> fill(begin_.begin(), begin_.end() - 1);
-    for (const auto& [slot, gc] : pending_) entries_[fill[slot]++] = gc;
+    fill_.assign(begin_.begin(), begin_.end() - 1);
+    for (const auto& [slot, gc] : pending_) entries_[fill_[slot]++] = gc;
     auto by_seq = [](const GroundConstraint* a, const GroundConstraint* b) {
       return a->seq < b->seq;
     };
     for (size_t s = 0; s + 1 < begin_.size(); ++s) {
       const auto first = entries_.begin() + begin_[s];
       const auto last = entries_.begin() + begin_[s + 1];
-      if (!std::is_sorted(first, last, by_seq)) {
-        std::stable_sort(first, last, by_seq);
+      if (std::is_sorted(first, last, by_seq)) continue;
+      for (auto it = first; it != last; ++it) {
+        std::rotate(std::upper_bound(first, it, *it, by_seq), it, it + 1);
       }
     }
   }
@@ -142,20 +156,28 @@ class HeadIndex {
 
   const std::vector<std::vector<int>>& candidates_;
   const AdmissibleTable& adm_;
-  std::vector<int> base_;   // per attribute: first bucket, or -1
-  std::vector<int> begin_;  // per bucket: first entry; one past the last
-  std::vector<std::pair<int, const GroundConstraint*>> pending_;
-  std::vector<const GroundConstraint*> entries_;
+  std::vector<int>& base_;   // per attribute: first bucket, or -1
+  std::vector<int>& begin_;  // per bucket: first entry; one past the last
+  std::vector<std::pair<int, const GroundConstraint*>>& pending_;
+  std::vector<const GroundConstraint*>& entries_;
+  std::vector<int>& fill_;  // per bucket: next entry to fill
 };
 
 // The premises P[X] a rule under construction has accumulated: the
 // assumed true value per attribute, valid where the attribute's stamp is
 // the current rule's. Merging a constraint records the attributes it newly
-// assumes, so a merge that turns out incompatible is undone in place.
+// assumes, so a merge that turns out incompatible is undone in place. The
+// premises live in a DerivationScratch.
 class Premises {
  public:
-  explicit Premises(int num_attrs)
-      : stamp_(num_attrs, 0), value_(num_attrs, -1) {}
+  Premises(int num_attrs, DerivationScratch* s)
+      : stamp_(s->premise_stamp),
+        value_(s->premise_value),
+        attrs_(s->premise_attrs) {
+    stamp_.assign(num_attrs, 0);
+    value_.assign(num_attrs, -1);
+    attrs_.clear();
+  }
 
   // Starts an empty premise set for a new consequent (B, b).
   void Reset() {
@@ -191,38 +213,35 @@ class Premises {
     return true;
   }
 
-  // The premises as (attr, value) pairs sorted by attribute, without the
-  // consequent's own attribute.
-  std::vector<std::pair<int, int>> Lhs(int b_attr) {
+  // Writes the premises over `lhs` as (attr, value) pairs sorted by
+  // attribute, without the consequent's own attribute.
+  void Lhs(int b_attr, std::vector<std::pair<int, int>>* lhs) {
     std::sort(attrs_.begin(), attrs_.end());
-    std::vector<std::pair<int, int>> lhs;
-    lhs.reserve(attrs_.size());
+    lhs->clear();
     for (int attr : attrs_) {
-      if (attr != b_attr) lhs.emplace_back(attr, value_[attr]);
+      if (attr != b_attr) lhs->emplace_back(attr, value_[attr]);
     }
-    return lhs;
   }
 
  private:
-  std::vector<int> stamp_;
-  std::vector<int> value_;
-  std::vector<int> attrs_;  // attributes assumed under the current stamp
+  std::vector<int>& stamp_;
+  std::vector<int>& value_;
+  std::vector<int>& attrs_;  // attributes assumed under the current stamp
   int epoch_ = 0;
 };
 
 // Candidate indices reordered by the values they denote (the library-wide
-// total Value order). Domain *positions* are an artifact of encoding
-// history — an incrementally extended VarMap appends new values after
-// CFD constants, a rebuild interleaves them — so iterating candidates by
-// position would make rule enumeration depend on which path produced the
-// encoding. Value order is identical for both.
-std::vector<int> SortedByValue(const VarMap& vm, int attr,
-                               const std::vector<int>& cands) {
-  std::vector<int> out = cands;
-  std::sort(out.begin(), out.end(), [&](int a, int b) {
+// total Value order), written over `out`. Domain *positions* are an
+// artifact of encoding history — an incrementally extended VarMap appends
+// new values after CFD constants, a rebuild interleaves them — so
+// iterating candidates by position would make rule enumeration depend on
+// which path produced the encoding. Value order is identical for both.
+void SortByValue(const VarMap& vm, int attr, const std::vector<int>& cands,
+                 std::vector<int>* out) {
+  out->assign(cands.begin(), cands.end());
+  std::sort(out->begin(), out->end(), [&](int a, int b) {
     return vm.domain(attr)[a].Compare(vm.domain(attr)[b]) < 0;
   });
-  return out;
 }
 
 }  // namespace
@@ -231,15 +250,27 @@ std::vector<DerivationRule> TrueDer(
     const Instantiation& inst,
     const std::vector<std::vector<int>>& candidates,
     const std::vector<int>& known_true) {
+  DerivationScratch scratch;
+  TrueDer(inst, candidates, known_true, &scratch);
+  return std::move(scratch.rules);
+}
+
+const std::vector<DerivationRule>& TrueDer(
+    const Instantiation& inst,
+    const std::vector<std::vector<int>>& candidates,
+    const std::vector<int>& known_true, DerivationScratch* scratch) {
   const VarMap& vm = inst.varmap;
-  const AdmissibleTable adm(vm, candidates, known_true);
-  std::vector<DerivationRule> rules;
+  const AdmissibleTable adm(vm, candidates, known_true, scratch);
+  std::vector<DerivationRule>& rules = scratch->rules;
+  PooledResize(&rules, 0, &scratch->spare_rules);
 
   // One pass over Ω(Se) keeps what the two rule families read: the first
   // ground constraint of each CFD, and the Σ constraints a lookup can ask
   // for. Everything else costs one test.
-  std::vector<const GroundConstraint*> first_of_cfd;  // gamma index -> gc
-  HeadIndex by_head(candidates, known_true, adm);
+  std::vector<const GroundConstraint*>& first_of_cfd =
+      scratch->first_of_cfd;  // gamma index -> gc
+  first_of_cfd.clear();
+  HeadIndex by_head(candidates, known_true, adm, scratch);
   for (const GroundConstraint& gc : inst.constraints) {
     if (gc.source == GroundSource::kCfd) {
       if (gc.source_index >= static_cast<int>(first_of_cfd.size())) {
@@ -264,7 +295,8 @@ std::vector<DerivationRule> TrueDer(
   // CFD's constraints sit in Ω(Se) — a CFD that became applicable in a
   // later round has its constraints appended at the end, while a rebuild
   // grounds it in place.
-  std::vector<std::pair<int, int>> pattern;  // (attr, pattern value index)
+  std::vector<std::pair<int, int>>& pattern =
+      scratch->pattern;  // (attr, pattern value index)
   for (const GroundConstraint* gc : first_of_cfd) {
     if (gc == nullptr) continue;
     const int rhs_attr = gc->head.attr;
@@ -286,7 +318,7 @@ std::vector<DerivationRule> TrueDer(
            adm.Admissible(pattern[i].first, pattern[i].second);
     }
     if (!ok) continue;
-    DerivationRule& rule = rules.emplace_back();
+    DerivationRule& rule = PooledAppend(&rules, &scratch->spare_rules);
     rule.origin = GroundSource::kCfd;
     rule.source_index = gc->source_index;
     rule.rhs_attr = rhs_attr;
@@ -298,11 +330,11 @@ std::vector<DerivationRule> TrueDer(
   // unknown attribute B and candidate b, cover every competing candidate
   // bi with the first compatible constraint of head (bi ≺ b), accumulating
   // a consistent premise instantiation P[X].
-  Premises premises(vm.num_attrs());
+  Premises premises(vm.num_attrs(), scratch);
+  std::vector<int>& ordered_cands = scratch->sorted_cands;
   for (int b_attr = 0; b_attr < vm.num_attrs(); ++b_attr) {
     if (!by_head.Indexed(b_attr)) continue;  // known, or nothing to derive
-    const std::vector<int> ordered_cands =
-        SortedByValue(vm, b_attr, candidates[b_attr]);
+    SortByValue(vm, b_attr, candidates[b_attr], &ordered_cands);
     for (int b : ordered_cands) {
       premises.Reset();
       bool rule_ok = true;
@@ -321,25 +353,38 @@ std::vector<DerivationRule> TrueDer(
         }
       }
       if (!rule_ok) continue;
-      std::vector<std::pair<int, int>> lhs = premises.Lhs(b_attr);
-      if (lhs.empty()) continue;  // would already be in Od
-      DerivationRule& rule = rules.emplace_back();
+      DerivationRule& rule = PooledAppend(&rules, &scratch->spare_rules);
+      premises.Lhs(b_attr, &rule.lhs);
+      if (rule.lhs.empty()) {  // would already be in Od
+        PooledResize(&rules, rules.size() - 1, &scratch->spare_rules);
+        continue;
+      }
       rule.origin = GroundSource::kCurrencyConstraint;
+      rule.source_index = -1;
       rule.rhs_attr = b_attr;
       rule.rhs_value = b;
-      rule.lhs = std::move(lhs);
     }
   }
   return rules;
 }
 
 graph::Graph CompGraph(const std::vector<DerivationRule>& rules) {
+  DerivationScratch scratch;
+  CompGraph(rules, &scratch);
+  return std::move(scratch.graph);
+}
+
+const graph::Graph& CompGraph(const std::vector<DerivationRule>& rules,
+                              DerivationScratch* scratch) {
   const int n = static_cast<int>(rules.size());
-  graph::Graph g(n);
+  graph::Graph& g = scratch->graph;
+  g.Reset(n);
   // Attribute→value map per rule (premises plus consequent), as one
   // attribute-sorted run per rule in a flat array.
-  std::vector<std::pair<int, int>> maps;
-  std::vector<int> begin(n + 1, 0);
+  std::vector<std::pair<int, int>>& maps = scratch->maps;
+  std::vector<int>& begin = scratch->map_begin;
+  maps.clear();
+  begin.assign(n + 1, 0);
   for (int i = 0; i < n; ++i) {
     const DerivationRule& rule = rules[i];
     const auto first = maps.insert(maps.end(), rule.lhs.begin(), rule.lhs.end());

@@ -68,7 +68,7 @@ Result<ResolveResult> Resolve(const Specification& se, UserOracle* oracle,
   sat::SolverStats pending_extend_stats;
 
   for (int round = 0; round <= options.max_rounds; ++round) {
-    const SessionRound r =
+    const SessionRound& r =
         session.RunRound(oracle != nullptr && round < options.max_rounds);
     RoundTrace& trace = result.trace.emplace_back(r.trace);
     trace.round = round;

@@ -57,9 +57,9 @@ struct ResolveOptions {
   /// Use NaiveDeduce (Lemma 6's exact pair set) instead of DeduceOrder.
   bool naive_deduce = false;
   /// Borrowed (not owned) per-worker allocation pool the session
-  /// recycles its solver and CNF buffers from, so back-to-back Resolve
-  /// calls start warm (batch drivers resolving many entities on one
-  /// thread). Null = the session owns a fresh one. Results are
+  /// recycles its solver, grounding and round buffers from, so
+  /// back-to-back Resolve calls start warm (batch drivers resolving many
+  /// entities on one thread). Null = the session owns a fresh one. Results are
   /// bit-identical either way. The scratch must outlive the Resolve call
   /// and serve one resolution at a time.
   SessionScratch* scratch = nullptr;

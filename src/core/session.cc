@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "src/common/pooled.h"
 #include "src/common/timer.h"
 #include "src/encode/cnf_builder.h"
 
@@ -62,8 +63,12 @@ maxsat::WalkSatScratch* SessionScratch::AcquireWalkSatScratch() {
 }
 
 DeduceScratch* SessionScratch::AcquireDeduceScratch() {
-  if (deduce_ == nullptr) deduce_ = std::make_unique<DeduceScratch>();
-  return deduce_.get();
+  return &AcquireRoundScratch()->deduce;
+}
+
+RoundScratch* SessionScratch::AcquireRoundScratch() {
+  if (round_ == nullptr) round_ = std::make_unique<RoundScratch>();
+  return round_.get();
 }
 
 void ResolutionSession::AdoptScratchObjects() {
@@ -74,6 +79,7 @@ void ResolutionSession::AdoptScratchObjects() {
   }
   inst_ = scratch->AcquireInstantiation();
   solver_ = scratch->AcquireSolver(options_.solver);
+  round_ = scratch->AcquireRoundScratch();
 }
 
 Result<ResolutionSession> ResolutionSession::Create(
@@ -109,11 +115,19 @@ ValidityResult ResolutionSession::CheckValidity() {
 }
 
 DeducedOrders ResolutionSession::Deduce() {
+  DeducedOrders od;
+  DeduceInto(&od);
+  return od;
+}
+
+void ResolutionSession::DeduceInto(DeducedOrders* od) {
   if (options_.naive_deduce) {
-    return NaiveDeduceShared(*inst_, solver_, inst_->guard_assumptions());
+    NaiveDeduceShared(*inst_, solver_, inst_->guard_assumptions(),
+                      &round_->deduce, od);
+  } else {
+    DeduceOrderShared(*inst_, solver_, options_.deduce,
+                      inst_->guard_assumptions(), &round_->deduce, od);
   }
-  return DeduceOrderShared(*inst_, solver_, options_.deduce,
-                           inst_->guard_assumptions());
 }
 
 Suggestion ResolutionSession::MakeSuggestion(
@@ -123,9 +137,22 @@ Suggestion ResolutionSession::MakeSuggestion(
                          candidates, known_true, options_.suggest);
 }
 
-SessionRound ResolutionSession::RunRound(bool want_suggestion) {
-  SessionRound out;
+const SessionRound& ResolutionSession::RunRound(bool want_suggestion) {
+  // Empty what this round may not refill, parking the storage.
+  RoundScratch& rs = *round_;
+  SessionRound& out = rs.round;
+  out.valid = false;
+  out.complete = false;
+  out.true_idx.clear();
+  PooledResize(&out.candidates, 0, &rs.spare_candidates);
+  if (out.suggestion.has_value()) {
+    rs.parked_suggestion = std::move(*out.suggestion);
+    out.suggestion.reset();
+  }
+  out.trace = {};
   RoundTrace& trace = out.trace;
+  const VarMap& vm = inst_->varmap;
+  const std::vector<sat::Lit>& guards = inst_->guard_assumptions();
   Timer timer;
 
   // Step (1): validity.
@@ -133,26 +160,33 @@ SessionRound ResolutionSession::RunRound(bool want_suggestion) {
   out.valid = CheckValidity().valid;
   trace.validity_solver = solver_->stats() - phase_start;
   trace.validity_ms = timer.ElapsedMs();
-  if (!out.valid) return out;
+  if (!out.valid) {
+    PooledResize(&out.od.per_attr, 0, &rs.deduce.spare_orders);
+    return out;
+  }
 
   // Step (2): deduce true values.
   timer.Restart();
   phase_start = solver_->stats();
-  out.od = Deduce();
+  DeduceInto(&out.od);
   trace.deduce_solver = solver_->stats() - phase_start;
-  out.true_idx = ExtractTrueValueIndices(inst_->varmap, out.od);
+  ExtractTrueValueIndices(vm, out.od, &out.true_idx);
   trace.deduce_ms = timer.ElapsedMs();
 
   // Step (3): done when every resolvable attribute has a true value.
   for (const int idx : out.true_idx) trace.resolved_attrs += idx >= 0;
-  out.complete = trace.resolved_attrs >= CountResolvableAttrs(inst_->varmap);
+  out.complete = trace.resolved_attrs >= CountResolvableAttrs(vm);
   if (out.complete || !want_suggestion) return out;
 
   // Step (4a): the suggestion.
   timer.Restart();
   phase_start = solver_->stats();
-  out.candidates = CandidateValues(inst_->varmap, out.od);
-  out.suggestion = MakeSuggestion(out.candidates, out.true_idx);
+  PooledResize(&out.candidates, vm.num_attrs(), &rs.spare_candidates);
+  CandidateValues(vm, out.od, &out.candidates);
+  Suggestion& suggestion =
+      out.suggestion.emplace(std::move(rs.parked_suggestion));
+  SuggestOnSolver(*inst_, solver_, guards, out.candidates, out.true_idx,
+                  options_.suggest, &rs.suggest, &suggestion);
   trace.suggest_solver = solver_->stats() - phase_start;
   trace.suggest_ms = timer.ElapsedMs();
   return out;

@@ -49,6 +49,56 @@
 
 namespace ccr {
 
+/// \brief One framework round on a session (Fig. 4, steps 1 to 4a): its
+/// verdicts and what each phase cost. RunRound refills one SessionRound
+/// in the session's RoundScratch in place and returns it by reference,
+/// so a warm scratch runs a round without a heap allocation.
+struct SessionRound {
+  bool valid = false;
+  /// Step (3): every resolvable attribute (CountResolvableAttrs) has a
+  /// true value. False when invalid.
+  bool complete = false;
+  /// Step (2): the deduced orders Od. Empty when invalid.
+  DeducedOrders od;
+  /// Per-attribute true value index into the VarMap domain, -1 when
+  /// unresolved (ExtractTrueValueIndices). Empty when invalid.
+  std::vector<int> true_idx;
+  /// V(A): the candidate values per attribute (CandidateValues) the
+  /// suggestion was made from. Empty when no suggestion was made.
+  std::vector<std::vector<int>> candidates;
+  /// Step (4a): present iff it was asked for and the round is valid but
+  /// incomplete.
+  std::optional<Suggestion> suggestion;
+  /// The round's phases: validity_ms; deduce_ms (Deduce plus true-value
+  /// extraction); suggest_ms (CandidateValues plus GetSug); the three
+  /// phase solver deltas; resolved_attrs. `round`, `encode_ms` and
+  /// `encode_solver` describe the extension that produced the round and
+  /// are left for the caller.
+  RoundTrace trace;
+};
+
+/// \brief The memory a session's rounds run in: the SessionRound that
+/// RunRound returns and the buffers its phases refill. One per
+/// SessionScratch, so one per worker thread, recycled across rounds and
+/// entities.
+///
+/// Contract: each round rewrites every field of `round` before the caller
+/// reads it, and the phases read no buffer they did not write in the same
+/// call, so a round's result never depends on an earlier round or entity
+/// (tests/round_alloc_test.cpp compares shared against fresh scratches).
+/// Vectors only grow, and vectors whose elements own storage park removed
+/// elements on a spare stack (src/common/pooled.h), so once an entity's
+/// sizes have been seen, its rounds allocate nothing.
+struct RoundScratch {
+  SessionRound round;
+  DeduceScratch deduce;    // Od's probe reader and its spare orders
+  SuggestScratch suggest;  // TrueDer, CompGraph, MaxClique, GetSug
+  // V(A) lists parked while round.candidates is empty, and the
+  // suggestion's storage while round.suggestion is empty.
+  std::vector<std::vector<int>> spare_candidates;
+  Suggestion parked_suggestion;
+};
+
 /// \brief Reusable solver/CNF/instantiation allocations shared by
 /// back-to-back sessions on one worker thread (cross-entity pooling).
 ///
@@ -88,11 +138,16 @@ class SessionScratch {
   /// DeduceOrder's unit-propagation buffers (occurrence index, clause
   /// counters, the literal queue), kept warm across every round of every
   /// entity. The index is keyed by Cnf::identity(), which AcquireCnf's
-  /// Clear renews, so no reset is needed. ResolutionSession deduces on
-  /// its solver (DeduceOrderShared) and never acquires one; only the
+  /// Clear renews, so no reset is needed. It is the RoundScratch's
+  /// instance: sessions deduce through its probe buffers, and the
   /// perfbench traced drive, which still times DeduceOrder as its
-  /// core.deduce layer, does.
+  /// core.deduce layer, through its index.
   DeduceScratch* AcquireDeduceScratch();
+
+  /// The buffers a session's rounds run in (RoundScratch), kept warm
+  /// across every round of every entity. No reset is needed: each round
+  /// rewrites what it reads.
+  RoundScratch* AcquireRoundScratch();
 
   /// Acquire calls that recycled a warm object instead of allocating.
   int64_t solver_reuses() const { return solver_reuses_; }
@@ -102,37 +157,8 @@ class SessionScratch {
   std::unique_ptr<sat::Cnf> cnf_;
   std::unique_ptr<Instantiation> inst_;
   std::unique_ptr<maxsat::WalkSatScratch> walksat_;
-  std::unique_ptr<DeduceScratch> deduce_;
+  std::unique_ptr<RoundScratch> round_;
   int64_t solver_reuses_ = 0;
-};
-
-/// \brief One framework round on a session (Fig. 4, steps 1 to 4a): its
-/// verdicts and what each phase cost. Od and V(A) are returned, not freed
-/// inside RunRound: freed there, their blocks serve the caller's answer
-/// and extension, and the next round's Deduce and GetSug allocate from
-/// colder memory (7–9% slower Deduce and Suggest on NBA rounds).
-struct SessionRound {
-  bool valid = false;
-  /// Step (3): every resolvable attribute (CountResolvableAttrs) has a
-  /// true value. False when invalid.
-  bool complete = false;
-  /// Step (2): the deduced orders Od. Empty when invalid.
-  DeducedOrders od;
-  /// Per-attribute true value index into the VarMap domain, -1 when
-  /// unresolved (ExtractTrueValueIndices). Empty when invalid.
-  std::vector<int> true_idx;
-  /// V(A): the candidate values per attribute (CandidateValues) the
-  /// suggestion was made from. Empty when no suggestion was made.
-  std::vector<std::vector<int>> candidates;
-  /// Step (4a): present iff it was asked for and the round is valid but
-  /// incomplete.
-  std::optional<Suggestion> suggestion;
-  /// The round's phases: validity_ms; deduce_ms (Deduce plus true-value
-  /// extraction); suggest_ms (CandidateValues plus GetSug); the three
-  /// phase solver deltas; resolved_attrs. `round`, `encode_ms` and
-  /// `encode_solver` describe the extension that produced the round and
-  /// are left for the caller.
-  RoundTrace trace;
 };
 
 /// \brief Encode-once/solve-many pipeline state for one specification.
@@ -159,11 +185,15 @@ class ResolutionSession {
 
   /// Steps (1) to (4a) in order: validity; if valid, Deduce and the true
   /// values; the stop test; and, if `want_suggestion` and the round is
-  /// incomplete, CandidateValues and MakeSuggestion. Resolve and the
+  /// incomplete, CandidateValues and the suggestion. Resolve and the
   /// service's ROUND both run their rounds through here, so the solver
   /// sees the same call sequence from either, and snapshot replay
-  /// recreates a live session's solver state.
-  SessionRound RunRound(bool want_suggestion);
+  /// recreates a live session's solver state. The phases run the scratch
+  /// forms of Deduce, CandidateValues and SuggestOnSolver, which compute
+  /// what the public one-shot phases above return, in the session's
+  /// RoundScratch. The result lives there too: it stays valid until the
+  /// next RunRound or ExtendWith, or the end of the session.
+  const SessionRound& RunRound(bool want_suggestion);
 
   /// Step (4b): Se ← Se ⊕ Ot. Always extends incrementally — CFD guards
   /// absorb the one formerly non-append-only delta. Fails with
@@ -198,16 +228,21 @@ class ResolutionSession {
  private:
   ResolutionSession() = default;
 
-  /// Points solver_/inst_ at objects acquired from options_.scratch, or
-  /// from a private scratch the session owns when that is null. All
-  /// targets are heap-stable, so moving the session keeps them valid.
+  /// Points solver_/inst_/round_ at objects acquired from
+  /// options_.scratch, or from a private scratch the session owns when
+  /// that is null. All targets are heap-stable, so moving the session
+  /// keeps them valid.
   void AdoptScratchObjects();
+
+  /// Deduce, refilling `od` on the RoundScratch's deduce buffers.
+  void DeduceInto(DeducedOrders* od);
 
   ResolveOptions options_;
   Specification spec_;
   std::unique_ptr<SessionScratch> owned_scratch_;  // null when borrowed
   Instantiation* inst_ = nullptr;
   sat::Solver* solver_ = nullptr;
+  RoundScratch* round_ = nullptr;
   double last_encode_ms_ = 0;
   int incremental_extensions_ = 0;
 };

@@ -2,8 +2,9 @@
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 
-#include "src/graph/clique.h"
+#include "src/common/pooled.h"
 
 namespace ccr {
 
@@ -46,15 +47,20 @@ namespace {
 class KeptSetSearch {
  public:
   KeptSetSearch(sat::Solver* solver, std::span<const sat::Lit> assumptions,
-                const std::vector<std::vector<sat::Lit>>& rule_atoms)
+                SuggestScratch* s)
       : solver_(solver),
         assumptions_(assumptions),
-        rule_atoms_(rule_atoms),
-        n_(static_cast<int>(rule_atoms.size())),
-        kept_(rule_atoms.size(), false),
-        best_(rule_atoms.size(), false) {}
+        atoms_(s->atoms),
+        begin_(s->atom_begin),
+        n_(static_cast<int>(s->atom_begin.size()) - 1),
+        kept_(s->kept),
+        best_(s->best),
+        base_(s->base) {
+    kept_.assign(n_, false);
+    best_.assign(n_, false);
+  }
 
-  std::vector<bool> Run() {
+  void Run() {
     // A clique is usually feasible whole: one probe on all of its atoms
     // decides it.
     kept_.assign(kept_.size(), true);
@@ -70,20 +76,22 @@ class KeptSetSearch {
       }
     }
     solver_->RecordSuggest(probes_);
-    return best_;
   }
 
  private:
+  // The atoms rule i asserts.
+  std::span<const sat::Lit> Atoms(int i) const {
+    return std::span<const sat::Lit>(atoms_).subspan(
+        begin_[i], begin_[i + 1] - begin_[i]);
+  }
+
   // Opens a probe on the guards plus the atoms of the kept rules before
   // rule `i`. Inside the search those rules were kept on a probe that
   // stayed quiet, so only the probe on the guards alone can be refuted.
   bool Reopen(int i) {
     base_.assign(assumptions_.begin(), assumptions_.end());
     for (int j = 0; j < i; ++j) {
-      if (kept_[j]) {
-        base_.insert(base_.end(), rule_atoms_[j].begin(),
-                     rule_atoms_[j].end());
-      }
+      if (kept_[j]) base_.insert(base_.end(), Atoms(j).begin(), Atoms(j).end());
     }
     ++probes_;
     open_ = solver_->BeginProbe(base_);
@@ -102,7 +110,7 @@ class KeptSetSearch {
     }
     if (count + (n_ - i) > best_count_) {
       if (!open_) CCR_CHECK(Reopen(i));
-      open_ = solver_->ProbeExtend(rule_atoms_[i]);
+      open_ = solver_->ProbeExtend(Atoms(i));
       if (open_) {
         kept_[i] = true;
         Visit(i + 1, count + 1);
@@ -117,13 +125,14 @@ class KeptSetSearch {
 
   sat::Solver* solver_;
   std::span<const sat::Lit> assumptions_;
-  const std::vector<std::vector<sat::Lit>>& rule_atoms_;
+  const std::vector<sat::Lit>& atoms_;
+  const std::vector<int>& begin_;
   const int n_;
-  std::vector<bool> kept_;
-  std::vector<bool> best_;
+  std::vector<bool>& kept_;
+  std::vector<bool>& best_;
+  std::vector<sat::Lit>& base_;
   int best_count_ = -1;
   bool open_ = false;  // a probe is open and holds exactly the kept rules
-  std::vector<sat::Lit> base_;
   int64_t probes_ = 0;
 };
 
@@ -132,38 +141,52 @@ class KeptSetSearch {
 std::vector<bool> GetSug(sat::Solver* solver,
                          std::span<const sat::Lit> assumptions,
                          const std::vector<std::vector<sat::Lit>>& rule_atoms) {
+  SuggestScratch scratch;
+  scratch.atom_begin.assign(1, 0);
+  for (const std::vector<sat::Lit>& atoms : rule_atoms) {
+    scratch.atoms.insert(scratch.atoms.end(), atoms.begin(), atoms.end());
+    scratch.atom_begin.push_back(static_cast<int>(scratch.atoms.size()));
+  }
+  GetSug(solver, assumptions, &scratch);
+  return std::move(scratch.best);
+}
+
+const std::vector<bool>& GetSug(sat::Solver* solver,
+                                std::span<const sat::Lit> assumptions,
+                                SuggestScratch* scratch) {
   CCR_CHECK(solver->ProblemIsHorn());
-  return KeptSetSearch(solver, assumptions, rule_atoms).Run();
+  KeptSetSearch(solver, assumptions, scratch).Run();
+  return scratch->best;
 }
 
 namespace {
 
-// Shared Suggest implementation. `solver` already holds Φ(Se) (session
-// path) or is null with `phi` supplied for lazy one-shot loading — the
-// formula is only fed to a solver once a non-empty clique makes a GetSug
-// call necessary at all.
-Suggestion SuggestImpl(const Instantiation& inst, sat::Solver* solver,
-                       const sat::Cnf* phi,
-                       std::span<const sat::Lit> assumptions,
-                       const std::vector<std::vector<int>>& candidates,
-                       const std::vector<int>& known_true,
-                       const SuggestOptions& options) {
+// Shared Suggest implementation, refilling `out` on `s`'s buffers.
+// `solver` already holds Φ(Se) (session path) or is null with `phi`
+// supplied for lazy one-shot loading — the formula is only fed to a
+// solver once a non-empty clique makes a GetSug call necessary at all.
+void SuggestImpl(const Instantiation& inst, sat::Solver* solver,
+                 const sat::Cnf* phi, std::span<const sat::Lit> assumptions,
+                 const std::vector<std::vector<int>>& candidates,
+                 const std::vector<int>& known_true,
+                 const SuggestOptions& options, SuggestScratch* s,
+                 Suggestion* out) {
   const VarMap& vm = inst.varmap;
-  Suggestion out;
 
   // TrueDer + CompGraph + MaxClique (Fig. 7, lines 1-3).
-  const std::vector<DerivationRule> rules =
-      TrueDer(inst, candidates, known_true);
-  const graph::Graph g = CompGraph(rules);
-  const std::vector<int> clique = options.exact_clique
-                                      ? graph::MaxClique(g)
-                                      : graph::GreedyClique(g);
+  const std::vector<DerivationRule>& rules =
+      TrueDer(inst, candidates, known_true, &s->derivation);
+  const graph::Graph& g = CompGraph(rules, &s->derivation);
+  const std::vector<int>& clique = options.exact_clique
+                                       ? graph::MaxClique(g, &s->clique)
+                                       : graph::GreedyClique(g, &s->clique);
 
   // GetSug: find the maximal conflict-free subset C' of the clique. A
   // kept rule asserts that its premises and consequent hold as
   // most-current values: each dominates every other value of its
   // attribute.
-  std::vector<int> kept;  // indices into `rules`
+  std::vector<int>& kept = s->kept_rules;  // indices into `rules`
+  kept.clear();
   if (!clique.empty()) {
     std::optional<sat::Solver> local;
     if (solver == nullptr) {
@@ -171,58 +194,63 @@ Suggestion SuggestImpl(const Instantiation& inst, sat::Solver* solver,
       local->AddCnf(*phi);
       solver = &*local;
     }
-    std::vector<std::vector<sat::Lit>> rule_atoms;
-    rule_atoms.reserve(clique.size());
+    s->atoms.clear();
+    s->atom_begin.assign(1, 0);
+    auto assert_dominates = [&](int attr, int value_idx) {
+      const int d = static_cast<int>(vm.domain(attr).size());
+      for (int other = 0; other < d; ++other) {
+        if (other == value_idx) continue;
+        s->atoms.push_back(sat::Lit::Pos(vm.VarOf(attr, other, value_idx)));
+      }
+    };
     for (int node : clique) {
       const DerivationRule& rule = rules[node];
-      std::vector<sat::Lit>& atoms = rule_atoms.emplace_back();
-      auto assert_dominates = [&](int attr, int value_idx) {
-        const int d = static_cast<int>(vm.domain(attr).size());
-        for (int other = 0; other < d; ++other) {
-          if (other == value_idx) continue;
-          atoms.push_back(sat::Lit::Pos(vm.VarOf(attr, other, value_idx)));
-        }
-      };
       for (const auto& [attr, v] : rule.lhs) assert_dominates(attr, v);
       assert_dominates(rule.rhs_attr, rule.rhs_value);
+      s->atom_begin.push_back(static_cast<int>(s->atoms.size()));
     }
-    const std::vector<bool> kept_rules =
-        GetSug(solver, assumptions, rule_atoms);
+    const std::vector<bool>& kept_rules = GetSug(solver, assumptions, s);
     for (size_t i = 0; i < clique.size(); ++i) {
       if (kept_rules[i]) kept.push_back(clique[i]);
     }
   }
 
   // A' = consequents of C'; A = R \ (A' ∪ B).
-  std::vector<bool> derivable(vm.num_attrs(), false);
+  out->attrs.clear();
+  out->derivable_attrs.clear();
+  PooledResize(&out->candidates, 0, &s->spare_candidates);
+  PooledResize(&out->clique_rules, 0, &s->spare_clique_rules);
+  const auto ask = [&](int a) {
+    out->attrs.push_back(a);
+    PooledAppend(&out->candidates, &s->spare_candidates) = candidates[a];
+  };
+  std::vector<uint8_t>& derivable = s->derivable;
+  derivable.assign(vm.num_attrs(), 0);
   for (int node : kept) {
-    derivable[rules[node].rhs_attr] = true;
-    out.clique_rules.push_back(rules[node]);
+    derivable[rules[node].rhs_attr] = 1;
+    PooledAppend(&out->clique_rules, &s->spare_clique_rules) = rules[node];
   }
   for (int a = 0; a < vm.num_attrs(); ++a) {
-    if (derivable[a]) out.derivable_attrs.push_back(a);
+    if (derivable[a]) out->derivable_attrs.push_back(a);
   }
   for (int a = 0; a < vm.num_attrs(); ++a) {
     if (known_true[a] >= 0) continue;   // B: already settled
     if (derivable[a]) continue;         // A': follows from C'
     if (vm.domain(a).empty()) continue; // no values at all: nothing to ask
     if (vm.domain(a).size() == 1) continue;  // trivially resolved
-    out.attrs.push_back(a);
-    out.candidates.push_back(candidates[a]);
+    ask(a);
   }
   // Degenerate case: every unresolved attribute is a consequent of the
   // clique, yet the entity is not resolved — the clique's premises are
   // assumed candidate values, so its derivations may not actually fire
   // under propagation. Fall back to asking the unresolved attributes
   // directly; the framework loop is then guaranteed to make progress.
-  if (out.attrs.empty()) {
+  if (out->attrs.empty()) {
     for (int a = 0; a < vm.num_attrs(); ++a) {
       if (known_true[a] >= 0 || vm.domain(a).size() <= 1) continue;
-      out.attrs.push_back(a);
-      out.candidates.push_back(candidates[a]);
+      ask(a);
     }
   }
-  return out;
 }
 
 }  // namespace
@@ -231,8 +259,11 @@ Suggestion Suggest(const Instantiation& inst, const sat::Cnf& phi,
                    const std::vector<std::vector<int>>& candidates,
                    const std::vector<int>& known_true,
                    const SuggestOptions& options) {
-  return SuggestImpl(inst, /*solver=*/nullptr, &phi, {}, candidates,
-                     known_true, options);
+  SuggestScratch scratch;
+  Suggestion out;
+  SuggestImpl(inst, /*solver=*/nullptr, &phi, {}, candidates, known_true,
+              options, &scratch, &out);
+  return out;
 }
 
 Suggestion SuggestOnSolver(const Instantiation& inst, sat::Solver* solver,
@@ -240,8 +271,21 @@ Suggestion SuggestOnSolver(const Instantiation& inst, sat::Solver* solver,
                            const std::vector<std::vector<int>>& candidates,
                            const std::vector<int>& known_true,
                            const SuggestOptions& options) {
-  return SuggestImpl(inst, solver, /*phi=*/nullptr, assumptions, candidates,
-                     known_true, options);
+  SuggestScratch scratch;
+  Suggestion out;
+  SuggestOnSolver(inst, solver, assumptions, candidates, known_true, options,
+                  &scratch, &out);
+  return out;
+}
+
+void SuggestOnSolver(const Instantiation& inst, sat::Solver* solver,
+                     std::span<const sat::Lit> assumptions,
+                     const std::vector<std::vector<int>>& candidates,
+                     const std::vector<int>& known_true,
+                     const SuggestOptions& options, SuggestScratch* scratch,
+                     Suggestion* out) {
+  SuggestImpl(inst, solver, /*phi=*/nullptr, assumptions, candidates,
+              known_true, options, scratch, out);
 }
 
 }  // namespace ccr

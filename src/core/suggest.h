@@ -17,11 +17,13 @@
 #ifndef CCR_CORE_SUGGEST_H_
 #define CCR_CORE_SUGGEST_H_
 
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "src/core/derivation.h"
+#include "src/graph/clique.h"
 #include "src/sat/solver.h"
 
 namespace ccr {
@@ -49,6 +51,36 @@ struct SuggestOptions {
   bool exact_clique = true;
 };
 
+/// \brief Working buffers of Suggest's steps — TrueDer, CompGraph,
+/// MaxClique and GetSug — reused across calls (a SessionScratch holds
+/// one per worker).
+///
+/// Scratch contract: every buffer is rewritten before it is read, so a
+/// suggestion never depends on what an earlier call left, and once the
+/// buffers (and the Suggestion refilled, see SuggestOnSolver) have grown
+/// to a round's sizes, a SuggestOnSolver call allocates nothing.
+struct SuggestScratch {
+  DerivationScratch derivation;  // TrueDer's rules, CompGraph's graph
+  graph::CliqueScratch clique;   // the clique
+  // GetSug's input: the clique rules' atoms, rule i's at
+  // [atom_begin[i], atom_begin[i + 1]); atom_begin starts with 0 and
+  // holds one offset more than there are rules.
+  std::vector<sat::Lit> atoms;
+  std::vector<int> atom_begin;
+  // GetSug's search: the kept set, the best set found (its result), and
+  // the probe base.
+  std::vector<bool> kept;
+  std::vector<bool> best;
+  std::vector<sat::Lit> base;
+  // The kept clique rules, and per attribute whether one derives it.
+  std::vector<int> kept_rules;
+  std::vector<uint8_t> derivable;
+  // Candidate lists and clique rules parked when a Suggestion refilled
+  // here shrank (PooledResize).
+  std::vector<std::vector<int>> spare_candidates;
+  std::vector<DerivationRule> spare_clique_rules;
+};
+
 /// Computes a suggestion for `se` from its encoding and deduced state.
 /// `known_true` is the per-attribute true value index (-1 if unknown).
 /// One-shot form: loads Φ(Se) into a fresh solver (no CNF copy) and runs
@@ -69,6 +101,16 @@ Suggestion SuggestOnSolver(const Instantiation& inst, sat::Solver* solver,
                            const std::vector<std::vector<int>>& candidates,
                            const std::vector<int>& known_true,
                            const SuggestOptions& options = {});
+/// SuggestOnSolver on `scratch`'s buffers, refilling `out` in place: its
+/// vectors and each candidate list and rule keep their storage (see
+/// SuggestScratch). Pass the same `out` with the same `scratch` each
+/// time.
+void SuggestOnSolver(const Instantiation& inst, sat::Solver* solver,
+                     std::span<const sat::Lit> assumptions,
+                     const std::vector<std::vector<int>>& candidates,
+                     const std::vector<int>& known_true,
+                     const SuggestOptions& options, SuggestScratch* scratch,
+                     Suggestion* out);
 
 /// GetSug (Fig. 7, line 4) on a solver holding the Horn Φ(Se) (checked).
 /// `rule_atoms[i]` are the literals clique rule i asserts (each premise
@@ -86,6 +128,12 @@ Suggestion SuggestOnSolver(const Instantiation& inst, sat::Solver* solver,
 std::vector<bool> GetSug(sat::Solver* solver,
                          std::span<const sat::Lit> assumptions,
                          const std::vector<std::vector<sat::Lit>>& rule_atoms);
+/// GetSug on the rule atoms in scratch->atoms and scratch->atom_begin
+/// (see SuggestScratch), searching in the scratch's buffers. The kept
+/// flags are left in scratch->best, which the result refers to.
+const std::vector<bool>& GetSug(sat::Solver* solver,
+                                std::span<const sat::Lit> assumptions,
+                                SuggestScratch* scratch);
 
 }  // namespace ccr
 

@@ -4,9 +4,13 @@
 
 namespace ccr::graph {
 
-Graph::Graph(int num_vertices)
-    : n_(num_vertices), words_((num_vertices + 63) / 64) {
+Graph::Graph(int num_vertices) { Reset(num_vertices); }
+
+void Graph::Reset(int num_vertices) {
   CCR_CHECK(num_vertices >= 0);
+  n_ = num_vertices;
+  words_ = (num_vertices + 63) / 64;
+  num_edges_ = 0;
   adj_.assign(static_cast<size_t>(n_) * words_, 0);
 }
 

@@ -16,7 +16,12 @@ namespace ccr::graph {
 /// adjacency matrix of bit rows (compatibility graphs are small and dense).
 class Graph {
  public:
-  explicit Graph(int num_vertices);
+  explicit Graph(int num_vertices = 0);
+
+  /// Clears to `num_vertices` isolated vertices, keeping the row storage:
+  /// equal to `Graph(num_vertices)`, and allocation-free once the storage
+  /// has held that many rows.
+  void Reset(int num_vertices);
 
   int num_vertices() const { return n_; }
   int num_edges() const { return num_edges_; }
@@ -47,8 +52,8 @@ class Graph {
   std::string ToString() const;
 
  private:
-  int n_;
-  int words_;  // 64-bit words per adjacency row
+  int n_ = 0;
+  int words_ = 0;  // 64-bit words per adjacency row
   int num_edges_ = 0;
   std::vector<uint64_t> adj_;  // n_ rows of words_ words
 };

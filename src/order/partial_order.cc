@@ -4,10 +4,13 @@
 
 namespace ccr {
 
-PartialOrder::PartialOrder(int num_elements)
-    : n_(num_elements),
-      words_((num_elements + 63) / 64),
-      rows_(static_cast<size_t>(num_elements) * words_, 0) {}
+PartialOrder::PartialOrder(int num_elements) { Reset(num_elements); }
+
+void PartialOrder::Reset(int num_elements) {
+  n_ = num_elements;
+  words_ = (num_elements + 63) / 64;
+  rows_.assign(static_cast<size_t>(num_elements) * words_, 0);
+}
 
 Status PartialOrder::Add(int u, int v) {
   if (u < 0 || v < 0 || u >= n_ || v >= n_) {
@@ -44,10 +47,15 @@ bool PartialOrder::RowEmpty(int u) const {
 
 std::vector<int> PartialOrder::Maximal() const {
   std::vector<int> out;
-  for (int v = 0; v < n_; ++v) {
-    if (RowEmpty(v)) out.push_back(v);
-  }
+  MaximalInto(&out);
   return out;
+}
+
+void PartialOrder::MaximalInto(std::vector<int>* out) const {
+  out->clear();
+  for (int v = 0; v < n_; ++v) {
+    if (RowEmpty(v)) out->push_back(v);
+  }
 }
 
 int PartialOrder::Top() const {

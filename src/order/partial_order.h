@@ -28,7 +28,12 @@ namespace ccr {
 /// transitivity.
 class PartialOrder {
  public:
-  explicit PartialOrder(int num_elements);
+  explicit PartialOrder(int num_elements = 0);
+
+  /// Empties the relation and sets the universe to {0, ..., n-1}, keeping
+  /// the row storage: equal to `PartialOrder(num_elements)`, and
+  /// allocation-free once the storage has held that many rows.
+  void Reset(int num_elements);
 
   int num_elements() const { return n_; }
 
@@ -61,6 +66,8 @@ class PartialOrder {
   /// Elements with no element above them (candidates for "most current"),
   /// ascending: the elements whose row is empty.
   std::vector<int> Maximal() const;
+  /// Maximal() written over `out`, reusing its storage.
+  void MaximalInto(std::vector<int>* out) const;
 
   /// True iff `top` dominates every other element: for all w != top,
   /// w ≺ top. Such an element is the unique most-current value (§V-B).
@@ -86,8 +93,8 @@ class PartialOrder {
   size_t Row(int u) const { return static_cast<size_t>(u) * words_; }
   bool RowEmpty(int u) const;
 
-  int n_;
-  int words_;                   // words per row: ceil(n_ / 64)
+  int n_ = 0;
+  int words_ = 0;               // words per row: ceil(n_ / 64)
   std::vector<uint64_t> rows_;  // n_ rows; bit v of row u <=> u ≺ v
 };
 

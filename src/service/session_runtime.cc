@@ -16,7 +16,7 @@ Result<ResolveOptions> MakeResolveOptions(const EngineConfig& engine,
 }
 
 RoundOutcome RunSessionRound(ResolutionSession* session) {
-  const SessionRound round = session->RunRound(/*want_suggestion=*/true);
+  const SessionRound& round = session->RunRound(/*want_suggestion=*/true);
   RoundOutcome outcome;
   outcome.valid = round.valid;
   outcome.complete = round.complete;
