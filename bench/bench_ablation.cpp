@@ -72,7 +72,7 @@ void AblateMaxSat(const Dataset& ds) {
   PrintHeader("A3 — CDCL vs WalkSAT on Φ(Se) instances");
   double exact_ms = 0, walk_ms = 0;
   int exact_sat = 0, walk_sat = 0, n = 0;
-  SessionScratch scratch;  // pools the WalkSAT buffers across entities
+  maxsat::WalkSatScratch scratch;  // pooled across entities
   for (size_t i = 0; i < ds.entities.size() && n < 12; ++i, ++n) {
     const Specification se = ds.MakeSpec(static_cast<int>(i));
     auto inst = Instantiation::Build(se);
@@ -87,7 +87,7 @@ void AblateMaxSat(const Dataset& ds) {
     maxsat::WalkSatOptions wopts;
     wopts.max_flips = 200000;
     const auto wr =
-        maxsat::RunWalkSat(phi, wopts, scratch.AcquireWalkSatScratch());
+        maxsat::RunWalkSat(phi, wopts, &scratch);
     CCR_CHECK(wr.ok());
     walk_sat += wr->satisfied ? 1 : 0;
     walk_ms += t.ElapsedMs();

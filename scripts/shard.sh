@@ -14,7 +14,8 @@
 # byte parity with the defaults:
 #   * arena GC off, on and eager:
 #     SessionSoakTest.ExperimentBytesAreIdenticalAcrossLifecycleConfigs;
-#   * local-search seeding on:
+#   * model-cache seeding on (each Create and ExtendWith pushes the
+#     least model of Phi(Se) into the solver's witness ring):
 #     SlsAblationEquivalenceTest.SlsOnOffResolvesIdentically;
 #   * seeding and inprocessing on together, on both deduce pipelines:
 #     SolverAblationEquivalenceTest.EveryOptionComboResolvesIdentically.

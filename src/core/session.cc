@@ -57,11 +57,6 @@ Instantiation* SessionScratch::AcquireInstantiation() {
   return inst_.get();
 }
 
-maxsat::WalkSatScratch* SessionScratch::AcquireWalkSatScratch() {
-  if (walksat_ == nullptr) walksat_ = std::make_unique<maxsat::WalkSatScratch>();
-  return walksat_.get();
-}
-
 DeduceScratch* SessionScratch::AcquireDeduceScratch() {
   return &AcquireRoundScratch()->deduce;
 }
@@ -98,11 +93,9 @@ Result<ResolutionSession> ResolutionSession::Create(
   // the clauses appended since the previous one against the whole
   // database.
   if (s.options_.solver.use_inprocessing) s.solver_->PrimeInprocessing();
-  // SLS warm start: a local-search pass under the active guards installs
-  // a near-model into the saved phases (and, when fully satisfying, the
-  // witness ring) before the first validity solve ever runs. Skipped on
-  // NaiveDeduce pipelines, where it once slowed the per-pair entailment
-  // solves.
+  // Model-cache seed: the least model of Φ(Se) under the active guards
+  // (one probe) enters the witness ring before the first validity solve
+  // ever runs. Skipped on NaiveDeduce pipelines.
   if (s.options_.solver.use_sls_seeding && !s.options_.naive_deduce) {
     s.solver_->SeedFromLocalSearch(s.inst_->guard_assumptions());
   }
@@ -226,11 +219,9 @@ Status ResolutionSession::ExtendWith(const PartialTemporalOrder& ot) {
   // is what keeps a multi-hundred-round session's solver memory
   // proportional to its live clause set.
   solver_->MaybeSimplify();
-  // Re-seed from local search: the phases still hold (near) the previous
-  // round's model, so a short pass usually repairs it against the delta
-  // and refills the witness ring the extension just invalidated — the
-  // next solves start warm. Skipped on NaiveDeduce pipelines, as in
-  // Create.
+  // Re-seed: the extension invalidated the witness ring, so the least
+  // model of the extended formula refills it. Skipped on NaiveDeduce
+  // pipelines, as in Create.
   if (options_.solver.use_sls_seeding && !options_.naive_deduce &&
       !solver_->IsUnsatForever()) {
     solver_->SeedFromLocalSearch(inst_->guard_assumptions());

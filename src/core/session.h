@@ -43,7 +43,6 @@
 #include <vector>
 
 #include "src/core/resolver.h"
-#include "src/maxsat/walksat.h"
 #include "src/sat/cnf.h"
 #include "src/sat/solver.h"
 
@@ -129,12 +128,6 @@ class SessionScratch {
   /// and the constraint vector stay warm across entities.
   Instantiation* AcquireInstantiation();
 
-  /// WalkSAT working buffers (occurrence CSR, counters, unsat stack) for
-  /// the CNF-form RunWalkSat, kept warm across calls — the same pooling
-  /// pattern as AcquireInstantiation. The buffers carry no semantic state
-  /// between runs (RunWalkSat reinitializes them), so no reset is needed.
-  maxsat::WalkSatScratch* AcquireWalkSatScratch();
-
   /// DeduceOrder's unit-propagation buffers (occurrence index, clause
   /// counters, the literal queue), kept warm across every round of every
   /// entity. The index is keyed by Cnf::identity(), which AcquireCnf's
@@ -156,7 +149,6 @@ class SessionScratch {
   std::unique_ptr<sat::Solver> solver_;
   std::unique_ptr<sat::Cnf> cnf_;
   std::unique_ptr<Instantiation> inst_;
-  std::unique_ptr<maxsat::WalkSatScratch> walksat_;
   std::unique_ptr<RoundScratch> round_;
   int64_t solver_reuses_ = 0;
 };

@@ -6,8 +6,8 @@
 // approximate MaxSAT engine (best assignment seen = most clauses
 // satisfied), which the ablation bench (A3) compares against the CDCL
 // solver. It runs on a materialized CNF with pooled WalkSatScratch
-// buffers. (Solver::SeedFromLocalSearch runs its own copy of the search
-// on the solver's clause arena, for warm starts.)
+// buffers, and it is the repository's only WalkSAT: the solver's
+// SeedFromLocalSearch seeds a Horn formula's least model, with no search.
 
 #ifndef CCR_MAXSAT_WALKSAT_H_
 #define CCR_MAXSAT_WALKSAT_H_
@@ -43,10 +43,9 @@ struct WalkSatResult {
 
 /// \brief Reusable buffers for the CNF-form RunWalkSat.
 ///
-/// Owned by SessionScratch (AcquireWalkSatScratch, the same pooling
-/// pattern as AcquireInstantiation) so repeated runs — the ablation bench
-/// loops over every entity — stop paying per-call occurrence-list and
-/// counter allocations. The occurrence index is a flat CSR layout, not a
+/// Owned by the caller and passed to every run, so repeated runs — the
+/// ablation bench loops over every entity — stop paying per-call
+/// occurrence-list and counter allocations. The occurrence index is a flat CSR layout, not a
 /// vector-of-vectors, so clearing it between runs is O(1) per buffer.
 struct WalkSatScratch {
   std::vector<uint8_t> assign;     // per var

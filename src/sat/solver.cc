@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <climits>
-#include <cmath>
 #include <cstring>
 
-#include "src/common/rng.h"
 #include "src/common/status.h"
 
 namespace ccr::sat {
@@ -39,33 +36,6 @@ uint64_t FalseBytes(uint64_t w) { return ~(w | (w >> 1)) & kByteLowBits; }
 // reference in the next word. No live header can collide: the smallest
 // stored clause has size 2, so every real header is >= (2 << 3) = 16.
 constexpr uint32_t kMovedHeader = 7;
-
-// Stochastic local search (SeedFromLocalSearch) auto-budget: flips per
-// try scale with the number of unfixed variables in the active
-// subformula, capped so a huge session solver never spends more than a
-// small slice of a real solve on seeding.
-constexpr int64_t kSlsFlipsBase = 256;
-constexpr int64_t kSlsFlipsPerVar = 1;
-constexpr int64_t kSlsFlipsCap = 1 << 13;
-// Restarts per call (try 0 starts from the saved phases, or from the
-// least model on a Horn formula) and the probability of a random, not
-// greedy min-break, flip in a non-freebie WalkSAT step.
-constexpr int kSlsTries = 2;
-constexpr double kSlsNoise = 0.5;
-// Greedy repair (the middle tier between "phases are already a model"
-// and the full WalkSAT search): only attempted when the evaluation scan
-// finds at most kSlsRepairMaxUnsat falsified clauses, and bounded to
-// kSlsRepairMaxFlips minimum-break flips before giving up.
-constexpr size_t kSlsRepairMaxUnsat = 64;
-constexpr int64_t kSlsRepairMaxFlips = 512;
-constexpr int kSlsRepairRounds = 3;
-// Incremental verification cache limits: fall back to a full scan when
-// more variables changed since the last verified assignment, and void
-// the cache when more problem binaries were added than the log holds.
-constexpr size_t kSlsDiffMaxVars = 2048;
-constexpr size_t kSlsBinLogCap = 4096;
-// Base of the salted RNG seed stream (arbitrary fixed constant).
-constexpr uint64_t kSlsSeedBase = 0x51e5'5eed'c0de'2013ULL;
 
 }  // namespace
 
@@ -116,12 +86,6 @@ void Solver::Reset(SolverOptions options) {
   ok_ = true;
   arena_.clear();
   clauses_.clear();
-  sls_verified_val_.clear();
-  sls_verified_clauses_ = 0;
-  sls_epoch_ = 0;
-  sls_verified_epoch_ = 0;
-  sls_bin_log_overflow_ = false;
-  sls_new_bins_.clear();
   learnts_.clear();
   // Only the lists of this session's variables can be non-empty (the
   // invariant GrowVars relies on), so clearing them costs what the session
@@ -179,9 +143,6 @@ void Solver::Reset(SolverOptions options) {
   model_pool_.clear();
   model_pool_next_ = 0;
   probe_base_level_ = -1;
-  // The scratch buffers keep their capacity; only the salt is observable
-  // (it drives the local-search RNG stream).
-  sls_salt_ = 0;
 }
 
 Solver::ClauseRef Solver::AllocClause(std::span<const Lit> lits,
@@ -280,16 +241,6 @@ bool Solver::AttachNormalized(size_t n) {
     AttachBinary(out[0], out[1]);
     if (options_.use_inprocessing) {
       pending_bins_.emplace_back(out[0], out[1]);
-    }
-    // Log for the incremental SLS verification cache (learnt binaries
-    // need no log: they are implied, so any genuine model of the
-    // problem clauses satisfies them automatically).
-    if (!sls_verified_val_.empty() && !sls_bin_log_overflow_) {
-      if (sls_new_bins_.size() < kSlsBinLogCap) {
-        sls_new_bins_.emplace_back(out[0], out[1]);
-      } else {
-        sls_bin_log_overflow_ = true;
-      }
     }
     return true;
   }
@@ -931,9 +882,6 @@ void Solver::SweepSatisfiedProblem() {
 }
 
 void Solver::CompactProblemClauses() {
-  // Compaction shifts clause indices under the SLS verification
-  // watermark; void the cache rather than track the shuffle.
-  ++sls_epoch_;
   size_t j = 0;
   size_t wm = inproc_watermark_;
   for (size_t i = 0; i < clauses_.size(); ++i) {
@@ -1188,24 +1136,6 @@ SolveResult Solver::Search(int64_t conflict_budget,
 }
 
 void Solver::CacheCurrentModel() {
-  // Free re-anchor for the incremental SLS verification cache: the
-  // complete conflict-free assignment in hand is a proven model of
-  // every live clause, so it can serve as the diff baseline without any
-  // scan. Only re-anchor when the formula moved past the cached state —
-  // steady-state solve streams then pay nothing.
-  if (options_.use_sls_seeding && TrackOccurrences() &&
-      (sls_verified_val_.empty() || sls_verified_epoch_ != sls_epoch_ ||
-       sls_verified_clauses_ != clauses_.size() ||
-       sls_verified_val_.size() != assigns_.size())) {
-    sls_verified_val_.resize(assigns_.size());
-    for (size_t v = 0; v < assigns_.size(); ++v) {
-      sls_verified_val_[v] = assigns_[v] == Lbool::kTrue ? 1 : 0;
-    }
-    sls_verified_clauses_ = clauses_.size();
-    sls_verified_epoch_ = sls_epoch_;
-    sls_new_bins_.clear();
-    sls_bin_log_overflow_ = false;
-  }
   if (model_fresh_ && !model_.empty()) {
     // Rotate the previous newest model into the ring.
     if (model_pool_.size() < kModelPoolSize) {
@@ -1218,585 +1148,33 @@ void Solver::CacheCurrentModel() {
   model_fresh_ = true;
 }
 
-LocalSearchResult Solver::SeedFromLocalSearch(
-    std::span<const Lit> assumptions) {
-  LocalSearchResult out;
+bool Solver::SeedFromLocalSearch(std::span<const Lit> assumptions) {
   CCR_DCHECK(DecisionLevel() == 0);
-  if (!ok_) return out;
-
-  const int nv = num_vars();
-  SlsScratch& s = sls_;
-
-  // Fix the variables the search must not touch: the level-0 trail and
-  // the assumption literals. Everything else starts at its saved phase,
-  // so a solver that just produced a model searches from (near) that
-  // model.
-  s.fixed.assign(static_cast<size_t>(nv), 0);
-  s.val.resize(static_cast<size_t>(nv));
-  for (Var v = 0; v < nv; ++v) {
-    if (assigns_[v] != Lbool::kUndef) {
-      s.fixed[v] = 1;
-      s.val[v] = assigns_[v] == Lbool::kTrue ? 1 : 0;
-    } else {
-      s.val[v] = polarity_[v] ? 0 : 1;
-    }
-  }
-  for (Lit a : assumptions) {
-    const uint8_t want = a.negated() ? 0 : 1;
-    if (s.fixed[a.var()] && s.val[a.var()] != want) return out;
-    s.fixed[a.var()] = 1;
-    s.val[a.var()] = want;
-  }
-  // Prefer the last verified assignment over saved phases as the free
-  // variables' starting point whenever the cache is still valid: it is
-  // a genuine model of everything up to the cache point, so the initial
-  // violation set shrinks to the formula delta plus fixing conflicts. A
-  // solve stream that ends UNSAT leaves saved phases nowhere near a
-  // model; the cache still remembers one.
-  if (!sls_verified_val_.empty() && sls_verified_epoch_ == sls_epoch_ &&
-      !sls_bin_log_overflow_ && sls_verified_clauses_ <= clauses_.size()) {
-    const Var anchored = static_cast<Var>(
-        std::min(sls_verified_val_.size(), static_cast<size_t>(nv)));
-    for (Var v = 0; v < anchored; ++v) {
-      if (!s.fixed[v]) s.val[v] = sls_verified_val_[v];
-    }
-  }
-
-  // Tier 0: a cached genuine model that satisfies the assumptions
-  // decides the call with no clause scan at all. The fresh model_ and
-  // every pooled witness satisfy every live clause and all implied
-  // units by the cache invariant (anything that could break that
-  // invalidates the cache), so only the assumptions need evaluating —
-  // O(pool × |assumptions|).
-  {
-    const auto try_model = [&](const std::vector<Lbool>& m) {
-      // A shorter model predates variables added since; pass on it.
-      if (m.size() < static_cast<size_t>(nv)) return false;
-      for (Lit a : assumptions) {
-        if (LboolOf(m[a.var()], a.negated()) != Lbool::kTrue) return false;
-      }
-      return true;
-    };
-    const std::vector<Lbool>* hit = nullptr;
-    if (model_fresh_ && try_model(model_)) hit = &model_;
-    for (size_t k = 0; !hit && k < model_pool_.size(); ++k) {
-      if (try_model(model_pool_[k])) hit = &model_pool_[k];
-    }
-    if (hit) {
-      const std::vector<Lbool>& m = *hit;
-      CCR_DCHECK(DebugModelSatisfiesLive(m));
-      out.ran = true;
-      out.feasible = true;
-      out.hard_unsat = 0;
-      out.model.resize(static_cast<size_t>(nv));
-      for (Var v = 0; v < nv; ++v) out.model[v] = m[v] == Lbool::kTrue ? 1 : 0;
-      // Phases and the witness ring stay as they are: the CDCL descent
-      // will re-find this very model as a pool hit.
-      return out;
-    }
-  }
-
-  const auto axioms_open = [&](const std::vector<uint8_t>& val) {
-    return CountOpenAxioms([&](Var v) { return val[v] != 0; }, 1) > 0;
+  if (!ok_) return false;
+  const size_t nv = static_cast<size_t>(num_vars());
+  // A cached model that satisfies the assumptions already answers the
+  // solves a seed is for. The fresh model_ and every pooled witness
+  // satisfy every live clause (anything that could break that
+  // invalidates the cache), so only the assumptions need reading. A
+  // shorter model predates variables added since; pass on it.
+  const auto cached = [&](const std::vector<Lbool>& m) {
+    return m.size() >= nv && ModelWitnesses(m, assumptions);
   };
-
-  // Horn start: when every live problem clause is Horn, propagating the
-  // assumptions and setting every open variable false is the least
-  // model, an exact model to start from. A solver whose validity and
-  // Deduce phases only ever probed has never searched, so its saved
-  // phases are nowhere near one. A refuted probe: no model exists.
-  if (ProblemIsHorn()) {
-    if (!BeginProbe(assumptions)) return out;
-    for (Var v = 0; v < nv; ++v) {
-      if (!s.fixed[v]) s.val[v] = assigns_[v] == Lbool::kTrue ? 1 : 0;
-    }
-    EndProbe();
+  if ((model_fresh_ && cached(model_)) ||
+      std::ranges::any_of(model_pool_, cached)) {
+    return true;
   }
-
-  // Fast path: on a warm solver the saved phases usually still form a
-  // model (the last solve saved them from one) or miss one by only a
-  // handful of clauses, so one early-exit evaluation pass plus a bounded
-  // greedy repair decides most calls — no clause pool, no CSR occurrence
-  // build, no restarts. Anything beyond repair's reach falls through to
-  // the full search below.
-  {
-    const auto val_true = [&](Lit l) {
-      return (s.val[l.var()] != 0) != l.negated();
-    };
-    // A falsified item found by the scan: a live arena clause, or a
-    // mirrored binary (ref == kRefUndef).
-    struct Bad {
-      ClauseRef ref;
-      Lit a, b;
-    };
-    std::vector<Bad> worklist;
-    bool any_unsat = false;
-    // Scans every live clause and binary. With collect, falsified items
-    // land in the worklist until it would exceed kSlsRepairMaxUnsat;
-    // without, the scan is a pure early-exit feasibility check. Either
-    // way any_unsat reports whether an (uncollected) falsified item
-    // exists.
-    const auto scan_all = [&](bool collect) {
-      worklist.clear();
-      any_unsat = false;
-      for (ClauseRef c : clauses_) {
-        if (ClauseDead(c)) continue;
-        const Lit* lits = ClauseLits(c);
-        const int sz = ClauseSize(c);
-        bool sat = false;
-        for (int i = 0; i < sz && !sat; ++i) sat = val_true(lits[i]);
-        if (!sat) {
-          if (!collect || worklist.size() >= kSlsRepairMaxUnsat) {
-            any_unsat = true;
-            return;
-          }
-          worklist.push_back({c, kLitUndef, kLitUndef});
-        }
-      }
-      for (int32_t i = 0; i < 2 * nv; ++i) {
-        const Lit u = ~Lit::FromIndex(i);
-        for (Lit q : bins_[i]) {
-          if (u.index() > q.index()) continue;
-          if (!val_true(u) && !val_true(q)) {
-            if (!collect || worklist.size() >= kSlsRepairMaxUnsat) {
-              any_unsat = true;
-              return;
-            }
-            worklist.push_back({kRefUndef, u, q});
-          }
-        }
-      }
-    };
-    // Publishes the current s.val as a feasible result: pushes the model
-    // into the witness ring exactly as the search below would. Only legal
-    // right after a scan proved every live clause satisfied.
-    const auto publish = [&] {
-      out.ran = true;
-      out.feasible = true;
-      out.hard_unsat = 0;
-      out.model.assign(s.val.begin(), s.val.end());
-      std::vector<Lbool> m(static_cast<size_t>(nv));
-      for (Var v = 0; v < nv; ++v) {
-        m[v] = s.val[v] ? Lbool::kTrue : Lbool::kFalse;
-      }
-      CCR_DCHECK(DebugModelSatisfiesLive(m));
-      PushPoolModel(std::move(m));
-      // Record the assignment as verified against the current formula so
-      // the next call can diff instead of rescanning.
-      sls_verified_val_.assign(s.val.begin(), s.val.end());
-      sls_verified_clauses_ = clauses_.size();
-      sls_verified_epoch_ = sls_epoch_;
-      sls_new_bins_.clear();
-      sls_bin_log_overflow_ = false;
-    };
-    // Incremental verification: diff the candidate assignment against
-    // the last verified one and re-check only what could have changed
-    // truth value — clauses holding a changed variable (via the
-    // persistent occurrence index and the binary lists), arena clauses
-    // appended since, and logged new problem binaries. Everything else
-    // holds by induction: identical clause content (the epoch guard),
-    // identical variable values, satisfied at the last verification.
-    // Learnt binaries of unchanged variables need no check: they are
-    // implied, and an assignment satisfying every problem clause
-    // satisfies implications automatically.
-    const auto try_incremental = [&] {
-      if (!TrackOccurrences() || sls_verified_val_.empty() ||
-          sls_verified_epoch_ != sls_epoch_ || sls_bin_log_overflow_ ||
-          sls_verified_clauses_ > clauses_.size()) {
-        return false;
-      }
-      const Var old_nv = static_cast<Var>(
-          std::min(sls_verified_val_.size(), static_cast<size_t>(nv)));
-      size_t changed = static_cast<size_t>(nv - old_nv);
-      for (Var v = 0; v < old_nv; ++v) {
-        if (s.val[v] != sls_verified_val_[v]) ++changed;
-      }
-      if (changed > kSlsDiffMaxVars) return false;
-      worklist.clear();
-      any_unsat = false;
-      const auto check_clause = [&](ClauseRef d) {
-        if (ClauseDead(d)) return;
-        const Lit* dl = ClauseLits(d);
-        const int dsz = ClauseSize(d);
-        bool sat = false;
-        for (int i = 0; i < dsz && !sat; ++i) sat = val_true(dl[i]);
-        if (!sat) worklist.push_back({d, kLitUndef, kLitUndef});
-      };
-      const auto check_var = [&](Var v) {
-        for (ClauseRef d : occur_[v]) check_clause(d);
-        for (int sign = 0; sign < 2; ++sign) {
-          const Lit u(v, sign != 0);
-          if (val_true(u)) continue;  // u true: its binaries all hold
-          for (Lit q : bins_[(~u).index()]) {
-            if (!val_true(q)) worklist.push_back({kRefUndef, u, q});
-          }
-        }
-      };
-      for (Var v = 0; v < old_nv; ++v) {
-        if (s.val[v] != sls_verified_val_[v]) check_var(v);
-      }
-      for (Var v = old_nv; v < nv; ++v) check_var(v);
-      for (size_t i = sls_verified_clauses_; i < clauses_.size(); ++i) {
-        check_clause(clauses_[i]);
-      }
-      for (const auto& [a, b] : sls_new_bins_) {
-        if (!val_true(a) && !val_true(b)) {
-          worklist.push_back({kRefUndef, a, b});
-        }
-      }
-      return true;
-    };
-
-    // Break count of flipping v: live clauses where v's currently true
-    // literal is the lone satisfier, plus binaries it alone holds up.
-    const auto breaks_of = [&](Var v) {
-      const Lit t = Lit(v, s.val[v] == 0);
-      int b = 0;
-      for (ClauseRef d : occur_[v]) {
-        if (ClauseDead(d)) continue;
-        const Lit* dl = ClauseLits(d);
-        const int dsz = ClauseSize(d);
-        int true_cnt = 0;
-        bool t_sats = false;
-        for (int i = 0; i < dsz && true_cnt < 2; ++i) {
-          if (val_true(dl[i])) {
-            ++true_cnt;
-            t_sats = t_sats || dl[i] == t;
-          }
-        }
-        if (true_cnt == 1 && t_sats) ++b;
-      }
-      for (Lit q : bins_[(~t).index()]) {
-        if (!val_true(q)) ++b;
-      }
-      return b;
-    };
-    // Chase what a flip of v just falsified: clauses holding the
-    // now-false literal of v with nothing else true, via the occurrence
-    // index and the binary lists.
-    const auto chase = [&](Var v) {
-      const Lit now_false = Lit(v, s.val[v] != 0);
-      for (ClauseRef d : occur_[v]) {
-        if (ClauseDead(d)) continue;
-        const Lit* dl = ClauseLits(d);
-        const int dsz = ClauseSize(d);
-        bool dsat = false;
-        for (int i = 0; i < dsz && !dsat; ++i) dsat = val_true(dl[i]);
-        if (!dsat) worklist.push_back({d, kLitUndef, kLitUndef});
-      }
-      for (Lit q : bins_[(~now_false).index()]) {
-        if (!val_true(q)) worklist.push_back({kRefUndef, now_false, q});
-      }
-    };
-    // Greedy min-break drain of the worklist (the repair tier): pops
-    // falsified items, flips the minimum-break free variable of each
-    // (ties to the lowest id — fully deterministic, no RNG draw), and
-    // chases what every flip breaks. Flipped variables append to s.cand. Returns true only
-    // when the worklist fully drained within the flip budget.
-    const auto drain = [&](int64_t max_flips) {
-      int64_t flips = 0;
-      bool stuck = false;
-      size_t head = 0;
-      while (head < worklist.size() && flips < max_flips) {
-        const Bad item = worklist[head++];
-        // Lazy recheck: a later flip may have satisfied it already.
-        bool sat = false;
-        const Lit* lits = nullptr;
-        int sz = 0;
-        if (item.ref == kRefUndef) {
-          sat = val_true(item.a) || val_true(item.b);
-        } else {
-          lits = ClauseLits(item.ref);
-          sz = ClauseSize(item.ref);
-          for (int i = 0; i < sz && !sat; ++i) sat = val_true(lits[i]);
-        }
-        if (sat) continue;
-        Var chosen = kVarUndef;
-        int min_break = INT_MAX;
-        const auto consider = [&](Lit l) {
-          const Var v = l.var();
-          if (s.fixed[v]) return;
-          const int b = breaks_of(v);
-          if (b < min_break || (b == min_break && v < chosen)) {
-            min_break = b;
-            chosen = v;
-          }
-        };
-        if (item.ref == kRefUndef) {
-          consider(item.a);
-          consider(item.b);
-        } else {
-          for (int i = 0; i < sz; ++i) consider(lits[i]);
-        }
-        if (chosen == kVarUndef) {
-          // Every literal is fixed: falsified under the fixing itself.
-          stuck = true;
-          break;
-        }
-        s.val[chosen] ^= 1;
-        s.cand.push_back(chosen);
-        ++flips;
-        chase(chosen);
-      }
-      stats_.sls_flips += flips;
-      return !stuck && head >= worklist.size();
-    };
-    // `exhaustive` means the worklist holds every falsified live item.
-    bool exhaustive = try_incremental();
-    if (!exhaustive) {
-      scan_all(/*collect=*/true);
-      exhaustive = !any_unsat;
-    }
-    if (TrackOccurrences()) {
-      s.cand.clear();  // reused as the flipped-variable log
-      bool feasible = exhaustive && worklist.empty();
-      // Greedy repair, in rounds: drain the (possibly truncated)
-      // worklist, then re-verify from scratch — the verification, not
-      // the occurrence index (which carries stale and lazily-purged
-      // entries), is what the published model rests on. A re-scan that
-      // overflows the collection cap leaves a fresh partial worklist
-      // for the next round, so even a scan too broken to enumerate
-      // exhaustively up front can converge.
-      for (int round = 0;
-           round < kSlsRepairRounds && !feasible && !worklist.empty();
-           ++round) {
-        if (!drain(kSlsRepairMaxFlips)) break;  // stuck or out of budget
-        if (try_incremental()) {
-          feasible = worklist.empty();
-        } else {
-          scan_all(/*collect=*/true);
-          feasible = !any_unsat && worklist.empty();
-        }
-      }
-      // The order blocks' axioms are not in the clause scan: an
-      // assignment that is not a strict order is no model.
-      if (feasible && !axioms_open(s.val)) {
-        // Install the flipped phases so the next descent starts here.
-        for (Var v : s.cand) polarity_[v] = s.val[v] == 0;
-        publish();
-        return out;
-      }
-      // Repair ran out of budget or got stuck; the full search below
-      // starts from the mutated assignment deterministically.
-    } else if (exhaustive && worklist.empty() && !axioms_open(s.val)) {
-      // No occurrence index (so no repair), but the saved phases
-      // already form a model; publish it as-is.
-      publish();
-      return out;
-    }
+  // On a Horn formula the probe's fixpoint, every open variable false, is
+  // the least model of Φ ∧ assumptions. A refuted probe: no model exists.
+  if (!ProblemIsHorn() || !BeginProbe(assumptions)) return false;
+  std::vector<Lbool> m(nv);
+  for (size_t v = 0; v < nv; ++v) {
+    m[v] = assigns_[v] == Lbool::kTrue ? Lbool::kTrue : Lbool::kFalse;
   }
-
-  // Gather the active subformula: live problem clauses and binary
-  // implications not already satisfied by a fixed-true literal, with
-  // fixed-false literals dropped. A hard clause left empty is permanently
-  // falsified under the fixing (the CDCL solve will refute it; nothing
-  // for a flip search to do).
-  s.pool.clear();
-  s.starts.clear();
-  s.starts.push_back(0);
-  // Returns -1 when the clause is satisfied by the fixing (skipped), 1
-  // when it came up empty, 0 when it entered the pool.
-  const auto add_clause = [&](std::span<const Lit> lits) -> int {
-    const size_t start = s.pool.size();
-    for (Lit l : lits) {
-      if (s.fixed[l.var()]) {
-        if ((s.val[l.var()] != 0) != l.negated()) {
-          s.pool.resize(start);
-          return -1;
-        }
-        continue;
-      }
-      s.pool.push_back(l);
-    }
-    if (s.pool.size() == start) return 1;
-    s.starts.push_back(static_cast<int32_t>(s.pool.size()));
-    return 0;
-  };
-  for (ClauseRef c : clauses_) {
-    if (ClauseDead(c)) continue;
-    if (add_clause({ClauseLits(c), ClauseLits(c) + ClauseSize(c)}) == 1) {
-      return out;
-    }
-  }
-  // Each binary clause (u ∨ q) appears mirrored in two implication
-  // lists; keep the copy where u has the smaller literal index.
-  for (int32_t i = 0; i < 2 * nv; ++i) {
-    const Lit u = ~Lit::FromIndex(i);
-    for (Lit q : bins_[i]) {
-      if (u.index() > q.index()) continue;
-      const Lit pair[2] = {u, q};
-      if (add_clause({pair, 2}) == 1) return out;
-    }
-  }
-  const int n_clauses = static_cast<int>(s.starts.size()) - 1;
-
-  s.free_vars.clear();
-  s.var_seen.assign(static_cast<size_t>(nv), 0);
-  for (Lit l : s.pool) {
-    if (!s.var_seen[l.var()]) {
-      s.var_seen[l.var()] = 1;
-      s.free_vars.push_back(l.var());
-    }
-  }
-
-  // Occurrence lists (lit index -> clause ids), flat CSR. Built lazily:
-  // a warm solver's saved phases are usually already a model, and the
-  // evaluate-only pass that discovers this never flips anything.
-  bool occ_built = false;
-  const auto build_occ = [&] {
-    s.occ_start.assign(static_cast<size_t>(2 * nv) + 1, 0);
-    for (Lit l : s.pool) ++s.occ_start[l.index() + 1];
-    for (size_t i = 1; i < s.occ_start.size(); ++i) {
-      s.occ_start[i] += s.occ_start[i - 1];
-    }
-    s.occ.resize(s.pool.size());
-    s.cursor.assign(s.occ_start.begin(), s.occ_start.end() - 1);
-    for (int c = 0; c < n_clauses; ++c) {
-      for (int32_t j = s.starts[c]; j < s.starts[c + 1]; ++j) {
-        s.occ[s.cursor[s.pool[j].index()]++] = c;
-      }
-    }
-    occ_built = true;
-  };
-
-  const int64_t max_flips =
-      std::min(kSlsFlipsCap,
-               kSlsFlipsBase +
-                   kSlsFlipsPerVar * static_cast<int64_t>(s.free_vars.size()));
-  Rng rng(kSlsSeedBase ^ (0x9e3779b97f4a7c15ULL * ++sls_salt_));
-
-  // O(1) unsatisfied-clause bookkeeping.
-  const auto mark_unsat = [&](int c) {
-    s.unsat_pos[c] = static_cast<int32_t>(s.unsat.size());
-    s.unsat.push_back(c);
-  };
-  const auto mark_sat = [&](int c) {
-    const int32_t pos = s.unsat_pos[c];
-    s.unsat[pos] = s.unsat.back();
-    s.unsat_pos[s.unsat.back()] = pos;
-    s.unsat.pop_back();
-    s.unsat_pos[c] = -1;
-  };
-  // True literal of v under the current assignment.
-  const auto true_lit = [&](Var v) { return Lit(v, s.val[v] == 0); };
-  const auto break_count = [&](Var v) {
-    const int32_t idx = true_lit(v).index();
-    int breaks = 0;
-    for (int32_t j = s.occ_start[idx]; j < s.occ_start[idx + 1]; ++j) {
-      if (s.true_count[s.occ[j]] == 1) ++breaks;
-    }
-    return breaks;
-  };
-  const auto flip = [&](Var v) {
-    s.val[v] = s.val[v] ^ 1;
-    const Lit now_true = true_lit(v);
-    const Lit now_false = ~now_true;
-    for (int32_t j = s.occ_start[now_true.index()];
-         j < s.occ_start[now_true.index() + 1]; ++j) {
-      if (++s.true_count[s.occ[j]] == 1) mark_sat(s.occ[j]);
-    }
-    for (int32_t j = s.occ_start[now_false.index()];
-         j < s.occ_start[now_false.index() + 1]; ++j) {
-      if (--s.true_count[s.occ[j]] == 0) mark_unsat(s.occ[j]);
-    }
-  };
-
-  int best_hard = INT_MAX;
-  s.best.assign(s.val.begin(), s.val.end());
-  // Records the current assignment if it improves; returns true when
-  // nothing can improve further.
-  const auto consider_best = [&] {
-    const int h = static_cast<int>(s.unsat.size());
-    if (h < best_hard) {
-      best_hard = h;
-      s.best.assign(s.val.begin(), s.val.end());
-    }
-    return s.unsat.empty();
-  };
-
-  int64_t flips_done = 0;
-  bool perfect = false;
-  for (int attempt = 0; attempt < kSlsTries && !perfect; ++attempt) {
-    if (attempt > 0) {
-      // Restart from a random assignment (try 0 searched the phases).
-      for (Var v : s.free_vars) s.val[v] = rng.Chance(0.5) ? 1 : 0;
-    }
-    s.true_count.assign(static_cast<size_t>(n_clauses), 0);
-    s.unsat.clear();
-    s.unsat_pos.assign(static_cast<size_t>(n_clauses), -1);
-    for (int c = 0; c < n_clauses; ++c) {
-      for (int32_t j = s.starts[c]; j < s.starts[c + 1]; ++j) {
-        const Lit l = s.pool[j];
-        if ((s.val[l.var()] != 0) != l.negated()) ++s.true_count[c];
-      }
-      if (s.true_count[c] == 0) mark_unsat(c);
-    }
-    perfect = consider_best();
-    if (!perfect && !occ_built) build_occ();
-
-    for (int64_t f = 0; f < max_flips && !perfect; ++f) {
-      if (s.unsat.empty()) break;
-      const int c = s.unsat[rng.Below(s.unsat.size())];
-      // Freebie move: a variable with break count 0, else noise/greedy.
-      s.cand.clear();
-      Var chosen = kVarUndef;
-      int min_break = INT_MAX;
-      for (int32_t j = s.starts[c]; j < s.starts[c + 1]; ++j) {
-        const Var v = s.pool[j].var();
-        const int b = break_count(v);
-        if (b == 0) s.cand.push_back(v);
-        if (b < min_break) {
-          min_break = b;
-          chosen = v;
-        }
-      }
-      if (!s.cand.empty()) {
-        chosen = s.cand[rng.Below(s.cand.size())];
-      } else if (rng.Chance(kSlsNoise)) {
-        const int32_t len = s.starts[c + 1] - s.starts[c];
-        chosen = s.pool[s.starts[c] + rng.Below(len)].var();
-      }
-      flip(chosen);
-      ++flips_done;
-      perfect = consider_best();
-    }
-  }
-  stats_.sls_flips += flips_done;
-
-  // The search only saw explicit clauses; the order blocks' axioms count
-  // as hard clauses too.
-  const int64_t open_axioms =
-      CountOpenAxioms([&](Var v) { return s.best[v] != 0; }, INT_MAX);
-  best_hard = static_cast<int>(std::min<int64_t>(INT_MAX, best_hard + open_axioms));
-  out.ran = true;
-  out.feasible = best_hard == 0;
-  out.hard_unsat = best_hard;
-  out.model.assign(s.best.begin(), s.best.end());
-
-  if (out.feasible) {
-    // Install the model as saved phases: the next CDCL descent starts
-    // at it. Only the searched variables move — fixed variables' phases
-    // are irrelevant (assigned). A failed search installs nothing:
-    // overwriting saved phases with a best-effort non-model measurably
-    // slows the solves that follow.
-    for (Var v : s.free_vars) polarity_[v] = s.best[v] == 0;
-    // Every live problem clause is satisfied; together with the level-0
-    // trail (dead clauses are subsumed or swept-satisfied) this is a
-    // genuine model, so it may enter the witness ring the same way a
-    // search model does.
-    std::vector<Lbool> m(static_cast<size_t>(nv));
-    for (Var v = 0; v < nv; ++v) {
-      m[v] = s.best[v] ? Lbool::kTrue : Lbool::kFalse;
-    }
-    CCR_DCHECK(DebugModelSatisfiesLive(m));
-    PushPoolModel(std::move(m));
-    sls_verified_val_.assign(s.best.begin(), s.best.end());
-    sls_verified_clauses_ = clauses_.size();
-    sls_verified_epoch_ = sls_epoch_;
-    sls_new_bins_.clear();
-    sls_bin_log_overflow_ = false;
-  }
-  return out;
+  EndProbe();
+  CCR_DCHECK(DebugModelSatisfiesLive(m));
+  PushPoolModel(std::move(m));
+  return true;
 }
 
 void Solver::PushPoolModel(std::vector<Lbool> m) {
@@ -1908,9 +1286,6 @@ SolveResult Solver::SolveLoop(std::span<const Lit> assumptions) {
 // --- inprocessing --------------------------------------------------------
 
 void Solver::ShrinkClause(ClauseRef c, std::span<const Lit> lits) {
-  // In-place content change: the SLS verification cache's "unchanged
-  // clauses still hold" induction no longer applies.
-  ++sls_epoch_;
   // `c` is detached. Re-home the shortened clause by its new size.
   if (lits.empty()) {
     MarkClauseDead(c);
@@ -2164,7 +1539,6 @@ Solver::ClauseRef Solver::RelocateClause(ClauseRef c) {
 
 void Solver::GarbageCollect() {
   if (arena_.empty()) return;
-  ++sls_epoch_;  // refs relocate and clauses_ compacts
   const size_t old_words = arena_.size();
   arena_tmp_.clear();
   arena_tmp_.reserve(old_words - std::min(arena_dead_words_, old_words));

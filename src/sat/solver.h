@@ -30,10 +30,11 @@
 // The search heuristics are therefore fixed, not options: VSIDS, phase
 // saving, Luby restarts, learnt-clause deletion and their decay factors
 // are constants, and a solve runs to a verdict (no conflict budget).
-// SolverOptions keeps only the whole-formula passes — WalkSAT seeding,
-// between-round inprocessing (vivification, subsumption), both off by
-// default — and the arena collector. Because the pipeline above consumes
-// only SAT/UNSAT verdicts, every option combination resolves every entity
+// SolverOptions keeps only two switches, both off by default — seeding
+// the model cache with the least model (SeedFromLocalSearch: one probe,
+// no search) and between-round inprocessing (vivification, subsumption) —
+// and the arena collector. Because the pipeline above consumes only
+// SAT/UNSAT verdicts, every option combination resolves every entity
 // identically.
 
 #ifndef CCR_SAT_SOLVER_H_
@@ -75,14 +76,13 @@ struct SolverOptions {
   /// only, never a verdict or a model. 0 compacts at every chance; 1
   /// never does (dead words never exceed the arena).
   double gc_frac = 0.25;
-  /// Stochastic local search (WalkSAT) as a warm start: before CDCL
-  /// search, a budgeted local-search pass (Solver::SeedFromLocalSearch)
-  /// installs its best assignment into the saved-phase array, and — when
-  /// the assignment satisfies every problem clause — pushes it into the
-  /// cached-model ring as a genuine witness. It may only change
-  /// time-to-verdict, never a verdict. Off by default: on the Horn
-  /// pipeline formula validity is decided by propagation (IsValidShared),
-  /// so a warm start buys nothing.
+  /// Model-cache seeding: ResolutionSession::Create and every ExtendWith
+  /// of a fast-pipeline session call Solver::SeedFromLocalSearch under the
+  /// active guards, which pushes the least model of Φ(Se) (one probe, no
+  /// search) into the cached-model ring. It may only change
+  /// time-to-verdict, never a verdict. Off by default: validity, Deduce and
+  /// GetSug decide by probes and never solve, so a cached model buys
+  /// nothing.
   bool use_sls_seeding = false;
 };
 
@@ -124,10 +124,8 @@ struct SolverStats {
   /// Learnt-database reductions (ReduceDb): each drops the less active
   /// half of the learnt clauses. Only CDCL search reaches one.
   int64_t reductions = 0;
-  /// Stochastic local search: flips performed across all
-  /// SeedFromLocalSearch calls, and fully satisfying assignments pushed
-  /// into the cached-model ring (use_sls_seeding).
-  int64_t sls_flips = 0;
+  /// Least models SeedFromLocalSearch pushed into the cached-model ring
+  /// (use_sls_seeding).
   int64_t sls_seeded_models = 0;
   /// Solver calls issued by the Deduce phase (reported by
   /// src/core/deduce.cc via RecordDeduce): the per-pair Lemma-6 loop's
@@ -166,7 +164,6 @@ struct SolverStats {
             gc_reclaimed_words - o.gc_reclaimed_words,
             sweeps - o.sweeps,
             reductions - o.reductions,
-            sls_flips - o.sls_flips,
             sls_seeded_models - o.sls_seeded_models,
             deduce_queries - o.deduce_queries,
             suggest_probes - o.suggest_probes,
@@ -193,7 +190,6 @@ struct SolverStats {
     gc_reclaimed_words += o.gc_reclaimed_words;
     sweeps += o.sweeps;
     reductions += o.reductions;
-    sls_flips += o.sls_flips;
     sls_seeded_models += o.sls_seeded_models;
     deduce_queries += o.deduce_queries;
     suggest_probes += o.suggest_probes;
@@ -203,22 +199,6 @@ struct SolverStats {
     fed_literals += o.fed_literals;
     return *this;
   }
-};
-
-/// Outcome of Solver::SeedFromLocalSearch.
-struct LocalSearchResult {
-  /// False when the search could not run at all: the solver is already
-  /// UNSAT, or the assumptions contradict each other / the level-0 trail.
-  bool ran = false;
-  /// The best assignment satisfies every live problem clause and is a
-  /// strict order (asymmetric and transitively closed) on every order
-  /// block (together with the level-0 trail it is then a genuine model).
-  bool feasible = false;
-  /// Problem clauses, explicit or implicit in an order block, left
-  /// unsatisfied by the best assignment.
-  int hard_unsat = 0;
-  /// Best assignment per variable; a genuine model when `feasible`.
-  std::vector<uint8_t> model;
 };
 
 /// \brief Incremental CDCL solver.
@@ -384,26 +364,20 @@ class Solver {
   /// implied and never count. Must be called at decision level 0.
   bool ProblemIsHorn();
 
-  /// \brief WalkSAT-style local search run directly on the solver's own
-  /// clause arena and binary watch lists (no CNF copy; scratch buffers
-  /// are pooled on the solver and reused across calls).
+  /// \brief Seeds the cached-model ring with the least model of
+  /// Φ ∧ assumptions.
   ///
-  /// Variables fixed on the level-0 trail or named by `assumptions` never
-  /// flip; the search covers exactly the live problem clauses not already
-  /// satisfied by those fixings. Unless a cached model already satisfies
-  /// the assumptions, a Horn formula (ProblemIsHorn) starts from its least
-  /// model under them (one BeginProbe, open variables false), which is a
-  /// model; any other formula starts from the saved phases. The best
-  /// assignment found is installed into the saved-phase array (biasing
-  /// the next CDCL descent toward it), and when it satisfies every
-  /// problem clause it is pushed into the cached-model ring as a genuine
-  /// witness. The flip budget scales with the free-variable count
-  /// (capped); it runs 2 tries at WalkSAT noise 0.5. Deterministic: the
-  /// RNG is seeded from a per-call salt (reset by Reset()) — never
-  /// wall-clock or global state. Must be called at decision level 0.
-  /// Verdict-neutral by construction: phases and cached models only steer
-  /// search time.
-  LocalSearchResult SeedFromLocalSearch(std::span<const Lit> assumptions = {});
+  /// Returns true at once when the fresh model or a pooled witness
+  /// already satisfies the assumptions. Otherwise, on a Horn formula
+  /// (ProblemIsHorn), it opens one probe on the assumptions (BeginProbe),
+  /// pushes the probe's assignment with every open variable false — the
+  /// least model, so a genuine one — into the ring, closes the probe and
+  /// returns true; the next SolveWithAssumptions under those literals is
+  /// then a cache hit. A non-Horn formula, an UNSAT solver or a refuted
+  /// probe leaves the ring as it is and returns false. Like any probe it
+  /// only saves phases, so it never moves a verdict. Must be called at
+  /// decision level 0.
+  bool SeedFromLocalSearch(std::span<const Lit> assumptions = {});
 
   /// Deduce-phase reporting (src/core/deduce.cc): entailment solver
   /// calls issued. Folded into stats_ so RoundTrace per-phase deltas pick
@@ -701,7 +675,7 @@ class Solver {
 
   // --- arena lifecycle --------------------------------------------------
   // Whether the persistent occurrence index is maintained at all: the
-  // subsumption pass and the local search's repair tiers consume it.
+  // subsumption pass consumes it.
   bool TrackOccurrences() const { return options_.use_inprocessing; }
   void MaybeGarbageCollect();
   ClauseRef RelocateClause(ClauseRef c);
@@ -735,7 +709,8 @@ class Solver {
   // Rotates the previous newest model into the ring before model_ is
   // overwritten by a fresh solve.
   void CacheCurrentModel();
-  // Pushes a genuine model found by local search into the ring.
+  // Pushes a genuine model (SeedFromLocalSearch's least model) into the
+  // ring.
   void PushPoolModel(std::vector<Lbool> m);
   // Debug aid: does `m` satisfy every live problem clause, every binary,
   // and agree with the level-0 trail?
@@ -887,50 +862,6 @@ class Solver {
   // purged lazily when dead entries are scanned, and rebuilt exactly —
   // same order — by GarbageCollect.
   std::vector<std::vector<ClauseRef>> occur_;
-
-  // Stochastic local search scratch (SeedFromLocalSearch), pooled so
-  // repeated seeding/probing calls on a long-lived solver allocate
-  // nothing once warm. The active subformula (live clauses minus those
-  // satisfied by the fixing, fixed-false literals dropped) is gathered
-  // into flat CSR buffers per call.
-  struct SlsScratch {
-    std::vector<Lit> pool;          // clause literals, CSR
-    std::vector<int32_t> starts;    // clause -> offset into pool
-    std::vector<int32_t> occ;       // lit index -> clause ids, CSR
-    std::vector<int32_t> occ_start;
-    std::vector<int32_t> cursor;    // CSR fill cursors
-    std::vector<uint8_t> val;       // per var: current assignment
-    std::vector<uint8_t> fixed;     // per var: never flipped
-    std::vector<uint8_t> best;      // per var: best assignment seen
-    std::vector<int32_t> true_count;  // per clause
-    std::vector<int32_t> unsat;  // stack of unsatisfied clause ids
-    std::vector<int32_t> unsat_pos;   // clause -> position in its stack
-    std::vector<Var> free_vars;       // distinct unfixed vars in pool
-    std::vector<uint8_t> var_seen;    // per var: dedup for free_vars
-    std::vector<Var> cand;            // zero-break candidates per flip
-  };
-  SlsScratch sls_;
-  // Per-call RNG salt: advances on every auto-seeded search so repeated
-  // calls explore different trajectories, deterministically. Reset()
-  // zeroes it — a Reset solver replays the identical stream.
-  uint64_t sls_salt_ = 0;
-
-  // Incremental local-search verification cache: the last assignment a
-  // SeedFromLocalSearch call proved to satisfy every live clause, plus
-  // watermarks describing the formula it was proved against. A later
-  // call can then re-verify only what changed — variables whose value
-  // differs (their clauses found through occur_ and bins_), arena
-  // clauses appended past the watermark, and the logged problem
-  // binaries — instead of scanning the whole clause database. Any
-  // in-place clause edit or clause-list compaction bumps sls_epoch_,
-  // voiding the cache until the next full verification; the binary log
-  // is bounded, overflowing into the same voiding.
-  std::vector<uint8_t> sls_verified_val_;  // empty = nothing verified yet
-  size_t sls_verified_clauses_ = 0;        // clauses_.size() at verify
-  uint64_t sls_epoch_ = 0;
-  uint64_t sls_verified_epoch_ = 0;
-  bool sls_bin_log_overflow_ = false;
-  std::vector<std::pair<Lit, Lit>> sls_new_bins_;
 };
 
 template <class EmitFn>

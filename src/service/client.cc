@@ -38,9 +38,13 @@ Result<ServiceClient> ServiceClient::Dial(const std::string& address) {
       host = rest.substr(0, colon);
       port = rest.substr(colon + 1);
     }
+    uint16_t port_num = 0;
+    if (!ParseTcpPort(port, &port_num)) {
+      return Status::InvalidArgument("bad tcp port: '" + port + "'");
+    }
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>(std::atoi(port.c_str())));
+    addr.sin_port = htons(port_num);
     if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
       return Status::InvalidArgument("bad IPv4 host: " + host);
     }

@@ -55,6 +55,26 @@ Status ServerOptions::Validate() const {
         "ServerOptions: max_connections must be in [1, " +
         std::to_string(kMaxConnections) + "]");
   }
+  if (listen.rfind("unix:", 0) == 0) {
+    const size_t path_len = listen.size() - 5;
+    if (path_len == 0 || path_len >= sizeof(sockaddr_un::sun_path)) {
+      return Status::InvalidArgument(
+          "ServerOptions: unix listen spec wants a path of 1 to " +
+          std::to_string(sizeof(sockaddr_un::sun_path) - 1) +
+          " bytes, got '" + listen + "'");
+    }
+  } else if (listen.rfind("tcp:", 0) == 0) {
+    uint16_t port = 0;
+    if (!ParseTcpPort(std::string_view(listen).substr(4), &port)) {
+      return Status::InvalidArgument(
+          "ServerOptions: tcp listen spec wants a port in [0, 65535], got '" +
+          listen + "'");
+    }
+  } else {
+    return Status::InvalidArgument(
+        "ServerOptions: listen spec wants unix:/path or tcp:PORT, got '" +
+        listen + "'");
+  }
   return Status::OK();
 }
 
@@ -68,15 +88,8 @@ Status Server::Start() {
   const std::string& spec = options_.listen;
   if (spec.rfind("unix:", 0) == 0) {
     unix_path_ = spec.substr(5);
-    if (unix_path_.empty()) {
-      return Status::InvalidArgument("unix listen spec wants a path");
-    }
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
-    if (unix_path_.size() >= sizeof(addr.sun_path)) {
-      return Status::InvalidArgument("unix socket path too long: " +
-                                     unix_path_);
-    }
     std::memcpy(addr.sun_path, unix_path_.c_str(), unix_path_.size() + 1);
     listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
     if (listen_fd_ < 0) return Status::Internal("socket() failed");
@@ -88,8 +101,9 @@ Status Server::Start() {
       return Status::Internal("bind(" + unix_path_ +
                               ") failed: " + std::strerror(errno));
     }
-  } else if (spec.rfind("tcp:", 0) == 0) {
-    const int want_port = std::atoi(spec.c_str() + 4);
+  } else {
+    uint16_t want_port = 0;  // Validate accepted the spec: a tcp: port
+    ParseTcpPort(std::string_view(spec).substr(4), &want_port);
     listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     if (listen_fd_ < 0) return Status::Internal("socket() failed");
     const int one = 1;
@@ -97,7 +111,7 @@ Status Server::Start() {
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<uint16_t>(want_port));
+    addr.sin_port = htons(want_port);
     if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
                sizeof(addr)) != 0) {
       ::close(listen_fd_);
@@ -109,9 +123,6 @@ Status Server::Start() {
     socklen_t len = sizeof(bound);
     ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len);
     port_ = ntohs(bound.sin_port);
-  } else {
-    return Status::InvalidArgument(
-        "listen spec wants unix:/path or tcp:PORT, got '" + spec + "'");
   }
   if (::listen(listen_fd_, 64) != 0) {
     ::close(listen_fd_);

@@ -41,8 +41,10 @@ struct ServerOptions {
   /// and closed.
   int max_connections = 256;
 
-  /// Fails closed on max_connections outside [1, kMaxConnections]. The
-  /// listen spec is checked by Server::Start, which also runs this.
+  /// Fails closed on max_connections outside [1, kMaxConnections] and on a
+  /// malformed listen spec: a unix: path must be non-empty and fit
+  /// sockaddr_un, a tcp: port must be a whole decimal in [0, 65535].
+  /// Server::Start runs this before it binds.
   Status Validate() const;
 };
 

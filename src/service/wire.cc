@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "src/common/strings.h"
+
 namespace ccr {
 namespace service {
 
@@ -116,6 +118,13 @@ FrameDecoder::Outcome FrameDecoder::Next(Frame* frame) {
                      payload - kFrameHeaderBytes - sid_len);
   off_ += 4u + payload;
   return Outcome::kFrame;
+}
+
+bool ParseTcpPort(std::string_view text, uint16_t* port) {
+  int64_t n = 0;
+  if (!ParseInt64(text, &n) || n < 0 || n > 65535) return false;
+  *port = static_cast<uint16_t>(n);
+  return true;
 }
 
 }  // namespace service

@@ -92,6 +92,11 @@ struct Frame {
   bool is_response() const { return (type & kResponseBit) != 0; }
 };
 
+/// Reads the PORT of a `tcp:PORT` address: a decimal integer in
+/// [0, 65535] that spans all of `text`. False on anything else, so a
+/// malformed listen or dial spec fails closed instead of reading as 0.
+bool ParseTcpPort(std::string_view text, uint16_t* port);
+
 /// Appends the encoded frame to `out`. Returns false (and appends nothing)
 /// if the frame would exceed kMaxFrameBytes or the session id exceeds
 /// 65535 bytes.

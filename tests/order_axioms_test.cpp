@@ -11,9 +11,8 @@
 //   (b) DeduceOrder's native block propagation vs the counter-based pass
 //       over the materialized formula, paper and strict mode, across
 //       session rounds that add domain values;
-//   (c) local search (the `--solver sls` flags) never reports an
-//       assignment that is not a strict order (transitively closed and
-//       asymmetric) as feasible;
+//   (c) the model-cache seed (`use_sls_seeding`) pushes only closed
+//       models, and seeds nothing on a non-Horn formula;
 //   (d) Cnf copy, move and Clear carry the blocks, and DIMACS output
 //       round-trips to the materialized formula;
 // plus the independent oracle for (b): strict-mode DeduceOrder equals the
@@ -648,7 +647,7 @@ TEST(OrderAxiomsTest, StrictDeduceOrderIsTheLemma6PairSet) {
   EXPECT_GT(pairs, 100);
 }
 
-// --- (c) local search only reports closed assignments ------------------
+// --- (c) the seed pushes only closed models ----------------------------
 
 SolverOptions SlsOptions() {
   SolverOptions o;
@@ -686,45 +685,41 @@ TEST(OrderAxiomsTest, InprocessedSessionSolverMatchesTheMaterializedFormula) {
 }
 
 TEST(OrderAxiomsTest, LocalSearchNeverReportsAnOpenAssignmentFeasible) {
+  // On a Horn round the seed pushes the least model, which the closure
+  // propagator made a strict order; the solve after it answers from that
+  // model. Non-Horn rounds seed nothing.
   Rng rng(0x515);
-  int feasible = 0, infeasible = 0;
+  int seeded = 0;
   for (int round = 0; round < 200; ++round) {
     const Cnf cnf = RandomBlockCnf(&rng, round % 2 == 0);
     Solver s(SlsOptions());
     s.AddCnf(cnf);
     const std::vector<Lit> assume = RandomAssumptions(&rng, cnf.num_vars());
-    const sat::LocalSearchResult r = s.SeedFromLocalSearch(assume);
-    if (!r.ran) continue;
-    const bool closed =
-        Closed(cnf, [&](Var v) { return r.model[v] != 0; });
-    if (r.feasible) {
-      EXPECT_TRUE(closed) << "round " << round;
-      EXPECT_EQ(r.hard_unsat, 0) << "round " << round;
-      ++feasible;
-    } else {
-      EXPECT_GT(r.hard_unsat, 0) << "round " << round;
-      ++infeasible;
-    }
+    const bool pushed = s.SeedFromLocalSearch(assume);
     // Whatever the pass seeded, the exact search agrees with the
     // materialized formula and its models are closed.
     Solver ref;
     ref.AddCnf(cnf.Materialized());
     const SolveResult v = s.SolveWithAssumptions(assume);
     ASSERT_EQ(v, ref.SolveWithAssumptions(assume)) << "round " << round;
+    if (pushed) {
+      EXPECT_EQ(v, SolveResult::kSat) << "round " << round;
+      EXPECT_EQ(s.stats().model_cache_hits, 1) << "round " << round;
+      ++seeded;
+    }
     if (v == SolveResult::kSat) {
       EXPECT_TRUE(ModelClosed(cnf, s)) << "round " << round;
     }
   }
-  EXPECT_GT(feasible, 3);
-  EXPECT_GT(infeasible, 10);
+  EXPECT_GT(seeded, 3);
 }
 
 TEST(OrderAxiomsTest, LocalSearchCountsABothTruePairAsOpen) {
   // (x_01 ∨ y) and (x_10 ∨ y) under the assumption ¬y: the explicit
   // clauses hold only with x_01 and x_10 both true, which the block's
-  // asymmetry forbids. Local search sees only the explicit clauses, so
-  // its best assignment sets both; it must not report that feasible, or
-  // the assignment would enter the model cache and answer the solve below.
+  // asymmetry forbids. The clauses are not Horn, so the formula has no
+  // least model to seed: nothing enters the model cache, and the solve
+  // below searches to its verdict.
   Cnf cnf;
   cnf.AddOrderBlock();
   GrowBlock(&cnf, 0, 2);
@@ -738,11 +733,10 @@ TEST(OrderAxiomsTest, LocalSearchCountsABothTruePairAsOpen) {
             1);
   Solver s(SlsOptions());
   s.AddCnf(cnf);
+  ASSERT_FALSE(s.ProblemIsHorn());
   const std::vector<Lit> assume = {Lit::Neg(y)};
-  const sat::LocalSearchResult r = s.SeedFromLocalSearch(assume);
-  ASSERT_TRUE(r.ran);
-  EXPECT_FALSE(r.feasible);
-  EXPECT_GT(r.hard_unsat, 0);
+  EXPECT_FALSE(s.SeedFromLocalSearch(assume));
+  EXPECT_EQ(s.stats().sls_seeded_models, 0);
   EXPECT_EQ(s.SolveWithAssumptions(assume), SolveResult::kUnsat);
   EXPECT_EQ(s.stats().model_cache_hits, 0);
 }

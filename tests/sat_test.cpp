@@ -271,7 +271,7 @@ TEST(SolverTest, MinimizationStaleSeenRegression) {
 }
 
 // Random 3-SAT cross-checked against brute force under every feature
-// configuration — inprocessing, eager arena GC, local-search seeding,
+// configuration — inprocessing, eager arena GC, model-cache seeding,
 // and a mid-stream Simplify() variant that exercises the inprocessing
 // passes on half-loaded formulas.
 struct FuzzParams {
@@ -292,7 +292,7 @@ TEST_P(SolverFuzzTest, MatchesBruteForce) {
   Rng rng(0xF00D + (p.inprocessing ? 1024 : 0) +
           (p.simplify_midway ? 512 : 0) + (p.eager_gc ? 2048 : 0) +
           (p.sls_seed ? 8192 : 0));
-  int sat_count = 0, unsat_count = 0;
+  int sat_count = 0, unsat_count = 0, seeded = 0;
   for (int round = 0; round < 150; ++round) {
     const int n_vars = 3 + static_cast<int>(rng.Below(10));
     const int n_clauses = 2 + static_cast<int>(rng.Below(50));
@@ -332,18 +332,16 @@ TEST_P(SolverFuzzTest, MatchesBruteForce) {
     } else {
       solver.AddCnf(cnf);
     }
-    if (p.sls_seed && alive) {
-      // Local-search warm start: rewrites saved phases and may push a
-      // witness into the model pool, but the verdict below must still
-      // match brute force — SLS can only change time-to-verdict.
-      const LocalSearchResult seeded = solver.SeedFromLocalSearch();
-      if (seeded.feasible) {
-        EXPECT_EQ(seeded.hard_unsat, 0);
-      }
-    }
+    // A Horn round pushes its least model into the model pool: the Solve
+    // below answers from it, and brute force must agree.
+    const bool seed = p.sls_seed && alive && solver.SeedFromLocalSearch();
     const bool expected = BruteForceSat(cnf);
     const SolveResult got = solver.Solve();
     ASSERT_EQ(got == SolveResult::kSat, expected) << "round " << round;
+    if (seed) {
+      EXPECT_EQ(solver.stats().model_cache_hits, 1) << "round " << round;
+      ++seeded;
+    }
     if (expected) {
       ++sat_count;
       EXPECT_TRUE(ModelSatisfies(cnf, solver)) << "round " << round;
@@ -354,6 +352,9 @@ TEST_P(SolverFuzzTest, MatchesBruteForce) {
   // The distribution must exercise both outcomes.
   EXPECT_GT(sat_count, 10);
   EXPECT_GT(unsat_count, 10);
+  if (p.sls_seed) {
+    EXPECT_GT(seeded, 10);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

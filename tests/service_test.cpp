@@ -611,11 +611,34 @@ TEST(ServerTest, ConnectionCapIsBounded) {
 
 TEST(ServerTest, RejectsBadListenSpecs) {
   SessionManager manager(ServiceOptions{});
-  for (const char* spec : {"", "udp:1234", "unix:", "http://x"}) {
+  // A port that is empty, not a whole decimal or outside [0, 65535] must
+  // not bind some other port; a unix path must fit sockaddr_un.
+  const std::string long_path = "unix:/" + std::string(200, 'x');
+  for (const std::string& spec :
+       {std::string(), std::string("udp:1234"), std::string("unix:"),
+        std::string("http://x"), std::string("tcp:"), std::string("tcp:abc"),
+        std::string("tcp:-1"), std::string("tcp:65536"),
+        std::string("tcp:80x"), long_path}) {
     ServerOptions opts;
     opts.listen = spec;
+    EXPECT_EQ(opts.Validate().code(), StatusCode::kInvalidArgument) << spec;
     Server server(&manager, opts);
-    EXPECT_FALSE(server.Start().ok()) << spec;
+    EXPECT_EQ(server.Start().code(), StatusCode::kInvalidArgument) << spec;
+  }
+  for (const char* spec : {"tcp:0", "tcp:65535", "unix:/tmp/ccr.sock"}) {
+    ServerOptions opts;
+    opts.listen = spec;
+    EXPECT_TRUE(opts.Validate().ok()) << spec;
+  }
+}
+
+TEST(ServiceClientTest, DialRejectsABadPort) {
+  for (const char* address :
+       {"tcp:", "tcp:abc", "tcp:-1", "tcp:65536", "tcp:80x",
+        "tcp:127.0.0.1:70000", "tcp:127.0.0.1:"}) {
+    EXPECT_EQ(ServiceClient::Dial(address).status().code(),
+              StatusCode::kInvalidArgument)
+        << address;
   }
 }
 

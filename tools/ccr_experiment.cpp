@@ -321,7 +321,6 @@ void DumpSolverStats(const ExperimentResult& r) {
                  "\"vivified\": %lld, \"model_cache_hits\": %lld, "
                  "\"gc_runs\": %lld, \"gc_reclaimed_words\": %lld, "
                  "\"sweeps\": %lld, \"reductions\": %lld, "
-                 "\"sls_flips\": %lld, "
                  "\"sls_seeded_models\": %lld, \"deduce_queries\": %lld, "
                  "\"suggest_probes\": %lld, "
                  "\"deduce_probes\": %lld, \"deduce_fallbacks\": %lld, "
@@ -340,7 +339,6 @@ void DumpSolverStats(const ExperimentResult& r) {
                  static_cast<long long>(s.gc_reclaimed_words),
                  static_cast<long long>(s.sweeps),
                  static_cast<long long>(s.reductions),
-                 static_cast<long long>(s.sls_flips),
                  static_cast<long long>(s.sls_seeded_models),
                  static_cast<long long>(s.deduce_queries),
                  static_cast<long long>(s.suggest_probes),
